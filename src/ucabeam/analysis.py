@@ -30,7 +30,6 @@ All quadrature cross-checks are done in these dimensionless variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +41,10 @@ from .arraymodel import (
     steering_uca,
 )
 from .cxlinalg import water_filling
-from .precoding import PrecoderSet, ttd_delays, ttd_reference_angles
+from .precoding import (_GAIN_FLOOR, PrecoderSet, _analog, _arc_size, _check_snr, _ps_column,
+                        _sorted_paths, analog_combined, combined_precoder, ttd_delays)
 
 __all__ = [
-    "GainProfile",
-    "SeProfile",
     "exact_gain",
     "ps_gain_closed_form",
     "ps_gain_angular_closed_form",
@@ -65,48 +63,6 @@ __all__ = [
     "spectrum_efficiency_optimal",
     "beam_cross_gains",
 ]
-
-
-@dataclass(frozen=True)
-class GainProfile:
-    """Gain samples along a frequency or angle axis."""
-
-    axis: str
-    samples: tuple
-    meta: str = ""
-
-    def __post_init__(self):
-        if self.axis not in ("frequency", "angle"):
-            raise ValueError(f"axis must be 'frequency' or 'angle', got {self.axis!r}")
-        samples = tuple((float(x), float(g)) for x, g in self.samples)
-        xs = [x for x, _ in samples]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("sample coordinates must be strictly increasing")
-        if any(g < 0.0 for _, g in samples):
-            raise ValueError("gains must be non-negative")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        return np.array([x for x, _ in self.samples])
-
-    @property
-    def gains(self) -> np.ndarray:
-        return np.array([g for _, g in self.samples])
-
-
-@dataclass(frozen=True)
-class SeProfile:
-    """Spectrum-efficiency samples (bits/s/Hz) with a method label."""
-
-    samples: tuple
-    method: str
-
-    def __post_init__(self):
-        samples = tuple((float(x), float(v)) for x, v in self.samples)
-        if any(v < 0.0 for _, v in samples):
-            raise ValueError("spectrum efficiency must be non-negative")
-        object.__setattr__(self, "samples", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +117,7 @@ def dpp_gain_subarray_sum(
     r_i = (2*sqrt(2)*pi*R/c) * (f - fc) * sqrt(1 - cos((2i+1)*pi/N - pi/K)).
     """
     _check_freqs(f_hz, fc_hz, radius_m)
-    if n_elements % k_ttd != 0:
-        raise ValueError(
-            f"k_ttd={k_ttd} must divide n_elements={n_elements} so each delay "
-            f"unit drives an integer number P = N/K of antennas"
-        )
-    p = n_elements // k_ttd
+    p = _arc_size(n_elements, k_ttd)
     scale = 2.0 * math.sqrt(2.0) * math.pi * radius_m / SPEED_OF_LIGHT * (f_hz - fc_hz)
     acc = 0.0
     for i in range(p):
@@ -189,13 +140,9 @@ def dpp_column(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
                k_ttd: int) -> np.ndarray:
     """Combined analog weight of one delay-phase RF chain steered toward phi:
     centroid-referenced phase-shifter arcs times the TTD phases at f."""
-    p = geom.n_elements // k_ttd
-    theta = ttd_reference_angles(geom.n_elements, k_ttd)
-    eta_c = _eta(fc_hz, geom.radius_m)
-    a_c = steering_uca(geom, fc_hz, phi_rad)
-    corr = np.exp(-1j * eta_c * np.cos(phi_rad - theta))
-    phases = np.exp(-2j * np.pi * f_hz * ttd_delays(phi_rad, k_ttd, geom))
-    return a_c * np.repeat(corr * phases, p)
+    w_ps = _ps_column(geom, fc_hz, phi_rad, k_ttd, correct_to_centroid=True)
+    delays = ttd_delays(phi_rad, k_ttd, geom)
+    return _analog(w_ps[:, None], delays[None, :], f_hz)[:, 0]
 
 
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
@@ -324,9 +271,7 @@ def spectrum_efficiency(h_m, ps: PrecoderSet, m: int, rho: float, sigma2: float,
     log2 det(I + rho/(n_s*sigma2) * H^H F F^H H) with F the combined
     phase-shifter/delay/digital precoder at subcarrier m."""
     h_m = np.asarray(h_m, dtype=np.complex128)
-    if not 0 <= m < ps.n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range [0, {ps.n_subcarriers})")
-    f = ps.f_ps @ ps.f_ttd[m] @ ps.f_d[m]
+    f = combined_precoder(ps, m)
     if h_m.shape[0] != f.shape[0]:
         raise ValueError(
             f"channel/precoder mismatch: H is {h_m.shape}, F is {f.shape}"
@@ -349,16 +294,9 @@ def spectrum_efficiency_optimal(h_m, rho: float, sigma2: float, n_s: int,
     sing = np.linalg.svd(h_m, compute_uv=False)
     if sing.size < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.size}")
-    gains = np.maximum(rho * sing[:n_s] ** 2 / (n_s * sigma2), 1e-30)
+    gains = np.maximum(rho * sing[:n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR)
     powers = water_filling(gains, total_power)
     return float(np.sum(np.log2(1.0 + powers * gains)))
-
-
-def _check_snr(rho: float, sigma2: float):
-    if not (np.isfinite(rho) and rho > 0.0):
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
 
 
 def beam_cross_gains(ch: ChannelRealization, ps: PrecoderSet, m: int) -> np.ndarray:
@@ -366,10 +304,8 @@ def beam_cross_gains(ch: ChannelRealization, ps: PrecoderSet, m: int) -> np.ndar
     first) and combined analog columns.  The diagonal holds the per-beam
     gains; off-diagonal entries measure inter-beam leakage, which is small
     but not zero at finite N."""
-    if not 0 <= m < ps.n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range [0, {ps.n_subcarriers})")
+    w = analog_combined(ps, m)
     f = float(ch.grid.freqs_hz[m])
-    w = ps.f_ps @ ps.f_ttd[m]
-    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[: ps.n_rf]
+    paths = _sorted_paths(ch, ps.n_rf)
     rows = [steering_uca(ch.tx, f, p.aod_rad) for p in paths]
     return np.abs(np.stack(rows).conj() @ w)

@@ -19,9 +19,6 @@ __all__ = [
     "svd",
     "block_diag",
     "water_filling",
-    "matmul",
-    "hermitian",
-    "frobenius_norm",
 ]
 
 
@@ -119,19 +116,3 @@ def water_filling(gains, total_power: float) -> np.ndarray:
     p[1.0 / g <= inv[k - 1]] = 1.0
     return p * (total_power / p.sum())
 
-
-def matmul(a, b) -> np.ndarray:
-    a = _as_matrix(a, "left factor")
-    b = _as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def hermitian(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))

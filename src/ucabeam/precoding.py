@@ -2,11 +2,12 @@
 
 Architecture: each of ``n_rf`` RF chains feeds ``K`` true-time-delay (TTD)
 units, and each TTD unit drives ``P = N/K`` phase shifters, one per antenna
-of a contiguous arc of the circular array.  The frequency-flat phase-shifter
-matrix ``f_ps`` (N x n_rf*K) is built once; the TTD stage contributes a
-per-subcarrier block-diagonal phase matrix ``f_ttd[m]`` (n_rf*K x n_rf); the
-digital stage ``f_d[m]`` (n_rf x n_streams) comes from an SVD of the
-equivalent channel plus water-filling.
+of a contiguous arc of the circular array.  The analog stage is stored per
+arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
+per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
+``w_ps`` times the TTD phase ``exp(-j*2*pi*f*delays_s[l, k])``.  The digital
+stage ``f_d[m]`` (n_rf x n_streams) comes from an SVD of the equivalent
+channel plus water-filling.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -32,13 +33,12 @@ from .arraymodel import (
     channel_matrix,
     steering_uca,
 )
-from .cxlinalg import block_diag, svd, water_filling
+from .cxlinalg import svd, water_filling
 
 __all__ = [
     "DppConfig",
     "TtdSchedule",
     "PrecoderSet",
-    "subarray_phase_offset",
     "ttd_reference_angles",
     "ttd_delays",
     "build_classic_hybrid",
@@ -95,36 +95,30 @@ class TtdSchedule:
 
 @dataclass(frozen=True)
 class PrecoderSet:
-    """Frequency-flat PS matrix plus per-subcarrier TTD and digital stages.
+    """Per-arc analog stage plus per-subcarrier digital precoders.
 
-    f_ps:  N x (n_rf*K), entries of nonzero blocks have modulus 1/sqrt(N)
-    f_ttd: M x (n_rf*K) x n_rf block-diagonal unit-modulus phases
-    f_d:   M x n_rf x n_streams digital precoders
+    w_ps:     N x n_rf phase-shifter weights, modulus 1/sqrt(N)
+    delays_s: n_rf x K TTD delays; arc k of chain l is delayed by delays_s[l, k]
+    freqs_hz: M subcarrier frequencies
+    f_d:      M x n_rf x n_streams digital precoders
     """
 
-    f_ps: np.ndarray
-    f_ttd: np.ndarray
+    w_ps: np.ndarray
+    delays_s: np.ndarray
+    freqs_hz: np.ndarray
     f_d: np.ndarray
-    n_rf: int
-    n_ttd_per_rf: int
+
+    @property
+    def n_rf(self) -> int:
+        return self.w_ps.shape[1]
 
     @property
     def n_subcarriers(self) -> int:
-        return self.f_ttd.shape[0]
+        return self.f_d.shape[0]
 
 
-def subarray_phase_offset(p: int) -> float:
-    """Phase offset pi - pi/P at which a P-element arc's response peaks;
-    equals the angular gap between an arc's first element and its centroid,
-    scaled to the full circle."""
-    if not (isinstance(p, int) and p >= 1):
-        raise ValueError(f"p must be a positive integer, got {p}")
-    return math.pi - math.pi / p
-
-
-def ttd_reference_angles(n_elements: int, k_ttd: int) -> np.ndarray:
-    """Centroid angle of each of the K contiguous P-element arcs:
-    theta_k = pi*(2k+1)/K - pi/N, k = 0..K-1."""
+def _arc_size(n_elements: int, k_ttd: int) -> int:
+    """P = N/K antennas per delay unit; K must be a positive divisor of N."""
     if not (isinstance(k_ttd, int) and k_ttd >= 1):
         raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
     if n_elements % k_ttd != 0:
@@ -132,6 +126,13 @@ def ttd_reference_angles(n_elements: int, k_ttd: int) -> np.ndarray:
             f"k_ttd={k_ttd} must divide n_elements={n_elements} so each delay "
             f"unit drives an integer number P = N/K of antennas"
         )
+    return n_elements // k_ttd
+
+
+def ttd_reference_angles(n_elements: int, k_ttd: int) -> np.ndarray:
+    """Centroid angle of each of the K contiguous P-element arcs:
+    theta_k = pi*(2k+1)/K - pi/N, k = 0..K-1."""
+    _arc_size(n_elements, k_ttd)
     k = np.arange(k_ttd)
     return np.pi * (2.0 * k + 1.0) / k_ttd - np.pi / n_elements
 
@@ -153,65 +154,65 @@ def _sorted_paths(ch: ChannelRealization, n_rf: int):
     return order[:n_rf]
 
 
-def _check_sizes(ch: ChannelRealization, cfg: DppConfig) -> int:
-    n = ch.tx.n_elements
-    k = cfg.n_ttd_per_rf
-    if n % k != 0:
-        raise ValueError(
-            f"n_ttd_per_rf={k} must divide n_elements={n} so each delay unit "
-            f"drives an integer number P = N/K of antennas"
-        )
-    if cfg.n_rf > n:
-        raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={n}")
-    return n // k
-
-
-def _ps_matrix(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: bool):
-    """N x (n_rf*K) phase-shifter matrix.  Chain l occupies columns
-    [l*K, (l+1)*K); column k of that block holds arc k of the center-frequency
-    steering vector, optionally rotated so the arc's centroid phase is zero."""
-    p = _check_sizes(ch, cfg)
-    k_ttd = cfg.n_ttd_per_rf
-    n = ch.tx.n_elements
-    paths = _sorted_paths(ch, cfg.n_rf)
-    eta_c = 2.0 * np.pi * ch.tx.radius_m * ch.grid.fc_hz / SPEED_OF_LIGHT
-    theta = ttd_reference_angles(n, k_ttd)
-    cols = []
-    for path in paths:
-        col = steering_uca(ch.tx, ch.grid.fc_hz, path.aod_rad)
-        if correct_to_centroid:
-            corr = np.exp(-1j * eta_c * np.cos(path.aod_rad - theta))
-            col = col * np.repeat(corr, p)
-        blocks = [col[i * p : (i + 1) * p] for i in range(k_ttd)]
-        cols.append(block_diag(blocks))
-    return np.hstack(cols), paths
-
-
-def _ttd_stage(paths, cfg: DppConfig, ch: ChannelRealization, delays: np.ndarray):
-    """M x (n_rf*K) x n_rf block-diagonal TTD phase matrices exp(-j*2*pi*f_m*t)."""
-    m_count = ch.grid.n_subcarriers
-    k_ttd = cfg.n_ttd_per_rf
-    out = np.zeros((m_count, cfg.n_rf * k_ttd, cfg.n_rf), dtype=np.complex128)
-    freqs = ch.grid.freqs_hz
-    for m in range(m_count):
-        phases = np.exp(-2j * np.pi * freqs[m] * delays)  # n_rf x K
-        out[m] = block_diag(list(phases))
-    return out
-
-
-def _digital_stage(ch, f_ps, f_ttd, cfg: DppConfig, rho: float, sigma2: float):
-    """Per-subcarrier digital precoder: SVD of the equivalent channel,
-    water-filling over the effective stream SNRs, then an exact rescale so
-    the radiated power ||f_ps f_ttd f_d||_F^2 meets the budget."""
+def _check_snr(rho: float, sigma2: float):
     if not (np.isfinite(rho) and rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    m_count = ch.grid.n_subcarriers
+
+
+def _ps_column(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int,
+               correct_to_centroid: bool) -> np.ndarray:
+    """Phase-shifter weights of one chain steered toward phi: the
+    center-frequency steering vector, optionally rotated per arc so each
+    arc's centroid phase is zero."""
+    col = steering_uca(geom, fc_hz, phi_rad)
+    if correct_to_centroid:
+        eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
+        theta = ttd_reference_angles(geom.n_elements, k_ttd)
+        corr = np.exp(-1j * eta_c * np.cos(phi_rad - theta))
+        col = col * np.repeat(corr, geom.n_elements // k_ttd)
+    return col
+
+
+def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz: float) -> np.ndarray:
+    """N x n_rf combined analog weights at frequency f: each arc of
+    phase-shifter weights times its TTD phase exp(-j*2*pi*f*t)."""
+    p = w_ps.shape[0] // delays_s.shape[1]
+    phases = np.exp(-2j * np.pi * f_hz * delays_s)  # n_rf x K
+    return w_ps * np.repeat(phases.T, p, axis=0)
+
+
+def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
+           correct_to_centroid: bool) -> PrecoderSet:
+    """Shared construction: chain l serves the l-th strongest path; its TTD
+    delays follow the arc centroids when corrected, and are zero otherwise."""
+    _arc_size(ch.tx.n_elements, cfg.n_ttd_per_rf)
+    if cfg.n_rf > ch.tx.n_elements:
+        raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={ch.tx.n_elements}")
+    paths = _sorted_paths(ch, cfg.n_rf)
+    k_ttd = cfg.n_ttd_per_rf
+    w_ps = np.stack([
+        _ps_column(ch.tx, ch.grid.fc_hz, p.aod_rad, k_ttd, correct_to_centroid)
+        for p in paths
+    ], axis=1)
+    if correct_to_centroid:
+        delays = np.array([ttd_delays(p.aod_rad, k_ttd, ch.tx) for p in paths])
+    else:
+        delays = np.zeros((cfg.n_rf, k_ttd))
+    f_d = _digital_stage(ch, w_ps, delays, cfg, rho, sigma2)
+    return PrecoderSet(w_ps=w_ps, delays_s=delays, freqs_hz=ch.grid.freqs_hz, f_d=f_d)
+
+
+def _digital_stage(ch, w_ps, delays, cfg: DppConfig, rho: float, sigma2: float):
+    """Per-subcarrier digital precoder: SVD of the equivalent channel,
+    water-filling over the effective stream SNRs, then an exact rescale so
+    the radiated power ||analog f_d||_F^2 meets the budget."""
+    _check_snr(rho, sigma2)
     n_s = cfg.n_streams
-    f_d = np.zeros((m_count, cfg.n_rf, n_s), dtype=np.complex128)
-    for m in range(m_count):
-        analog = f_ps @ f_ttd[m]
+    f_d = np.zeros((ch.grid.n_subcarriers, cfg.n_rf, n_s), dtype=np.complex128)
+    for m, f_hz in enumerate(ch.grid.freqs_hz):
+        analog = _analog(w_ps, delays, f_hz)
         h_eq = channel_matrix(ch, m).conj().T @ analog  # N_r x n_rf
         res = svd(h_eq)
         if res.sigma.size < n_s:
@@ -238,13 +239,7 @@ def build_classic_hybrid(
     """Phase-shifter-only hybrid precoder: analog column l is the
     center-frequency steering vector of the l-th strongest path; the TTD
     stage is all-ones (no delays)."""
-    f_ps, paths = _ps_matrix(ch, cfg, correct_to_centroid=False)
-    delays = np.zeros((cfg.n_rf, cfg.n_ttd_per_rf))
-    f_ttd = _ttd_stage(paths, cfg, ch, delays)
-    f_d = _digital_stage(ch, f_ps, f_ttd, cfg, rho, sigma2)
-    return PrecoderSet(
-        f_ps=f_ps, f_ttd=f_ttd, f_d=f_d, n_rf=cfg.n_rf, n_ttd_per_rf=cfg.n_ttd_per_rf
-    )
+    return _build(ch, cfg, rho, sigma2, correct_to_centroid=False)
 
 
 def build_dpp(
@@ -253,25 +248,17 @@ def build_dpp(
     """Delay-phase precoder: centroid-referenced PS corrections plus TTD
     delays per chain, then the shared digital stage.  Returns the precoder
     set and the delay schedule."""
-    f_ps, paths = _ps_matrix(ch, cfg, correct_to_centroid=True)
-    delays = np.array(
-        [ttd_delays(p.aod_rad, cfg.n_ttd_per_rf, ch.tx) for p in paths]
-    )
-    f_ttd = _ttd_stage(paths, cfg, ch, delays)
-    f_d = _digital_stage(ch, f_ps, f_ttd, cfg, rho, sigma2)
-    ps = PrecoderSet(
-        f_ps=f_ps, f_ttd=f_ttd, f_d=f_d, n_rf=cfg.n_rf, n_ttd_per_rf=cfg.n_ttd_per_rf
-    )
-    return ps, TtdSchedule(delays_s=delays)
+    ps = _build(ch, cfg, rho, sigma2, correct_to_centroid=True)
+    return ps, TtdSchedule(delays_s=ps.delays_s)
 
 
 def analog_combined(ps: PrecoderSet, m: int) -> np.ndarray:
     """N x n_rf combined analog precoder at subcarrier m; unit-norm columns."""
     if not 0 <= m < ps.n_subcarriers:
         raise IndexError(f"subcarrier index {m} out of range [0, {ps.n_subcarriers})")
-    return ps.f_ps @ ps.f_ttd[m]
+    return _analog(ps.w_ps, ps.delays_s, ps.freqs_hz[m])
 
 
 def combined_precoder(ps: PrecoderSet, m: int) -> np.ndarray:
-    """N x n_streams end-to-end precoder F = f_ps @ f_ttd[m] @ f_d[m]."""
+    """N x n_streams end-to-end precoder: analog_combined(ps, m) @ f_d[m]."""
     return analog_combined(ps, m) @ ps.f_d[m]

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, specfun
+from . import analysis as an
+from . import specfun
 from .arraymodel import (
     SPEED_OF_LIGHT,
     FrequencyGrid,
@@ -56,21 +57,6 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("frequency", "angle", "argument", "snr_db", "k_ttd", "bandwidth")
-
-# Method labels accepted per sweep variable.  Angle methods may carry an
-# evaluation frequency suffix, e.g. "uca_exact@2.85e10" (Hz).
-_METHODS_BY_VARIABLE = {
-    "frequency": ("ps_exact", "ps_closed_form", "dpp_exact", "dpp_subarray_sum",
-                  "dpp_closed_form"),
-    "angle": ("ula_exact", "uca_exact", "uca_closed_form"),
-    "argument": ("hyp_1f2", "hyp_2f3"),
-    "snr_db": ("classic", "dpp", "optimal"),
-    "k_ttd": ("classic", "dpp", "optimal"),
-    "bandwidth": ("avg_ps_numeric", "avg_ps_upper", "avg_ps_lower", "avg_ttd",
-                  "classic", "dpp", "optimal"),
-}
-
-_TRIAL_METHODS = ("classic", "dpp", "optimal")
 
 
 class ScenarioError(ValueError):
@@ -228,9 +214,9 @@ def validate_scenario(scenario: Scenario) -> list:
         return True
 
     ok_n = check_int("system", "n_elements_tx", sy.n_elements_tx, 1)
-    check_int("system", "n_elements_rx", sy.n_elements_rx, 1)
-    check_pos("system", "fc_hz", sy.fc_hz)
-    check_pos("system", "bandwidth_hz", sy.bandwidth_hz)
+    ok_rx = check_int("system", "n_elements_rx", sy.n_elements_rx, 1)
+    ok_fc = check_pos("system", "fc_hz", sy.fc_hz)
+    ok_bw = check_pos("system", "bandwidth_hz", sy.bandwidth_hz)
     check_int("system", "n_subcarriers", sy.n_subcarriers, 1)
     if sy.radius_m is not None:
         check_pos("system", "radius_m", sy.radius_m)
@@ -239,7 +225,8 @@ def validate_scenario(scenario: Scenario) -> list:
 
     ok_rf = check_int("precoding", "n_rf", pc.n_rf, 1)
     ok_k = check_int("precoding", "k_ttd", pc.k_ttd, 1)
-    if check_int("precoding", "n_streams", pc.n_streams, 1) and ok_rf:
+    ok_s = check_int("precoding", "n_streams", pc.n_streams, 1)
+    if ok_s and ok_rf:
         if pc.n_streams > pc.n_rf:
             diags.append(
                 f"precoding.n_streams: must not exceed n_rf, got "
@@ -293,11 +280,19 @@ def validate_scenario(scenario: Scenario) -> list:
                          "of divisors of n_elements_tx")
         if sw.variable == "bandwidth" and not (sw.start > 0):
             diags.append(f"sweep: bandwidth range must start above 0, got {sw.start!r}")
+        if sw.variable == "frequency" and ok_fc and ok_bw:
+            # the runner samples the subcarrier grid of the system band
+            lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
+            if not (math.isclose(sw.start, lo, rel_tol=1e-9)
+                    and math.isclose(sw.stop, hi, rel_tol=1e-9)):
+                diags.append(f"sweep: a frequency sweep covers the system band, so "
+                             f"[start, stop] must be fc_hz -/+ bandwidth_hz/2 = "
+                             f"[{lo!r}, {hi!r}], got [{sw.start!r}, {sw.stop!r}]")
 
     check_int("trials", "n_seeds", tr.n_seeds, 1)
     if not (isinstance(tr.base_seed, int) and not isinstance(tr.base_seed, bool) and tr.base_seed >= 0):
         diags.append(f"trials.base_seed: must be a non-negative integer, got {tr.base_seed!r}")
-    check_int("trials", "n_paths", tr.n_paths, 1)
+    ok_paths = check_int("trials", "n_paths", tr.n_paths, 1)
     if not (isinstance(tr.snr_db, (int, float)) and math.isfinite(tr.snr_db)):
         diags.append(f"trials.snr_db: must be finite, got {tr.snr_db!r}")
     if not (isinstance(tr.max_delay_s, (int, float)) and math.isfinite(tr.max_delay_s)
@@ -306,7 +301,8 @@ def validate_scenario(scenario: Scenario) -> list:
 
     if not scenario.methods:
         diags.append("methods: must list at least one method")
-    allowed = _METHODS_BY_VARIABLE.get(sw.variable, ())
+    allowed = [name for name, m in _METHODS.items() if sw.variable in m.variables]
+    has_trial = False
     for label in scenario.methods:
         base, freq = _split_method(label)
         if base not in allowed:
@@ -319,12 +315,18 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append(f"methods: {label!r}: '@frequency' suffixes apply only to angle sweeps")
         elif freq is not None and not (math.isfinite(freq) and freq > 0):
             diags.append(f"methods: {label!r}: suffix must be a positive frequency in Hz")
-        if base in _TRIAL_METHODS and ok_rf and tr.n_paths < pc.n_rf:
-            diags.append(
-                f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
-                f"{pc.n_rf}; every RF chain needs a path to serve"
-            )
-            break
+        has_trial = has_trial or _METHODS[base].trial
+    if has_trial and ok_rf and ok_paths and tr.n_paths < pc.n_rf:
+        diags.append(
+            f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
+            f"{pc.n_rf}; every RF chain needs a path to serve"
+        )
+    if has_trial and ok_s and ok_rx and pc.n_streams > sy.n_elements_rx:
+        diags.append(f"precoding.n_streams: {pc.n_streams} exceeds system.n_elements_rx="
+                     f"{sy.n_elements_rx}; each stream needs a receive antenna")
+    if has_trial and ok_rf and ok_n and pc.n_rf > sy.n_elements_tx:
+        diags.append(f"precoding.n_rf: {pc.n_rf} exceeds system.n_elements_tx="
+                     f"{sy.n_elements_tx}; each RF chain needs its own antenna")
     return diags
 
 
@@ -450,77 +452,42 @@ def run(scenario: Scenario, points_override: int | None = None) -> ResultTable:
     if problems:
         raise ScenarioError(problems)
     xs = _sweep_points(scenario, points_override)
-    variable = scenario.sweep.variable
     rows = []
     caches = {"channels": {}, "matrices": {}}
     for label in scenario.methods:
         base, freq = _split_method(label)
-        if base in _TRIAL_METHODS:
-            rows.extend(_run_trial_method(scenario, label, base, xs, variable, caches))
+        method = _METHODS[base]
+        if method.trial:
+            rows.extend(_run_trial_method(scenario, label, method.evaluate, xs, caches))
         else:
-            rows.extend(_run_deterministic_method(scenario, label, base, freq, xs, variable))
+            setup = _Setup(scenario, freq)
+            rows.extend(ResultRow(x, label, float(method.evaluate(setup, x)), 0.0)
+                        for x in xs)
     return ResultTable(rows=tuple(rows)).sorted()
 
 
-def _run_deterministic_method(scenario, label, base, freq, xs, variable):
-    sy, pc = scenario.system, scenario.precoding
-    phi0 = sy.target_angle_rad
-    out = []
-    if variable == "frequency":
-        geom = _tx_uca(sy)
-        for f in xs:
-            if base == "ps_exact":
-                w = steering_uca(geom, sy.fc_hz, phi0)
-                val = analysis.exact_gain(w, geom, f, phi0)
-            elif base == "ps_closed_form":
-                val = analysis.ps_gain_closed_form(f, sy.fc_hz, geom.radius_m)
-            elif base == "dpp_exact":
-                val = analysis.dpp_exact_gain(geom, sy.fc_hz, f, phi0, pc.k_ttd)
-            elif base == "dpp_subarray_sum":
-                val = analysis.dpp_gain_subarray_sum(
-                    f, sy.fc_hz, geom.radius_m, geom.n_elements, pc.k_ttd)
-            else:
-                val = analysis.dpp_gain_closed_form(f, sy.fc_hz, geom.radius_m, pc.k_ttd)
-            out.append(ResultRow(f, label, float(val), 0.0))
-    elif variable == "angle":
-        f_eval = freq if freq is not None else sy.fc_hz
-        if base == "ula_exact":
-            lam_c = SPEED_OF_LIGHT / sy.fc_hz
-            ula = UlaGeometry(sy.n_elements_tx, lam_c / 2.0)
-            w = steering_ula(ula, sy.fc_hz, phi0)
-            for phi in xs:
-                a = steering_ula(ula, f_eval, phi)
-                out.append(ResultRow(phi, label, float(abs(np.vdot(a, w))), 0.0))
-        else:
-            geom = _tx_uca(sy)
-            w = steering_uca(geom, sy.fc_hz, phi0)
-            for phi in xs:
-                if base == "uca_exact":
-                    val = analysis.exact_gain(w, geom, f_eval, phi)
-                else:
-                    val = analysis.ps_gain_angular_closed_form(
-                        f_eval, sy.fc_hz, geom.radius_m, phi, phi0)
-                out.append(ResultRow(phi, label, float(val), 0.0))
-    elif variable == "argument":
-        for x in xs:
-            if base == "hyp_1f2":
-                val = specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)
-            else:
-                val = specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x)
-            out.append(ResultRow(x, label, float(val), 0.0))
-    else:  # bandwidth sweep over averaged gains
-        geom = _tx_uca(sy)
-        for b in xs:
-            if base == "avg_ps_numeric":
-                val = analysis.avg_gain_ps_numeric(geom.radius_m, b)
-            elif base == "avg_ps_upper":
-                val = analysis.avg_gain_ps_upper(geom.radius_m, b)
-            elif base == "avg_ps_lower":
-                val = analysis.avg_gain_ps_lower(geom.radius_m, b)
-            else:
-                val = analysis.avg_gain_ttd(geom.radius_m, b, pc.k_ttd)
-            out.append(ResultRow(b, label, float(val), 0.0))
-    return out
+class _Setup:
+    """Shared inputs of the deterministic evaluators: the transmit ring and
+    its center-frequency beam toward the target, the delay units per chain,
+    and the evaluation frequency of an angle method ('@' suffix, else fc)."""
+
+    def __init__(self, scenario: Scenario, freq: float | None):
+        sy = scenario.system
+        self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
+        self.geom = _tx_uca(sy)
+        self.radius = self.geom.radius_m
+        self.beam = steering_uca(self.geom, self.fc, self.phi0)
+        self.f_eval = freq if freq is not None else self.fc
+
+
+def _ula_exact(s: _Setup, phi: float) -> float:
+    ula = UlaGeometry(s.geom.n_elements, SPEED_OF_LIGHT / s.fc / 2.0)
+    w = steering_ula(ula, s.fc, s.phi0)
+    return abs(np.vdot(steering_ula(ula, s.f_eval, phi), w))
+
+
+def _se_hybrid(pset, hs, rho: float, sigma2: float) -> list:
+    return [an.spectrum_efficiency(h, pset, m, rho, sigma2) for m, h in enumerate(hs)]
 
 
 def _channel_and_matrices(scenario, bandwidth, seed, caches):
@@ -537,38 +504,68 @@ def _channel_and_matrices(scenario, bandwidth, seed, caches):
     return caches["channels"][key], caches["matrices"][key]
 
 
-def _run_trial_method(scenario, label, base, xs, variable, caches):
+def _run_trial_method(scenario, label, evaluate, xs, caches):
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
+    variable = scenario.sweep.variable
     out = []
     for x in xs:
         k_ttd = int(x) if variable == "k_ttd" else pc.k_ttd
         bandwidth = x if variable == "bandwidth" else sy.bandwidth_hz
         snr_db = x if variable == "snr_db" else tr.snr_db
         rho = 10.0 ** (snr_db / 10.0)
-        sigma2 = 1.0
         cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
         per_seed = []
         for i in range(tr.n_seeds):
             ch, hs = _channel_and_matrices(scenario, bandwidth, tr.base_seed + i, caches)
-            if base == "optimal":
-                ses = [
-                    analysis.spectrum_efficiency_optimal(
-                        h, rho, sigma2, pc.n_streams, pc.total_power)
-                    for h in hs
-                ]
-            else:
-                if base == "classic":
-                    pset = build_classic_hybrid(ch, cfg, rho, sigma2)
-                else:
-                    pset, _ = build_dpp(ch, cfg, rho, sigma2)
-                ses = [
-                    analysis.spectrum_efficiency(hs[m], pset, m, rho, sigma2)
-                    for m in range(sy.n_subcarriers)
-                ]
-            per_seed.append(float(np.mean(ses)))
+            per_seed.append(float(np.mean(evaluate(ch, hs, cfg, rho, 1.0))))
         out.append(ResultRow(float(x), label, float(np.mean(per_seed)),
                              float(np.std(per_seed))))
     return out
+
+
+@dataclass(frozen=True)
+class _Method:
+    """A method label's accepted sweep variables, evaluator, and whether it
+    averages over seeded channels.  Deterministic evaluators map (_Setup, x)
+    to a value; trial evaluators map (channel, per-subcarrier matrices,
+    DppConfig, rho, sigma2) to per-subcarrier spectrum efficiencies."""
+
+    variables: tuple
+    evaluate: object
+    trial: bool = False
+
+
+_FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
+_SE = ("snr_db", "k_ttd", "bandwidth")
+
+# Validation and execution both read this table.
+_METHODS = {
+    "ps_exact": _Method(_FREQ, lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0)),
+    "ps_closed_form": _Method(_FREQ, lambda s, f: an.ps_gain_closed_form(f, s.fc, s.radius)),
+    "dpp_exact": _Method(_FREQ, lambda s, f: an.dpp_exact_gain(s.geom, s.fc, f, s.phi0, s.k_ttd)),
+    "dpp_subarray_sum": _Method(_FREQ, lambda s, f: an.dpp_gain_subarray_sum(
+        f, s.fc, s.radius, s.geom.n_elements, s.k_ttd)),
+    "dpp_closed_form": _Method(_FREQ, lambda s, f: an.dpp_gain_closed_form(
+        f, s.fc, s.radius, s.k_ttd)),
+    "ula_exact": _Method(_ANGLE, _ula_exact),
+    "uca_exact": _Method(_ANGLE, lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi)),
+    "uca_closed_form": _Method(_ANGLE, lambda s, phi: an.ps_gain_angular_closed_form(
+        s.f_eval, s.fc, s.radius, phi, s.phi0)),
+    "hyp_1f2": _Method(_ARG, lambda s, x: specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)),
+    "hyp_2f3": _Method(_ARG, lambda s, x: specfun.hypergeom_2f3(
+        0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x)),
+    "avg_ps_numeric": _Method(_BAND, lambda s, b: an.avg_gain_ps_numeric(s.radius, b)),
+    "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
+    "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
+    "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
+    "classic": _Method(_SE, lambda ch, hs, cfg, rho, s2: _se_hybrid(
+        build_classic_hybrid(ch, cfg, rho, s2), hs, rho, s2), trial=True),
+    "dpp": _Method(_SE, lambda ch, hs, cfg, rho, s2: _se_hybrid(
+        build_dpp(ch, cfg, rho, s2)[0], hs, rho, s2), trial=True),
+    "optimal": _Method(_SE, lambda ch, hs, cfg, rho, s2: [
+        an.spectrum_efficiency_optimal(h, rho, s2, cfg.n_streams, cfg.total_power)
+        for h in hs], trial=True),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -488,31 +488,3 @@ def test_cross_gains_off_diagonal_leakage_is_real_but_bounded():
             worst = max(worst, float(off.max()))
     assert worst <= 0.25
     assert worst > 0.01
-
-
-# ---------------------------------------------------------------------------
-# result containers
-# ---------------------------------------------------------------------------
-
-
-def test_gain_profile_validation():
-    an.GainProfile("frequency", ((1.0, 0.5), (2.0, 0.7)))
-    with pytest.raises(ValueError):
-        an.GainProfile("power", ((1.0, 0.5),))
-    with pytest.raises(ValueError):
-        an.GainProfile("angle", ((2.0, 0.5), (1.0, 0.7)))
-    with pytest.raises(ValueError):
-        an.GainProfile("angle", ((1.0, -0.5), (2.0, 0.7)))
-
-
-def test_gain_profile_accessors():
-    prof = an.GainProfile("frequency", ((1.0, 0.5), (2.0, 0.7)), meta="demo")
-    assert np.array_equal(prof.coordinates, [1.0, 2.0])
-    assert np.array_equal(prof.gains, [0.5, 0.7])
-    assert prof.meta == "demo"
-
-
-def test_se_profile_validation():
-    an.SeProfile(((0.0, 3.0), (10.0, 8.0)), method="dpp")
-    with pytest.raises(ValueError):
-        an.SeProfile(((0.0, -1.0),), method="dpp")

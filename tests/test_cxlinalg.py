@@ -6,9 +6,6 @@ import pytest
 from ucabeam.cxlinalg import (
     SvdError,
     block_diag,
-    frobenius_norm,
-    hermitian,
-    matmul,
     svd,
     water_filling,
 )
@@ -59,7 +56,7 @@ def test_svd_frobenius_identity():
     rng = np.random.default_rng(3)
     a = _random_complex(rng, (6, 9))
     res = svd(a)
-    assert np.sum(res.sigma ** 2) == pytest.approx(frobenius_norm(a) ** 2, rel=1e-12)
+    assert np.sum(res.sigma ** 2) == pytest.approx(np.linalg.norm(a, "fro") ** 2, rel=1e-12)
 
 
 def test_svd_rejects_bad_input():
@@ -179,28 +176,3 @@ def test_water_filling_validation():
     with pytest.raises(ValueError):
         water_filling([[1.0, 2.0]], 1.0)
 
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-
-def test_matmul_matches_numpy_and_checks_shapes():
-    rng = np.random.default_rng(2)
-    a = _random_complex(rng, (3, 4))
-    b = _random_complex(rng, (4, 5))
-    assert np.allclose(matmul(a, b), a @ b)
-    with pytest.raises(ValueError):
-        matmul(a, _random_complex(rng, (3, 5)))
-
-
-def test_hermitian_is_conjugate_transpose():
-    rng = np.random.default_rng(4)
-    a = _random_complex(rng, (3, 6))
-    assert np.array_equal(hermitian(a), a.conj().T)
-
-
-def test_frobenius_norm_matches_numpy():
-    rng = np.random.default_rng(6)
-    a = _random_complex(rng, (7, 2))
-    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a, "fro"), rel=1e-14)

@@ -24,7 +24,6 @@ from ucabeam.precoding import (
     build_classic_hybrid,
     build_dpp,
     combined_precoder,
-    subarray_phase_offset,
     ttd_delays,
     ttd_reference_angles,
 )
@@ -69,13 +68,6 @@ def test_ttd_schedule_validation():
         TtdSchedule(np.zeros(8))
     with pytest.raises(ValueError):
         TtdSchedule(-1e-12 * np.ones((1, 4)))
-
-
-def test_subarray_phase_offset_examples():
-    assert subarray_phase_offset(1) == 0.0
-    assert subarray_phase_offset(4) == pytest.approx(3.0 * np.pi / 4.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        subarray_phase_offset(0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +121,18 @@ def test_dpp_shapes_and_constant_modulus():
     ch = _single_path_channel(1.1, grid)
     cfg = DppConfig(1, 8, 1)
     ps, sched = build_dpp(ch, cfg)
-    assert ps.f_ps.shape == (256, 8)
-    assert ps.f_ttd.shape == (9, 8, 1)
+    assert ps.w_ps.shape == (256, 1)
+    assert ps.delays_s.shape == (1, 8)
     assert ps.f_d.shape == (9, 1, 1)
     assert ps.n_subcarriers == 9
-    nz = ps.f_ps[ps.f_ps != 0]
-    assert np.abs(np.abs(nz) - 1.0 / 16.0).max() <= 1e-15
-    tz = ps.f_ttd[ps.f_ttd != 0]
-    assert np.abs(np.abs(tz) - 1.0).max() <= 1e-12
-    assert sched.delays_s.shape == (1, 8)
+    assert ps.n_rf == 1
+    assert np.abs(np.abs(ps.w_ps) - 1.0 / 16.0).max() <= 1e-15
+    # combined weight = PS weight times a unit-modulus TTD phase per element
+    for m in range(9):
+        ratio = analog_combined(ps, m) / ps.w_ps
+        assert np.abs(np.abs(ratio) - 1.0).max() <= 1e-12
+    assert np.array_equal(sched.delays_s, ps.delays_s)
+    assert np.all(sched.delays_s >= 0.0)
     assert np.all(sched.delays_s <= 2.0 * GEOM.radius_m / C)
 
 
@@ -153,19 +148,25 @@ def test_dpp_block_support_pattern():
     cfg = DppConfig(2, 4, 2)
     ps, _ = build_dpp(ch, cfg)
     p = 256 // 4
-    for chain in range(2):
-        for k in range(4):
-            col = ps.f_ps[:, chain * 4 + k]
-            inside = col[k * p : (k + 1) * p]
-            assert np.all(inside != 0)
-            outside = np.concatenate([col[: k * p], col[(k + 1) * p :]])
-            assert np.all(outside == 0)
-    # TTD stage is block diagonal across chains
-    for m in range(5):
+    assert ps.w_ps.shape == (256, 2)
+    assert ps.delays_s.shape == (2, 4)
+    for m, f in enumerate(grid.freqs_hz):
+        ratio = analog_combined(ps, m) / ps.w_ps
         for chain in range(2):
-            other = 1 - chain
-            assert np.all(ps.f_ttd[m, chain * 4 : (chain + 1) * 4, other] == 0)
-            assert np.all(ps.f_ttd[m, chain * 4 : (chain + 1) * 4, chain] != 0)
+            for k in range(4):
+                arc = ratio[k * p : (k + 1) * p, chain]
+                want = np.exp(-2j * np.pi * f * ps.delays_s[chain, k])
+                assert np.abs(arc - want).max() <= 1e-12
+
+
+def test_classic_hybrid_has_no_delays():
+    grid = _grid(5)
+    ch = _single_path_channel(0.7, grid)
+    ps = build_classic_hybrid(ch, DppConfig(1, 8, 1))
+    assert np.array_equal(ps.delays_s, np.zeros((1, 8)))
+    assert np.array_equal(ps.w_ps[:, 0], steering_uca(GEOM, 30e9, 0.7))
+    for m in range(5):
+        assert np.array_equal(analog_combined(ps, m), ps.w_ps)
 
 
 def test_combined_phase_decomposition():

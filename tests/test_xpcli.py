@@ -136,6 +136,51 @@ def test_values_sweep_validation():
         scenario_from_dict(data)
 
 
+def test_frequency_sweep_rejects_range_off_the_band(tmp_path, capsys):
+    # the runner samples the system band's subcarrier grid, so a range that
+    # differs from fc -/+ B/2 would otherwise be silently ignored
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "frequency", "start": 1e9, "stop": 2e9, "points": 5}
+    data["methods"] = ["ps_exact"]
+    cfg = _write(tmp_path, "offband.json", data)
+    assert main(["validate", cfg]) == 2
+    assert "frequency sweep covers the system band" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert "frequency sweep covers the system band" in capsys.readouterr().err
+
+
+def test_frequency_sweep_band_edges_validate():
+    for name in ("fig2", "fig6"):
+        assert validate_scenario(load_builtin(name)) == []
+    data = _small_trial_scenario()
+    bw = 3.7e9
+    data["system"]["bandwidth_hz"] = bw
+    data["sweep"] = {"variable": "frequency", "start": FC - bw / 2,
+                     "stop": (FC + bw / 2) * (1 + 1e-12), "points": 5}
+    data["methods"] = ["ps_exact"]
+    scenario_from_dict(data)
+
+
+def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
+    data = _small_trial_scenario()
+    data["system"]["n_elements_rx"] = 2
+    data["precoding"].update(n_rf=4, n_streams=4)
+    data["trials"]["n_paths"] = 4
+    cfg = _write(tmp_path, "streams.json", data)
+    assert main(["validate", cfg]) == 2
+    assert "precoding.n_streams: 4 exceeds system.n_elements_rx=2" in capsys.readouterr().err
+
+
+def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys):
+    data = _small_trial_scenario()
+    data["system"]["n_elements_tx"] = 2
+    data["precoding"].update(n_rf=4, k_ttd=1, n_streams=1)
+    data["trials"]["n_paths"] = 4
+    cfg = _write(tmp_path, "chains.json", data)
+    assert main(["validate", cfg]) == 2
+    assert "precoding.n_rf: 4 exceeds system.n_elements_tx=2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # result tables
 # ---------------------------------------------------------------------------
