@@ -22,7 +22,6 @@ from ucabeam import (
     UlaGeometry,
     build_classic_hybrid,
     build_dpp,
-    channel_matrix,
     generate_channel,
     half_wavelength_uca,
     spectrum_efficiency,
@@ -48,18 +47,12 @@ for k_ttd in (1, 2, 4, 8, 16, 32):
     se_classic, se_dpp, se_opt = [], [], []
     for seed in range(N_SEEDS):
         ch = generate_channel(tx, rx, grid, 4, 2024 + seed)
-        hs = [channel_matrix(ch, m) for m in range(M)]
+        hs = ch.matrices  # M x N x N_r, built once and shared below
         classic = build_classic_hybrid(ch, cfg, rho, 1.0)
         dpp, _ = build_dpp(ch, cfg, rho, 1.0)
-        se_classic.append(np.mean(
-            [spectrum_efficiency(hs[m], classic, m, rho, 1.0) for m in range(M)]
-        ))
-        se_dpp.append(np.mean(
-            [spectrum_efficiency(hs[m], dpp, m, rho, 1.0) for m in range(M)]
-        ))
-        se_opt.append(np.mean(
-            [spectrum_efficiency_optimal(hs[m], rho, 1.0, 4) for m in range(M)]
-        ))
+        se_classic.append(np.mean(spectrum_efficiency(hs, classic, range(M), rho, 1.0)))
+        se_dpp.append(np.mean(spectrum_efficiency(hs, dpp, range(M), rho, 1.0)))
+        se_opt.append(np.mean(spectrum_efficiency_optimal(hs, rho, 1.0, 4)))
     c, d, o = np.mean(se_classic), np.mean(se_dpp), np.mean(se_opt)
     print(f"{k_ttd:>3} {c:>9.2f} {d:>12.2f} {o:>9.2f} {d / o:>8.3f}")
 

@@ -38,6 +38,7 @@ from .arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
     UcaGeometry,
+    _subcarrier_chunks,
     steering_uca,
 )
 from .cxlinalg import water_filling
@@ -247,56 +248,75 @@ def gain_improvement(radius_m: float, bandwidth_hz: float, k_ttd: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def se_from_effective(h_eff, rho: float, sigma2: float, n_s: int | None = None) -> float:
+def se_from_effective(h_eff, rho: float, sigma2: float, n_s: int | None = None):
     """log2 det(I + rho/(n_s*sigma2) * H_eff H_eff^H) for an effective
-    channel H_eff = H^H F (receive antennas x streams)."""
+    channel H_eff = H^H F (receive antennas x streams).  Leading axes index a
+    stack of effective channels and give an array of rates."""
     h_eff = np.asarray(h_eff, dtype=np.complex128)
-    if h_eff.ndim != 2:
-        raise ValueError(f"h_eff must be 2-D, got shape {h_eff.shape}")
+    if h_eff.ndim < 2:
+        raise ValueError(f"h_eff must be 2-D or a stack of 2-D, got shape {h_eff.shape}")
     if n_s is None:
-        n_s = h_eff.shape[1]
-    elif n_s != h_eff.shape[1]:
-        raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[1]}")
+        n_s = h_eff.shape[-1]
+    elif n_s != h_eff.shape[-1]:
+        raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[-1]}")
     _check_snr(rho, sigma2)
-    gram = (rho / (n_s * sigma2)) * (h_eff @ h_eff.conj().T)
-    sign, logdet = np.linalg.slogdet(np.eye(h_eff.shape[0]) + gram)
-    if sign <= 0:
+    gram = (rho / (n_s * sigma2)) * (h_eff @ np.swapaxes(h_eff.conj(), -1, -2))
+    sign, logdet = np.linalg.slogdet(np.eye(h_eff.shape[-2]) + gram)
+    if np.any(sign <= 0):
         raise ArithmeticError("log-det argument is not positive definite")
-    return float(logdet / math.log(2.0))
+    se = logdet / math.log(2.0)
+    return float(se) if se.ndim == 0 else se
 
 
-def spectrum_efficiency(h_m, ps: PrecoderSet, m: int, rho: float, sigma2: float,
-                        n_s: int | None = None) -> float:
+def spectrum_efficiency(h_m, ps: PrecoderSet, m, rho: float, sigma2: float,
+                        n_s: int | None = None):
     """Per-subcarrier rate of a hybrid precoder:
     log2 det(I + rho/(n_s*sigma2) * H^H F F^H H) with F the combined
-    phase-shifter/delay/digital precoder at subcarrier m."""
+    phase-shifter/delay/digital precoder at subcarrier m.
+
+    With a sequence of indices m and the len(m) x N x N_r channel stack h_m,
+    returns the array of their rates, evaluated in subcarrier chunks.
+    """
     h_m = np.asarray(h_m, dtype=np.complex128)
-    f = combined_precoder(ps, m)
-    if h_m.shape[0] != f.shape[0]:
+    idx = np.asarray(m)
+    n_tx = ps.w_ps.shape[0]
+    if h_m.ndim != idx.ndim + 2 or h_m.shape[:-2] != idx.shape or h_m.shape[-2] != n_tx:
         raise ValueError(
-            f"channel/precoder mismatch: H is {h_m.shape}, F is {f.shape}"
+            f"channel/precoder mismatch: H is {h_m.shape} for subcarrier index shape "
+            f"{idx.shape}, F has {n_tx} transmit antennas"
         )
-    return se_from_effective(h_m.conj().T @ f, rho, sigma2, n_s)
+    scalar = idx.ndim == 0
+    if scalar:
+        h_m, idx = h_m[None], idx[None]
+    h_t = np.swapaxes(h_m, -1, -2)
+    se = np.empty(idx.size)
+    for sl in _subcarrier_chunks(idx.size):
+        f = combined_precoder(ps, idx[sl])
+        se[sl] = se_from_effective(np.conj(h_t[sl] @ f.conj()), rho, sigma2, n_s)  # H^H F
+    return float(se[0]) if scalar else se
 
 
 def spectrum_efficiency_optimal(h_m, rho: float, sigma2: float, n_s: int,
-                                total_power: float = 1.0) -> float:
+                                total_power: float = 1.0):
     """Fully digital upper bound: water-filling over the top n_s singular
-    values of the channel, sum of log2(1 + p_i * rho * s_i^2/(n_s*sigma2))."""
+    values of the channel, sum of log2(1 + p_i * rho * s_i^2/(n_s*sigma2)).
+    Leading axes of h_m index a stack of channels (one per subcarrier) and
+    give an array of rates."""
     h_m = np.asarray(h_m, dtype=np.complex128)
-    if h_m.ndim != 2:
-        raise ValueError(f"h_m must be 2-D, got shape {h_m.shape}")
+    if h_m.ndim < 2:
+        raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
     if not (isinstance(n_s, int) and n_s >= 1):
         raise ValueError(f"n_s must be a positive integer, got {n_s}")
     _check_snr(rho, sigma2)
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total_power must be positive, got {total_power}")
     sing = np.linalg.svd(h_m, compute_uv=False)
-    if sing.size < n_s:
-        raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.size}")
-    gains = np.maximum(rho * sing[:n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR)
+    if sing.shape[-1] < n_s:
+        raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
+    gains = np.maximum(rho * sing[..., :n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR)
     powers = water_filling(gains, total_power)
-    return float(np.sum(np.log2(1.0 + powers * gains)))
+    se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
+    return float(se) if se.ndim == 0 else se
 
 
 def beam_cross_gains(ch: ChannelRealization, ps: PrecoderSet, m: int) -> np.ndarray:

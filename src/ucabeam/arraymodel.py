@@ -15,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,17 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+
+# Subcarriers per batched step wherever a tensor grows with the grid (channel
+# synthesis, the digital stage, rate evaluation): it bounds the temporaries
+# of a step to SUBCARRIER_CHUNK x N x (paths or RF chains), far below the
+# M x N x N_r channel stack itself.
+SUBCARRIER_CHUNK = 8
+
+
+def _subcarrier_chunks(n: int) -> list:
+    """Slices covering range(n) in steps of SUBCARRIER_CHUNK."""
+    return [slice(lo, min(lo + SUBCARRIER_CHUNK, n)) for lo in range(0, n, SUBCARRIER_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -142,6 +154,15 @@ class ChannelRealization:
     def n_paths(self) -> int:
         return len(self.paths)
 
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """Read-only M x N x N_r channel over the whole grid, built on first
+        use and shared by every precoder and evaluator of this realization;
+        ``matrices[m]`` equals ``channel_matrix(self, m)``."""
+        stack = channel_matrix(self, range(self.grid.n_subcarriers))
+        stack.flags.writeable = False
+        return stack
+
 
 def steering_uca(geom: UcaGeometry, f_hz: float, phi_rad: float) -> np.ndarray:
     """UCA steering vector: entry n is exp(j*eta*cos(phi - psi_n))/sqrt(N)
@@ -201,17 +222,41 @@ def generate_channel(
     return ChannelRealization(paths=paths, tx=tx, rx=rx, grid=grid)
 
 
-def channel_matrix(ch: ChannelRealization, m: int) -> np.ndarray:
+def _subcarrier_index(m, n_sub: int) -> np.ndarray:
+    """m (an index or a sequence of indices) as a 0-d or 1-D index array into
+    an n_sub-point grid."""
+    idx = np.asarray(m)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n_sub)):
+        raise IndexError(f"subcarrier index {m} out of range [0, {n_sub})")
+    return idx
+
+
+def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     """N x N_r channel at subcarrier m (0-based):
-    sqrt(N/L) * sum_l g_l * exp(-j*2*pi*tau_l*f_m) * a(phi_l) b(theta_l)^H."""
-    if not 0 <= m < ch.grid.n_subcarriers:
-        raise IndexError(
-            f"subcarrier index {m} out of range [0, {ch.grid.n_subcarriers})"
-        )
-    f = float(ch.grid.freqs_hz[m])
-    h = np.zeros((ch.tx.n_elements, ch.rx.n_elements), dtype=np.complex128)
-    for p in ch.paths:
-        a = steering_uca(ch.tx, f, p.aod_rad)
-        b = steering_ula(ch.rx, f, p.aoa_rad)
-        h += p.gain * np.exp(-2j * np.pi * p.delay_s * f) * np.outer(a, b.conj())
-    return math.sqrt(ch.tx.n_elements / ch.n_paths) * h
+    sqrt(N/L) * sum_l g_l * exp(-j*2*pi*tau_l*f_m) * a(phi_l) b(theta_l)^H.
+
+    A sequence of indices gives the len(m) x N x N_r stack, broadcast over
+    paths and chunks of subcarriers.  It is a transposed view of a contiguous
+    len(m) x N_r x N array, so ``np.swapaxes(stack, -1, -2)`` (H^T) is the
+    operand of contiguous batched products such as H^H A = conj(H^T conj(A)).
+    """
+    idx = _subcarrier_index(m, ch.grid.n_subcarriers)
+    tx, rx = ch.tx, ch.rx
+    freqs = ch.grid.freqs_hz[idx.reshape(-1)]
+    gains = np.array([p.gain for p in ch.paths])
+    delays = np.array([p.delay_s for p in ch.paths])
+    cos_tx = np.cos(np.array([p.aod_rad for p in ch.paths])[:, None] - tx.element_angles)
+    sin_rx = np.array([math.sin(p.aoa_rad) for p in ch.paths])[:, None]
+    n_rx = np.arange(rx.n_elements)
+    h_t = np.empty((freqs.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
+    for sl in _subcarrier_chunks(freqs.size):
+        f = freqs[sl, None, None]
+        # the expressions of steering_uca/steering_ula, in the same order
+        eta = 2.0 * np.pi * tx.radius_m * f / SPEED_OF_LIGHT
+        a = np.exp(1j * (eta * cos_tx)) / math.sqrt(tx.n_elements)  # c x L x N
+        b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
+                   ) / math.sqrt(rx.n_elements)  # c x L x N_r
+        coef = gains * np.exp(-2j * np.pi * delays * f)  # c x 1 x L
+        np.matmul(np.swapaxes(b.conj(), -1, -2) * coef, a, out=h_t[sl])
+    h_t *= math.sqrt(tx.n_elements / ch.n_paths)
+    return np.swapaxes(h_t.reshape(idx.shape + h_t.shape[1:]), -1, -2)

@@ -28,8 +28,10 @@ class SvdError(ArithmeticError):
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {a.shape}")
+    if a.ndim < 2 or a.size == 0:
+        raise ValueError(
+            f"{name} must be a non-empty 2-D array or stack of them, got shape {a.shape}"
+        )
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} entries must be finite")
     return a
@@ -37,24 +39,26 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``a = u @ diag(sigma) @ vh``, sigma sorted non-increasing."""
+    """Thin SVD ``a = u @ diag(sigma) @ vh``, sigma sorted non-increasing;
+    leading axes index a stack of matrices."""
 
     u: np.ndarray
     sigma: np.ndarray
     vh: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vh
+        return (self.u * self.sigma[..., None, :]) @ self.vh
 
 
 def svd(a) -> SvdResult:
-    """Thin singular value decomposition of a complex matrix."""
+    """Thin singular value decomposition of a complex matrix, or of each
+    matrix of a stack (leading axes)."""
     a = _as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SvdError(
-            f"SVD did not converge for {a.shape[0]}x{a.shape[1]} matrix"
+            f"SVD did not converge for {a.shape[-2]}x{a.shape[-1]} matrix"
         ) from exc
     return SvdResult(u=u, sigma=s, vh=vh)
 
@@ -91,28 +95,30 @@ def water_filling(gains, total_power: float) -> np.ndarray:
 
     Returns p with p_i = max(0, mu - 1/gains_i) and sum(p) = total_power,
     where the water level mu is solved in closed form over the sorted
-    inverse gains (no iteration).
+    inverse gains (no iteration).  Leading axes index independent
+    allocations (one per subcarrier); each row along the last axis gets the
+    whole budget.
     """
     g = np.asarray(gains, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("gains must be a non-empty 1-D sequence")
+    if g.ndim == 0 or g.size == 0:
+        raise ValueError("gains must be a non-empty sequence, or a stack of them")
     if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
         raise ValueError("gains must be positive and finite")
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError("total_power must be positive and finite")
-    inv = np.sort(1.0 / g)
+    inv_g = 1.0 / g
+    inv = np.sort(inv_g, axis=-1)
     # Largest k for which the level (P + sum of the k smallest 1/g) / k still
-    # covers the k-th inverse gain; channels beyond k get zero power.
-    levels = (total_power + np.cumsum(inv)) / np.arange(1, g.size + 1)
-    k = int(np.nonzero(levels >= inv)[0][-1]) + 1
-    mu = levels[k - 1]
-    p = np.maximum(0.0, mu - 1.0 / g)
-    total = p.sum()
-    if total > 0.0:
-        # exact-budget rescale; drift is O(eps) except for near-degenerate gains
-        return p * (total_power / total)
-    # all active inverse gains so large that the budget vanished in rounding:
-    # the channels are then indistinguishable, split evenly over the active set
-    p[1.0 / g <= inv[k - 1]] = 1.0
-    return p * (total_power / p.sum())
-
+    # covers the k-th inverse gain; channels beyond k get zero power.  k >= 1
+    # always, since the first level P + inv[0] exceeds inv[0].
+    levels = (total_power + np.cumsum(inv, axis=-1)) / np.arange(1, g.shape[-1] + 1)
+    last = g.shape[-1] - 1 - np.argmax((levels >= inv)[..., ::-1], axis=-1)[..., None]
+    mu = np.take_along_axis(levels, last, axis=-1)
+    p = np.maximum(0.0, mu - inv_g)
+    total = p.sum(axis=-1, keepdims=True)
+    # Where the active inverse gains are so large that the budget vanished in
+    # rounding, the channels are indistinguishable: split evenly over the
+    # active set.  Elsewhere the rescale fixes the O(eps) drift of the sum.
+    even = inv_g <= np.take_along_axis(inv, last, axis=-1)
+    p = np.where(total > 0.0, p, even.astype(float))
+    return p * (total_power / p.sum(axis=-1, keepdims=True))

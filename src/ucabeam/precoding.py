@@ -7,7 +7,9 @@ arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
 per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
 ``w_ps`` times the TTD phase ``exp(-j*2*pi*f*delays_s[l, k])``.  The digital
 stage ``f_d[m]`` (n_rf x n_streams) comes from an SVD of the equivalent
-channel plus water-filling.
+channel plus water-filling.  It is independent per subcarrier, so it runs
+batched over chunks of ``arraymodel.SUBCARRIER_CHUNK`` subcarriers, which
+bounds the live analog-stage tensor to SUBCARRIER_CHUNK x N x n_rf.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -21,7 +23,6 @@ align the beam at the center frequency only and the TTD stage is all-ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ from .arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
     UcaGeometry,
-    channel_matrix,
+    _subcarrier_chunks,
+    _subcarrier_index,
     steering_uca,
 )
 from .cxlinalg import svd, water_filling
@@ -175,12 +177,14 @@ def _ps_column(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int,
     return col
 
 
-def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz: float) -> np.ndarray:
-    """N x n_rf combined analog weights at frequency f: each arc of
-    phase-shifter weights times its TTD phase exp(-j*2*pi*f*t)."""
+def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
+    """N x n_rf combined analog weights at frequency f (... x N x n_rf for an
+    array of frequencies): each arc of phase-shifter weights times its TTD
+    phase exp(-j*2*pi*f*t)."""
     p = w_ps.shape[0] // delays_s.shape[1]
-    phases = np.exp(-2j * np.pi * f_hz * delays_s)  # n_rf x K
-    return w_ps * np.repeat(phases.T, p, axis=0)
+    f = np.asarray(f_hz)[..., None, None]
+    phases = np.exp(-2j * np.pi * f * delays_s)  # ... x n_rf x K
+    return w_ps * np.repeat(np.swapaxes(phases, -1, -2), p, axis=-2)
 
 
 def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
@@ -205,31 +209,32 @@ def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
 
 
 def _digital_stage(ch, w_ps, delays, cfg: DppConfig, rho: float, sigma2: float):
-    """Per-subcarrier digital precoder: SVD of the equivalent channel,
-    water-filling over the effective stream SNRs, then an exact rescale so
-    the radiated power ||analog f_d||_F^2 meets the budget."""
+    """Per-subcarrier digital precoder, batched over subcarrier chunks: SVD of
+    the equivalent channels H^H A, water-filling over the effective stream
+    SNRs, then an exact rescale so the radiated power ||A f_d||_F^2 meets the
+    budget at every subcarrier."""
     _check_snr(rho, sigma2)
     n_s = cfg.n_streams
-    f_d = np.zeros((ch.grid.n_subcarriers, cfg.n_rf, n_s), dtype=np.complex128)
-    for m, f_hz in enumerate(ch.grid.freqs_hz):
-        analog = _analog(w_ps, delays, f_hz)
-        h_eq = channel_matrix(ch, m).conj().T @ analog  # N_r x n_rf
-        res = svd(h_eq)
-        if res.sigma.size < n_s:
+    h_t = np.swapaxes(ch.matrices, -1, -2)  # M x N_r x N, contiguous
+    freqs = ch.grid.freqs_hz
+    f_d = np.empty((freqs.size, cfg.n_rf, n_s), dtype=np.complex128)
+    for sl in _subcarrier_chunks(freqs.size):
+        analog = _analog(w_ps, delays, freqs[sl])  # c x N x n_rf
+        res = svd(np.conj(h_t[sl] @ analog.conj()))  # H^H A, c x N_r x n_rf
+        if res.sigma.shape[-1] < n_s:
             raise ValueError(
                 f"n_streams={n_s} exceeds the equivalent-channel rank bound "
-                f"min(n_rx, n_rf)={res.sigma.size}"
+                f"min(n_rx, n_rf)={res.sigma.shape[-1]}"
             )
         stream_gains = np.maximum(
-            rho * res.sigma[:n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR
+            rho * res.sigma[:, :n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR
         )
         powers = water_filling(stream_gains, cfg.total_power)
-        fd = res.vh.conj().T[:, :n_s] * np.sqrt(powers)
-        radiated = np.linalg.norm(analog @ fd) ** 2
-        if radiated <= 0.0:
+        fd = np.swapaxes(res.vh.conj(), -1, -2)[:, :, :n_s] * np.sqrt(powers)[:, None, :]
+        radiated = np.linalg.norm(analog @ fd, axis=(-2, -1)) ** 2
+        if np.any(radiated <= 0.0):
             raise ValueError("combined precoder has zero power; degenerate channel")
-        fd *= math.sqrt(cfg.total_power / radiated)
-        f_d[m] = fd
+        f_d[sl] = fd * np.sqrt(cfg.total_power / radiated)[:, None, None]
     return f_d
 
 
@@ -252,13 +257,14 @@ def build_dpp(
     return ps, TtdSchedule(delays_s=ps.delays_s)
 
 
-def analog_combined(ps: PrecoderSet, m: int) -> np.ndarray:
-    """N x n_rf combined analog precoder at subcarrier m; unit-norm columns."""
-    if not 0 <= m < ps.n_subcarriers:
-        raise IndexError(f"subcarrier index {m} out of range [0, {ps.n_subcarriers})")
-    return _analog(ps.w_ps, ps.delays_s, ps.freqs_hz[m])
+def analog_combined(ps: PrecoderSet, m) -> np.ndarray:
+    """N x n_rf combined analog precoder at subcarrier m; unit-norm columns.
+    A sequence of indices gives the len(m) x N x n_rf stack."""
+    idx = _subcarrier_index(m, ps.n_subcarriers)
+    return _analog(ps.w_ps, ps.delays_s, ps.freqs_hz[idx])
 
 
-def combined_precoder(ps: PrecoderSet, m: int) -> np.ndarray:
-    """N x n_streams end-to-end precoder: analog_combined(ps, m) @ f_d[m]."""
-    return analog_combined(ps, m) @ ps.f_d[m]
+def combined_precoder(ps: PrecoderSet, m) -> np.ndarray:
+    """N x n_streams end-to-end precoder: analog_combined(ps, m) @ f_d[m]
+    (stacked along a leading axis for a sequence of indices)."""
+    return analog_combined(ps, m) @ ps.f_d[np.asarray(m)]

@@ -225,6 +225,13 @@ def _check_denominators(dens):
             )
 
 
+# Digits the double-double terms carry: each term is exact to about
+# 2**-100 of its size, so a sum smaller than the largest term by a factor
+# near 2**100 * 1e-12 has lost all but 12 significant digits to cancellation.
+_DD_EPS = 2.0 ** -100
+_CANCELLATION_TOL = 1e-12
+
+
 def _hyp_series(nums, dens, z, ctrl):
     # term_{n+1} = term_n * z * prod(a + n) / (prod(b + n) * (n + 1))
     # For parameters of interest (halves and small integers) a + n and
@@ -232,6 +239,7 @@ def _hyp_series(nums, dens, z, ctrl):
     # accurate to ~1e-30 relative even where the terms peak near 1e10.
     sh, sl = 1.0, 0.0
     th, tl = 1.0, 0.0
+    peak = 1.0
     was_small = False
     for n in range(ctrl.max_terms):
         fn = float(n)
@@ -242,9 +250,17 @@ def _hyp_series(nums, dens, z, ctrl):
             th, tl = _dd_div_scalar(th, tl, b + fn)
         th, tl = _dd_div_scalar(th, tl, fn + 1.0)
         sh, sl = _dd_add(sh, sl, th, tl)
+        peak = max(peak, abs(th))
         tol = max(ctrl.abs_tol, ctrl.rel_tol * abs(sh))
         small = abs(th) <= tol
         if small and was_small:
+            if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(sh)):
+                raise ConvergenceError(
+                    f"hypergeometric series lost precision to cancellation "
+                    f"(z={z!r}: peak term {peak:.3g}, sum {sh + sl:.3g})",
+                    partial=sh + sl,
+                    terms=n + 1,
+                )
             return sh + sl
         was_small = small
     raise ConvergenceError(

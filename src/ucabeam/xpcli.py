@@ -31,7 +31,6 @@ from .arraymodel import (
     FrequencyGrid,
     UcaGeometry,
     UlaGeometry,
-    channel_matrix,
     generate_channel,
     half_wavelength_uca,
     steering_ula,
@@ -217,7 +216,19 @@ def validate_scenario(scenario: Scenario) -> list:
     ok_rx = check_int("system", "n_elements_rx", sy.n_elements_rx, 1)
     ok_fc = check_pos("system", "fc_hz", sy.fc_hz)
     ok_bw = check_pos("system", "bandwidth_hz", sy.bandwidth_hz)
-    check_int("system", "n_subcarriers", sy.n_subcarriers, 1)
+    ok_m = check_int("system", "n_subcarriers", sy.n_subcarriers, 1)
+
+    def check_band(where, bandwidth, n_points=sy.n_subcarriers):
+        # the band's grid must stay above 0 Hz, as FrequencyGrid requires; the
+        # condition tightens as the bandwidth or the number of points grows
+        if ok_fc and ok_m:
+            try:
+                FrequencyGrid(sy.fc_hz, bandwidth, n_points)
+            except ValueError as exc:
+                diags.append(f"{where}: {exc}")
+
+    if ok_bw:
+        check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if sy.radius_m is not None:
         check_pos("system", "radius_m", sy.radius_m)
     if not (isinstance(sy.target_angle_rad, (int, float)) and math.isfinite(sy.target_angle_rad)):
@@ -259,6 +270,8 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append("sweep.values: must be strictly increasing")
         elif sw.variable == "bandwidth" and vals and vals[0] <= 0:
             diags.append("sweep.values: bandwidth values must be positive")
+        elif sw.variable == "bandwidth" and vals:
+            check_band("sweep.values", vals[-1])
         if sw.variable == "k_ttd" and ok_n:
             for v in vals:
                 if not (isinstance(v, int) and v >= 1 and sy.n_elements_tx % v == 0):
@@ -268,8 +281,7 @@ def validate_scenario(scenario: Scenario) -> list:
                         f"must drive an integer number of antennas (P = N/K)"
                     )
     else:
-        if not check_int("sweep", "points", sw.points, 2):
-            pass
+        ok_points = check_int("sweep", "points", sw.points, 2)
         if not (math.isfinite(sw.start) and math.isfinite(sw.stop) and sw.start < sw.stop):
             diags.append(
                 f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
@@ -280,6 +292,8 @@ def validate_scenario(scenario: Scenario) -> list:
                          "of divisors of n_elements_tx")
         if sw.variable == "bandwidth" and not (sw.start > 0):
             diags.append(f"sweep: bandwidth range must start above 0, got {sw.start!r}")
+        elif sw.variable == "bandwidth" and math.isfinite(sw.stop):
+            check_band("sweep.stop", sw.stop)
         if sw.variable == "frequency" and ok_fc and ok_bw:
             # the runner samples the subcarrier grid of the system band
             lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
@@ -288,6 +302,8 @@ def validate_scenario(scenario: Scenario) -> list:
                 diags.append(f"sweep: a frequency sweep covers the system band, so "
                              f"[start, stop] must be fc_hz -/+ bandwidth_hz/2 = "
                              f"[{lo!r}, {hi!r}], got [{sw.start!r}, {sw.stop!r}]")
+            if ok_points:
+                check_band("sweep.points", sy.bandwidth_hz, sw.points)
 
     check_int("trials", "n_seeds", tr.n_seeds, 1)
     if not (isinstance(tr.base_seed, int) and not isinstance(tr.base_seed, bool) and tr.base_seed >= 0):
@@ -453,16 +469,18 @@ def run(scenario: Scenario, points_override: int | None = None) -> ResultTable:
         raise ScenarioError(problems)
     xs = _sweep_points(scenario, points_override)
     rows = []
-    caches = {"channels": {}, "matrices": {}}
+    trial_labels = []
     for label in scenario.methods:
         base, freq = _split_method(label)
         method = _METHODS[base]
         if method.trial:
-            rows.extend(_run_trial_method(scenario, label, method.evaluate, xs, caches))
+            trial_labels.append(label)
         else:
             setup = _Setup(scenario, freq)
             rows.extend(ResultRow(x, label, float(method.evaluate(setup, x)), 0.0)
                         for x in xs)
+    if trial_labels:
+        rows.extend(_run_trials(scenario, trial_labels, xs))
     return ResultTable(rows=tuple(rows)).sorted()
 
 
@@ -486,53 +504,56 @@ def _ula_exact(s: _Setup, phi: float) -> float:
     return abs(np.vdot(steering_ula(ula, s.f_eval, phi), w))
 
 
-def _se_hybrid(pset, hs, rho: float, sigma2: float) -> list:
-    return [an.spectrum_efficiency(h, pset, m, rho, sigma2) for m, h in enumerate(hs)]
-
-
-def _channel_and_matrices(scenario, bandwidth, seed, caches):
+def _channel(scenario: Scenario, bandwidth: float, seed: int):
     sy, tr = scenario.system, scenario.trials
-    key = (bandwidth, seed)
-    if key not in caches["channels"]:
-        grid = FrequencyGrid(sy.fc_hz, bandwidth, sy.n_subcarriers)
-        tx = _tx_uca(sy)
-        lam_c = SPEED_OF_LIGHT / sy.fc_hz
-        rx = UlaGeometry(sy.n_elements_rx, lam_c / 2.0)
-        ch = generate_channel(tx, rx, grid, tr.n_paths, seed, tr.max_delay_s)
-        caches["channels"][key] = ch
-        caches["matrices"][key] = [channel_matrix(ch, m) for m in range(sy.n_subcarriers)]
-    return caches["channels"][key], caches["matrices"][key]
+    grid = FrequencyGrid(sy.fc_hz, bandwidth, sy.n_subcarriers)
+    rx = UlaGeometry(sy.n_elements_rx, SPEED_OF_LIGHT / sy.fc_hz / 2.0)
+    return generate_channel(_tx_uca(sy), rx, grid, tr.n_paths, seed, tr.max_delay_s)
 
 
-def _run_trial_method(scenario, label, evaluate, xs, caches):
+def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
+    """Rows of the trial methods.  Seeds are the outer loop, so one channel
+    (and its stack, built on first use) is alive at a time and every method
+    at every sweep point of that seed shares it; a new channel is drawn only
+    when the bandwidth changes.  Methods that do not depend on the delay-unit
+    count are evaluated once per (channel, rho)."""
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
     variable = scenario.sweep.variable
-    out = []
-    for x in xs:
-        k_ttd = int(x) if variable == "k_ttd" else pc.k_ttd
-        bandwidth = x if variable == "bandwidth" else sy.bandwidth_hz
-        snr_db = x if variable == "snr_db" else tr.snr_db
-        rho = 10.0 ** (snr_db / 10.0)
-        cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
-        per_seed = []
-        for i in range(tr.n_seeds):
-            ch, hs = _channel_and_matrices(scenario, bandwidth, tr.base_seed + i, caches)
-            per_seed.append(float(np.mean(evaluate(ch, hs, cfg, rho, 1.0))))
-        out.append(ResultRow(float(x), label, float(np.mean(per_seed)),
-                             float(np.std(per_seed))))
-    return out
+    per_seed = {label: [[] for _ in xs] for label in labels}
+    for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
+        ch = None
+        for j, x in enumerate(xs):
+            bandwidth = x if variable == "bandwidth" else sy.bandwidth_hz
+            if ch is None or ch.grid.bandwidth_hz != bandwidth:
+                ch = _channel(scenario, bandwidth, seed)
+                done = {}
+            k_ttd = int(x) if variable == "k_ttd" else pc.k_ttd
+            snr_db = x if variable == "snr_db" else tr.snr_db
+            rho = 10.0 ** (snr_db / 10.0)
+            cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
+            for label in labels:
+                base = _split_method(label)[0]
+                method = _METHODS[base]
+                key = (base, rho, k_ttd if method.uses_k else None)
+                if key not in done:
+                    done[key] = float(np.mean(method.evaluate(ch, cfg, rho, 1.0)))
+                per_seed[label][j].append(done[key])
+    return [ResultRow(float(x), label, float(np.mean(v)), float(np.std(v)))
+            for label in labels for x, v in zip(xs, per_seed[label])]
 
 
 @dataclass(frozen=True)
 class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
     averages over seeded channels.  Deterministic evaluators map (_Setup, x)
-    to a value; trial evaluators map (channel, per-subcarrier matrices,
-    DppConfig, rho, sigma2) to per-subcarrier spectrum efficiencies."""
+    to a value; trial evaluators map (channel, DppConfig, rho, sigma2) to the
+    spectrum efficiency of every subcarrier.  ``uses_k`` is False for trial
+    methods whose output does not depend on the delay-unit count."""
 
     variables: tuple
     evaluate: object
     trial: bool = False
+    uses_k: bool = True
 
 
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
@@ -558,13 +579,14 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, lambda ch, hs, cfg, rho, s2: _se_hybrid(
-        build_classic_hybrid(ch, cfg, rho, s2), hs, rho, s2), trial=True),
-    "dpp": _Method(_SE, lambda ch, hs, cfg, rho, s2: _se_hybrid(
-        build_dpp(ch, cfg, rho, s2)[0], hs, rho, s2), trial=True),
-    "optimal": _Method(_SE, lambda ch, hs, cfg, rho, s2: [
-        an.spectrum_efficiency_optimal(h, rho, s2, cfg.n_streams, cfg.total_power)
-        for h in hs], trial=True),
+    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
+        ch.matrices, build_classic_hybrid(ch, cfg, rho, s2), range(ch.grid.n_subcarriers),
+        rho, s2), trial=True, uses_k=False),
+    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
+        ch.matrices, build_dpp(ch, cfg, rho, s2)[0], range(ch.grid.n_subcarriers),
+        rho, s2), trial=True),
+    "optimal": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency_optimal(
+        ch.matrices, rho, s2, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
 }
 
 

@@ -119,7 +119,7 @@ def test_spectrum_efficiency_versus_delay_units():
             ok = False
     ratios = ", ".join(f"K={int(k)}: {dpp[k].mean / opt[k].mean:.3f}" for k in ks)
     _report("spectrum efficiency vs delay units", ok,
-            f"dpp/optimal {ratios}; >= 0.9 required from K=8", t0, 300.0)
+            f"dpp/optimal {ratios}; >= 0.9 required from K=8", t0, 30.0)
 
 
 def test_model_invariants_hold():

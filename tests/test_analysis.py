@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucabeam import analysis as an
 from ucabeam.arraymodel import (
@@ -488,3 +490,32 @@ def test_cross_gains_off_diagonal_leakage_is_real_but_bounded():
             worst = max(worst, float(off.max()))
     assert worst <= 0.25
     assert worst > 0.01
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-10.0, 30.0),
+       n_sub=st.integers(1, 19), k_ttd=st.sampled_from([1, 2, 4, 8, 16]),
+       n_rf=st.integers(1, 3), bw=st.floats(0.1e9, 10e9))
+def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, k_ttd, n_rf, bw):
+    # 19 subcarriers span three chunks, the last one partial
+    tx = half_wavelength_uca(16, 30e9)
+    ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
+    rho = 10.0 ** (snr_db / 10.0)
+    ps, _ = build_dpp(ch, DppConfig(n_rf, k_ttd, n_rf), rho=rho)
+    stacked = an.spectrum_efficiency(ch.matrices, ps, range(n_sub), rho, 1.0)
+    single = [an.spectrum_efficiency(channel_matrix(ch, m), ps, m, rho, 1.0)
+              for m in range(n_sub)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
+    stacked = an.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, n_rf)
+    single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, 1.0, n_rf)
+              for m in range(n_sub)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
+
+
+def test_stacked_rate_shape_mismatch_is_rejected():
+    ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
+    ps, _ = build_dpp(ch, DppConfig(1, 8, 1), rho=10.0)
+    with pytest.raises(ValueError, match="channel/precoder mismatch"):
+        an.spectrum_efficiency(ch.matrices, ps, range(8), 10.0, 1.0)
+    with pytest.raises(ValueError, match="channel/precoder mismatch"):
+        an.spectrum_efficiency(ch.matrices[0], ps, range(1), 10.0, 1.0)

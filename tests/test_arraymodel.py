@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
@@ -262,3 +264,36 @@ def test_channel_matrix_index_bounds():
         channel_matrix(ch, 9)
     with pytest.raises(IndexError):
         channel_matrix(ch, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(2, 24), n_rx=st.integers(1, 5),
+       n_sub=st.integers(1, 20), n_paths=st.integers(1, 5),
+       bw=st.floats(1e6, 20e9))
+def test_channel_stack_matches_per_path_formula(seed, n_tx, n_rx, n_sub, n_paths, bw):
+    tx = half_wavelength_uca(n_tx, 30e9)
+    rx = UlaGeometry(n_rx, C / 30e9 / 2.0)
+    ch = generate_channel(tx, rx, FrequencyGrid(30e9, bw, n_sub), n_paths, seed)
+    ref = []
+    for f in ch.grid.freqs_hz:
+        h = sum(p.gain * np.exp(-2j * np.pi * p.delay_s * f)
+                * np.outer(steering_uca(tx, f, p.aod_rad), steering_ula(rx, f, p.aoa_rad).conj())
+                for p in ch.paths)
+        ref.append(math.sqrt(n_tx / n_paths) * h)
+    ref = np.array(ref)
+    tol = 1e-13 * max(1.0, np.abs(ref).max())
+    assert ch.matrices.shape == (n_sub, n_tx, n_rx)
+    assert np.abs(ch.matrices - ref).max() <= tol
+    assert np.abs(channel_matrix(ch, range(n_sub)) - ref).max() <= tol
+    for m in (0, n_sub - 1):
+        assert np.abs(channel_matrix(ch, m) - ref[m]).max() <= tol
+
+
+def test_channel_stack_is_built_once_and_read_only():
+    grid = FrequencyGrid(30e9, 1e9, 6)
+    ch = generate_channel(half_wavelength_uca(8, 30e9), UlaGeometry(2, 0.005), grid, 2, 3)
+    assert ch.matrices is ch.matrices
+    with pytest.raises(ValueError):
+        ch.matrices[0, 0, 0] = 0.0
+    with pytest.raises(IndexError):
+        channel_matrix(ch, [0, 6])

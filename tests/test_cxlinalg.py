@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucabeam.cxlinalg import (
     SvdError,
@@ -173,6 +175,34 @@ def test_water_filling_validation():
         water_filling([1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
         water_filling([1.0], 0.0)
+    # leading axes index independent allocations; a scalar, an empty last
+    # axis, or a bad gain in any row is still rejected
     with pytest.raises(ValueError):
-        water_filling([[1.0, 2.0]], 1.0)
+        water_filling(1.0, 1.0)
+    with pytest.raises(ValueError):
+        water_filling(np.zeros((3, 0)), 1.0)
+    with pytest.raises(ValueError):
+        water_filling([[1.0, 2.0], [1.0, 0.0]], 1.0)
 
+
+
+# near-degenerate rows: gains equal up to a few ulps, gains so small that the
+# budget vanishes in rounding (the even-split branch), and spread-out gains
+_GAIN = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1e-30, 2e-30, 1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(
+           lambda n: st.lists(st.lists(_GAIN, min_size=n, max_size=n), min_size=1,
+                              max_size=5)),
+       total=st.floats(1e-3, 1e3))
+@example(rows=[[1e-30, 1e-30, 1e-30], [4.0, 1.0, 1e-4]], total=2.0)
+def test_water_filling_stack_equals_row_by_row(rows, total):
+    g = np.array(rows)
+    stacked = water_filling(g, total)
+    assert stacked.shape == g.shape
+    for row, p in zip(g, stacked):
+        np.testing.assert_array_equal(p, water_filling(row, total))

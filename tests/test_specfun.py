@@ -143,6 +143,18 @@ def test_hypergeom_diverges_cleanly_for_large_argument():
         hypergeom_1f2(0.5, 1.0, 1.5, -250000.0)
 
 
+def test_hypergeom_raises_when_cancellation_eats_the_digits():
+    # the terms peak above 1e24 at x = 70, far beyond what double-double
+    # terms can cancel down to an O(0.1) sum; a larger term budget must not
+    # hide that
+    loose = SeriesControl(max_terms=2000)
+    for x in (70.0, 100.0):
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x, ctrl=loose)
+        with pytest.raises(ConvergenceError, match="cancellation"):
+            hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x, ctrl=loose)
+
+
 def test_series_control_validation():
     with pytest.raises(ValueError):
         SeriesControl(max_terms=0)

@@ -1,11 +1,14 @@
 """Scenario schema, runner determinism, CSV round-trips, CLI exit codes."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ucabeam import analysis, arraymodel, xpcli
 from ucabeam.xpcli import (
     ResultRow,
     ResultTable,
@@ -159,6 +162,35 @@ def test_frequency_sweep_band_edges_validate():
                      "stop": (FC + bw / 2) * (1 + 1e-12), "points": 5}
     data["methods"] = ["ps_exact"]
     scenario_from_dict(data)
+
+
+def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
+    # 16 subcarriers around 30 GHz stay above 0 Hz up to B = 64 GHz
+    data = _small_trial_scenario()
+    data["system"]["n_subcarriers"] = 16
+    data["sweep"] = {"variable": "bandwidth", "start": 1e9, "stop": 70e9, "points": 3}
+    cfg = _write(tmp_path, "wide_sweep.json", data)
+    assert main(["validate", cfg]) == 2
+    assert "sweep.stop: grid extends to non-positive frequencies" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    data["sweep"] = {"variable": "bandwidth", "values": [1e9, 70e9]}
+    with pytest.raises(ScenarioError, match="sweep.values: grid extends"):
+        scenario_from_dict(data)
+    data["sweep"] = {"variable": "bandwidth", "start": 1e9, "stop": 60e9, "points": 3}
+    data["system"]["bandwidth_hz"] = 70e9
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.diagnostics == ["system.bandwidth_hz: grid extends to non-positive "
+                                     "frequencies: fc=30000000000.0, B=70000000000.0"]
+    data["system"]["bandwidth_hz"] = 60e9
+    scenario_from_dict(data)
+    # a frequency sweep samples the system band with its own point count
+    data["system"]["bandwidth_hz"] = 61e9
+    data["sweep"] = {"variable": "frequency", "start": FC - 30.5e9, "stop": FC + 30.5e9,
+                     "points": 100}
+    data["methods"] = ["ps_exact"]
+    with pytest.raises(ScenarioError, match="sweep.points: grid extends"):
+        scenario_from_dict(data)
 
 
 def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
@@ -351,6 +383,18 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
+    # a 1024-element ring drives the 2F3 of the upper bound to arguments
+    # where its series cancels; the bound once printed values far above 1
+    data = _small_trial_scenario()
+    data["system"].update(n_elements_tx=1024, n_subcarriers=129, bandwidth_hz=3e9)
+    data["sweep"] = {"variable": "bandwidth", "start": 0.05e9, "stop": 8e9, "points": 3}
+    data["methods"] = ["avg_ps_upper", "avg_ps_lower"]
+    cfg = _write(tmp_path, "fig7_1024.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_cli_validate_ok_and_failing(tmp_path, capsys):
     good = _write(tmp_path, "good.json", _small_trial_scenario())
     assert main(["validate", good]) == 0
@@ -366,3 +410,53 @@ def test_cli_validate_empty_file(tmp_path, capsys):
     empty = _write(tmp_path, "empty.json", "")
     assert main(["validate", empty]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# trial runner: work done per seed
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
+    counts = {}
+    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
+                         (xpcli, "generate_channel"),
+                         (analysis, "spectrum_efficiency_optimal")):
+        _count_calls(monkeypatch, module, name, counts)
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
+    table = run(scenario_from_dict(data))
+    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3,
+                      "spectrum_efficiency_optimal": 3, "build_dpp": 9}
+    # K-invariant rows repeat exactly across K
+    for method in ("classic", "optimal"):
+        assert len({(r.mean, r.std) for r in table.rows if r.method == method}) == 1
+
+
+def test_bandwidth_sweep_draws_each_channel_once_and_keeps_one_alive(monkeypatch):
+    counts, built = {}, []
+    _count_calls(monkeypatch, xpcli, "generate_channel", counts)
+    channel_matrix = arraymodel.channel_matrix
+
+    def tracked(ch, m):
+        gc.collect()
+        assert all(ref() is None for ref in built), "an earlier channel is still alive"
+        built.append(weakref.ref(ch))
+        return channel_matrix(ch, m)
+
+    monkeypatch.setattr(arraymodel, "channel_matrix", tracked)
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "bandwidth", "start": 0.5e9, "stop": 2e9, "points": 4}
+    run(scenario_from_dict(data))
+    assert counts == {"generate_channel": 4 * 3}
+    assert len(built) == 4 * 3
