@@ -25,6 +25,11 @@ Band-averaged gains use ``b_ps = pi*B*R/c`` and ``b_ttd = pi^2*B*R/(c*K)``:
   (via ``(1/x)*int_0^x 1F2(1/2;1,3/2;-t^2/4) dt``).
 
 All quadrature cross-checks are done in these dimensionless variables.
+
+The closed forms, the arc sum and the band averages broadcast over their
+sweep variable (frequency, direction or bandwidth): an array argument gives
+the array of values, each equal bit for bit to the scalar call, and a scalar
+argument gives a float.  The exact gains take one point per call.
 """
 
 from __future__ import annotations
@@ -87,18 +92,19 @@ def _eta(f_hz: float, radius_m: float) -> float:
     return 2.0 * math.pi * radius_m * f_hz / SPEED_OF_LIGHT
 
 
-def ps_gain_closed_form(f_hz: float, fc_hz: float, radius_m: float) -> float:
+def ps_gain_closed_form(f_hz, fc_hz: float, radius_m: float):
     """On-beam gain of a center-frequency phase-shifter beam at frequency f:
-    |J0(2*pi*R*(f - fc)/c)| in the large-N limit."""
+    |J0(2*pi*R*(f - fc)/c)| in the large-N limit.  ``f_hz`` may be an array."""
     _check_freqs(f_hz, fc_hz, radius_m)
     return abs(specfun.bessel_j(0, _eta(f_hz, radius_m) - _eta(fc_hz, radius_m)))
 
 
 def ps_gain_angular_closed_form(
-    f_hz: float, fc_hz: float, radius_m: float, phi_rad: float, phi0_rad: float
-) -> float:
+    f_hz: float, fc_hz: float, radius_m: float, phi_rad, phi0_rad: float
+):
     """Gain in direction phi of a beam pointed at phi0, evaluated at f:
     |J0(xi)| with xi the law-of-cosines combination of eta(f) and eta(fc).
+    ``phi_rad`` may be an array.
 
     Accurate on the front half-plane |phi - phi0| <= pi/2; toward the
     back lobe the discrete circular sum departs from the continuum limit.
@@ -106,30 +112,37 @@ def ps_gain_angular_closed_form(
     _check_freqs(f_hz, fc_hz, radius_m)
     eta_m = _eta(f_hz, radius_m)
     eta_c = _eta(fc_hz, radius_m)
-    xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * math.cos(phi_rad - phi0_rad)
-    return abs(specfun.bessel_j(0, math.sqrt(max(xi_sq, 0.0))))
+    xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * _cos(phi_rad - phi0_rad)
+    return abs(specfun.bessel_j(0, np.sqrt(np.maximum(xi_sq, 0.0))))
+
+
+# math.cos element by element: near a null of J0 one ulp of the cosine moves
+# the gain by about 1e-7 relative, and numpy's vector cosine may round
+# differently from the scalar one
+_cos = np.vectorize(math.cos, otypes=[float])
 
 
 def dpp_gain_subarray_sum(
-    f_hz: float, fc_hz: float, radius_m: float, n_elements: int, k_ttd: int
-) -> float:
+    f_hz, fc_hz: float, radius_m: float, n_elements: int, k_ttd: int
+):
     """Delay-phase gain as the average over one arc of per-element Bessel
     factors: (1/P) |sum_i J0(r_i)| with
     r_i = (2*sqrt(2)*pi*R/c) * (f - fc) * sqrt(1 - cos((2i+1)*pi/N - pi/K)).
+    ``f_hz`` may be an array; J0 is evaluated once on the points x P grid.
     """
     _check_freqs(f_hz, fc_hz, radius_m)
     p = _arc_size(n_elements, k_ttd)
     scale = 2.0 * math.sqrt(2.0) * math.pi * radius_m / SPEED_OF_LIGHT * (f_hz - fc_hz)
-    acc = 0.0
-    for i in range(p):
-        gap = (2 * i + 1) * math.pi / n_elements - math.pi / k_ttd
-        acc += specfun.bessel_j(0, scale * math.sqrt(max(1.0 - math.cos(gap), 0.0)))
-    return abs(acc) / p
+    offsets = [math.sqrt(max(1.0 - math.cos((2 * i + 1) * math.pi / n_elements
+                                            - math.pi / k_ttd), 0.0)) for i in range(p)]
+    j0 = specfun.bessel_j(0, np.multiply.outer(scale, offsets))
+    # a running sum adds the elements in order, as a loop over i would
+    return _value(abs(np.cumsum(j0, axis=-1)[..., -1]) / p)
 
 
-def dpp_gain_closed_form(f_hz: float, fc_hz: float, radius_m: float, k_ttd: int) -> float:
+def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
     """Continuum limit of the arc average: |1F2(1/2; 1, 3/2; -a^2/4)| with
-    a = 2*pi^2*R*(f - fc)/(c*K)."""
+    a = 2*pi^2*R*(f - fc)/(c*K).  ``f_hz`` may be an array."""
     _check_freqs(f_hz, fc_hz, radius_m)
     if not (isinstance(k_ttd, int) and k_ttd >= 1):
         raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
@@ -153,13 +166,22 @@ def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
     return exact_gain(dpp_column(geom, fc_hz, f_hz, phi_rad, k_ttd), geom, f_hz, phi_rad)
 
 
-def _check_freqs(f_hz: float, fc_hz: float, radius_m: float):
-    if not (np.isfinite(f_hz) and f_hz > 0.0):
-        raise ValueError(f"f_hz must be positive, got {f_hz}")
-    if not (np.isfinite(fc_hz) and fc_hz > 0.0):
-        raise ValueError(f"fc_hz must be positive, got {fc_hz}")
-    if not (np.isfinite(radius_m) and radius_m > 0.0):
-        raise ValueError(f"radius_m must be positive, got {radius_m}")
+def _check_freqs(f_hz, fc_hz: float, radius_m: float):
+    _check_positive("f_hz", f_hz)
+    _check_positive("fc_hz", fc_hz)
+    _check_positive("radius_m", radius_m)
+
+
+def _check_positive(name, value):
+    value = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(value) & (value > 0.0))
+    if bad.any():
+        raise ValueError(f"{name} must be positive, got {float(value[bad][0])!r}")
+
+
+def _value(v):
+    """A 0-d result as a Python float, an array result as it is."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -183,50 +205,52 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     return math.pi**2 * radius_m * bandwidth_hz / (SPEED_OF_LIGHT * x)
 
 
-def _b_ps(radius_m: float, bandwidth_hz: float) -> float:
+def _b_ps(radius_m: float, bandwidth_hz):
     return math.pi * bandwidth_hz * radius_m / SPEED_OF_LIGHT
 
 
-def _check_band(radius_m: float, bandwidth_hz: float):
-    if not (np.isfinite(radius_m) and radius_m > 0.0):
-        raise ValueError(f"radius_m must be positive, got {radius_m}")
-    if not (np.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
-        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz}")
+def _check_band(radius_m: float, bandwidth_hz):
+    _check_positive("radius_m", radius_m)
+    _check_positive("bandwidth_hz", bandwidth_hz)
 
 
-def avg_gain_ps_numeric(radius_m: float, bandwidth_hz: float) -> float:
+def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
     """Band average of the phase-shifter gain |J0| by adaptive quadrature,
-    evaluated in the dimensionless variable x = 2*pi*R*f'/c."""
+    evaluated in the dimensionless variable x = 2*pi*R*f'/c.
+    ``bandwidth_hz`` may be an array: one quadrature runs all the bands."""
     _check_band(radius_m, bandwidth_hz)
     b = _b_ps(radius_m, bandwidth_hz)
     integral = specfun.integrate(
         lambda x: abs(specfun.bessel_j(0, x)), 0.0, b, tol=1e-10
     )
-    return integral / b
+    return _value(integral / b)
 
 
-def avg_gain_ps_upper(radius_m: float, bandwidth_hz: float) -> float:
+def avg_gain_ps_upper(radius_m: float, bandwidth_hz):
     """Cauchy-Schwarz upper bound on the band-averaged phase-shifter gain:
     the root-mean-square gain sqrt((1/b) * int_0^b J0^2), evaluated through
-    its hypergeometric closed form 2F3(1/2,1/2; 1,1,3/2; -b^2)."""
+    its hypergeometric closed form 2F3(1/2,1/2; 1,1,3/2; -b^2).
+    ``bandwidth_hz`` may be an array."""
     _check_band(radius_m, bandwidth_hz)
     b = _b_ps(radius_m, bandwidth_hz)
-    return math.sqrt(specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, -b * b))
+    return _value(np.sqrt(specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, -b * b)))
 
 
-def avg_gain_ps_lower(radius_m: float, bandwidth_hz: float) -> float:
+def avg_gain_ps_lower(radius_m: float, bandwidth_hz):
     """Lower bound from dropping the absolute value: the signed band average
-    (1/b) * int_0^b J0 = 1F2(1/2; 1, 3/2; -b^2/4)."""
+    (1/b) * int_0^b J0 = 1F2(1/2; 1, 3/2; -b^2/4).  ``bandwidth_hz`` may be
+    an array."""
     _check_band(radius_m, bandwidth_hz)
     b = _b_ps(radius_m, bandwidth_hz)
     return specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * b * b)
 
 
-def avg_gain_ttd(radius_m: float, bandwidth_hz: float, k_ttd: int) -> float:
+def avg_gain_ttd(radius_m: float, bandwidth_hz, k_ttd: int):
     """Band-averaged delay-phase gain: with b = pi^2*B*R/(c*K), the average
     of the arc gain curve over the band is 2F3(1/2,1/2; 1,3/2,3/2; -b^2/4).
     The arc gain curve is positive on the whole real line, so the average of
-    its absolute value coincides with the signed average."""
+    its absolute value coincides with the signed average.  ``bandwidth_hz``
+    may be an array."""
     _check_band(radius_m, bandwidth_hz)
     if not (isinstance(k_ttd, int) and k_ttd >= 1):
         raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
@@ -234,7 +258,7 @@ def avg_gain_ttd(radius_m: float, bandwidth_hz: float, k_ttd: int) -> float:
     return specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * b * b)
 
 
-def gain_improvement(radius_m: float, bandwidth_hz: float, k_ttd: int) -> float:
+def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):
     """Ratio of the band-averaged delay-phase gain to the Cauchy-Schwarz
     upper bound on the phase-shifter average; a conservative (lower-bound)
     measure of the improvement from adding delay units."""

@@ -11,13 +11,22 @@ The two hypergeometric instances that matter here are
     2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4) = (1/x) * integral_0^x J0(t)^2 dt
 
 and both identities are exercised by the test suite against quadrature.
+
+``bessel_j``, ``hypergeom_1f2`` and ``hypergeom_2f3`` take a float or an
+array argument; a 0-d argument returns a Python float, and every element of
+an array result equals the scalar call on that element bit for bit.
+``integrate`` takes a vectorised integrand and a batch of intervals.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SeriesControl",
@@ -79,72 +88,131 @@ class UnbracketableError(ValueError):
     """The requested threshold lies below the first local minimum."""
 
 
+def _argument(x, name):
+    """A 0-d argument as a Python float, anything else as a float array;
+    non-finite values are rejected, naming the first."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        return x
+    return _array_argument(x, name)
+
+
+def _array_argument(x, name):
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {float(x[bad][0])!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
 _SERIES_CUTOFF = 12.0
+# Arrays with fewer elements run the float loops element by element: below
+# about 32-64 elements numpy's cost per call outweighs the work a vector loop
+# step shares (measured for J0 and 1F2 on arguments up to 9).
+_VECTOR_MIN = 32
 
 
-def bessel_j(order: int, x: float) -> float:
+def bessel_j(order: int, x):
     """Bessel function of the first kind J_n(x), integer n >= 0.
 
     Power series below |x| = 12, Miller downward recurrence with the
-    ``J0 + 2*J2 + 2*J4 + ... = 1`` normalization above it.  Absolute
-    accuracy is better than 1e-10 for |x| <= 100.
+    ``J0 + 2*J2 + 2*J4 + ... = 1`` normalization above it.  Against scipy,
+    for orders 0-6, the absolute error is below 1e-12 for |x| <= 12 (the
+    series cancels most just below the cutoff) and below 2e-15 for
+    12 < |x| <= 2100; the recurrence takes about |x| + 10*sqrt(|x|) steps.
+    ``x`` may be an array: both methods stop per element.
     """
     if order != int(order) or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
     n = int(order)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if n % 2 == 1:
-            sign = -1.0
-    if x <= _SERIES_CUTOFF:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_miller(n, x)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"argument must be finite, got {x!r}")
+        sign = 1.0
+        if x < 0.0:
+            x = -x
+            if n % 2 == 1:
+                sign = -1.0
+        if x <= _SERIES_CUTOFF:
+            return sign * _bessel_series(n, x)
+        return sign * _bessel_miller(n, x)
+    x = _array_argument(x, "argument")
+    ax = abs(x)
+    out = np.empty(ax.shape)
+    near = ax <= _SERIES_CUTOFF
+    out[near] = _vector_or_each(_bessel_series, n, ax[near])
+    out[~near] = _vector_or_each(_bessel_miller, n, ax[~near])
+    return np.where(x < 0.0, -1.0, 1.0) * out if n % 2 else out
 
 
-def _bessel_series(n: int, x: float) -> float:
-    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!)
+def _vector_or_each(loop, n, x):
+    """The vector loop over a 1-D array, or the float loop per element for
+    an array too small to pay numpy's cost per call."""
+    if x.size >= _VECTOR_MIN:
+        return loop(n, x)
+    return [loop(n, v) for v in x.tolist()]
+
+
+def _bessel_series(n: int, x):
+    # J_n(x) = sum_k (-1)^k (x/2)^(n+2k) / (k! (n+k)!).  An array element
+    # whose terms have died out gets a zero term, so the remaining iterations
+    # add 0.0 to its sum.
+    vec = isinstance(x, np.ndarray)
     half = 0.5 * x
     try:
-        term = half**n / math.factorial(n)
+        # Python's pow for each element (numpy's may round differently); the
+        # powers 0 and 1 are exact either way
+        power = np.array([h**n for h in half.tolist()]) if vec and n > 1 else half**n
+        term = power / float(math.factorial(n))
     except OverflowError:
-        return 0.0
-    if term == 0.0:
-        return 0.0
+        return 0.0 * x
     total = term
     peak = abs(term)
     mhh = -half * half
     for k in range(1, 300):
-        term *= mhh / (k * (n + k))
-        total += term
+        term = term * (mhh / (k * (n + k)))
+        total = total + term
         mag = abs(term)
-        if mag > peak:
+        if vec:
+            peak = np.maximum(peak, mag)
+            done = mag <= 1e-18 * peak
+            if done.all():
+                break
+            term[done] = 0.0
+        elif mag > peak:
             peak = mag
         elif mag <= 1e-18 * peak:
             break
     return total
 
 
-def _bessel_miller(n: int, x: float) -> float:
+def _bessel_miller(n: int, x):
     # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well above
-    # the turning point so the unnormalized solution is dominated by J.
-    top = int(max(n, x)) + 1 + int(10.0 * math.sqrt(max(n, x)))
-    if top % 2:
-        top += 1
-    jp = 0.0  # J~_{k+1}
-    jc = 1e-30  # J~_k
-    norm = 0.0  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
-    out = 0.0
-    if n == top:
-        out = jc
-    for k in range(top, 0, -1):
+    # the turning point so the unnormalized solution is dominated by J.  An
+    # array element starts at its own top (its state is zero before, which
+    # the recurrence keeps at zero) and is rescaled on its own.
+    vec = isinstance(x, np.ndarray)
+    if vec:
+        far = np.maximum(x, n)
+        top = far.astype(np.int64) + 1 + (10.0 * np.sqrt(far)).astype(np.int64)
+    else:
+        far = max(n, x)
+        top = int(far) + 1 + int(10.0 * math.sqrt(far))
+    top += top % 2
+    first = int(top.max(initial=0)) if vec else top
+    starts = set(top.tolist()) if vec else ()
+    jp = 0.0 * x  # J~_{k+1}
+    jc = np.where(top == first, 1e-30, 0.0) if vec else 1e-30  # J~_k
+    norm = 0.0 * x  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
+    out = 0.0 * x
+    for k in range(first, 0, -1):
         jm = (2.0 * k) / x * jc - jp
         jp = jc
         jc = jm
@@ -152,10 +220,17 @@ def _bessel_miller(n: int, x: float) -> float:
         if idx == n:
             out = jc
         if idx >= 2 and idx % 2 == 0:
-            norm += 2.0 * jc
+            norm = norm + 2.0 * jc
         elif idx == 0:
-            norm += jc
-        if abs(jc) > 1e250:
+            norm = norm + jc
+        if vec:
+            big = np.abs(jc) > 1e250
+            if big.any():
+                scale = np.where(big, 1e-250, 1.0)
+                jc, jp, norm, out = jc * scale, jp * scale, norm * scale, out * scale
+            if idx in starts:
+                jc = np.where(top == idx, 1e-30, jc)
+        elif abs(jc) > 1e250:
             jc *= 1e-250
             jp *= 1e-250
             norm *= 1e-250
@@ -237,32 +312,56 @@ def _hyp_series(nums, dens, z, ctrl):
     # For parameters of interest (halves and small integers) a + n and
     # b + n are exact doubles, so the double-double products keep each term
     # accurate to ~1e-30 relative even where the terms peak near 1e10.
-    sh, sl = 1.0, 0.0
-    th, tl = 1.0, 0.0
-    peak = 1.0
-    was_small = False
-    for n in range(ctrl.max_terms):
-        fn = float(n)
-        for a in nums:
-            th, tl = _dd_mul(th, tl, a + fn, 0.0)
-        th, tl = _dd_mul(th, tl, z, 0.0)
-        for b in dens:
-            th, tl = _dd_div_scalar(th, tl, b + fn)
-        th, tl = _dd_div_scalar(th, tl, fn + 1.0)
-        sh, sl = _dd_add(sh, sl, th, tl)
-        peak = max(peak, abs(th))
-        tol = max(ctrl.abs_tol, ctrl.rel_tol * abs(sh))
-        small = abs(th) <= tol
-        if small and was_small:
-            if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(sh)):
-                raise ConvergenceError(
-                    f"hypergeometric series lost precision to cancellation "
-                    f"(z={z!r}: peak term {peak:.3g}, sum {sh + sl:.3g})",
-                    partial=sh + sl,
-                    terms=n + 1,
-                )
-            return sh + sl
-        was_small = small
+    # An array element that has converged gets a zero term; a normalised
+    # double-double plus zero is a fixed point, so its sum stays as the
+    # scalar loop returns it.  Overflow in a diverging element is caught by
+    # the convergence test, not reported as a numpy warning.
+    vec = isinstance(z, np.ndarray)
+    if vec and z.size < _VECTOR_MIN:
+        return np.array([_hyp_series(nums, dens, v, ctrl) for v in z.ravel().tolist()]
+                        ).reshape(z.shape)
+    fmax = np.maximum if vec else max
+    one = np.ones_like(z) if vec else 1.0
+    sh, sl = one, 0.0 * one
+    th, tl = one, 0.0 * one
+    peak = one
+    was_small = done = False
+    quiet = np.errstate(over="ignore", invalid="ignore") if vec else contextlib.nullcontext()
+    with quiet:
+        for n in range(ctrl.max_terms):
+            fn = float(n)
+            for a in nums:
+                th, tl = _dd_mul(th, tl, a + fn, 0.0)
+            th, tl = _dd_mul(th, tl, z, 0.0)
+            for b in dens:
+                th, tl = _dd_div_scalar(th, tl, b + fn)
+            th, tl = _dd_div_scalar(th, tl, fn + 1.0)
+            sh, sl = _dd_add(sh, sl, th, tl)
+            peak = fmax(peak, abs(th))
+            tol = fmax(ctrl.abs_tol, ctrl.rel_tol * abs(sh))
+            small = abs(th) <= tol
+            if vec:
+                done = small & was_small
+                if done.all():
+                    break
+                th = np.where(done, 0.0, th)
+                tl = np.where(done, 0.0, tl)
+            elif small and was_small:
+                if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(sh)):
+                    raise ConvergenceError(
+                        f"hypergeometric series lost precision to cancellation "
+                        f"(z={z!r}: peak term {peak:.3g}, sum {sh + sl:.3g})",
+                        partial=sh + sl,
+                        terms=n + 1,
+                    )
+                return sh + sl
+            was_small = small
+        if vec:
+            failed = ~done | (peak * _DD_EPS > _CANCELLATION_TOL * np.maximum(1.0, abs(sh)))
+            if not failed.any():
+                return sh + sl
+            # on its own, the first failing element raises the scalar's error
+            _hyp_series(nums, dens, float(z[failed][0]), ctrl)
     raise ConvergenceError(
         f"hypergeometric series did not converge within {ctrl.max_terms} terms "
         f"(z={z!r})",
@@ -271,22 +370,22 @@ def _hyp_series(nums, dens, z, ctrl):
     )
 
 
-def hypergeom_1f2(a: float, b1: float, b2: float, z: float,
-                  ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Generalized hypergeometric 1F2(a; b1, b2; z), entire in z."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+def hypergeom_1f2(a: float, b1: float, b2: float, z,
+                  ctrl: SeriesControl = DEFAULT_CONTROL):
+    """Generalized hypergeometric 1F2(a; b1, b2; z), entire in z.
+
+    ``z`` may be an array; the series stops per element."""
+    z = _argument(z, "z")
     _check_denominators((b1, b2))
     return _hyp_series((float(a),), (float(b1), float(b2)), z, ctrl)
 
 
 def hypergeom_2f3(a1: float, a2: float, b1: float, b2: float, b3: float,
-                  z: float, ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z), entire in z."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+                  z, ctrl: SeriesControl = DEFAULT_CONTROL):
+    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z), entire in z.
+
+    ``z`` may be an array; the series stops per element."""
+    z = _argument(z, "z")
     _check_denominators((b1, b2, b3))
     return _hyp_series((float(a1), float(a2)), (float(b1), float(b2), float(b3)),
                        z, ctrl)
@@ -301,21 +400,10 @@ def _gain_curve(x, ctrl):
     return hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x, ctrl)
 
 
-def inverse_1f2_threshold(target: float,
-                          ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Smallest x >= 0 with 1F2(1/2; 1, 3/2; -x^2/4) = target.
-
-    ``g(x) = (1/x) integral_0^x J0`` decreases from g(0) = 1 to its first
-    local minimum (about 0.167 near x = 5.1) and oscillates after that;
-    only the first branch is inverted.  Raises :class:`UnbracketableError`
-    for targets below that minimum and ``ValueError`` outside (0, 1].
-    """
-    target = float(target)
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target must lie in (0, 1], got {target!r}")
-    if target == 1.0:
-        return 0.0
-
+@functools.lru_cache(maxsize=16)
+def _first_minimum(ctrl: SeriesControl):
+    """(x, g(x)) at the first local minimum of the gain curve; it does not
+    depend on the inversion target, so it is found once per control."""
     # March to the first rise of g to bracket the first local minimum.
     step = 0.125
     x_prev, g_prev = 0.0, 1.0
@@ -340,7 +428,25 @@ def inverse_1f2_threshold(target: float,
         if hi - lo < 1e-13:
             break
     x_min = 0.5 * (lo + hi)
-    g_min = _gain_curve(x_min, ctrl)
+    return x_min, _gain_curve(x_min, ctrl)
+
+
+def inverse_1f2_threshold(target: float,
+                          ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Smallest x >= 0 with 1F2(1/2; 1, 3/2; -x^2/4) = target.
+
+    ``g(x) = (1/x) integral_0^x J0`` decreases from g(0) = 1 to its first
+    local minimum (about 0.167 near x = 5.1) and oscillates after that;
+    only the first branch is inverted.  Raises :class:`UnbracketableError`
+    for targets below that minimum and ``ValueError`` outside (0, 1].
+    """
+    target = float(target)
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"target must lie in (0, 1], got {target!r}")
+    if target == 1.0:
+        return 0.0
+
+    x_min, g_min = _first_minimum(ctrl)
     if target < g_min:
         raise UnbracketableError(
             f"target {target!r} is below the first local minimum "
@@ -366,72 +472,106 @@ def inverse_1f2_threshold(target: float,
 
 
 def _eval(f, t):
-    v = float(f(t))
-    if not math.isfinite(v):
-        raise ValueError(f"integrand is not finite at t={t!r} (value {v!r})")
+    v = np.asarray(f(t), dtype=float)
+    if v.shape != t.shape:
+        v = np.broadcast_to(v, t.shape)
+    if not np.isfinite(v).all():
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValueError(
+            f"integrand is not finite at t={float(t[i])!r} (value {float(v[i])!r})"
+        )
     return v
 
 
-# Hard cap on interval splits so an unattainable tolerance degrades into a
-# QuadratureError instead of an exponential refinement stall.
+# Hard cap on the splits of each interval so an unattainable tolerance
+# degrades into a QuadratureError instead of an exponential refinement stall.
 _MAX_SPLITS = 200_000
+# Panels taken from the top of the work list per step, whatever their
+# interval: one integrand call covers twice as many abscissae, and taking
+# from the top (the newest, deepest panels) bounds the list the way a
+# depth-first search does, where a breadth-first sweep would not.
+PANEL_BATCH = 1024
+_NOISE = 64.0 * sys.float_info.epsilon
 
 
-def integrate(f, lo: float, hi: float, tol: float = 1e-10,
-              max_depth: int = 50) -> float:
+def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
     """Integral of ``f`` over [lo, hi] by adaptive Simpson bisection.
 
-    ``tol`` is an absolute tolerance for the whole interval; panels whose
-    refinement difference falls below the floating-point noise of their own
-    sums are accepted as converged regardless, since further splitting
-    cannot improve them.  Intervals still failing their local error test at
-    ``max_depth`` splits (or once the global split budget is spent) raise
-    :class:`QuadratureError` carrying the best available estimate.
+    ``f`` is vectorised: it maps an array of abscissae to the array of its
+    values (a scalar value is broadcast).  ``lo`` and ``hi`` broadcast to a
+    batch of intervals; each is integrated on its own, with the same panel
+    tree as alone, and the result has their shape (a float for scalar
+    limits).  ``tol`` is an absolute tolerance for each whole interval;
+    panels whose refinement difference falls below the floating-point noise
+    of their own sums are accepted as converged regardless, since further
+    splitting cannot improve them.  Intervals still failing their local
+    error test at ``max_depth`` splits (or once their split budget is spent)
+    raise :class:`QuadratureError` carrying the best estimate of every
+    interval.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("integration limits must be finite")
-    if lo > hi:
-        raise ValueError(f"lower limit {lo!r} exceeds upper limit {hi!r}")
+    if (lo > hi).any():
+        i = int(np.argmax(lo > hi))
+        raise ValueError(f"lower limit {float(lo[i])!r} exceeds upper limit {float(hi[i])!r}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if lo == hi:
-        return 0.0
 
-    flo = _eval(f, lo)
-    fhi = _eval(f, hi)
-    mid = 0.5 * (lo + hi)
-    fmid = _eval(f, mid)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    total = 0.0
-    exhausted = False
-    splits = 0
-    stack = [(lo, flo, hi, fhi, mid, fmid, whole, tol, 0)]
-    while stack:
-        a, fa, b, fb, m, fm, s, eps, depth = stack.pop()
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = _eval(f, lm)
-        frm = _eval(f, rm)
+    total = np.zeros(lo.size)
+    splits = np.zeros(lo.size, dtype=np.int64)
+    exhausted = np.zeros(lo.size, dtype=bool)
+    iv = np.flatnonzero(lo < hi)  # an empty interval integrates to 0
+    # The work list is a stack of blocks, newest last, with one row per field
+    # and one column per panel: its ends, f at the ends and midpoint, its
+    # Simpson estimate, tolerance and depth, and the interval it belongs to.
+    work = []
+    if iv.size:
+        a, b = lo[iv], hi[iv]
+        fa, fm, fb = _eval(f, np.concatenate((a, 0.5 * (a + b), b))).reshape(3, iv.size)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        work.append(np.array((a, b, fa, fm, fb, whole, np.full(iv.size, tol),
+                              np.zeros(iv.size), iv)))
+    while work:
+        batch, size = [], 0
+        while work and size < PANEL_BATCH:
+            block = work.pop()
+            if size + block.shape[1] > PANEL_BATCH:
+                keep = block.shape[1] - (PANEL_BATCH - size)
+                work.append(block[:, :keep])
+                block = block[:, keep:]
+            batch.append(block)
+            size += block.shape[1]
+        a, b, fa, fm, fb, s, eps, depth, jf = np.concatenate(batch, axis=1)
+        m = 0.5 * (a + b)
+        flm, frm = _eval(f, np.concatenate((0.5 * (a + m), 0.5 * (m + b)))).reshape(2, size)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - s
-        noise = 64.0 * sys.float_info.epsilon * (abs(left) + abs(right) + abs(s))
-        if abs(delta) <= max(15.0 * eps, noise):
-            total += left + right + delta / 15.0
-        elif depth >= max_depth or splits >= _MAX_SPLITS:
-            total += left + right + delta / 15.0
-            exhausted = True
-        else:
-            splits += 1
-            stack.append((a, fa, m, fm, lm, flm, left, 0.5 * eps, depth + 1))
-            stack.append((m, fm, b, fb, rm, frm, right, 0.5 * eps, depth + 1))
-    if exhausted:
+        ok = abs(delta) <= np.maximum(15.0 * eps, _NOISE * (abs(left) + abs(right) + abs(s)))
+        j = jf.astype(np.intp)
+        stuck = (depth >= max_depth) | (splits[j] >= _MAX_SPLITS)
+        last = ok | stuck
+        np.add.at(total, j, np.where(last, left + right + delta / 15.0, 0.0))
+        if stuck.any():
+            np.logical_or.at(exhausted, j, stuck & ~ok)
+        go = ~last
+        n = int(np.count_nonzero(go))
+        if n:
+            np.add.at(splits, j[go], 1)
+            # both halves of each split panel; the right halves go on top, as
+            # a depth-first search visits them first
+            kids = np.array(((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
+                             (0.5 * eps,) * 2, (depth + 1.0,) * 2, (jf, jf)))
+            work.append(kids[:, :, go].reshape(9, 2 * n))
+    best = float(total[0]) if shape == () else total.reshape(shape)
+    if exhausted.any():
+        i = int(np.argmax(exhausted))
         raise QuadratureError(
             f"adaptive quadrature hit depth {max_depth} before reaching "
-            f"tolerance {tol!r} on [{lo!r}, {hi!r}]",
-            best=total,
+            f"tolerance {tol!r} on [{float(lo[i])!r}, {float(hi[i])!r}]",
+            best=best,
         )
-    return total
+    return best

@@ -476,9 +476,8 @@ def run(scenario: Scenario, points_override: int | None = None) -> ResultTable:
         if method.trial:
             trial_labels.append(label)
         else:
-            setup = _Setup(scenario, freq)
-            rows.extend(ResultRow(x, label, float(method.evaluate(setup, x)), 0.0)
-                        for x in xs)
+            values = method.evaluate(_Setup(scenario, freq), np.array(xs))
+            rows.extend(ResultRow(x, label, float(v), 0.0) for x, v in zip(xs, values))
     if trial_labels:
         rows.extend(_run_trials(scenario, trial_labels, xs))
     return ResultTable(rows=tuple(rows)).sorted()
@@ -545,10 +544,11 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
 @dataclass(frozen=True)
 class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
-    averages over seeded channels.  Deterministic evaluators map (_Setup, x)
-    to a value; trial evaluators map (channel, DppConfig, rho, sigma2) to the
-    spectrum efficiency of every subcarrier.  ``uses_k`` is False for trial
-    methods whose output does not depend on the delay-unit count."""
+    averages over seeded channels.  Deterministic evaluators map (_Setup,
+    array of sweep points) to the values at every point; trial evaluators map
+    (channel, DppConfig, rho, sigma2) to the spectrum efficiency of every
+    subcarrier.  ``uses_k`` is False for trial methods whose output does not
+    depend on the delay-unit count."""
 
     variables: tuple
     evaluate: object
@@ -556,20 +556,28 @@ class _Method:
     uses_k: bool = True
 
 
+def _pointwise(gain):
+    """Deterministic evaluator of a gain computed one sweep point at a time."""
+    return lambda s, xs: [gain(s, x) for x in xs.tolist()]
+
+
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
 _SE = ("snr_db", "k_ttd", "bandwidth")
 
 # Validation and execution both read this table.
 _METHODS = {
-    "ps_exact": _Method(_FREQ, lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0)),
+    "ps_exact": _Method(_FREQ, _pointwise(
+        lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0))),
     "ps_closed_form": _Method(_FREQ, lambda s, f: an.ps_gain_closed_form(f, s.fc, s.radius)),
-    "dpp_exact": _Method(_FREQ, lambda s, f: an.dpp_exact_gain(s.geom, s.fc, f, s.phi0, s.k_ttd)),
+    "dpp_exact": _Method(_FREQ, _pointwise(
+        lambda s, f: an.dpp_exact_gain(s.geom, s.fc, f, s.phi0, s.k_ttd))),
     "dpp_subarray_sum": _Method(_FREQ, lambda s, f: an.dpp_gain_subarray_sum(
         f, s.fc, s.radius, s.geom.n_elements, s.k_ttd)),
     "dpp_closed_form": _Method(_FREQ, lambda s, f: an.dpp_gain_closed_form(
         f, s.fc, s.radius, s.k_ttd)),
-    "ula_exact": _Method(_ANGLE, _ula_exact),
-    "uca_exact": _Method(_ANGLE, lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi)),
+    "ula_exact": _Method(_ANGLE, _pointwise(_ula_exact)),
+    "uca_exact": _Method(_ANGLE, _pointwise(
+        lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi))),
     "uca_closed_form": _Method(_ANGLE, lambda s, phi: an.ps_gain_angular_closed_form(
         s.f_eval, s.fc, s.radius, phi, s.phi0)),
     "hyp_1f2": _Method(_ARG, lambda s, x: specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)),

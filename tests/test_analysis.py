@@ -165,6 +165,43 @@ def test_angular_closed_form_peak_sits_on_axis_at_center_freq():
 # ---------------------------------------------------------------------------
 
 
+@settings(max_examples=30, deadline=None)
+@given(offsets=st.lists(st.floats(-2e9, 2e9), min_size=1, max_size=50),
+       k_ttd=st.sampled_from([2, 4, 8, 16, 32]))
+def test_frequency_gains_broadcast_exactly(offsets, k_ttd):
+    f = 30e9 + np.array(offsets)
+    for fn in (lambda v: an.ps_gain_closed_form(v, 30e9, R),
+               lambda v: an.dpp_gain_subarray_sum(v, 30e9, R, 256, k_ttd),
+               lambda v: an.dpp_gain_closed_form(v, 30e9, R, k_ttd)):
+        assert np.array_equal(fn(f), [fn(v) for v in f.tolist()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(phis=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=60),
+       f_off=st.floats(-2e9, 2e9))
+def test_angular_closed_form_broadcasts_exactly(phis, f_off):
+    f = 30e9 + f_off
+    got = an.ps_gain_angular_closed_form(f, 30e9, R, np.array(phis), PHI0)
+    assert np.array_equal(got, [an.ps_gain_angular_closed_form(f, 30e9, R, p, PHI0) for p in phis])
+
+
+def test_closed_forms_of_scalars_are_floats():
+    for value in (an.ps_gain_closed_form(29e9, 30e9, R),
+                  an.ps_gain_angular_closed_form(29e9, 30e9, R, 0.4, PHI0),
+                  an.dpp_gain_subarray_sum(29e9, 30e9, R, 256, 8),
+                  an.dpp_gain_closed_form(np.float64(29e9), 30e9, R, 8),
+                  an.avg_gain_ps_numeric(R, 1e9), an.avg_gain_ps_upper(R, 1e9),
+                  an.avg_gain_ps_lower(R, 1e9), an.avg_gain_ttd(R, 1e9, 8)):
+        assert type(value) is float
+
+
+def test_array_gains_reject_the_first_bad_point():
+    with pytest.raises(ValueError, match="f_hz must be positive, got -1.0"):
+        an.ps_gain_closed_form(np.array([30e9, -1.0, 0.0]), 30e9, R)
+    with pytest.raises(ValueError, match="bandwidth_hz must be positive, got 0.0"):
+        an.avg_gain_ps_numeric(R, np.array([1e9, 0.0]))
+
+
 def test_subarray_sum_is_exact_at_center_frequency():
     assert an.dpp_gain_subarray_sum(30e9, 30e9, R, 256, 8) == 1.0
 
@@ -323,6 +360,18 @@ def test_avg_gain_sandwich_on_random_geometries():
         upper = an.avg_gain_ps_upper(radius, bw)
         assert lower <= numeric + 1e-9
         assert numeric <= upper + 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(bws=st.lists(st.floats(1e6, 4e9), min_size=1, max_size=40))
+def test_band_averages_broadcast_over_bandwidth(bws):
+    b = np.array(bws)
+    for fn in (an.avg_gain_ps_upper, an.avg_gain_ps_lower,
+               lambda r, v: an.avg_gain_ttd(r, v, 8), lambda r, v: an.gain_improvement(r, v, 8)):
+        assert np.array_equal(fn(R, b), [fn(R, v) for v in bws])
+    # one quadrature over all the bands: the same panels, summed in another order
+    numeric = an.avg_gain_ps_numeric(R, b)
+    assert np.allclose(numeric, [an.avg_gain_ps_numeric(R, v) for v in bws], rtol=1e-14, atol=0)
 
 
 def test_avg_gain_ttd_improves_with_more_units():

@@ -1,12 +1,16 @@
 """Special-function kernels: Bessel, hypergeometric, inversion, quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 import mpmath
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ucabeam import specfun
 from ucabeam.specfun import (
     ConvergenceError,
     QuadratureError,
@@ -28,13 +32,15 @@ J0_FIRST_ZERO = 2.404825557695773
 
 
 def test_bessel_matches_scipy_across_orders_and_arguments():
-    xs = np.linspace(0.0, 40.0, 401)
-    worst = max(
-        abs(bessel_j(n, float(x)) - scipy.special.jv(n, float(x)))
-        for n in range(0, 7)
-        for x in xs
-    )
-    assert worst <= 1e-11
+    # a 1024-element ring takes the angular closed form to arguments near
+    # 1024, so the check runs to 2100; each order is one array call
+    xs = np.concatenate((np.linspace(0.0, 40.0, 401), np.linspace(40.1, 2100.0, 20600)))
+    far = xs > 12.0
+    for n in range(0, 7):
+        err = np.abs(bessel_j(n, xs) - scipy.special.jv(n, xs))
+        assert err.max() <= 1e-11
+        # beyond the series range the recurrence is good to a few ulps
+        assert err[far].max() <= 1e-14
 
 
 def test_bessel_small_argument_values():
@@ -75,6 +81,39 @@ def test_bessel_rejects_bad_order():
         bessel_j(-1, 1.0)
 
 
+def test_bessel_rejects_non_finite_arguments_naming_the_first():
+    with pytest.raises(ValueError, match="got nan"):
+        bessel_j(0, math.nan)
+    with pytest.raises(ValueError, match="got inf"):
+        bessel_j(0, np.array([1.0, math.inf, math.nan]))
+
+
+# points on both sides of the switch from the series to the recurrence
+AROUND_SWITCH = [0.0, -0.0, 12.0, -12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0),
+                 -math.nextafter(12.0, 0.0), -math.nextafter(12.0, 13.0), 11.99, 12.01, 1e-300]
+# enough points for the vector loops, with zeros of J0 and J1, where the sums
+# are small enough to show a term added after an element has finished
+SPREAD = (np.linspace(-14.0, 14.0, 57).tolist() + np.linspace(-2100.0, 2100.0, 57).tolist()
+          + [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+             3.831705970207512, 7.015586669815619, 10.173468135062722])
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 6),
+       xs=st.lists(st.one_of(st.floats(-2100.0, 2100.0), st.floats(-14.0, 14.0)), max_size=60),
+       spread=st.booleans(), two_d=st.booleans())
+def test_bessel_array_equals_scalar_calls(order, xs, spread, two_d):
+    # short arrays run the float loop per element, longer ones the vector
+    # loop; both must give each element the bits of its scalar call
+    x = np.array(xs + AROUND_SWITCH + (SPREAD if spread else []))
+    if two_d and x.size % 2 == 0:
+        x = x.reshape(2, -1)
+    got = bessel_j(order, x)
+    assert got.shape == x.shape
+    want = np.array([bessel_j(order, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # hypergeometric series
 # ---------------------------------------------------------------------------
@@ -96,6 +135,26 @@ def test_hypergeom_2f3_matches_mpmath():
         assert hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x) == pytest.approx(
             ref, abs=1e-10, rel=1e-10
         )
+
+
+@settings(max_examples=20, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40), spread=st.booleans())
+def test_hypergeom_array_equals_scalar_calls(xs, spread):
+    z = -0.25 * np.array(xs + (np.linspace(0.0, 50.0, 201).tolist() if spread else [])) ** 2
+    for fn in (lambda v: hypergeom_1f2(0.5, 1.0, 1.5, v),
+               lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, v),
+               lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, v)):
+        want = [fn(v) for v in z.tolist()]
+        assert np.array_equal(fn(z), want)
+
+
+def test_scalar_arguments_give_python_floats():
+    for x in (0.5, 2, np.float64(13.0), np.array(0.25), np.array([3.0])[0]):
+        assert type(bessel_j(0, x)) is float
+        assert type(hypergeom_1f2(0.5, 1.0, 1.5, x)) is float
+        assert type(hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, x)) is float
+        assert type(integrate(lambda t: t * t, 0.0, x)) is float
+    assert bessel_j(0, np.array([0.5])).shape == (1,)
 
 
 def test_hypergeom_at_zero_is_one():
@@ -155,6 +214,27 @@ def test_hypergeom_raises_when_cancellation_eats_the_digits():
             hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x, ctrl=loose)
 
 
+@pytest.mark.parametrize("x0, x1, ctrl, message", [
+    (900.0, 1100.0, SeriesControl(), "did not converge"),
+    (60.0, 100.0, SeriesControl(max_terms=2000), "cancellation"),
+])
+def test_failing_array_element_raises_its_own_error_without_warnings(x0, x1, ctrl, message):
+    # the vector loop runs diverging elements into overflow; the error must
+    # be the one the first element's scalar call raises, and numpy must not
+    # warn on the way
+    z = -0.25 * np.linspace(x0, x1, 40) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=message) as info:
+            hypergeom_1f2(0.5, 1.0, 1.5, z, ctrl=ctrl)
+        with pytest.raises(ConvergenceError) as alone:
+            hypergeom_1f2(0.5, 1.0, 1.5, float(z[0]), ctrl=ctrl)
+    assert f"z={float(z[0])!r}" in str(info.value)
+    assert str(info.value) == str(alone.value)
+    assert repr(info.value.partial) == repr(alone.value.partial)
+    assert info.value.terms == alone.value.terms
+
+
 def test_series_control_validation():
     with pytest.raises(ValueError):
         SeriesControl(max_terms=0)
@@ -201,6 +281,28 @@ def test_inverse_is_monotone_in_target():
     assert all(b > a for a, b in zip(xs, xs[1:]))
 
 
+def test_inverse_values_are_unchanged():
+    # recorded before the first minimum was memoised; bit for bit
+    assert inverse_1f2_threshold(0.95) == 0.7835590652168267
+    assert inverse_1f2_threshold(0.6) == 2.4496368341532797
+    assert inverse_1f2_threshold(0.2) == 4.390842991661147
+
+
+def test_inverse_finds_the_first_minimum_once(monkeypatch):
+    inverse_1f2_threshold(0.7)  # the first minimum of the default control is now known
+    calls = []
+    series = specfun.hypergeom_1f2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "hypergeom_1f2", counted)
+    inverse_1f2_threshold(0.55)
+    # only the bisection runs: about 49 halvings of [0, 5.1] down to 1e-14
+    assert 0 < len(calls) <= 60
+
+
 def test_inverse_rejects_unreachable_targets():
     # first local minimum of the kernel is about 0.167: below that the
     # first decreasing branch never reaches the target
@@ -244,6 +346,42 @@ def test_integrate_degenerate_interval_is_zero():
     assert integrate(lambda t: 5.0, 1.0, 1.0) == 0.0
 
 
+def test_integrate_constant_integrand_broadcasts_over_a_batch():
+    got = integrate(lambda t: 2.0, 0.0, np.array([[1.0, 3.0], [0.0, 0.5]]))
+    assert got.shape == (2, 2)
+    assert np.allclose(got, [[2.0, 6.0], [0.0, 1.0]], rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ends=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 15.0)),
+                     min_size=1, max_size=12))
+def test_batched_integrate_matches_one_call_per_interval(ends):
+    lo = np.array([a for a, _ in ends])
+    hi = lo + np.array([w for _, w in ends])
+
+    def f(t):
+        return 1.0 + bessel_j(0, t) ** 2
+
+    got = integrate(f, lo, hi, tol=1e-10)
+    want = np.array([integrate(f, a, b, tol=1e-10) for a, b in zip(lo.tolist(), hi.tolist())])
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.all(got[lo == hi] == 0.0)
+
+
+def test_integrate_rejects_a_non_finite_integrand_naming_t():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not finite at t=0\.75"):
+            integrate(lambda t: np.where(t == 0.75, np.inf, t), 0.0, np.array([1.0, 2.0]))
+
+
+def test_integrate_validates_each_interval():
+    with pytest.raises(ValueError, match="lower limit 3.0 exceeds upper limit 2.0"):
+        integrate(lambda t: t, np.array([0.0, 3.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        integrate(lambda t: t, 0.0, np.array([1.0, math.nan]))
+
+
 def test_integrate_validates_limits_and_tol():
     with pytest.raises(ValueError):
         integrate(lambda t: 1.0, 1.0, 0.0)
@@ -257,8 +395,27 @@ def test_integrate_raises_with_best_estimate_when_budget_spent():
     # billions of oscillations cannot be resolved: the split budget runs out
     # and the error carries the best available estimate instead of stalling
     with pytest.raises(QuadratureError) as info:
-        integrate(lambda t: abs(math.cos(t)), 0.0, 1e9, tol=1e-9)
+        integrate(lambda t: np.abs(np.cos(t)), 0.0, 1e9, tol=1e-9)
     best = info.value.best
     assert best is not None and math.isfinite(best)
     # true value is (2/pi)*1e9; the folded estimate is the right magnitude
     assert 0.3e9 <= best <= 1.0e9
+
+
+def test_quadrature_budget_and_best_estimate_are_per_interval():
+    # each interval gets its own split budget, so a hopeless interval does
+    # not starve its neighbours, and the error carries every estimate
+    evaluated = []
+
+    def f(t):
+        evaluated.append(t.size)
+        return np.abs(np.cos(t))
+
+    with pytest.raises(QuadratureError) as info:
+        integrate(f, 0.0, np.array([1e9, 2.0, 1e9]), tol=1e-9)
+    # a split makes two panels, and each panel costs two evaluations
+    assert sum(evaluated) >= 2 * 4 * specfun._MAX_SPLITS
+    best = info.value.best
+    assert best.shape == (3,)
+    assert best[1] == pytest.approx(integrate(f, 0.0, 2.0, tol=1e-9), rel=1e-14)
+    assert 0.3e9 <= best[0] <= 1.0e9 and 0.3e9 <= best[2] <= 1.0e9

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -393,6 +394,35 @@ def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
     cfg = _write(tmp_path, "fig7_1024.json", data)
     assert main(["run", cfg, "--out", "-"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_numeric_failure_of_a_long_sweep_warns_nothing(tmp_path, capsys):
+    # a sweep long enough for the vector series loop, which runs the
+    # diverging elements into overflow before the error is raised
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "argument", "start": 900.0, "stop": 1100.0,
+                     "points": 40}
+    data["methods"] = ["hyp_1f2", "hyp_2f3"]
+    cfg = _write(tmp_path, "blowup40.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "z=-202500.0" in err
+
+
+def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
+    counts = {}
+    for name in ("exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
+                 "dpp_gain_closed_form", "avg_gain_ps_numeric", "avg_gain_ps_upper"):
+        _count_calls(monkeypatch, analysis, name, counts)
+    run(load_builtin("fig6"), points_override=40)
+    run(load_builtin("fig7"), points_override=40)
+    # the exact gains stay one call per point: ps_exact, and dpp_exact
+    # through exact_gain
+    assert counts == {"exact_gain": 80, "dpp_exact_gain": 40, "dpp_gain_subarray_sum": 1,
+                      "dpp_gain_closed_form": 1, "avg_gain_ps_numeric": 1,
+                      "avg_gain_ps_upper": 1}
 
 
 def test_cli_validate_ok_and_failing(tmp_path, capsys):
