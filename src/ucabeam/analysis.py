@@ -112,14 +112,8 @@ def ps_gain_angular_closed_form(
     _check_freqs(f_hz, fc_hz, radius_m)
     eta_m = _eta(f_hz, radius_m)
     eta_c = _eta(fc_hz, radius_m)
-    xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * _cos(phi_rad - phi0_rad)
+    xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * np.cos(phi_rad - phi0_rad)
     return abs(specfun.bessel_j(0, np.sqrt(np.maximum(xi_sq, 0.0))))
-
-
-# math.cos element by element: near a null of J0 one ulp of the cosine moves
-# the gain by about 1e-7 relative, and numpy's vector cosine may round
-# differently from the scalar one
-_cos = np.vectorize(math.cos, otypes=[float])
 
 
 def dpp_gain_subarray_sum(

@@ -96,10 +96,6 @@ def _argument(x, name):
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
         return x
-    return _array_argument(x, name)
-
-
-def _array_argument(x, name):
     x = np.asarray(x, dtype=float)
     bad = ~np.isfinite(x)
     if bad.any():
@@ -112,10 +108,6 @@ def _array_argument(x, name):
 # ---------------------------------------------------------------------------
 
 _SERIES_CUTOFF = 12.0
-# Arrays with fewer elements run the float loops element by element: below
-# about 32-64 elements numpy's cost per call outweighs the work a vector loop
-# step shares (measured for J0 and 1F2 on arguments up to 9).
-_VECTOR_MIN = 32
 
 
 def bessel_j(order: int, x):
@@ -131,10 +123,8 @@ def bessel_j(order: int, x):
     if order != int(order) or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
     n = int(order)
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"argument must be finite, got {x!r}")
+    x = _argument(x, "argument")
+    if isinstance(x, float):
         sign = 1.0
         if x < 0.0:
             x = -x
@@ -143,21 +133,12 @@ def bessel_j(order: int, x):
         if x <= _SERIES_CUTOFF:
             return sign * _bessel_series(n, x)
         return sign * _bessel_miller(n, x)
-    x = _array_argument(x, "argument")
     ax = abs(x)
     out = np.empty(ax.shape)
     near = ax <= _SERIES_CUTOFF
-    out[near] = _vector_or_each(_bessel_series, n, ax[near])
-    out[~near] = _vector_or_each(_bessel_miller, n, ax[~near])
+    out[near] = _bessel_series(n, ax[near])
+    out[~near] = _bessel_miller(n, ax[~near])
     return np.where(x < 0.0, -1.0, 1.0) * out if n % 2 else out
-
-
-def _vector_or_each(loop, n, x):
-    """The vector loop over a 1-D array, or the float loop per element for
-    an array too small to pay numpy's cost per call."""
-    if x.size >= _VECTOR_MIN:
-        return loop(n, x)
-    return [loop(n, v) for v in x.tolist()]
 
 
 def _bessel_series(n: int, x):
@@ -317,9 +298,6 @@ def _hyp_series(nums, dens, z, ctrl):
     # scalar loop returns it.  Overflow in a diverging element is caught by
     # the convergence test, not reported as a numpy warning.
     vec = isinstance(z, np.ndarray)
-    if vec and z.size < _VECTOR_MIN:
-        return np.array([_hyp_series(nums, dens, v, ctrl) for v in z.ravel().tolist()]
-                        ).reshape(z.shape)
     fmax = np.maximum if vec else max
     one = np.ones_like(z) if vec else 1.0
     sh, sl = one, 0.0 * one
@@ -472,6 +450,11 @@ def inverse_1f2_threshold(target: float,
 
 
 def _eval(f, t):
+    if isinstance(t, float):
+        v = float(f(t))
+        if not math.isfinite(v):
+            raise ValueError(f"integrand is not finite at t={t!r} (value {v!r})")
+        return v
     v = np.asarray(f(t), dtype=float)
     if v.shape != t.shape:
         v = np.broadcast_to(v, t.shape)
@@ -494,39 +477,105 @@ PANEL_BATCH = 1024
 _NOISE = 64.0 * sys.float_info.epsilon
 
 
+def _is_scalar(v):
+    # np.ndim converts a Python number to an array first, which costs more
+    # than a whole one-panel integral
+    return isinstance(v, (float, int)) or np.ndim(v) == 0
+
+
 def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
     """Integral of ``f`` over [lo, hi] by adaptive Simpson bisection.
 
     ``f`` is vectorised: it maps an array of abscissae to the array of its
-    values (a scalar value is broadcast).  ``lo`` and ``hi`` broadcast to a
-    batch of intervals; each is integrated on its own, with the same panel
-    tree as alone, and the result has their shape (a float for scalar
-    limits).  ``tol`` is an absolute tolerance for each whole interval;
-    panels whose refinement difference falls below the floating-point noise
-    of their own sums are accepted as converged regardless, since further
-    splitting cannot improve them.  Intervals still failing their local
-    error test at ``max_depth`` splits (or once their split budget is spent)
-    raise :class:`QuadratureError` carrying the best estimate of every
-    interval.
+    values (a scalar value is broadcast) and a float to a float.  ``lo`` and
+    ``hi`` broadcast to a batch of intervals; each is integrated on its own,
+    with the same panel tree as alone, and the result has their shape.
+    Scalar limits are the one-interval case: its panels are refined one at a
+    time on Python floats and the result is a float.  ``tol`` is an absolute
+    tolerance for each whole interval; panels whose refinement difference
+    falls below the floating-point noise of their own sums are accepted as
+    converged regardless, since further splitting cannot improve them.
+    Intervals still failing their local error test at ``max_depth`` splits
+    (or once their split budget is spent) raise :class:`QuadratureError`
+    carrying the best estimate of every interval.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    shape = lo.shape
-    lo, hi = lo.ravel(), hi.ravel()
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("integration limits must be finite")
-    if (lo > hi).any():
-        i = int(np.argmax(lo > hi))
-        raise ValueError(f"lower limit {float(lo[i])!r} exceeds upper limit {float(hi[i])!r}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if _is_scalar(lo) and _is_scalar(hi):
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("integration limits must be finite")
+        if lo > hi:
+            raise ValueError(f"lower limit {lo!r} exceeds upper limit {hi!r}")
+        best, exhausted = _simpson(f, lo, hi, tol, max_depth)
+        failed = (lo, hi) if exhausted else None
+    else:
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("integration limits must be finite")
+        if (lo > hi).any():
+            i = np.argmax(lo > hi)
+            raise ValueError(f"lower limit {float(lo.flat[i])!r} exceeds upper "
+                             f"limit {float(hi.flat[i])!r}")
+        total, exhausted = _simpson_batch(f, lo.ravel(), hi.ravel(), tol, max_depth)
+        best = total.reshape(lo.shape)
+        i = np.argmax(exhausted)
+        failed = (float(lo.flat[i]), float(hi.flat[i])) if exhausted[i] else None
+    if failed is not None:
+        raise QuadratureError(
+            f"adaptive quadrature hit depth {max_depth} before reaching "
+            f"tolerance {tol!r} on [{failed[0]!r}, {failed[1]!r}]",
+            best=best,
+        )
+    return best
 
+
+def _simpson(f, lo, hi, tol, max_depth):
+    """One interval on Python floats: (integral, whether a panel failed its
+    error test at the depth limit or once the split budget was spent)."""
+    if lo == hi:
+        return 0.0, False
+    mid = 0.5 * (lo + hi)
+    flo, fmid, fhi = _eval(f, lo), _eval(f, mid), _eval(f, hi)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    total = 0.0
+    exhausted = False
+    splits = 0
+    # a panel: its ends, f at the ends and midpoint, its Simpson estimate,
+    # tolerance and depth
+    stack = [(lo, hi, flo, fmid, fhi, whole, tol, 0)]
+    while stack:
+        a, b, fa, fm, fb, s, eps, depth = stack.pop()
+        m = 0.5 * (a + b)
+        flm = _eval(f, 0.5 * (a + m))
+        frm = _eval(f, 0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - s
+        if abs(delta) <= max(15.0 * eps, _NOISE * (abs(left) + abs(right) + abs(s))):
+            total += left + right + delta / 15.0
+        elif depth >= max_depth or splits >= _MAX_SPLITS:
+            total += left + right + delta / 15.0
+            exhausted = True
+        else:
+            splits += 1
+            stack.append((a, m, fa, flm, fm, left, 0.5 * eps, depth + 1))
+            stack.append((m, b, fm, frm, fb, right, 0.5 * eps, depth + 1))
+    return total, exhausted
+
+
+def _simpson_batch(f, lo, hi, tol, max_depth):
+    """The panels of every interval from one work list, up to PANEL_BATCH
+    per integrand call, with the acceptance rule of :func:`_simpson`:
+    (integral per interval, whether each failed as there)."""
     total = np.zeros(lo.size)
     splits = np.zeros(lo.size, dtype=np.int64)
     exhausted = np.zeros(lo.size, dtype=bool)
     iv = np.flatnonzero(lo < hi)  # an empty interval integrates to 0
     # The work list is a stack of blocks, newest last, with one row per field
-    # and one column per panel: its ends, f at the ends and midpoint, its
-    # Simpson estimate, tolerance and depth, and the interval it belongs to.
+    # and one column per panel: the fields of a panel in _simpson and the
+    # interval it belongs to.
     work = []
     if iv.size:
         a, b = lo[iv], hi[iv]
@@ -562,16 +611,8 @@ def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
         if n:
             np.add.at(splits, j[go], 1)
             # both halves of each split panel; the right halves go on top, as
-            # a depth-first search visits them first
+            # in _simpson
             kids = np.array(((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
                              (0.5 * eps,) * 2, (depth + 1.0,) * 2, (jf, jf)))
             work.append(kids[:, :, go].reshape(9, 2 * n))
-    best = float(total[0]) if shape == () else total.reshape(shape)
-    if exhausted.any():
-        i = int(np.argmax(exhausted))
-        raise QuadratureError(
-            f"adaptive quadrature hit depth {max_depth} before reaching "
-            f"tolerance {tol!r} on [{float(lo[i])!r}, {float(hi[i])!r}]",
-            best=best,
-        )
-    return best
+    return total, exhausted

@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib.resources
+import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -389,8 +393,7 @@ def load_scenario(source: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     x: float
     method: str
     mean: float
@@ -402,12 +405,16 @@ class ResultTable:
     rows: tuple
 
     def sorted(self) -> "ResultTable":
-        return ResultTable(rows=tuple(sorted(self.rows, key=lambda r: (r.x, r.method))))
+        return ResultTable(rows=tuple(sorted(self.rows, key=operator.itemgetter(0, 1))))
 
     def to_csv(self) -> str:
         lines = ["x,method,mean,std"]
+        last, text = None, ""
         for r in self.rows:
-            lines.append(f"{float(r.x)!r},{r.method},{float(r.mean)!r},{float(r.std)!r}")
+            # the rows of one sweep point share its x: its text is made once
+            if r.x is not last:
+                last, text = r.x, repr(float(r.x))
+            lines.append(f"{text},{r.method},{float(r.mean)!r},{float(r.std)!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -477,7 +484,8 @@ def run(scenario: Scenario, points_override: int | None = None) -> ResultTable:
             trial_labels.append(label)
         else:
             values = method.evaluate(_Setup(scenario, freq), np.array(xs))
-            rows.extend(ResultRow(x, label, float(v), 0.0) for x, v in zip(xs, values))
+            rows.extend(map(ResultRow, xs, itertools.repeat(label),
+                            np.asarray(values, dtype=float).tolist(), itertools.repeat(0.0)))
     if trial_labels:
         rows.extend(_run_trials(scenario, trial_labels, xs))
     return ResultTable(rows=tuple(rows)).sorted()
@@ -656,6 +664,7 @@ def _cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucabeam",

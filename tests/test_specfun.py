@@ -346,6 +346,14 @@ def test_integrate_degenerate_interval_is_zero():
     assert integrate(lambda t: 5.0, 1.0, 1.0) == 0.0
 
 
+def test_scalar_limits_evaluate_the_integrand_on_floats():
+    # the one-interval case refines its panels on Python floats, so even a
+    # float-only integrand works there
+    got = integrate(lambda t: math.exp(t), 0.0, 1.0, tol=1e-12)
+    assert type(got) is float
+    assert got == pytest.approx(math.e - 1.0, abs=1e-12)
+
+
 def test_integrate_constant_integrand_broadcasts_over_a_batch():
     got = integrate(lambda t: 2.0, 0.0, np.array([[1.0, 3.0], [0.0, 0.5]]))
     assert got.shape == (2, 2)
@@ -408,7 +416,7 @@ def test_quadrature_budget_and_best_estimate_are_per_interval():
     evaluated = []
 
     def f(t):
-        evaluated.append(t.size)
+        evaluated.append(np.size(t))
         return np.abs(np.cos(t))
 
     with pytest.raises(QuadratureError) as info:
