@@ -43,12 +43,13 @@ from .arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
     UcaGeometry,
-    _subcarrier_chunks,
+    _subcarrier_index,
     steering_uca,
 )
 from .cxlinalg import water_filling
-from .precoding import (_GAIN_FLOOR, PrecoderSet, _analog, _arc_size, _check_snr, _ps_column,
-                        _sorted_paths, analog_combined, combined_precoder, ttd_delays)
+from .precoding import (_GAIN_FLOOR, HybridDesign, PrecoderSet, _analog, _arc_size, _check_snr,
+                        _amplitudes, _equivalent_channels, _ps_column, _sorted_paths,
+                        analog_combined, ttd_delays)
 
 __all__ = [
     "exact_gain",
@@ -66,6 +67,7 @@ __all__ = [
     "gain_improvement",
     "se_from_effective",
     "spectrum_efficiency",
+    "design_spectrum_efficiency",
     "spectrum_efficiency_optimal",
     "beam_cross_gains",
 ]
@@ -266,10 +268,11 @@ def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):
 # ---------------------------------------------------------------------------
 
 
-def se_from_effective(h_eff, rho: float, sigma2: float, n_s: int | None = None):
+def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
     """log2 det(I + rho/(n_s*sigma2) * H_eff H_eff^H) for an effective
     channel H_eff = H^H F (receive antennas x streams).  Leading axes index a
-    stack of effective channels and give an array of rates."""
+    stack of effective channels and give an array of rates; an array rho
+    must broadcast to those leading axes."""
     h_eff = np.asarray(h_eff, dtype=np.complex128)
     if h_eff.ndim < 2:
         raise ValueError(f"h_eff must be 2-D or a stack of 2-D, got shape {h_eff.shape}")
@@ -278,8 +281,10 @@ def se_from_effective(h_eff, rho: float, sigma2: float, n_s: int | None = None):
     elif n_s != h_eff.shape[-1]:
         raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[-1]}")
     _check_snr(rho, sigma2)
-    gram = (rho / (n_s * sigma2)) * (h_eff @ np.swapaxes(h_eff.conj(), -1, -2))
-    sign, logdet = np.linalg.slogdet(np.eye(h_eff.shape[-2]) + gram)
+    gram = h_eff @ np.swapaxes(h_eff.conj(), -1, -2)
+    gram *= np.asarray(rho, dtype=float)[..., None, None] / (n_s * sigma2)
+    gram += np.eye(h_eff.shape[-2])
+    sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0):
         raise ArithmeticError("log-det argument is not positive definite")
     se = logdet / math.log(2.0)
@@ -293,7 +298,8 @@ def spectrum_efficiency(h_m, ps: PrecoderSet, m, rho: float, sigma2: float,
     phase-shifter/delay/digital precoder at subcarrier m.
 
     With a sequence of indices m and the len(m) x N x N_r channel stack h_m,
-    returns the array of their rates, evaluated in subcarrier chunks.
+    returns the array of their rates.  H^H F = (H^H A) f_d, with H^H A from
+    the per-arc products of the precoders' own design routine.
     """
     h_m = np.asarray(h_m, dtype=np.complex128)
     idx = np.asarray(m)
@@ -303,23 +309,52 @@ def spectrum_efficiency(h_m, ps: PrecoderSet, m, rho: float, sigma2: float,
             f"channel/precoder mismatch: H is {h_m.shape} for subcarrier index shape "
             f"{idx.shape}, F has {n_tx} transmit antennas"
         )
+    idx = _subcarrier_index(m, ps.n_subcarriers)
     scalar = idx.ndim == 0
     if scalar:
         h_m, idx = h_m[None], idx[None]
-    h_t = np.swapaxes(h_m, -1, -2)
-    se = np.empty(idx.size)
-    for sl in _subcarrier_chunks(idx.size):
-        f = combined_precoder(ps, idx[sl])
-        se[sl] = se_from_effective(np.conj(h_t[sl] @ f.conj()), rho, sigma2, n_s)  # H^H F
+    g, _ = _equivalent_channels(np.swapaxes(h_m, -1, -2), ps.w_ps, ps.delays_s,
+                                ps.freqs_hz[idx])
+    se = se_from_effective(g @ ps.f_d[idx], rho, sigma2, n_s)
     return float(se[0]) if scalar else se
 
 
-def spectrum_efficiency_optimal(h_m, rho: float, sigma2: float, n_s: int,
+# (SNR, subcarrier) pairs per step when rates are taken at an array of SNRs:
+# it bounds the temporaries of a step (a few N_r x N_r matrices per pair)
+# whatever the number of SNRs.
+SNR_BLOCK_PAIRS = 1024
+
+
+def _by_snr_blocks(rates, rho, n_sub: int):
+    """rates(rho) for a scalar rho; for a 1-D array of SNRs, rates of blocks
+    of at most SNR_BLOCK_PAIRS // n_sub of them, stacked along a first axis."""
+    if np.ndim(rho) == 0:
+        return rates(rho)
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim != 1:
+        raise ValueError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
+    step = max(1, SNR_BLOCK_PAIRS // n_sub)
+    return np.concatenate([rates(rho[i:i + step]) for i in range(0, rho.size, step)])
+
+
+def design_spectrum_efficiency(design: HybridDesign, rho, sigma2: float):
+    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho:
+    an array of M rates, or, for a 1-D array of SNRs, one row per SNR.  Equal
+    to building the precoder at rho and calling spectrum_efficiency on the
+    whole grid, with H_eff = G f_d = (G v) * a from the design."""
+    def rates(r):
+        h_eff = design.g_v * _amplitudes(design, r, sigma2)[..., None, :]
+        return se_from_effective(h_eff, np.asarray(r)[..., None], sigma2)
+    return _by_snr_blocks(rates, rho, design.sigma.shape[0])
+
+
+def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
                                 total_power: float = 1.0):
     """Fully digital upper bound: water-filling over the top n_s singular
     values of the channel, sum of log2(1 + p_i * rho * s_i^2/(n_s*sigma2)).
     Leading axes of h_m index a stack of channels (one per subcarrier) and
-    give an array of rates."""
+    give an array of rates; a 1-D array of SNRs gives one row per SNR, from
+    one set of singular values."""
     h_m = np.asarray(h_m, dtype=np.complex128)
     if h_m.ndim < 2:
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
@@ -328,13 +363,17 @@ def spectrum_efficiency_optimal(h_m, rho: float, sigma2: float, n_s: int,
     _check_snr(rho, sigma2)
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total_power must be positive, got {total_power}")
-    sing = np.linalg.svd(h_m, compute_uv=False)
+    sing = np.linalg.svd(h_m, compute_uv=False)[..., :n_s]
     if sing.shape[-1] < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
-    gains = np.maximum(rho * sing[..., :n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR)
-    powers = water_filling(gains, total_power)
-    se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
-    return float(se) if se.ndim == 0 else se
+
+    def rates(r):
+        r = np.reshape(r, np.shape(r) + (1,) * sing.ndim)
+        gains = np.maximum(r * sing ** 2 / (n_s * sigma2), _GAIN_FLOOR)
+        powers = water_filling(gains, total_power)
+        se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
+        return float(se) if se.ndim == 0 else se
+    return _by_snr_blocks(rates, rho, sing[..., 0].size)
 
 
 def beam_cross_gains(ch: ChannelRealization, ps: PrecoderSet, m: int) -> np.ndarray:

@@ -37,10 +37,10 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# Subcarriers per batched step wherever a tensor grows with the grid (channel
-# synthesis, the digital stage, rate evaluation): it bounds the temporaries
-# of a step to SUBCARRIER_CHUNK x N x (paths or RF chains), far below the
-# M x N x N_r channel stack itself.
+# Subcarriers per batched step wherever a tensor grows with the grid and the
+# array size (channel synthesis, the per-arc products of the precoders): it
+# bounds the temporaries of a step to SUBCARRIER_CHUNK x N x (paths, or
+# N_r x RF chains), far below the M x N x N_r channel stack itself.
 SUBCARRIER_CHUNK = 8
 
 

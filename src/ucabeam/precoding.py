@@ -5,11 +5,25 @@ units, and each TTD unit drives ``P = N/K`` phase shifters, one per antenna
 of a contiguous arc of the circular array.  The analog stage is stored per
 arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
 per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
-``w_ps`` times the TTD phase ``exp(-j*2*pi*f*delays_s[l, k])``.  The digital
-stage ``f_d[m]`` (n_rf x n_streams) comes from an SVD of the equivalent
-channel plus water-filling.  It is independent per subcarrier, so it runs
-batched over chunks of ``arraymodel.SUBCARRIER_CHUNK`` subcarriers, which
-bounds the live analog-stage tensor to SUBCARRIER_CHUNK x N x n_rf.
+``w_ps`` times the TTD phase ``phi_lk(f) = exp(-j*2*pi*f*delays_s[l, k])``.
+
+Everything of a precoder that does not depend on the SNR is one
+``HybridDesign`` per (channel, architecture, K), built from per-arc products
+so that no N x n_rf analog matrix is formed per subcarrier:
+
+* the equivalent channels ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) * phi_k(f_m)``
+  with ``C_mk = H_{m, arc k}^T conj(w_k)`` (N_r x n_rf per arc);
+* the analog Gram matrices ``A^H A = sum_k conj(phi_k)^T phi_k * (w_k^H w_k)``;
+* the SVD of every ``G_m``, and the Gram matrices and ``G_m`` seen by its
+  stream directions.
+
+The digital stage ``f_d[m]`` (n_rf x n_streams) at an SNR is then only
+stream-sized work: water-filling over the stream SNRs and an exact rescale
+to the power budget ``f_d^H (A^H A) f_d``, so the rates at many SNRs come
+from one design (``analysis.design_spectrum_efficiency``).  The per-arc
+products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK`` subcarriers,
+so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
+(SUBCARRIER_CHUNK x N x N_r x n_rf at K = N).
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -18,7 +32,8 @@ weight tracks the ideal per-subcarrier steering vector exactly, so the gain
 is 1 at every frequency.
 
 The classic hybrid precoder is the K -> 1 degenerate wiring: phase shifters
-align the beam at the center frequency only and the TTD stage is all-ones.
+align the beam at the center frequency only and the TTD stage is all-ones,
+so its design is the zero-delay single-arc case, ``G = H^H w_ps``.
 """
 
 from __future__ import annotations
@@ -41,10 +56,13 @@ __all__ = [
     "DppConfig",
     "TtdSchedule",
     "PrecoderSet",
+    "HybridDesign",
     "ttd_reference_angles",
     "ttd_delays",
     "build_classic_hybrid",
     "build_dpp",
+    "design_classic_hybrid",
+    "design_dpp",
     "analog_combined",
     "combined_precoder",
 ]
@@ -156,8 +174,8 @@ def _sorted_paths(ch: ChannelRealization, n_rf: int):
     return order[:n_rf]
 
 
-def _check_snr(rho: float, sigma2: float):
-    if not (np.isfinite(rho) and rho > 0.0):
+def _check_snr(rho, sigma2: float):
+    if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0.0)):
         raise ValueError(f"rho must be positive, got {rho}")
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -187,10 +205,66 @@ def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
     return w_ps * np.repeat(np.swapaxes(phases, -1, -2), p, axis=-2)
 
 
-def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
-           correct_to_centroid: bool) -> PrecoderSet:
-    """Shared construction: chain l serves the l-th strongest path; its TTD
-    delays follow the arc centroids when corrected, and are zero otherwise."""
+def _equivalent_channels(h_t: np.ndarray, w_ps: np.ndarray, delays_s: np.ndarray,
+                         freqs_hz: np.ndarray):
+    """Equivalent channels G = H^H A (M x N_r x n_rf) and analog Gram
+    matrices A^H A (M x n_rf x n_rf) of the per-arc analog stage on the
+    stack h_t = H^T (M x N_r x N), one subcarrier per frequency.
+
+    Per arc k, C_k = H_{arc k}^T conj(w_k) is one product of length P, and
+    G = sum_k conj(C_k) * phi_k(f); the Gram is sum_k conj(phi_k)^T phi_k *
+    (w_k^H w_k).  All-zero delays (the classic wiring) are the single-arc
+    case, G = H^H w_ps.  Per chunk of SUBCARRIER_CHUNK subcarriers the arc
+    products hold SUBCARRIER_CHUNK x K x N_r x n_rf values.
+    """
+    if not np.any(delays_s):
+        delays_s = delays_s[:, :1]
+    n_rf, k = delays_s.shape
+    m, n_r, n = h_t.shape
+    p = n // k
+    w_arcs = w_ps.reshape(k, p, n_rf)
+    w_arcs_conj = w_arcs.conj()
+    arc_grams = np.swapaxes(w_arcs_conj, -1, -2) @ w_arcs  # K x n_rf x n_rf
+    g = np.empty((m, n_r, n_rf), dtype=np.complex128)
+    gram = np.empty((m, n_rf, n_rf), dtype=np.complex128)
+    for sl in _subcarrier_chunks(m):
+        c = h_t[sl].shape[0]
+        arcs = h_t[sl].reshape(c * n_r, k, p).swapaxes(0, 1) @ w_arcs_conj  # K x c*N_r x n_rf
+        phases = np.exp(-2j * np.pi * freqs_hz[sl, None, None] * delays_s.T)  # c x K x n_rf
+        g[sl] = np.einsum("kcrl,ckl->crl", arcs.reshape(k, c, n_r, n_rf), phases.conj()).conj()
+        gram[sl] = np.einsum("cki,ckj,kij->cij", phases.conj(), phases, arc_grams)
+    return g, gram
+
+
+@dataclass(frozen=True)
+class HybridDesign:
+    """The SNR-independent part of a hybrid precoder on one channel.
+
+    With G = H^H A the equivalent channels and v the right singular vectors
+    of their n_streams largest singular values, the digital precoder at any
+    SNR is f_d = v * a, one amplitude a_s per stream, so that H_eff = G f_d is
+    (G v) * a and the radiated power f_d^H (A^H A) f_d is sum_s a_s^2 *
+    (v_s^H A^H A v_s).  Only the amplitudes depend on the SNR.
+
+    cfg:       architecture sizing (streams, power budget)
+    sigma:     M x n_streams largest singular values of G
+    v:         M x n_rf x n_streams matching right singular vectors
+    g_v:       M x N_r x n_streams products G v
+    radiation: M x n_streams radiated power per unit stream power,
+               the diagonal of v^H (A^H A) v
+    """
+
+    cfg: DppConfig
+    sigma: np.ndarray
+    v: np.ndarray
+    g_v: np.ndarray
+    radiation: np.ndarray
+
+
+def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: bool):
+    """Phase-shifter weights and delays: chain l serves the l-th strongest
+    path; its TTD delays follow the arc centroids when corrected, and are
+    zero otherwise."""
     _arc_size(ch.tx.n_elements, cfg.n_ttd_per_rf)
     if cfg.n_rf > ch.tx.n_elements:
         raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={ch.tx.n_elements}")
@@ -204,38 +278,69 @@ def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
         delays = np.array([ttd_delays(p.aod_rad, k_ttd, ch.tx) for p in paths])
     else:
         delays = np.zeros((cfg.n_rf, k_ttd))
+    return w_ps, delays
+
+
+def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesign:
+    """SVD of the equivalent channels over the whole grid of ch, and the
+    analog Gram matrices seen by its stream directions."""
+    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps, delays,
+                                   ch.grid.freqs_hz)
+    res = svd(g)
+    n_s = cfg.n_streams
+    if res.sigma.shape[-1] < n_s:
+        raise ValueError(
+            f"n_streams={n_s} exceeds the equivalent-channel rank bound "
+            f"min(n_rx, n_rf)={res.sigma.shape[-1]}"
+        )
+    v = np.swapaxes(res.vh[:, :n_s].conj(), -1, -2)
+    radiation = np.einsum("mis,mij,mjs->ms", v.conj(), gram, v).real
+    return HybridDesign(cfg=cfg, sigma=res.sigma[:, :n_s], v=v, g_v=g @ v,
+                        radiation=radiation)
+
+
+def design_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
+    """SNR-independent design of the classic hybrid precoder on ch (see
+    build_classic_hybrid); it does not depend on cfg.n_ttd_per_rf."""
+    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=False), cfg)
+
+
+def design_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
+    """SNR-independent design of the delay-phase precoder on ch (see
+    build_dpp)."""
+    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg)
+
+
+def _amplitudes(design: HybridDesign, rho, sigma2: float) -> np.ndarray:
+    """Stream amplitudes a of the digital precoders f_d = v * a at SNR rho,
+    M x n_streams (an array of SNRs puts its shape in front): water-filling
+    over the effective stream SNRs, then an exact rescale so the radiated
+    power f_d^H (A^H A) f_d meets the budget at every subcarrier."""
+    _check_snr(rho, sigma2)
+    cfg = design.cfg
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    stream_gains = np.maximum(
+        rho * design.sigma ** 2 / (cfg.n_streams * sigma2), _GAIN_FLOOR
+    )
+    powers = water_filling(stream_gains, cfg.total_power)
+    radiated = np.sum(powers * design.radiation, axis=-1, keepdims=True)
+    if np.any(radiated <= 0.0):
+        raise ValueError("combined precoder has zero power; degenerate channel")
+    return np.sqrt(powers) * np.sqrt(cfg.total_power / radiated)
+
+
+def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
+           correct_to_centroid: bool) -> PrecoderSet:
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid)
     f_d = _digital_stage(ch, w_ps, delays, cfg, rho, sigma2)
     return PrecoderSet(w_ps=w_ps, delays_s=delays, freqs_hz=ch.grid.freqs_hz, f_d=f_d)
 
 
 def _digital_stage(ch, w_ps, delays, cfg: DppConfig, rho: float, sigma2: float):
-    """Per-subcarrier digital precoder, batched over subcarrier chunks: SVD of
-    the equivalent channels H^H A, water-filling over the effective stream
-    SNRs, then an exact rescale so the radiated power ||A f_d||_F^2 meets the
-    budget at every subcarrier."""
-    _check_snr(rho, sigma2)
-    n_s = cfg.n_streams
-    h_t = np.swapaxes(ch.matrices, -1, -2)  # M x N_r x N, contiguous
-    freqs = ch.grid.freqs_hz
-    f_d = np.empty((freqs.size, cfg.n_rf, n_s), dtype=np.complex128)
-    for sl in _subcarrier_chunks(freqs.size):
-        analog = _analog(w_ps, delays, freqs[sl])  # c x N x n_rf
-        res = svd(np.conj(h_t[sl] @ analog.conj()))  # H^H A, c x N_r x n_rf
-        if res.sigma.shape[-1] < n_s:
-            raise ValueError(
-                f"n_streams={n_s} exceeds the equivalent-channel rank bound "
-                f"min(n_rx, n_rf)={res.sigma.shape[-1]}"
-            )
-        stream_gains = np.maximum(
-            rho * res.sigma[:, :n_s] ** 2 / (n_s * sigma2), _GAIN_FLOOR
-        )
-        powers = water_filling(stream_gains, cfg.total_power)
-        fd = np.swapaxes(res.vh.conj(), -1, -2)[:, :, :n_s] * np.sqrt(powers)[:, None, :]
-        radiated = np.linalg.norm(analog @ fd, axis=(-2, -1)) ** 2
-        if np.any(radiated <= 0.0):
-            raise ValueError("combined precoder has zero power; degenerate channel")
-        f_d[sl] = fd * np.sqrt(cfg.total_power / radiated)[:, None, None]
-    return f_d
+    """Per-subcarrier digital precoders of the analog stage (w_ps, delays)
+    on ch at SNR rho: its design, then the SNR-dependent steps."""
+    design = _design(ch, w_ps, delays, cfg)
+    return design.v * _amplitudes(design, rho, sigma2)[..., None, :]
 
 
 def build_classic_hybrid(

@@ -40,7 +40,7 @@ from .arraymodel import (
     steering_ula,
     steering_uca,
 )
-from .precoding import DppConfig, build_classic_hybrid, build_dpp
+from .precoding import DppConfig, design_classic_hybrid, design_dpp
 
 __all__ = [
     "ScenarioError",
@@ -231,6 +231,18 @@ def validate_scenario(scenario: Scenario) -> list:
             except ValueError as exc:
                 diags.append(f"{where}: {exc}")
 
+    def check_snr(where, snr_db):
+        # the runner takes rho = 10^(snr_db/10), which must be a finite
+        # positive float; a non-finite snr_db is reported by its own check
+        if isinstance(snr_db, (int, float)) and math.isfinite(snr_db):
+            try:
+                rho = 10.0 ** (snr_db / 10.0)
+            except OverflowError:
+                rho = math.inf
+            if not (math.isfinite(rho) and rho > 0.0):
+                diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
+                             f"got snr_db={snr_db!r}")
+
     if ok_bw:
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if sy.radius_m is not None:
@@ -276,6 +288,9 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append("sweep.values: bandwidth values must be positive")
         elif sw.variable == "bandwidth" and vals:
             check_band("sweep.values", vals[-1])
+        if sw.variable == "snr_db":
+            for v in vals:
+                check_snr("sweep.values", v)
         if sw.variable == "k_ttd" and ok_n:
             for v in vals:
                 if not (isinstance(v, int) and v >= 1 and sy.n_elements_tx % v == 0):
@@ -291,6 +306,10 @@ def validate_scenario(scenario: Scenario) -> list:
                 f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
                 f"non-degenerate (start < stop)"
             )
+        if sw.variable == "snr_db":
+            # rho grows with snr_db, so the end points bound every point
+            check_snr("sweep.start", sw.start)
+            check_snr("sweep.stop", sw.stop)
         if sw.variable == "k_ttd":
             diags.append("sweep: k_ttd sweeps must use an explicit 'values' list "
                          "of divisors of n_elements_tx")
@@ -315,6 +334,7 @@ def validate_scenario(scenario: Scenario) -> list:
     ok_paths = check_int("trials", "n_paths", tr.n_paths, 1)
     if not (isinstance(tr.snr_db, (int, float)) and math.isfinite(tr.snr_db)):
         diags.append(f"trials.snr_db: must be finite, got {tr.snr_db!r}")
+    check_snr("trials.snr_db", tr.snr_db)
     if not (isinstance(tr.max_delay_s, (int, float)) and math.isfinite(tr.max_delay_s)
             and tr.max_delay_s >= 0):
         diags.append(f"trials.max_delay_s: must be >= 0, got {tr.max_delay_s!r}")
@@ -522,29 +542,32 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     """Rows of the trial methods.  Seeds are the outer loop, so one channel
     (and its stack, built on first use) is alive at a time and every method
     at every sweep point of that seed shares it; a new channel is drawn only
-    when the bandwidth changes.  Methods that do not depend on the delay-unit
-    count are evaluated once per (channel, rho)."""
+    when the bandwidth changes.  On each channel a method is evaluated once
+    per delay-unit count, at all the SNRs of the points that use that count
+    (methods that do not depend on the count: once per channel), so each
+    hybrid design and each set of channel singular values is computed once."""
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
     variable = scenario.sweep.variable
+    bandwidths = [x if variable == "bandwidth" else sy.bandwidth_hz for x in xs]
+    ks = [int(x) if variable == "k_ttd" else pc.k_ttd for x in xs]
+    rhos = [10.0 ** ((x if variable == "snr_db" else tr.snr_db) / 10.0) for x in xs]
     per_seed = {label: [[] for _ in xs] for label in labels}
     for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
-        ch = None
-        for j, x in enumerate(xs):
-            bandwidth = x if variable == "bandwidth" else sy.bandwidth_hz
-            if ch is None or ch.grid.bandwidth_hz != bandwidth:
-                ch = _channel(scenario, bandwidth, seed)
-                done = {}
-            k_ttd = int(x) if variable == "k_ttd" else pc.k_ttd
-            snr_db = x if variable == "snr_db" else tr.snr_db
-            rho = 10.0 ** (snr_db / 10.0)
-            cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
+        for bandwidth, js in itertools.groupby(range(len(xs)), bandwidths.__getitem__):
+            ch = _channel(scenario, bandwidth, seed)
+            js = list(js)
             for label in labels:
-                base = _split_method(label)[0]
-                method = _METHODS[base]
-                key = (base, rho, k_ttd if method.uses_k else None)
-                if key not in done:
-                    done[key] = float(np.mean(method.evaluate(ch, cfg, rho, 1.0)))
-                per_seed[label][j].append(done[key])
+                method = _METHODS[_split_method(label)[0]]
+                points = {}  # delay units -> {rho: sweep indices}
+                for j in js:
+                    k_ttd = ks[j] if method.uses_k else pc.k_ttd
+                    points.setdefault(k_ttd, {}).setdefault(rhos[j], []).append(j)
+                for k_ttd, at_rho in points.items():
+                    cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
+                    rates = method.evaluate(ch, cfg, np.array(list(at_rho)), 1.0)
+                    for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
+                        for j in same:
+                            per_seed[label][j].append(mean)
     return [ResultRow(float(x), label, float(np.mean(v)), float(np.std(v)))
             for label in labels for x, v in zip(xs, per_seed[label])]
 
@@ -554,9 +577,10 @@ class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
     averages over seeded channels.  Deterministic evaluators map (_Setup,
     array of sweep points) to the values at every point; trial evaluators map
-    (channel, DppConfig, rho, sigma2) to the spectrum efficiency of every
-    subcarrier.  ``uses_k`` is False for trial methods whose output does not
-    depend on the delay-unit count."""
+    (channel, DppConfig, 1-D array of SNRs rho, sigma2) to the spectrum
+    efficiency of every subcarrier at each SNR (SNRs x subcarriers).
+    ``uses_k`` is False for trial methods whose output does not depend on
+    the delay-unit count."""
 
     variables: tuple
     evaluate: object
@@ -595,12 +619,10 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
-        ch.matrices, build_classic_hybrid(ch, cfg, rho, s2), range(ch.grid.n_subcarriers),
-        rho, s2), trial=True, uses_k=False),
-    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
-        ch.matrices, build_dpp(ch, cfg, rho, s2)[0], range(ch.grid.n_subcarriers),
-        rho, s2), trial=True),
+    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.design_spectrum_efficiency(
+        design_classic_hybrid(ch, cfg), rho, s2), trial=True, uses_k=False),
+    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.design_spectrum_efficiency(
+        design_dpp(ch, cfg), rho, s2), trial=True),
     "optimal": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency_optimal(
         ch.matrices, rho, s2, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
 }

@@ -20,7 +20,14 @@ from ucabeam.arraymodel import (
     steering_uca,
 )
 from ucabeam.cxlinalg import svd, water_filling
-from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
+from ucabeam.precoding import (
+    DppConfig,
+    build_classic_hybrid,
+    build_dpp,
+    combined_precoder,
+    design_classic_hybrid,
+    design_dpp,
+)
 from ucabeam.specfun import bessel_j, hypergeom_1f2, integrate
 
 C = SPEED_OF_LIGHT
@@ -559,6 +566,64 @@ def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, k_ttd, n_
     single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, 1.0, n_rf)
               for m in range(n_sub)]
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_tx=st.sampled_from([4, 8, 12, 16]), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       snr_db=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       n_sub=st.integers(1, 19), bw=st.floats(0.1e9, 10e9), classic=st.booleans())
+def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub, bw,
+                                                 classic):
+    # every divisor K of N up to N, 1 to 4 RF chains and streams; the
+    # reference builds the precoder at each SNR, forms F = A f_d explicitly
+    # and rates H^H F.  SNRs stop at 20 dB (the built-in range): the log-det
+    # of I + s H_eff H_eff^H is conditioned like s*sigma^2, so at 40 dB two
+    # effective channels equal to rounding give rates 1.3e-12 apart.
+    k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
+    n_rf = data.draw(st.integers(1, 4))
+    n_s = data.draw(st.integers(1, n_rf))
+    cfg = DppConfig(n_rf, k_ttd, n_s, total_power=2.0)
+    tx = half_wavelength_uca(n_tx, 30e9)
+    ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 4, seed)
+    rhos = 10.0 ** (np.array(snr_db) / 10.0)
+    design = (design_classic_hybrid if classic else design_dpp)(ch, cfg)
+    rates = an.design_spectrum_efficiency(design, rhos, 1.0)
+    assert rates.shape == (rhos.size, n_sub)
+    h_t = np.swapaxes(ch.matrices, -1, -2)
+    for rho, row in zip(rhos.tolist(), rates):
+        ps = build_classic_hybrid(ch, cfg, rho) if classic else build_dpp(ch, cfg, rho)[0]
+        f = combined_precoder(ps, range(n_sub))
+        np.testing.assert_allclose(np.linalg.norm(f, axis=(-2, -1)) ** 2, 2.0, rtol=1e-12)
+        two_pass = an.se_from_effective(np.conj(h_t @ f.conj()), rho, 1.0)
+        np.testing.assert_allclose(row, two_pass, rtol=1e-12, atol=1e-13)
+        np.testing.assert_array_equal(an.design_spectrum_efficiency(design, rho, 1.0), row)
+
+
+def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
+    # with 4 (SNR, subcarrier) pairs per step, 9 subcarriers still take one
+    # SNR per step; the rows do not depend on the blocking
+    ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
+    rhos = np.array([0.5, 2.0, 10.0])
+    design = design_dpp(ch, DppConfig(2, 8, 2))
+    whole = an.design_spectrum_efficiency(design, rhos, 1.0)
+    optimal = an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2)
+    monkeypatch.setattr(an, "SNR_BLOCK_PAIRS", 4)
+    calls = []
+    se_from_effective = an.se_from_effective
+
+    def counted(h_eff, rho, *args):
+        calls.append(np.size(rho))
+        return se_from_effective(h_eff, rho, *args)
+
+    monkeypatch.setattr(an, "se_from_effective", counted)
+    np.testing.assert_array_equal(an.design_spectrum_efficiency(design, rhos, 1.0), whole)
+    np.testing.assert_array_equal(an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2),
+                                  optimal)
+    assert calls == [1, 1, 1]
+    with pytest.raises(ValueError, match="rho must be a scalar or a 1-D array"):
+        an.design_spectrum_efficiency(design, rhos[None], 1.0)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        an.design_spectrum_efficiency(design, np.array([1.0, 0.0]), 1.0)
 
 
 def test_stacked_rate_shape_mismatch_is_rejected():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucabeam import analysis
 from ucabeam.arraymodel import (
@@ -19,7 +21,9 @@ from ucabeam.arraymodel import (
 )
 from ucabeam.precoding import (
     DppConfig,
+    PrecoderSet,
     TtdSchedule,
+    _equivalent_channels,
     analog_combined,
     build_classic_hybrid,
     build_dpp,
@@ -340,3 +344,37 @@ def test_stream_count_limited_by_rank_bound():
     ch = ChannelRealization(paths=paths, tx=GEOM, rx=RX, grid=grid)
     with pytest.raises(ValueError, match="rank bound"):
         build_dpp(ch, DppConfig(5, 8, 5))
+
+
+# ---------------------------------------------------------------------------
+# per-arc design
+# ---------------------------------------------------------------------------
+
+
+def _divisor_and_rf(n_elements):
+    divisors = [k for k in range(1, n_elements + 1) if n_elements % k == 0]
+    return st.tuples(st.sampled_from(divisors), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_tx=st.sampled_from([4, 6, 12, 16, 32]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), n_sub=st.integers(1, 19),
+       bw=st.floats(0.1e9, 10e9), zero_delays=st.booleans())
+def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_sub, bw,
+                                                         zero_delays):
+    # every divisor K of N, random PS weights and delays (all zero: the
+    # single-arc case); 19 subcarriers span three chunks, the last partial
+    k_ttd, n_rf = data.draw(_divisor_and_rf(n_tx))
+    rng = np.random.default_rng(seed)
+    tx = half_wavelength_uca(n_tx, 30e9)
+    ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
+    w_ps = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
+    delays = np.zeros((n_rf, k_ttd)) if zero_delays else rng.uniform(0.0, 2e-9, (n_rf, k_ttd))
+    ps = PrecoderSet(w_ps=w_ps, delays_s=delays, freqs_hz=ch.grid.freqs_hz,
+                     f_d=np.zeros((n_sub, n_rf, 1), dtype=complex))
+    a = analog_combined(ps, range(n_sub))  # n_sub x N x n_rf
+    h_t = np.swapaxes(ch.matrices, -1, -2)
+    g, gram = _equivalent_channels(h_t, w_ps, delays, ch.grid.freqs_hz)
+    g_ref = np.conj(h_t @ a.conj())  # H^H A
+    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-13 * max(1.0, np.abs(g_ref).max()))
+    np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0, atol=1e-13)

@@ -1,6 +1,7 @@
 """Scenario schema, runner determinism, CSV round-trips, CLI exit codes."""
 
 import gc
+import importlib.resources
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ucabeam import analysis, arraymodel, xpcli
+from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
 from ucabeam.xpcli import (
     ResultRow,
     ResultTable,
@@ -191,6 +193,52 @@ def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
                      "points": 100}
     data["methods"] = ["ps_exact"]
     with pytest.raises(ScenarioError, match="sweep.points: grid extends"):
+        scenario_from_dict(data)
+
+
+def _fig8_data():
+    return json.loads((importlib.resources.files("ucabeam") / "scenarios" / "fig8.json")
+                      .read_text(encoding="utf-8"))
+
+
+def test_snr_sweep_whose_rho_underflows_is_a_config_error(tmp_path, capsys):
+    # 10^(-4000/10) underflows to rho = 0, which no rate is defined for
+    data = _fig8_data()
+    data["sweep"]["start"] = -4000.0
+    cfg = _write(tmp_path, "low_snr.json", data)
+    assert main(["validate", cfg]) == 2
+    message = "sweep.start: 10^(snr_db/10) must be a finite positive number, got snr_db=-4000.0"
+    assert message in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert message in capsys.readouterr().err
+    data["sweep"] = {"variable": "snr_db", "values": [-4000.0, 0.0]}
+    with pytest.raises(ScenarioError, match=r"sweep.values: .* got snr_db=-4000.0"):
+        scenario_from_dict(data)
+    # trials.snr_db sets rho when the sweep is not over the SNR
+    data = _fig8_data()
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2]}
+    data["trials"]["snr_db"] = -4000.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert err.value.diagnostics == ["trials.snr_db: 10^(snr_db/10) must be a finite "
+                                     "positive number, got snr_db=-4000.0"]
+
+
+def test_snr_sweep_whose_rho_overflows_is_a_config_error(tmp_path, capsys):
+    # 10^(4000/10) does not fit a float: a config error, not a numeric failure
+    data = _fig8_data()
+    data["sweep"]["stop"] = 4000.0
+    cfg = _write(tmp_path, "high_snr.json", data)
+    assert main(["validate", cfg]) == 2
+    message = "sweep.stop: 10^(snr_db/10) must be a finite positive number, got snr_db=4000.0"
+    assert message in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert message in capsys.readouterr().err
+    data["sweep"] = {"variable": "snr_db", "values": [0.0, 4000.0]}
+    with pytest.raises(ScenarioError, match=r"sweep.values: .* got snr_db=4000.0"):
+        scenario_from_dict(data)
+    data["trials"]["snr_db"] = 4000.0
+    with pytest.raises(ScenarioError, match=r"trials.snr_db: .* got snr_db=4000.0"):
         scenario_from_dict(data)
 
 
@@ -459,18 +507,49 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
     counts = {}
-    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
+    for module, name in ((xpcli, "design_classic_hybrid"), (xpcli, "design_dpp"),
                          (xpcli, "generate_channel"),
                          (analysis, "spectrum_efficiency_optimal")):
         _count_calls(monkeypatch, module, name, counts)
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
     table = run(scenario_from_dict(data))
-    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3,
-                      "spectrum_efficiency_optimal": 3, "build_dpp": 9}
+    assert counts == {"generate_channel": 3, "design_classic_hybrid": 3,
+                      "spectrum_efficiency_optimal": 3, "design_dpp": 9}
     # K-invariant rows repeat exactly across K
     for method in ("classic", "optimal"):
         assert len({(r.mean, r.std) for r in table.rows if r.method == method}) == 1
+
+
+def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
+    counts = {}
+    for module, name in ((xpcli, "design_classic_hybrid"), (xpcli, "design_dpp"),
+                         (xpcli, "generate_channel"),
+                         (analysis, "spectrum_efficiency_optimal")):
+        _count_calls(monkeypatch, module, name, counts)
+    scenario = scenario_from_dict(_small_trial_scenario())  # 3 seeds x 3 SNRs
+    table = run(scenario)
+    assert counts == {"generate_channel": 3, "design_classic_hybrid": 3, "design_dpp": 3,
+                      "spectrum_efficiency_optimal": 3}
+    # each sweep point gets the rates of its own SNR: the rows equal one
+    # precoder built and rated per (seed, SNR)
+    monkeypatch.undo()
+    cfg = DppConfig(1, 4, 1)
+    for row in table.rows:
+        rho = 10.0 ** (row.x / 10.0)
+        per_seed = []
+        for seed in range(7, 10):
+            ch = xpcli._channel(scenario, 1e9, seed)
+            if row.method == "optimal":
+                se = analysis.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, 1)
+            else:
+                build = build_dpp if row.method == "dpp" else build_classic_hybrid
+                ps = build(ch, cfg, rho)
+                ps = ps[0] if row.method == "dpp" else ps
+                se = analysis.spectrum_efficiency(ch.matrices, ps, range(5), rho, 1.0)
+            per_seed.append(float(np.mean(se)))
+        assert row.mean == pytest.approx(np.mean(per_seed), rel=1e-12)
+        assert row.std == pytest.approx(np.std(per_seed), rel=1e-9, abs=1e-12)
 
 
 def test_bandwidth_sweep_draws_each_channel_once_and_keeps_one_alive(monkeypatch):
