@@ -11,8 +11,6 @@ from .analysis import (
     avg_gain_ps_numeric,
     avg_gain_ps_upper,
     avg_gain_ttd,
-    beam_cross_gains,
-    design_spectrum_efficiency,
     dpp_column,
     dpp_exact_gain,
     dpp_gain_closed_form,
@@ -49,14 +47,8 @@ from .cxlinalg import (
 from .precoding import (
     DppConfig,
     HybridDesign,
-    PrecoderSet,
-    TtdSchedule,
-    analog_combined,
     build_classic_hybrid,
     build_dpp,
-    combined_precoder,
-    design_classic_hybrid,
-    design_dpp,
     ttd_delays,
     ttd_reference_angles,
 )
@@ -83,7 +75,6 @@ __all__ = [
     "FrequencyGrid",
     "HybridDesign",
     "PathParams",
-    "PrecoderSet",
     "QuadratureError",
     "ResultTable",
     "Scenario",
@@ -91,25 +82,18 @@ __all__ = [
     "SeriesControl",
     "SvdError",
     "SvdResult",
-    "TtdSchedule",
     "UcaGeometry",
     "UlaGeometry",
     "UnbracketableError",
-    "analog_combined",
     "avg_gain_ps_lower",
     "avg_gain_ps_numeric",
     "avg_gain_ps_upper",
     "avg_gain_ttd",
-    "beam_cross_gains",
     "bessel_j",
     "block_diag",
     "build_classic_hybrid",
     "build_dpp",
     "channel_matrix",
-    "combined_precoder",
-    "design_classic_hybrid",
-    "design_dpp",
-    "design_spectrum_efficiency",
     "dpp_column",
     "dpp_exact_gain",
     "dpp_gain_closed_form",

@@ -39,17 +39,10 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import (
-    SPEED_OF_LIGHT,
-    ChannelRealization,
-    UcaGeometry,
-    _subcarrier_index,
-    steering_uca,
-)
+from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, steering_uca
 from .cxlinalg import water_filling
-from .precoding import (_GAIN_FLOOR, HybridDesign, PrecoderSet, _analog, _arc_size, _check_snr,
-                        _amplitudes, _equivalent_channels, _ps_column, _sorted_paths,
-                        analog_combined, ttd_delays)
+from .precoding import (_GAIN_FLOOR, HybridDesign, _amplitudes, _analog, _arc_size,
+                        _check_snr, _overflow_at_snr, _ps_column, ttd_delays)
 
 __all__ = [
     "exact_gain",
@@ -67,9 +60,7 @@ __all__ = [
     "gain_improvement",
     "se_from_effective",
     "spectrum_efficiency",
-    "design_spectrum_efficiency",
     "spectrum_efficiency_optimal",
-    "beam_cross_gains",
 ]
 
 
@@ -282,41 +273,14 @@ def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
         raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[-1]}")
     _check_snr(rho, sigma2)
     gram = h_eff @ np.swapaxes(h_eff.conj(), -1, -2)
-    gram *= np.asarray(rho, dtype=float)[..., None, None] / (n_s * sigma2)
-    gram += np.eye(h_eff.shape[-2])
-    sign, logdet = np.linalg.slogdet(gram)
+    with _overflow_at_snr(rho):
+        gram *= np.asarray(rho, dtype=float)[..., None, None] / (n_s * sigma2)
+        gram += np.eye(h_eff.shape[-2])
+        sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0):
         raise ArithmeticError("log-det argument is not positive definite")
     se = logdet / math.log(2.0)
     return float(se) if se.ndim == 0 else se
-
-
-def spectrum_efficiency(h_m, ps: PrecoderSet, m, rho: float, sigma2: float,
-                        n_s: int | None = None):
-    """Per-subcarrier rate of a hybrid precoder:
-    log2 det(I + rho/(n_s*sigma2) * H^H F F^H H) with F the combined
-    phase-shifter/delay/digital precoder at subcarrier m.
-
-    With a sequence of indices m and the len(m) x N x N_r channel stack h_m,
-    returns the array of their rates.  H^H F = (H^H A) f_d, with H^H A from
-    the per-arc products of the precoders' own design routine.
-    """
-    h_m = np.asarray(h_m, dtype=np.complex128)
-    idx = np.asarray(m)
-    n_tx = ps.w_ps.shape[0]
-    if h_m.ndim != idx.ndim + 2 or h_m.shape[:-2] != idx.shape or h_m.shape[-2] != n_tx:
-        raise ValueError(
-            f"channel/precoder mismatch: H is {h_m.shape} for subcarrier index shape "
-            f"{idx.shape}, F has {n_tx} transmit antennas"
-        )
-    idx = _subcarrier_index(m, ps.n_subcarriers)
-    scalar = idx.ndim == 0
-    if scalar:
-        h_m, idx = h_m[None], idx[None]
-    g, _ = _equivalent_channels(np.swapaxes(h_m, -1, -2), ps.w_ps, ps.delays_s,
-                                ps.freqs_hz[idx])
-    se = se_from_effective(g @ ps.f_d[idx], rho, sigma2, n_s)
-    return float(se[0]) if scalar else se
 
 
 # (SNR, subcarrier) pairs per step when rates are taken at an array of SNRs:
@@ -337,11 +301,12 @@ def _by_snr_blocks(rates, rho, n_sub: int):
     return np.concatenate([rates(rho[i:i + step]) for i in range(0, rho.size, step)])
 
 
-def design_spectrum_efficiency(design: HybridDesign, rho, sigma2: float):
-    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho:
-    an array of M rates, or, for a 1-D array of SNRs, one row per SNR.  Equal
-    to building the precoder at rho and calling spectrum_efficiency on the
-    whole grid, with H_eff = G f_d = (G v) * a from the design."""
+def spectrum_efficiency(design: HybridDesign, rho, sigma2: float):
+    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho,
+    log2 det(I + rho/(n_s*sigma2) * H^H F F^H H) with F = A f_d the combined
+    phase-shifter/delay/digital precoder: an array of M rates, or, for a 1-D
+    array of SNRs, one row per SNR.  H^H F = G f_d = (G v) * a comes from the
+    design, so only the stream amplitudes a are computed per SNR."""
     def rates(r):
         h_eff = design.g_v * _amplitudes(design, r, sigma2)[..., None, :]
         return se_from_effective(h_eff, np.asarray(r)[..., None], sigma2)
@@ -369,20 +334,9 @@ def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
 
     def rates(r):
         r = np.reshape(r, np.shape(r) + (1,) * sing.ndim)
-        gains = np.maximum(r * sing ** 2 / (n_s * sigma2), _GAIN_FLOOR)
-        powers = water_filling(gains, total_power)
-        se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
+        with _overflow_at_snr(r):
+            gains = np.maximum(r * sing ** 2 / (n_s * sigma2), _GAIN_FLOOR)
+            powers = water_filling(gains, total_power)
+            se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
         return float(se) if se.ndim == 0 else se
     return _by_snr_blocks(rates, rho, sing[..., 0].size)
-
-
-def beam_cross_gains(ch: ChannelRealization, ps: PrecoderSet, m: int) -> np.ndarray:
-    """Matrix of |a(f_m, phi_l)^H w_chain| between path directions (strongest
-    first) and combined analog columns.  The diagonal holds the per-beam
-    gains; off-diagonal entries measure inter-beam leakage, which is small
-    but not zero at finite N."""
-    w = analog_combined(ps, m)
-    f = float(ch.grid.freqs_hz[m])
-    paths = _sorted_paths(ch, ps.n_rf)
-    rows = [steering_uca(ch.tx, f, p.aod_rad) for p in paths]
-    return np.abs(np.stack(rows).conj() @ w)

@@ -46,9 +46,6 @@ class SvdResult:
     sigma: np.ndarray
     vh: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma[..., None, :]) @ self.vh
-
 
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a complex matrix, or of each

@@ -7,22 +7,22 @@ arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
 per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
 ``w_ps`` times the TTD phase ``phi_lk(f) = exp(-j*2*pi*f*delays_s[l, k])``.
 
-Everything of a precoder that does not depend on the SNR is one
-``HybridDesign`` per (channel, architecture, K), built from per-arc products
-so that no N x n_rf analog matrix is formed per subcarrier:
+``build_dpp`` and ``build_classic_hybrid`` return the SNR-independent part
+of a precoder, one ``HybridDesign`` per (channel, architecture, K).  It comes
+from per-arc products, so no N x n_rf analog matrix is formed per
+subcarrier: the equivalent channels ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) *
+phi_k(f_m)`` with ``C_mk = H_{m, arc k}^T conj(w_k)`` (N_r x n_rf per arc), and
+the analog Gram matrices ``A^H A = sum_k conj(phi_k)^T phi_k * (w_k^H w_k)``.
+Of every ``G_m`` the design keeps the n_streams largest singular values,
+their right singular vectors v, ``G_m v`` and the radiated power per stream
+``v^H (A^H A) v``.
 
-* the equivalent channels ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) * phi_k(f_m)``
-  with ``C_mk = H_{m, arc k}^T conj(w_k)`` (N_r x n_rf per arc);
-* the analog Gram matrices ``A^H A = sum_k conj(phi_k)^T phi_k * (w_k^H w_k)``;
-* the SVD of every ``G_m``, and the Gram matrices and ``G_m`` seen by its
-  stream directions.
-
-The digital stage ``f_d[m]`` (n_rf x n_streams) at an SNR is then only
-stream-sized work: water-filling over the stream SNRs and an exact rescale
-to the power budget ``f_d^H (A^H A) f_d``, so the rates at many SNRs come
-from one design (``analysis.design_spectrum_efficiency``).  The per-arc
-products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK`` subcarriers,
-so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
+The digital stage ``f_d[m] = v * a`` (n_rf x n_streams) at an SNR is then
+only stream-sized work: water-filling over the stream SNRs and an exact
+rescale of the amplitudes a to the power budget ``f_d^H (A^H A) f_d``, so the
+rates at many SNRs come from one design (``analysis.spectrum_efficiency``).
+The per-arc products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK``
+subcarriers, so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
 (SUBCARRIER_CHUNK x N x N_r x n_rf at K = N).
 
 Reference angles: subarray k uses the centroid of its element angles,
@@ -38,6 +38,8 @@ so its design is the zero-delay single-arc case, ``G = H^H w_ps``.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,24 +49,17 @@ from .arraymodel import (
     ChannelRealization,
     UcaGeometry,
     _subcarrier_chunks,
-    _subcarrier_index,
     steering_uca,
 )
 from .cxlinalg import svd, water_filling
 
 __all__ = [
     "DppConfig",
-    "TtdSchedule",
-    "PrecoderSet",
     "HybridDesign",
     "ttd_reference_angles",
     "ttd_delays",
     "build_classic_hybrid",
     "build_dpp",
-    "design_classic_hybrid",
-    "design_dpp",
-    "analog_combined",
-    "combined_precoder",
 ]
 
 # Floor applied to water-filling channel gains so rank-deficient equivalent
@@ -98,45 +93,6 @@ class DppConfig:
             raise ValueError(f"total_power must be positive, got {self.total_power}")
 
 
-@dataclass(frozen=True)
-class TtdSchedule:
-    """Per-RF-chain, per-TTD delays in seconds (n_rf x K), all in [0, 2R/c]."""
-
-    delays_s: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.delays_s, dtype=float)
-        if d.ndim != 2:
-            raise ValueError(f"delays_s must be 2-D (n_rf x K), got shape {d.shape}")
-        if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-            raise ValueError("delays must be finite and non-negative")
-        object.__setattr__(self, "delays_s", d)
-
-
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Per-arc analog stage plus per-subcarrier digital precoders.
-
-    w_ps:     N x n_rf phase-shifter weights, modulus 1/sqrt(N)
-    delays_s: n_rf x K TTD delays; arc k of chain l is delayed by delays_s[l, k]
-    freqs_hz: M subcarrier frequencies
-    f_d:      M x n_rf x n_streams digital precoders
-    """
-
-    w_ps: np.ndarray
-    delays_s: np.ndarray
-    freqs_hz: np.ndarray
-    f_d: np.ndarray
-
-    @property
-    def n_rf(self) -> int:
-        return self.w_ps.shape[1]
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.f_d.shape[0]
-
-
 def _arc_size(n_elements: int, k_ttd: int) -> int:
     """P = N/K antennas per delay unit; K must be a positive divisor of N."""
     if not (isinstance(k_ttd, int) and k_ttd >= 1):
@@ -164,21 +120,26 @@ def ttd_delays(phi_rad: float, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
     return geom.radius_m / SPEED_OF_LIGHT * (1.0 - np.cos(phi_rad - theta))
 
 
-def _sorted_paths(ch: ChannelRealization, n_rf: int):
-    """Strongest-first path reordering; the top n_rf paths get RF chains."""
-    if ch.n_paths < n_rf:
-        raise ValueError(
-            f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={n_rf}"
-        )
-    order = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)
-    return order[:n_rf]
-
-
 def _check_snr(rho, sigma2: float):
     if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0.0)):
         raise ValueError(f"rho must be positive, got {rho}")
     if not (np.isfinite(sigma2) and sigma2 > 0.0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
+
+
+@contextlib.contextmanager
+def _overflow_at_snr(rho):
+    """A floating-point overflow in the block, where gains are scaled by the
+    SNRs rho, raises ArithmeticError naming the largest of them."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        r = float(np.max(rho))
+        raise ArithmeticError(
+            f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
+            f"({10.0 * math.log10(r):.6g} dB)"
+        ) from exc
 
 
 def _ps_column(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int,
@@ -268,7 +229,11 @@ def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: b
     _arc_size(ch.tx.n_elements, cfg.n_ttd_per_rf)
     if cfg.n_rf > ch.tx.n_elements:
         raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={ch.tx.n_elements}")
-    paths = _sorted_paths(ch, cfg.n_rf)
+    if ch.n_paths < cfg.n_rf:
+        raise ValueError(
+            f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={cfg.n_rf}"
+        )
+    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:cfg.n_rf]
     k_ttd = cfg.n_ttd_per_rf
     w_ps = np.stack([
         _ps_column(ch.tx, ch.grid.fc_hz, p.aod_rad, k_ttd, correct_to_centroid)
@@ -299,15 +264,17 @@ def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesig
                         radiation=radiation)
 
 
-def design_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
-    """SNR-independent design of the classic hybrid precoder on ch (see
-    build_classic_hybrid); it does not depend on cfg.n_ttd_per_rf."""
+def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
+    """Design of the phase-shifter-only hybrid precoder on ch: analog column
+    l is the center-frequency steering vector of the l-th strongest path and
+    the TTD stage is all-ones (no delays), so the design does not depend on
+    cfg.n_ttd_per_rf."""
     return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=False), cfg)
 
 
-def design_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
-    """SNR-independent design of the delay-phase precoder on ch (see
-    build_dpp)."""
+def build_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
+    """Design of the delay-phase precoder on ch: centroid-referenced PS
+    corrections plus TTD delays per chain."""
     return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg)
 
 
@@ -319,57 +286,12 @@ def _amplitudes(design: HybridDesign, rho, sigma2: float) -> np.ndarray:
     _check_snr(rho, sigma2)
     cfg = design.cfg
     rho = np.asarray(rho, dtype=float)[..., None, None]
-    stream_gains = np.maximum(
-        rho * design.sigma ** 2 / (cfg.n_streams * sigma2), _GAIN_FLOOR
-    )
+    with _overflow_at_snr(rho):
+        stream_gains = np.maximum(
+            rho * design.sigma ** 2 / (cfg.n_streams * sigma2), _GAIN_FLOOR
+        )
     powers = water_filling(stream_gains, cfg.total_power)
     radiated = np.sum(powers * design.radiation, axis=-1, keepdims=True)
     if np.any(radiated <= 0.0):
         raise ValueError("combined precoder has zero power; degenerate channel")
     return np.sqrt(powers) * np.sqrt(cfg.total_power / radiated)
-
-
-def _build(ch: ChannelRealization, cfg: DppConfig, rho: float, sigma2: float,
-           correct_to_centroid: bool) -> PrecoderSet:
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid)
-    f_d = _digital_stage(ch, w_ps, delays, cfg, rho, sigma2)
-    return PrecoderSet(w_ps=w_ps, delays_s=delays, freqs_hz=ch.grid.freqs_hz, f_d=f_d)
-
-
-def _digital_stage(ch, w_ps, delays, cfg: DppConfig, rho: float, sigma2: float):
-    """Per-subcarrier digital precoders of the analog stage (w_ps, delays)
-    on ch at SNR rho: its design, then the SNR-dependent steps."""
-    design = _design(ch, w_ps, delays, cfg)
-    return design.v * _amplitudes(design, rho, sigma2)[..., None, :]
-
-
-def build_classic_hybrid(
-    ch: ChannelRealization, cfg: DppConfig, rho: float = 1.0, sigma2: float = 1.0
-) -> PrecoderSet:
-    """Phase-shifter-only hybrid precoder: analog column l is the
-    center-frequency steering vector of the l-th strongest path; the TTD
-    stage is all-ones (no delays)."""
-    return _build(ch, cfg, rho, sigma2, correct_to_centroid=False)
-
-
-def build_dpp(
-    ch: ChannelRealization, cfg: DppConfig, rho: float = 1.0, sigma2: float = 1.0
-):
-    """Delay-phase precoder: centroid-referenced PS corrections plus TTD
-    delays per chain, then the shared digital stage.  Returns the precoder
-    set and the delay schedule."""
-    ps = _build(ch, cfg, rho, sigma2, correct_to_centroid=True)
-    return ps, TtdSchedule(delays_s=ps.delays_s)
-
-
-def analog_combined(ps: PrecoderSet, m) -> np.ndarray:
-    """N x n_rf combined analog precoder at subcarrier m; unit-norm columns.
-    A sequence of indices gives the len(m) x N x n_rf stack."""
-    idx = _subcarrier_index(m, ps.n_subcarriers)
-    return _analog(ps.w_ps, ps.delays_s, ps.freqs_hz[idx])
-
-
-def combined_precoder(ps: PrecoderSet, m) -> np.ndarray:
-    """N x n_streams end-to-end precoder: analog_combined(ps, m) @ f_d[m]
-    (stacked along a leading axis for a sequence of indices)."""
-    return analog_combined(ps, m) @ ps.f_d[np.asarray(m)]

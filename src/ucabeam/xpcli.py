@@ -40,7 +40,7 @@ from .arraymodel import (
     steering_ula,
     steering_uca,
 )
-from .precoding import DppConfig, design_classic_hybrid, design_dpp
+from .precoding import DppConfig, build_classic_hybrid, build_dpp
 
 __all__ = [
     "ScenarioError",
@@ -619,10 +619,10 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.design_spectrum_efficiency(
-        design_classic_hybrid(ch, cfg), rho, s2), trial=True, uses_k=False),
-    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.design_spectrum_efficiency(
-        design_dpp(ch, cfg), rho, s2), trial=True),
+    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
+        build_classic_hybrid(ch, cfg), rho, s2), trial=True, uses_k=False),
+    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
+        build_dpp(ch, cfg), rho, s2), trial=True),
     "optimal": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency_optimal(
         ch.matrices, rho, s2, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
 }

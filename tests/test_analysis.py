@@ -1,6 +1,7 @@
 """Closed-form gains, averaged-gain bounds, sizing rule, spectrum efficiency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from ucabeam.arraymodel import (
 )
 from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
+    _GAIN_FLOOR,
     DppConfig,
+    _analog,
+    _analog_stage,
     build_classic_hybrid,
     build_dpp,
-    combined_precoder,
-    design_classic_hybrid,
-    design_dpp,
 )
 from ucabeam.specfun import bessel_j, hypergeom_1f2, integrate
 
@@ -423,9 +424,7 @@ def test_se_single_stream_log_identity():
     grid = _grid(129)
     path = PathParams(0.8 - 0.3j, 5e-9, 1.1, 0.4)
     ch = ChannelRealization(paths=(path,), tx=GEOM, rx=RX, grid=grid)
-    ps, _ = build_dpp(ch, DppConfig(1, 8, 1), rho=10.0)
-    h = channel_matrix(ch, 64)
-    se = an.spectrum_efficiency(h, ps, 64, 10.0, 1.0)
+    se = an.spectrum_efficiency(build_dpp(ch, DppConfig(1, 8, 1)), 10.0, 1.0)[64]
     # perfect beam at fc: effective gain is N * |g|^2
     assert se == pytest.approx(
         math.log2(1.0 + 10.0 * 256 * abs(path.gain) ** 2), abs=1e-9
@@ -465,13 +464,10 @@ def test_se_optimal_equal_modes_split_power_evenly():
 def test_se_grows_with_snr():
     grid = _grid(33)
     ch = generate_channel(GEOM, RX, grid, 4, 17)
-    cfg = DppConfig(4, 8, 4)
-    h = channel_matrix(ch, 16)
-    ps_lo, _ = build_dpp(ch, cfg, rho=1.0)
-    ps_hi, _ = build_dpp(ch, cfg, rho=10.0)
-    assert an.spectrum_efficiency(h, ps_hi, 16, 10.0, 1.0) > an.spectrum_efficiency(
-        h, ps_lo, 16, 1.0, 1.0
-    )
+    design = build_dpp(ch, DppConfig(4, 8, 4))
+    assert an.spectrum_efficiency(design, 10.0, 1.0)[16] > an.spectrum_efficiency(
+        design, 1.0, 1.0
+    )[16]
 
 
 def test_dpp_se_never_beats_fully_digital():
@@ -479,12 +475,10 @@ def test_dpp_se_never_beats_fully_digital():
     cfg = DppConfig(4, 8, 4)
     for seed in range(20):
         ch = generate_channel(GEOM, RX, grid, 4, seed)
-        ps, _ = build_dpp(ch, cfg, rho=10.0)
+        se = an.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0)
         for m in (0, 8, 16):
-            h = channel_matrix(ch, m)
-            se = an.spectrum_efficiency(h, ps, m, 10.0, 1.0)
-            opt = an.spectrum_efficiency_optimal(h, 10.0, 1.0, 4)
-            assert se <= opt + 1e-9
+            opt = an.spectrum_efficiency_optimal(channel_matrix(ch, m), 10.0, 1.0, 4)
+            assert se[m] <= opt + 1e-9
 
 
 def test_dpp_se_beats_classic_on_average():
@@ -493,18 +487,27 @@ def test_dpp_se_beats_classic_on_average():
     gaps = []
     for seed in range(5):
         ch = generate_channel(GEOM, RX, grid, 4, seed)
-        pa = build_classic_hybrid(ch, cfg, rho=10.0)
-        pb, _ = build_dpp(ch, cfg, rho=10.0)
-        se_a = np.mean(
-            [an.spectrum_efficiency(channel_matrix(ch, m), pa, m, 10.0, 1.0)
-             for m in range(33)]
-        )
-        se_b = np.mean(
-            [an.spectrum_efficiency(channel_matrix(ch, m), pb, m, 10.0, 1.0)
-             for m in range(33)]
-        )
+        se_a = np.mean(an.spectrum_efficiency(build_classic_hybrid(ch, cfg), 10.0, 1.0))
+        se_b = np.mean(an.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0))
         gaps.append(se_b - se_a)
     assert np.mean(gaps) > 0.0
+
+
+def test_rates_that_overflow_raise_naming_the_snr():
+    # a finite rho whose scaled gains, whose log-det, or whose rates overflow
+    # is a numeric failure, with no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
+            an.se_from_effective(np.full((2, 1), 2.0), 1e308, 1.0)
+        # the scaled Gram (entries up to 1.4e308) fits, its elimination does not
+        h_eff = np.array([[2.0, 1.0], [2j, 3.0], [3.0, -2.0 + 1j]])
+        with pytest.raises(ArithmeticError, match=r"rho=2e\+307 \(3073.01 dB\)"):
+            an.se_from_effective(h_eff, 2e307, 1.0)
+        with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
+            an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1.0, 1)
+        with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
+            an.spectrum_efficiency_optimal(np.eye(2), [1.0, 1e308], 1.0, 1, total_power=4.0)
 
 
 def test_se_validation():
@@ -521,12 +524,22 @@ def test_se_validation():
 # ---------------------------------------------------------------------------
 
 
+def _cross_gains(ch, cfg, m):
+    """|a(f_m, phi_l)^H w_chain| between the path directions (strongest
+    first) and the delay-phase chains' combined analog columns at
+    subcarrier m; the diagonal holds the per-beam gains."""
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
+    f = ch.grid.freqs_hz[m]
+    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:cfg.n_rf]
+    rows = np.stack([steering_uca(ch.tx, f, p.aod_rad) for p in paths])
+    return np.abs(rows.conj() @ _analog(w_ps, delays, f))
+
+
 def test_cross_gains_diagonal_dominates_at_center():
     grid = _grid(129)
     cfg = DppConfig(4, 8, 4)
     ch = generate_channel(GEOM, RX, grid, 4, 1)
-    ps, _ = build_dpp(ch, cfg, rho=10.0)
-    g = an.beam_cross_gains(ch, ps, 64)
+    g = _cross_gains(ch, cfg, 64)
     assert g.shape == (4, 4)
     assert np.all(np.diag(g) >= 1.0 - 1e-9)
 
@@ -539,9 +552,8 @@ def test_cross_gains_off_diagonal_leakage_is_real_but_bounded():
     worst = 0.0
     for seed in range(5):
         ch = generate_channel(GEOM, RX, grid, 4, seed)
-        ps, _ = build_dpp(ch, cfg, rho=10.0)
         for m in (0, 64, 128):
-            g = an.beam_cross_gains(ch, ps, m)
+            g = _cross_gains(ch, cfg, m)
             off = g[~np.eye(4, dtype=bool)]
             worst = max(worst, float(off.max()))
     assert worst <= 0.25
@@ -550,22 +562,38 @@ def test_cross_gains_off_diagonal_leakage_is_real_but_bounded():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-10.0, 30.0),
-       n_sub=st.integers(1, 19), k_ttd=st.sampled_from([1, 2, 4, 8, 16]),
-       n_rf=st.integers(1, 3), bw=st.floats(0.1e9, 10e9))
-def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, k_ttd, n_rf, bw):
-    # 19 subcarriers span three chunks, the last one partial
+       n_sub=st.integers(1, 19), n_rf=st.integers(1, 3), bw=st.floats(0.1e9, 10e9))
+def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, n_rf, bw):
+    # the fully digital bound on the whole stack against one subcarrier at a
+    # time; 19 subcarriers span three chunks of the stack, the last partial
     tx = half_wavelength_uca(16, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     rho = 10.0 ** (snr_db / 10.0)
-    ps, _ = build_dpp(ch, DppConfig(n_rf, k_ttd, n_rf), rho=rho)
-    stacked = an.spectrum_efficiency(ch.matrices, ps, range(n_sub), rho, 1.0)
-    single = [an.spectrum_efficiency(channel_matrix(ch, m), ps, m, rho, 1.0)
-              for m in range(n_sub)]
-    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
     stacked = an.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, n_rf)
     single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, 1.0, n_rf)
               for m in range(n_sub)]
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
+
+
+def _two_pass_rates(ch, cfg, rho, classic):
+    """Rates of the hybrid precoder at SNR rho (sigma2 = 1) on every
+    subcarrier, formed the explicit way, and the precoders F (M x N x
+    n_streams): dense A(f) per subcarrier, G = H^H A and its SVD,
+    water-filling over the top n_streams stream SNRs, digital precoders f_d
+    rescaled so that f_d^H A^H A f_d meets the budget, then F = A f_d and
+    the log-det of H^H F."""
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=not classic)
+    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
+    h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
+    _, sigma, vh = np.linalg.svd(h_h @ a, full_matrices=False)
+    n_s = cfg.n_streams
+    v = np.swapaxes(vh[:, :n_s].conj(), -1, -2)  # M x n_rf x n_s
+    gains = np.maximum(rho * sigma[:, :n_s] ** 2 / n_s, _GAIN_FLOOR)
+    f_d = v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :]
+    radiated = np.trace(np.swapaxes(f_d.conj(), -1, -2) @ np.swapaxes(a.conj(), -1, -2)
+                        @ a @ f_d, axis1=-2, axis2=-1).real
+    f = a @ (f_d * np.sqrt(cfg.total_power / radiated)[:, None, None])
+    return an.se_from_effective(h_h @ f, rho, 1.0), f
 
 
 @settings(max_examples=30, deadline=None)
@@ -575,10 +603,11 @@ def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, k_ttd, n_
 def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub, bw,
                                                  classic):
     # every divisor K of N up to N, 1 to 4 RF chains and streams; the
-    # reference builds the precoder at each SNR, forms F = A f_d explicitly
-    # and rates H^H F.  SNRs stop at 20 dB (the built-in range): the log-det
-    # of I + s H_eff H_eff^H is conditioned like s*sigma^2, so at 40 dB two
-    # effective channels equal to rounding give rates 1.3e-12 apart.
+    # reference builds the precoder at each SNR the explicit way (dense A,
+    # G = H^H A, F = A f_d) and rates H^H F.  SNRs stop at 20 dB (the
+    # built-in range): the log-det of I + s H_eff H_eff^H is conditioned like
+    # s*sigma^2, so at 40 dB two effective channels equal to rounding give
+    # rates 1.3e-12 apart.
     k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
     n_rf = data.draw(st.integers(1, 4))
     n_s = data.draw(st.integers(1, n_rf))
@@ -586,17 +615,14 @@ def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub
     tx = half_wavelength_uca(n_tx, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 4, seed)
     rhos = 10.0 ** (np.array(snr_db) / 10.0)
-    design = (design_classic_hybrid if classic else design_dpp)(ch, cfg)
-    rates = an.design_spectrum_efficiency(design, rhos, 1.0)
+    design = (build_classic_hybrid if classic else build_dpp)(ch, cfg)
+    rates = an.spectrum_efficiency(design, rhos, 1.0)
     assert rates.shape == (rhos.size, n_sub)
-    h_t = np.swapaxes(ch.matrices, -1, -2)
     for rho, row in zip(rhos.tolist(), rates):
-        ps = build_classic_hybrid(ch, cfg, rho) if classic else build_dpp(ch, cfg, rho)[0]
-        f = combined_precoder(ps, range(n_sub))
+        two_pass, f = _two_pass_rates(ch, cfg, rho, classic)
         np.testing.assert_allclose(np.linalg.norm(f, axis=(-2, -1)) ** 2, 2.0, rtol=1e-12)
-        two_pass = an.se_from_effective(np.conj(h_t @ f.conj()), rho, 1.0)
         np.testing.assert_allclose(row, two_pass, rtol=1e-12, atol=1e-13)
-        np.testing.assert_array_equal(an.design_spectrum_efficiency(design, rho, 1.0), row)
+        np.testing.assert_array_equal(an.spectrum_efficiency(design, rho, 1.0), row)
 
 
 def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
@@ -604,8 +630,8 @@ def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
     # SNR per step; the rows do not depend on the blocking
     ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
     rhos = np.array([0.5, 2.0, 10.0])
-    design = design_dpp(ch, DppConfig(2, 8, 2))
-    whole = an.design_spectrum_efficiency(design, rhos, 1.0)
+    design = build_dpp(ch, DppConfig(2, 8, 2))
+    whole = an.spectrum_efficiency(design, rhos, 1.0)
     optimal = an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2)
     monkeypatch.setattr(an, "SNR_BLOCK_PAIRS", 4)
     calls = []
@@ -616,20 +642,11 @@ def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
         return se_from_effective(h_eff, rho, *args)
 
     monkeypatch.setattr(an, "se_from_effective", counted)
-    np.testing.assert_array_equal(an.design_spectrum_efficiency(design, rhos, 1.0), whole)
+    np.testing.assert_array_equal(an.spectrum_efficiency(design, rhos, 1.0), whole)
     np.testing.assert_array_equal(an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2),
                                   optimal)
     assert calls == [1, 1, 1]
     with pytest.raises(ValueError, match="rho must be a scalar or a 1-D array"):
-        an.design_spectrum_efficiency(design, rhos[None], 1.0)
+        an.spectrum_efficiency(design, rhos[None], 1.0)
     with pytest.raises(ValueError, match="rho must be positive"):
-        an.design_spectrum_efficiency(design, np.array([1.0, 0.0]), 1.0)
-
-
-def test_stacked_rate_shape_mismatch_is_rejected():
-    ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
-    ps, _ = build_dpp(ch, DppConfig(1, 8, 1), rho=10.0)
-    with pytest.raises(ValueError, match="channel/precoder mismatch"):
-        an.spectrum_efficiency(ch.matrices, ps, range(8), 10.0, 1.0)
-    with pytest.raises(ValueError, match="channel/precoder mismatch"):
-        an.spectrum_efficiency(ch.matrices[0], ps, range(1), 10.0, 1.0)
+        an.spectrum_efficiency(design, np.array([1.0, 0.0]), 1.0)

@@ -14,20 +14,18 @@ from ucabeam.arraymodel import (
     FrequencyGrid,
     PathParams,
     UlaGeometry,
-    channel_matrix,
     generate_channel,
     half_wavelength_uca,
     steering_uca,
 )
 from ucabeam.precoding import (
     DppConfig,
-    PrecoderSet,
-    TtdSchedule,
+    _amplitudes,
+    _analog,
+    _analog_stage,
     _equivalent_channels,
-    analog_combined,
     build_classic_hybrid,
     build_dpp,
-    combined_precoder,
     ttd_delays,
     ttd_reference_angles,
 )
@@ -47,6 +45,20 @@ def _single_path_channel(aod, grid, gain=1.0 + 0j, delay=0.0, aoa=0.2):
     )
 
 
+def _combined(ch, cfg, m, dpp=True):
+    """Combined analog weights A(f_m) (N x n_rf) of the precoder built on ch."""
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=dpp)
+    return _analog(w_ps, delays, ch.grid.freqs_hz[m])
+
+
+def _combined_precoders(ch, cfg, rho, dpp=True):
+    """End-to-end precoders F = A(f_m) f_d[m] on every subcarrier (M x N x
+    n_streams), with f_d = v * a the digital stage of the design at rho."""
+    design = (build_dpp if dpp else build_classic_hybrid)(ch, cfg)
+    f_d = design.v * _amplitudes(design, rho, 1.0)[..., None, :]
+    return _combined(ch, cfg, slice(None), dpp) @ f_d
+
+
 # ---------------------------------------------------------------------------
 # configuration and schedules
 # ---------------------------------------------------------------------------
@@ -64,14 +76,6 @@ def test_dpp_config_validation():
         DppConfig(2, 8, 2, total_power=0.0)
     with pytest.raises(ValueError):
         DppConfig(2, 8, 2.0)  # type: ignore[arg-type]
-
-
-def test_ttd_schedule_validation():
-    TtdSchedule(np.zeros((2, 8)))
-    with pytest.raises(ValueError):
-        TtdSchedule(np.zeros(8))
-    with pytest.raises(ValueError):
-        TtdSchedule(-1e-12 * np.ones((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +128,19 @@ def test_dpp_shapes_and_constant_modulus():
     grid = _grid(9)
     ch = _single_path_channel(1.1, grid)
     cfg = DppConfig(1, 8, 1)
-    ps, sched = build_dpp(ch, cfg)
-    assert ps.w_ps.shape == (256, 1)
-    assert ps.delays_s.shape == (1, 8)
-    assert ps.f_d.shape == (9, 1, 1)
-    assert ps.n_subcarriers == 9
-    assert ps.n_rf == 1
-    assert np.abs(np.abs(ps.w_ps) - 1.0 / 16.0).max() <= 1e-15
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
+    design = build_dpp(ch, cfg)
+    assert w_ps.shape == (256, 1)
+    assert delays.shape == (1, 8)
+    assert design.v.shape == (9, 1, 1)
+    assert design.sigma.shape == (9, 1)
+    assert np.abs(np.abs(w_ps) - 1.0 / 16.0).max() <= 1e-15
     # combined weight = PS weight times a unit-modulus TTD phase per element
     for m in range(9):
-        ratio = analog_combined(ps, m) / ps.w_ps
+        ratio = _combined(ch, cfg, m) / w_ps
         assert np.abs(np.abs(ratio) - 1.0).max() <= 1e-12
-    assert np.array_equal(sched.delays_s, ps.delays_s)
-    assert np.all(sched.delays_s >= 0.0)
-    assert np.all(sched.delays_s <= 2.0 * GEOM.radius_m / C)
+    assert np.all(delays >= 0.0)
+    assert np.all(delays <= 2.0 * GEOM.radius_m / C)
 
 
 def test_dpp_block_support_pattern():
@@ -150,27 +153,28 @@ def test_dpp_block_support_pattern():
         tx=GEOM, rx=RX, grid=grid,
     )
     cfg = DppConfig(2, 4, 2)
-    ps, _ = build_dpp(ch, cfg)
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
     p = 256 // 4
-    assert ps.w_ps.shape == (256, 2)
-    assert ps.delays_s.shape == (2, 4)
+    assert w_ps.shape == (256, 2)
+    assert delays.shape == (2, 4)
     for m, f in enumerate(grid.freqs_hz):
-        ratio = analog_combined(ps, m) / ps.w_ps
+        ratio = _combined(ch, cfg, m) / w_ps
         for chain in range(2):
             for k in range(4):
                 arc = ratio[k * p : (k + 1) * p, chain]
-                want = np.exp(-2j * np.pi * f * ps.delays_s[chain, k])
+                want = np.exp(-2j * np.pi * f * delays[chain, k])
                 assert np.abs(arc - want).max() <= 1e-12
 
 
 def test_classic_hybrid_has_no_delays():
     grid = _grid(5)
     ch = _single_path_channel(0.7, grid)
-    ps = build_classic_hybrid(ch, DppConfig(1, 8, 1))
-    assert np.array_equal(ps.delays_s, np.zeros((1, 8)))
-    assert np.array_equal(ps.w_ps[:, 0], steering_uca(GEOM, 30e9, 0.7))
+    cfg = DppConfig(1, 8, 1)
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=False)
+    assert np.array_equal(delays, np.zeros((1, 8)))
+    assert np.array_equal(w_ps[:, 0], steering_uca(GEOM, 30e9, 0.7))
     for m in range(5):
-        assert np.array_equal(analog_combined(ps, m), ps.w_ps)
+        assert np.array_equal(_combined(ch, cfg, m, dpp=False), w_ps)
 
 
 def test_combined_phase_decomposition():
@@ -180,12 +184,11 @@ def test_combined_phase_decomposition():
     grid = _grid(129)
     phi = 1.1
     ch = _single_path_channel(phi, grid, gain=0.8 - 0.3j, delay=5e-9, aoa=0.4)
-    ps, _ = build_dpp(ch, DppConfig(1, 8, 1), rho=10.0)
     theta = ttd_reference_angles(256, 8)
     psi = GEOM.element_angles
     r = GEOM.radius_m
     for m in (0, 100):
-        w = analog_combined(ps, m)[:, 0]
+        w = _combined(ch, DppConfig(1, 8, 1), m)[:, 0]
         eta_c = 2.0 * np.pi * r * 30e9 / C
         eta_f = 2.0 * np.pi * r * grid.freqs_hz[m] / C
         for n in range(0, 256, 17):
@@ -204,8 +207,7 @@ def test_chains_serve_paths_strongest_first():
         PathParams(1.0 + 0j, 0.0, 4.4, -0.2),
     )
     ch = ChannelRealization(paths=paths, tx=GEOM, rx=RX, grid=grid)
-    ps, _ = build_dpp(ch, DppConfig(2, 8, 2))
-    w = analog_combined(ps, 4)  # center subcarrier sits at fc
+    w = _combined(ch, DppConfig(2, 8, 2), 4)  # center subcarrier sits at fc
     for chain, aod in enumerate((2.0, 4.4)):
         assert analysis.exact_gain(w[:, chain], GEOM, 30e9, aod) == pytest.approx(
             1.0, abs=1e-12
@@ -224,10 +226,9 @@ def test_single_delay_unit_keeps_center_beam():
     # the center-frequency steering vector up to a global rotation
     grid = _grid(9)
     ch = _single_path_channel(0.8, grid)
-    ps, _ = build_dpp(ch, DppConfig(1, 1, 1))
     a = steering_uca(GEOM, 30e9, 0.8)
     for m in range(9):
-        w = analog_combined(ps, m)[:, 0]
+        w = _combined(ch, DppConfig(1, 1, 1), m)[:, 0]
         rot = w[0] / a[0]
         assert abs(abs(rot) - 1.0) <= 1e-12
         assert np.abs(w - rot * a).max() <= 1e-12
@@ -237,9 +238,8 @@ def test_full_delay_bank_restores_unit_gain_everywhere():
     # one delay per element removes the defocus exactly at all subcarriers
     grid = FrequencyGrid(30e9, 4e9, 17)
     ch = _single_path_channel(0.9, grid)
-    ps, _ = build_dpp(ch, DppConfig(1, 256, 1))
     for m, f in enumerate(grid.freqs_hz):
-        w = analog_combined(ps, m)[:, 0]
+        w = _combined(ch, DppConfig(1, 256, 1), m)[:, 0]
         assert analysis.exact_gain(w, GEOM, f, 0.9) >= 1.0 - 1e-9
 
 
@@ -247,8 +247,7 @@ def test_center_subcarrier_gain_is_exactly_one():
     grid = _grid(129)
     ch = _single_path_channel(2.4, grid)
     for k_ttd in (1, 8, 32):
-        ps, _ = build_dpp(ch, DppConfig(1, k_ttd, 1))
-        w = analog_combined(ps, 64)[:, 0]
+        w = _combined(ch, DppConfig(1, k_ttd, 1), 64)[:, 0]
         assert analysis.exact_gain(w, GEOM, 30e9, 2.4) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -293,14 +292,12 @@ def test_power_budget_met_exactly_per_subcarrier():
         tx=GEOM, rx=RX, grid=grid,
     )
     cfg = DppConfig(4, 8, 4, total_power=2.5)
-    ps, _ = build_dpp(ch, cfg, rho=10.0)
+    f = _combined_precoders(ch, cfg, 10.0)
     for m in range(17):
-        f_comb = combined_precoder(ps, m)
-        assert np.linalg.norm(f_comb, "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
-    classic = build_classic_hybrid(ch, cfg, rho=10.0)
+        assert np.linalg.norm(f[m], "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
+    classic = _combined_precoders(ch, cfg, 10.0, dpp=False)
     for m in (0, 8, 16):
-        f_comb = combined_precoder(classic, m)
-        assert np.linalg.norm(f_comb, "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
+        assert np.linalg.norm(classic[m], "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
 
 
 def test_classic_equals_dpp_for_single_delay_unit():
@@ -309,31 +306,27 @@ def test_classic_equals_dpp_for_single_delay_unit():
     grid = _grid(33)
     ch = generate_channel(GEOM, RX, grid, 3, 11)
     cfg = DppConfig(2, 1, 2)
-    pa = build_classic_hybrid(ch, cfg, rho=10.0)
-    pb, _ = build_dpp(ch, cfg, rho=10.0)
+    se_a = analysis.spectrum_efficiency(build_classic_hybrid(ch, cfg), 10.0, 1.0)
+    se_b = analysis.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0)
     for m in (0, 16, 32):
-        h = channel_matrix(ch, m)
-        se_a = analysis.spectrum_efficiency(h, pa, m, 10.0, 1.0)
-        se_b = analysis.spectrum_efficiency(h, pb, m, 10.0, 1.0)
-        assert se_a == pytest.approx(se_b, abs=1e-9)
+        assert se_a[m] == pytest.approx(se_b[m], abs=1e-9)
 
 
 def test_degenerate_zero_channel_builds_and_radiates_budget():
     grid = _grid(5)
     ch = _single_path_channel(1.0, grid, gain=0j)
-    ps, _ = build_dpp(ch, DppConfig(1, 8, 1), rho=10.0)
+    f = _combined_precoders(ch, DppConfig(1, 8, 1), 10.0)
     for m in range(5):
-        f_comb = combined_precoder(ps, m)
-        assert np.linalg.norm(f_comb, "fro") ** 2 == pytest.approx(1.0, rel=1e-9)
+        assert np.linalg.norm(f[m], "fro") ** 2 == pytest.approx(1.0, rel=1e-9)
 
 
 def test_snr_parameter_validation():
     grid = _grid(5)
-    ch = _single_path_channel(1.0, grid)
+    design = build_dpp(_single_path_channel(1.0, grid), DppConfig(1, 8, 1))
     with pytest.raises(ValueError):
-        build_dpp(ch, DppConfig(1, 8, 1), rho=0.0)
+        analysis.spectrum_efficiency(design, 0.0, 1.0)
     with pytest.raises(ValueError):
-        build_dpp(ch, DppConfig(1, 8, 1), sigma2=-1.0)
+        analysis.spectrum_efficiency(design, 10.0, -1.0)
 
 
 def test_stream_count_limited_by_rank_bound():
@@ -370,9 +363,7 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     w_ps = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
     delays = np.zeros((n_rf, k_ttd)) if zero_delays else rng.uniform(0.0, 2e-9, (n_rf, k_ttd))
-    ps = PrecoderSet(w_ps=w_ps, delays_s=delays, freqs_hz=ch.grid.freqs_hz,
-                     f_d=np.zeros((n_sub, n_rf, 1), dtype=complex))
-    a = analog_combined(ps, range(n_sub))  # n_sub x N x n_rf
+    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # n_sub x N x n_rf
     h_t = np.swapaxes(ch.matrices, -1, -2)
     g, gram = _equivalent_channels(h_t, w_ps, delays, ch.grid.freqs_hz)
     g_ref = np.conj(h_t @ a.conj())  # H^H A

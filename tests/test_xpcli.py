@@ -242,6 +242,23 @@ def test_snr_sweep_whose_rho_overflows_is_a_config_error(tmp_path, capsys):
         scenario_from_dict(data)
 
 
+def test_snr_sweep_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # 10^(3080/10) fits a float, but the stream SNRs it scales do not: a
+    # numeric failure naming that SNR, with no overflow warning on the way
+    data = _fig8_data()
+    data["system"].update(n_elements_tx=16, n_subcarriers=8)
+    data["trials"]["n_seeds"] = 1
+    data["sweep"] = {"variable": "snr_db", "start": 3000.0, "stop": 3080.0, "points": 7}
+    cfg = _write(tmp_path, "extreme_snr.json", data)
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308 (3080 dB)" in err
+
+
 def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
     data = _small_trial_scenario()
     data["system"]["n_elements_rx"] = 2
@@ -507,15 +524,15 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
     counts = {}
-    for module, name in ((xpcli, "design_classic_hybrid"), (xpcli, "design_dpp"),
+    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
                          (xpcli, "generate_channel"),
                          (analysis, "spectrum_efficiency_optimal")):
         _count_calls(monkeypatch, module, name, counts)
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
     table = run(scenario_from_dict(data))
-    assert counts == {"generate_channel": 3, "design_classic_hybrid": 3,
-                      "spectrum_efficiency_optimal": 3, "design_dpp": 9}
+    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3,
+                      "spectrum_efficiency_optimal": 3, "build_dpp": 9}
     # K-invariant rows repeat exactly across K
     for method in ("classic", "optimal"):
         assert len({(r.mean, r.std) for r in table.rows if r.method == method}) == 1
@@ -523,16 +540,16 @@ def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
 
 def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
     counts = {}
-    for module, name in ((xpcli, "design_classic_hybrid"), (xpcli, "design_dpp"),
+    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
                          (xpcli, "generate_channel"),
                          (analysis, "spectrum_efficiency_optimal")):
         _count_calls(monkeypatch, module, name, counts)
     scenario = scenario_from_dict(_small_trial_scenario())  # 3 seeds x 3 SNRs
     table = run(scenario)
-    assert counts == {"generate_channel": 3, "design_classic_hybrid": 3, "design_dpp": 3,
+    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3, "build_dpp": 3,
                       "spectrum_efficiency_optimal": 3}
     # each sweep point gets the rates of its own SNR: the rows equal one
-    # precoder built and rated per (seed, SNR)
+    # precoder built and rated at a scalar SNR per (seed, SNR)
     monkeypatch.undo()
     cfg = DppConfig(1, 4, 1)
     for row in table.rows:
@@ -544,9 +561,7 @@ def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
                 se = analysis.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, 1)
             else:
                 build = build_dpp if row.method == "dpp" else build_classic_hybrid
-                ps = build(ch, cfg, rho)
-                ps = ps[0] if row.method == "dpp" else ps
-                se = analysis.spectrum_efficiency(ch.matrices, ps, range(5), rho, 1.0)
+                se = analysis.spectrum_efficiency(build(ch, cfg), rho, 1.0)
             per_seed.append(float(np.mean(se)))
         assert row.mean == pytest.approx(np.mean(per_seed), rel=1e-12)
         assert row.std == pytest.approx(np.std(per_seed), rel=1e-9, abs=1e-12)
