@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, steering_uca
+from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
 from .precoding import (_GAIN_FLOOR, HybridDesign, _amplitudes, _analog, _arc_size,
                         _check_snr, _overflow_at_snr, _ps_column, ttd_delays)
@@ -263,7 +263,12 @@ def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
     """log2 det(I + rho/(n_s*sigma2) * H_eff H_eff^H) for an effective
     channel H_eff = H^H F (receive antennas x streams).  Leading axes index a
     stack of effective channels and give an array of rates; an array rho
-    must broadcast to those leading axes."""
+    must broadcast to those leading axes.
+
+    The log-det is taken of the smaller of the two equal forms, the n_s x n_s
+    I + s*H_eff^H H_eff when n_s <= N_r: with fewer streams than antennas the
+    N_r x N_r form is rank deficient, and its identity is lost in rounding
+    on the null space at high SNR."""
     h_eff = np.asarray(h_eff, dtype=np.complex128)
     if h_eff.ndim < 2:
         raise ValueError(f"h_eff must be 2-D or a stack of 2-D, got shape {h_eff.shape}")
@@ -272,10 +277,12 @@ def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
     elif n_s != h_eff.shape[-1]:
         raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[-1]}")
     _check_snr(rho, sigma2)
-    gram = h_eff @ np.swapaxes(h_eff.conj(), -1, -2)
+    if n_s > h_eff.shape[-2]:
+        h_eff = np.swapaxes(h_eff.conj(), -1, -2)
+    gram = np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
     with _overflow_at_snr(rho):
         gram *= np.asarray(rho, dtype=float)[..., None, None] / (n_s * sigma2)
-        gram += np.eye(h_eff.shape[-2])
+        gram += np.eye(gram.shape[-1])
         sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0):
         raise ArithmeticError("log-det argument is not positive definite")
@@ -284,7 +291,7 @@ def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
 
 
 # (SNR, subcarrier) pairs per step when rates are taken at an array of SNRs:
-# it bounds the temporaries of a step (a few N_r x N_r matrices per pair)
+# it bounds the temporaries of a step (a few N_r x n_s matrices per pair)
 # whatever the number of SNRs.
 SNR_BLOCK_PAIRS = 1024
 
@@ -313,13 +320,32 @@ def spectrum_efficiency(design: HybridDesign, rho, sigma2: float):
     return _by_snr_blocks(rates, rho, design.sigma.shape[0])
 
 
+def _singular_values(h_m: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of a stack, largest first, from the R
+    factors of its tall form (see spectrum_efficiency_optimal)."""
+    tall = h_m if h_m.shape[-2] >= h_m.shape[-1] else np.swapaxes(h_m, -1, -2)
+    k = tall.shape[-1]
+    tall = tall.reshape((-1,) + tall.shape[-2:])
+    r_factors = np.empty((tall.shape[0], k, k), dtype=np.complex128)
+    for sl in _subcarrier_chunks(tall.shape[0]):
+        r_factors[sl] = np.linalg.qr(tall[sl], mode="r")
+    return np.linalg.svd(r_factors, compute_uv=False).reshape(h_m.shape[:-2] + (k,))
+
+
 def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
                                 total_power: float = 1.0):
     """Fully digital upper bound: water-filling over the top n_s singular
     values of the channel, sum of log2(1 + p_i * rho * s_i^2/(n_s*sigma2)).
     Leading axes of h_m index a stack of channels (one per subcarrier) and
     give an array of rates; a 1-D array of SNRs gives one row per SNR, from
-    one set of singular values."""
+    one set of singular values.
+
+    The singular values are those of the k x k R factor, k = min(N, N_r), of
+    the tall form of each channel (H, or H^T when N < N_r), taken by a QR in
+    steps of SUBCARRIER_CHUNK channels so that its working copy stays small.
+    LAPACK's SVD of a tall matrix takes the same QR route, and the QR is
+    backward stable: the conditioning is not squared, as it would be by the
+    eigenvalues of the Gram H^H H."""
     h_m = np.asarray(h_m, dtype=np.complex128)
     if h_m.ndim < 2:
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
@@ -328,7 +354,7 @@ def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
     _check_snr(rho, sigma2)
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total_power must be positive, got {total_power}")
-    sing = np.linalg.svd(h_m, compute_uv=False)[..., :n_s]
+    sing = _singular_values(h_m)[..., :n_s]
     if sing.shape[-1] < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
 

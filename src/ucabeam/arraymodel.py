@@ -38,9 +38,11 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 # Subcarriers per batched step wherever a tensor grows with the grid and the
-# array size (channel synthesis, the per-arc products of the precoders): it
-# bounds the temporaries of a step to SUBCARRIER_CHUNK x N x (paths, or
-# N_r x RF chains), far below the M x N x N_r channel stack itself.
+# array size (channel synthesis, the per-arc products of the precoders, the
+# QR of the fully digital bound): it bounds the temporaries of a step to
+# SUBCARRIER_CHUNK x N x (paths, or N_r x RF chains), far below the
+# M x N x N_r channel stack itself.  Channel synthesis also splits subcarrier
+# indices as m = SUBCARRIER_CHUNK*q + r (see channel_matrix).
 SUBCARRIER_CHUNK = 8
 
 
@@ -158,7 +160,7 @@ class ChannelRealization:
     def matrices(self) -> np.ndarray:
         """Read-only M x N x N_r channel over the whole grid, built on first
         use and shared by every precoder and evaluator of this realization;
-        ``matrices[m]`` equals ``channel_matrix(self, m)``."""
+        ``matrices[m]`` equals ``channel_matrix(self, m)`` bit for bit."""
         stack = channel_matrix(self, range(self.grid.n_subcarriers))
         stack.flags.writeable = False
         return stack
@@ -239,21 +241,41 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     paths and chunks of subcarriers.  It is a transposed view of a contiguous
     len(m) x N_r x N array, so ``np.swapaxes(stack, -1, -2)`` (H^T) is the
     operand of contiguous batched products such as H^H A = conj(H^T conj(A)).
+
+    The UCA factors, the L x N exponentials per subcarrier that dominate the
+    cost, come from two small tables.  With m = 8q + r (8 = SUBCARRIER_CHUNK)
+    the grid gives f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block
+    row exp(j*eta(f_8q)*cos) times the residual row exp(j*eta(r*B/M)*cos):
+    one residual table of 8 rows per call, with 1/sqrt(N) folded in, and one
+    block row per distinct q of a chunk of indices, 24 exp rows in place of
+    128 for M = 128.  The split depends on m alone, so every index set gives
+    the same bits for the same m (``channel_matrix(ch, m)`` equals
+    ``ch.matrices[m]``); against exp(j*eta(f_m)*cos) it adds an error of
+    the size the phase argument already carries, about eps*eta(f_m).  The
+    ULA and delay phases are taken at f_m directly.
     """
     idx = _subcarrier_index(m, ch.grid.n_subcarriers)
-    tx, rx = ch.tx, ch.rx
-    freqs = ch.grid.freqs_hz[idx.reshape(-1)]
+    tx, rx, grid = ch.tx, ch.rx, ch.grid
+    flat = idx.reshape(-1)
+    freqs = grid.freqs_hz
     gains = np.array([p.gain for p in ch.paths])
     delays = np.array([p.delay_s for p in ch.paths])
     cos_tx = np.cos(np.array([p.aod_rad for p in ch.paths])[:, None] - tx.element_angles)
     sin_rx = np.array([math.sin(p.aoa_rad) for p in ch.paths])[:, None]
     n_rx = np.arange(rx.n_elements)
-    h_t = np.empty((freqs.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
-    for sl in _subcarrier_chunks(freqs.size):
-        f = freqs[sl, None, None]
-        # the expressions of steering_uca/steering_ula, in the same order
-        eta = 2.0 * np.pi * tx.radius_m * f / SPEED_OF_LIGHT
-        a = np.exp(1j * (eta * cos_tx)) / math.sqrt(tx.n_elements)  # c x L x N
+    # the expressions of steering_uca/steering_ula, in the same order
+    f_r = np.arange(min(SUBCARRIER_CHUNK, grid.n_subcarriers))[:, None, None] * (
+        grid.bandwidth_hz / grid.n_subcarriers)
+    eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
+    residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
+    h_t = np.empty((flat.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
+    for sl in _subcarrier_chunks(flat.size):
+        q, inv = np.unique(flat[sl] // SUBCARRIER_CHUNK, return_inverse=True)
+        f_q = freqs[SUBCARRIER_CHUNK * q, None, None]
+        eta_q = 2.0 * np.pi * tx.radius_m * f_q / SPEED_OF_LIGHT
+        a = np.exp(1j * (eta_q * cos_tx))[inv]  # c x L x N
+        a *= residual[flat[sl] % SUBCARRIER_CHUNK]
+        f = freqs[flat[sl], None, None]
         b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
                    ) / math.sqrt(rx.n_elements)  # c x L x N_r
         coef = gains * np.exp(-2j * np.pi * delays * f)  # c x 1 x L

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -500,14 +501,79 @@ def test_rates_that_overflow_raise_naming_the_snr():
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
             an.se_from_effective(np.full((2, 1), 2.0), 1e308, 1.0)
-        # the scaled Gram (entries up to 1.4e308) fits, its elimination does not
-        h_eff = np.array([[2.0, 1.0], [2j, 3.0], [3.0, -2.0 + 1j]])
-        with pytest.raises(ArithmeticError, match=r"rho=2e\+307 \(3073.01 dB\)"):
-            an.se_from_effective(h_eff, 2e307, 1.0)
+        # the scaled 2 x 2 Gram [[1.9, 1+j], [1-j, 1.5e308]] fits, and so do the
+        # components of its elimination; the pivot swaps the rows and leaves an
+        # element of modulus sqrt(2)*1.5e308
+        s = 1e300  # rho / n_s
+        u = math.sqrt(0.9 / s)
+        h_eff = np.array([[u, (1.0 + 1.0j) / (s * u)], [0.0, math.sqrt(1.5e308 / s)]])
+        with pytest.raises(ArithmeticError, match=r"rho=2e\+300 \(3003.01 dB\)"):
+            an.se_from_effective(h_eff, 2e300, 1.0)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
             an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1.0, 1)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
             an.spectrum_efficiency_optimal(np.eye(2), [1.0, 1e308], 1.0, 1, total_power=4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lead=st.lists(st.integers(1, 19), max_size=2), rows=st.integers(1, 40),
+       cols=st.integers(1, 40), data=st.data())
+def test_singular_values_match_the_svd(seed, lead, rows, cols, data):
+    # tall, square, wide and rank-deficient matrices, alone or in stacks of
+    # up to 19 (three chunks, the last partial), against LAPACK's own SVD
+    rank = data.draw(st.integers(0, min(rows, cols)))
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(tuple(lead) + shape) + 1j * rng.standard_normal(
+            tuple(lead) + shape)
+    h = draw(rows, rank) @ draw(rank, cols)
+    ref = np.linalg.svd(h, compute_uv=False)
+    got = an._singular_values(h)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref[..., :1])
+
+
+def _mp_rate(h_eff, s):
+    """log2 det(I + s H_eff H_eff^H), the N_r x N_r form, in 60 digits."""
+    with mpmath.workdps(60):
+        h = mpmath.matrix(h_eff.tolist())
+        gram = mpmath.eye(h.rows) + mpmath.mpf(s) * (h * h.H)
+        return float(mpmath.log(mpmath.re(mpmath.det(gram)), 2))
+
+
+def _random_h_eff(seed, n_rx, n_s):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n_rx, n_s)) + 1j * rng.standard_normal((n_rx, n_s))) / 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 5), n_s=st.integers(1, 5),
+       snr_db=st.floats(40.0, 60.0))
+def test_rates_match_a_high_precision_log_det(seed, n_rx, n_s, snr_db):
+    # any shape, fewer, as many or more streams than receive antennas
+    h_eff = _random_h_eff(seed, n_rx, n_s)
+    rho = 10.0 ** (snr_db / 10.0)
+    assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(
+        _mp_rate(h_eff, rho / n_s), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 6), data=st.data(),
+       snr_db=st.floats(-20.0, 200.0))
+def test_rank_deficient_rates_hold_to_200_db(seed, n_rx, data, snr_db):
+    # with fewer (more) streams than receive antennas H_eff H_eff^H
+    # (H_eff^H H_eff) is rank deficient; its identity must not be lost in
+    # rounding on the null space, however large the SNR
+    n_s = data.draw(st.integers(1, 6).filter(lambda k: k != n_rx))
+    h_eff = _random_h_eff(seed, n_rx, n_s)
+    rho = 10.0 ** (snr_db / 10.0)
+    ref = _mp_rate(h_eff, rho / n_s)
+    assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    if n_s == 1:
+        assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(
+            math.log1p(rho * np.linalg.norm(h_eff) ** 2) / math.log(2.0), rel=1e-12)
 
 
 def test_se_validation():
@@ -598,16 +664,13 @@ def _two_pass_rates(ch, cfg, rho, classic):
 
 @settings(max_examples=30, deadline=None)
 @given(n_tx=st.sampled_from([4, 8, 12, 16]), data=st.data(), seed=st.integers(0, 2**32 - 1),
-       snr_db=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4),
+       snr_db=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=4),
        n_sub=st.integers(1, 19), bw=st.floats(0.1e9, 10e9), classic=st.booleans())
 def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub, bw,
                                                  classic):
     # every divisor K of N up to N, 1 to 4 RF chains and streams; the
     # reference builds the precoder at each SNR the explicit way (dense A,
-    # G = H^H A, F = A f_d) and rates H^H F.  SNRs stop at 20 dB (the
-    # built-in range): the log-det of I + s H_eff H_eff^H is conditioned like
-    # s*sigma^2, so at 40 dB two effective channels equal to rounding give
-    # rates 1.3e-12 apart.
+    # G = H^H A, F = A f_d) and rates H^H F, at SNRs up to 60 dB.
     k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
     n_rf = data.draw(st.integers(1, 4))
     n_s = data.draw(st.integers(1, n_rf))

@@ -266,6 +266,19 @@ def test_channel_matrix_index_bounds():
         channel_matrix(ch, -1)
 
 
+def _per_path_stack(ch):
+    """The channel on every subcarrier, summed path by path from the steering
+    vectors."""
+    ref = []
+    for f in ch.grid.freqs_hz:
+        h = sum(p.gain * np.exp(-2j * np.pi * p.delay_s * f)
+                * np.outer(steering_uca(ch.tx, f, p.aod_rad),
+                           steering_ula(ch.rx, f, p.aoa_rad).conj())
+                for p in ch.paths)
+        ref.append(math.sqrt(ch.tx.n_elements / ch.n_paths) * h)
+    return np.array(ref)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(2, 24), n_rx=st.integers(1, 5),
        n_sub=st.integers(1, 20), n_paths=st.integers(1, 5),
@@ -274,19 +287,42 @@ def test_channel_stack_matches_per_path_formula(seed, n_tx, n_rx, n_sub, n_paths
     tx = half_wavelength_uca(n_tx, 30e9)
     rx = UlaGeometry(n_rx, C / 30e9 / 2.0)
     ch = generate_channel(tx, rx, FrequencyGrid(30e9, bw, n_sub), n_paths, seed)
-    ref = []
-    for f in ch.grid.freqs_hz:
-        h = sum(p.gain * np.exp(-2j * np.pi * p.delay_s * f)
-                * np.outer(steering_uca(tx, f, p.aod_rad), steering_ula(rx, f, p.aoa_rad).conj())
-                for p in ch.paths)
-        ref.append(math.sqrt(n_tx / n_paths) * h)
-    ref = np.array(ref)
+    ref = _per_path_stack(ch)
     tol = 1e-13 * max(1.0, np.abs(ref).max())
     assert ch.matrices.shape == (n_sub, n_tx, n_rx)
     assert np.abs(ch.matrices - ref).max() <= tol
     assert np.abs(channel_matrix(ch, range(n_sub)) - ref).max() <= tol
     for m in (0, n_sub - 1):
         assert np.abs(channel_matrix(ch, m) - ref[m]).max() <= tol
+
+
+@pytest.mark.parametrize("n_tx, bw", [(1024, 10e9), (2048, 20e9)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_large_array_stack_matches_per_path_formula(n_tx, bw, seed):
+    # the UCA phase eta(f)*cos is already off by about eps*eta(f) before its
+    # exp; the block x residual split of the exponentials may add an error of
+    # that size, not more, however large the array or the band
+    tx = half_wavelength_uca(n_tx, 30e9)
+    ch = generate_channel(tx, UlaGeometry(4, C / 30e9 / 2.0), FrequencyGrid(30e9, bw, 32), 4,
+                          seed)
+    ref = _per_path_stack(ch)
+    eta_max = 2.0 * np.pi * tx.radius_m * ch.grid.freqs_hz[-1] / C
+    tol = 4.0 * np.finfo(float).eps * eta_max * max(1.0, np.abs(ref).max())
+    assert np.abs(ch.matrices - ref).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.sampled_from([4, 12, 256]),
+       n_sub=st.integers(1, 40), data=st.data())
+def test_any_index_set_gives_the_bits_of_the_stack(seed, n_tx, n_sub, data):
+    # unsorted, repeated and chunk-crossing index lists, and scalar indices,
+    # give each subcarrier exactly as the whole-grid stack has it
+    ch = generate_channel(half_wavelength_uca(n_tx, 30e9), UlaGeometry(3, C / 30e9 / 2.0),
+                          FrequencyGrid(30e9, 4e9, n_sub), 3, seed)
+    idx = data.draw(st.lists(st.integers(0, n_sub - 1), min_size=1, max_size=20))
+    assert np.array_equal(channel_matrix(ch, idx), ch.matrices[idx])
+    m = data.draw(st.integers(0, n_sub - 1))
+    assert np.array_equal(channel_matrix(ch, m), ch.matrices[m])
 
 
 def test_channel_stack_is_built_once_and_read_only():

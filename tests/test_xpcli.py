@@ -4,8 +4,12 @@ import gc
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,3 +588,17 @@ def test_bandwidth_sweep_draws_each_channel_once_and_keeps_one_alive(monkeypatch
     run(scenario_from_dict(data))
     assert counts == {"generate_channel": 4 * 3}
     assert len(built) == 4 * 3
+
+
+def test_package_runs_as_a_module_without_warnings():
+    # python -m ucabeam runs the command line once, with nothing on stderr
+    # even when warnings are errors
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                else []))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "ucabeam", "list"], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert [line.split()[0] for line in done.stdout.splitlines()] == list(builtin_names())
