@@ -51,9 +51,9 @@ for k_ttd in (1, 2, 4, 8, 16, 32):
         # M subcarriers; spectrum_efficiency rates it at rho
         classic = build_classic_hybrid(ch, cfg)
         dpp = build_dpp(ch, cfg)
-        se_classic.append(np.mean(spectrum_efficiency(classic, rho, 1.0)))
-        se_dpp.append(np.mean(spectrum_efficiency(dpp, rho, 1.0)))
-        se_opt.append(np.mean(spectrum_efficiency_optimal(ch.matrices, rho, 1.0, 4)))
+        se_classic.append(np.mean(spectrum_efficiency(classic, rho)))
+        se_dpp.append(np.mean(spectrum_efficiency(dpp, rho)))
+        se_opt.append(np.mean(spectrum_efficiency_optimal(ch.matrices, rho, 4)))
     c, d, o = np.mean(se_classic), np.mean(se_dpp), np.mean(se_opt)
     print(f"{k_ttd:>3} {c:>9.2f} {d:>12.2f} {o:>9.2f} {d / o:>8.3f}")
 

@@ -55,7 +55,6 @@ from .precoding import (
 from .specfun import (
     ConvergenceError,
     QuadratureError,
-    SeriesControl,
     UnbracketableError,
     bessel_j,
     hypergeom_1f2,
@@ -79,7 +78,6 @@ __all__ = [
     "ResultTable",
     "Scenario",
     "ScenarioError",
-    "SeriesControl",
     "SvdError",
     "SvdResult",
     "UcaGeometry",

@@ -34,6 +34,7 @@ argument gives a float.  The exact gains take one point per call.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -41,8 +42,7 @@ import numpy as np
 from . import specfun
 from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
-from .precoding import (_GAIN_FLOOR, HybridDesign, _amplitudes, _analog, _arc_size,
-                        _check_snr, _overflow_at_snr, _ps_column, ttd_delays)
+from .precoding import HybridDesign, _analog, _arc_size, _ps_column, ttd_delays
 
 __all__ = [
     "exact_gain",
@@ -259,11 +259,37 @@ def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):
 # ---------------------------------------------------------------------------
 
 
-def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
-    """log2 det(I + rho/(n_s*sigma2) * H_eff H_eff^H) for an effective
-    channel H_eff = H^H F (receive antennas x streams).  Leading axes index a
-    stack of effective channels and give an array of rates; an array rho
-    must broadcast to those leading axes.
+# Floor applied to water-filling channel gains so rank-deficient equivalent
+# channels (zero singular values) stay in-domain; such channels end up with
+# zero power anyway.
+_GAIN_FLOOR = 1e-30
+
+
+def _check_snr(rho):
+    if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0.0)):
+        raise ValueError(f"rho must be positive, got {rho}")
+
+
+@contextlib.contextmanager
+def _overflow_at_snr(rho):
+    """A floating-point overflow in the block, where gains are scaled by the
+    SNRs rho, raises ArithmeticError naming the largest of them."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        r = float(np.max(rho))
+        raise ArithmeticError(
+            f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
+            f"({10.0 * math.log10(r):.6g} dB)"
+        ) from exc
+
+
+def se_from_effective(h_eff, rho):
+    """log2 det(I + rho/n_s * H_eff H_eff^H) for an effective channel
+    H_eff = H^H F (receive antennas x n_s streams), with rho the SNR per unit
+    noise power.  Leading axes index a stack of effective channels and give
+    an array of rates; an array rho must broadcast to those leading axes.
 
     The log-det is taken of the smaller of the two equal forms, the n_s x n_s
     I + s*H_eff^H H_eff when n_s <= N_r: with fewer streams than antennas the
@@ -272,16 +298,13 @@ def se_from_effective(h_eff, rho, sigma2: float, n_s: int | None = None):
     h_eff = np.asarray(h_eff, dtype=np.complex128)
     if h_eff.ndim < 2:
         raise ValueError(f"h_eff must be 2-D or a stack of 2-D, got shape {h_eff.shape}")
-    if n_s is None:
-        n_s = h_eff.shape[-1]
-    elif n_s != h_eff.shape[-1]:
-        raise ValueError(f"n_s={n_s} does not match h_eff stream count {h_eff.shape[-1]}")
-    _check_snr(rho, sigma2)
+    n_s = h_eff.shape[-1]
+    _check_snr(rho)
     if n_s > h_eff.shape[-2]:
         h_eff = np.swapaxes(h_eff.conj(), -1, -2)
     gram = np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
     with _overflow_at_snr(rho):
-        gram *= np.asarray(rho, dtype=float)[..., None, None] / (n_s * sigma2)
+        gram *= np.asarray(rho, dtype=float)[..., None, None] / n_s
         gram += np.eye(gram.shape[-1])
         sign, logdet = np.linalg.slogdet(gram)
     if np.any(sign <= 0):
@@ -308,15 +331,33 @@ def _by_snr_blocks(rates, rho, n_sub: int):
     return np.concatenate([rates(rho[i:i + step]) for i in range(0, rho.size, step)])
 
 
-def spectrum_efficiency(design: HybridDesign, rho, sigma2: float):
-    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho,
-    log2 det(I + rho/(n_s*sigma2) * H^H F F^H H) with F = A f_d the combined
-    phase-shifter/delay/digital precoder: an array of M rates, or, for a 1-D
-    array of SNRs, one row per SNR.  H^H F = G f_d = (G v) * a comes from the
-    design, so only the stream amplitudes a are computed per SNR."""
+def _amplitudes(design: HybridDesign, rho) -> np.ndarray:
+    """Stream amplitudes a of the digital precoders f_d = v * a at SNR rho,
+    M x n_streams (an array of SNRs puts its shape in front): water-filling
+    over the effective stream SNRs, then an exact rescale so the radiated
+    power f_d^H (A^H A) f_d meets the budget at every subcarrier."""
+    _check_snr(rho)
+    cfg = design.cfg
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    with _overflow_at_snr(rho):
+        stream_gains = np.maximum(rho * design.sigma ** 2 / cfg.n_streams, _GAIN_FLOOR)
+    powers = water_filling(stream_gains, cfg.total_power)
+    radiated = np.sum(powers * design.radiation, axis=-1, keepdims=True)
+    if np.any(radiated <= 0.0):
+        raise ValueError("combined precoder has zero power; degenerate channel")
+    return np.sqrt(powers) * np.sqrt(cfg.total_power / radiated)
+
+
+def spectrum_efficiency(design: HybridDesign, rho):
+    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho
+    (per unit noise power), log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d
+    the combined phase-shifter/delay/digital precoder: an array of M rates,
+    or, for a 1-D array of SNRs, one row per SNR.  H^H F = G f_d = (G v) * a
+    comes from the design, so only the stream amplitudes a are computed per
+    SNR."""
     def rates(r):
-        h_eff = design.g_v * _amplitudes(design, r, sigma2)[..., None, :]
-        return se_from_effective(h_eff, np.asarray(r)[..., None], sigma2)
+        h_eff = design.g_v * _amplitudes(design, r)[..., None, :]
+        return se_from_effective(h_eff, np.asarray(r)[..., None])
     return _by_snr_blocks(rates, rho, design.sigma.shape[0])
 
 
@@ -332,10 +373,10 @@ def _singular_values(h_m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r_factors, compute_uv=False).reshape(h_m.shape[:-2] + (k,))
 
 
-def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
-                                total_power: float = 1.0):
+def spectrum_efficiency_optimal(h_m, rho, n_s: int, total_power: float = 1.0):
     """Fully digital upper bound: water-filling over the top n_s singular
-    values of the channel, sum of log2(1 + p_i * rho * s_i^2/(n_s*sigma2)).
+    values of the channel, sum of log2(1 + p_i * rho * s_i^2/n_s) with rho the
+    SNR per unit noise power.
     Leading axes of h_m index a stack of channels (one per subcarrier) and
     give an array of rates; a 1-D array of SNRs gives one row per SNR, from
     one set of singular values.
@@ -351,7 +392,7 @@ def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
     if not (isinstance(n_s, int) and n_s >= 1):
         raise ValueError(f"n_s must be a positive integer, got {n_s}")
-    _check_snr(rho, sigma2)
+    _check_snr(rho)
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total_power must be positive, got {total_power}")
     sing = _singular_values(h_m)[..., :n_s]
@@ -361,7 +402,7 @@ def spectrum_efficiency_optimal(h_m, rho, sigma2: float, n_s: int,
     def rates(r):
         r = np.reshape(r, np.shape(r) + (1,) * sing.ndim)
         with _overflow_at_snr(r):
-            gains = np.maximum(r * sing ** 2 / (n_s * sigma2), _GAIN_FLOOR)
+            gains = np.maximum(r * sing ** 2 / n_s, _GAIN_FLOOR)
             powers = water_filling(gains, total_power)
             se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
         return float(se) if se.ndim == 0 else se

@@ -17,10 +17,10 @@ Of every ``G_m`` the design keeps the n_streams largest singular values,
 their right singular vectors v, ``G_m v`` and the radiated power per stream
 ``v^H (A^H A) v``.
 
-The digital stage ``f_d[m] = v * a`` (n_rf x n_streams) at an SNR is then
-only stream-sized work: water-filling over the stream SNRs and an exact
-rescale of the amplitudes a to the power budget ``f_d^H (A^H A) f_d``, so the
-rates at many SNRs come from one design (``analysis.spectrum_efficiency``).
+The digital stage ``f_d[m] = v * a`` (n_rf x n_streams) at an SNR is only
+stream-sized work, left to ``analysis.spectrum_efficiency``: water-filling
+over the stream SNRs and an exact rescale of the amplitudes a to the power
+budget ``f_d^H (A^H A) f_d``, so the rates at many SNRs come from one design.
 The per-arc products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK``
 subcarriers, so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
 (SUBCARRIER_CHUNK x N x N_r x n_rf at K = N).
@@ -38,8 +38,6 @@ so its design is the zero-delay single-arc case, ``G = H^H w_ps``.
 
 from __future__ import annotations
 
-import contextlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +49,7 @@ from .arraymodel import (
     _subcarrier_chunks,
     steering_uca,
 )
-from .cxlinalg import svd, water_filling
+from .cxlinalg import svd
 
 __all__ = [
     "DppConfig",
@@ -61,11 +59,6 @@ __all__ = [
     "build_classic_hybrid",
     "build_dpp",
 ]
-
-# Floor applied to water-filling channel gains so rank-deficient equivalent
-# channels (zero singular values) stay in-domain; such channels end up with
-# zero power anyway.
-_GAIN_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -118,28 +111,6 @@ def ttd_delays(phi_rad: float, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
     toward phi; non-negative by construction and at most 2R/c."""
     theta = ttd_reference_angles(geom.n_elements, k_ttd)
     return geom.radius_m / SPEED_OF_LIGHT * (1.0 - np.cos(phi_rad - theta))
-
-
-def _check_snr(rho, sigma2: float):
-    if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0.0)):
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-
-
-@contextlib.contextmanager
-def _overflow_at_snr(rho):
-    """A floating-point overflow in the block, where gains are scaled by the
-    SNRs rho, raises ArithmeticError naming the largest of them."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        r = float(np.max(rho))
-        raise ArithmeticError(
-            f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
-            f"({10.0 * math.log10(r):.6g} dB)"
-        ) from exc
 
 
 def _ps_column(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int,
@@ -276,22 +247,3 @@ def build_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
     """Design of the delay-phase precoder on ch: centroid-referenced PS
     corrections plus TTD delays per chain."""
     return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg)
-
-
-def _amplitudes(design: HybridDesign, rho, sigma2: float) -> np.ndarray:
-    """Stream amplitudes a of the digital precoders f_d = v * a at SNR rho,
-    M x n_streams (an array of SNRs puts its shape in front): water-filling
-    over the effective stream SNRs, then an exact rescale so the radiated
-    power f_d^H (A^H A) f_d meets the budget at every subcarrier."""
-    _check_snr(rho, sigma2)
-    cfg = design.cfg
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    with _overflow_at_snr(rho):
-        stream_gains = np.maximum(
-            rho * design.sigma ** 2 / (cfg.n_streams * sigma2), _GAIN_FLOOR
-        )
-    powers = water_filling(stream_gains, cfg.total_power)
-    radiated = np.sum(powers * design.radiation, axis=-1, keepdims=True)
-    if np.any(radiated <= 0.0):
-        raise ValueError("combined precoder has zero power; degenerate channel")
-    return np.sqrt(powers) * np.sqrt(cfg.total_power / radiated)

@@ -24,13 +24,10 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "ConvergenceError",
     "QuadratureError",
     "UnbracketableError",
@@ -40,31 +37,6 @@ __all__ = [
     "inverse_1f2_threshold",
     "integrate",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the hypergeometric series.
-
-    Summation stops once two consecutive terms drop below
-    ``max(abs_tol, rel_tol * |partial sum|)``; exceeding ``max_terms``
-    raises :class:`ConvergenceError`.
-    """
-
-    max_terms: int = 400
-    abs_tol: float = 1e-15
-    rel_tol: float = 1e-15
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be a positive integer")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 class ConvergenceError(ArithmeticError):
@@ -286,9 +258,16 @@ def _check_denominators(dens):
 # near 2**100 * 1e-12 has lost all but 12 significant digits to cancellation.
 _DD_EPS = 2.0 ** -100
 _CANCELLATION_TOL = 1e-12
+# Truncation policy: summation stops once two consecutive terms drop below
+# _SERIES_TOL * max(1, |partial sum|); a series that has not stopped within
+# _MAX_TERMS terms raises ConvergenceError.  On the gain curves the
+# cancellation test rejects every argument past x ~ 54, before either budget
+# is reached.
+_MAX_TERMS = 400
+_SERIES_TOL = 1e-15
 
 
-def _hyp_series(nums, dens, z, ctrl):
+def _hyp_series(nums, dens, z):
     # term_{n+1} = term_n * z * prod(a + n) / (prod(b + n) * (n + 1))
     # For parameters of interest (halves and small integers) a + n and
     # b + n are exact doubles, so the double-double products keep each term
@@ -306,7 +285,7 @@ def _hyp_series(nums, dens, z, ctrl):
     was_small = done = False
     quiet = np.errstate(over="ignore", invalid="ignore") if vec else contextlib.nullcontext()
     with quiet:
-        for n in range(ctrl.max_terms):
+        for n in range(_MAX_TERMS):
             fn = float(n)
             for a in nums:
                 th, tl = _dd_mul(th, tl, a + fn, 0.0)
@@ -316,7 +295,7 @@ def _hyp_series(nums, dens, z, ctrl):
             th, tl = _dd_div_scalar(th, tl, fn + 1.0)
             sh, sl = _dd_add(sh, sl, th, tl)
             peak = fmax(peak, abs(th))
-            tol = fmax(ctrl.abs_tol, ctrl.rel_tol * abs(sh))
+            tol = _SERIES_TOL * fmax(1.0, abs(sh))
             small = abs(th) <= tol
             if vec:
                 done = small & was_small
@@ -339,34 +318,31 @@ def _hyp_series(nums, dens, z, ctrl):
             if not failed.any():
                 return sh + sl
             # on its own, the first failing element raises the scalar's error
-            _hyp_series(nums, dens, float(z[failed][0]), ctrl)
+            _hyp_series(nums, dens, float(z[failed][0]))
     raise ConvergenceError(
-        f"hypergeometric series did not converge within {ctrl.max_terms} terms "
+        f"hypergeometric series did not converge within {_MAX_TERMS} terms "
         f"(z={z!r})",
         partial=sh + sl,
-        terms=ctrl.max_terms,
+        terms=_MAX_TERMS,
     )
 
 
-def hypergeom_1f2(a: float, b1: float, b2: float, z,
-                  ctrl: SeriesControl = DEFAULT_CONTROL):
+def hypergeom_1f2(a: float, b1: float, b2: float, z):
     """Generalized hypergeometric 1F2(a; b1, b2; z), entire in z.
 
     ``z`` may be an array; the series stops per element."""
     z = _argument(z, "z")
     _check_denominators((b1, b2))
-    return _hyp_series((float(a),), (float(b1), float(b2)), z, ctrl)
+    return _hyp_series((float(a),), (float(b1), float(b2)), z)
 
 
-def hypergeom_2f3(a1: float, a2: float, b1: float, b2: float, b3: float,
-                  z, ctrl: SeriesControl = DEFAULT_CONTROL):
+def hypergeom_2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z):
     """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z), entire in z.
 
     ``z`` may be an array; the series stops per element."""
     z = _argument(z, "z")
     _check_denominators((b1, b2, b3))
-    return _hyp_series((float(a1), float(a2)), (float(b1), float(b2), float(b3)),
-                       z, ctrl)
+    return _hyp_series((float(a1), float(a2)), (float(b1), float(b2), float(b3)), z)
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +350,20 @@ def hypergeom_2f3(a1: float, a2: float, b1: float, b2: float, b3: float,
 # ---------------------------------------------------------------------------
 
 
-def _gain_curve(x, ctrl):
-    return hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x, ctrl)
+def _gain_curve(x):
+    return hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)
 
 
-@functools.lru_cache(maxsize=16)
-def _first_minimum(ctrl: SeriesControl):
+@functools.cache
+def _first_minimum():
     """(x, g(x)) at the first local minimum of the gain curve; it does not
-    depend on the inversion target, so it is found once per control."""
+    depend on the inversion target, so it is found once."""
     # March to the first rise of g to bracket the first local minimum.
     step = 0.125
     x_prev, g_prev = 0.0, 1.0
     x = step
     while True:
-        g_x = _gain_curve(x, ctrl)
+        g_x = _gain_curve(x)
         if g_x > g_prev:
             break
         x_prev, g_prev = x, g_x
@@ -399,18 +375,17 @@ def _first_minimum(ctrl: SeriesControl):
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if _gain_curve(m1, ctrl) <= _gain_curve(m2, ctrl):
+        if _gain_curve(m1) <= _gain_curve(m2):
             hi = m2
         else:
             lo = m1
         if hi - lo < 1e-13:
             break
     x_min = 0.5 * (lo + hi)
-    return x_min, _gain_curve(x_min, ctrl)
+    return x_min, _gain_curve(x_min)
 
 
-def inverse_1f2_threshold(target: float,
-                          ctrl: SeriesControl = DEFAULT_CONTROL) -> float:
+def inverse_1f2_threshold(target: float) -> float:
     """Smallest x >= 0 with 1F2(1/2; 1, 3/2; -x^2/4) = target.
 
     ``g(x) = (1/x) integral_0^x J0`` decreases from g(0) = 1 to its first
@@ -424,7 +399,7 @@ def inverse_1f2_threshold(target: float,
     if target == 1.0:
         return 0.0
 
-    x_min, g_min = _first_minimum(ctrl)
+    x_min, g_min = _first_minimum()
     if target < g_min:
         raise UnbracketableError(
             f"target {target!r} is below the first local minimum "
@@ -435,7 +410,7 @@ def inverse_1f2_threshold(target: float,
     lo, hi = 0.0, x_min  # g is decreasing on [0, x_min]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _gain_curve(mid, ctrl) > target:
+        if _gain_curve(mid) > target:
             lo = mid
         else:
             hi = mid
@@ -466,6 +441,9 @@ def _eval(f, t):
     return v
 
 
+# Bisection depth at which a panel that still fails its error test ends the
+# refinement of its interval with a QuadratureError.
+_MAX_DEPTH = 50
 # Hard cap on the splits of each interval so an unattainable tolerance
 # degrades into a QuadratureError instead of an exponential refinement stall.
 _MAX_SPLITS = 200_000
@@ -483,7 +461,7 @@ def _is_scalar(v):
     return isinstance(v, (float, int)) or np.ndim(v) == 0
 
 
-def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
+def integrate(f, lo, hi, tol: float = 1e-10):
     """Integral of ``f`` over [lo, hi] by adaptive Simpson bisection.
 
     ``f`` is vectorised: it maps an array of abscissae to the array of its
@@ -495,7 +473,7 @@ def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
     tolerance for each whole interval; panels whose refinement difference
     falls below the floating-point noise of their own sums are accepted as
     converged regardless, since further splitting cannot improve them.
-    Intervals still failing their local error test at ``max_depth`` splits
+    Intervals still failing their local error test at depth 50
     (or once their split budget is spent) raise :class:`QuadratureError`
     carrying the best estimate of every interval.
     """
@@ -507,7 +485,7 @@ def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
             raise ValueError("integration limits must be finite")
         if lo > hi:
             raise ValueError(f"lower limit {lo!r} exceeds upper limit {hi!r}")
-        best, exhausted = _simpson(f, lo, hi, tol, max_depth)
+        best, exhausted = _simpson(f, lo, hi, tol)
         failed = (lo, hi) if exhausted else None
     else:
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
@@ -518,20 +496,20 @@ def integrate(f, lo, hi, tol: float = 1e-10, max_depth: int = 50):
             i = np.argmax(lo > hi)
             raise ValueError(f"lower limit {float(lo.flat[i])!r} exceeds upper "
                              f"limit {float(hi.flat[i])!r}")
-        total, exhausted = _simpson_batch(f, lo.ravel(), hi.ravel(), tol, max_depth)
+        total, exhausted = _simpson_batch(f, lo.ravel(), hi.ravel(), tol)
         best = total.reshape(lo.shape)
         i = np.argmax(exhausted)
         failed = (float(lo.flat[i]), float(hi.flat[i])) if exhausted[i] else None
     if failed is not None:
         raise QuadratureError(
-            f"adaptive quadrature hit depth {max_depth} before reaching "
+            f"adaptive quadrature hit depth {_MAX_DEPTH} before reaching "
             f"tolerance {tol!r} on [{failed[0]!r}, {failed[1]!r}]",
             best=best,
         )
     return best
 
 
-def _simpson(f, lo, hi, tol, max_depth):
+def _simpson(f, lo, hi, tol):
     """One interval on Python floats: (integral, whether a panel failed its
     error test at the depth limit or once the split budget was spent)."""
     if lo == hi:
@@ -555,7 +533,7 @@ def _simpson(f, lo, hi, tol, max_depth):
         delta = left + right - s
         if abs(delta) <= max(15.0 * eps, _NOISE * (abs(left) + abs(right) + abs(s))):
             total += left + right + delta / 15.0
-        elif depth >= max_depth or splits >= _MAX_SPLITS:
+        elif depth >= _MAX_DEPTH or splits >= _MAX_SPLITS:
             total += left + right + delta / 15.0
             exhausted = True
         else:
@@ -565,7 +543,7 @@ def _simpson(f, lo, hi, tol, max_depth):
     return total, exhausted
 
 
-def _simpson_batch(f, lo, hi, tol, max_depth):
+def _simpson_batch(f, lo, hi, tol):
     """The panels of every interval from one work list, up to PANEL_BATCH
     per integrand call, with the acceptance rule of :func:`_simpson`:
     (integral per interval, whether each failed as there)."""
@@ -601,7 +579,7 @@ def _simpson_batch(f, lo, hi, tol, max_depth):
         delta = left + right - s
         ok = abs(delta) <= np.maximum(15.0 * eps, _NOISE * (abs(left) + abs(right) + abs(s)))
         j = jf.astype(np.intp)
-        stuck = (depth >= max_depth) | (splits[j] >= _MAX_SPLITS)
+        stuck = (depth >= _MAX_DEPTH) | (splits[j] >= _MAX_SPLITS)
         last = ok | stuck
         np.add.at(total, j, np.where(last, left + right + delta / 15.0, 0.0))
         if stuck.any():

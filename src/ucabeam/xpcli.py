@@ -194,6 +194,11 @@ def _split_method(label: str):
     return base, freq
 
 
+def _is_real(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_scenario(scenario: Scenario) -> list:
     """All invariant violations as human-readable diagnostics (empty = valid)."""
     diags = []
@@ -211,7 +216,7 @@ def validate_scenario(scenario: Scenario) -> list:
         return True
 
     def check_pos(section, fname, value):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (_is_real(value) and math.isfinite(value) and value > 0):
             diags.append(f"{section}.{fname}: must be a positive number, got {value!r}")
             return False
         return True
@@ -234,7 +239,7 @@ def validate_scenario(scenario: Scenario) -> list:
     def check_snr(where, snr_db):
         # the runner takes rho = 10^(snr_db/10), which must be a finite
         # positive float; a non-finite snr_db is reported by its own check
-        if isinstance(snr_db, (int, float)) and math.isfinite(snr_db):
+        if _is_real(snr_db) and math.isfinite(snr_db):
             try:
                 rho = 10.0 ** (snr_db / 10.0)
             except OverflowError:
@@ -247,7 +252,7 @@ def validate_scenario(scenario: Scenario) -> list:
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if sy.radius_m is not None:
         check_pos("system", "radius_m", sy.radius_m)
-    if not (isinstance(sy.target_angle_rad, (int, float)) and math.isfinite(sy.target_angle_rad)):
+    if not (_is_real(sy.target_angle_rad) and math.isfinite(sy.target_angle_rad)):
         diags.append(f"system.target_angle_rad: must be finite, got {sy.target_angle_rad!r}")
 
     ok_rf = check_int("precoding", "n_rf", pc.n_rf, 1)
@@ -276,11 +281,16 @@ def validate_scenario(scenario: Scenario) -> list:
         )
         return diags
 
-    if sw.values is not None:
+    if sw.values is not None and not isinstance(sw.values, tuple):
+        diags.append(f"sweep.values: must be a list of numbers, got {sw.values!r}")
+    elif sw.values is not None:
         vals = sw.values
         if len(vals) < 2:
             diags.append("sweep.values: need at least 2 sweep points")
-        if any(not (isinstance(v, (int, float)) and math.isfinite(v)) for v in vals):
+        if sw.variable == "frequency":
+            diags.append("sweep.values: a frequency sweep samples the subcarrier grid of "
+                         "the system band; give 'points' instead")
+        if any(not (_is_real(v) and math.isfinite(v)) for v in vals):
             diags.append("sweep.values: entries must be finite numbers")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
             diags.append("sweep.values: must be strictly increasing")
@@ -301,7 +311,14 @@ def validate_scenario(scenario: Scenario) -> list:
                     )
     else:
         ok_points = check_int("sweep", "points", sw.points, 2)
-        if not (math.isfinite(sw.start) and math.isfinite(sw.stop) and sw.start < sw.stop):
+        ok_ends = True
+        for fname in ("start", "stop"):
+            value = getattr(sw, fname)
+            if not _is_real(value):
+                diags.append(f"sweep.{fname}: must be a number, got {value!r}")
+                ok_ends = False
+        if ok_ends and not (math.isfinite(sw.start) and math.isfinite(sw.stop)
+                            and sw.start < sw.stop):
             diags.append(
                 f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
                 f"non-degenerate (start < stop)"
@@ -313,11 +330,12 @@ def validate_scenario(scenario: Scenario) -> list:
         if sw.variable == "k_ttd":
             diags.append("sweep: k_ttd sweeps must use an explicit 'values' list "
                          "of divisors of n_elements_tx")
-        if sw.variable == "bandwidth" and not (sw.start > 0):
-            diags.append(f"sweep: bandwidth range must start above 0, got {sw.start!r}")
-        elif sw.variable == "bandwidth" and math.isfinite(sw.stop):
-            check_band("sweep.stop", sw.stop)
-        if sw.variable == "frequency" and ok_fc and ok_bw:
+        if sw.variable == "bandwidth" and ok_ends:
+            if not sw.start > 0:
+                diags.append(f"sweep: bandwidth range must start above 0, got {sw.start!r}")
+            elif math.isfinite(sw.stop):
+                check_band("sweep.stop", sw.stop)
+        if sw.variable == "frequency" and ok_ends and ok_fc and ok_bw:
             # the runner samples the subcarrier grid of the system band
             lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
             if not (math.isclose(sw.start, lo, rel_tol=1e-9)
@@ -332,10 +350,10 @@ def validate_scenario(scenario: Scenario) -> list:
     if not (isinstance(tr.base_seed, int) and not isinstance(tr.base_seed, bool) and tr.base_seed >= 0):
         diags.append(f"trials.base_seed: must be a non-negative integer, got {tr.base_seed!r}")
     ok_paths = check_int("trials", "n_paths", tr.n_paths, 1)
-    if not (isinstance(tr.snr_db, (int, float)) and math.isfinite(tr.snr_db)):
+    if not (_is_real(tr.snr_db) and math.isfinite(tr.snr_db)):
         diags.append(f"trials.snr_db: must be finite, got {tr.snr_db!r}")
     check_snr("trials.snr_db", tr.snr_db)
-    if not (isinstance(tr.max_delay_s, (int, float)) and math.isfinite(tr.max_delay_s)
+    if not (_is_real(tr.max_delay_s) and math.isfinite(tr.max_delay_s)
             and tr.max_delay_s >= 0):
         diags.append(f"trials.max_delay_s: must be >= 0, got {tr.max_delay_s!r}")
 
@@ -372,18 +390,17 @@ def validate_scenario(scenario: Scenario) -> list:
 
 def builtin_names() -> tuple:
     """Built-in scenario names in presentation order."""
-    return tuple(name for name, _ in _BUILTINS)
+    return _BUILTINS
 
 
 def load_builtin(name: str) -> Scenario:
-    for fname, _ in _BUILTINS:
-        if fname == name:
-            text = (
-                importlib.resources.files("ucabeam")
-                .joinpath(f"scenarios/{name}.json")
-                .read_text(encoding="utf-8")
-            )
-            return scenario_from_dict(json.loads(text))
+    if name in _BUILTINS:
+        text = (
+            importlib.resources.files("ucabeam")
+            .joinpath(f"scenarios/{name}.json")
+            .read_text(encoding="utf-8")
+        )
+        return scenario_from_dict(json.loads(text))
     raise ScenarioError(
         [f"unknown scenario {name!r}; built-ins: {', '.join(builtin_names())}"]
     )
@@ -436,20 +453,6 @@ class ResultTable:
                 last, text = r.x, repr(float(r.x))
             lines.append(f"{text},{r.method},{float(r.mean)!r},{float(r.std)!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ResultTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "x,method,mean,std":
-            raise ValueError("missing result header 'x,method,mean,std'")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"malformed result row: {ln!r}")
-            rows.append(ResultRow(x=float(parts[0]), method=parts[1],
-                                  mean=float(parts[2]), std=float(parts[3])))
-        return cls(rows=tuple(rows))
 
     def to_json(self) -> str:
         payload = {
@@ -564,7 +567,7 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
                     points.setdefault(k_ttd, {}).setdefault(rhos[j], []).append(j)
                 for k_ttd, at_rho in points.items():
                     cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
-                    rates = method.evaluate(ch, cfg, np.array(list(at_rho)), 1.0)
+                    rates = method.evaluate(ch, cfg, np.array(list(at_rho)))
                     for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
                         for j in same:
                             per_seed[label][j].append(mean)
@@ -577,8 +580,8 @@ class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
     averages over seeded channels.  Deterministic evaluators map (_Setup,
     array of sweep points) to the values at every point; trial evaluators map
-    (channel, DppConfig, 1-D array of SNRs rho, sigma2) to the spectrum
-    efficiency of every subcarrier at each SNR (SNRs x subcarriers).
+    (channel, DppConfig, 1-D array of SNRs rho) to the spectrum efficiency
+    of every subcarrier at each SNR (SNRs x subcarriers).
     ``uses_k`` is False for trial methods whose output does not depend on
     the delay-unit count."""
 
@@ -619,30 +622,20 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
-        build_classic_hybrid(ch, cfg), rho, s2), trial=True, uses_k=False),
-    "dpp": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency(
-        build_dpp(ch, cfg), rho, s2), trial=True),
-    "optimal": _Method(_SE, lambda ch, cfg, rho, s2: an.spectrum_efficiency_optimal(
-        ch.matrices, rho, s2, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
+    "classic": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency(
+        build_classic_hybrid(ch, cfg), rho), trial=True, uses_k=False),
+    "dpp": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency(
+        build_dpp(ch, cfg), rho), trial=True),
+    "optimal": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency_optimal(
+        ch.matrices, rho, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
 }
 
 
 # ---------------------------------------------------------------------------
-# Built-in scenarios (names + one-line descriptions, presentation order)
+# Built-in scenarios (presentation order); each describes itself in its JSON
 # ---------------------------------------------------------------------------
 
-_BUILTINS = (
-    ("fig2", "Phase-shifter gain across a 4 GHz band: exact array sum vs Bessel closed form (fig2 overlay)"),
-    ("fig3a", "Beam-split reference pattern of a 256-element linear array at three frequencies (fig3a)"),
-    ("fig3b", "Beam-defocus pattern of the circular array: exact vs angular closed form (fig3b)"),
-    ("fig5", "Arc-gain kernel curves: the 1F2 gain curve and its 2F3 band average (fig5)"),
-    ("fig6", "Band-edge gain with 8 delay units: exact, arc sum, and continuum closed form vs phase-shifter baseline (fig6)"),
-    ("fig7", "Band-averaged gain vs bandwidth: numeric average, bounds, and delay-phase average (fig7)"),
-    ("fig8", "Spectrum efficiency vs SNR for classic hybrid, delay-phase, and fully digital precoding (fig8)"),
-    ("fig9", "Spectrum efficiency vs delay units per RF chain at 10 dB SNR (fig9)"),
-    ("fig10", "Spectrum efficiency vs bandwidth with 16 delay units per chain (fig10)"),
-)
+_BUILTINS = ("fig2", "fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +673,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    width = max(len(name) for name, _ in _BUILTINS)
-    for name, description in _BUILTINS:
-        print(f"{name:<{width}}  {description}")
+    width = max(map(len, _BUILTINS))
+    for name in _BUILTINS:
+        print(f"{name:<{width}}  {load_builtin(name).description}")
     return 0
 
 

@@ -183,9 +183,9 @@ def test_model_invariants_hold():
     cfg = DppConfig(4, 8, 4)
     for seed in range(5):
         ch = generate_channel(GEOM, rx, grid, 4, seed)
-        se = np.mean(an.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0))
+        se = np.mean(an.spectrum_efficiency(build_dpp(ch, cfg), 10.0))
         opt = np.mean(
-            [an.spectrum_efficiency_optimal(channel_matrix(ch, m), 10.0, 1.0, 4)
+            [an.spectrum_efficiency_optimal(channel_matrix(ch, m), 10.0, 4)
              for m in range(17)]
         )
         checks.append(se <= opt + 1e-9)

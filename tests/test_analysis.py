@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucabeam import analysis as an
+from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
@@ -23,7 +24,6 @@ from ucabeam.arraymodel import (
 )
 from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
-    _GAIN_FLOOR,
     DppConfig,
     _analog,
     _analog_stage,
@@ -418,14 +418,14 @@ def _grid(m=129):
 
 
 def test_se_zero_effective_channel_is_zero():
-    assert an.se_from_effective(np.zeros((4, 2)), 10.0, 1.0) == 0.0
+    assert an.se_from_effective(np.zeros((4, 2)), 10.0) == 0.0
 
 
 def test_se_single_stream_log_identity():
     grid = _grid(129)
     path = PathParams(0.8 - 0.3j, 5e-9, 1.1, 0.4)
     ch = ChannelRealization(paths=(path,), tx=GEOM, rx=RX, grid=grid)
-    se = an.spectrum_efficiency(build_dpp(ch, DppConfig(1, 8, 1)), 10.0, 1.0)[64]
+    se = an.spectrum_efficiency(build_dpp(ch, DppConfig(1, 8, 1)), 10.0)[64]
     # perfect beam at fc: effective gain is N * |g|^2
     assert se == pytest.approx(
         math.log2(1.0 + 10.0 * 256 * abs(path.gain) ** 2), abs=1e-9
@@ -436,7 +436,7 @@ def test_se_optimal_single_stream_matches_top_singular_value():
     rng = np.random.default_rng(8)
     h = (rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))) / math.sqrt(2)
     top = np.linalg.svd(h, compute_uv=False)[0]
-    assert an.spectrum_efficiency_optimal(h, 10.0, 1.0, 1) == pytest.approx(
+    assert an.spectrum_efficiency_optimal(h, 10.0, 1) == pytest.approx(
         math.log2(1.0 + 10.0 * top ** 2), abs=1e-12
     )
 
@@ -449,15 +449,15 @@ def test_se_optimal_matches_explicit_svd_precoder():
     gains = 10.0 * res.sigma[:n_s] ** 2 / n_s
     powers = water_filling(gains, 1.0)
     f = res.u[:, :n_s] @ np.diag(np.sqrt(powers))
-    se_explicit = an.se_from_effective(h.conj().T @ f, 10.0, 1.0, n_s)
-    assert an.spectrum_efficiency_optimal(h, 10.0, 1.0, n_s) == pytest.approx(
+    se_explicit = an.se_from_effective(h.conj().T @ f, 10.0)
+    assert an.spectrum_efficiency_optimal(h, 10.0, n_s) == pytest.approx(
         se_explicit, abs=1e-9
     )
 
 
 def test_se_optimal_equal_modes_split_power_evenly():
     h = 3.0 * np.eye(4, dtype=complex)
-    se = an.spectrum_efficiency_optimal(h, 10.0, 1.0, 4)
+    se = an.spectrum_efficiency_optimal(h, 10.0, 4)
     per_mode = math.log2(1.0 + 10.0 * 9.0 / 4.0 * 0.25)
     assert se == pytest.approx(4.0 * per_mode, abs=1e-12)
 
@@ -466,9 +466,7 @@ def test_se_grows_with_snr():
     grid = _grid(33)
     ch = generate_channel(GEOM, RX, grid, 4, 17)
     design = build_dpp(ch, DppConfig(4, 8, 4))
-    assert an.spectrum_efficiency(design, 10.0, 1.0)[16] > an.spectrum_efficiency(
-        design, 1.0, 1.0
-    )[16]
+    assert an.spectrum_efficiency(design, 10.0)[16] > an.spectrum_efficiency(design, 1.0)[16]
 
 
 def test_dpp_se_never_beats_fully_digital():
@@ -476,9 +474,9 @@ def test_dpp_se_never_beats_fully_digital():
     cfg = DppConfig(4, 8, 4)
     for seed in range(20):
         ch = generate_channel(GEOM, RX, grid, 4, seed)
-        se = an.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0)
+        se = an.spectrum_efficiency(build_dpp(ch, cfg), 10.0)
         for m in (0, 8, 16):
-            opt = an.spectrum_efficiency_optimal(channel_matrix(ch, m), 10.0, 1.0, 4)
+            opt = an.spectrum_efficiency_optimal(channel_matrix(ch, m), 10.0, 4)
             assert se[m] <= opt + 1e-9
 
 
@@ -488,8 +486,8 @@ def test_dpp_se_beats_classic_on_average():
     gaps = []
     for seed in range(5):
         ch = generate_channel(GEOM, RX, grid, 4, seed)
-        se_a = np.mean(an.spectrum_efficiency(build_classic_hybrid(ch, cfg), 10.0, 1.0))
-        se_b = np.mean(an.spectrum_efficiency(build_dpp(ch, cfg), 10.0, 1.0))
+        se_a = np.mean(an.spectrum_efficiency(build_classic_hybrid(ch, cfg), 10.0))
+        se_b = np.mean(an.spectrum_efficiency(build_dpp(ch, cfg), 10.0))
         gaps.append(se_b - se_a)
     assert np.mean(gaps) > 0.0
 
@@ -500,7 +498,7 @@ def test_rates_that_overflow_raise_naming_the_snr():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
-            an.se_from_effective(np.full((2, 1), 2.0), 1e308, 1.0)
+            an.se_from_effective(np.full((2, 1), 2.0), 1e308)
         # the scaled 2 x 2 Gram [[1.9, 1+j], [1-j, 1.5e308]] fits, and so do the
         # components of its elimination; the pivot swaps the rows and leaves an
         # element of modulus sqrt(2)*1.5e308
@@ -508,11 +506,11 @@ def test_rates_that_overflow_raise_naming_the_snr():
         u = math.sqrt(0.9 / s)
         h_eff = np.array([[u, (1.0 + 1.0j) / (s * u)], [0.0, math.sqrt(1.5e308 / s)]])
         with pytest.raises(ArithmeticError, match=r"rho=2e\+300 \(3003.01 dB\)"):
-            an.se_from_effective(h_eff, 2e300, 1.0)
+            an.se_from_effective(h_eff, 2e300)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
-            an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1.0, 1)
+            an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
-            an.spectrum_efficiency_optimal(np.eye(2), [1.0, 1e308], 1.0, 1, total_power=4.0)
+            an.spectrum_efficiency_optimal(np.eye(2), [1.0, 1e308], 1, total_power=4.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -555,7 +553,7 @@ def test_rates_match_a_high_precision_log_det(seed, n_rx, n_s, snr_db):
     # any shape, fewer, as many or more streams than receive antennas
     h_eff = _random_h_eff(seed, n_rx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
-    assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(
+    assert an.se_from_effective(h_eff, rho) == pytest.approx(
         _mp_rate(h_eff, rho / n_s), rel=1e-12)
 
 
@@ -570,19 +568,19 @@ def test_rank_deficient_rates_hold_to_200_db(seed, n_rx, data, snr_db):
     h_eff = _random_h_eff(seed, n_rx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
     ref = _mp_rate(h_eff, rho / n_s)
-    assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    assert an.se_from_effective(h_eff, rho) == pytest.approx(ref, rel=1e-12, abs=1e-13)
     if n_s == 1:
-        assert an.se_from_effective(h_eff, rho, 1.0) == pytest.approx(
+        assert an.se_from_effective(h_eff, rho) == pytest.approx(
             math.log1p(rho * np.linalg.norm(h_eff) ** 2) / math.log(2.0), rel=1e-12)
 
 
 def test_se_validation():
     with pytest.raises(ValueError):
-        an.se_from_effective(np.zeros((4, 2)), 0.0, 1.0)
+        an.se_from_effective(np.zeros((4, 2)), 0.0)
     with pytest.raises(ValueError):
-        an.spectrum_efficiency_optimal(np.eye(4), 10.0, 1.0, 5)
+        an.spectrum_efficiency_optimal(np.eye(4), 10.0, 5)
     with pytest.raises(ValueError):
-        an.spectrum_efficiency_optimal(np.eye(4), 10.0, 1.0, 1, total_power=0.0)
+        an.spectrum_efficiency_optimal(np.eye(4), 10.0, 1, total_power=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +633,14 @@ def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, n_rf, bw)
     tx = half_wavelength_uca(16, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     rho = 10.0 ** (snr_db / 10.0)
-    stacked = an.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, n_rf)
-    single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, 1.0, n_rf)
+    stacked = an.spectrum_efficiency_optimal(ch.matrices, rho, n_rf)
+    single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, n_rf)
               for m in range(n_sub)]
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
 
 
 def _two_pass_rates(ch, cfg, rho, classic):
-    """Rates of the hybrid precoder at SNR rho (sigma2 = 1) on every
+    """Rates of the hybrid precoder at SNR rho (unit noise power) on every
     subcarrier, formed the explicit way, and the precoders F (M x N x
     n_streams): dense A(f) per subcarrier, G = H^H A and its SVD,
     water-filling over the top n_streams stream SNRs, digital precoders f_d
@@ -659,7 +657,7 @@ def _two_pass_rates(ch, cfg, rho, classic):
     radiated = np.trace(np.swapaxes(f_d.conj(), -1, -2) @ np.swapaxes(a.conj(), -1, -2)
                         @ a @ f_d, axis1=-2, axis2=-1).real
     f = a @ (f_d * np.sqrt(cfg.total_power / radiated)[:, None, None])
-    return an.se_from_effective(h_h @ f, rho, 1.0), f
+    return an.se_from_effective(h_h @ f, rho), f
 
 
 @settings(max_examples=30, deadline=None)
@@ -679,13 +677,13 @@ def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 4, seed)
     rhos = 10.0 ** (np.array(snr_db) / 10.0)
     design = (build_classic_hybrid if classic else build_dpp)(ch, cfg)
-    rates = an.spectrum_efficiency(design, rhos, 1.0)
+    rates = an.spectrum_efficiency(design, rhos)
     assert rates.shape == (rhos.size, n_sub)
     for rho, row in zip(rhos.tolist(), rates):
         two_pass, f = _two_pass_rates(ch, cfg, rho, classic)
         np.testing.assert_allclose(np.linalg.norm(f, axis=(-2, -1)) ** 2, 2.0, rtol=1e-12)
         np.testing.assert_allclose(row, two_pass, rtol=1e-12, atol=1e-13)
-        np.testing.assert_array_equal(an.spectrum_efficiency(design, rho, 1.0), row)
+        np.testing.assert_array_equal(an.spectrum_efficiency(design, rho), row)
 
 
 def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
@@ -694,22 +692,22 @@ def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
     ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
     rhos = np.array([0.5, 2.0, 10.0])
     design = build_dpp(ch, DppConfig(2, 8, 2))
-    whole = an.spectrum_efficiency(design, rhos, 1.0)
-    optimal = an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2)
+    whole = an.spectrum_efficiency(design, rhos)
+    optimal = an.spectrum_efficiency_optimal(ch.matrices, rhos, 2)
     monkeypatch.setattr(an, "SNR_BLOCK_PAIRS", 4)
     calls = []
     se_from_effective = an.se_from_effective
 
-    def counted(h_eff, rho, *args):
+    def counted(h_eff, rho):
         calls.append(np.size(rho))
-        return se_from_effective(h_eff, rho, *args)
+        return se_from_effective(h_eff, rho)
 
     monkeypatch.setattr(an, "se_from_effective", counted)
-    np.testing.assert_array_equal(an.spectrum_efficiency(design, rhos, 1.0), whole)
-    np.testing.assert_array_equal(an.spectrum_efficiency_optimal(ch.matrices, rhos, 1.0, 2),
+    np.testing.assert_array_equal(an.spectrum_efficiency(design, rhos), whole)
+    np.testing.assert_array_equal(an.spectrum_efficiency_optimal(ch.matrices, rhos, 2),
                                   optimal)
     assert calls == [1, 1, 1]
     with pytest.raises(ValueError, match="rho must be a scalar or a 1-D array"):
-        an.spectrum_efficiency(design, rhos[None], 1.0)
+        an.spectrum_efficiency(design, rhos[None])
     with pytest.raises(ValueError, match="rho must be positive"):
-        an.spectrum_efficiency(design, np.array([1.0, 0.0]), 1.0)
+        an.spectrum_efficiency(design, np.array([1.0, 0.0]))

@@ -1,5 +1,10 @@
 """Each demo script runs to completion as a user would start it, from a
-checkout with ``PYTHONPATH=src``, and writes nothing to stderr."""
+checkout with ``PYTHONPATH=src``, writes nothing to stderr, and prints
+exactly the output recorded in ``tests/data/demos/<demo>.txt``.
+
+Regenerate the recorded outputs only when a demo's output is meant to
+change, with ``PYTHONPATH=src python tests/test_demos.py``.
+"""
 
 import os
 import subprocess
@@ -10,20 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
-
-# The Monte-Carlo table of demos/se_experiments.py, as printed before its
-# precoders moved to designs rated by spectrum_efficiency.
-SE_EXPERIMENTS_TABLE = """\
-5 channel draws, 64 subcarriers, 4 RF chains, 4 streams, SNR 10 dB
-
-  K   classic  delay-phase   optimal  dpp/opt
-  1      8.50         8.50     16.22    0.524
-  2      8.50         9.64     16.22    0.595
-  4      8.50        11.63     16.22    0.717
-  8      8.50        14.89     16.22    0.918
- 16      8.50        15.86     16.22    0.978
- 32      8.50        16.11     16.22    0.993
-"""
+RECORDED = Path(__file__).parent / "data" / "demos"
 
 
 def _run_demo(name):
@@ -32,6 +24,10 @@ def _run_demo(name):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
                           capture_output=True, text=True, timeout=120, check=False)
+
+
+def _recorded(name):
+    return RECORDED / f"{Path(name).stem}.txt"
 
 
 def test_every_demo_is_listed():
@@ -44,6 +40,13 @@ def test_demo_runs_cleanly(name):
     done = _run_demo(name)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert done.stdout
-    if name == "se_experiments.py":
-        assert done.stdout.startswith(SE_EXPERIMENTS_TABLE)
+    assert done.stdout == _recorded(name).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    RECORDED.mkdir(parents=True, exist_ok=True)
+    for demo in DEMOS:
+        done = _run_demo(demo)
+        if done.returncode != 0 or done.stderr:
+            sys.exit(f"{demo} failed:\n{done.stderr}")
+        _recorded(demo).write_text(done.stdout, encoding="utf-8")

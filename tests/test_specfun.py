@@ -14,7 +14,6 @@ from ucabeam import specfun
 from ucabeam.specfun import (
     ConvergenceError,
     QuadratureError,
-    SeriesControl,
     UnbracketableError,
     bessel_j,
     hypergeom_1f2,
@@ -204,21 +203,20 @@ def test_hypergeom_diverges_cleanly_for_large_argument():
 
 def test_hypergeom_raises_when_cancellation_eats_the_digits():
     # the terms peak above 1e24 at x = 70, far beyond what double-double
-    # terms can cancel down to an O(0.1) sum; a larger term budget must not
-    # hide that
-    loose = SeriesControl(max_terms=2000)
+    # terms can cancel down to an O(0.1) sum; the series stops within its
+    # term budget, and the cancellation test must not let that sum through
     for x in (70.0, 100.0):
         with pytest.raises(ConvergenceError, match="cancellation"):
-            hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x, ctrl=loose)
+            hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)
         with pytest.raises(ConvergenceError, match="cancellation"):
-            hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x, ctrl=loose)
+            hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x)
 
 
-@pytest.mark.parametrize("x0, x1, ctrl, message", [
-    (900.0, 1100.0, SeriesControl(), "did not converge"),
-    (60.0, 100.0, SeriesControl(max_terms=2000), "cancellation"),
+@pytest.mark.parametrize("x0, x1, message", [
+    (900.0, 1100.0, "did not converge"),
+    (60.0, 100.0, "cancellation"),
 ])
-def test_failing_array_element_raises_its_own_error_without_warnings(x0, x1, ctrl, message):
+def test_failing_array_element_raises_its_own_error_without_warnings(x0, x1, message):
     # the vector loop runs diverging elements into overflow; the error must
     # be the one the first element's scalar call raises, and numpy must not
     # warn on the way
@@ -226,33 +224,25 @@ def test_failing_array_element_raises_its_own_error_without_warnings(x0, x1, ctr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match=message) as info:
-            hypergeom_1f2(0.5, 1.0, 1.5, z, ctrl=ctrl)
+            hypergeom_1f2(0.5, 1.0, 1.5, z)
         with pytest.raises(ConvergenceError) as alone:
-            hypergeom_1f2(0.5, 1.0, 1.5, float(z[0]), ctrl=ctrl)
+            hypergeom_1f2(0.5, 1.0, 1.5, float(z[0]))
     assert f"z={float(z[0])!r}" in str(info.value)
     assert str(info.value) == str(alone.value)
     assert repr(info.value.partial) == repr(alone.value.partial)
     assert info.value.terms == alone.value.terms
 
 
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
-    with pytest.raises(ValueError):
-        SeriesControl(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(abs_tol=-1e-3)
-
-
-def test_tighter_control_extends_reach():
-    # more terms converge arguments the default budget rejects
+def test_series_matches_mpmath_up_to_x_50():
+    # the 1F2 terms peak above 1e17 at x = 50; the double-double sum keeps
+    # the 1e-8 the identities need, within the term budget
     mpmath.mp.dps = 40
-    x = 45.0
-    loose = SeriesControl(max_terms=2000)
-    ref = float(mpmath.hyp1f2(0.5, 1.0, 1.5, -0.25 * x * x))
-    assert hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x, ctrl=loose) == pytest.approx(
-        ref, abs=1e-8, rel=1e-8
-    )
+    for x in (45.0, 50.0):
+        z = -0.25 * x * x
+        assert hypergeom_1f2(0.5, 1.0, 1.5, z) == pytest.approx(
+            float(mpmath.hyp1f2(0.5, 1.0, 1.5, z)), abs=1e-8, rel=1e-8)
+        assert hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, z) == pytest.approx(
+            float(mpmath.hyp2f3(0.5, 0.5, 1.0, 1.5, 1.5, z)), abs=1e-8, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,49 @@ def test_frequency_sweep_rejects_range_off_the_band(tmp_path, capsys):
     assert "frequency sweep covers the system band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [[-1e9, 1e9], [1e9, 2e9]])
+def test_frequency_sweep_rejects_values(tmp_path, capsys, values):
+    # a frequency sweep samples the system band's subcarrier grid, so listed
+    # frequencies would skip the band rule and then be ignored or fail at run
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "frequency", "values": values}
+    data["methods"] = ["ps_exact"]
+    cfg = _write(tmp_path, "freq_values.json", data)
+    message = "sweep.values: a frequency sweep samples the subcarrier grid"
+    assert main(["validate", cfg]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sweep", "start", "abc"),
+    ("sweep", "start", None),
+    ("sweep", "stop", "abc"),
+    ("sweep", "stop", None),
+    ("sweep", "values", 5),
+    ("sweep", "values", [True, 2.0]),
+    ("system", "fc_hz", True),
+    ("system", "target_angle_rad", True),
+    ("precoding", "total_power", True),
+    ("trials", "snr_db", True),
+    ("trials", "max_delay_s", False),
+])
+def test_field_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key,
+                                                        value):
+    # a JSON string, null, list or bool where a number belongs: exit 2
+    # naming the field, at validation and at run
+    data = _small_trial_scenario()
+    data[section][key] = value
+    if key == "values":
+        del data["sweep"]["start"], data["sweep"]["stop"], data["sweep"]["points"]
+    cfg = _write(tmp_path, "wrong_type.json", data)
+    assert main(["validate", cfg]) == 2
+    assert f"{section}.{key}: " in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert f"{section}.{key}: " in capsys.readouterr().err
+
+
 def test_frequency_sweep_band_edges_validate():
     for name in ("fig2", "fig6"):
         assert validate_scenario(load_builtin(name)) == []
@@ -288,17 +331,20 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
 # ---------------------------------------------------------------------------
 
 
+def _csv_rows(text):
+    """The rows of a result CSV, its floats parsed back."""
+    header, *lines = text.splitlines()
+    assert header == "x,method,mean,std"
+    rows = []
+    for line in lines:
+        x, method, mean, std = line.split(",")
+        rows.append(ResultRow(float(x), method, float(mean), float(std)))
+    return tuple(rows)
+
+
 def test_csv_round_trip_is_exact():
     table = run(load_builtin("fig5"))
-    again = ResultTable.from_csv(table.to_csv())
-    assert again == table
-
-
-def test_csv_rejects_bad_header_and_rows():
-    with pytest.raises(ValueError, match="header"):
-        ResultTable.from_csv("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="malformed"):
-        ResultTable.from_csv("x,method,mean,std\n1.0,dpp,2.0\n")
+    assert _csv_rows(table.to_csv()) == table.rows
 
 
 def test_rows_sorted_by_x_then_method():
@@ -385,24 +431,28 @@ def test_points_override_rejected_for_values_sweeps():
 
 
 def test_cli_list_names_everything(capsys):
+    # one line per built-in, in order, with the description its JSON gives
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in builtin_names():
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(builtin_names())
+    for name, line in zip(builtin_names(), lines):
+        data = json.loads((importlib.resources.files("ucabeam") / "scenarios" /
+                           f"{name}.json").read_text(encoding="utf-8"))
+        assert data["description"]
+        assert line.endswith(f"  {data['description']}")
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):
     out = tmp_path / "fig5.csv"
     assert main(["run", "fig5", "--out", str(out)]) == 0
     assert f"wrote {out} (402 rows)" in capsys.readouterr().out
-    table = ResultTable.from_csv(out.read_text())
-    assert len(table.rows) == 402
+    assert len(_csv_rows(out.read_text())) == 402
 
 
 def test_cli_run_respects_points_override(tmp_path):
     out = tmp_path / "short.csv"
     assert main(["run", "fig5", "--points", "7", "--out", str(out)]) == 0
-    assert len(ResultTable.from_csv(out.read_text()).rows) == 14
+    assert len(_csv_rows(out.read_text())) == 14
 
 
 def test_cli_run_to_stdout(capsys):
@@ -562,10 +612,10 @@ def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
         for seed in range(7, 10):
             ch = xpcli._channel(scenario, 1e9, seed)
             if row.method == "optimal":
-                se = analysis.spectrum_efficiency_optimal(ch.matrices, rho, 1.0, 1)
+                se = analysis.spectrum_efficiency_optimal(ch.matrices, rho, 1)
             else:
                 build = build_dpp if row.method == "dpp" else build_classic_hybrid
-                se = analysis.spectrum_efficiency(build(ch, cfg), rho, 1.0)
+                se = analysis.spectrum_efficiency(build(ch, cfg), rho)
             per_seed.append(float(np.mean(se)))
         assert row.mean == pytest.approx(np.mean(per_seed), rel=1e-12)
         assert row.std == pytest.approx(np.std(per_seed), rel=1e-9, abs=1e-12)
