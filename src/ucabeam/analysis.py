@@ -271,17 +271,21 @@ def _check_snr(rho):
 
 
 @contextlib.contextmanager
-def _overflow_at_snr(rho):
+def _overflow_at_snr(rho, total_power=None):
     """A floating-point overflow in the block, where gains are scaled by the
-    SNRs rho, raises ArithmeticError naming the largest of them."""
+    SNRs rho (and by the power budget, when given), raises ArithmeticError
+    naming the largest of them; so does an overflow error of an inner block."""
     try:
         with np.errstate(over="raise"):
             yield
-    except FloatingPointError as exc:
+    except ArithmeticError as exc:
+        if not isinstance(exc.__cause__ or exc, FloatingPointError):
+            raise
         r = float(np.max(rho))
+        budget = "" if total_power is None else f" and total_power={total_power:g}"
         raise ArithmeticError(
             f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
-            f"({10.0 * math.log10(r):.6g} dB)"
+            f"({10.0 * math.log10(r):.6g} dB){budget}"
         ) from exc
 
 
@@ -302,8 +306,8 @@ def se_from_effective(h_eff, rho):
     _check_snr(rho)
     if n_s > h_eff.shape[-2]:
         h_eff = np.swapaxes(h_eff.conj(), -1, -2)
-    gram = np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
     with _overflow_at_snr(rho):
+        gram = np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
         gram *= np.asarray(rho, dtype=float)[..., None, None] / n_s
         gram += np.eye(gram.shape[-1])
         sign, logdet = np.linalg.slogdet(gram)
@@ -356,8 +360,10 @@ def spectrum_efficiency(design: HybridDesign, rho):
     comes from the design, so only the stream amplitudes a are computed per
     SNR."""
     def rates(r):
-        h_eff = design.g_v * _amplitudes(design, r)[..., None, :]
-        return se_from_effective(h_eff, np.asarray(r)[..., None])
+        a = _amplitudes(design, r)[..., None, :]
+        # the amplitudes carry the power budget into the effective channels
+        with _overflow_at_snr(r, design.cfg.total_power):
+            return se_from_effective(design.g_v * a, np.asarray(r)[..., None])
     return _by_snr_blocks(rates, rho, design.sigma.shape[0])
 
 
@@ -403,6 +409,7 @@ def spectrum_efficiency_optimal(h_m, rho, n_s: int, total_power: float = 1.0):
         r = np.reshape(r, np.shape(r) + (1,) * sing.ndim)
         with _overflow_at_snr(r):
             gains = np.maximum(r * sing ** 2 / n_s, _GAIN_FLOOR)
+        with _overflow_at_snr(r, total_power):
             powers = water_filling(gains, total_power)
             se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
         return float(se) if se.ndim == 0 else se

@@ -70,41 +70,55 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.diagnostics))
 
 
+# Field rules, declared in each field's metadata: the value must be a JSON
+# number (not a bool) that passes the test, or the diagnostic reads
+# "<section>.<field>: must be <text>, got <value>".
+_NUMBER = {"rule": ("a number", lambda v: True)}
+_FINITE = {"rule": ("finite", math.isfinite)}
+_POSITIVE = {"rule": ("a positive number", lambda v: math.isfinite(v) and v > 0)}
+_NON_NEGATIVE = {"rule": (">= 0", lambda v: math.isfinite(v) and v >= 0)}
+
+
+def _integer(minimum):
+    return {"rule": (f"an integer >= {minimum}", lambda v: isinstance(v, int) and v >= minimum)}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
-    n_elements_tx: int = 256
-    n_elements_rx: int = 4
-    fc_hz: float = 30e9
-    bandwidth_hz: float = 3e9
-    n_subcarriers: int = 129
-    radius_m: float | None = None  # None: half-wavelength arc spacing
-    target_angle_rad: float = math.pi / 6
+    n_elements_tx: int = field(default=256, metadata=_integer(1))
+    n_elements_rx: int = field(default=4, metadata=_integer(1))
+    fc_hz: float = field(default=30e9, metadata=_POSITIVE)
+    bandwidth_hz: float = field(default=3e9, metadata=_POSITIVE)
+    n_subcarriers: int = field(default=129, metadata=_integer(1))
+    # None: half-wavelength arc spacing
+    radius_m: float | None = field(default=None, metadata=_POSITIVE)
+    target_angle_rad: float = field(default=math.pi / 6, metadata=_FINITE)
 
 
 @dataclass(frozen=True)
 class PrecodingConfig:
-    n_rf: int = 1
-    k_ttd: int = 8
-    n_streams: int = 1
-    total_power: float = 1.0
+    n_rf: int = field(default=1, metadata=_integer(1))
+    k_ttd: int = field(default=8, metadata=_integer(1))
+    n_streams: int = field(default=1, metadata=_integer(1))
+    total_power: float = field(default=1.0, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     variable: str
-    start: float = 0.0
-    stop: float = 0.0
-    points: int = 2
+    start: float = field(default=0.0, metadata=_NUMBER)
+    stop: float = field(default=0.0, metadata=_NUMBER)
+    points: int = field(default=2, metadata=_integer(2))
     values: tuple | None = None
 
 
 @dataclass(frozen=True)
 class TrialsConfig:
-    n_seeds: int = 1
-    base_seed: int = 2024
-    n_paths: int = 1
-    snr_db: float = 10.0
-    max_delay_s: float = 20e-9
+    n_seeds: int = field(default=1, metadata=_integer(1))
+    base_seed: int = field(default=2024, metadata=_integer(0))
+    n_paths: int = field(default=1, metadata=_integer(1))
+    snr_db: float = field(default=10.0, metadata=_FINITE)
+    max_delay_s: float = field(default=20e-9, metadata=_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -145,14 +159,10 @@ def _build_section(cls, data, section, diags):
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed JSON, collecting every structural
     problem into a single ScenarioError."""
-    diags = []
     if not isinstance(data, dict):
         raise ScenarioError([f"scenario: expected a JSON object, got {type(data).__name__}"])
-    known = {"name", "description", "system", "precoding", "sweep", "trials",
-             "methods", "output"}
-    for key in data:
-        if key not in known:
-            diags.append(f"{key}: unknown top-level field")
+    known = {f.name for f in dataclasses.fields(Scenario)}
+    diags = [f"{key}: unknown top-level field" for key in data if key not in known]
     name = data.get("name", "")
     description = data.get("description", "")
     system = _build_section(SystemConfig, data.get("system", {}), "system", diags)
@@ -199,163 +209,137 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _field_diagnostics(scenario: Scenario):
+    """Every config field checked against the rule it declares (a None default
+    may stay None): the diagnostics, and the names of the fields that failed."""
+    diags, bad = [], set()
+    for section in ("system", "precoding", "sweep", "trials"):
+        config = getattr(scenario, section)
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if "rule" not in f.metadata or (value is None and f.default is None):
+                continue
+            text, test = f.metadata["rule"]
+            if not (_is_real(value) and test(value)):
+                diags.append(f"{section}.{f.name}: must be {text}, got {value!r}")
+                bad.add(f.name)  # field names are unique across the sections
+    return diags, bad
+
+
 def validate_scenario(scenario: Scenario) -> list:
-    """All invariant violations as human-readable diagnostics (empty = valid)."""
-    diags = []
+    """All invariant violations as human-readable diagnostics (empty = valid).
+    The rules that relate fields read only the fields that passed their own."""
     sy, pc, sw, tr = scenario.system, scenario.precoding, scenario.sweep, scenario.trials
+    diags = [f"{key}: must be non-empty" for key in ("name", "output")
+             if not getattr(scenario, key)]
+    field_diags, bad = _field_diagnostics(scenario)
+    diags += field_diags
 
-    if not scenario.name:
-        diags.append("name: must be non-empty")
-    if not scenario.output:
-        diags.append("output: must be non-empty")
-
-    def check_int(section, fname, value, minimum):
-        if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
-            diags.append(f"{section}.{fname}: must be an integer >= {minimum}, got {value!r}")
-            return False
-        return True
-
-    def check_pos(section, fname, value):
-        if not (_is_real(value) and math.isfinite(value) and value > 0):
-            diags.append(f"{section}.{fname}: must be a positive number, got {value!r}")
-            return False
-        return True
-
-    ok_n = check_int("system", "n_elements_tx", sy.n_elements_tx, 1)
-    ok_rx = check_int("system", "n_elements_rx", sy.n_elements_rx, 1)
-    ok_fc = check_pos("system", "fc_hz", sy.fc_hz)
-    ok_bw = check_pos("system", "bandwidth_hz", sy.bandwidth_hz)
-    ok_m = check_int("system", "n_subcarriers", sy.n_subcarriers, 1)
+    def ok(*names):
+        return bad.isdisjoint(names)
 
     def check_band(where, bandwidth, n_points=sy.n_subcarriers):
         # the band's grid must stay above 0 Hz, as FrequencyGrid requires; the
         # condition tightens as the bandwidth or the number of points grows
-        if ok_fc and ok_m:
+        if ok("fc_hz", "n_subcarriers"):
             try:
                 FrequencyGrid(sy.fc_hz, bandwidth, n_points)
             except ValueError as exc:
                 diags.append(f"{where}: {exc}")
 
     def check_snr(where, snr_db):
-        # the runner takes rho = 10^(snr_db/10), which must be a finite
-        # positive float; a non-finite snr_db is reported by its own check
-        if _is_real(snr_db) and math.isfinite(snr_db):
-            try:
-                rho = 10.0 ** (snr_db / 10.0)
-            except OverflowError:
-                rho = math.inf
-            if not (math.isfinite(rho) and rho > 0.0):
-                diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
-                             f"got snr_db={snr_db!r}")
+        # the runner takes rho = 10^(snr_db/10): it must be a finite positive float
+        try:
+            rho = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not (math.isfinite(rho) and rho > 0.0):
+            diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
+                         f"got snr_db={snr_db!r}")
 
-    if ok_bw:
+    def check_divisor(where, k_ttd):
+        if ok("n_elements_tx") and not (isinstance(k_ttd, int) and k_ttd >= 1
+                                        and sy.n_elements_tx % k_ttd == 0):
+            diags.append(f"{where}: {k_ttd!r} does not divide n_elements_tx="
+                         f"{sy.n_elements_tx}; each delay unit must drive an integer "
+                         f"number of antennas (P = N/K)")
+
+    if ok("bandwidth_hz"):
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
-    if sy.radius_m is not None:
-        check_pos("system", "radius_m", sy.radius_m)
-    if not (_is_real(sy.target_angle_rad) and math.isfinite(sy.target_angle_rad)):
-        diags.append(f"system.target_angle_rad: must be finite, got {sy.target_angle_rad!r}")
+    if ok("n_rf", "n_streams") and pc.n_streams > pc.n_rf:
+        diags.append(f"precoding.n_streams: must not exceed n_rf, got "
+                     f"{pc.n_streams} > {pc.n_rf}")
+    if ok("k_ttd"):
+        check_divisor("precoding.k_ttd", pc.k_ttd)
+    if ok("snr_db"):
+        check_snr("trials.snr_db", tr.snr_db)
 
-    ok_rf = check_int("precoding", "n_rf", pc.n_rf, 1)
-    ok_k = check_int("precoding", "k_ttd", pc.k_ttd, 1)
-    ok_s = check_int("precoding", "n_streams", pc.n_streams, 1)
-    if ok_s and ok_rf:
-        if pc.n_streams > pc.n_rf:
-            diags.append(
-                f"precoding.n_streams: must not exceed n_rf, got "
-                f"{pc.n_streams} > {pc.n_rf}"
-            )
-    check_pos("precoding", "total_power", pc.total_power)
-    if ok_n and ok_k and sy.n_elements_tx % pc.k_ttd != 0:
-        diags.append(
-            f"precoding.k_ttd: {pc.k_ttd} does not divide n_elements_tx="
-            f"{sy.n_elements_tx}; each delay unit must drive an integer "
-            f"number of antennas (P = N/K)"
-        )
-
-    if sw is None:
-        diags.append("sweep: missing section")
-        return diags
     if sw.variable not in SWEEP_VARIABLES:
-        diags.append(
-            f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}"
-        )
+        diags.append(f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}")
         return diags
-
-    if sw.values is not None and not isinstance(sw.values, tuple):
-        diags.append(f"sweep.values: must be a list of numbers, got {sw.values!r}")
-    elif sw.values is not None:
-        vals = sw.values
-        if len(vals) < 2:
-            diags.append("sweep.values: need at least 2 sweep points")
-        if sw.variable == "frequency":
+    # the sweep's point rules run once: on every listed value, or on the two
+    # ends of a range (each rule is monotone along the sweep)
+    ends, widest = [], 0.0
+    if sw.values is not None:
+        if ok("points") and sw.points != SweepConfig.points:
+            diags.append(f"sweep.points: a sweep with an explicit 'values' list takes "
+                         f"no 'points' (or --points), got {sw.points!r}")
+        if not isinstance(sw.values, tuple):
+            diags.append(f"sweep.values: must be a list of numbers, got {sw.values!r}")
+        elif sw.variable == "frequency":
             diags.append("sweep.values: a frequency sweep samples the subcarrier grid of "
                          "the system band; give 'points' instead")
-        if any(not (_is_real(v) and math.isfinite(v)) for v in vals):
+        elif len(sw.values) < 2:
+            diags.append("sweep.values: need at least 2 sweep points")
+        elif any(not (_is_real(v) and math.isfinite(v)) for v in sw.values):
             diags.append("sweep.values: entries must be finite numbers")
-        elif any(b <= a for a, b in zip(vals, vals[1:])):
+        elif any(b <= a for a, b in zip(sw.values, sw.values[1:])):
             diags.append("sweep.values: must be strictly increasing")
-        elif sw.variable == "bandwidth" and vals and vals[0] <= 0:
-            diags.append("sweep.values: bandwidth values must be positive")
-        elif sw.variable == "bandwidth" and vals:
-            check_band("sweep.values", vals[-1])
-        if sw.variable == "snr_db":
-            for v in vals:
-                check_snr("sweep.values", v)
-        if sw.variable == "k_ttd" and ok_n:
-            for v in vals:
-                if not (isinstance(v, int) and v >= 1 and sy.n_elements_tx % v == 0):
-                    diags.append(
-                        f"sweep.values: k_ttd value {v!r} does not divide "
-                        f"n_elements_tx={sy.n_elements_tx}; each delay unit "
-                        f"must drive an integer number of antennas (P = N/K)"
-                    )
-    else:
-        ok_points = check_int("sweep", "points", sw.points, 2)
-        ok_ends = True
-        for fname in ("start", "stop"):
-            value = getattr(sw, fname)
-            if not _is_real(value):
-                diags.append(f"sweep.{fname}: must be a number, got {value!r}")
-                ok_ends = False
-        if ok_ends and not (math.isfinite(sw.start) and math.isfinite(sw.stop)
-                            and sw.start < sw.stop):
-            diags.append(
-                f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
-                f"non-degenerate (start < stop)"
-            )
-        if sw.variable == "snr_db":
-            # rho grows with snr_db, so the end points bound every point
-            check_snr("sweep.start", sw.start)
-            check_snr("sweep.stop", sw.stop)
-        if sw.variable == "k_ttd":
-            diags.append("sweep: k_ttd sweeps must use an explicit 'values' list "
-                         "of divisors of n_elements_tx")
-        if sw.variable == "bandwidth" and ok_ends:
-            if not sw.start > 0:
-                diags.append(f"sweep: bandwidth range must start above 0, got {sw.start!r}")
-            elif math.isfinite(sw.stop):
-                check_band("sweep.stop", sw.stop)
-        if sw.variable == "frequency" and ok_ends and ok_fc and ok_bw:
-            # the runner samples the subcarrier grid of the system band
-            lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
-            if not (math.isclose(sw.start, lo, rel_tol=1e-9)
-                    and math.isclose(sw.stop, hi, rel_tol=1e-9)):
-                diags.append(f"sweep: a frequency sweep covers the system band, so "
-                             f"[start, stop] must be fc_hz -/+ bandwidth_hz/2 = "
-                             f"[{lo!r}, {hi!r}], got [{sw.start!r}, {sw.stop!r}]")
-            if ok_points:
-                check_band("sweep.points", sy.bandwidth_hz, sw.points)
+        else:
+            ends = [("sweep.values", v) for v in sw.values]
+    elif sw.variable == "k_ttd":
+        diags.append("sweep: k_ttd sweeps must use an explicit 'values' list "
+                     "of divisors of n_elements_tx")
+    elif ok("start", "stop"):
+        if math.isfinite(sw.start) and math.isfinite(sw.stop) and sw.start < sw.stop:
+            ends = [("sweep.start", sw.start), ("sweep.stop", sw.stop)]
+        else:
+            diags.append(f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
+                         f"non-degenerate (start < stop)")
+    if sw.variable == "snr_db":
+        for where, x in ends:
+            check_snr(where, x)
+    elif sw.variable == "k_ttd":
+        for where, x in ends:
+            check_divisor(where, x)
+    elif sw.variable == "bandwidth" and ends:
+        if ends[0][1] <= 0:
+            diags.append(f"{ends[0][0]}: bandwidth must be positive, got {ends[0][1]!r}")
+        else:
+            check_band(*ends[-1])
+            widest = ends[-1][1]
+    elif sw.variable == "frequency" and ends and ok("fc_hz", "bandwidth_hz"):
+        # the runner samples the subcarrier grid of the system band
+        lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
+        if not (math.isclose(sw.start, lo, rel_tol=1e-9)
+                and math.isclose(sw.stop, hi, rel_tol=1e-9)):
+            diags.append(f"sweep: a frequency sweep covers the system band, so "
+                         f"[start, stop] must be fc_hz -/+ bandwidth_hz/2 = "
+                         f"[{lo!r}, {hi!r}], got [{sw.start!r}, {sw.stop!r}]")
+        if ok("points"):
+            check_band("sweep.points", sy.bandwidth_hz, sw.points)
 
-    check_int("trials", "n_seeds", tr.n_seeds, 1)
-    if not (isinstance(tr.base_seed, int) and not isinstance(tr.base_seed, bool) and tr.base_seed >= 0):
-        diags.append(f"trials.base_seed: must be a non-negative integer, got {tr.base_seed!r}")
-    ok_paths = check_int("trials", "n_paths", tr.n_paths, 1)
-    if not (_is_real(tr.snr_db) and math.isfinite(tr.snr_db)):
-        diags.append(f"trials.snr_db: must be finite, got {tr.snr_db!r}")
-    check_snr("trials.snr_db", tr.snr_db)
-    if not (_is_real(tr.max_delay_s) and math.isfinite(tr.max_delay_s)
-            and tr.max_delay_s >= 0):
-        diags.append(f"trials.max_delay_s: must be >= 0, got {tr.max_delay_s!r}")
+    # the model's phases 2*pi*R*f/c (ring) and 2*pi*tau*f (path delays), taken
+    # in its order at the top frequency of the band or of a bandwidth sweep
+    if ok("fc_hz", "bandwidth_hz"):
+        f_top = sy.fc_hz + max(sy.bandwidth_hz, widest) / 2.0
+        if (sy.radius_m is not None and ok("radius_m")
+                and not math.isfinite(2.0 * math.pi * sy.radius_m * f_top / SPEED_OF_LIGHT)):
+            diags.append(f"system.radius_m: the phase 2*pi*R*f/c at f={f_top!r} Hz "
+                         f"is not finite, got {sy.radius_m!r}")
+        if ok("max_delay_s") and not math.isfinite(2.0 * math.pi * tr.max_delay_s * f_top):
+            diags.append(f"trials.max_delay_s: the phase 2*pi*tau*f at f={f_top!r} Hz "
+                         f"is not finite, got {tr.max_delay_s!r}")
 
     if not scenario.methods:
         diags.append("methods: must list at least one method")
@@ -364,25 +348,21 @@ def validate_scenario(scenario: Scenario) -> list:
     for label in scenario.methods:
         base, freq = _split_method(label)
         if base not in allowed:
-            diags.append(
-                f"methods: {label!r} is not valid for a {sw.variable!r} sweep; "
-                f"allowed: {', '.join(allowed)}"
-            )
+            diags.append(f"methods: {label!r} is not valid for a {sw.variable!r} sweep; "
+                         f"allowed: {', '.join(allowed)}")
             continue
         if freq is not None and sw.variable != "angle":
             diags.append(f"methods: {label!r}: '@frequency' suffixes apply only to angle sweeps")
         elif freq is not None and not (math.isfinite(freq) and freq > 0):
             diags.append(f"methods: {label!r}: suffix must be a positive frequency in Hz")
         has_trial = has_trial or _METHODS[base].trial
-    if has_trial and ok_rf and ok_paths and tr.n_paths < pc.n_rf:
-        diags.append(
-            f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
-            f"{pc.n_rf}; every RF chain needs a path to serve"
-        )
-    if has_trial and ok_s and ok_rx and pc.n_streams > sy.n_elements_rx:
+    if has_trial and ok("n_rf", "n_paths") and tr.n_paths < pc.n_rf:
+        diags.append(f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
+                     f"{pc.n_rf}; every RF chain needs a path to serve")
+    if has_trial and ok("n_streams", "n_elements_rx") and pc.n_streams > sy.n_elements_rx:
         diags.append(f"precoding.n_streams: {pc.n_streams} exceeds system.n_elements_rx="
                      f"{sy.n_elements_rx}; each stream needs a receive antenna")
-    if has_trial and ok_rf and ok_n and pc.n_rf > sy.n_elements_tx:
+    if has_trial and ok("n_rf", "n_elements_tx") and pc.n_rf > sy.n_elements_tx:
         diags.append(f"precoding.n_rf: {pc.n_rf} exceeds system.n_elements_tx="
                      f"{sy.n_elements_tx}; each RF chain needs its own antenna")
     return diags
@@ -473,31 +453,24 @@ def _tx_uca(sy: SystemConfig) -> UcaGeometry:
     return UcaGeometry(sy.n_elements_tx, sy.radius_m)
 
 
-def _sweep_points(scenario: Scenario, points_override: int | None):
+def _sweep_points(scenario: Scenario):
     sw = scenario.sweep
     if sw.values is not None:
-        if points_override is not None:
-            raise ScenarioError(
-                ["--points cannot override a sweep with an explicit 'values' list"]
-            )
         return [float(v) for v in sw.values]
-    points = points_override if points_override is not None else sw.points
-    if points < 2:
-        raise ScenarioError([f"sweep needs at least 2 points, got {points}"])
     if sw.variable == "frequency":
         # Evaluate at the subcarrier positions of a grid with M = points.
-        grid = FrequencyGrid(scenario.system.fc_hz, scenario.system.bandwidth_hz, points)
+        grid = FrequencyGrid(scenario.system.fc_hz, scenario.system.bandwidth_hz, sw.points)
         return [float(f) for f in grid.freqs_hz]
-    return [float(x) for x in np.linspace(sw.start, sw.stop, points)]
+    return [float(x) for x in np.linspace(sw.start, sw.stop, sw.points)]
 
 
-def run(scenario: Scenario, points_override: int | None = None) -> ResultTable:
+def run(scenario: Scenario) -> ResultTable:
     """Execute a scenario: one row per sweep point per method, sorted by
     (x, method).  Deterministic given the scenario and base seed."""
     problems = validate_scenario(scenario)
     if problems:
         raise ScenarioError(problems)
-    xs = _sweep_points(scenario, points_override)
+    xs = _sweep_points(scenario)
     rows = []
     trial_labels = []
     for label in scenario.methods:
@@ -645,11 +618,14 @@ _BUILTINS = ("fig2", "fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8", "fig9", "
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
+    # overrides replace their fields and are validated with the rest by run
     if args.seed is not None:
         scenario = dataclasses.replace(
-            scenario, trials=dataclasses.replace(scenario.trials, base_seed=args.seed)
-        )
-    table = run(scenario, points_override=args.points)
+            scenario, trials=dataclasses.replace(scenario.trials, base_seed=args.seed))
+    if args.points is not None:
+        scenario = dataclasses.replace(
+            scenario, sweep=dataclasses.replace(scenario.sweep, points=args.points))
+    table = run(scenario)
     text = table.to_csv() if args.format == "csv" else table.to_json()
     out_path = args.out if args.out is not None else scenario.output
     if out_path == "-":
@@ -662,12 +638,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_scenario(args.path)
-    except ScenarioError as exc:
-        for diag in exc.diagnostics:
-            print(diag, file=sys.stderr)
-        return 2
+    load_scenario(args.path)
     print(f"ok: {args.path}")
     return 0
 
@@ -703,11 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_list(args)
+        return {"run": _cmd_run, "validate": _cmd_validate, "list": _cmd_list}[args.command](args)
     except ScenarioError as exc:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)

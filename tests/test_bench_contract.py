@@ -1,20 +1,29 @@
 """The benchmark's tracer names package functions by module and attribute;
 every name it traces must exist, or ``bench/run.py --trace 1`` and
-``bench/selfcheck.py`` break.  The tracer is loaded from its path, read only."""
+``bench/selfcheck.py`` break.  Every config its harness generates must pass
+validation.  The bench files are loaded from their paths, read only."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from ucabeam import xpcli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load_bench("tracer")
 
 
 def test_every_traced_function_exists():
@@ -37,3 +46,14 @@ def test_every_traced_builder_takes_the_channel_first():
         first[name] = (params[0].name, params[0].kind) if params else None
     assert tracer.BUILDERS and first == {
         name: ("ch", inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in tracer.BUILDERS}
+
+
+def test_every_generated_config_validates(tmp_path, capsys):
+    # the bench runs the configs it generates: a stricter rule must accept them
+    harness = _load_bench("harness")
+    for workload in harness.WORKLOADS:
+        plan = harness.make_plan(workload, 0)
+        harness.write_configs({"xpcli": xpcli}, plan, tmp_path / workload)
+        for cfg, _ in plan.files.values():
+            assert xpcli.main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+    assert len(harness.WORKLOADS) == 3

@@ -25,7 +25,6 @@ ABS_FLOOR = 1e-15
 
 def _reduced_rows(name):
     scenario = load_builtin(name)
-    points = None
     if name in TRIAL_SCENARIOS:
         scenario = dataclasses.replace(
             scenario,
@@ -33,8 +32,9 @@ def _reduced_rows(name):
             trials=dataclasses.replace(scenario.trials, n_seeds=2),
         )
     elif scenario.sweep.values is None:
-        points = RANGE_POINTS
-    table = run(scenario, points_override=points)
+        scenario = dataclasses.replace(
+            scenario, sweep=dataclasses.replace(scenario.sweep, points=RANGE_POINTS))
+    table = run(scenario)
     return [[r.x, r.method, r.mean, r.std] for r in table.rows]
 
 

@@ -1,5 +1,6 @@
 """Scenario schema, runner determinism, CSV round-trips, CLI exit codes."""
 
+import dataclasses
 import gc
 import importlib.resources
 import json
@@ -174,7 +175,27 @@ def test_frequency_sweep_rejects_values(tmp_path, capsys, values):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, key, value", [
+_SECTIONS = {"system": xpcli.SystemConfig, "precoding": xpcli.PrecodingConfig,
+             "sweep": xpcli.SweepConfig, "trials": xpcli.TrialsConfig}
+
+
+def _rejected_values(rule):
+    """A value of the wrong JSON type, and one out of range when the rule has
+    a range, for a field rule."""
+    text = rule[0]
+    if text.startswith("an integer >= "):
+        return ["abc", int(text.rsplit(" ", 1)[1]) - 1]
+    out_of_range = {"finite": [math.inf], "a positive number": [0.0], ">= 0": [-1.0]}
+    return ["abc"] + out_of_range.get(text, [])
+
+
+def test_every_config_field_declares_a_rule():
+    unruled = [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+               for f in dataclasses.fields(cls) if "rule" not in f.metadata]
+    assert unruled == ["sweep.variable", "sweep.values"]
+
+
+_WRONG_TYPES = [
     ("sweep", "start", "abc"),
     ("sweep", "start", None),
     ("sweep", "stop", "abc"),
@@ -186,11 +207,20 @@ def test_frequency_sweep_rejects_values(tmp_path, capsys, values):
     ("precoding", "total_power", True),
     ("trials", "snr_db", True),
     ("trials", "max_delay_s", False),
+]
+
+
+@pytest.mark.parametrize("section, key, value", _WRONG_TYPES + [
+    (section, f.name, value) for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls) if "rule" in f.metadata
+    for value in _rejected_values(f.metadata["rule"])
+    if (section, f.name, value) not in _WRONG_TYPES
 ])
 def test_field_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, section, key,
                                                         value):
-    # a JSON string, null, list or bool where a number belongs: exit 2
-    # naming the field, at validation and at run
+    # a JSON string, null, list or bool where a number belongs, or a number
+    # outside the field's range: exit 2 naming the field, at validation and
+    # at run
     data = _small_trial_scenario()
     data[section][key] = value
     if key == "values":
@@ -243,14 +273,14 @@ def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
         scenario_from_dict(data)
 
 
-def _fig8_data():
-    return json.loads((importlib.resources.files("ucabeam") / "scenarios" / "fig8.json")
+def _builtin_data(name):
+    return json.loads((importlib.resources.files("ucabeam") / "scenarios" / f"{name}.json")
                       .read_text(encoding="utf-8"))
 
 
 def test_snr_sweep_whose_rho_underflows_is_a_config_error(tmp_path, capsys):
     # 10^(-4000/10) underflows to rho = 0, which no rate is defined for
-    data = _fig8_data()
+    data = _builtin_data("fig8")
     data["sweep"]["start"] = -4000.0
     cfg = _write(tmp_path, "low_snr.json", data)
     assert main(["validate", cfg]) == 2
@@ -262,7 +292,7 @@ def test_snr_sweep_whose_rho_underflows_is_a_config_error(tmp_path, capsys):
     with pytest.raises(ScenarioError, match=r"sweep.values: .* got snr_db=-4000.0"):
         scenario_from_dict(data)
     # trials.snr_db sets rho when the sweep is not over the SNR
-    data = _fig8_data()
+    data = _builtin_data("fig8")
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2]}
     data["trials"]["snr_db"] = -4000.0
     with pytest.raises(ScenarioError) as err:
@@ -273,7 +303,7 @@ def test_snr_sweep_whose_rho_underflows_is_a_config_error(tmp_path, capsys):
 
 def test_snr_sweep_whose_rho_overflows_is_a_config_error(tmp_path, capsys):
     # 10^(4000/10) does not fit a float: a config error, not a numeric failure
-    data = _fig8_data()
+    data = _builtin_data("fig8")
     data["sweep"]["stop"] = 4000.0
     cfg = _write(tmp_path, "high_snr.json", data)
     assert main(["validate", cfg]) == 2
@@ -292,7 +322,7 @@ def test_snr_sweep_whose_rho_overflows_is_a_config_error(tmp_path, capsys):
 def test_snr_sweep_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys):
     # 10^(3080/10) fits a float, but the stream SNRs it scales do not: a
     # numeric failure naming that SNR, with no overflow warning on the way
-    data = _fig8_data()
+    data = _builtin_data("fig8")
     data["system"].update(n_elements_tx=16, n_subcarriers=8)
     data["trials"]["n_seeds"] = 1
     data["sweep"] = {"variable": "snr_db", "start": 3000.0, "stop": 3080.0, "points": 7}
@@ -304,6 +334,47 @@ def test_snr_sweep_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys):
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
     assert "numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308 (3080 dB)" in err
+
+
+@pytest.mark.parametrize("method", ["classic", "dpp", "optimal"])
+def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys, method):
+    # a finite power budget whose scaled rates overflow at an ordinary SNR:
+    # a numeric failure naming the budget, with no overflow warning
+    data = _builtin_data("fig8")
+    data["system"].update(n_elements_tx=16, n_subcarriers=8)
+    data["trials"]["n_seeds"] = 1
+    data["precoding"]["total_power"] = 1e308
+    data["methods"] = [method]
+    cfg = _write(tmp_path, "huge_power.json", data)
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "total_power=1e+308" in err
+
+
+@pytest.mark.parametrize("name, section, key", [
+    ("fig8", "system", "radius_m"), ("fig8", "trials", "max_delay_s"),
+    ("fig2", "system", "radius_m"), ("fig3b", "system", "radius_m"),
+    ("fig7", "system", "radius_m"),
+])
+def test_phase_that_is_not_finite_is_a_config_error(tmp_path, capsys, name, section, key):
+    # 2*pi*R*f/c or 2*pi*tau*f overflows at the top of the band: exit 2
+    # naming the field, with no warning from the model on the way
+    data = _builtin_data(name)
+    data["system"].update(n_elements_tx=16, n_subcarriers=8)
+    data["trials"]["n_seeds"] = 1
+    data[section][key] = 1e300
+    cfg = _write(tmp_path, "huge_phase.json", data)
+    message = f"{section}.{key}: the phase "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", cfg, "--out", "-"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
@@ -417,12 +488,17 @@ def test_runs_are_deterministic():
     assert run(sc).to_csv() == run(sc).to_csv()
 
 
+def _with_points(scenario, points):
+    return dataclasses.replace(scenario, sweep=dataclasses.replace(scenario.sweep,
+                                                                   points=points))
+
+
 def test_points_override_rejected_for_values_sweeps():
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
     data["trials"]["n_seeds"] = 1
-    with pytest.raises(ScenarioError, match="--points"):
-        run(scenario_from_dict(data), points_override=5)
+    with pytest.raises(ScenarioError, match="sweep.points: .*--points"):
+        run(_with_points(scenario_from_dict(data), 5))
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +563,25 @@ def test_cli_exit_code_for_config_errors(tmp_path, capsys):
     assert main(["run", bad]) == 2
 
 
+def test_cli_overrides_are_validated_like_fields(tmp_path, capsys):
+    # --points and --seed replace their fields, and the fields' rules check
+    # them: 100 points put the 61 GHz band's grid below 0 Hz
+    data = _small_trial_scenario()
+    data["system"]["bandwidth_hz"] = 61e9
+    data["sweep"] = {"variable": "frequency", "start": FC - 30.5e9, "stop": FC + 30.5e9,
+                     "points": 2}
+    data["methods"] = ["ps_exact"]
+    cfg = _write(tmp_path, "wide_band.json", data)
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    for option, value, message in (
+            ("--points", "100", "sweep.points: grid extends to non-positive frequencies"),
+            ("--points", "1", "sweep.points: must be an integer >= 2, got 1"),
+            ("--seed", "-1", "trials.base_seed: must be an integer >= 0, got -1")):
+        assert main(["run", cfg, option, value, "--out", "-"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_exit_code_for_io_errors(tmp_path):
     assert main(["run", "fig5", "--points", "2",
                  "--out", str(tmp_path / "missing" / "dir" / "x.csv")]) == 2
@@ -535,8 +630,8 @@ def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
     for name in ("exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
                  "dpp_gain_closed_form", "avg_gain_ps_numeric", "avg_gain_ps_upper"):
         _count_calls(monkeypatch, analysis, name, counts)
-    run(load_builtin("fig6"), points_override=40)
-    run(load_builtin("fig7"), points_override=40)
+    run(_with_points(load_builtin("fig6"), 40))
+    run(_with_points(load_builtin("fig7"), 40))
     # the exact gains stay one call per point: ps_exact, and dpp_exact
     # through exact_gain
     assert counts == {"exact_gain": 80, "dpp_exact_gain": 40, "dpp_gain_subarray_sum": 1,
