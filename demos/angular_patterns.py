@@ -33,9 +33,7 @@ w_ula = steering_ula(ula, FC, TARGET)
 angles = np.linspace(-np.pi / 2, np.pi / 2, 2001)
 print("256-element linear array, beam aimed at sin = 0.500:")
 for f in PROBES:
-    pattern = np.abs(
-        np.array([steering_ula(ula, f, a) for a in angles]).conj() @ w_ula
-    )
+    pattern = np.abs(steering_ula(ula, f, angles).conj() @ w_ula)
     peak = angles[int(np.argmax(pattern))]
     print(f"  f = {f / 1e9:5.2f} GHz: peak at sin = {np.sin(peak):.3f}, "
           f"gain at target {pattern[np.argmin(np.abs(angles - TARGET))]:.3f}")
@@ -45,7 +43,7 @@ geom = half_wavelength_uca(256, FC)
 w_uca = steering_uca(geom, FC, TARGET)
 print("\n256-element circular array, same target:")
 for f in PROBES:
-    gains = np.array([exact_gain(w_uca, geom, f, a) for a in angles])
+    gains = exact_gain(w_uca, geom, f, angles)
     peak = angles[int(np.argmax(gains))]
     on_target = exact_gain(w_uca, geom, f, TARGET)
     print(f"  f = {f / 1e9:5.2f} GHz: peak {gains.max():.3f} at "
@@ -53,9 +51,7 @@ for f in PROBES:
 
 # --- closed form across the front half-plane -------------------------------
 window = np.linspace(TARGET - np.pi / 2, TARGET + np.pi / 2, 1001)
-worst = max(
-    abs(exact_gain(w_uca, geom, 28.5e9, a)
-        - ps_gain_angular_closed_form(28.5e9, FC, geom.radius_m, a, TARGET))
-    for a in window
-)
+worst = np.max(np.abs(
+    exact_gain(w_uca, geom, 28.5e9, window)
+    - ps_gain_angular_closed_form(28.5e9, FC, geom.radius_m, window, TARGET)))
 print(f"\nangular closed form, 28.5 GHz, front window: max error {worst:.2e}")

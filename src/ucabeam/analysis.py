@@ -29,7 +29,11 @@ All quadrature cross-checks are done in these dimensionless variables.
 The closed forms, the arc sum and the band averages broadcast over their
 sweep variable (frequency, direction or bandwidth): an array argument gives
 the array of values, each equal bit for bit to the scalar call, and a scalar
-argument gives a float.  The exact gains take one point per call.
+argument gives a float.  The exact gains (``exact_gain``, ``dpp_exact_gain``)
+take a 1-D array of sweep points the same way: they build the steering rows
+and weights SUBCARRIER_CHUNK points at a time, and each point keeps its own
+``vdot``, so every value equals the scalar call bit for bit (one matrix
+product over the sweep would reorder the sums).
 """
 
 from __future__ import annotations
@@ -69,16 +73,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def exact_gain(w, geom: UcaGeometry, f_hz: float, phi_rad: float) -> float:
-    """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector."""
+def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
+    """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector.
+    ``f_hz`` and ``phi_rad`` may be 1-D arrays of sweep points, broadcast
+    together; a scalar pair gives a float."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (geom.n_elements,):
         raise ValueError(f"w must have shape ({geom.n_elements},), got {w.shape}")
     nrm = np.linalg.norm(w)
     if not nrm <= 1.0 + 1e-9:
         raise ValueError(f"||w|| must not exceed 1, got {nrm}")
-    a = steering_uca(geom, f_hz, phi_rad)
-    return float(abs(np.vdot(a, w)))
+    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: w)
+
+
+def _gains(steering, geom, f_hz, phi_rad, weights):
+    """|a(f, phi)^H w| with a = steering(geom, f, phi), at a point or a 1-D
+    sweep of points, where weights(f) is the weight vector at f (one row per
+    frequency of an array f, or one vector for all).  Rows and weights are
+    built in chunks of SUBCARRIER_CHUNK points, and each point takes a vdot
+    of its own."""
+    if np.ndim(f_hz) == 0 and np.ndim(phi_rad) == 0:
+        return float(abs(np.vdot(steering(geom, f_hz, phi_rad), weights(f_hz))))
+    f, phi = np.broadcast_arrays(f_hz, phi_rad)
+    out = np.empty(f.shape)
+    for sl in _subcarrier_chunks(f.size):
+        rows = steering(geom, f[sl], phi[sl])
+        w = np.broadcast_to(weights(f[sl]), rows.shape)
+        out[sl] = [abs(np.vdot(a, b)) for a, b in zip(rows, w)]
+    return out
 
 
 def _eta(f_hz: float, radius_m: float) -> float:
@@ -137,20 +159,27 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
     return abs(specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * a * a))
 
 
+def _dpp_stage(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int):
+    """Centroid-referenced phase-shifter arcs (N x 1) and TTD delays (1 x K)
+    of one delay-phase RF chain steered toward phi."""
+    return (_ps_column(geom, fc_hz, phi_rad, k_ttd, correct_to_centroid=True)[:, None],
+            ttd_delays(phi_rad, k_ttd, geom)[None, :])
+
+
 def dpp_column(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
                k_ttd: int) -> np.ndarray:
     """Combined analog weight of one delay-phase RF chain steered toward phi:
     centroid-referenced phase-shifter arcs times the TTD phases at f."""
-    w_ps = _ps_column(geom, fc_hz, phi_rad, k_ttd, correct_to_centroid=True)
-    delays = ttd_delays(phi_rad, k_ttd, geom)
-    return _analog(w_ps[:, None], delays[None, :], f_hz)[:, 0]
+    return _analog(*_dpp_stage(geom, fc_hz, phi_rad, k_ttd), f_hz)[:, 0]
 
 
-def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
-                   k_ttd: int) -> float:
+def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
+                   k_ttd: int):
     """Exact on-beam gain of a single delay-phase chain (discrete sum,
-    no large-N approximation)."""
-    return exact_gain(dpp_column(geom, fc_hz, f_hz, phi_rad, k_ttd), geom, f_hz, phi_rad)
+    no large-N approximation).  ``f_hz`` may be a 1-D array of sweep points;
+    each point's column comes from one chain stage built once."""
+    stage = _dpp_stage(geom, fc_hz, phi_rad, k_ttd)
+    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: _analog(*stage, f)[..., 0])
 
 
 def _check_freqs(f_hz, fc_hz: float, radius_m: float):

@@ -166,22 +166,43 @@ class ChannelRealization:
         return stack
 
 
-def steering_uca(geom: UcaGeometry, f_hz: float, phi_rad: float) -> np.ndarray:
+def _sweep(f_hz, phi_rad):
+    """f and phi as a steering vector takes them: both scalars unchanged, or
+    else broadcast to one 1-D sweep and given a trailing element axis."""
+    if np.ndim(f_hz) == 0 and np.ndim(phi_rad) == 0:
+        if not (np.isfinite(f_hz) and f_hz > 0.0):
+            raise ValueError(f"f_hz must be positive, got {f_hz}")
+        return f_hz, phi_rad
+    f, phi = np.broadcast_arrays(np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float))
+    if f.ndim != 1:
+        raise ValueError(f"sweep points must be scalars or 1-D arrays, got shape {f.shape}")
+    bad = ~(np.isfinite(f) & (f > 0.0))
+    if bad.any():
+        raise ValueError(f"f_hz must be positive, got {float(f[bad][0])!r}")
+    return f[:, None], phi[:, None]
+
+
+def steering_uca(geom: UcaGeometry, f_hz, phi_rad) -> np.ndarray:
     """UCA steering vector: entry n is exp(j*eta*cos(phi - psi_n))/sqrt(N)
-    with eta = 2*pi*R*f/c."""
-    if not (np.isfinite(f_hz) and f_hz > 0.0):
-        raise ValueError(f"f_hz must be positive, got {f_hz}")
+    with eta = 2*pi*R*f/c.  ``f_hz`` and ``phi_rad`` may be 1-D arrays of
+    sweep points, broadcast together: the result has one row per point, and
+    each row equals the scalar call at its point bit for bit."""
+    f_hz, phi_rad = _sweep(f_hz, phi_rad)
     eta = 2.0 * np.pi * geom.radius_m * f_hz / SPEED_OF_LIGHT
     phase = eta * np.cos(phi_rad - geom.element_angles)
     return np.exp(1j * phase) / math.sqrt(geom.n_elements)
 
 
-def steering_ula(geom: UlaGeometry, f_hz: float, phi_rad: float) -> np.ndarray:
-    """ULA steering vector: entry n is exp(j*2*pi*n*d*f*sin(phi)/c)/sqrt(N)."""
-    if not (np.isfinite(f_hz) and f_hz > 0.0):
-        raise ValueError(f"f_hz must be positive, got {f_hz}")
+def steering_ula(geom: UlaGeometry, f_hz, phi_rad) -> np.ndarray:
+    """ULA steering vector: entry n is exp(j*2*pi*n*d*f*sin(phi)/c)/sqrt(N).
+    Arrays of sweep points give one row per point, as in steering_uca."""
+    f_hz, phi_rad = _sweep(f_hz, phi_rad)
+    if np.ndim(phi_rad) == 0:
+        sin = math.sin(phi_rad)
+    else:  # math.sin per point, as the scalar call takes it
+        sin = np.array([math.sin(p) for p in phi_rad[:, 0].tolist()])[:, None]
     n = np.arange(geom.n_elements)
-    phase = 2.0 * np.pi * n * geom.spacing_m * f_hz * math.sin(phi_rad) / SPEED_OF_LIGHT
+    phase = 2.0 * np.pi * n * geom.spacing_m * f_hz * sin / SPEED_OF_LIGHT
     return np.exp(1j * phase) / math.sqrt(geom.n_elements)
 
 

@@ -354,6 +354,27 @@ def _gain_curve(x):
     return hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)
 
 
+# A bisection step whose plain-double curve value lies farther than this from
+# the target takes its decision from that value.  On [0, x_min] the plain sum
+# stays within 1e-14 of the double-double curve (tested), so each decision,
+# and hence the root, is the one the double-double curve gives.
+_PLAIN_MARGIN = 1e-12
+
+
+def _gain_curve_plain(x: float) -> float:
+    """The series of _gain_curve summed in plain doubles.  Its terms rise
+    from 1 to a single peak and then fall faster than geometrically; on
+    [0, x_min] the peak stays below 10, so little is lost to cancellation."""
+    z = -0.25 * x * x
+    term = total = 1.0
+    n = 0.0
+    while abs(term) > 1e-17:
+        term *= z * (0.5 + n) / ((1.0 + n) * (1.5 + n) * (1.0 + n))
+        total += term
+        n += 1.0
+    return total
+
+
 @functools.cache
 def _first_minimum():
     """(x, g(x)) at the first local minimum of the gain curve; it does not
@@ -368,7 +389,7 @@ def _first_minimum():
             break
         x_prev, g_prev = x, g_x
         x += step
-        if x > 200.0:  # g reaches its first minimum near 5.1; unreachable
+        if x > 200.0:  # g reaches its first minimum near 5.88; unreachable
             raise UnbracketableError("no rise of the gain curve found")
     lo = max(x_prev - step, 0.0)
     hi = x
@@ -389,7 +410,7 @@ def inverse_1f2_threshold(target: float) -> float:
     """Smallest x >= 0 with 1F2(1/2; 1, 3/2; -x^2/4) = target.
 
     ``g(x) = (1/x) integral_0^x J0`` decreases from g(0) = 1 to its first
-    local minimum (about 0.167 near x = 5.1) and oscillates after that;
+    local minimum (about 0.117 near x = 5.88) and oscillates after that;
     only the first branch is inverted.  Raises :class:`UnbracketableError`
     for targets below that minimum and ``ValueError`` outside (0, 1].
     """
@@ -410,7 +431,11 @@ def inverse_1f2_threshold(target: float) -> float:
     lo, hi = 0.0, x_min  # g is decreasing on [0, x_min]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _gain_curve(mid) > target:
+        # the series in plain doubles settles every step but the last few
+        g_mid = _gain_curve_plain(mid)
+        if abs(g_mid - target) <= _PLAIN_MARGIN:
+            g_mid = _gain_curve(mid)
+        if g_mid > target:
             lo = mid
         else:
             hi = mid

@@ -71,8 +71,8 @@ class ScenarioError(ValueError):
 
 
 # Field rules, declared in each field's metadata: the value must be a JSON
-# number (not a bool) that passes the test, or the diagnostic reads
-# "<section>.<field>: must be <text>, got <value>".
+# number that a float can hold (not a bool) and that passes the test, or the
+# diagnostic reads "<section>.<field>: must be <text>, got <value>".
 _NUMBER = {"rule": ("a number", lambda v: True)}
 _FINITE = {"rule": ("finite", math.isfinite)}
 _POSITIVE = {"rule": ("a positive number", lambda v: math.isfinite(v) and v > 0)}
@@ -205,8 +205,15 @@ def _split_method(label: str):
 
 
 def _is_real(value) -> bool:
-    """A JSON number: an int or a float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that a float can hold: an int or a float, but not a bool,
+    and not an integer too large to convert to a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _field_diagnostics(scenario: Scenario):
@@ -221,7 +228,9 @@ def _field_diagnostics(scenario: Scenario):
                 continue
             text, test = f.metadata["rule"]
             if not (_is_real(value) and test(value)):
-                diags.append(f"{section}.{f.name}: must be {text}, got {value!r}")
+                huge = type(value) is int and not _is_real(value)
+                got = "an integer too large for a float" if huge else repr(value)
+                diags.append(f"{section}.{f.name}: must be {text}, got {got}")
                 bad.add(f.name)  # field names are unique across the sections
     return diags, bad
 
@@ -501,10 +510,12 @@ class _Setup:
         self.f_eval = freq if freq is not None else self.fc
 
 
-def _ula_exact(s: _Setup, phi: float) -> float:
+def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
+    """Gain at each angle of a half-wavelength ULA beam toward the target,
+    the linear-array reference of uca_exact."""
     ula = UlaGeometry(s.geom.n_elements, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
-    return abs(np.vdot(steering_ula(ula, s.f_eval, phi), w))
+    return an._gains(steering_ula, ula, s.f_eval, phi, lambda f: w)
 
 
 def _channel(scenario: Scenario, bandwidth: float, seed: int):
@@ -564,28 +575,21 @@ class _Method:
     uses_k: bool = True
 
 
-def _pointwise(gain):
-    """Deterministic evaluator of a gain computed one sweep point at a time."""
-    return lambda s, xs: [gain(s, x) for x in xs.tolist()]
-
-
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
 _SE = ("snr_db", "k_ttd", "bandwidth")
 
 # Validation and execution both read this table.
 _METHODS = {
-    "ps_exact": _Method(_FREQ, _pointwise(
-        lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0))),
+    "ps_exact": _Method(_FREQ, lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0)),
     "ps_closed_form": _Method(_FREQ, lambda s, f: an.ps_gain_closed_form(f, s.fc, s.radius)),
-    "dpp_exact": _Method(_FREQ, _pointwise(
-        lambda s, f: an.dpp_exact_gain(s.geom, s.fc, f, s.phi0, s.k_ttd))),
+    "dpp_exact": _Method(_FREQ, lambda s, f: an.dpp_exact_gain(
+        s.geom, s.fc, f, s.phi0, s.k_ttd)),
     "dpp_subarray_sum": _Method(_FREQ, lambda s, f: an.dpp_gain_subarray_sum(
         f, s.fc, s.radius, s.geom.n_elements, s.k_ttd)),
     "dpp_closed_form": _Method(_FREQ, lambda s, f: an.dpp_gain_closed_form(
         f, s.fc, s.radius, s.k_ttd)),
-    "ula_exact": _Method(_ANGLE, _pointwise(_ula_exact)),
-    "uca_exact": _Method(_ANGLE, _pointwise(
-        lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi))),
+    "ula_exact": _Method(_ANGLE, _ula_exact),
+    "uca_exact": _Method(_ANGLE, lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi)),
     "uca_closed_form": _Method(_ANGLE, lambda s, phi: an.ps_gain_angular_closed_form(
         s.f_eval, s.fc, s.radius, phi, s.phi0)),
     "hyp_1f2": _Method(_ARG, lambda s, x: specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)),

@@ -13,6 +13,7 @@ from ucabeam import analysis as an
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
+    SUBCARRIER_CHUNK,
     ChannelRealization,
     FrequencyGrid,
     PathParams,
@@ -62,6 +63,26 @@ def test_exact_gain_rejects_overpowered_weights():
     w = 2.0 * steering_uca(GEOM, 30e9, PHI0)
     with pytest.raises(ValueError):
         an.exact_gain(w, GEOM, 30e9, PHI0)
+
+
+def test_exact_gain_sweeps_build_rows_a_chunk_at_a_time(monkeypatch):
+    # the steering-row temporaries stay SUBCARRIER_CHUNK x N whatever the
+    # sweep length; a scalar pair still gives a float
+    rows = []
+
+    def recorded(geom, f_hz, phi_rad):
+        out = steering_uca(geom, f_hz, phi_rad)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(an, "steering_uca", recorded)
+    w = steering_uca(GEOM, 30e9, PHI0)
+    freqs = np.linspace(28.5e9, 31.5e9, 257)
+    assert an.exact_gain(w, GEOM, freqs, PHI0).shape == (257,)
+    assert an.dpp_exact_gain(GEOM, 30e9, freqs, PHI0, 8).shape == (257,)
+    assert max(rows) == SUBCARRIER_CHUNK and sum(rows) == 2 * 257
+    assert type(an.exact_gain(w, GEOM, 30e9, PHI0)) is float
+    assert type(an.dpp_exact_gain(GEOM, 30e9, 29e9, PHI0, 8)) is float
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,34 @@ def test_ula_steering_broadside_is_uniform():
     assert np.allclose(b, np.full(8, 1.0 / math.sqrt(8.0)), atol=1e-14)
 
 
+@settings(max_examples=30, deadline=None)
+@given(fs=st.lists(st.floats(1e9, 1e11), min_size=1, max_size=20),
+       phis=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=20))
+def test_steering_rows_equal_scalar_calls(fs, phis):
+    # a sweep over f, over phi, or over both gives one row per point, each
+    # with the bits of the scalar call
+    uca, ula = half_wavelength_uca(64, 30e9), UlaGeometry(64, C / 30e9 / 2.0)
+    n = min(len(fs), len(phis))
+    for f, phi in ((np.array(fs), phis[0]), (fs[0], np.array(phis)),
+                   (np.array(fs[:n]), np.array(phis[:n]))):
+        points = np.broadcast_arrays(f, phi)
+        for steering, geom in ((steering_uca, uca), (steering_ula, ula)):
+            rows = steering(geom, f, phi)
+            assert rows.shape == (points[0].size, 64)
+            want = [steering(geom, fx, px) for fx, px in zip(*(p.tolist() for p in points))]
+            assert np.array_equal(rows, want)
+
+
+def test_steering_rejects_bad_sweeps():
+    geom = half_wavelength_uca(16, 30e9)
+    with pytest.raises(ValueError, match="f_hz must be positive, got -1.0"):
+        steering_uca(geom, np.array([30e9, -1.0]), 0.3)
+    with pytest.raises(ValueError, match="1-D"):
+        steering_uca(geom, np.full((2, 2), 30e9), 0.3)
+    with pytest.raises(ValueError, match="f_hz must be positive"):
+        steering_ula(UlaGeometry(4, 0.005), 0.0, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # frequency grid
 # ---------------------------------------------------------------------------

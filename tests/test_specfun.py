@@ -289,12 +289,47 @@ def test_inverse_finds_the_first_minimum_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "hypergeom_1f2", counted)
     inverse_1f2_threshold(0.55)
-    # only the bisection runs: about 49 halvings of [0, 5.1] down to 1e-14
-    assert 0 < len(calls) <= 60
+    # only the bisection runs, about 49 halvings of [0, 5.88] down to 1e-14,
+    # and only its last halvings, where the plain-double curve lies within
+    # 1e-12 of the target, take the series (10 of them at 0.55)
+    assert 0 < len(calls) <= 14
+
+
+def _dd_bisection(target):
+    """Oracle: the bisection with the double-double series at every halving,
+    as inverse_1f2_threshold ran before its plain-double filter."""
+    lo, hi = 0.0, specfun._first_minimum()[0]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * mid * mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+G_MIN = specfun._first_minimum()[1]
+_NEAR_EDGE = st.floats(min_value=1e-16, max_value=1e-9)  # 1 - 1e-16 < 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.floats(min_value=G_MIN, max_value=1.0, exclude_min=True, exclude_max=True),
+                 _NEAR_EDGE.map(lambda d: G_MIN + d), _NEAR_EDGE.map(lambda d: 1.0 - d)))
+def test_filtered_bisection_matches_the_double_double_one(target):
+    assert inverse_1f2_threshold(target) == _dd_bisection(target)
+
+
+def test_plain_curve_stays_near_the_double_double_one():
+    # the margin behind the 1e-12 filter of the bisection: 7.1e-16 measured
+    xs = np.linspace(0.0, specfun._first_minimum()[0], 10001)
+    plain = np.array([specfun._gain_curve_plain(x) for x in xs.tolist()])
+    assert np.max(np.abs(plain - hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * xs * xs))) <= 1e-14
 
 
 def test_inverse_rejects_unreachable_targets():
-    # first local minimum of the kernel is about 0.167: below that the
+    # first local minimum of the kernel is about 0.117: below that the
     # first decreasing branch never reaches the target
     with pytest.raises(UnbracketableError):
         inverse_1f2_threshold(0.1)

@@ -377,6 +377,33 @@ def test_phase_that_is_not_finite_is_a_config_error(tmp_path, capsys, name, sect
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name, where, message", [
+    ("fig8", ("trials", "snr_db"), "trials.snr_db: must be finite, got an integer too large"),
+    ("fig2", ("system", "radius_m"), "system.radius_m: must be a positive number, got an "
+                                     "integer too large"),
+    ("fig2", ("system", "n_elements_tx"), "system.n_elements_tx: must be an integer >= 1, got "
+                                          "an integer too large"),
+    ("fig8", ("sweep", "values"), "sweep.values: entries must be finite numbers"),
+])
+def test_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, command, name,
+                                                         where, message):
+    # a JSON integer no float can hold: exit 2 naming the field, not an
+    # OverflowError from the float conversion
+    data = _builtin_data(name)
+    section, key = where
+    if key == "values":
+        data["sweep"] = {"variable": "snr_db", "values": [0, 10**400]}
+    else:
+        data[section][key] = 10**400
+    cfg = _write(tmp_path, "huge_int.json", data)
+    argv = ["validate", cfg] if command == "validate" else ["run", cfg, "--out", "-"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "numeric failure" not in err and "1000" not in err
+
+
 def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
     data = _small_trial_scenario()
     data["system"]["n_elements_rx"] = 2
@@ -625,6 +652,40 @@ def test_cli_numeric_failure_of_a_long_sweep_warns_nothing(tmp_path, capsys):
     assert "numeric failure" in err and "z=-202500.0" in err
 
 
+def _scalar_gain(label, s, x):
+    """One sweep point of an exact-gain method, as a scalar library call."""
+    if label == "ps_exact":
+        return analysis.exact_gain(s.beam, s.geom, x, s.phi0)
+    if label == "dpp_exact":
+        return analysis.dpp_exact_gain(s.geom, s.fc, x, s.phi0, s.k_ttd)
+    if label.startswith("uca_exact"):
+        return analysis.exact_gain(s.beam, s.geom, s.f_eval, x)
+    ula = arraymodel.UlaGeometry(s.geom.n_elements, arraymodel.SPEED_OF_LIGHT / s.fc / 2.0)
+    w = arraymodel.steering_ula(ula, s.fc, s.phi0)
+    return abs(np.vdot(arraymodel.steering_ula(ula, s.f_eval, x), w))
+
+
+@pytest.mark.parametrize("n_elements", [16, 256, 1024])
+@pytest.mark.parametrize("label", ["ps_exact", "dpp_exact", "uca_exact", "uca_exact@2.85e10",
+                                   "ula_exact", "ula_exact@2.85e10"])
+def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
+    # one call over the sweep gives each point the bits of its own scalar
+    # call, on both sides of the chunk edges (8 points per chunk)
+    scenario = load_builtin("fig2")
+    scenario = dataclasses.replace(
+        scenario, system=dataclasses.replace(scenario.system, n_elements_tx=n_elements))
+    base, freq = xpcli._split_method(label)
+    setup = xpcli._Setup(scenario, freq)
+    for n in (1, 7, 9, 257):
+        if base in ("ps_exact", "dpp_exact"):
+            xs = np.linspace(28.5e9, 31.5e9, n)
+        else:
+            xs = np.linspace(-1.0, 2.5, n)
+        got = np.asarray(xpcli._METHODS[base].evaluate(setup, xs), dtype=float)
+        want = [_scalar_gain(label, setup, x) for x in xs.tolist()]
+        assert np.array_equal(got, want), (label, n_elements, n)
+
+
 def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
     counts = {}
     for name in ("exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
@@ -632,9 +693,9 @@ def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
         _count_calls(monkeypatch, analysis, name, counts)
     run(_with_points(load_builtin("fig6"), 40))
     run(_with_points(load_builtin("fig7"), 40))
-    # the exact gains stay one call per point: ps_exact, and dpp_exact
-    # through exact_gain
-    assert counts == {"exact_gain": 80, "dpp_exact_gain": 40, "dpp_gain_subarray_sum": 1,
+    # one call per method and run: ps_exact through exact_gain, and dpp_exact,
+    # whose columns do not go through exact_gain
+    assert counts == {"exact_gain": 1, "dpp_exact_gain": 1, "dpp_gain_subarray_sum": 1,
                       "dpp_gain_closed_form": 1, "avg_gain_ps_numeric": 1,
                       "avg_gain_ps_upper": 1}
 
