@@ -11,7 +11,6 @@ from .analysis import (
     avg_gain_ps_numeric,
     avg_gain_ps_upper,
     avg_gain_ttd,
-    dpp_column,
     dpp_exact_gain,
     dpp_gain_closed_form,
     dpp_gain_subarray_sum,
@@ -92,7 +91,6 @@ __all__ = [
     "build_classic_hybrid",
     "build_dpp",
     "channel_matrix",
-    "dpp_column",
     "dpp_exact_gain",
     "dpp_gain_closed_form",
     "dpp_gain_subarray_sum",

@@ -18,6 +18,7 @@ per-arc average is again a Bessel sum, and its continuum limit is
 Band-averaged gains use ``b_ps = pi*B*R/c`` and ``b_ttd = pi^2*B*R/(c*K)``:
 
 * numeric average of ``|J0|``:        ``(1/b)*int_0^b |J0|``
+  (one Gauss-Legendre rule on each segment between zeros of J0)
 * Cauchy-Schwarz upper bound:         ``sqrt(2F3(1/2,1/2; 1,1,3/2; -b_ps^2))``
   (the root-mean-square gain, via ``(1/x)*int_0^x J0^2 = 2F3(...; -x^2)``)
 * signed-integral lower bound:        ``1F2(1/2; 1, 3/2; -b_ps^2/4)``
@@ -29,11 +30,13 @@ All quadrature cross-checks are done in these dimensionless variables.
 The closed forms, the arc sum and the band averages broadcast over their
 sweep variable (frequency, direction or bandwidth): an array argument gives
 the array of values, each equal bit for bit to the scalar call, and a scalar
-argument gives a float.  The exact gains (``exact_gain``, ``dpp_exact_gain``)
-take a 1-D array of sweep points the same way: they build the steering rows
-and weights SUBCARRIER_CHUNK points at a time, and each point keeps its own
-``vdot``, so every value equals the scalar call bit for bit (one matrix
-product over the sweep would reorder the sums).
+argument gives a float.  The numeric average shares the segments between
+zeros across the bands, and each band sums its own segments in order.  The
+exact gains (``exact_gain``, ``dpp_exact_gain``) take a 1-D array of sweep
+points the same way: they build the steering rows and weights
+SUBCARRIER_CHUNK points at a time, and each point keeps its own ``vdot``, so
+every value equals the scalar call bit for bit (one matrix product over the
+sweep would reorder the sums).
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "ps_gain_angular_closed_form",
     "dpp_gain_subarray_sum",
     "dpp_gain_closed_form",
-    "dpp_column",
     "dpp_exact_gain",
     "min_ttd_count",
     "avg_gain_ps_numeric",
@@ -166,13 +168,6 @@ def _dpp_stage(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int):
             ttd_delays(phi_rad, k_ttd, geom)[None, :])
 
 
-def dpp_column(geom: UcaGeometry, fc_hz: float, f_hz: float, phi_rad: float,
-               k_ttd: int) -> np.ndarray:
-    """Combined analog weight of one delay-phase RF chain steered toward phi:
-    centroid-referenced phase-shifter arcs times the TTD phases at f."""
-    return _analog(*_dpp_stage(geom, fc_hz, phi_rad, k_ttd), f_hz)[:, 0]
-
-
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
                    k_ttd: int):
     """Exact on-beam gain of a single delay-phase chain (discrete sum,
@@ -230,16 +225,70 @@ def _check_band(radius_m: float, bandwidth_hz):
     _check_positive("bandwidth_hz", bandwidth_hz)
 
 
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton steps on P_n from the cosine guesses, with P_n and P_n' from the
+    three-term recurrence, and w = 2 / ((1 - x^2) P_n'(x)^2).  (LAPACK's eigh
+    of the Jacobi matrix would load about 0.4 MB of library pages that no
+    other stage uses, and numpy.polynomial 0.9 MB.)  The guesses are within
+    1e-3 of the nodes, so six steps reach rounding."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones(n), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# One rule per segment between zeros of J0 (at most about pi long, where J0
+# is a smooth arch).  With 6 nodes the average is off by 2e-10; from 8 on,
+# rules of every size agree to the rounding of the J0 values (1e-15 for
+# b < 8, 5e-14 past the power series' noise on [8, 12]).
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
+# McMahon's expansion is within 2e-3 of the first zero and closer for the
+# others; Newton's error goes 2e-3 -> 5e-7 -> 5e-14 -> rounding.
+_NEWTON_STEPS = 3
+
+
+def _j0_zeros(b_max: float) -> np.ndarray:
+    """The zeros of J0 below b_max, ascending: McMahon's expansion
+    (DLMF 10.21.19) refined by Newton steps with J0' = -J1.  The steps take
+    J0 and J1 from the Miller recurrence, which puts every zero within 2e-16
+    relative of the true one; the power series that bessel_j uses up to 12
+    would move the zero near 11.79 by 2e-13."""
+    a = (np.arange(1.0, b_max / math.pi + 0.25) - 0.25) * math.pi
+    e = 0.125 / a
+    e2 = e * e
+    z = a + e * (1.0 - e2 * (124.0 / 3.0 - e2 * (120928.0 / 15.0)))
+    for _ in range(_NEWTON_STEPS):
+        z = z + specfun._bessel_miller(0, z) / specfun._bessel_miller(1, z)
+    return z[z < b_max]
+
+
 def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
-    """Band average of the phase-shifter gain |J0| by adaptive quadrature,
-    evaluated in the dimensionless variable x = 2*pi*R*f'/c.
-    ``bandwidth_hz`` may be an array: one quadrature runs all the bands."""
+    """Band average of the phase-shifter gain |J0|, (1/b) * int_0^b |J0|, in
+    the dimensionless variable x = 2*pi*R*f'/c.  J0 keeps its sign between
+    consecutive zeros, so the integral is the sum of |int J0| over the
+    segments [0, z1], [z1, z2], ..., [zk, b], each by one fixed
+    Gauss-Legendre rule.  ``bandwidth_hz`` may be an array: the segments
+    between zeros are shared by every band, and one bessel_j call covers
+    the nodes of those and of each band's last segment."""
     _check_band(radius_m, bandwidth_hz)
-    b = _b_ps(radius_m, bandwidth_hz)
-    integral = specfun.integrate(
-        lambda x: abs(specfun.bessel_j(0, x)), 0.0, b, tol=1e-10
-    )
-    return _value(integral / b)
+    b = np.asarray(_b_ps(radius_m, bandwidth_hz), dtype=float)
+    z = _j0_zeros(float(b.max()))
+    k = np.searchsorted(z, b)  # zeros below each b
+    edges = np.concatenate(([0.0], z))
+    lo = np.concatenate((edges[:-1], np.ravel(edges[k])))
+    hi = np.concatenate((edges[1:], b.ravel()))
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    # each segment summed along its own row, and the segments added in order,
+    # so every band gets the bits of its scalar call
+    parts = np.abs(half * np.sum(specfun.bessel_j(0, nodes) * _GL_WEIGHTS, axis=-1))
+    whole = np.cumsum(np.concatenate(([0.0], parts[:z.size])))
+    return _value((whole[k] + parts[z.size:].reshape(b.shape)) / b)
 
 
 def avg_gain_ps_upper(radius_m: float, bandwidth_hz):

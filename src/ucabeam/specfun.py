@@ -5,17 +5,18 @@ functions 1F2 and 2F3, inversion of the 1F2 gain curve on its first
 monotone branch, and an adaptive Simpson quadrature used as an
 independent cross-check for the series evaluations.
 
-The two hypergeometric instances that matter here are
+The hypergeometric instances that matter here are
 
-    1F2(1/2; 1, 3/2; -x^2/4)  = (1/x) * integral_0^x J0(t) dt
-    2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4) = (1/x) * integral_0^x J0(t)^2 dt
+    1F2(1/2; 1, 3/2; -x^2/4)           = (1/x) * integral_0^x J0(t) dt
+    2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4) = (1/x) * integral_0^x 1F2(1/2; 1, 3/2; -t^2/4) dt
+    2F3(1/2, 1/2; 1, 1, 3/2; -x^2)     = (1/x) * integral_0^x J0(t)^2 dt
 
-and both identities are exercised by the test suite against quadrature.
+and each identity is exercised by the test suite against quadrature.
 
 ``bessel_j``, ``hypergeom_1f2`` and ``hypergeom_2f3`` take a float or an
 array argument; a 0-d argument returns a Python float, and every element of
 an array result equals the scalar call on that element bit for bit.
-``integrate`` takes a vectorised integrand and a batch of intervals.
+``integrate`` takes a float integrand and scalar limits.
 """
 
 from __future__ import annotations
@@ -450,85 +451,50 @@ def inverse_1f2_threshold(target: float) -> float:
 
 
 def _eval(f, t):
-    if isinstance(t, float):
-        v = float(f(t))
-        if not math.isfinite(v):
-            raise ValueError(f"integrand is not finite at t={t!r} (value {v!r})")
-        return v
-    v = np.asarray(f(t), dtype=float)
-    if v.shape != t.shape:
-        v = np.broadcast_to(v, t.shape)
-    if not np.isfinite(v).all():
-        i = int(np.argmin(np.isfinite(v)))
-        raise ValueError(
-            f"integrand is not finite at t={float(t[i])!r} (value {float(v[i])!r})"
-        )
+    v = float(f(t))
+    if not math.isfinite(v):
+        raise ValueError(f"integrand is not finite at t={t!r} (value {v!r})")
     return v
 
 
 # Bisection depth at which a panel that still fails its error test ends the
-# refinement of its interval with a QuadratureError.
+# refinement with a QuadratureError.
 _MAX_DEPTH = 50
-# Hard cap on the splits of each interval so an unattainable tolerance
-# degrades into a QuadratureError instead of an exponential refinement stall.
+# Hard cap on the splits so an unattainable tolerance degrades into a
+# QuadratureError instead of an exponential refinement stall.
 _MAX_SPLITS = 200_000
-# Panels taken from the top of the work list per step, whatever their
-# interval: one integrand call covers twice as many abscissae, and taking
-# from the top (the newest, deepest panels) bounds the list the way a
-# depth-first search does, where a breadth-first sweep would not.
-PANEL_BATCH = 1024
 _NOISE = 64.0 * sys.float_info.epsilon
-
-
-def _is_scalar(v):
-    # np.ndim converts a Python number to an array first, which costs more
-    # than a whole one-panel integral
-    return isinstance(v, (float, int)) or np.ndim(v) == 0
 
 
 def integrate(f, lo, hi, tol: float = 1e-10):
     """Integral of ``f`` over [lo, hi] by adaptive Simpson bisection.
 
-    ``f`` is vectorised: it maps an array of abscissae to the array of its
-    values (a scalar value is broadcast) and a float to a float.  ``lo`` and
-    ``hi`` broadcast to a batch of intervals; each is integrated on its own,
-    with the same panel tree as alone, and the result has their shape.
-    Scalar limits are the one-interval case: its panels are refined one at a
-    time on Python floats and the result is a float.  ``tol`` is an absolute
-    tolerance for each whole interval; panels whose refinement difference
-    falls below the floating-point noise of their own sums are accepted as
-    converged regardless, since further splitting cannot improve them.
-    Intervals still failing their local error test at depth 50
-    (or once their split budget is spent) raise :class:`QuadratureError`
-    carrying the best estimate of every interval.
+    ``f`` maps a float to a float; ``lo`` and ``hi`` are scalars, and the
+    panels are refined one at a time on Python floats.  ``tol`` is an
+    absolute tolerance for the whole interval; panels whose refinement
+    difference falls below the floating-point noise of their own sums are
+    accepted as converged regardless, since further splitting cannot improve
+    them.  A panel still failing its local error test at depth 50 (or once
+    the split budget is spent) raises :class:`QuadratureError` carrying the
+    best estimate.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if _is_scalar(lo) and _is_scalar(hi):
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("integration limits must be finite")
-        if lo > hi:
-            raise ValueError(f"lower limit {lo!r} exceeds upper limit {hi!r}")
-        best, exhausted = _simpson(f, lo, hi, tol)
-        failed = (lo, hi) if exhausted else None
-    else:
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("integration limits must be finite")
-        if (lo > hi).any():
-            i = np.argmax(lo > hi)
-            raise ValueError(f"lower limit {float(lo.flat[i])!r} exceeds upper "
-                             f"limit {float(hi.flat[i])!r}")
-        total, exhausted = _simpson_batch(f, lo.ravel(), hi.ravel(), tol)
-        best = total.reshape(lo.shape)
-        i = np.argmax(exhausted)
-        failed = (float(lo.flat[i]), float(hi.flat[i])) if exhausted[i] else None
-    if failed is not None:
+    for limit in (lo, hi):
+        if np.ndim(limit) != 0:
+            raise ValueError(
+                f"integration limits must be scalars, got shape {np.shape(limit)}"
+            )
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("integration limits must be finite")
+    if lo > hi:
+        raise ValueError(f"lower limit {lo!r} exceeds upper limit {hi!r}")
+    best, exhausted = _simpson(f, lo, hi, tol)
+    if exhausted:
         raise QuadratureError(
             f"adaptive quadrature hit depth {_MAX_DEPTH} before reaching "
-            f"tolerance {tol!r} on [{failed[0]!r}, {failed[1]!r}]",
+            f"tolerance {tol!r} on [{lo!r}, {hi!r}]",
             best=best,
         )
     return best
@@ -565,57 +531,4 @@ def _simpson(f, lo, hi, tol):
             splits += 1
             stack.append((a, m, fa, flm, fm, left, 0.5 * eps, depth + 1))
             stack.append((m, b, fm, frm, fb, right, 0.5 * eps, depth + 1))
-    return total, exhausted
-
-
-def _simpson_batch(f, lo, hi, tol):
-    """The panels of every interval from one work list, up to PANEL_BATCH
-    per integrand call, with the acceptance rule of :func:`_simpson`:
-    (integral per interval, whether each failed as there)."""
-    total = np.zeros(lo.size)
-    splits = np.zeros(lo.size, dtype=np.int64)
-    exhausted = np.zeros(lo.size, dtype=bool)
-    iv = np.flatnonzero(lo < hi)  # an empty interval integrates to 0
-    # The work list is a stack of blocks, newest last, with one row per field
-    # and one column per panel: the fields of a panel in _simpson and the
-    # interval it belongs to.
-    work = []
-    if iv.size:
-        a, b = lo[iv], hi[iv]
-        fa, fm, fb = _eval(f, np.concatenate((a, 0.5 * (a + b), b))).reshape(3, iv.size)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        work.append(np.array((a, b, fa, fm, fb, whole, np.full(iv.size, tol),
-                              np.zeros(iv.size), iv)))
-    while work:
-        batch, size = [], 0
-        while work and size < PANEL_BATCH:
-            block = work.pop()
-            if size + block.shape[1] > PANEL_BATCH:
-                keep = block.shape[1] - (PANEL_BATCH - size)
-                work.append(block[:, :keep])
-                block = block[:, keep:]
-            batch.append(block)
-            size += block.shape[1]
-        a, b, fa, fm, fb, s, eps, depth, jf = np.concatenate(batch, axis=1)
-        m = 0.5 * (a + b)
-        flm, frm = _eval(f, np.concatenate((0.5 * (a + m), 0.5 * (m + b)))).reshape(2, size)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - s
-        ok = abs(delta) <= np.maximum(15.0 * eps, _NOISE * (abs(left) + abs(right) + abs(s)))
-        j = jf.astype(np.intp)
-        stuck = (depth >= _MAX_DEPTH) | (splits[j] >= _MAX_SPLITS)
-        last = ok | stuck
-        np.add.at(total, j, np.where(last, left + right + delta / 15.0, 0.0))
-        if stuck.any():
-            np.logical_or.at(exhausted, j, stuck & ~ok)
-        go = ~last
-        n = int(np.count_nonzero(go))
-        if n:
-            np.add.at(splits, j[go], 1)
-            # both halves of each split panel; the right halves go on top, as
-            # in _simpson
-            kids = np.array(((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
-                             (0.5 * eps,) * 2, (depth + 1.0,) * 2, (jf, jf)))
-            work.append(kids[:, :, go].reshape(9, 2 * n))
     return total, exhausted

@@ -1,5 +1,6 @@
 """Closed-form gains, averaged-gain bounds, sizing rule, spectrum efficiency."""
 
+import functools
 import math
 import warnings
 
@@ -290,11 +291,18 @@ def test_continuum_closed_form_decays_from_center():
 
 
 def test_dpp_exact_gain_from_column():
-    # the column helper and the gain helper agree
-    f = 28.9e9
-    col = an.dpp_column(GEOM, 30e9, f, PHI0, 8)
+    # the column of one delay-phase chain, written out: the center-frequency
+    # beam, each P-element arc rotated so that its centroid phase is zero, and
+    # each arc delayed by t_k = (R/c)(1 - cos(phi - theta_k)), the phase
+    # exp(-2j*pi*f*t_k) at f
+    f, k_ttd = 28.9e9, 8
+    theta = math.pi * (2.0 * np.arange(k_ttd) + 1.0) / k_ttd - math.pi / 256
+    eta_c = 2.0 * math.pi * R * 30e9 / C
+    t = R / C * (1.0 - np.cos(PHI0 - theta))
+    arc = np.exp(-1j * eta_c * np.cos(PHI0 - theta)) * np.exp(-2j * math.pi * f * t)
+    col = steering_uca(GEOM, 30e9, PHI0) * np.repeat(arc, 256 // k_ttd)
     a = steering_uca(GEOM, f, PHI0)
-    assert an.dpp_exact_gain(GEOM, 30e9, f, PHI0, 8) == pytest.approx(
+    assert an.dpp_exact_gain(GEOM, 30e9, f, PHI0, k_ttd) == pytest.approx(
         abs(np.vdot(a, col)), abs=1e-12
     )
     assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
@@ -357,6 +365,69 @@ def test_avg_gain_numeric_matches_direct_quadrature():
     assert an.avg_gain_ps_numeric(R, 2e9) == pytest.approx(direct, abs=1e-8)
 
 
+@functools.cache
+def _mp_j0_zeros(b):
+    """The zeros of J0 below b at 30 digits, and the first one above it."""
+    with mpmath.workdps(30):
+        zeros = [mpmath.besseljzero(0, 1)]
+        while zeros[-1] < b:
+            zeros.append(mpmath.besseljzero(0, len(zeros) + 1))
+    return zeros
+
+
+def _mp_avg_abs_j0(b):
+    """(1/b) * int_0^b |J0| at 30 digits: mpmath quadrature of J0 between
+    its zeros, each segment's integral taken with its sign dropped."""
+    with mpmath.workdps(30):
+        ends = [mpmath.mpf(0)] + _mp_j0_zeros(b)[:-1] + [mpmath.mpf(b)]
+        total = sum(abs(mpmath.quad(mpmath.j0, [lo, hi], method="gauss-legendre"))
+                    for lo, hi in zip(ends, ends[1:]))
+        return float(total / b)
+
+
+def _band_for(b):
+    """The bandwidth whose b = pi*B*R/c on the test ring is the float b."""
+    bw = b * C / (math.pi * R)
+    for _ in range(16):
+        got = an._b_ps(R, bw)
+        if got == b:
+            return bw
+        bw = float(np.nextafter(bw, math.inf if got < b else -math.inf))
+    raise AssertionError(f"no bandwidth gives b = {b!r}")
+
+
+J0_ZEROS = [float(z) for z in _mp_j0_zeros(9.0)]
+
+
+@pytest.mark.parametrize("b", [
+    1.3,                                    # below the first zero
+    J0_ZEROS[0], J0_ZEROS[1],               # at a zero
+    J0_ZEROS[2] - 1e-12, J0_ZEROS[2] + 1e-12,  # within 1e-12 of one
+    2.133, 85.0, 500.0,
+])
+def test_avg_gain_numeric_matches_mpmath_between_zeros(b):
+    bw = _band_for(b)
+    assert an.avg_gain_ps_numeric(R, bw) == pytest.approx(_mp_avg_abs_j0(b), rel=1e-13, abs=0)
+
+
+def test_gauss_legendre_rule_matches_mpmath():
+    with mpmath.workdps(40):
+        # mpmath's Gauss-Legendre rule of degree 3 has 3 * 2**2 = 12 nodes
+        want = sorted(mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+                      .calc_nodes(3, mpmath.mp.prec))
+    nodes, weights = an._gauss_legendre(12)
+    assert np.allclose(nodes, [float(x) for x, _ in want], rtol=0, atol=4e-16)
+    assert np.allclose(weights, [float(w) for _, w in want], rtol=0, atol=4e-16)
+
+
+def test_zeros_of_j0_match_mpmath():
+    zeros = an._j0_zeros(500.0)
+    want = _mp_j0_zeros(500.0)
+    assert zeros.size == len(want) - 1  # every zero below 500, none above
+    for got, ref in zip(zeros.tolist(), want):
+        assert abs(got - ref) <= 1e-15 * ref
+
+
 def test_avg_gain_upper_matches_rms_quadrature():
     # upper bound is the root-mean-square of the same kernel
     b = np.pi * 2e9 * R / C
@@ -399,9 +470,10 @@ def test_band_averages_broadcast_over_bandwidth(bws):
     for fn in (an.avg_gain_ps_upper, an.avg_gain_ps_lower,
                lambda r, v: an.avg_gain_ttd(r, v, 8), lambda r, v: an.gain_improvement(r, v, 8)):
         assert np.array_equal(fn(R, b), [fn(R, v) for v in bws])
-    # one quadrature over all the bands: the same panels, summed in another order
+    # the segments between zeros are shared by all the bands, and each band
+    # adds its own in the order of its scalar call
     numeric = an.avg_gain_ps_numeric(R, b)
-    assert np.allclose(numeric, [an.avg_gain_ps_numeric(R, v) for v in bws], rtol=1e-14, atol=0)
+    assert np.array_equal(numeric, [an.avg_gain_ps_numeric(R, v) for v in bws])
 
 
 def test_avg_gain_ttd_improves_with_more_units():

@@ -12,6 +12,7 @@ import warnings
 import weakref
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -637,6 +638,29 @@ def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_cli_band_average_of_a_1024_element_ring_up_to_10_ghz(tmp_path, capsys):
+    # the numeric average sums J0 between its zeros, so it answers where the
+    # 1F2 series of the lower bound has already given up (b up to 85)
+    data = _small_trial_scenario()
+    data["system"].update(n_elements_tx=1024, n_subcarriers=129, bandwidth_hz=3e9)
+    data["sweep"] = {"variable": "bandwidth", "start": 0.05e9, "stop": 10e9, "points": 3}
+    data["methods"] = ["avg_ps_numeric"]
+    cfg = _write(tmp_path, "fig7_1024_numeric.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)
+    radius = arraymodel.half_wavelength_uca(1024, FC).radius_m
+    assert len(rows) == 3 and analysis._b_ps(radius, rows[-1].x) > 85.0
+    for row in rows:
+        b = mpmath.mpf(analysis._b_ps(radius, row.x))
+        with mpmath.workdps(30):
+            ends, m = [mpmath.mpf(0)], 1
+            while mpmath.besseljzero(0, m) < b:
+                ends.append(mpmath.besseljzero(0, m))
+                m += 1
+            want = mpmath.quad(lambda t: abs(mpmath.j0(t)), ends + [b]) / b
+        assert row.mean == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
 def test_cli_numeric_failure_of_a_long_sweep_warns_nothing(tmp_path, capsys):
     # a sweep long enough for the vector series loop, which runs the
     # diverging elements into overflow before the error is raised
@@ -796,15 +820,33 @@ def test_bandwidth_sweep_draws_each_channel_once_and_keeps_one_alive(monkeypatch
     assert len(built) == 4 * 3
 
 
-def test_package_runs_as_a_module_without_warnings():
-    # python -m ucabeam runs the command line once, with nothing on stderr
-    # even when warnings are errors
+def _checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                                 else []))
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "ucabeam", "list"], env=env,
+    return env
+
+
+def test_package_runs_as_a_module_without_warnings():
+    # python -m ucabeam runs the command line once, with nothing on stderr
+    # even when warnings are errors
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "ucabeam", "list"],
+                          env=_checkout_env(),
                           capture_output=True, text=True, timeout=60, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert [line.split()[0] for line in done.stdout.splitlines()] == list(builtin_names())
+
+
+def test_the_package_runs_without_scipy_mpmath_or_numpy_polynomial():
+    # the README promises no scipy at runtime, and numpy.polynomial alone
+    # adds about 0.9 MB to the resident set
+    code = ("import sys, ucabeam; ucabeam.avg_gain_ps_numeric(0.8, 1e10); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') "
+            "or m.startswith('numpy.polynomial')))")
+    done = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
