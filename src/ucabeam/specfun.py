@@ -13,6 +13,16 @@ The hypergeometric instances that matter here are
 
 and each identity is exercised by the test suite against quadrature.
 
+The series coefficients C_n = prod (a)_n / (prod (b)_n * n!) do not depend
+on z, so each parameter set keeps a table of them, grown as far as a call
+needs: C_n as a double-double mantissa times a power of two (C_n underflows
+past n ~ 100), and the plain-double ratios C_{n+1}/C_n.  A call runs a
+forward pass over the plain-double terms, which gives each element its
+last term by the stop rule and its largest term for the cancellation test,
+then sums by Horner in double-double from that last term down, each array
+element from its own.  The power-of-two scalings are exact, so the bits do
+not depend on them, and an array element equals its scalar call.
+
 ``bessel_j``, ``hypergeom_1f2`` and ``hypergeom_2f3`` take a float or an
 array argument; a 0-d argument returns a Python float, and every element of
 an array result equals the scalar call on that element bit for bit.
@@ -21,7 +31,6 @@ an array result equals the scalar call on that element bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -197,8 +206,8 @@ def _bessel_miller(n: int, x):
 #
 # The 1F2 series at z = -x^2/4 with x near 30 has terms peaking around 4e9
 # while the sum is O(0.03); plain double summation leaves ~1e-6 of
-# cancellation noise, which would violate the 1e-8 identity bound, so terms
-# and partial sums are carried in double-double precision.
+# cancellation noise, which would violate the 1e-8 identity bound, so the
+# coefficients and the Horner state are carried in double-double precision.
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -215,20 +224,17 @@ def _quick_two_sum(a, b):
     return s, b - (s - a)
 
 
+def _split(a):
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def _two_prod(a, b):
     p = a * b
-    ta = _SPLITTER * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLITTER * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
     return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _quick_two_sum(s, e + xl + yl)
 
 
 def _dd_mul(xh, xl, yh, yl):
@@ -243,6 +249,22 @@ def _dd_div_scalar(xh, xl, d):
     return _quick_two_sum(q1, (s + (e2 + xl - e)) / d)
 
 
+def _horner_step(sh, sl, z, zh, zl, ch, cl):
+    """(sh + sl) * z + (ch + cl) in double-double, with z = zh + zl split
+    once by the caller; written out in one body, since the scalar path
+    calls it once per term."""
+    p = sh * z
+    t = _SPLITTER * sh
+    hh = t - (t - sh)
+    hl = sh - hh
+    e = ((hh * zh - p) + hh * zl + hl * zh) + hl * zl + sl * z
+    s = p + ch
+    bb = s - p
+    e = (p - (s - bb)) + (ch - bb) + e + cl
+    h = s + e
+    return h, e - (h - s)
+
+
 def _check_denominators(dens):
     for b in dens:
         if not math.isfinite(b):
@@ -254,78 +276,208 @@ def _check_denominators(dens):
             )
 
 
-# Digits the double-double terms carry: each term is exact to about
-# 2**-100 of its size, so a sum smaller than the largest term by a factor
-# near 2**100 * 1e-12 has lost all but 12 significant digits to cancellation.
+# Digits the double-double sum carries: it is exact to about 2**-100 of
+# the largest term, so a sum smaller than that term by a factor near
+# 2**100 * 1e-12 has lost all but 12 significant digits to cancellation.
 _DD_EPS = 2.0 ** -100
 _CANCELLATION_TOL = 1e-12
 # Truncation policy: summation stops once two consecutive terms drop below
 # _SERIES_TOL * max(1, |partial sum|); a series that has not stopped within
 # _MAX_TERMS terms raises ConvergenceError.  On the gain curves the
-# cancellation test rejects every argument past x ~ 54, before either budget
-# is reached.
+# cancellation test rejects every argument past x ~ 54 (1F2 from x ~ 50.7),
+# before either budget is reached.
 _MAX_TERMS = 400
 _SERIES_TOL = 1e-15
+# Term indices per step of the array forward pass, and the unit in which a
+# coefficient table grows.
+_BLOCK = 32
+
+
+class _Coefficients:
+    """The coefficients C_n = prod (a)_n / (prod (b)_n * n!) of one parameter
+    set, grown in blocks as far as a call needs them.
+
+    ``ratio[n]`` is C_{n+1} / C_n in plain doubles.  C_n underflows past
+    n ~ 100 (2F3(1/2,1/2; 1,1,3/2; -b^2) needs about 110 terms near b = 25),
+    so it is kept as a double-double mantissa ``hi[n]`` + ``lo[n]`` (|hi| in
+    [1/2, 1), or zero) times 2**e_n, with ``scale[n]`` = 2**(e_{n+1} - e_n).
+    The mantissas follow the double-double recurrence C_{n+1} = C_n *
+    prod(a + n) / prod(b + n) / (n + 1) in that order, renormalised each
+    step, which is exact.
+    """
+
+    def __init__(self, nums, dens):
+        self.nums, self.dens = nums, dens
+        self.ratio, self.scale = [], []
+        self.hi, self.lo = [1.0], [0.0]
+
+    def grow(self, size):
+        """Extend the table to at least ``size`` ratios (whole blocks, at most
+        _MAX_TERMS)."""
+        h, l = self.hi[-1], self.lo[-1]
+        for n in range(len(self.ratio), min(-(-size // _BLOCK) * _BLOCK, _MAX_TERMS)):
+            fn = float(n)
+            num, den = 1.0, 1.0
+            for a in self.nums:
+                num *= a + fn
+                h, l = _dd_mul(h, l, a + fn, 0.0)
+            for b in self.dens:
+                den *= b + fn
+                h, l = _dd_div_scalar(h, l, b + fn)
+            h, l = _dd_div_scalar(h, l, fn + 1.0)
+            e = math.frexp(h)[1]
+            h, l = math.ldexp(h, -e), math.ldexp(l, -e)
+            self.ratio.append(num / (den * (fn + 1.0)))
+            self.scale.append(math.ldexp(1.0, e))
+            self.hi.append(h)
+            self.lo.append(l)
+
+
+# The analysis uses three parameter sets; the bound keeps a caller that
+# sweeps the parameters from growing memory without limit.
+@functools.lru_cache(maxsize=16)
+def _coefficients(nums, dens):
+    return _Coefficients(nums, dens)
+
+
+def _forward(tab, z: float):
+    """The stop rule on the plain-double terms t_{n+1} = t_n * (z * ratio[n]):
+    (index of the last term summed, or 0 if the sum does not stop within
+    _MAX_TERMS terms or is not finite where it stops; largest term up to
+    it; plain partial sum)."""
+    t = total = peak = 1.0
+    was_small = False
+    n = 0
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        tab.grow(start + _BLOCK)
+        for r in tab.ratio[start:start + _BLOCK]:
+            n += 1
+            t = t * (z * r)
+            total = total + t
+            mag = abs(t)
+            if mag > peak:
+                peak = mag
+            size = abs(total)
+            # _SERIES_TOL * max(1, |total|), written out for speed
+            small = mag <= (_SERIES_TOL * size if size > 1.0 else _SERIES_TOL)
+            if small and was_small:
+                return (n if math.isfinite(total) else 0), peak, total
+            was_small = small
+    return 0, peak, total
+
+
+def _forward_array(tab, z):
+    """_forward for each element of a 1-D array: (last term indices, with 0
+    where the sum does not stop or is not finite where it stops; largest
+    terms).  Each block of _BLOCK term indices is one cumulative product and
+    one cumulative sum per element, which accumulate in index order as the
+    scalar loop does; elements that have stopped leave the next block."""
+    top = np.zeros(z.size, dtype=np.intp)
+    peak = np.ones(z.size)
+    live = np.arange(z.size)
+    t = total = biggest = np.ones(z.size)
+    was_small = np.zeros(z.size, dtype=bool)
+    for start in range(0, _MAX_TERMS, _BLOCK):
+        if not live.size:
+            break
+        tab.grow(start + _BLOCK)
+        terms = np.multiply.outer(z, tab.ratio[start:start + _BLOCK])
+        terms[:, 0] *= t
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        sums = terms.copy()
+        sums[:, 0] += total
+        np.add.accumulate(sums, axis=1, out=sums)
+        t, total = terms[:, -1].copy(), sums[:, -1].copy()
+        mags = np.abs(terms, out=terms)
+        peaks = np.maximum.accumulate(mags, axis=1)
+        np.maximum(peaks, biggest[:, None], out=peaks)
+        tol = np.abs(sums, out=sums)  # finite where the sum is
+        np.maximum(1.0, tol, out=tol)
+        small = mags <= np.multiply(_SERIES_TOL, tol, out=tol)
+        stop = small & np.concatenate((was_small[:, None], small[:, :-1]), axis=1)
+        rows = np.flatnonzero(stop.any(axis=1))
+        col = stop[rows].argmax(axis=1)
+        top[live[rows]] = np.where(np.isfinite(tol[rows, col]), start + 1 + col, 0)
+        peak[live[rows]] = peaks[rows, col]
+        rest = np.ones(live.size, dtype=bool)
+        rest[rows] = False
+        live, z, was_small = live[rest], z[rest], small[rest, -1]
+        t, total, biggest = t[rest], total[rest], peaks[rest, -1]
+    return top, peak
+
+
+def _horner(tab, z, top):
+    """sum_{n <= top} C_n z^n by Horner from the top in double-double, for a
+    float z, or for each element of a 1-D array z from its own top.  The
+    state starts as C_top's mantissa; each step takes state * z * 2**(e_{n+1}
+    - e_n) + C_n's mantissa, with z times each power of two split once.  An
+    array element is set to its top coefficient when its turn comes, so it
+    takes exactly the steps of its scalar call."""
+    vec = isinstance(z, np.ndarray)
+    if vec:
+        first = int(top.max(initial=0))
+        starts = set(top.tolist())
+        sh, sl = np.zeros(z.size), np.zeros(z.size)
+    else:
+        first = top
+        sh, sl = tab.hi[top], tab.lo[top]
+    zh, zl = _split(z)
+    scaled = {}
+    for n in range(first, -1, -1):
+        if n < first:
+            s = tab.scale[n]
+            if s not in scaled:
+                scaled[s] = (z * s, zh * s, zl * s)
+            sh, sl = _horner_step(sh, sl, *scaled[s], tab.hi[n], tab.lo[n])
+        if vec and n in starts:
+            new = top == n
+            sh[new] = tab.hi[n]
+            sl[new] = tab.lo[n]
+    return sh + sl
 
 
 def _hyp_series(nums, dens, z):
-    # term_{n+1} = term_n * z * prod(a + n) / (prod(b + n) * (n + 1))
-    # For parameters of interest (halves and small integers) a + n and
-    # b + n are exact doubles, so the double-double products keep each term
-    # accurate to ~1e-30 relative even where the terms peak near 1e10.
-    # An array element that has converged gets a zero term; a normalised
-    # double-double plus zero is a fixed point, so its sum stays as the
-    # scalar loop returns it.  Overflow in a diverging element is caught by
-    # the convergence test, not reported as a numpy warning.
-    vec = isinstance(z, np.ndarray)
-    fmax = np.maximum if vec else max
-    one = np.ones_like(z) if vec else 1.0
-    sh, sl = one, 0.0 * one
-    th, tl = one, 0.0 * one
-    peak = one
-    was_small = done = False
-    quiet = np.errstate(over="ignore", invalid="ignore") if vec else contextlib.nullcontext()
-    with quiet:
-        for n in range(_MAX_TERMS):
-            fn = float(n)
-            for a in nums:
-                th, tl = _dd_mul(th, tl, a + fn, 0.0)
-            th, tl = _dd_mul(th, tl, z, 0.0)
-            for b in dens:
-                th, tl = _dd_div_scalar(th, tl, b + fn)
-            th, tl = _dd_div_scalar(th, tl, fn + 1.0)
-            sh, sl = _dd_add(sh, sl, th, tl)
-            peak = fmax(peak, abs(th))
-            tol = _SERIES_TOL * fmax(1.0, abs(sh))
-            small = abs(th) <= tol
-            if vec:
-                done = small & was_small
-                if done.all():
-                    break
-                th = np.where(done, 0.0, th)
-                tl = np.where(done, 0.0, tl)
-            elif small and was_small:
-                if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(sh)):
-                    raise ConvergenceError(
-                        f"hypergeometric series lost precision to cancellation "
-                        f"(z={z!r}: peak term {peak:.3g}, sum {sh + sl:.3g})",
-                        partial=sh + sl,
-                        terms=n + 1,
-                    )
-                return sh + sl
-            was_small = small
-        if vec:
-            failed = ~done | (peak * _DD_EPS > _CANCELLATION_TOL * np.maximum(1.0, abs(sh)))
-            if not failed.any():
-                return sh + sl
-            # on its own, the first failing element raises the scalar's error
-            _hyp_series(nums, dens, float(z[failed][0]))
-    raise ConvergenceError(
-        f"hypergeometric series did not converge within {_MAX_TERMS} terms "
-        f"(z={z!r})",
-        partial=sh + sl,
-        terms=_MAX_TERMS,
-    )
+    # The coefficients do not depend on z, so each parameter set has one
+    # table of them (_Coefficients).  A forward pass over the plain-double
+    # terms gives each element its last term (the stop rule) and its largest
+    # term (the cancellation test); Horner then sums in double-double from
+    # that last term down, each array element from its own, with zero state
+    # before it.  Horner takes the mantissas and folds the powers of two into
+    # its multiplier; power-of-two scaling is exact, so the bits are those of
+    # Horner on the true C_n, and each array element equals its scalar call.
+    tab = _coefficients(nums, dens)
+    if not isinstance(z, np.ndarray):
+        top, peak, total = _forward(tab, z)
+        if top:
+            total = _horner(tab, z, top)
+        if not top or not math.isfinite(total):
+            raise ConvergenceError(
+                f"hypergeometric series did not converge within {_MAX_TERMS} terms "
+                f"(z={z!r})",
+                partial=total,
+                terms=top or _MAX_TERMS,
+            )
+        if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(total)):
+            raise ConvergenceError(
+                f"hypergeometric series lost precision to cancellation "
+                f"(z={z!r}: peak term {peak:.3g}, sum {total:.3g})",
+                partial=total,
+                terms=top,
+            )
+        return total
+    flat = z.ravel()
+    # a diverging element overflows on the way; it is reported below, by
+    # the scalar call on the first failing element, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, peak = _forward_array(tab, flat)
+        total = _horner(tab, flat, top)
+        failed = (top == 0) | ~np.isfinite(total) | (
+            peak * _DD_EPS > _CANCELLATION_TOL * np.maximum(1.0, np.abs(total)))
+    if failed.any():
+        # on its own, the first failing element raises the scalar's error
+        _hyp_series(nums, dens, float(flat[failed][0]))
+        raise RuntimeError("an array element failed where its scalar call did not")
+    return total.reshape(z.shape)
 
 
 def hypergeom_1f2(a: float, b1: float, b2: float, z):
@@ -363,17 +515,11 @@ _PLAIN_MARGIN = 1e-12
 
 
 def _gain_curve_plain(x: float) -> float:
-    """The series of _gain_curve summed in plain doubles.  Its terms rise
-    from 1 to a single peak and then fall faster than geometrically; on
-    [0, x_min] the peak stays below 10, so little is lost to cancellation."""
-    z = -0.25 * x * x
-    term = total = 1.0
-    n = 0.0
-    while abs(term) > 1e-17:
-        term *= z * (0.5 + n) / ((1.0 + n) * (1.5 + n) * (1.0 + n))
-        total += term
-        n += 1.0
-    return total
+    """The plain-double partial sum that the series' forward pass leaves for
+    _gain_curve.  Its terms rise from 1 to a single peak and then fall faster
+    than geometrically; on [0, x_min] the peak stays below 10, so little is
+    lost to cancellation."""
+    return _forward(_coefficients((0.5,), (1.0, 1.5)), -0.25 * x * x)[2]
 
 
 @functools.cache

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -243,6 +244,116 @@ def test_series_matches_mpmath_up_to_x_50():
             float(mpmath.hyp1f2(0.5, 1.0, 1.5, z)), abs=1e-8, rel=1e-8)
         assert hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, z) == pytest.approx(
             float(mpmath.hyp2f3(0.5, 0.5, 1.0, 1.5, 1.5, z)), abs=1e-8, rel=1e-8)
+
+
+# The three series instances behind the gain curves and band averages:
+# (series, its argument at x, mpmath reference, end of the built-in and
+# bench range of x, end of the range checked to 1e-13).
+SERIES_INSTANCES = {
+    "1F2(1/2; 1, 3/2; -x^2/4)": (
+        lambda z: hypergeom_1f2(0.5, 1.0, 1.5, z), lambda x: -0.25 * x * x,
+        lambda z: mpmath.hyp1f2(0.5, 1.0, 1.5, z), 17.0, 50.0),
+    "2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4)": (
+        lambda z: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, z), lambda x: -0.25 * x * x,
+        lambda z: mpmath.hyp2f3(0.5, 0.5, 1.0, 1.5, 1.5, z), 17.0, 50.0),
+    "2F3(1/2, 1/2; 1, 1, 3/2; -b^2)": (
+        lambda z: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, z), lambda x: -x * x,
+        lambda z: mpmath.hyp2f3(0.5, 0.5, 1.0, 1.0, 1.5, z), 8.6, 25.0),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(SERIES_INSTANCES))
+def test_series_instance_matches_mpmath_to_rounding(instance):
+    # one array call per range against mpmath at 40 digits: the rounding of
+    # the sum on the built-in range, and 1e-13 of max(1, |sum|) beyond it,
+    # where the double-double digits start to go to cancellation
+    fn, arg, ref, built_in, far = SERIES_INSTANCES[instance]
+    mpmath.mp.dps = 40
+    for xs, bound in ((np.linspace(0.0, built_in, 689), 5e-16),
+                      (np.linspace(built_in, far, 669), 1e-13)):
+        z = arg(xs)
+        got = fn(z)
+        want = np.array([float(ref(v)) for v in z.tolist()])
+        scale = np.abs(want) if bound < 1e-15 else np.maximum(1.0, np.abs(got))
+        assert np.max(np.abs(got - want) / scale) <= bound
+
+
+def _polynomial(nums, dens, z):
+    """A terminating series summed in exact rational arithmetic, rounded once."""
+    term = total = Fraction(1)
+    n = 0
+    while term:
+        for a in nums:
+            term *= Fraction(a) + n
+        for b in dens:
+            term /= Fraction(b) + n
+        term = term / (n + 1) * Fraction(z)
+        total += term
+        n += 1
+    return float(total)
+
+
+def test_terminating_series_equals_its_polynomial():
+    # a numerator parameter of -2 (-3) ends the series after z^2 (z^3); the
+    # double-double sum of the few terms rounds to the exact polynomial
+    zs = [-1234.5, -7.5, -3.0, -0.5, 0.0, 0.25, 2.0, 11.0, 3e5]
+    for fn, nums, dens in (
+            (lambda z: hypergeom_1f2(-2.0, 1.0, 1.5, z), (-2, ), (1, 1.5)),
+            (lambda z: hypergeom_2f3(-3.0, 0.5, 1.0, 1.5, 1.5, z), (-3, 0.5), (1, 1.5, 1.5))):
+        want = [_polynomial(nums, dens, z) for z in zs]
+        assert [fn(z) for z in zs] == want
+        assert fn(np.array(zs)).tolist() == want
+
+
+def test_large_positive_argument_stays_finite_and_accurate():
+    # all terms positive: no cancellation, and sums near 1e83 stay finite
+    mpmath.mp.dps = 40
+    for z in (50.0, 1e4):
+        for fn, ref in ((lambda v: hypergeom_1f2(0.5, 1.0, 1.5, v),
+                         lambda v: mpmath.hyp1f2(0.5, 1.0, 1.5, v)),
+                        (lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, v),
+                         lambda v: mpmath.hyp2f3(0.5, 0.5, 1.0, 1.5, 1.5, v)),
+                        (lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, v),
+                         lambda v: mpmath.hyp2f3(0.5, 0.5, 1.0, 1.0, 1.5, v))):
+            got = fn(z)
+            assert math.isfinite(got)
+            assert got == pytest.approx(float(ref(z)), rel=1e-13, abs=0.0)
+            assert fn(np.array([z])).tolist() == [got]
+
+
+def test_hypergeom_array_shapes():
+    # (a 0-d argument is in test_scalar_arguments_give_python_floats)
+    for fn in (lambda v: hypergeom_1f2(0.5, 1.0, 1.5, v),
+               lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, v)):
+        for empty in (np.array([]), np.zeros((0, 3))):
+            got = fn(empty)
+            assert isinstance(got, np.ndarray) and got.shape == empty.shape
+        z = -np.linspace(0.0, 300.0, 12).reshape(3, 4)
+        got = fn(z)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got, [[fn(v) for v in row] for row in z.tolist()])
+
+
+# zeros, subnormals and both signs, where the series stops after a term or two
+TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17]
+
+
+@settings(max_examples=20, deadline=None)
+@given(zs=st.lists(st.one_of(st.floats(-600.0, 1e4), st.floats(-5.0, 5.0)),
+                   min_size=1, max_size=40))
+def test_mixed_sign_array_equals_scalar_calls(zs):
+    z = np.array(zs + TINY)
+    for fn in (lambda v: hypergeom_1f2(0.5, 1.0, 1.5, v),
+               lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, v),
+               lambda v: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, v)):
+        want = [fn(v) for v in z.tolist()]
+        assert np.array_equal(fn(z), want)
+
+
+def test_coefficient_tables_stay_bounded_over_a_parameter_sweep():
+    for a in np.linspace(0.05, 3.0, 60).tolist():
+        hypergeom_1f2(a, 1.0, 1.5, -4.0)
+    assert specfun._coefficients.cache_info().currsize <= 16
 
 
 # ---------------------------------------------------------------------------
