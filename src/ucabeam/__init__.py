@@ -19,7 +19,6 @@ from .analysis import (
     min_ttd_count,
     ps_gain_angular_closed_form,
     ps_gain_closed_form,
-    se_from_effective,
     spectrum_efficiency,
     spectrum_efficiency_optimal,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "ps_gain_angular_closed_form",
     "ps_gain_closed_form",
     "run",
-    "se_from_effective",
     "spectrum_efficiency",
     "spectrum_efficiency_optimal",
     "steering_uca",

@@ -64,7 +64,6 @@ __all__ = [
     "avg_gain_ps_lower",
     "avg_gain_ttd",
     "gain_improvement",
-    "se_from_effective",
     "spectrum_efficiency",
     "spectrum_efficiency_optimal",
 ]
@@ -367,82 +366,47 @@ def _overflow_at_snr(rho, total_power=None):
         ) from exc
 
 
-def se_from_effective(h_eff, rho):
-    """log2 det(I + rho/n_s * H_eff H_eff^H) for an effective channel
-    H_eff = H^H F (receive antennas x n_s streams), with rho the SNR per unit
-    noise power.  Leading axes index a stack of effective channels and give
-    an array of rates; an array rho must broadcast to those leading axes.
-
-    The log-det is taken of the smaller of the two equal forms, the n_s x n_s
-    I + s*H_eff^H H_eff when n_s <= N_r: with fewer streams than antennas the
-    N_r x N_r form is rank deficient, and its identity is lost in rounding
-    on the null space at high SNR."""
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    if h_eff.ndim < 2:
-        raise ValueError(f"h_eff must be 2-D or a stack of 2-D, got shape {h_eff.shape}")
-    n_s = h_eff.shape[-1]
+def _stream_rates(sigma, rho, n_s: int, total_power: float, radiation=None):
+    """Sum over streams of log2(1 + p_s * g_s), with g_s = rho * sigma_s^2/n_s
+    the stream gains (floored at _GAIN_FLOOR) and p_s their water-filling
+    powers: the rates of the singular values sigma (... x n_s), an array of
+    SNRs putting its shape in front.  For a hybrid design, radiation holds the
+    power each stream radiates per unit stream power, and the powers are
+    rescaled so that sum_s p_s * radiation_s meets the budget."""
     _check_snr(rho)
-    if n_s > h_eff.shape[-2]:
-        h_eff = np.swapaxes(h_eff.conj(), -1, -2)
-    with _overflow_at_snr(rho):
-        gram = np.swapaxes(h_eff.conj(), -1, -2) @ h_eff
-        gram *= np.asarray(rho, dtype=float)[..., None, None] / n_s
-        gram += np.eye(gram.shape[-1])
-        sign, logdet = np.linalg.slogdet(gram)
-    if np.any(sign <= 0):
-        raise ArithmeticError("log-det argument is not positive definite")
-    se = logdet / math.log(2.0)
+    r = np.asarray(rho, dtype=float)
+    if r.ndim > 1:
+        raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
+    r = np.reshape(r, r.shape + (1,) * sigma.ndim)
+    with _overflow_at_snr(r):
+        gains = np.maximum(r * sigma ** 2 / n_s, _GAIN_FLOOR)
+    with _overflow_at_snr(r, total_power):
+        powers = water_filling(gains, total_power)
+        if radiation is not None:
+            radiated = np.sum(powers * radiation, axis=-1, keepdims=True)
+            if np.any(radiated <= 0.0):
+                raise ValueError("combined precoder has zero power; degenerate channel")
+            powers = powers * (total_power / radiated)
+        se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
     return float(se) if se.ndim == 0 else se
-
-
-# (SNR, subcarrier) pairs per step when rates are taken at an array of SNRs:
-# it bounds the temporaries of a step (a few N_r x n_s matrices per pair)
-# whatever the number of SNRs.
-SNR_BLOCK_PAIRS = 1024
-
-
-def _by_snr_blocks(rates, rho, n_sub: int):
-    """rates(rho) for a scalar rho; for a 1-D array of SNRs, rates of blocks
-    of at most SNR_BLOCK_PAIRS // n_sub of them, stacked along a first axis."""
-    if np.ndim(rho) == 0:
-        return rates(rho)
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 1:
-        raise ValueError(f"rho must be a scalar or a 1-D array, got shape {rho.shape}")
-    step = max(1, SNR_BLOCK_PAIRS // n_sub)
-    return np.concatenate([rates(rho[i:i + step]) for i in range(0, rho.size, step)])
-
-
-def _amplitudes(design: HybridDesign, rho) -> np.ndarray:
-    """Stream amplitudes a of the digital precoders f_d = v * a at SNR rho,
-    M x n_streams (an array of SNRs puts its shape in front): water-filling
-    over the effective stream SNRs, then an exact rescale so the radiated
-    power f_d^H (A^H A) f_d meets the budget at every subcarrier."""
-    _check_snr(rho)
-    cfg = design.cfg
-    rho = np.asarray(rho, dtype=float)[..., None, None]
-    with _overflow_at_snr(rho):
-        stream_gains = np.maximum(rho * design.sigma ** 2 / cfg.n_streams, _GAIN_FLOOR)
-    powers = water_filling(stream_gains, cfg.total_power)
-    radiated = np.sum(powers * design.radiation, axis=-1, keepdims=True)
-    if np.any(radiated <= 0.0):
-        raise ValueError("combined precoder has zero power; degenerate channel")
-    return np.sqrt(powers) * np.sqrt(cfg.total_power / radiated)
 
 
 def spectrum_efficiency(design: HybridDesign, rho):
     """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho
     (per unit noise power), log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d
     the combined phase-shifter/delay/digital precoder: an array of M rates,
-    or, for a 1-D array of SNRs, one row per SNR.  H^H F = G f_d = (G v) * a
-    comes from the design, so only the stream amplitudes a are computed per
-    SNR."""
-    def rates(r):
-        a = _amplitudes(design, r)[..., None, :]
-        # the amplitudes carry the power budget into the effective channels
-        with _overflow_at_snr(r, design.cfg.total_power):
-            return se_from_effective(design.g_v * a, np.asarray(r)[..., None])
-    return _by_snr_blocks(rates, rho, design.sigma.shape[0])
+    or, for a 1-D array of SNRs, one row per SNR.
+
+    The digital precoder f_d = v * a puts amplitude a_s on the right singular
+    vector v_s of the stream with singular value sigma_s of G = H^H A.  Since
+    G v_s = sigma_s u_s, the effective channel H^H F = G f_d has orthogonal
+    columns sigma_s * a_s * u_s, and its log-det is the sum over streams of
+    log2(1 + rho/n_s * sigma_s^2 * a_s^2).  The powers a_s^2 are water-filled
+    over the stream gains and rescaled so that f_d^H (A^H A) f_d, which is
+    sum_s a_s^2 * radiation_s, meets the budget."""
+    cfg = design.cfg
+    return _stream_rates(design.sigma, rho, cfg.n_streams, cfg.total_power,
+                         design.radiation)
 
 
 def _singular_values(h_m: np.ndarray) -> np.ndarray:
@@ -476,19 +440,9 @@ def spectrum_efficiency_optimal(h_m, rho, n_s: int, total_power: float = 1.0):
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
     if not (isinstance(n_s, int) and n_s >= 1):
         raise ValueError(f"n_s must be a positive integer, got {n_s}")
-    _check_snr(rho)
     if not (np.isfinite(total_power) and total_power > 0.0):
         raise ValueError(f"total_power must be positive, got {total_power}")
     sing = _singular_values(h_m)[..., :n_s]
     if sing.shape[-1] < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
-
-    def rates(r):
-        r = np.reshape(r, np.shape(r) + (1,) * sing.ndim)
-        with _overflow_at_snr(r):
-            gains = np.maximum(r * sing ** 2 / n_s, _GAIN_FLOOR)
-        with _overflow_at_snr(r, total_power):
-            powers = water_filling(gains, total_power)
-            se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
-        return float(se) if se.ndim == 0 else se
-    return _by_snr_blocks(rates, rho, sing[..., 0].size)
+    return _stream_rates(sing, rho, n_s, total_power)

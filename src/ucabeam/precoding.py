@@ -13,14 +13,16 @@ from per-arc products, so no N x n_rf analog matrix is formed per
 subcarrier: the equivalent channels ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) *
 phi_k(f_m)`` with ``C_mk = H_{m, arc k}^T conj(w_k)`` (N_r x n_rf per arc), and
 the analog Gram matrices ``A^H A = sum_k conj(phi_k)^T phi_k * (w_k^H w_k)``.
-Of every ``G_m`` the design keeps the n_streams largest singular values,
-their right singular vectors v, ``G_m v`` and the radiated power per stream
-``v^H (A^H A) v``.
+Of every ``G_m`` the design keeps the n_streams largest singular values
+and the power each stream radiates, the diagonal of ``v^H (A^H A) v`` over
+their right singular vectors v.
 
 The digital stage ``f_d[m] = v * a`` (n_rf x n_streams) at an SNR is only
 stream-sized work, left to ``analysis.spectrum_efficiency``: water-filling
-over the stream SNRs and an exact rescale of the amplitudes a to the power
-budget ``f_d^H (A^H A) f_d``, so the rates at many SNRs come from one design.
+over the stream SNRs and an exact rescale of the powers a^2 to the budget
+``f_d^H (A^H A) f_d``.  Since ``G v_s = sigma_s u_s``, the rate is a sum over
+streams of singular values and powers, so neither v nor ``G v`` is kept, and
+the rates at many SNRs come from one design.
 The per-arc products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK``
 subcarriers, so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
 (SUBCARRIER_CHUNK x N x N_r x n_rf at K = N).
@@ -174,22 +176,20 @@ class HybridDesign:
 
     With G = H^H A the equivalent channels and v the right singular vectors
     of their n_streams largest singular values, the digital precoder at any
-    SNR is f_d = v * a, one amplitude a_s per stream, so that H_eff = G f_d is
-    (G v) * a and the radiated power f_d^H (A^H A) f_d is sum_s a_s^2 *
-    (v_s^H A^H A v_s).  Only the amplitudes depend on the SNR.
+    SNR is f_d = v * a, one amplitude a_s per stream.  Since G v_s = sigma_s
+    u_s, the effective channel G f_d has orthogonal columns sigma_s a_s u_s,
+    and the radiated power f_d^H (A^H A) f_d is sum_s a_s^2 * (v_s^H A^H A
+    v_s): both need only sigma and the radiation per stream.  Only the
+    amplitudes depend on the SNR.
 
     cfg:       architecture sizing (streams, power budget)
     sigma:     M x n_streams largest singular values of G
-    v:         M x n_rf x n_streams matching right singular vectors
-    g_v:       M x N_r x n_streams products G v
     radiation: M x n_streams radiated power per unit stream power,
                the diagonal of v^H (A^H A) v
     """
 
     cfg: DppConfig
     sigma: np.ndarray
-    v: np.ndarray
-    g_v: np.ndarray
     radiation: np.ndarray
 
 
@@ -231,8 +231,7 @@ def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesig
         )
     v = np.swapaxes(res.vh[:, :n_s].conj(), -1, -2)
     radiation = np.einsum("mis,mij,mjs->ms", v.conj(), gram, v).real
-    return HybridDesign(cfg=cfg, sigma=res.sigma[:, :n_s], v=v, g_v=g @ v,
-                        radiation=radiation)
+    return HybridDesign(cfg=cfg, sigma=res.sigma[:, :n_s], radiation=radiation)
 
 
 def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:

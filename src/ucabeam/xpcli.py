@@ -194,9 +194,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _split_method(label: str):
-    base, _, suffix = label.partition("@")
+    base, at, suffix = label.partition("@")
     freq = None
-    if suffix:
+    if at:
         try:
             freq = float(suffix)
         except ValueError:
@@ -354,7 +354,10 @@ def validate_scenario(scenario: Scenario) -> list:
         diags.append("methods: must list at least one method")
     allowed = [name for name, m in _METHODS.items() if sw.variable in m.variables]
     has_trial = False
-    for label in scenario.methods:
+    for i, label in enumerate(scenario.methods):
+        if label in scenario.methods[:i]:
+            diags.append(f"methods: {label!r} is listed more than once")
+            continue
         base, freq = _split_method(label)
         if base not in allowed:
             diags.append(f"methods: {label!r} is not valid for a {sw.variable!r} sweep; "

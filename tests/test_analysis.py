@@ -510,8 +510,64 @@ def _grid(m=129):
     return FrequencyGrid(30e9, 3e9, m)
 
 
+def _explicit_precoders(ch, cfg, rho, classic):
+    """Effective channels H^H F (M x N_r x n_streams) and hybrid precoders F
+    (M x N x n_streams) at SNR rho (unit noise power) on every subcarrier,
+    formed the explicit way: dense A(f) per subcarrier, G = H^H A and its
+    SVD, water-filling over the top n_streams stream SNRs, digital precoders
+    f_d = v * sqrt(p) rescaled so that f_d^H A^H A f_d meets the budget, then
+    F = A f_d."""
+    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=not classic)
+    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
+    h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
+    _, sigma, vh = np.linalg.svd(h_h @ a, full_matrices=False)
+    n_s = cfg.n_streams
+    v = np.swapaxes(vh[:, :n_s].conj(), -1, -2)  # M x n_rf x n_s
+    gains = np.maximum(rho * sigma[:, :n_s] ** 2 / n_s, _GAIN_FLOOR)
+    f_d = v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :]
+    radiated = np.trace(np.swapaxes(f_d.conj(), -1, -2) @ np.swapaxes(a.conj(), -1, -2)
+                        @ a @ f_d, axis1=-2, axis2=-1).real
+    f = a @ (f_d * np.sqrt(cfg.total_power / radiated)[:, None, None])
+    return h_h @ f, f
+
+
+def _log_det_rate(h_eff, rho):
+    """log2 det(I + rho/n_s * H_eff^H H_eff) of each effective channel of a
+    stack (N_r x n_s, n_s <= N_r), the n_s x n_s form, by a float slogdet."""
+    n_s = h_eff.shape[-1]
+    gram = np.eye(n_s) + rho / n_s * (np.swapaxes(h_eff.conj(), -1, -2) @ h_eff)
+    sign, logdet = np.linalg.slogdet(gram)
+    assert np.all(sign > 0.0)
+    return logdet / math.log(2.0)
+
+
+def _mp_rate(h_eff, s):
+    """log2 det(I + s H_eff H_eff^H), the N_r x N_r form, in 60 digits."""
+    with mpmath.workdps(60):
+        h = mpmath.matrix(h_eff.tolist())
+        gram = mpmath.eye(h.rows) + mpmath.mpf(s) * (h * h.H)
+        return float(mpmath.log(mpmath.re(mpmath.det(gram)), 2))
+
+
+def _draw_hybrid_case(data, seed, n_tx, n_s):
+    """A random channel on a half-wavelength UCA of n_tx elements, 4 paths
+    and 1 to 3 subcarriers, and a sizing with n_s streams on n_s to 4 RF
+    chains and any divisor of n_tx as delay units per chain."""
+    k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
+    cfg = DppConfig(data.draw(st.integers(n_s, 4)), k_ttd, n_s, total_power=2.0)
+    grid = FrequencyGrid(30e9, data.draw(st.floats(0.1e9, 10e9)), data.draw(st.integers(1, 3)))
+    return generate_channel(half_wavelength_uca(n_tx, 30e9), RX, grid, 4, seed), cfg
+
+
 def test_se_zero_effective_channel_is_zero():
-    assert an.se_from_effective(np.zeros((4, 2)), 10.0) == 0.0
+    # a path of zero gain leaves every equivalent channel zero: no rate, for
+    # the hybrid designs and the fully digital bound alike
+    path = PathParams(0j, 5e-9, 1.1, 0.4)
+    ch = ChannelRealization(paths=(path,), tx=GEOM, rx=RX, grid=_grid(5))
+    for build in (build_classic_hybrid, build_dpp):
+        rates = an.spectrum_efficiency(build(ch, DppConfig(1, 8, 1)), 10.0)
+        np.testing.assert_array_equal(rates, np.zeros(5))
+    assert an.spectrum_efficiency_optimal(np.zeros((4, 2)), 10.0, 2) == 0.0
 
 
 def test_se_single_stream_log_identity():
@@ -542,7 +598,7 @@ def test_se_optimal_matches_explicit_svd_precoder():
     gains = 10.0 * res.sigma[:n_s] ** 2 / n_s
     powers = water_filling(gains, 1.0)
     f = res.u[:, :n_s] @ np.diag(np.sqrt(powers))
-    se_explicit = an.se_from_effective(h.conj().T @ f, 10.0)
+    se_explicit = _mp_rate(h.conj().T @ f, 10.0 / n_s)
     assert an.spectrum_efficiency_optimal(h, 10.0, n_s) == pytest.approx(
         se_explicit, abs=1e-9
     )
@@ -586,20 +642,17 @@ def test_dpp_se_beats_classic_on_average():
 
 
 def test_rates_that_overflow_raise_naming_the_snr():
-    # a finite rho whose scaled gains, whose log-det, or whose rates overflow
-    # is a numeric failure, with no overflow warning on the way
+    # a finite rho whose scaled gains or whose rates overflow is a numeric
+    # failure, with no overflow warning on the way
+    ch = generate_channel(GEOM, RX, _grid(5), 4, 1)
+    design = build_dpp(ch, DppConfig(2, 8, 2))
+    assert np.all(design.sigma[:, 0] ** 2 / 2 > 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"rho=1e\+308 \(3080 dB\)"):
+            an.spectrum_efficiency(design, 1e308)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
-            an.se_from_effective(np.full((2, 1), 2.0), 1e308)
-        # the scaled 2 x 2 Gram [[1.9, 1+j], [1-j, 1.5e308]] fits, and so do the
-        # components of its elimination; the pivot swaps the rows and leaves an
-        # element of modulus sqrt(2)*1.5e308
-        s = 1e300  # rho / n_s
-        u = math.sqrt(0.9 / s)
-        h_eff = np.array([[u, (1.0 + 1.0j) / (s * u)], [0.0, math.sqrt(1.5e308 / s)]])
-        with pytest.raises(ArithmeticError, match=r"rho=2e\+300 \(3003.01 dB\)"):
-            an.se_from_effective(h_eff, 2e300)
+            an.spectrum_efficiency(design, [1.0, 1e308])
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
             an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
@@ -626,50 +679,49 @@ def test_singular_values_match_the_svd(seed, lead, rows, cols, data):
     assert np.all(np.abs(got - ref) <= 1e-14 * ref[..., :1])
 
 
-def _mp_rate(h_eff, s):
-    """log2 det(I + s H_eff H_eff^H), the N_r x N_r form, in 60 digits."""
-    with mpmath.workdps(60):
-        h = mpmath.matrix(h_eff.tolist())
-        gram = mpmath.eye(h.rows) + mpmath.mpf(s) * (h * h.H)
-        return float(mpmath.log(mpmath.re(mpmath.det(gram)), 2))
-
-
-def _random_h_eff(seed, n_rx, n_s):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal((n_rx, n_s)) + 1j * rng.standard_normal((n_rx, n_s))) / 2.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 5), n_s=st.integers(1, 5),
-       snr_db=st.floats(40.0, 60.0))
-def test_rates_match_a_high_precision_log_det(seed, n_rx, n_s, snr_db):
-    # any shape, fewer, as many or more streams than receive antennas
-    h_eff = _random_h_eff(seed, n_rx, n_s)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.sampled_from([4, 8, 16]),
+       n_s=st.integers(1, 4), data=st.data(), snr_db=st.floats(40.0, 60.0),
+       classic=st.booleans())
+def test_rates_match_a_high_precision_log_det(seed, n_tx, n_s, data, snr_db, classic):
+    # classic and delay-phase designs with as many or fewer streams than
+    # receive antennas, against the 60-digit log-det of H^H F for the
+    # explicit precoder F = A f_d
+    ch, cfg = _draw_hybrid_case(data, seed, n_tx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
-    assert an.se_from_effective(h_eff, rho) == pytest.approx(
-        _mp_rate(h_eff, rho / n_s), rel=1e-12)
+    rates = an.spectrum_efficiency((build_classic_hybrid if classic else build_dpp)(ch, cfg),
+                                   rho)
+    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic)
+    for rate, h in zip(rates, h_eff):
+        assert rate == pytest.approx(_mp_rate(h, rho / n_s), rel=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_rx=st.integers(1, 6), data=st.data(),
-       snr_db=st.floats(-20.0, 200.0))
-def test_rank_deficient_rates_hold_to_200_db(seed, n_rx, data, snr_db):
-    # with fewer (more) streams than receive antennas H_eff H_eff^H
-    # (H_eff^H H_eff) is rank deficient; its identity must not be lost in
-    # rounding on the null space, however large the SNR
-    n_s = data.draw(st.integers(1, 6).filter(lambda k: k != n_rx))
-    h_eff = _random_h_eff(seed, n_rx, n_s)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.sampled_from([4, 8, 16]),
+       n_s=st.integers(1, 3), data=st.data(), snr_db=st.floats(-20.0, 200.0),
+       classic=st.booleans())
+def test_rank_deficient_rates_hold_to_200_db(seed, n_tx, n_s, data, snr_db, classic):
+    # with fewer streams than the 4 receive antennas, H_eff H_eff^H is rank
+    # deficient; the rates must hold against its 60-digit log-det, whose
+    # identity on the null space is not lost in rounding, however large the
+    # SNR
+    ch, cfg = _draw_hybrid_case(data, seed, n_tx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
-    ref = _mp_rate(h_eff, rho / n_s)
-    assert an.se_from_effective(h_eff, rho) == pytest.approx(ref, rel=1e-12, abs=1e-13)
-    if n_s == 1:
-        assert an.se_from_effective(h_eff, rho) == pytest.approx(
-            math.log1p(rho * np.linalg.norm(h_eff) ** 2) / math.log(2.0), rel=1e-12)
+    rates = an.spectrum_efficiency((build_classic_hybrid if classic else build_dpp)(ch, cfg),
+                                   rho)
+    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic)
+    for rate, h in zip(rates, h_eff):
+        assert rate == pytest.approx(_mp_rate(h, rho / n_s), rel=1e-12, abs=1e-13)
+        if n_s == 1:
+            assert rate == pytest.approx(
+                math.log1p(rho * np.linalg.norm(h) ** 2) / math.log(2.0), rel=1e-12)
 
 
 def test_se_validation():
-    with pytest.raises(ValueError):
-        an.se_from_effective(np.zeros((4, 2)), 0.0)
+    design = build_dpp(generate_channel(GEOM, RX, _grid(5), 4, 1), DppConfig(2, 8, 2))
+    for rho in (0.0, -1.0, math.inf, math.nan, [1.0, 0.0]):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            an.spectrum_efficiency(design, rho)
     with pytest.raises(ValueError):
         an.spectrum_efficiency_optimal(np.eye(4), 10.0, 5)
     with pytest.raises(ValueError):
@@ -732,27 +784,6 @@ def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, n_rf, bw)
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
 
 
-def _two_pass_rates(ch, cfg, rho, classic):
-    """Rates of the hybrid precoder at SNR rho (unit noise power) on every
-    subcarrier, formed the explicit way, and the precoders F (M x N x
-    n_streams): dense A(f) per subcarrier, G = H^H A and its SVD,
-    water-filling over the top n_streams stream SNRs, digital precoders f_d
-    rescaled so that f_d^H A^H A f_d meets the budget, then F = A f_d and
-    the log-det of H^H F."""
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=not classic)
-    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
-    h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
-    _, sigma, vh = np.linalg.svd(h_h @ a, full_matrices=False)
-    n_s = cfg.n_streams
-    v = np.swapaxes(vh[:, :n_s].conj(), -1, -2)  # M x n_rf x n_s
-    gains = np.maximum(rho * sigma[:, :n_s] ** 2 / n_s, _GAIN_FLOOR)
-    f_d = v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :]
-    radiated = np.trace(np.swapaxes(f_d.conj(), -1, -2) @ np.swapaxes(a.conj(), -1, -2)
-                        @ a @ f_d, axis1=-2, axis2=-1).real
-    f = a @ (f_d * np.sqrt(cfg.total_power / radiated)[:, None, None])
-    return an.se_from_effective(h_h @ f, rho), f
-
-
 @settings(max_examples=30, deadline=None)
 @given(n_tx=st.sampled_from([4, 8, 12, 16]), data=st.data(), seed=st.integers(0, 2**32 - 1),
        snr_db=st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=4),
@@ -773,34 +804,29 @@ def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub
     rates = an.spectrum_efficiency(design, rhos)
     assert rates.shape == (rhos.size, n_sub)
     for rho, row in zip(rhos.tolist(), rates):
-        two_pass, f = _two_pass_rates(ch, cfg, rho, classic)
+        h_eff, f = _explicit_precoders(ch, cfg, rho, classic)
         np.testing.assert_allclose(np.linalg.norm(f, axis=(-2, -1)) ** 2, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(row, two_pass, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(row, _log_det_rate(h_eff, rho), rtol=1e-12, atol=1e-13)
         np.testing.assert_array_equal(an.spectrum_efficiency(design, rho), row)
 
 
-def test_rates_at_many_snrs_are_taken_in_blocks(monkeypatch):
-    # with 4 (SNR, subcarrier) pairs per step, 9 subcarriers still take one
-    # SNR per step; the rows do not depend on the blocking
+def test_rates_at_many_snrs_equal_the_per_snr_rows():
+    # a 1-D array of SNRs gives one row per SNR, each equal bit for bit to
+    # the rates at that SNR alone, for the hybrid designs and the fully
+    # digital bound, on a stack of channels and on one channel
     ch = generate_channel(GEOM, RX, _grid(9), 4, 1)
-    rhos = np.array([0.5, 2.0, 10.0])
-    design = build_dpp(ch, DppConfig(2, 8, 2))
-    whole = an.spectrum_efficiency(design, rhos)
-    optimal = an.spectrum_efficiency_optimal(ch.matrices, rhos, 2)
-    monkeypatch.setattr(an, "SNR_BLOCK_PAIRS", 4)
-    calls = []
-    se_from_effective = an.se_from_effective
-
-    def counted(h_eff, rho):
-        calls.append(np.size(rho))
-        return se_from_effective(h_eff, rho)
-
-    monkeypatch.setattr(an, "se_from_effective", counted)
-    np.testing.assert_array_equal(an.spectrum_efficiency(design, rhos), whole)
-    np.testing.assert_array_equal(an.spectrum_efficiency_optimal(ch.matrices, rhos, 2),
-                                  optimal)
-    assert calls == [1, 1, 1]
-    with pytest.raises(ValueError, match="rho must be a scalar or a 1-D array"):
-        an.spectrum_efficiency(design, rhos[None])
-    with pytest.raises(ValueError, match="rho must be positive"):
-        an.spectrum_efficiency(design, np.array([1.0, 0.0]))
+    rhos = np.array([0.5, 2.0, 10.0, 1e6])
+    cfg = DppConfig(2, 8, 2)
+    cases = [(functools.partial(an.spectrum_efficiency, build(ch, cfg)), (4, 9))
+             for build in (build_classic_hybrid, build_dpp)]
+    cases += [(functools.partial(an.spectrum_efficiency_optimal, h, n_s=2), shape)
+              for h, shape in ((ch.matrices, (4, 9)), (channel_matrix(ch, 3), (4,)))]
+    for rates, shape in cases:
+        rows = rates(rho=rhos)
+        assert rows.shape == shape
+        for rho, row in zip(rhos.tolist(), rows):
+            np.testing.assert_array_equal(rates(rho=rho), row)
+        with pytest.raises(ValueError, match="rho must be a scalar or a 1-D array"):
+            rates(rho=rhos[None])
+        with pytest.raises(ValueError, match="rho must be positive"):
+            rates(rho=np.array([1.0, 0.0]))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucabeam import analysis
-from ucabeam.analysis import _amplitudes
+from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
@@ -19,6 +19,7 @@ from ucabeam.arraymodel import (
     half_wavelength_uca,
     steering_uca,
 )
+from ucabeam.cxlinalg import water_filling
 from ucabeam.precoding import (
     DppConfig,
     _analog,
@@ -51,12 +52,26 @@ def _combined(ch, cfg, m, dpp=True):
     return _analog(w_ps, delays, ch.grid.freqs_hz[m])
 
 
+def _stream_directions(ch, cfg, dpp=True):
+    """Combined analog weights A (M x N x n_rf) on every subcarrier, and the
+    n_streams largest singular values (M x n_streams) and right singular
+    vectors v (M x n_rf x n_streams) of G = H^H A, by a dense SVD."""
+    a = _combined(ch, cfg, slice(None), dpp)
+    _, sigma, vh = np.linalg.svd(np.swapaxes(ch.matrices.conj(), -1, -2) @ a,
+                                 full_matrices=False)
+    n_s = cfg.n_streams
+    return a, sigma[:, :n_s], np.swapaxes(vh[:, :n_s].conj(), -1, -2)
+
+
 def _combined_precoders(ch, cfg, rho, dpp=True):
     """End-to-end precoders F = A(f_m) f_d[m] on every subcarrier (M x N x
-    n_streams), with f_d = v * a the digital stage of the design at rho."""
-    design = (build_dpp if dpp else build_classic_hybrid)(ch, cfg)
-    f_d = design.v * _amplitudes(design, rho)[..., None, :]
-    return _combined(ch, cfg, slice(None), dpp) @ f_d
+    n_streams), with f_d = v * a: the stream powers water-filled at SNR rho
+    and rescaled so that f_d^H (A^H A) f_d meets the budget."""
+    a, sigma, v = _stream_directions(ch, cfg, dpp)
+    gains = np.maximum(rho * sigma ** 2 / cfg.n_streams, _GAIN_FLOOR)
+    f = a @ (v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :])
+    radiated = np.linalg.norm(f, axis=(-2, -1)) ** 2
+    return f * np.sqrt(cfg.total_power / radiated)[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +147,8 @@ def test_dpp_shapes_and_constant_modulus():
     design = build_dpp(ch, cfg)
     assert w_ps.shape == (256, 1)
     assert delays.shape == (1, 8)
-    assert design.v.shape == (9, 1, 1)
     assert design.sigma.shape == (9, 1)
+    assert design.radiation.shape == (9, 1)
     assert np.abs(np.abs(w_ps) - 1.0 / 16.0).max() <= 1e-15
     # combined weight = PS weight times a unit-modulus TTD phase per element
     for m in range(9):
@@ -298,6 +313,13 @@ def test_power_budget_met_exactly_per_subcarrier():
     classic = _combined_precoders(ch, cfg, 10.0, dpp=False)
     for m in (0, 8, 16):
         assert np.linalg.norm(classic[m], "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
+    # the designs rescale by the same radiated power per stream, ||A v_s||^2
+    for dpp, build in ((True, build_dpp), (False, build_classic_hybrid)):
+        a, sigma, v = _stream_directions(ch, cfg, dpp)
+        design = build(ch, cfg)
+        np.testing.assert_allclose(design.sigma, sigma, rtol=1e-12)
+        np.testing.assert_allclose(design.radiation, np.linalg.norm(a @ v, axis=-2) ** 2,
+                                   rtol=1e-9)
 
 
 def test_classic_equals_dpp_for_single_delay_unit():
@@ -318,6 +340,9 @@ def test_degenerate_zero_channel_builds_and_radiates_budget():
     f = _combined_precoders(ch, DppConfig(1, 8, 1), 10.0)
     for m in range(5):
         assert np.linalg.norm(f[m], "fro") ** 2 == pytest.approx(1.0, rel=1e-9)
+    # the one unit-norm analog column radiates the whole stream power
+    design = build_dpp(ch, DppConfig(1, 8, 1))
+    np.testing.assert_allclose(design.radiation, 1.0, rtol=1e-12)
 
 
 def test_snr_parameter_validation():

@@ -107,6 +107,35 @@ def test_method_sweep_mismatch_diagnostic():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("name, methods, label", [
+    ("fig2", ["ps_exact", "ps_exact"], "ps_exact"),
+    ("fig8", ["dpp", "optimal", "dpp"], "dpp"),
+])
+def test_duplicate_method_label_is_a_config_error(tmp_path, capsys, name, methods, label):
+    # a label listed twice would write its rows twice (and evaluate a trial
+    # method twice per seed)
+    data = _builtin_data(name)
+    data["methods"] = methods
+    cfg = _write(tmp_path, "dup.json", data)
+    assert main(["validate", cfg]) == 2
+    assert f"methods: {label!r} is listed more than once" in capsys.readouterr().err
+    assert main(["run", cfg, "--out", "-"]) == 2
+
+
+def test_empty_frequency_suffix_is_a_config_error(tmp_path, capsys):
+    # "uca_exact@" is not "uca_exact": the suffix is there, and empty
+    data = _builtin_data("fig3b")
+    data["methods"] = ["uca_exact@"]
+    cfg = _write(tmp_path, "empty_suffix.json", data)
+    assert main(["validate", cfg]) == 2
+    assert "methods: 'uca_exact@': suffix must be a positive frequency in Hz" in (
+        capsys.readouterr().err)
+    data = _small_trial_scenario()
+    data["methods"] = ["dpp@"]
+    with pytest.raises(ScenarioError, match="'dpp@': '@frequency' suffixes apply only"):
+        scenario_from_dict(data)
+
+
 def test_all_diagnostics_collected_at_once():
     data = _small_trial_scenario()
     data["name"] = ""
