@@ -49,7 +49,7 @@ import numpy as np
 from . import specfun
 from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
-from .precoding import HybridDesign, _analog, _arc_size, _ps_column, ttd_delays
+from .precoding import HybridDesign, _analog, _arc_size, _dpp_chains
 
 __all__ = [
     "exact_gain",
@@ -160,19 +160,12 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
     return abs(specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * a * a))
 
 
-def _dpp_stage(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int):
-    """Centroid-referenced phase-shifter arcs (N x 1) and TTD delays (1 x K)
-    of one delay-phase RF chain steered toward phi."""
-    return (_ps_column(geom, fc_hz, phi_rad, k_ttd, correct_to_centroid=True)[:, None],
-            ttd_delays(phi_rad, k_ttd, geom)[None, :])
-
-
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
                    k_ttd: int):
     """Exact on-beam gain of a single delay-phase chain (discrete sum,
     no large-N approximation).  ``f_hz`` may be a 1-D array of sweep points;
     each point's column comes from one chain stage built once."""
-    stage = _dpp_stage(geom, fc_hz, phi_rad, k_ttd)
+    stage = _dpp_chains(geom, fc_hz, [phi_rad], k_ttd)
     return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: _analog(*stage, f)[..., 0])
 
 

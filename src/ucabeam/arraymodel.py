@@ -273,7 +273,9 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     the same bits for the same m (``channel_matrix(ch, m)`` equals
     ``ch.matrices[m]``); against exp(j*eta(f_m)*cos) it adds an error of
     the size the phase argument already carries, about eps*eta(f_m).  The
-    ULA and delay phases are taken at f_m directly.
+    ULA and delay phases are taken at f_m directly, once per call, as is the
+    left factor b^H * coef (len(m) x N_r x L); a chunk takes only its block
+    rows, the residual product and one matmul into the stack.
     """
     idx = _subcarrier_index(m, ch.grid.n_subcarriers)
     tx, rx, grid = ch.tx, ch.rx, ch.grid
@@ -289,17 +291,23 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
         grid.bandwidth_hz / grid.n_subcarriers)
     eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
     residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
+    r = flat % SUBCARRIER_CHUNK
+    # one np.unique gives every chunk's distinct blocks (chunk, m - r): chunk
+    # i takes the block rows of keys[bounds[i]:bounds[i + 1]]
+    chunks, n_sub = _subcarrier_chunks(flat.size), grid.n_subcarriers
+    keys, inv = np.unique(np.arange(flat.size) // SUBCARRIER_CHUNK * n_sub + flat - r,
+                          return_inverse=True)
+    bounds = np.searchsorted(keys, np.arange(len(chunks) + 1) * n_sub)
+    eta_q = 2.0 * np.pi * tx.radius_m * freqs[keys % n_sub, None, None] / SPEED_OF_LIGHT
+    f = freqs[flat, None, None]
+    b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
+               ) / math.sqrt(rx.n_elements)  # len(m) x L x N_r
+    coef = gains * np.exp(-2j * np.pi * delays * f)  # len(m) x 1 x L
+    left = np.swapaxes(b.conj(), -1, -2) * coef  # len(m) x N_r x L
     h_t = np.empty((flat.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
-    for sl in _subcarrier_chunks(flat.size):
-        q, inv = np.unique(flat[sl] // SUBCARRIER_CHUNK, return_inverse=True)
-        f_q = freqs[SUBCARRIER_CHUNK * q, None, None]
-        eta_q = 2.0 * np.pi * tx.radius_m * f_q / SPEED_OF_LIGHT
-        a = np.exp(1j * (eta_q * cos_tx))[inv]  # c x L x N
-        a *= residual[flat[sl] % SUBCARRIER_CHUNK]
-        f = freqs[flat[sl], None, None]
-        b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
-                   ) / math.sqrt(rx.n_elements)  # c x L x N_r
-        coef = gains * np.exp(-2j * np.pi * delays * f)  # c x 1 x L
-        np.matmul(np.swapaxes(b.conj(), -1, -2) * coef, a, out=h_t[sl])
+    for sl, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+        a = np.exp(1j * (eta_q[lo:hi] * cos_tx))[inv[sl] - lo]  # c x L x N
+        a *= residual[r[sl]]
+        np.matmul(left[sl], a, out=h_t[sl])
     h_t *= math.sqrt(tx.n_elements / ch.n_paths)
     return np.swapaxes(h_t.reshape(idx.shape + h_t.shape[1:]), -1, -2)

@@ -35,7 +35,9 @@ is 1 at every frequency.
 
 The classic hybrid precoder is the K -> 1 degenerate wiring: phase shifters
 align the beam at the center frequency only and the TTD stage is all-ones,
-so its design is the zero-delay single-arc case, ``G = H^H w_ps``.
+so its design has no per-arc products: ``G = H^H w_ps`` is one product over
+the whole channel stack, and every subcarrier's Gram is ``w_ps^H w_ps``.
+Every design takes the PS columns of all its chains from one steering call.
 """
 
 from __future__ import annotations
@@ -108,25 +110,26 @@ def ttd_reference_angles(n_elements: int, k_ttd: int) -> np.ndarray:
     return np.pi * (2.0 * k + 1.0) / k_ttd - np.pi / n_elements
 
 
-def ttd_delays(phi_rad: float, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
+def ttd_delays(phi_rad, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
     """Delays t_k = (R/c)*(1 - cos(phi - theta_k)) for one RF chain steered
-    toward phi; non-negative by construction and at most 2R/c."""
+    toward phi; non-negative by construction and at most 2R/c.  An n x 1
+    array of directions gives one row of K delays per direction."""
     theta = ttd_reference_angles(geom.n_elements, k_ttd)
     return geom.radius_m / SPEED_OF_LIGHT * (1.0 - np.cos(phi_rad - theta))
 
 
-def _ps_column(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int,
-               correct_to_centroid: bool) -> np.ndarray:
-    """Phase-shifter weights of one chain steered toward phi: the
-    center-frequency steering vector, optionally rotated per arc so each
-    arc's centroid phase is zero."""
-    col = steering_uca(geom, fc_hz, phi_rad)
-    if correct_to_centroid:
-        eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
-        theta = ttd_reference_angles(geom.n_elements, k_ttd)
-        corr = np.exp(-1j * eta_c * np.cos(phi_rad - theta))
-        col = col * np.repeat(corr, geom.n_elements // k_ttd)
-    return col
+def _dpp_chains(geom: UcaGeometry, fc_hz: float, phi_rad, k_ttd: int):
+    """Phase-shifter weights (N x n) and TTD delays (n x K) of n delay-phase
+    RF chains steered toward the directions phi_rad: column l is the
+    center-frequency steering vector toward phi_rad[l], rotated per arc so
+    each arc's centroid phase is zero, and row l is ttd_delays(phi_rad[l])."""
+    phi = np.asarray(phi_rad, dtype=float)[:, None]
+    theta = ttd_reference_angles(geom.n_elements, k_ttd)
+    eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
+    corr = np.exp(-1j * eta_c * np.cos(phi - theta))  # n x K
+    cols = steering_uca(geom, fc_hz, phi[:, 0])
+    cols *= np.repeat(corr, geom.n_elements // k_ttd, axis=1)
+    return np.ascontiguousarray(cols.T), ttd_delays(phi, k_ttd, geom)
 
 
 def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
@@ -147,14 +150,15 @@ def _equivalent_channels(h_t: np.ndarray, w_ps: np.ndarray, delays_s: np.ndarray
 
     Per arc k, C_k = H_{arc k}^T conj(w_k) is one product of length P, and
     G = sum_k conj(C_k) * phi_k(f); the Gram is sum_k conj(phi_k)^T phi_k *
-    (w_k^H w_k).  All-zero delays (the classic wiring) are the single-arc
-    case, G = H^H w_ps.  Per chunk of SUBCARRIER_CHUNK subcarriers the arc
-    products hold SUBCARRIER_CHUNK x K x N_r x n_rf values.
+    (w_k^H w_k), per chunk of SUBCARRIER_CHUNK subcarriers.  All-zero delays
+    (the classic wiring) need no arcs: G = conj(H^T conj(w_ps)) is one
+    product over the stack, and every subcarrier's Gram is w_ps^H w_ps.
     """
-    if not np.any(delays_s):
-        delays_s = delays_s[:, :1]
-    n_rf, k = delays_s.shape
     m, n_r, n = h_t.shape
+    n_rf, k = delays_s.shape
+    if not np.any(delays_s):
+        g = (h_t.reshape(m * n_r, n) @ w_ps.conj()).conj().reshape(m, n_r, n_rf)
+        return g, np.broadcast_to(w_ps.conj().T @ w_ps, (m, n_rf, n_rf)).copy()
     p = n // k
     w_arcs = w_ps.reshape(k, p, n_rf)
     w_arcs_conj = w_arcs.conj()
@@ -205,16 +209,11 @@ def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: b
             f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={cfg.n_rf}"
         )
     paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:cfg.n_rf]
-    k_ttd = cfg.n_ttd_per_rf
-    w_ps = np.stack([
-        _ps_column(ch.tx, ch.grid.fc_hz, p.aod_rad, k_ttd, correct_to_centroid)
-        for p in paths
-    ], axis=1)
+    phi = np.array([p.aod_rad for p in paths])
     if correct_to_centroid:
-        delays = np.array([ttd_delays(p.aod_rad, k_ttd, ch.tx) for p in paths])
-    else:
-        delays = np.zeros((cfg.n_rf, k_ttd))
-    return w_ps, delays
+        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
+    w_ps = np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T)
+    return w_ps, np.zeros((cfg.n_rf, cfg.n_ttd_per_rf))
 
 
 def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesign:

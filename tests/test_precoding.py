@@ -1,6 +1,7 @@
 """Delay-phase and phase-shifter-only hybrid precoder construction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ucabeam.arraymodel import (
     ChannelRealization,
     FrequencyGrid,
     PathParams,
+    UcaGeometry,
     UlaGeometry,
     generate_channel,
     half_wavelength_uca,
@@ -24,6 +26,7 @@ from ucabeam.precoding import (
     DppConfig,
     _analog,
     _analog_stage,
+    _dpp_chains,
     _equivalent_channels,
     build_classic_hybrid,
     build_dpp,
@@ -192,6 +195,29 @@ def test_classic_hybrid_has_no_delays():
         assert np.array_equal(_combined(ch, cfg, m, dpp=False), w_ps)
 
 
+_DIRECTIONS = st.one_of(st.sampled_from([0.0, math.nextafter(2.0 * math.pi, 0.0)]),
+                        st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_tx=st.integers(2, 1024), data=st.data(),
+       phis=st.lists(_DIRECTIONS, min_size=1, max_size=4))
+def test_chain_stage_equals_one_chain_at_a_time(n_tx, data, phis):
+    # every chain of the one-call stage, against the steering vector of its
+    # direction rotated per arc to zero centroid phase and its own delays
+    k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
+    geom = UcaGeometry(n_tx, n_tx * C / (4.0 * math.pi * 30e9))
+    eta_c = 2.0 * np.pi * geom.radius_m * 30e9 / C
+    theta = ttd_reference_angles(n_tx, k_ttd)
+    w_ps, delays = _dpp_chains(geom, 30e9, np.array(phis), k_ttd)
+    assert w_ps.shape == (n_tx, len(phis)) and delays.shape == (len(phis), k_ttd)
+    for col, row, phi in zip(w_ps.T, delays, phis):
+        corr = np.exp(-1j * eta_c * np.cos(phi - theta))
+        assert np.array_equal(col, steering_uca(geom, 30e9, phi)
+                              * np.repeat(corr, n_tx // k_ttd))
+        assert np.array_equal(row, ttd_delays(phi, k_ttd, geom))
+
+
 def test_combined_phase_decomposition():
     # per element n in arc k, at subcarrier frequency f:
     #   arg(w_n * sqrt(N)) - eta_c*cos(phi - psi_n)
@@ -345,6 +371,20 @@ def test_degenerate_zero_channel_builds_and_radiates_budget():
     np.testing.assert_allclose(design.radiation, 1.0, rtol=1e-12)
 
 
+def test_classic_on_zero_channel_radiates_budget():
+    paths = (PathParams(0j, 0.0, 0.7, 0.2), PathParams(0j, 1e-9, 2.1, -0.3))
+    ch = ChannelRealization(paths=paths, tx=GEOM, rx=RX, grid=_grid(5))
+    for n_rf in (1, 2):
+        cfg = DppConfig(n_rf, 8, 1)
+        design = build_classic_hybrid(ch, cfg)
+        # the stream's unit-norm direction radiates through w_ps^H w_ps
+        assert np.all(design.radiation > 0.0) and np.all(np.isfinite(design.radiation))
+        if n_rf == 1:  # the one unit-norm column radiates the whole stream power
+            np.testing.assert_allclose(design.radiation, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(analysis.spectrum_efficiency(design, 10.0), 0.0,
+                                   rtol=0, atol=1e-12)
+
+
 def test_snr_parameter_validation():
     grid = _grid(5)
     design = build_dpp(_single_path_channel(1.0, grid), DppConfig(1, 8, 1))
@@ -392,3 +432,52 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
     g_ref = np.conj(h_t @ a.conj())  # H^H A
     np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-13 * max(1.0, np.abs(g_ref).max()))
     np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_sub", [1, 13, 128])
+@pytest.mark.parametrize("n_rf", [1, 4])
+def test_zero_delays_take_one_product_over_the_stack(n_sub, n_rf):
+    # 13 subcarriers are not a whole number of chunks; n_rf = 4 = N_r
+    ch = generate_channel(GEOM, RX, _grid(n_sub), 4, 7)
+    w_ps, delays = _analog_stage(ch, DppConfig(n_rf, 8, 1), correct_to_centroid=False)
+    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps, delays,
+                                   ch.grid.freqs_hz)
+    assert g.shape == (n_sub, 4, n_rf) and gram.shape == (n_sub, n_rf, n_rf)
+    for m in range(n_sub):
+        g_ref = ch.matrices[m].conj().T @ w_ps
+        np.testing.assert_allclose(g[m], g_ref, rtol=0, atol=1e-13 * np.abs(g_ref).max())
+        assert np.array_equal(gram[m], w_ps.conj().T @ w_ps)
+    assert gram.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# working memory
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(fn):
+    """Peak of traced allocations while fn runs, above those alive before."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+def test_stage_temporaries_stay_below_the_channel_stack():
+    # N = 256 and M = 128 (the built-ins' stack, 2.10 MB): every stage's
+    # temporaries are bounded by chunk sizes, so an array hoisted out of a
+    # chunk loop that grows with M*N, or with M*K at K = N, fails
+    ch = generate_channel(GEOM, RX, _grid(128), 4, 3)
+    cfg = DppConfig(4, 16, 4)
+    mb = 1e6
+    tracemalloc.start()
+    try:
+        synthesis = _traced_peak(lambda: ch.matrices)
+        assert synthesis - ch.matrices.nbytes <= 0.75 * mb
+        assert _traced_peak(lambda: build_classic_hybrid(ch, cfg)) <= 0.35 * mb
+        assert _traced_peak(lambda: build_dpp(ch, cfg)) <= 0.35 * mb
+        full = DppConfig(4, 256, 4)
+        assert _traced_peak(lambda: build_dpp(ch, full)) <= 1.6 * mb
+        assert _traced_peak(lambda: analysis._singular_values(ch.matrices)) <= 0.25 * mb
+    finally:
+        tracemalloc.stop()
