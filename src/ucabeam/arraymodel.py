@@ -158,9 +158,10 @@ class ChannelRealization:
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
-        """Read-only M x N x N_r channel over the whole grid, built on first
-        use and shared by every precoder and evaluator of this realization;
-        ``matrices[m]`` equals ``channel_matrix(self, m)`` bit for bit."""
+        """Read-only M x N x N_r channel over the whole grid, built by
+        ``channel_matrix(self, range(M))`` on first use and kept: every
+        precoder and evaluator of this realization shares it, and
+        ``channel_matrix(self, m)`` for any other m copies its rows."""
         stack = channel_matrix(self, range(self.grid.n_subcarriers))
         stack.flags.writeable = False
         return stack
@@ -258,28 +259,30 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     """N x N_r channel at subcarrier m (0-based):
     sqrt(N/L) * sum_l g_l * exp(-j*2*pi*tau_l*f_m) * a(phi_l) b(theta_l)^H.
 
-    A sequence of indices gives the len(m) x N x N_r stack, broadcast over
-    paths and chunks of subcarriers.  It is a transposed view of a contiguous
-    len(m) x N_r x N array, so ``np.swapaxes(stack, -1, -2)`` (H^T) is the
-    operand of contiguous batched products such as H^H A = conj(H^T conj(A)).
+    ``m = range(M)`` builds the M x N x N_r stack over the whole grid, 8
+    subcarriers (SUBCARRIER_CHUNK) at a time.  It is a transposed view of a
+    contiguous M x N_r x N array, so ``np.swapaxes(stack, -1, -2)`` (H^T) is
+    the operand of contiguous batched products such as H^H A = conj(H^T
+    conj(A)).  Any other m (an index or a sequence of them) gives a new
+    writable array of those rows of ``ch.matrices``, the whole-grid stack
+    that the realization builds once and keeps.
 
     The UCA factors, the L x N exponentials per subcarrier that dominate the
-    cost, come from two small tables.  With m = 8q + r (8 = SUBCARRIER_CHUNK)
-    the grid gives f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block
-    row exp(j*eta(f_8q)*cos) times the residual row exp(j*eta(r*B/M)*cos):
-    one residual table of 8 rows per call, with 1/sqrt(N) folded in, and one
-    block row per distinct q of a chunk of indices, 24 exp rows in place of
-    128 for M = 128.  The split depends on m alone, so every index set gives
-    the same bits for the same m (``channel_matrix(ch, m)`` equals
-    ``ch.matrices[m]``); against exp(j*eta(f_m)*cos) it adds an error of
-    the size the phase argument already carries, about eps*eta(f_m).  The
-    ULA and delay phases are taken at f_m directly, once per call, as is the
-    left factor b^H * coef (len(m) x N_r x L); a chunk takes only its block
-    rows, the residual product and one matmul into the stack.
+    cost, come from two small tables.  With m = 8q + r the grid gives
+    f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block row
+    exp(j*eta(f_8q)*cos) times the residual row exp(j*eta(r*B/M)*cos): one
+    residual table of 8 rows, with 1/sqrt(N) folded in, and one block row
+    per chunk, 24 exp rows in place of 128 for M = 128.  Against
+    exp(j*eta(f_m)*cos) the split adds an error of the size the phase
+    argument already carries, about eps*eta(f_m).  The ULA and delay phases
+    are taken at f_m directly, as is the left factor b^H * coef
+    (M x N_r x L); a chunk takes its block row, the residual product and
+    one matmul into the stack.
     """
     idx = _subcarrier_index(m, ch.grid.n_subcarriers)
+    if not (isinstance(m, range) and m == range(ch.grid.n_subcarriers)):
+        return np.array(ch.matrices[idx])
     tx, rx, grid = ch.tx, ch.rx, ch.grid
-    flat = idx.reshape(-1)
     freqs = grid.freqs_hz
     gains = np.array([p.gain for p in ch.paths])
     delays = np.array([p.delay_s for p in ch.paths])
@@ -291,23 +294,15 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
         grid.bandwidth_hz / grid.n_subcarriers)
     eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
     residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
-    r = flat % SUBCARRIER_CHUNK
-    # one np.unique gives every chunk's distinct blocks (chunk, m - r): chunk
-    # i takes the block rows of keys[bounds[i]:bounds[i + 1]]
-    chunks, n_sub = _subcarrier_chunks(flat.size), grid.n_subcarriers
-    keys, inv = np.unique(np.arange(flat.size) // SUBCARRIER_CHUNK * n_sub + flat - r,
-                          return_inverse=True)
-    bounds = np.searchsorted(keys, np.arange(len(chunks) + 1) * n_sub)
-    eta_q = 2.0 * np.pi * tx.radius_m * freqs[keys % n_sub, None, None] / SPEED_OF_LIGHT
-    f = freqs[flat, None, None]
+    eta_q = 2.0 * np.pi * tx.radius_m * freqs[::SUBCARRIER_CHUNK, None] / SPEED_OF_LIGHT
+    f = freqs[:, None, None]
     b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
-               ) / math.sqrt(rx.n_elements)  # len(m) x L x N_r
-    coef = gains * np.exp(-2j * np.pi * delays * f)  # len(m) x 1 x L
-    left = np.swapaxes(b.conj(), -1, -2) * coef  # len(m) x N_r x L
-    h_t = np.empty((flat.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
-    for sl, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-        a = np.exp(1j * (eta_q[lo:hi] * cos_tx))[inv[sl] - lo]  # c x L x N
-        a *= residual[r[sl]]
+               ) / math.sqrt(rx.n_elements)  # M x L x N_r
+    coef = gains * np.exp(-2j * np.pi * delays * f)  # M x 1 x L
+    left = np.swapaxes(b.conj(), -1, -2) * coef  # M x N_r x L
+    h_t = np.empty((freqs.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
+    for sl, eta in zip(_subcarrier_chunks(freqs.size), eta_q):
+        a = np.exp(1j * (eta * cos_tx)) * residual[:sl.stop - sl.start]  # c x L x N
         np.matmul(left[sl], a, out=h_t[sl])
     h_t *= math.sqrt(tx.n_elements / ch.n_paths)
-    return np.swapaxes(h_t.reshape(idx.shape + h_t.shape[1:]), -1, -2)
+    return np.swapaxes(h_t, -1, -2)

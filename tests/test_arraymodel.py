@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucabeam import arraymodel
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
@@ -292,6 +293,10 @@ def test_channel_matrix_index_bounds():
         channel_matrix(ch, 9)
     with pytest.raises(IndexError):
         channel_matrix(ch, -1)
+    with pytest.raises(IndexError):
+        channel_matrix(ch, 1.0)
+    with pytest.raises(IndexError):
+        channel_matrix(ch, [[0, 1]])
 
 
 def _per_path_stack(ch):
@@ -361,3 +366,40 @@ def test_channel_stack_is_built_once_and_read_only():
         ch.matrices[0, 0, 0] = 0.0
     with pytest.raises(IndexError):
         channel_matrix(ch, [0, 6])
+
+
+@pytest.mark.parametrize("n_sub", [1, 7, 13, 128])
+def test_channel_stack_layout(n_sub):
+    # H^T is C-contiguous, so the zero-delay product of the classic design
+    # reads the read-only stack as one M*N_r x N matrix without a copy
+    ch = generate_channel(half_wavelength_uca(16, 30e9), UlaGeometry(3, C / 30e9 / 2.0),
+                          FrequencyGrid(30e9, 4e9, n_sub), 2, n_sub)
+    h_t = np.swapaxes(ch.matrices, -1, -2)
+    assert h_t.flags.c_contiguous
+    assert not ch.matrices.flags.writeable
+    assert np.shares_memory(h_t.reshape(n_sub * 3, 16), ch.matrices)
+
+
+def test_subsets_are_writable_rows_of_the_stack_built_once(monkeypatch):
+    # ch.matrices builds its stack through the module global; the subset
+    # calls below go through the imported name and are not counted
+    builds = []
+    original = arraymodel.channel_matrix
+
+    def counted(ch, m):
+        builds.append(m)
+        return original(ch, m)
+
+    monkeypatch.setattr(arraymodel, "channel_matrix", counted)
+    ch = generate_channel(half_wavelength_uca(12, 30e9), UlaGeometry(2, C / 30e9 / 2.0),
+                          FrequencyGrid(30e9, 2e9, 9), 3, 4)
+    one, rows = channel_matrix(ch, 3), channel_matrix(ch, [5, 0, 5])
+    assert builds == [range(9)]
+    stack = ch.matrices.copy()
+    assert np.array_equal(one, stack[3]) and np.array_equal(rows, stack[[5, 0, 5]])
+    for sub in (one, rows):
+        assert sub.flags.writeable and not np.shares_memory(sub, ch.matrices)
+        sub[...] = 0.0
+    assert np.array_equal(ch.matrices, stack)
+    channel_matrix(ch, 8)
+    assert builds == [range(9)]

@@ -9,7 +9,9 @@ import inspect
 import sys
 from pathlib import Path
 
-from ucabeam import xpcli
+import numpy as np
+
+from ucabeam import arraymodel, xpcli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -46,6 +48,29 @@ def test_every_traced_builder_takes_the_channel_first():
         first[name] = (params[0].name, params[0].kind) if params else None
     assert tracer.BUILDERS and first == {
         name: ("ch", inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in tracer.BUILDERS}
+
+
+def test_channel_stack_is_one_traced_call_over_the_grid(monkeypatch):
+    # the tracer's channel layer, calls and unique_frac count the stack as
+    # one channel_matrix call, looked up in the module globals, whose
+    # (id(args[0]), args[1]) pair is hashed
+    calls = []
+    channel_matrix = arraymodel.channel_matrix
+
+    def tracked(*args, **kwargs):
+        calls.append((args, kwargs))
+        return channel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(arraymodel, "channel_matrix", tracked)
+    grid = arraymodel.FrequencyGrid(30e9, 1e9, 11)
+    ch = arraymodel.generate_channel(arraymodel.half_wavelength_uca(8, 30e9),
+                                     arraymodel.UlaGeometry(2, 0.005), grid, 2, 0)
+    assert ch.matrices is ch.matrices
+    assert len(calls) == 1
+    (args, kwargs), = calls
+    assert kwargs == {} and len(args) == 2 and args[0] is ch
+    hash(args[1])
+    assert np.array_equal(np.asarray(args[1]), np.arange(11))
 
 
 def test_every_generated_config_validates(tmp_path, capsys):
