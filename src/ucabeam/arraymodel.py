@@ -46,9 +46,9 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 SUBCARRIER_CHUNK = 8
 
 
-def _subcarrier_chunks(n: int) -> list:
-    """Slices covering range(n) in steps of SUBCARRIER_CHUNK."""
-    return [slice(lo, min(lo + SUBCARRIER_CHUNK, n)) for lo in range(0, n, SUBCARRIER_CHUNK)]
+def _subcarrier_chunks(n: int, step: int = SUBCARRIER_CHUNK) -> list:
+    """Slices covering range(n) in steps of step (SUBCARRIER_CHUNK)."""
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ over the stream SNRs and an exact rescale of the powers a^2 to the budget
 ``f_d^H (A^H A) f_d``.  Since ``G v_s = sigma_s u_s``, the rate is a sum over
 streams of singular values and powers, so neither v nor ``G v`` is kept, and
 the rates at many SNRs come from one design.
-The per-arc products are built in chunks of ``arraymodel.SUBCARRIER_CHUNK``
-subcarriers, so they hold at most SUBCARRIER_CHUNK x K x N_r x n_rf values
-(SUBCARRIER_CHUNK x N x N_r x n_rf at K = N).
+Blocks of subcarriers are sized by per-arc values: c subcarriers hold c x K x
+n_rf x max(N_r, n_rf) of them (the arc products C, or the Gram's phase
+products), at most a ``SUBCARRIER_CHUNK``-subcarrier chunk of the stack, 128
+KB for the 256 x 4 built-ins: one block for K <= 4, 32 subcarriers at K = 16.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -35,8 +36,8 @@ is 1 at every frequency.
 
 The classic hybrid precoder is the K -> 1 degenerate wiring: phase shifters
 align the beam at the center frequency only and the TTD stage is all-ones,
-so its design has no per-arc products: ``G = H^H w_ps`` is one product over
-the whole channel stack, and every subcarrier's Gram is ``w_ps^H w_ps``.
+so it takes the same path as one arc with zero delay; since exp(0) = 1,
+every subcarrier's Gram is exactly ``w_ps^H w_ps``.
 Every design takes the PS columns of all its chains from one steering call.
 """
 
@@ -48,6 +49,7 @@ import numpy as np
 
 from .arraymodel import (
     SPEED_OF_LIGHT,
+    SUBCARRIER_CHUNK,
     ChannelRealization,
     UcaGeometry,
     _subcarrier_chunks,
@@ -146,32 +148,27 @@ def _equivalent_channels(h_t: np.ndarray, w_ps: np.ndarray, delays_s: np.ndarray
                          freqs_hz: np.ndarray):
     """Equivalent channels G = H^H A (M x N_r x n_rf) and analog Gram
     matrices A^H A (M x n_rf x n_rf) of the per-arc analog stage on the
-    stack h_t = H^T (M x N_r x N), one subcarrier per frequency.
-
-    Per arc k, C_k = H_{arc k}^T conj(w_k) is one product of length P, and
-    G = sum_k conj(C_k) * phi_k(f); the Gram is sum_k conj(phi_k)^T phi_k *
-    (w_k^H w_k), per chunk of SUBCARRIER_CHUNK subcarriers.  All-zero delays
-    (the classic wiring) need no arcs: G = conj(H^T conj(w_ps)) is one
-    product over the stack, and every subcarrier's Gram is w_ps^H w_ps.
-    """
+    stack h_t = H^T (M x N_r x N), one subcarrier per frequency.  Per block
+    of subcarriers, the C_k of all arcs are one batched product, and G and
+    the Gram are matmuls over arcs."""
     m, n_r, n = h_t.shape
     n_rf, k = delays_s.shape
-    if not np.any(delays_s):
-        g = (h_t.reshape(m * n_r, n) @ w_ps.conj()).conj().reshape(m, n_r, n_rf)
-        return g, np.broadcast_to(w_ps.conj().T @ w_ps, (m, n_rf, n_rf)).copy()
-    p = n // k
-    w_arcs = w_ps.reshape(k, p, n_rf)
+    w_arcs = w_ps.reshape(k, -1, n_rf)
     w_arcs_conj = w_arcs.conj()
-    arc_grams = np.swapaxes(w_arcs_conj, -1, -2) @ w_arcs  # K x n_rf x n_rf
-    g = np.empty((m, n_r, n_rf), dtype=np.complex128)
+    arc_grams = (np.swapaxes(w_arcs_conj, -1, -2) @ w_arcs).transpose(1, 2, 0)[..., None]
+    g_t = np.empty((n_rf, m, 1, n_r), dtype=np.complex128)  # conj(G), chains first
     gram = np.empty((m, n_rf, n_rf), dtype=np.complex128)
-    for sl in _subcarrier_chunks(m):
-        c = h_t[sl].shape[0]
-        arcs = h_t[sl].reshape(c * n_r, k, p).swapaxes(0, 1) @ w_arcs_conj  # K x c*N_r x n_rf
-        phases = np.exp(-2j * np.pi * freqs_hz[sl, None, None] * delays_s.T)  # c x K x n_rf
-        g[sl] = np.einsum("kcrl,ckl->crl", arcs.reshape(k, c, n_r, n_rf), phases.conj()).conj()
-        gram[sl] = np.einsum("cki,ckj,kij->cij", phases.conj(), phases, arc_grams)
-    return g, gram
+    per_block = max(1, SUBCARRIER_CHUNK * n * n_r // (k * n_rf * max(n_r, n_rf)))
+    for sl in _subcarrier_chunks(m, per_block):
+        phases = np.exp(-2j * np.pi * freqs_hz[sl, None] * delays_s[:, None])  # n_rf x c x K
+        conj = phases.conj()
+        arcs = h_t[sl].reshape(-1, k, n // k).swapaxes(0, 1) @ w_arcs_conj  # K x c*N_r x n_rf
+        np.matmul(conj[:, :, None], arcs.reshape(k, -1, n_r, n_rf).transpose(3, 1, 0, 2),
+                  out=g_t[:, sl])
+        del arcs  # the Gram's phase products take its place
+        np.matmul(np.einsum("ick,jck->ijck", conj, phases), arc_grams,
+                  out=gram[sl].transpose(1, 2, 0)[..., None])
+    return np.conjugate(g_t, out=g_t)[:, :, 0].transpose(1, 2, 0), gram
 
 
 @dataclass(frozen=True)
@@ -199,8 +196,8 @@ class HybridDesign:
 
 def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: bool):
     """Phase-shifter weights and delays: chain l serves the l-th strongest
-    path; its TTD delays follow the arc centroids when corrected, and are
-    zero otherwise."""
+    path; its TTD delays follow the arc centroids when corrected, and
+    otherwise the chain is one arc with zero delay."""
     _arc_size(ch.tx.n_elements, cfg.n_ttd_per_rf)
     if cfg.n_rf > ch.tx.n_elements:
         raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={ch.tx.n_elements}")
@@ -213,7 +210,7 @@ def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: b
     if correct_to_centroid:
         return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
     w_ps = np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T)
-    return w_ps, np.zeros((cfg.n_rf, cfg.n_ttd_per_rf))
+    return w_ps, np.zeros((cfg.n_rf, 1))
 
 
 def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesign:

@@ -9,7 +9,7 @@ config and base seed always produce a byte-identical CSV.
 
 Subcommands: ``run <scenario|path> [--out PATH] [--seed U64] [--points N]
 [--format csv|json]``, ``validate <path>``, ``list``.  Exit codes: 0 success,
-2 configuration or I/O error, 3 numeric failure.
+2 configuration or I/O error, 3 numeric failure or out of memory.
 """
 
 from __future__ import annotations
@@ -696,6 +696,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -189,7 +189,7 @@ def test_classic_hybrid_has_no_delays():
     ch = _single_path_channel(0.7, grid)
     cfg = DppConfig(1, 8, 1)
     w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=False)
-    assert np.array_equal(delays, np.zeros((1, 8)))
+    assert np.array_equal(delays, np.zeros((1, 1)))
     assert np.array_equal(w_ps[:, 0], steering_uca(GEOM, 30e9, 0.7))
     for m in range(5):
         assert np.array_equal(_combined(ch, cfg, m, dpp=False), w_ps)
@@ -419,7 +419,8 @@ def _divisor_and_rf(n_elements):
 def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_sub, bw,
                                                          zero_delays):
     # every divisor K of N, random PS weights and delays (all zero: the
-    # single-arc case); 19 subcarriers span three chunks, the last partial
+    # single-arc case); blocks hold 2 to 256 subcarriers, so many grids end
+    # in a partial block
     k_ttd, n_rf = data.draw(_divisor_and_rf(n_tx))
     rng = np.random.default_rng(seed)
     tx = half_wavelength_uca(n_tx, 30e9)
@@ -432,6 +433,26 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
     g_ref = np.conj(h_t @ a.conj())  # H^H A
     np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-13 * max(1.0, np.abs(g_ref).max()))
     np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_sub", [1, 13, 127, 128])
+def test_per_arc_blocks_at_bench_size_equal_the_combined_analog_stage(n_sub):
+    # N = 256: blocks hold from 2 subcarriers (K = N, n_rf = 4) up to the
+    # whole grid, and 13 or 127 subcarriers leave a partial last block
+    ch = generate_channel(GEOM, RX, _grid(n_sub), 4, n_sub)
+    h_t = np.swapaxes(ch.matrices, -1, -2)
+    rng = np.random.default_rng(n_sub)
+    for n_rf in (1, 4):
+        for k_ttd in (1, 2, 4, 8, 16, 32, 64, 256):
+            w_ps = np.exp(2j * np.pi * rng.random((256, n_rf))) / 16.0
+            delays = rng.uniform(0.0, 2e-9, (n_rf, k_ttd))
+            a = _analog(w_ps, delays, ch.grid.freqs_hz)
+            g, gram = _equivalent_channels(h_t, w_ps, delays, ch.grid.freqs_hz)
+            g_ref = np.conj(h_t @ a.conj())
+            np.testing.assert_allclose(g, g_ref, rtol=0,
+                                       atol=1e-13 * max(1.0, np.abs(g_ref).max()))
+            np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0,
+                                       atol=1e-13)
 
 
 @pytest.mark.parametrize("n_sub", [1, 13, 128])
@@ -465,8 +486,8 @@ def _traced_peak(fn):
 
 def test_stage_temporaries_stay_below_the_channel_stack():
     # N = 256 and M = 128 (the built-ins' stack, 2.10 MB): every stage's
-    # temporaries are bounded by chunk sizes, so an array hoisted out of a
-    # chunk loop that grows with M*N, or with M*K at K = N, fails
+    # temporaries are bounded by chunk or block sizes, so an array hoisted
+    # out of a loop that grows with M*N, or with M*K at K = N, fails
     ch = generate_channel(GEOM, RX, _grid(128), 4, 3)
     cfg = DppConfig(4, 16, 4)
     mb = 1e6
@@ -476,6 +497,8 @@ def test_stage_temporaries_stay_below_the_channel_stack():
         assert synthesis - ch.matrices.nbytes <= 0.75 * mb
         assert _traced_peak(lambda: build_classic_hybrid(ch, cfg)) <= 0.35 * mb
         assert _traced_peak(lambda: build_dpp(ch, cfg)) <= 0.35 * mb
+        for k_ttd in (1, 2, 4, 8, 32):  # blocks of the whole grid down to 16 subcarriers
+            assert _traced_peak(lambda: build_dpp(ch, DppConfig(4, k_ttd, 4))) <= 0.35 * mb
         full = DppConfig(4, 256, 4)
         assert _traced_peak(lambda: build_dpp(ch, full)) <= 1.6 * mb
         assert _traced_peak(lambda: analysis._singular_values(ch.matrices)) <= 0.25 * mb

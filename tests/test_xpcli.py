@@ -655,6 +655,22 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 419. GiB for an array", "out of memory: Unable to allocate 419. GiB"),
+    ("", "out of memory: an allocation failed"),
+])
+def test_cli_exit_code_for_memory_error(tmp_path, capsys, monkeypatch, message, shown):
+    # a trial method whose allocation fails exits 3 naming the failure, not
+    # with a traceback; nothing large is allocated here
+    def fail(ch, cfg, rho):
+        raise MemoryError(message)
+    monkeypatch.setitem(xpcli._METHODS, "dpp",
+                        dataclasses.replace(xpcli._METHODS["dpp"], evaluate=fail))
+    cfg = _write(tmp_path, "mini.json", _small_trial_scenario())
+    assert main(["run", cfg, "--out", "-"]) == 3
+    assert shown in capsys.readouterr().err
+
+
 def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
     # a 1024-element ring drives the 2F3 of the upper bound to arguments
     # where its series cancels; the bound once printed values far above 1
