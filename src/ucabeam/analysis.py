@@ -341,10 +341,10 @@ def _check_snr(rho):
 
 
 @contextlib.contextmanager
-def _overflow_at_snr(rho, total_power=None):
+def _overflow_at_snr(rho):
     """A floating-point overflow in the block, where gains are scaled by the
-    SNRs rho (and by the power budget, when given), raises ArithmeticError
-    naming the largest of them; so does an overflow error of an inner block."""
+    SNRs rho, raises ArithmeticError naming the largest of them; so does an
+    overflow error of an inner block."""
     try:
         with np.errstate(over="raise"):
             yield
@@ -352,43 +352,40 @@ def _overflow_at_snr(rho, total_power=None):
         if not isinstance(exc.__cause__ or exc, FloatingPointError):
             raise
         r = float(np.max(rho))
-        budget = "" if total_power is None else f" and total_power={total_power:g}"
-        raise ArithmeticError(
-            f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
-            f"({10.0 * math.log10(r):.6g} dB){budget}"
-        ) from exc
+        raise ArithmeticError(f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
+                              f"({10.0 * math.log10(r):.6g} dB)") from exc
 
 
-def _stream_rates(sigma, rho, n_s: int, total_power: float, radiation=None):
+def _stream_rates(sigma, rho, radiation=None):
     """Sum over streams of log2(1 + p_s * g_s), with g_s = rho * sigma_s^2/n_s
     the stream gains (floored at _GAIN_FLOOR) and p_s their water-filling
-    powers: the rates of the singular values sigma (... x n_s), an array of
-    SNRs putting its shape in front.  For a hybrid design, radiation holds the
-    power each stream radiates per unit stream power, and the powers are
-    rescaled so that sum_s p_s * radiation_s meets the budget."""
+    powers of unit sum: the rates of the singular values sigma (... x n_s),
+    an array of SNRs putting its shape in front.  For a hybrid design,
+    radiation holds the power each stream radiates per unit stream power,
+    and the powers are rescaled so that sum_s p_s * radiation_s = 1."""
     _check_snr(rho)
     r = np.asarray(rho, dtype=float)
     if r.ndim > 1:
         raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
     r = np.reshape(r, r.shape + (1,) * sigma.ndim)
     with _overflow_at_snr(r):
-        gains = np.maximum(r * sigma ** 2 / n_s, _GAIN_FLOOR)
-    with _overflow_at_snr(r, total_power):
-        powers = water_filling(gains, total_power)
+        gains = np.maximum(r * sigma ** 2 / sigma.shape[-1], _GAIN_FLOOR)
+        powers = water_filling(gains, 1.0)
         if radiation is not None:
             radiated = np.sum(powers * radiation, axis=-1, keepdims=True)
             if np.any(radiated <= 0.0):
                 raise ValueError("combined precoder has zero power; degenerate channel")
-            powers = powers * (total_power / radiated)
+            powers = powers * (1.0 / radiated)
         se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
     return float(se) if se.ndim == 0 else se
 
 
 def spectrum_efficiency(design: HybridDesign, rho):
     """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho
-    (per unit noise power), log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d
-    the combined phase-shifter/delay/digital precoder: an array of M rates,
-    or, for a 1-D array of SNRs, one row per SNR.
+    (per unit noise and transmit power: the runner rates a budget P at rho*P),
+    log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d the combined unit-power
+    phase-shifter/delay/digital precoder: an array of M rates, or, for a 1-D
+    array of SNRs, one row per SNR.
 
     The digital precoder f_d = v * a puts amplitude a_s on the right singular
     vector v_s of the stream with singular value sigma_s of G = H^H A.  Since
@@ -396,10 +393,8 @@ def spectrum_efficiency(design: HybridDesign, rho):
     columns sigma_s * a_s * u_s, and its log-det is the sum over streams of
     log2(1 + rho/n_s * sigma_s^2 * a_s^2).  The powers a_s^2 are water-filled
     over the stream gains and rescaled so that f_d^H (A^H A) f_d, which is
-    sum_s a_s^2 * radiation_s, meets the budget."""
-    cfg = design.cfg
-    return _stream_rates(design.sigma, rho, cfg.n_streams, cfg.total_power,
-                         design.radiation)
+    sum_s a_s^2 * radiation_s, is 1."""
+    return _stream_rates(design.sigma, rho, design.radiation)
 
 
 def _singular_values(h_m: np.ndarray) -> np.ndarray:
@@ -414,10 +409,10 @@ def _singular_values(h_m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r_factors, compute_uv=False).reshape(h_m.shape[:-2] + (k,))
 
 
-def spectrum_efficiency_optimal(h_m, rho, n_s: int, total_power: float = 1.0):
-    """Fully digital upper bound: water-filling over the top n_s singular
-    values of the channel, sum of log2(1 + p_i * rho * s_i^2/n_s) with rho the
-    SNR per unit noise power.
+def spectrum_efficiency_optimal(h_m, rho, n_s: int):
+    """Fully digital upper bound: water-filling of unit power over the top
+    n_s singular values of the channel, sum of log2(1 + p_i * rho * s_i^2/n_s)
+    with rho the SNR per unit noise and transmit power (see spectrum_efficiency).
     Leading axes of h_m index a stack of channels (one per subcarrier) and
     give an array of rates; a 1-D array of SNRs gives one row per SNR, from
     one set of singular values.
@@ -433,9 +428,7 @@ def spectrum_efficiency_optimal(h_m, rho, n_s: int, total_power: float = 1.0):
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
     if not (isinstance(n_s, int) and n_s >= 1):
         raise ValueError(f"n_s must be a positive integer, got {n_s}")
-    if not (np.isfinite(total_power) and total_power > 0.0):
-        raise ValueError(f"total_power must be positive, got {total_power}")
     sing = _singular_values(h_m)[..., :n_s]
     if sing.shape[-1] < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
-    return _stream_rates(sing, rho, n_s, total_power)
+    return _stream_rates(sing, rho)

@@ -19,10 +19,11 @@ their right singular vectors v.
 
 The digital stage ``f_d[m] = v * a`` (n_rf x n_streams) at an SNR is only
 stream-sized work, left to ``analysis.spectrum_efficiency``: water-filling
-over the stream SNRs and an exact rescale of the powers a^2 to the budget
-``f_d^H (A^H A) f_d``.  Since ``G v_s = sigma_s u_s``, the rate is a sum over
-streams of singular values and powers, so neither v nor ``G v`` is kept, and
-the rates at many SNRs come from one design.
+over the stream SNRs and an exact rescale of the powers a^2 to unit radiated
+power ``f_d^H (A^H A) f_d`` (the runner rates a budget P at the SNR rho*P).
+Since ``G v_s = sigma_s u_s``, the rate is a sum over streams of singular
+values and powers, so neither v nor ``G v`` is kept, and the rates at many
+SNRs come from one design.
 Blocks of subcarriers are sized by per-arc values: c subcarriers hold c x K x
 n_rf x max(N_r, n_rf) of them (the arc products C, or the Gram's phase
 products), at most a ``SUBCARRIER_CHUNK``-subcarrier chunk of the stack, 128
@@ -69,12 +70,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DppConfig:
-    """Sizing of the hybrid architecture: RF chains, TTDs per chain, streams."""
+    """Sizing of the hybrid architecture; the power budget is in the SNR rho*P."""
 
     n_rf: int
     n_ttd_per_rf: int
     n_streams: int
-    total_power: float = 1.0
 
     def __post_init__(self):
         if not (isinstance(self.n_rf, int) and self.n_rf >= 1):
@@ -88,8 +88,6 @@ class DppConfig:
                 f"n_streams must satisfy 1 <= n_streams <= n_rf, got "
                 f"n_streams={self.n_streams}, n_rf={self.n_rf}"
             )
-        if not (np.isfinite(self.total_power) and self.total_power > 0.0):
-            raise ValueError(f"total_power must be positive, got {self.total_power}")
 
 
 def _arc_size(n_elements: int, k_ttd: int) -> int:
@@ -181,15 +179,13 @@ class HybridDesign:
     u_s, the effective channel G f_d has orthogonal columns sigma_s a_s u_s,
     and the radiated power f_d^H (A^H A) f_d is sum_s a_s^2 * (v_s^H A^H A
     v_s): both need only sigma and the radiation per stream.  Only the
-    amplitudes depend on the SNR.
+    amplitudes depend on the SNR, and n_streams is sigma.shape[-1].
 
-    cfg:       architecture sizing (streams, power budget)
     sigma:     M x n_streams largest singular values of G
     radiation: M x n_streams radiated power per unit stream power,
                the diagonal of v^H (A^H A) v
     """
 
-    cfg: DppConfig
     sigma: np.ndarray
     radiation: np.ndarray
 
@@ -213,13 +209,12 @@ def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: b
     return w_ps, np.zeros((cfg.n_rf, 1))
 
 
-def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesign:
+def _design(ch: ChannelRealization, w_ps, delays, n_s: int) -> HybridDesign:
     """SVD of the equivalent channels over the whole grid of ch, and the
     analog Gram matrices seen by its stream directions."""
     g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps, delays,
                                    ch.grid.freqs_hz)
     res = svd(g)
-    n_s = cfg.n_streams
     if res.sigma.shape[-1] < n_s:
         raise ValueError(
             f"n_streams={n_s} exceeds the equivalent-channel rank bound "
@@ -227,7 +222,7 @@ def _design(ch: ChannelRealization, w_ps, delays, cfg: DppConfig) -> HybridDesig
         )
     v = np.swapaxes(res.vh[:, :n_s].conj(), -1, -2)
     radiation = np.einsum("mis,mij,mjs->ms", v.conj(), gram, v).real
-    return HybridDesign(cfg=cfg, sigma=res.sigma[:, :n_s], radiation=radiation)
+    return HybridDesign(sigma=res.sigma[:, :n_s], radiation=radiation)
 
 
 def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
@@ -235,10 +230,10 @@ def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign
     l is the center-frequency steering vector of the l-th strongest path and
     the TTD stage is all-ones (no delays), so the design does not depend on
     cfg.n_ttd_per_rf."""
-    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=False), cfg)
+    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=False), cfg.n_streams)
 
 
 def build_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
     """Design of the delay-phase precoder on ch: centroid-referenced PS
     corrections plus TTD delays per chain."""
-    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg)
+    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg.n_streams)

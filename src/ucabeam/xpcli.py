@@ -257,7 +257,7 @@ def validate_scenario(scenario: Scenario) -> list:
                 diags.append(f"{where}: {exc}")
 
     def check_snr(where, snr_db):
-        # the runner takes rho = 10^(snr_db/10): it must be a finite positive float
+        # the runner rates at rho*P, rho = 10^(snr_db/10): both finite positive floats
         try:
             rho = 10.0 ** (snr_db / 10.0)
         except OverflowError:
@@ -265,6 +265,10 @@ def validate_scenario(scenario: Scenario) -> list:
         if not (math.isfinite(rho) and rho > 0.0):
             diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
                          f"got snr_db={snr_db!r}")
+        elif ok("total_power") and not 0.0 < rho * pc.total_power < math.inf:
+            diags.append(f"precoding.total_power: 10^(snr_db/10) * total_power must be a "
+                         f"finite positive number, got snr_db={snr_db!r} ({where}) and "
+                         f"total_power={pc.total_power!r}")
 
     def check_divisor(where, k_ttd):
         if ok("n_elements_tx") and not (isinstance(k_ttd, int) and k_ttd >= 1
@@ -273,6 +277,11 @@ def validate_scenario(scenario: Scenario) -> list:
                          f"{sy.n_elements_tx}; each delay unit must drive an integer "
                          f"number of antennas (P = N/K)")
 
+    if ok("n_elements_tx", "fc_hz", "radius_m"):
+        try:
+            _tx_uca(sy)
+        except ValueError as exc:
+            diags.append(f"system.n_elements_tx: {exc}")
     if ok("bandwidth_hz"):
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if ok("n_rf", "n_streams") and pc.n_streams > pc.n_rf:
@@ -540,7 +549,8 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     variable = scenario.sweep.variable
     bandwidths = [x if variable == "bandwidth" else sy.bandwidth_hz for x in xs]
     ks = [int(x) if variable == "k_ttd" else pc.k_ttd for x in xs]
-    rhos = [10.0 ** ((x if variable == "snr_db" else tr.snr_db) / 10.0) for x in xs]
+    rhos = [10.0 ** ((x if variable == "snr_db" else tr.snr_db) / 10.0) * pc.total_power
+            for x in xs]  # the budget P enters the rates only as the SNR rho*P
     per_seed = {label: [[] for _ in xs] for label in labels}
     for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
         for bandwidth, js in itertools.groupby(range(len(xs)), bandwidths.__getitem__):
@@ -553,7 +563,7 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
                     k_ttd = ks[j] if method.uses_k else pc.k_ttd
                     points.setdefault(k_ttd, {}).setdefault(rhos[j], []).append(j)
                 for k_ttd, at_rho in points.items():
-                    cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams, pc.total_power)
+                    cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams)
                     rates = method.evaluate(ch, cfg, np.array(list(at_rho)))
                     for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
                         for j in same:
@@ -607,7 +617,7 @@ _METHODS = {
     "dpp": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency(
         build_dpp(ch, cfg), rho), trial=True),
     "optimal": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency_optimal(
-        ch.matrices, rho, cfg.n_streams, cfg.total_power), trial=True, uses_k=False),
+        ch.matrices, rho, cfg.n_streams), trial=True, uses_k=False),
 }
 
 

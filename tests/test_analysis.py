@@ -27,6 +27,7 @@ from ucabeam.arraymodel import (
 from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
     DppConfig,
+    HybridDesign,
     _analog,
     _analog_stage,
     build_classic_hybrid,
@@ -510,13 +511,13 @@ def _grid(m=129):
     return FrequencyGrid(30e9, 3e9, m)
 
 
-def _explicit_precoders(ch, cfg, rho, classic):
+def _explicit_precoders(ch, cfg, rho, classic, power):
     """Effective channels H^H F (M x N_r x n_streams) and hybrid precoders F
     (M x N x n_streams) at SNR rho (unit noise power) on every subcarrier,
     formed the explicit way: dense A(f) per subcarrier, G = H^H A and its
-    SVD, water-filling over the top n_streams stream SNRs, digital precoders
-    f_d = v * sqrt(p) rescaled so that f_d^H A^H A f_d meets the budget, then
-    F = A f_d."""
+    SVD, water-filling of the budget power over the top n_streams stream
+    SNRs, digital precoders f_d = v * sqrt(p) rescaled so that f_d^H A^H A
+    f_d = power, then F = A f_d.  A design rated at rho*power has its rates."""
     w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=not classic)
     a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
     h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
@@ -524,10 +525,10 @@ def _explicit_precoders(ch, cfg, rho, classic):
     n_s = cfg.n_streams
     v = np.swapaxes(vh[:, :n_s].conj(), -1, -2)  # M x n_rf x n_s
     gains = np.maximum(rho * sigma[:, :n_s] ** 2 / n_s, _GAIN_FLOOR)
-    f_d = v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :]
+    f_d = v * np.sqrt(water_filling(gains, power))[:, None, :]
     radiated = np.trace(np.swapaxes(f_d.conj(), -1, -2) @ np.swapaxes(a.conj(), -1, -2)
                         @ a @ f_d, axis1=-2, axis2=-1).real
-    f = a @ (f_d * np.sqrt(cfg.total_power / radiated)[:, None, None])
+    f = a @ (f_d * np.sqrt(power / radiated)[:, None, None])
     return h_h @ f, f
 
 
@@ -554,7 +555,7 @@ def _draw_hybrid_case(data, seed, n_tx, n_s):
     and 1 to 3 subcarriers, and a sizing with n_s streams on n_s to 4 RF
     chains and any divisor of n_tx as delay units per chain."""
     k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
-    cfg = DppConfig(data.draw(st.integers(n_s, 4)), k_ttd, n_s, total_power=2.0)
+    cfg = DppConfig(data.draw(st.integers(n_s, 4)), k_ttd, n_s)
     grid = FrequencyGrid(30e9, data.draw(st.floats(0.1e9, 10e9)), data.draw(st.integers(1, 3)))
     return generate_channel(half_wavelength_uca(n_tx, 30e9), RX, grid, 4, seed), cfg
 
@@ -656,7 +657,11 @@ def test_rates_that_overflow_raise_naming_the_snr():
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
             an.spectrum_efficiency_optimal(2.0 * np.eye(2), 1e308, 1)
         with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
-            an.spectrum_efficiency_optimal(np.eye(2), [1.0, 1e308], 1, total_power=4.0)
+            an.spectrum_efficiency_optimal(2.0 * np.eye(2), [1.0, 1e308], 1)
+        # finite gains, but a stream radiating half its power is rescaled to
+        # twice the unit power, and its rate overflows
+        with pytest.raises(ArithmeticError, match=r"rho=1e\+308"):
+            an.spectrum_efficiency(HybridDesign(np.ones((1, 1)), np.full((1, 1), 0.5)), 1e308)
 
 
 @settings(max_examples=60, deadline=None)
@@ -686,12 +691,12 @@ def test_singular_values_match_the_svd(seed, lead, rows, cols, data):
 def test_rates_match_a_high_precision_log_det(seed, n_tx, n_s, data, snr_db, classic):
     # classic and delay-phase designs with as many or fewer streams than
     # receive antennas, against the 60-digit log-det of H^H F for the
-    # explicit precoder F = A f_d
+    # explicit precoder F = A f_d of power 2, rated at rho * 2
     ch, cfg = _draw_hybrid_case(data, seed, n_tx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
     rates = an.spectrum_efficiency((build_classic_hybrid if classic else build_dpp)(ch, cfg),
-                                   rho)
-    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic)
+                                   rho * 2.0)
+    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic, 2.0)
     for rate, h in zip(rates, h_eff):
         assert rate == pytest.approx(_mp_rate(h, rho / n_s), rel=1e-12)
 
@@ -704,12 +709,12 @@ def test_rank_deficient_rates_hold_to_200_db(seed, n_tx, n_s, data, snr_db, clas
     # with fewer streams than the 4 receive antennas, H_eff H_eff^H is rank
     # deficient; the rates must hold against its 60-digit log-det, whose
     # identity on the null space is not lost in rounding, however large the
-    # SNR
+    # SNR; the precoder has power 2 and the design is rated at rho * 2
     ch, cfg = _draw_hybrid_case(data, seed, n_tx, n_s)
     rho = 10.0 ** (snr_db / 10.0)
     rates = an.spectrum_efficiency((build_classic_hybrid if classic else build_dpp)(ch, cfg),
-                                   rho)
-    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic)
+                                   rho * 2.0)
+    h_eff, _ = _explicit_precoders(ch, cfg, rho, classic, 2.0)
     for rate, h in zip(rates, h_eff):
         assert rate == pytest.approx(_mp_rate(h, rho / n_s), rel=1e-12, abs=1e-13)
         if n_s == 1:
@@ -724,8 +729,6 @@ def test_se_validation():
             an.spectrum_efficiency(design, rho)
     with pytest.raises(ValueError):
         an.spectrum_efficiency_optimal(np.eye(4), 10.0, 5)
-    with pytest.raises(ValueError):
-        an.spectrum_efficiency_optimal(np.eye(4), 10.0, 1, total_power=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -792,22 +795,23 @@ def test_design_rates_equal_the_two_pass_formula(n_tx, data, seed, snr_db, n_sub
                                                  classic):
     # every divisor K of N up to N, 1 to 4 RF chains and streams; the
     # reference builds the precoder at each SNR the explicit way (dense A,
-    # G = H^H A, F = A f_d) and rates H^H F, at SNRs up to 60 dB.
+    # G = H^H A, F = A f_d of power 2) and rates H^H F, at SNRs up to 60 dB;
+    # the design is rated at the SNRs times 2.
     k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
     n_rf = data.draw(st.integers(1, 4))
     n_s = data.draw(st.integers(1, n_rf))
-    cfg = DppConfig(n_rf, k_ttd, n_s, total_power=2.0)
+    cfg = DppConfig(n_rf, k_ttd, n_s)
     tx = half_wavelength_uca(n_tx, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 4, seed)
     rhos = 10.0 ** (np.array(snr_db) / 10.0)
     design = (build_classic_hybrid if classic else build_dpp)(ch, cfg)
-    rates = an.spectrum_efficiency(design, rhos)
+    rates = an.spectrum_efficiency(design, rhos * 2.0)
     assert rates.shape == (rhos.size, n_sub)
     for rho, row in zip(rhos.tolist(), rates):
-        h_eff, f = _explicit_precoders(ch, cfg, rho, classic)
+        h_eff, f = _explicit_precoders(ch, cfg, rho, classic, 2.0)
         np.testing.assert_allclose(np.linalg.norm(f, axis=(-2, -1)) ** 2, 2.0, rtol=1e-12)
         np.testing.assert_allclose(row, _log_det_rate(h_eff, rho), rtol=1e-12, atol=1e-13)
-        np.testing.assert_array_equal(an.spectrum_efficiency(design, rho), row)
+        np.testing.assert_array_equal(an.spectrum_efficiency(design, rho * 2.0), row)
 
 
 def test_rates_at_many_snrs_equal_the_per_snr_rows():

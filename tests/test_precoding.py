@@ -66,15 +66,15 @@ def _stream_directions(ch, cfg, dpp=True):
     return a, sigma[:, :n_s], np.swapaxes(vh[:, :n_s].conj(), -1, -2)
 
 
-def _combined_precoders(ch, cfg, rho, dpp=True):
+def _combined_precoders(ch, cfg, rho, power, dpp=True):
     """End-to-end precoders F = A(f_m) f_d[m] on every subcarrier (M x N x
-    n_streams), with f_d = v * a: the stream powers water-filled at SNR rho
-    and rescaled so that f_d^H (A^H A) f_d meets the budget."""
+    n_streams), with f_d = v * a: the budget power water-filled over the
+    stream SNRs at rho and rescaled so that f_d^H (A^H A) f_d = power."""
     a, sigma, v = _stream_directions(ch, cfg, dpp)
     gains = np.maximum(rho * sigma ** 2 / cfg.n_streams, _GAIN_FLOOR)
-    f = a @ (v * np.sqrt(water_filling(gains, cfg.total_power))[:, None, :])
+    f = a @ (v * np.sqrt(water_filling(gains, power))[:, None, :])
     radiated = np.linalg.norm(f, axis=(-2, -1)) ** 2
-    return f * np.sqrt(cfg.total_power / radiated)[:, None, None]
+    return f * np.sqrt(power / radiated)[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,6 @@ def test_dpp_config_validation():
         DppConfig(2, 0, 1)
     with pytest.raises(ValueError):
         DppConfig(2, 8, 3)  # more streams than chains
-    with pytest.raises(ValueError):
-        DppConfig(2, 8, 2, total_power=0.0)
     with pytest.raises(ValueError):
         DppConfig(2, 8, 2.0)  # type: ignore[arg-type]
 
@@ -332,20 +330,25 @@ def test_power_budget_met_exactly_per_subcarrier():
         ),
         tx=GEOM, rx=RX, grid=grid,
     )
-    cfg = DppConfig(4, 8, 4, total_power=2.5)
-    f = _combined_precoders(ch, cfg, 10.0)
+    cfg = DppConfig(4, 8, 4)
+    f = _combined_precoders(ch, cfg, 10.0, 2.5)
     for m in range(17):
         assert np.linalg.norm(f[m], "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
-    classic = _combined_precoders(ch, cfg, 10.0, dpp=False)
+    classic = _combined_precoders(ch, cfg, 10.0, 2.5, dpp=False)
     for m in (0, 8, 16):
         assert np.linalg.norm(classic[m], "fro") ** 2 == pytest.approx(2.5, rel=1e-9)
-    # the designs rescale by the same radiated power per stream, ||A v_s||^2
-    for dpp, build in ((True, build_dpp), (False, build_classic_hybrid)):
+    # the designs rescale by the same radiated power per stream, ||A v_s||^2,
+    # and rated at rho * 2.5 they give the rates of F
+    for dpp, build, precoders in ((True, build_dpp, f), (False, build_classic_hybrid, classic)):
         a, sigma, v = _stream_directions(ch, cfg, dpp)
         design = build(ch, cfg)
         np.testing.assert_allclose(design.sigma, sigma, rtol=1e-12)
         np.testing.assert_allclose(design.radiation, np.linalg.norm(a @ v, axis=-2) ** 2,
                                    rtol=1e-9)
+        h_eff = np.swapaxes(ch.matrices.conj(), -1, -2) @ precoders
+        gram = np.eye(4) + 10.0 / 4 * (np.swapaxes(h_eff.conj(), -1, -2) @ h_eff)
+        np.testing.assert_allclose(analysis.spectrum_efficiency(design, 10.0 * 2.5),
+                                   np.linalg.slogdet(gram)[1] / math.log(2.0), rtol=1e-12)
 
 
 def test_classic_equals_dpp_for_single_delay_unit():
@@ -363,7 +366,7 @@ def test_classic_equals_dpp_for_single_delay_unit():
 def test_degenerate_zero_channel_builds_and_radiates_budget():
     grid = _grid(5)
     ch = _single_path_channel(1.0, grid, gain=0j)
-    f = _combined_precoders(ch, DppConfig(1, 8, 1), 10.0)
+    f = _combined_precoders(ch, DppConfig(1, 8, 1), 10.0, 1.0)
     for m in range(5):
         assert np.linalg.norm(f[m], "fro") ** 2 == pytest.approx(1.0, rel=1e-9)
     # the one unit-norm analog column radiates the whole stream power

@@ -15,6 +15,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ucabeam import analysis, arraymodel, xpcli
 from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
@@ -367,13 +369,31 @@ def test_snr_sweep_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("method", ["classic", "dpp", "optimal"])
-def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys, method):
-    # a finite power budget whose scaled rates overflow at an ordinary SNR:
-    # a numeric failure naming the budget, with no overflow warning
+def test_power_budget_whose_snr_product_is_not_finite_is_a_config_error(tmp_path, capsys,
+                                                                        method):
+    # the runner rates at rho*P: 10^(20/10) * 1e308 does not fit a float, so
+    # validate and run exit 2 naming the budget and the SNR
     data = _builtin_data("fig8")
     data["system"].update(n_elements_tx=16, n_subcarriers=8)
     data["trials"]["n_seeds"] = 1
     data["precoding"]["total_power"] = 1e308
+    data["methods"] = [method]
+    cfg = _write(tmp_path, "huge_power.json", data)
+    message = ("precoding.total_power: 10^(snr_db/10) * total_power must be a finite "
+               "positive number, got snr_db=20.0 (sweep.stop) and total_power=1e+308")
+    for command in (["validate", cfg], ["run", cfg, "--out", "-"]):
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["classic", "dpp", "optimal"])
+def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys, method):
+    # a finite budget whose rho*P = 1e308 at 20 dB scales stream gains that
+    # overflow: a numeric failure naming that SNR, with no overflow warning
+    data = _builtin_data("fig8")
+    data["system"].update(n_elements_tx=16, n_subcarriers=8)
+    data["trials"]["n_seeds"] = 1
+    data["precoding"]["total_power"] = 1e306
     data["methods"] = [method]
     cfg = _write(tmp_path, "huge_power.json", data)
     assert main(["validate", cfg]) == 0
@@ -382,7 +402,21 @@ def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys
         warnings.simplefilter("error")
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and "total_power=1e+308" in err
+    assert err.startswith("numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308")
+
+
+def test_power_budget_enters_the_rates_as_the_snr_times_the_budget():
+    # the rates depend on the budget only through rho*P: a budget of 10 at
+    # SNR s rates like a budget of 1 at s + 10 dB
+    ten = _small_trial_scenario()
+    ten["precoding"]["total_power"] = 10.0
+    one = _small_trial_scenario()
+    one["sweep"].update(start=0.0, stop=30.0)
+    a, b = (run(scenario_from_dict(d)).rows for d in (ten, one))
+    assert [(r.x + 10.0, r.method) for r in a] == [(r.x, r.method) for r in b]
+    for ra, rb in zip(a, b):
+        assert ra.mean == pytest.approx(rb.mean, rel=1e-12)
+        assert ra.std == pytest.approx(rb.std, rel=1e-12)
 
 
 @pytest.mark.parametrize("name, section, key", [
@@ -444,6 +478,24 @@ def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
     assert "precoding.n_streams: 4 exceeds system.n_elements_rx=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["classic", "ps_exact"])
+def test_half_wavelength_ring_of_one_element_is_a_config_error(tmp_path, capsys, method):
+    # radius_m null spaces the elements half a wavelength apart along the
+    # ring, which needs two of them: validate and run exit 2 naming the field
+    data = _builtin_data("fig8" if method == "classic" else "fig2")
+    data["system"].update(n_elements_tx=1, n_subcarriers=4)
+    data["precoding"].update(n_rf=1, n_streams=1, k_ttd=1)
+    data["methods"] = [method]
+    cfg = _write(tmp_path, "one_element.json", data)
+    for command in (["validate", cfg], ["run", cfg, "--out", "-"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: system.n_elements_tx: need at least 2 elements, got 1\n"
+    # a ring of one element with a given radius is a valid array
+    data["system"]["radius_m"] = 0.01
+    scenario_from_dict(data)
+
+
 def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys):
     data = _small_trial_scenario()
     data["system"]["n_elements_tx"] = 2
@@ -452,6 +504,42 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
     cfg = _write(tmp_path, "chains.json", data)
     assert main(["validate", cfg]) == 2
     assert "precoding.n_rf: 4 exceeds system.n_elements_tx=2" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(name="fig8", n_tx=1, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=4,
+         n_paths=4, total_power=1.0, snr_db=10.0, n_sub=4, seed=0)
+@given(name=st.sampled_from(("fig8", "fig9", "fig10", "fig2", "fig3a", "fig3b", "fig5", "fig6",
+                             "fig7")),
+       n_tx=st.sampled_from([1, 2, 3, 4, 6, 8, 16]),
+       radius=st.none() | st.floats(1e-3, 0.1), k_pick=st.integers(0, 4),
+       n_rf=st.integers(1, 4), n_streams=st.integers(1, 4), n_rx=st.integers(1, 4),
+       n_paths=st.integers(1, 4),
+       total_power=st.floats(1e-3, 1e3) | st.floats(1e-300, 1e308),
+       snr_db=st.floats(-100.0, 100.0), n_sub=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_scenario_that_validates_runs_without_a_config_error(
+        tmp_path, capsys, name, n_tx, radius, k_pick, n_rf, n_streams, n_rx, n_paths,
+        total_power, snr_db, n_sub, seed):
+    # small variants of the built-ins, the trial ones drawn first: whatever
+    # validate accepts, run may still stop as a numeric failure (exit 3), but
+    # not as a config error
+    divisors = [k for k in range(1, n_tx + 1) if n_tx % k == 0]
+    data = _builtin_data(name)
+    data["system"].update(n_elements_tx=n_tx, n_elements_rx=n_rx, n_subcarriers=n_sub,
+                          radius_m=radius)
+    data["precoding"].update(n_rf=n_rf, k_ttd=divisors[k_pick % len(divisors)],
+                             n_streams=min(n_streams, n_rf), total_power=total_power)
+    data["trials"].update(n_seeds=1, base_seed=seed, n_paths=n_paths, snr_db=snr_db)
+    if data["sweep"]["variable"] == "k_ttd":
+        data["sweep"]["values"] = divisors
+    else:
+        data["sweep"]["points"] = 5
+    cfg = _write(tmp_path, "variant.json", data)
+    if main(["validate", cfg]) == 0:
+        assert main(["run", cfg, "--out", "-"]) != 2, capsys.readouterr().err
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
