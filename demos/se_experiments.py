@@ -16,12 +16,10 @@ Run:  python3 demos/se_experiments.py
 import numpy as np
 
 from ucabeam import (
-    DppConfig,
     FrequencyGrid,
     SPEED_OF_LIGHT,
     UlaGeometry,
-    build_classic_hybrid,
-    build_dpp,
+    build_designs,
     generate_channel,
     half_wavelength_uca,
     spectrum_efficiency,
@@ -32,6 +30,7 @@ FC = 30e9
 SNR_DB = 10.0
 N_SEEDS = 5          # increase toward 20 for smoother statistics
 M = 64
+K_TTDS = (1, 2, 4, 8, 16, 32)
 
 rho = 10.0 ** (SNR_DB / 10.0)
 tx = half_wavelength_uca(256, FC)
@@ -42,19 +41,21 @@ print(f"{N_SEEDS} channel draws, {M} subcarriers, 4 RF chains, "
       f"4 streams, SNR {SNR_DB:.0f} dB\n")
 print(f"{'K':>3} {'classic':>9} {'delay-phase':>12} {'optimal':>9} {'dpp/opt':>8}")
 
-for k_ttd in (1, 2, 4, 8, 16, 32):
-    cfg = DppConfig(4, k_ttd, 4)
-    se_classic, se_dpp, se_opt = [], [], []
-    for seed in range(N_SEEDS):
-        ch = generate_channel(tx, rx, grid, 4, 2024 + seed)
-        # each design holds the SNR-independent part of its precoder on all
-        # M subcarriers; spectrum_efficiency rates it at rho
-        classic = build_classic_hybrid(ch, cfg)
-        dpp = build_dpp(ch, cfg)
-        se_classic.append(np.mean(spectrum_efficiency(classic, rho)))
-        se_dpp.append(np.mean(spectrum_efficiency(dpp, rho)))
-        se_opt.append(np.mean(spectrum_efficiency_optimal(ch.matrices, rho, 4)))
-    c, d, o = np.mean(se_classic), np.mean(se_dpp), np.mean(se_opt)
+se_classic, se_dpp, se_opt = [], {k: [] for k in K_TTDS}, []
+for seed in range(N_SEEDS):
+    ch = generate_channel(tx, rx, grid, 4, 2024 + seed)
+    # one call builds the SNR-independent part of every precoder on all M
+    # subcarriers, one design per delay-unit count; K = 1 is the classic
+    # design.  spectrum_efficiency rates a design at rho
+    designs = build_designs(ch, 4, 4, K_TTDS)
+    se_classic.append(np.mean(spectrum_efficiency(designs[1], rho)))
+    for k_ttd in K_TTDS:
+        se_dpp[k_ttd].append(np.mean(spectrum_efficiency(designs[k_ttd], rho)))
+    se_opt.append(np.mean(spectrum_efficiency_optimal(ch.matrices, rho, 4)))
+
+c, o = np.mean(se_classic), np.mean(se_opt)
+for k_ttd in K_TTDS:
+    d = np.mean(se_dpp[k_ttd])
     print(f"{k_ttd:>3} {c:>9.2f} {d:>12.2f} {o:>9.2f} {d / o:>8.3f}")
 
 print("\nclassic stays flat (one delay per chain is absorbed by the digital "

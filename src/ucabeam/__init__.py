@@ -46,6 +46,7 @@ from .precoding import (
     DppConfig,
     HybridDesign,
     build_classic_hybrid,
+    build_designs,
     build_dpp,
     ttd_delays,
     ttd_reference_angles,
@@ -88,6 +89,7 @@ __all__ = [
     "bessel_j",
     "block_diag",
     "build_classic_hybrid",
+    "build_designs",
     "build_dpp",
     "channel_matrix",
     "dpp_exact_gain",

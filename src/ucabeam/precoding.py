@@ -7,12 +7,15 @@ arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
 per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
 ``w_ps`` times the TTD phase ``phi_lk(f) = exp(-j*2*pi*f*delays_s[l, k])``.
 
-``build_dpp`` and ``build_classic_hybrid`` return the SNR-independent part
-of a precoder, one ``HybridDesign`` per (channel, architecture, K).  It comes
-from per-arc products, so no N x n_rf analog matrix is formed per
-subcarrier: the equivalent channels ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) *
-phi_k(f_m)`` with ``C_mk = H_{m, arc k}^T conj(w_k)`` (N_r x n_rf per arc), and
-the analog Gram matrices ``A^H A = sum_k conj(phi_k)^T phi_k * (w_k^H w_k)``.
+``build_designs`` returns the SNR-independent part of the precoders on one
+channel, one ``HybridDesign`` per delay-unit count K (``build_dpp`` and
+``build_classic_hybrid`` are one-count calls).  All of them steer the same
+columns w (N x n_rf) and differ by one unit-modulus ``corr_lk`` per arc, so
+one product per fine arc j of ``K_f = lcm(K)`` serves them all, and no N x
+n_rf analog matrix is formed per subcarrier: each design sums contiguous
+slabs of fine products into its ``C_mk = H_{m, arc k}^T conj(w_k)``, giving
+``G_m = H_m^H A(f_m) = sum_k conj(C_mk) * corr_k * phi_k(f_m)``, and its
+arc Grams ``w_k^H w_k`` the same way for ``A^H A``.
 Of every ``G_m`` the design keeps the n_streams largest singular values
 and the power each stream radiates, the diagonal of ``v^H (A^H A) v`` over
 their right singular vectors v.
@@ -24,10 +27,10 @@ power ``f_d^H (A^H A) f_d`` (the runner rates a budget P at the SNR rho*P).
 Since ``G v_s = sigma_s u_s``, the rate is a sum over streams of singular
 values and powers, so neither v nor ``G v`` is kept, and the rates at many
 SNRs come from one design.
-Blocks of subcarriers are sized by per-arc values: c subcarriers hold c x K x
-n_rf x max(N_r, n_rf) of them (the arc products C, or the Gram's phase
-products), at most a ``SUBCARRIER_CHUNK``-subcarrier chunk of the stack, 128
-KB for the 256 x 4 built-ins: one block for K <= 4, 32 subcarriers at K = 16.
+Blocks of subcarriers are sized by fine-arc values: c subcarriers hold c x
+K_f x n_rf x max(N_r, n_rf) of them (the fine products, or a design's Gram
+phase products), at most a ``SUBCARRIER_CHUNK``-subcarrier chunk of the
+stack, 128 KB for the 256 x 4 built-ins: one block for K_f <= 4, 16 at 32.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -37,13 +40,14 @@ is 1 at every frequency.
 
 The classic hybrid precoder is the K -> 1 degenerate wiring: phase shifters
 align the beam at the center frequency only and the TTD stage is all-ones,
-so it takes the same path as one arc with zero delay; since exp(0) = 1,
-every subcarrier's Gram is exactly ``w_ps^H w_ps``.
-Every design takes the PS columns of all its chains from one steering call.
+so it is one arc with no correction and zero delay.  A one-arc delay-phase
+stage only scales each chain by a unit-modulus factor per subcarrier, which
+changes neither the singular values nor the radiation: K = 1 is classic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
     "ttd_reference_angles",
     "ttd_delays",
     "build_classic_hybrid",
+    "build_designs",
     "build_dpp",
 ]
 
@@ -118,18 +123,24 @@ def ttd_delays(phi_rad, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
     return geom.radius_m / SPEED_OF_LIGHT * (1.0 - np.cos(phi_rad - theta))
 
 
+def _chain_phases(geom: UcaGeometry, fc_hz: float, phi: np.ndarray, k_ttd: int):
+    """Per-arc corrections to zero centroid phase (n x K, unit modulus) and
+    TTD delays (n x K) of n chains steered toward the directions phi (n x 1)."""
+    theta = ttd_reference_angles(geom.n_elements, k_ttd)
+    eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
+    return np.exp(-1j * eta_c * np.cos(phi - theta)), ttd_delays(phi, k_ttd, geom)
+
+
 def _dpp_chains(geom: UcaGeometry, fc_hz: float, phi_rad, k_ttd: int):
     """Phase-shifter weights (N x n) and TTD delays (n x K) of n delay-phase
     RF chains steered toward the directions phi_rad: column l is the
-    center-frequency steering vector toward phi_rad[l], rotated per arc so
-    each arc's centroid phase is zero, and row l is ttd_delays(phi_rad[l])."""
+    center-frequency steering vector toward phi_rad[l] times its chain's
+    centroid corrections, and row l is ttd_delays(phi_rad[l])."""
     phi = np.asarray(phi_rad, dtype=float)[:, None]
-    theta = ttd_reference_angles(geom.n_elements, k_ttd)
-    eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
-    corr = np.exp(-1j * eta_c * np.cos(phi - theta))  # n x K
+    corr, delays = _chain_phases(geom, fc_hz, phi, k_ttd)
     cols = steering_uca(geom, fc_hz, phi[:, 0])
     cols *= np.repeat(corr, geom.n_elements // k_ttd, axis=1)
-    return np.ascontiguousarray(cols.T), ttd_delays(phi, k_ttd, geom)
+    return np.ascontiguousarray(cols.T), delays
 
 
 def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
@@ -142,31 +153,38 @@ def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
     return w_ps * np.repeat(np.swapaxes(phases, -1, -2), p, axis=-2)
 
 
-def _equivalent_channels(h_t: np.ndarray, w_ps: np.ndarray, delays_s: np.ndarray,
-                         freqs_hz: np.ndarray):
-    """Equivalent channels G = H^H A (M x N_r x n_rf) and analog Gram
-    matrices A^H A (M x n_rf x n_rf) of the per-arc analog stage on the
-    stack h_t = H^T (M x N_r x N), one subcarrier per frequency.  Per block
-    of subcarriers, the C_k of all arcs are one batched product, and G and
-    the Gram are matmuls over arcs."""
+def _equivalent_channels(h_t: np.ndarray, w: np.ndarray, stages, freqs_hz: np.ndarray):
+    """Equivalent channels G = H^H A (S x M x N_r x n_rf) and analog Gram
+    matrices A^H A (S x M x n_rf x n_rf) of S stages (corr, delays), each
+    n_rf x K_s, on the stack h_t = H^T (M x N_r x N): arc k of chain l is w
+    (N x n_rf) times corr[l, k] * exp(-j*2*pi*f*delays[l, k]).  Per block of
+    subcarriers the K_f = lcm(K_s) fine-arc products are one batched matmul,
+    and each stage's G and Gram are matmuls over the sums of its arcs."""
     m, n_r, n = h_t.shape
-    n_rf, k = delays_s.shape
-    w_arcs = w_ps.reshape(k, -1, n_rf)
-    w_arcs_conj = w_arcs.conj()
-    arc_grams = (np.swapaxes(w_arcs_conj, -1, -2) @ w_arcs).transpose(1, 2, 0)[..., None]
-    g_t = np.empty((n_rf, m, 1, n_r), dtype=np.complex128)  # conj(G), chains first
-    gram = np.empty((m, n_rf, n_rf), dtype=np.complex128)
-    per_block = max(1, SUBCARRIER_CHUNK * n * n_r // (k * n_rf * max(n_r, n_rf)))
+    n_rf = w.shape[1]
+    k_f = math.lcm(*(corr.shape[1] for corr, _ in stages))
+    w_fine = w.reshape(k_f, -1, n_rf)
+    w_fine_conj = w_fine.conj()
+    fine_grams = np.swapaxes(w_fine_conj, -1, -2) @ w_fine  # K_f x n_rf x n_rf
+    arc_grams = [fine_grams.reshape(corr.shape[1], -1, n_rf, n_rf).sum(1)
+                 .transpose(1, 2, 0)[..., None] for corr, _ in stages]
+    g_t = np.empty((len(stages), n_rf, m, 1, n_r), dtype=np.complex128)  # conj(G)
+    gram = np.empty((len(stages), m, n_rf, n_rf), dtype=np.complex128)
+    per_block = max(1, SUBCARRIER_CHUNK * n * n_r // (k_f * n_rf * max(n_r, n_rf)))
     for sl in _subcarrier_chunks(m, per_block):
-        phases = np.exp(-2j * np.pi * freqs_hz[sl, None] * delays_s[:, None])  # n_rf x c x K
-        conj = phases.conj()
-        arcs = h_t[sl].reshape(-1, k, n // k).swapaxes(0, 1) @ w_arcs_conj  # K x c*N_r x n_rf
-        np.matmul(conj[:, :, None], arcs.reshape(k, -1, n_r, n_rf).transpose(3, 1, 0, 2),
-                  out=g_t[:, sl])
-        del arcs  # the Gram's phase products take its place
-        np.matmul(np.einsum("ick,jck->ijck", conj, phases), arc_grams,
-                  out=gram[sl].transpose(1, 2, 0)[..., None])
-    return np.conjugate(g_t, out=g_t)[:, :, 0].transpose(1, 2, 0), gram
+        conj = [corr.conj()[:, None] * np.exp(2j * np.pi * freqs_hz[sl, None] * delays[:, None])
+                for corr, delays in stages]  # conj of the arc weights, n_rf x c x K_s each
+        fine = h_t[sl].reshape(-1, k_f, n // k_f).swapaxes(0, 1) @ w_fine_conj  # K_f x cN_r x n_rf
+        for s in range(len(stages)):  # no loop variable keeps a block's arrays alive
+            k = conj[s].shape[-1]
+            arcs = fine if k == k_f else fine.reshape(k, k_f // k, -1, n_rf).sum(1)
+            np.matmul(conj[s][:, :, None], arcs.reshape(k, -1, n_r, n_rf).transpose(3, 1, 0, 2),
+                      out=g_t[s, :, sl])
+        fine = arcs = None  # the Grams' phase products take their place
+        for s in range(len(stages)):
+            np.matmul(np.einsum("ick,jck->ijck", conj[s], conj[s].conj()), arc_grams[s],
+                      out=gram[s, sl].transpose(1, 2, 0)[..., None])
+    return np.conjugate(g_t, out=g_t)[:, :, :, 0].transpose(0, 2, 3, 1), gram
 
 
 @dataclass(frozen=True)
@@ -190,30 +208,20 @@ class HybridDesign:
     radiation: np.ndarray
 
 
-def _analog_stage(ch: ChannelRealization, cfg: DppConfig, correct_to_centroid: bool):
-    """Phase-shifter weights and delays: chain l serves the l-th strongest
-    path; its TTD delays follow the arc centroids when corrected, and
-    otherwise the chain is one arc with zero delay."""
-    _arc_size(ch.tx.n_elements, cfg.n_ttd_per_rf)
-    if cfg.n_rf > ch.tx.n_elements:
-        raise ValueError(f"n_rf={cfg.n_rf} exceeds n_elements={ch.tx.n_elements}")
-    if ch.n_paths < cfg.n_rf:
-        raise ValueError(
-            f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={cfg.n_rf}"
-        )
-    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:cfg.n_rf]
-    phi = np.array([p.aod_rad for p in paths])
-    if correct_to_centroid:
-        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
-    w_ps = np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T)
-    return w_ps, np.zeros((cfg.n_rf, 1))
+def _chain_directions(ch: ChannelRealization, n_rf: int) -> np.ndarray:
+    """AoDs of the n_rf strongest paths of ch, strongest first: chain l
+    steers toward the l-th."""
+    if n_rf > ch.tx.n_elements:
+        raise ValueError(f"n_rf={n_rf} exceeds n_elements={ch.tx.n_elements}")
+    if ch.n_paths < n_rf:
+        raise ValueError(f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={n_rf}")
+    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:n_rf]
+    return np.array([p.aod_rad for p in paths])
 
 
-def _design(ch: ChannelRealization, w_ps, delays, n_s: int) -> HybridDesign:
-    """SVD of the equivalent channels over the whole grid of ch, and the
-    analog Gram matrices seen by its stream directions."""
-    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps, delays,
-                                   ch.grid.freqs_hz)
+def _design(g: np.ndarray, gram: np.ndarray, n_s: int) -> HybridDesign:
+    """SVD of the equivalent channels g, and the analog Gram matrices gram
+    seen by its stream directions."""
     res = svd(g)
     if res.sigma.shape[-1] < n_s:
         raise ValueError(
@@ -225,15 +233,31 @@ def _design(ch: ChannelRealization, w_ps, delays, n_s: int) -> HybridDesign:
     return HybridDesign(sigma=res.sigma[:, :n_s], radiation=radiation)
 
 
+def build_designs(ch: ChannelRealization, n_rf: int, n_streams: int, k_ttds) -> dict:
+    """Designs of n_rf chains and n_streams streams on ch, keyed by delay-unit
+    count in k_ttds: chain l steers toward the l-th strongest path, and K > 1
+    adds per-arc centroid corrections and TTD delays.  K = 1 is the classic
+    design (see the module notes)."""
+    DppConfig(n_rf, 1, n_streams)  # the sizing checks of a one-count design
+    phi = _chain_directions(ch, n_rf)
+    ks = sorted(set(k_ttds))
+    stages = [_chain_phases(ch.tx, ch.grid.fc_hz, phi[:, None], k) if k != 1
+              else (np.ones((n_rf, 1)), np.zeros((n_rf, 1))) for k in ks]
+    w = np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T)
+    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w, stages,
+                                   ch.grid.freqs_hz)
+    return {k: _design(g[s], gram[s], n_streams) for s, k in enumerate(ks)}
+
+
 def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
     """Design of the phase-shifter-only hybrid precoder on ch: analog column
     l is the center-frequency steering vector of the l-th strongest path and
     the TTD stage is all-ones (no delays), so the design does not depend on
     cfg.n_ttd_per_rf."""
-    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=False), cfg.n_streams)
+    return build_designs(ch, cfg.n_rf, cfg.n_streams, (1,))[1]
 
 
 def build_dpp(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:
     """Design of the delay-phase precoder on ch: centroid-referenced PS
     corrections plus TTD delays per chain."""
-    return _design(ch, *_analog_stage(ch, cfg, correct_to_centroid=True), cfg.n_streams)
+    return build_designs(ch, cfg.n_rf, cfg.n_streams, (cfg.n_ttd_per_rf,))[cfg.n_ttd_per_rf]

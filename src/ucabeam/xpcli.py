@@ -40,7 +40,7 @@ from .arraymodel import (
     steering_ula,
     steering_uca,
 )
-from .precoding import DppConfig, build_classic_hybrid, build_dpp
+from .precoding import build_designs
 
 __all__ = [
     "ScenarioError",
@@ -541,10 +541,11 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     """Rows of the trial methods.  Seeds are the outer loop, so one channel
     (and its stack, built on first use) is alive at a time and every method
     at every sweep point of that seed shares it; a new channel is drawn only
-    when the bandwidth changes.  On each channel a method is evaluated once
-    per delay-unit count, at all the SNRs of the points that use that count
-    (methods that do not depend on the count: once per channel), so each
-    hybrid design and each set of channel singular values is computed once."""
+    when the bandwidth changes.  On each channel one call builds every
+    hybrid design its points need, and a method is evaluated once per
+    design, at all the SNRs of the points that use it (methods without a
+    design: once per channel), so each hybrid design and each set of
+    channel singular values is computed once."""
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
     variable = scenario.sweep.variable
     bandwidths = [x if variable == "bandwidth" else sy.bandwidth_hz for x in xs]
@@ -555,19 +556,19 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
         for bandwidth, js in itertools.groupby(range(len(xs)), bandwidths.__getitem__):
             ch = _channel(scenario, bandwidth, seed)
-            js = list(js)
-            for label in labels:
-                method = _METHODS[_split_method(label)[0]]
-                points = {}  # delay units -> {rho: sweep indices}
-                for j in js:
-                    k_ttd = ks[j] if method.uses_k else pc.k_ttd
-                    points.setdefault(k_ttd, {}).setdefault(rhos[j], []).append(j)
-                for k_ttd, at_rho in points.items():
-                    cfg = DppConfig(pc.n_rf, k_ttd, pc.n_streams)
-                    rates = method.evaluate(ch, cfg, np.array(list(at_rho)))
-                    for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
-                        for j in same:
-                            per_seed[label][j].append(mean)
+            points = {}  # (label, delay units of its design) -> {rho: sweep indices}
+            for label, j in itertools.product(labels, js):
+                stage = _METHODS[_split_method(label)[0]].stage
+                key = (label, stage(ks[j]) if stage else None)
+                points.setdefault(key, {}).setdefault(rhos[j], []).append(j)
+            stages = {k_ttd for _, k_ttd in points if k_ttd is not None}
+            designs = build_designs(ch, pc.n_rf, pc.n_streams, stages) if stages else {}
+            for (label, k_ttd), at_rho in points.items():
+                rates = _METHODS[_split_method(label)[0]].evaluate(
+                    ch, designs.get(k_ttd), pc.n_streams, np.array(list(at_rho)))
+                for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
+                    for j in same:
+                        per_seed[label][j].append(mean)
     return [ResultRow(float(x), label, float(np.mean(v)), float(np.std(v)))
             for label in labels for x, v in zip(xs, per_seed[label])]
 
@@ -577,15 +578,19 @@ class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
     averages over seeded channels.  Deterministic evaluators map (_Setup,
     array of sweep points) to the values at every point; trial evaluators map
-    (channel, DppConfig, 1-D array of SNRs rho) to the spectrum efficiency
-    of every subcarrier at each SNR (SNRs x subcarriers).
-    ``uses_k`` is False for trial methods whose output does not depend on
-    the delay-unit count."""
+    (channel, hybrid design or None, n_streams, 1-D array of SNRs rho) to the
+    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers).
+    ``stage`` maps a point's delay-unit count to that of the hybrid design a
+    trial method rates (1: the classic design); it is None without one."""
 
     variables: tuple
     evaluate: object
     trial: bool = False
-    uses_k: bool = True
+    stage: object = None
+
+
+def _hybrid_rates(ch, design, n_s, rho):
+    return an.spectrum_efficiency(design, rho)
 
 
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
@@ -612,12 +617,10 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency(
-        build_classic_hybrid(ch, cfg), rho), trial=True, uses_k=False),
-    "dpp": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency(
-        build_dpp(ch, cfg), rho), trial=True),
-    "optimal": _Method(_SE, lambda ch, cfg, rho: an.spectrum_efficiency_optimal(
-        ch.matrices, rho, cfg.n_streams), trial=True, uses_k=False),
+    "classic": _Method(_SE, _hybrid_rates, trial=True, stage=lambda k_ttd: 1),
+    "dpp": _Method(_SE, _hybrid_rates, trial=True, stage=lambda k_ttd: k_ttd),
+    "optimal": _Method(_SE, lambda ch, design, n_s, rho: an.spectrum_efficiency_optimal(
+        ch.matrices, rho, n_s), trial=True),
 }
 
 

@@ -29,7 +29,8 @@ from ucabeam.precoding import (
     DppConfig,
     HybridDesign,
     _analog,
-    _analog_stage,
+    _chain_directions,
+    _dpp_chains,
     build_classic_hybrid,
     build_dpp,
 )
@@ -509,6 +510,16 @@ def test_ttd_to_numeric_average_ratio_window():
 
 def _grid(m=129):
     return FrequencyGrid(30e9, 3e9, m)
+
+
+def _analog_stage(ch, cfg, correct_to_centroid):
+    """Phase-shifter weights (N x n_rf) and delays of the precoder built on
+    ch, per arc: the centroid-corrected chains and their TTD delays, or the
+    plain steering columns as one arc with zero delay."""
+    phi = _chain_directions(ch, cfg.n_rf)
+    if correct_to_centroid:
+        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
+    return np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T), np.zeros((cfg.n_rf, 1))
 
 
 def _explicit_precoders(ch, cfg, rho, classic, power):

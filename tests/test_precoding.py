@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ucabeam import analysis
@@ -25,10 +25,13 @@ from ucabeam.cxlinalg import water_filling
 from ucabeam.precoding import (
     DppConfig,
     _analog,
-    _analog_stage,
+    _chain_directions,
+    _chain_phases,
+    _design,
     _dpp_chains,
     _equivalent_channels,
     build_classic_hybrid,
+    build_designs,
     build_dpp,
     ttd_delays,
     ttd_reference_angles,
@@ -47,6 +50,16 @@ def _single_path_channel(aod, grid, gain=1.0 + 0j, delay=0.0, aoa=0.2):
     return ChannelRealization(
         paths=(PathParams(gain, delay, aod, aoa),), tx=GEOM, rx=RX, grid=grid
     )
+
+
+def _analog_stage(ch, cfg, correct_to_centroid):
+    """Phase-shifter weights (N x n_rf) and delays of the precoder built on
+    ch, per arc: the centroid-corrected chains and their TTD delays, or the
+    plain steering columns as one arc with zero delay."""
+    phi = _chain_directions(ch, cfg.n_rf)
+    if correct_to_centroid:
+        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
+    return np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T), np.zeros((cfg.n_rf, 1))
 
 
 def _combined(ch, cfg, m, dpp=True):
@@ -183,14 +196,15 @@ def test_dpp_block_support_pattern():
 
 
 def test_classic_hybrid_has_no_delays():
+    # the design of the plain center-frequency steering column: one
+    # unit-norm column radiates the whole stream power on every subcarrier
     grid = _grid(5)
     ch = _single_path_channel(0.7, grid)
-    cfg = DppConfig(1, 8, 1)
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=False)
-    assert np.array_equal(delays, np.zeros((1, 1)))
-    assert np.array_equal(w_ps[:, 0], steering_uca(GEOM, 30e9, 0.7))
-    for m in range(5):
-        assert np.array_equal(_combined(ch, cfg, m, dpp=False), w_ps)
+    design = build_classic_hybrid(ch, DppConfig(1, 8, 1))
+    w = steering_uca(GEOM, 30e9, 0.7)
+    sigma = np.linalg.norm(ch.matrices.conj().swapaxes(-1, -2) @ w, axis=-1)
+    np.testing.assert_allclose(design.sigma[:, 0], sigma, rtol=1e-13)
+    np.testing.assert_allclose(design.radiation, 1.0, rtol=1e-13)
 
 
 _DIRECTIONS = st.one_of(st.sampled_from([0.0, math.nextafter(2.0 * math.pi, 0.0)]),
@@ -258,6 +272,16 @@ def test_build_requires_enough_paths():
     ch = _single_path_channel(1.0, grid)
     with pytest.raises(ValueError, match="fewer paths"):
         build_dpp(ch, DppConfig(2, 8, 1))
+
+
+@pytest.mark.parametrize("n_rf, n_streams, k_ttds, match", [
+    (1, 0, (8,), "n_streams"), (0, 1, (8,), "n_rf"), (1, 2, (8,), "n_streams"),
+    (1, 1, (3,), "must divide"), (1, 1, (1, 0), "positive integer"),
+])
+def test_build_designs_checks_the_sizing(n_rf, n_streams, k_ttds, match):
+    ch = _single_path_channel(1.0, _grid(5))
+    with pytest.raises(ValueError, match=match):
+        build_designs(ch, n_rf, n_streams, k_ttds)
 
 
 def test_single_delay_unit_keeps_center_beam():
@@ -410,9 +434,33 @@ def test_stream_count_limited_by_rank_bound():
 # ---------------------------------------------------------------------------
 
 
-def _divisor_and_rf(n_elements):
-    divisors = [k for k in range(1, n_elements + 1) if n_elements % k == 0]
-    return st.tuples(st.sampled_from(divisors), st.integers(1, 4))
+def _divisors(n_elements):
+    return [k for k in range(1, n_elements + 1) if n_elements % k == 0]
+
+
+def _random_stage(rng, n_rf, k_ttd, zero_delays=False):
+    """Random unit-modulus corrections and delays (n_rf x K each); with
+    zero delays, no correction either (at K = 1, the classic stage)."""
+    if zero_delays:
+        return np.ones((n_rf, k_ttd)), np.zeros((n_rf, k_ttd))
+    return (np.exp(2j * np.pi * rng.random((n_rf, k_ttd))),
+            rng.uniform(0.0, 2e-9, (n_rf, k_ttd)))
+
+
+def _assert_stages_equal_the_combined_analog_stage(ch, w, stages):
+    # every stage of one call against its dense combined weights A(f):
+    # G = H^H A and A^H A on every subcarrier
+    h_t = np.swapaxes(ch.matrices, -1, -2)
+    g, gram = _equivalent_channels(h_t, w, stages, ch.grid.freqs_hz)
+    assert g.shape == (len(stages), *h_t.shape[:2], w.shape[1])
+    for (corr, delays), g_s, gram_s in zip(stages, g, gram):
+        w_ps = w * np.repeat(corr.T, w.shape[0] // corr.shape[1], axis=0)
+        a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
+        g_ref = np.conj(h_t @ a.conj())  # H^H A
+        np.testing.assert_allclose(g_s, g_ref, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(g_ref).max()))
+        np.testing.assert_allclose(gram_s, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0,
+                                   atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,57 +469,99 @@ def _divisor_and_rf(n_elements):
        bw=st.floats(0.1e9, 10e9), zero_delays=st.booleans())
 def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_sub, bw,
                                                          zero_delays):
-    # every divisor K of N, random PS weights and delays (all zero: the
-    # single-arc case); blocks hold 2 to 256 subcarriers, so many grids end
-    # in a partial block
-    k_ttd, n_rf = data.draw(_divisor_and_rf(n_tx))
+    # one call for up to three divisors K of N, random columns, corrections
+    # and delays (none: the classic stage); blocks hold 2 to 256
+    # subcarriers, so many grids end in a partial block
+    ks = data.draw(st.lists(st.sampled_from(_divisors(n_tx)), min_size=1, max_size=3))
+    n_rf = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
     tx = half_wavelength_uca(n_tx, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
-    w_ps = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
-    delays = np.zeros((n_rf, k_ttd)) if zero_delays else rng.uniform(0.0, 2e-9, (n_rf, k_ttd))
-    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # n_sub x N x n_rf
-    h_t = np.swapaxes(ch.matrices, -1, -2)
-    g, gram = _equivalent_channels(h_t, w_ps, delays, ch.grid.freqs_hz)
-    g_ref = np.conj(h_t @ a.conj())  # H^H A
-    np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-13 * max(1.0, np.abs(g_ref).max()))
-    np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0, atol=1e-13)
+    w = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
+    _assert_stages_equal_the_combined_analog_stage(
+        ch, w, [_random_stage(rng, n_rf, k, zero_delays) for k in ks])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_tx=st.sampled_from([12, 18, 30, 36, 60]), data=st.data(),
+       seed=st.integers(0, 2**32 - 1), n_sub=st.integers(1, 19))
+def test_fine_arcs_of_counts_with_a_lcm_not_a_power_of_two(n_tx, data, seed, n_sub):
+    # e.g. N = 12 with K in {3, 4}: the fine level K_f = 12 is finer than
+    # every count, and each count sums slabs of K_f/K fine arcs
+    ks = data.draw(st.lists(st.sampled_from(_divisors(n_tx)), min_size=2, max_size=4,
+                            unique=True))
+    k_f = math.lcm(*ks)
+    assume(k_f & (k_f - 1) and k_f not in ks)
+    n_rf = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    tx = half_wavelength_uca(n_tx, 30e9)
+    ch = generate_channel(tx, RX, FrequencyGrid(30e9, 3e9, n_sub), 3, seed)
+    w = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
+    stages = [_random_stage(rng, n_rf, 1, zero_delays=True)]
+    _assert_stages_equal_the_combined_analog_stage(
+        ch, w, stages + [_random_stage(rng, n_rf, k) for k in ks])
 
 
 @pytest.mark.parametrize("n_sub", [1, 13, 127, 128])
 def test_per_arc_blocks_at_bench_size_equal_the_combined_analog_stage(n_sub):
-    # N = 256: blocks hold from 2 subcarriers (K = N, n_rf = 4) up to the
-    # whole grid, and 13 or 127 subcarriers leave a partial last block
+    # N = 256, one call for the classic stage and eight counts: K_f = N, so
+    # blocks hold 2 subcarriers (n_rf = 4) or 8 (n_rf = 1), and 13 or 127
+    # subcarriers leave a partial last block
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, n_sub)
-    h_t = np.swapaxes(ch.matrices, -1, -2)
     rng = np.random.default_rng(n_sub)
     for n_rf in (1, 4):
-        for k_ttd in (1, 2, 4, 8, 16, 32, 64, 256):
-            w_ps = np.exp(2j * np.pi * rng.random((256, n_rf))) / 16.0
-            delays = rng.uniform(0.0, 2e-9, (n_rf, k_ttd))
-            a = _analog(w_ps, delays, ch.grid.freqs_hz)
-            g, gram = _equivalent_channels(h_t, w_ps, delays, ch.grid.freqs_hz)
-            g_ref = np.conj(h_t @ a.conj())
-            np.testing.assert_allclose(g, g_ref, rtol=0,
-                                       atol=1e-13 * max(1.0, np.abs(g_ref).max()))
-            np.testing.assert_allclose(gram, np.swapaxes(a.conj(), -1, -2) @ a, rtol=0,
-                                       atol=1e-13)
+        w = np.exp(2j * np.pi * rng.random((256, n_rf))) / 16.0
+        stages = [_random_stage(rng, n_rf, 1, zero_delays=True)]
+        stages += [_random_stage(rng, n_rf, k) for k in (1, 2, 4, 8, 16, 32, 64, 256)]
+        _assert_stages_equal_the_combined_analog_stage(ch, w, stages)
 
 
 @pytest.mark.parametrize("n_sub", [1, 13, 128])
 @pytest.mark.parametrize("n_rf", [1, 4])
 def test_zero_delays_take_one_product_over_the_stack(n_sub, n_rf):
-    # 13 subcarriers are not a whole number of chunks; n_rf = 4 = N_r
+    # the classic stage alone: one arc, no correction, zero delay; 13
+    # subcarriers are not a whole number of chunks; n_rf = 4 = N_r
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, 7)
     w_ps, delays = _analog_stage(ch, DppConfig(n_rf, 8, 1), correct_to_centroid=False)
-    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps, delays,
-                                   ch.grid.freqs_hz)
+    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps,
+                                   [(np.ones_like(delays), delays)], ch.grid.freqs_hz)
+    g, gram = g[0], gram[0]
     assert g.shape == (n_sub, 4, n_rf) and gram.shape == (n_sub, n_rf, n_rf)
     for m in range(n_sub):
         g_ref = ch.matrices[m].conj().T @ w_ps
         np.testing.assert_allclose(g[m], g_ref, rtol=0, atol=1e-13 * np.abs(g_ref).max())
         assert np.array_equal(gram[m], w_ps.conj().T @ w_ps)
     assert gram.flags.c_contiguous
+
+
+def _assert_same_design(got, want):
+    # sigma relative to the largest singular value of its subcarrier (the
+    # weakest of four moves by rounding over the condition number of G),
+    # the radiation relative to itself
+    assert np.all(np.abs(got.sigma - want.sigma) <= 1e-13 * want.sigma[:, :1])
+    np.testing.assert_allclose(got.radiation, want.radiation, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n_rf", [1, 2, 4])
+def test_one_arc_delay_phase_design_equals_the_classic_design(n_rf):
+    # a single arc's correction and delay scale each chain by one
+    # unit-modulus factor per subcarrier: sigma and the radiation stay
+    ch = generate_channel(GEOM, RX, _grid(33), 4, 5 + n_rf)
+    phi = _chain_directions(ch, n_rf)
+    w = np.ascontiguousarray(steering_uca(GEOM, 30e9, phi).T)
+    dpp = _chain_phases(GEOM, 30e9, phi[:, None], 1)
+    assert np.all(dpp[1] > 0.0)  # a real delay, not the classic stage
+    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w,
+                                   [(np.ones((n_rf, 1)), np.zeros((n_rf, 1))), dpp],
+                                   ch.grid.freqs_hz)
+    classic, one_arc = (_design(g_s, gram_s, n_rf) for g_s, gram_s in zip(g, gram))
+    _assert_same_design(one_arc, classic)
+    # so K = 1 is built once, as the classic design, and each design of a
+    # multi-count call equals the one-count call
+    designs = build_designs(ch, n_rf, n_rf, (1, 8))
+    _assert_same_design(designs[1], build_classic_hybrid(ch, DppConfig(n_rf, 8, n_rf)))
+    _assert_same_design(designs[1], build_dpp(ch, DppConfig(n_rf, 1, n_rf)))
+    _assert_same_design(designs[8], build_dpp(ch, DppConfig(n_rf, 8, n_rf)))
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +594,9 @@ def test_stage_temporaries_stay_below_the_channel_stack():
             assert _traced_peak(lambda: build_dpp(ch, DppConfig(4, k_ttd, 4))) <= 0.35 * mb
         full = DppConfig(4, 256, 4)
         assert _traced_peak(lambda: build_dpp(ch, full)) <= 1.6 * mb
+        # the classic design and six counts from one product: about 64 KB
+        # of G and Gram per design, and blocks sized by K_f = 32
+        assert _traced_peak(lambda: build_designs(ch, 4, 4, (1, 2, 4, 8, 16, 32))) <= 1.0 * mb
         assert _traced_peak(lambda: analysis._singular_values(ch.matrices)) <= 0.25 * mb
     finally:
         tracemalloc.stop()

@@ -750,7 +750,7 @@ def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
 def test_cli_exit_code_for_memory_error(tmp_path, capsys, monkeypatch, message, shown):
     # a trial method whose allocation fails exits 3 naming the failure, not
     # with a traceback; nothing large is allocated here
-    def fail(ch, cfg, rho):
+    def fail(*args):
         raise MemoryError(message)
     monkeypatch.setitem(xpcli._METHODS, "dpp",
                         dataclasses.replace(xpcli._METHODS["dpp"], evaluate=fail))
@@ -879,42 +879,60 @@ def test_cli_validate_empty_file(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, module, name, counts):
+def _count_calls(monkeypatch, module, name, counts, calls=None):
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
+        if calls is not None:
+            calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
 
 
+def _count_trial_work(monkeypatch):
+    """Call counts of channel draws, design calls and fully digital rates,
+    and the arguments of each design call."""
+    counts, calls = {}, []
+    _count_calls(monkeypatch, xpcli, "build_designs", counts, calls)
+    _count_calls(monkeypatch, xpcli, "generate_channel", counts)
+    _count_calls(monkeypatch, analysis, "spectrum_efficiency_optimal", counts)
+    return counts, calls
+
+
 def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
-    counts = {}
-    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
-                         (xpcli, "generate_channel"),
-                         (analysis, "spectrum_efficiency_optimal")):
-        _count_calls(monkeypatch, module, name, counts)
+    counts, calls = _count_trial_work(monkeypatch)
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
     table = run(scenario_from_dict(data))
-    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3,
-                      "spectrum_efficiency_optimal": 3, "build_dpp": 9}
+    # one design call per channel; its K = 1 stage is the classic design
+    assert counts == {"generate_channel": 3, "build_designs": 3,
+                      "spectrum_efficiency_optimal": 3}
+    assert [sorted(args[3]) for args in calls] == [[1, 2, 4]] * 3
     # K-invariant rows repeat exactly across K
     for method in ("classic", "optimal"):
         assert len({(r.mean, r.std) for r in table.rows if r.method == method}) == 1
+    # the delay-phase rows equal designs built one count at a time
+    monkeypatch.undo()
+    scenario = scenario_from_dict(data)
+    for row in table.rows:
+        if row.method == "dpp":
+            cfg = DppConfig(1, int(row.x), 1)
+            per_seed = [float(np.mean(analysis.spectrum_efficiency(
+                build_dpp(xpcli._channel(scenario, 1e9, seed), cfg), 10.0)))
+                for seed in range(7, 10)]
+            assert row.mean == pytest.approx(np.mean(per_seed), rel=1e-12)
 
 
 def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
-    counts = {}
-    for module, name in ((xpcli, "build_classic_hybrid"), (xpcli, "build_dpp"),
-                         (xpcli, "generate_channel"),
-                         (analysis, "spectrum_efficiency_optimal")):
-        _count_calls(monkeypatch, module, name, counts)
+    counts, calls = _count_trial_work(monkeypatch)
     scenario = scenario_from_dict(_small_trial_scenario())  # 3 seeds x 3 SNRs
     table = run(scenario)
-    assert counts == {"generate_channel": 3, "build_classic_hybrid": 3, "build_dpp": 3,
+    assert counts == {"generate_channel": 3, "build_designs": 3,
                       "spectrum_efficiency_optimal": 3}
+    # the classic design and the scenario's k_ttd = 4
+    assert [sorted(args[3]) for args in calls] == [[1, 4]] * 3
     # each sweep point gets the rates of its own SNR: the rows equal one
     # precoder built and rated at a scalar SNR per (seed, SNR)
     monkeypatch.undo()
