@@ -8,7 +8,7 @@ aligned at the center frequency fc and evaluated at frequency f has gain
 * in its own direction: ``|J0(eta(f) - eta(fc))|``
   (large-N limit of the circular phase sum);
 * in an arbitrary direction phi, for a beam pointed at phi0:
-  ``|J0(xi)`` with ``xi = sqrt(eta_f^2 + eta_c^2 - 2 eta_f eta_c cos(phi - phi0))``.
+  ``|J0(xi)|`` with ``xi = sqrt(eta_f^2 + eta_c^2 - 2 eta_f eta_c cos(phi - phi0))``.
 
 Splitting the array into K arcs, each driven by one true-time-delay element
 referenced to the arc centroid, leaves only the intra-arc phase error; the
@@ -49,7 +49,7 @@ import numpy as np
 from . import specfun
 from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
-from .precoding import HybridDesign, _analog, _arc_size, _dpp_chains
+from .precoding import HybridDesign, _arc_size, _chain_phases
 
 __all__ = [
     "exact_gain",
@@ -162,11 +162,17 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
 
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
                    k_ttd: int):
-    """Exact on-beam gain of a single delay-phase chain (discrete sum,
-    no large-N approximation).  ``f_hz`` may be a 1-D array of sweep points;
-    each point's column comes from one chain stage built once."""
-    stage = _dpp_chains(geom, fc_hz, [phi_rad], k_ttd)
-    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: _analog(*stage, f)[..., 0])
+    """Exact on-beam gain of one delay-phase chain toward the scalar phi_rad
+    (discrete sum, no large-N approximation): at f its column is the fc beam
+    times each arc's correction corr_k and TTD phase exp(-j*2*pi*f*t_k), both
+    from _chain_phases.  ``f_hz`` may be a 1-D array of sweep points."""
+    if np.ndim(phi_rad) != 0:
+        raise ValueError(f"phi_rad must be a scalar direction, got shape {np.shape(phi_rad)}")
+    p = _arc_size(geom.n_elements, k_ttd)
+    corr, delays = _chain_phases(geom, fc_hz, np.array([[phi_rad]], dtype=float), k_ttd)
+    beam = steering_uca(geom, fc_hz, phi_rad) * np.repeat(corr[0], p)
+    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: beam * np.repeat(
+        np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1))
 
 
 def _check_freqs(f_hz, fc_hz: float, radius_m: float):

@@ -3,16 +3,17 @@
 Architecture: each of ``n_rf`` RF chains feeds ``K`` true-time-delay (TTD)
 units, and each TTD unit drives ``P = N/K`` phase shifters, one per antenna
 of a contiguous arc of the circular array.  The analog stage is stored per
-arc: frequency-flat phase-shifter weights ``w_ps`` (N x n_rf) and one delay
-per arc ``delays_s`` (n_rf x K).  At frequency f, arc k of chain l is
-``w_ps`` times the TTD phase ``phi_lk(f) = exp(-j*2*pi*f*delays_s[l, k])``.
+arc: the center-frequency steering columns w (N x n_rf) and, per arc and
+chain, a unit-modulus correction ``corr`` and a delay ``delays`` (n_rf x K
+each, from ``_chain_phases``).  At frequency f, arc k of chain l is w times
+corr[l, k] and the TTD phase ``phi_lk(f) = exp(-j*2*pi*f*delays[l, k])``.
 
 ``build_designs`` returns the SNR-independent part of the precoders on one
 channel, one ``HybridDesign`` per delay-unit count K (``build_dpp`` and
 ``build_classic_hybrid`` are one-count calls).  All of them steer the same
-columns w (N x n_rf) and differ by one unit-modulus ``corr_lk`` per arc, so
-one product per fine arc j of ``K_f = lcm(K)`` serves them all, and no N x
-n_rf analog matrix is formed per subcarrier: each design sums contiguous
+columns w and differ by their corrections and delays, so one product per
+fine arc j of ``K_f = lcm(K)`` serves them all, and no N x n_rf analog
+matrix is formed per subcarrier: each design sums contiguous
 slabs of fine products into its ``C_mk = H_{m, arc k}^T conj(w_k)``, giving
 ``G_m = H_m^H A(f_m) = sum_k conj(C_mk) * corr_k * phi_k(f_m)``, and its
 arc Grams ``w_k^H w_k`` the same way for ``A^H A``.
@@ -129,28 +130,6 @@ def _chain_phases(geom: UcaGeometry, fc_hz: float, phi: np.ndarray, k_ttd: int):
     theta = ttd_reference_angles(geom.n_elements, k_ttd)
     eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
     return np.exp(-1j * eta_c * np.cos(phi - theta)), ttd_delays(phi, k_ttd, geom)
-
-
-def _dpp_chains(geom: UcaGeometry, fc_hz: float, phi_rad, k_ttd: int):
-    """Phase-shifter weights (N x n) and TTD delays (n x K) of n delay-phase
-    RF chains steered toward the directions phi_rad: column l is the
-    center-frequency steering vector toward phi_rad[l] times its chain's
-    centroid corrections, and row l is ttd_delays(phi_rad[l])."""
-    phi = np.asarray(phi_rad, dtype=float)[:, None]
-    corr, delays = _chain_phases(geom, fc_hz, phi, k_ttd)
-    cols = steering_uca(geom, fc_hz, phi[:, 0])
-    cols *= np.repeat(corr, geom.n_elements // k_ttd, axis=1)
-    return np.ascontiguousarray(cols.T), delays
-
-
-def _analog(w_ps: np.ndarray, delays_s: np.ndarray, f_hz) -> np.ndarray:
-    """N x n_rf combined analog weights at frequency f (... x N x n_rf for an
-    array of frequencies): each arc of phase-shifter weights times its TTD
-    phase exp(-j*2*pi*f*t)."""
-    p = w_ps.shape[0] // delays_s.shape[1]
-    f = np.asarray(f_hz)[..., None, None]
-    phases = np.exp(-2j * np.pi * f * delays_s)  # ... x n_rf x K
-    return w_ps * np.repeat(np.swapaxes(phases, -1, -2), p, axis=-2)
 
 
 def _equivalent_channels(h_t: np.ndarray, w: np.ndarray, stages, freqs_hz: np.ndarray):

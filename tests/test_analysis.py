@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_analog import analog, chain_directions, chain_stage, precoder_stage
 from ucabeam import analysis as an
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
@@ -28,9 +29,6 @@ from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
     DppConfig,
     HybridDesign,
-    _analog,
-    _chain_directions,
-    _dpp_chains,
     build_classic_hybrid,
     build_dpp,
 )
@@ -70,12 +68,14 @@ def test_exact_gain_rejects_overpowered_weights():
 
 def test_exact_gain_sweeps_build_rows_a_chunk_at_a_time(monkeypatch):
     # the steering-row temporaries stay SUBCARRIER_CHUNK x N whatever the
-    # sweep length; a scalar pair still gives a float
+    # sweep length (the delay-phase chain's one beam column at fc is not a
+    # sweep row); a scalar pair still gives a float
     rows = []
 
     def recorded(geom, f_hz, phi_rad):
         out = steering_uca(geom, f_hz, phi_rad)
-        rows.append(out.shape[0])
+        if out.ndim == 2:
+            rows.append(out.shape[0])
         return out
 
     monkeypatch.setattr(an, "steering_uca", recorded)
@@ -310,6 +310,32 @@ def test_dpp_exact_gain_from_column():
     assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n_tx=st.integers(2, 1024), data=st.data(),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       freqs=st.lists(st.floats(15e9, 45e9), min_size=1, max_size=9))
+def test_dpp_exact_gain_equals_the_dense_chain(n_tx, data, phi, freqs):
+    # any divisor K of N, any direction and frequencies within fc +- 50 %:
+    # the sweep and each scalar call against |a(f, phi)^H A(f)| of the dense
+    # chain written out from the paper's formulas
+    k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
+    geom = half_wavelength_uca(n_tx, 30e9)
+    stage = chain_stage(geom, 30e9, [phi], k_ttd)
+    want = [abs(np.vdot(steering_uca(geom, f, phi), analog(*stage, f)[:, 0])) for f in freqs]
+    got = an.dpp_exact_gain(geom, 30e9, np.array(freqs), phi, k_ttd)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    for f, value in zip(freqs, got.tolist()):
+        assert an.dpp_exact_gain(geom, 30e9, f, phi, k_ttd) == value
+
+
+@pytest.mark.parametrize("phi", [np.linspace(0.1, 0.8, 3), np.array([0.5]), [0.5]])
+def test_dpp_exact_gain_rejects_a_non_scalar_direction(phi):
+    with pytest.raises(ValueError, match="phi_rad must be a scalar"):
+        an.dpp_exact_gain(GEOM, 30e9, 29e9, phi, 8)
+    with pytest.raises(ValueError, match="phi_rad must be a scalar"):
+        an.dpp_exact_gain(GEOM, 30e9, np.linspace(29e9, 31e9, 3), phi, 8)
+
+
 def test_more_delay_units_never_hurt_at_band_edge():
     vals = [an.dpp_gain_subarray_sum(28.5e9, 30e9, R, 256, k) for k in (1, 4, 8, 16, 32)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -512,16 +538,6 @@ def _grid(m=129):
     return FrequencyGrid(30e9, 3e9, m)
 
 
-def _analog_stage(ch, cfg, correct_to_centroid):
-    """Phase-shifter weights (N x n_rf) and delays of the precoder built on
-    ch, per arc: the centroid-corrected chains and their TTD delays, or the
-    plain steering columns as one arc with zero delay."""
-    phi = _chain_directions(ch, cfg.n_rf)
-    if correct_to_centroid:
-        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
-    return np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T), np.zeros((cfg.n_rf, 1))
-
-
 def _explicit_precoders(ch, cfg, rho, classic, power):
     """Effective channels H^H F (M x N_r x n_streams) and hybrid precoders F
     (M x N x n_streams) at SNR rho (unit noise power) on every subcarrier,
@@ -529,8 +545,7 @@ def _explicit_precoders(ch, cfg, rho, classic, power):
     SVD, water-filling of the budget power over the top n_streams stream
     SNRs, digital precoders f_d = v * sqrt(p) rescaled so that f_d^H A^H A
     f_d = power, then F = A f_d.  A design rated at rho*power has its rates."""
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=not classic)
-    a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
+    a = analog(*precoder_stage(ch, cfg, not classic), ch.grid.freqs_hz)  # M x N x n_rf
     h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
     _, sigma, vh = np.linalg.svd(h_h @ a, full_matrices=False)
     n_s = cfg.n_streams
@@ -751,11 +766,9 @@ def _cross_gains(ch, cfg, m):
     """|a(f_m, phi_l)^H w_chain| between the path directions (strongest
     first) and the delay-phase chains' combined analog columns at
     subcarrier m; the diagonal holds the per-beam gains."""
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
     f = ch.grid.freqs_hz[m]
-    paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:cfg.n_rf]
-    rows = np.stack([steering_uca(ch.tx, f, p.aod_rad) for p in paths])
-    return np.abs(rows.conj() @ _analog(w_ps, delays, f))
+    rows = steering_uca(ch.tx, f, chain_directions(ch, cfg.n_rf))
+    return np.abs(rows.conj() @ analog(*precoder_stage(ch, cfg), f))
 
 
 def test_cross_gains_diagonal_dominates_at_center():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_analog import analog, precoder_stage
 from ucabeam import analysis
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
@@ -24,11 +25,9 @@ from ucabeam.arraymodel import (
 from ucabeam.cxlinalg import water_filling
 from ucabeam.precoding import (
     DppConfig,
-    _analog,
     _chain_directions,
     _chain_phases,
     _design,
-    _dpp_chains,
     _equivalent_channels,
     build_classic_hybrid,
     build_designs,
@@ -52,20 +51,9 @@ def _single_path_channel(aod, grid, gain=1.0 + 0j, delay=0.0, aoa=0.2):
     )
 
 
-def _analog_stage(ch, cfg, correct_to_centroid):
-    """Phase-shifter weights (N x n_rf) and delays of the precoder built on
-    ch, per arc: the centroid-corrected chains and their TTD delays, or the
-    plain steering columns as one arc with zero delay."""
-    phi = _chain_directions(ch, cfg.n_rf)
-    if correct_to_centroid:
-        return _dpp_chains(ch.tx, ch.grid.fc_hz, phi, cfg.n_ttd_per_rf)
-    return np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T), np.zeros((cfg.n_rf, 1))
-
-
 def _combined(ch, cfg, m, dpp=True):
     """Combined analog weights A(f_m) (N x n_rf) of the precoder built on ch."""
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=dpp)
-    return _analog(w_ps, delays, ch.grid.freqs_hz[m])
+    return analog(*precoder_stage(ch, cfg, dpp), ch.grid.freqs_hz[m])
 
 
 def _stream_directions(ch, cfg, dpp=True):
@@ -157,7 +145,7 @@ def test_dpp_shapes_and_constant_modulus():
     grid = _grid(9)
     ch = _single_path_channel(1.1, grid)
     cfg = DppConfig(1, 8, 1)
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
+    w_ps, delays = precoder_stage(ch, cfg)
     design = build_dpp(ch, cfg)
     assert w_ps.shape == (256, 1)
     assert delays.shape == (1, 8)
@@ -182,7 +170,7 @@ def test_dpp_block_support_pattern():
         tx=GEOM, rx=RX, grid=grid,
     )
     cfg = DppConfig(2, 4, 2)
-    w_ps, delays = _analog_stage(ch, cfg, correct_to_centroid=True)
+    w_ps, delays = precoder_stage(ch, cfg)
     p = 256 // 4
     assert w_ps.shape == (256, 2)
     assert delays.shape == (2, 4)
@@ -215,18 +203,21 @@ _DIRECTIONS = st.one_of(st.sampled_from([0.0, math.nextafter(2.0 * math.pi, 0.0)
 @given(n_tx=st.integers(2, 1024), data=st.data(),
        phis=st.lists(_DIRECTIONS, min_size=1, max_size=4))
 def test_chain_stage_equals_one_chain_at_a_time(n_tx, data, phis):
-    # every chain of the one-call stage, against the steering vector of its
-    # direction rotated per arc to zero centroid phase and its own delays
+    # every chain of the one-call stage (steering columns, corrections and
+    # delays, as build_designs forms them) against one chain at a time: its
+    # steering vector, the correction to zero centroid phase of each arc
+    # and its own delays
     k_ttd = data.draw(st.sampled_from([k for k in range(1, n_tx + 1) if n_tx % k == 0]))
     geom = UcaGeometry(n_tx, n_tx * C / (4.0 * math.pi * 30e9))
     eta_c = 2.0 * np.pi * geom.radius_m * 30e9 / C
     theta = ttd_reference_angles(n_tx, k_ttd)
-    w_ps, delays = _dpp_chains(geom, 30e9, np.array(phis), k_ttd)
-    assert w_ps.shape == (n_tx, len(phis)) and delays.shape == (len(phis), k_ttd)
-    for col, row, phi in zip(w_ps.T, delays, phis):
-        corr = np.exp(-1j * eta_c * np.cos(phi - theta))
-        assert np.array_equal(col, steering_uca(geom, 30e9, phi)
-                              * np.repeat(corr, n_tx // k_ttd))
+    w = steering_uca(geom, 30e9, np.array(phis))
+    corrs, delays = _chain_phases(geom, 30e9, np.array(phis)[:, None], k_ttd)
+    assert w.shape == (len(phis), n_tx)
+    assert corrs.shape == delays.shape == (len(phis), k_ttd)
+    for col, corr, row, phi in zip(w, corrs, delays, phis):
+        assert np.array_equal(col, steering_uca(geom, 30e9, phi))
+        assert np.array_equal(corr, np.exp(-1j * eta_c * np.cos(phi - theta)))
         assert np.array_equal(row, ttd_delays(phi, k_ttd, geom))
 
 
@@ -455,7 +446,7 @@ def _assert_stages_equal_the_combined_analog_stage(ch, w, stages):
     assert g.shape == (len(stages), *h_t.shape[:2], w.shape[1])
     for (corr, delays), g_s, gram_s in zip(stages, g, gram):
         w_ps = w * np.repeat(corr.T, w.shape[0] // corr.shape[1], axis=0)
-        a = _analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
+        a = analog(w_ps, delays, ch.grid.freqs_hz)  # M x N x n_rf
         g_ref = np.conj(h_t @ a.conj())  # H^H A
         np.testing.assert_allclose(g_s, g_ref, rtol=0,
                                    atol=1e-13 * max(1.0, np.abs(g_ref).max()))
@@ -522,7 +513,7 @@ def test_zero_delays_take_one_product_over_the_stack(n_sub, n_rf):
     # the classic stage alone: one arc, no correction, zero delay; 13
     # subcarriers are not a whole number of chunks; n_rf = 4 = N_r
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, 7)
-    w_ps, delays = _analog_stage(ch, DppConfig(n_rf, 8, 1), correct_to_centroid=False)
+    w_ps, delays = precoder_stage(ch, DppConfig(n_rf, 8, 1), dpp=False)
     g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps,
                                    [(np.ones_like(delays), delays)], ch.grid.freqs_hz)
     g, gram = g[0], gram[0]

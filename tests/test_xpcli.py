@@ -824,13 +824,18 @@ def _scalar_gain(label, s, x):
 
 @pytest.mark.parametrize("n_elements", [16, 256, 1024])
 @pytest.mark.parametrize("label", ["ps_exact", "dpp_exact", "uca_exact", "uca_exact@2.85e10",
-                                   "ula_exact", "ula_exact@2.85e10"])
+                                   "ula_exact", "ula_exact@2.85e10",
+                                   "dpp_exact/K=1", "dpp_exact/K=N"])
 def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
     # one call over the sweep gives each point the bits of its own scalar
-    # call, on both sides of the chunk edges (8 points per chunk)
+    # call, on both sides of the chunk edges (8 points per chunk); dpp_exact
+    # at fig2's K = 8 and at the arc-size edges K = 1 (P = N) and K = N (P = 1)
+    label, _, k = label.partition("/K=")
     scenario = load_builtin("fig2")
+    k_ttd = {"": scenario.precoding.k_ttd, "1": 1, "N": n_elements}[k]
     scenario = dataclasses.replace(
-        scenario, system=dataclasses.replace(scenario.system, n_elements_tx=n_elements))
+        scenario, system=dataclasses.replace(scenario.system, n_elements_tx=n_elements),
+        precoding=dataclasses.replace(scenario.precoding, k_ttd=k_ttd))
     base, freq = xpcli._split_method(label)
     setup = xpcli._Setup(scenario, freq)
     for n in (1, 7, 9, 257):
