@@ -116,11 +116,11 @@ def ps_gain_closed_form(f_hz, fc_hz: float, radius_m: float):
 
 
 def ps_gain_angular_closed_form(
-    f_hz: float, fc_hz: float, radius_m: float, phi_rad, phi0_rad: float
+    f_hz, fc_hz: float, radius_m: float, phi_rad, phi0_rad: float
 ):
     """Gain in direction phi of a beam pointed at phi0, evaluated at f:
     |J0(xi)| with xi the law-of-cosines combination of eta(f) and eta(fc).
-    ``phi_rad`` may be an array.
+    ``phi_rad`` and ``f_hz`` may be arrays, broadcast together.
 
     Accurate on the front half-plane |phi - phi0| <= pi/2; toward the
     back lobe the discrete circular sum departs from the continuum limit.

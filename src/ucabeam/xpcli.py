@@ -494,15 +494,21 @@ def run(scenario: Scenario) -> ResultTable:
     xs = _sweep_points(scenario)
     rows = []
     trial_labels = []
+    families = {}  # deterministic base -> its labels, in order of first appearance
     for label in scenario.methods:
-        base, freq = _split_method(label)
-        method = _METHODS[base]
-        if method.trial:
+        base, _ = _split_method(label)
+        if _METHODS[base].trial:
             trial_labels.append(label)
         else:
-            values = method.evaluate(_Setup(scenario, freq), np.array(xs))
-            rows.extend(map(ResultRow, xs, itertools.repeat(label),
-                            np.asarray(values, dtype=float).tolist(), itertools.repeat(0.0)))
+            families.setdefault(base, []).append(label)
+    for base, labels in families.items():
+        # one call over the family's sweeps end to end, each at its label's
+        # '@' frequency (bare: fc); a lone label keeps a scalar f_eval
+        freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
+        setup = _Setup(scenario, freqs[0] if len(labels) == 1 else np.repeat(freqs, len(xs)))
+        values = np.asarray(_METHODS[base].evaluate(setup, np.tile(xs, len(labels))), dtype=float)
+        for label, col in zip(labels, values.reshape(len(labels), len(xs)).tolist()):
+            rows.extend(map(ResultRow, xs, itertools.repeat(label), col, itertools.repeat(0.0)))
     if trial_labels:
         rows.extend(_run_trials(scenario, trial_labels, xs))
     return ResultTable(rows=tuple(rows)).sorted()
@@ -511,9 +517,10 @@ def run(scenario: Scenario) -> ResultTable:
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
     its center-frequency beam toward the target, the delay units per chain,
-    and the evaluation frequency of an angle method ('@' suffix, else fc)."""
+    and the evaluation frequency of an angle method ('@' suffix, else fc):
+    a float, or one frequency per point when a family runs in one call."""
 
-    def __init__(self, scenario: Scenario, freq: float | None):
+    def __init__(self, scenario: Scenario, freq: float | np.ndarray | None):
         sy = scenario.system
         self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
         self.geom = _tx_uca(sy)

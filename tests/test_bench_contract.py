@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ucabeam import arraymodel, xpcli
+from ucabeam import analysis, arraymodel, xpcli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -82,3 +82,17 @@ def test_every_generated_config_validates(tmp_path, capsys):
         for cfg, _ in plan.files.values():
             assert xpcli.main(["validate", str(cfg)]) == 0, capsys.readouterr().err
     assert len(harness.WORKLOADS) == 3
+
+
+def test_one_seed0_pass_of_each_workload_meets_the_reference(tmp_path):
+    # a pass as the bench runs it, checked by its own gates and against its
+    # recorded seed-0 rows at its own tolerance
+    harness = _load_bench("harness")
+    modules = {"xpcli": xpcli, "analysis": analysis}
+    for workload in harness.WORKLOADS:
+        plan = harness.make_plan(workload, harness.DEFAULT_SEED)
+        harness.write_configs(modules, plan, tmp_path / workload)
+        ttd = harness.execute(modules, plan)
+        reference = harness.load_reference(plan)
+        assert reference
+        assert harness.check(plan, harness.read_outputs(plan), ttd, reference) == [], workload

@@ -862,6 +862,52 @@ def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
                       "avg_gain_ps_upper": 1}
 
 
+def test_frequency_columns_of_a_method_take_one_call(monkeypatch):
+    # fig3b's three @frequency columns of each method, and fig3a's of
+    # ula_exact, go through one evaluator call per method
+    counts = {}
+    for name in ("ps_gain_angular_closed_form", "exact_gain"):
+        _count_calls(monkeypatch, analysis, name, counts)
+    run(load_builtin("fig3b"))
+    assert counts == {"ps_gain_angular_closed_form": 1, "exact_gain": 1}
+    counts.clear()
+    _count_calls(monkeypatch, analysis, "_gains", counts)
+    run(load_builtin("fig3a"))
+    assert counts == {"_gains": 1}
+
+
+def _columns(table):
+    """Each method's (x, mean) pairs of a run, in sweep order."""
+    cols = {}
+    for r in table.rows:
+        cols.setdefault(r.method, []).append((r.x, r.mean))
+    return {m: tuple(map(list, zip(*pairs))) for m, pairs in cols.items()}
+
+
+@pytest.mark.parametrize("n_elements", [16, 256, 1024])
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "mixed"])
+def test_batched_frequency_columns_equal_their_labels_alone(name, n_elements):
+    # each column of a family's one call has the bits of its label evaluated
+    # on its own; N = 1024 takes the closed form deep into the Miller range
+    scenario = load_builtin("fig3b" if name == "mixed" else name)
+    if name == "mixed":
+        scenario = dataclasses.replace(scenario, methods=(
+            "uca_exact", "uca_exact@3.0e10", "uca_closed_form@2.85e10"))
+    scenario = dataclasses.replace(scenario, system=dataclasses.replace(
+        scenario.system, n_elements_tx=n_elements))
+    xs = np.array(xpcli._sweep_points(scenario))
+    cols = _columns(run(scenario))
+    assert sorted(cols) == sorted(scenario.methods)
+    for label in scenario.methods:
+        base, freq = xpcli._split_method(label)
+        alone = xpcli._METHODS[base].evaluate(xpcli._Setup(scenario, freq), xs)
+        got_x, got = cols[label]
+        assert got_x == xs.tolist()
+        assert np.array_equal(got, alone), (label, n_elements)
+    if name == "mixed":
+        assert cols["uca_exact"] == cols["uca_exact@3.0e10"]
+
+
 def test_cli_validate_ok_and_failing(tmp_path, capsys):
     good = _write(tmp_path, "good.json", _small_trial_scenario())
     assert main(["validate", good]) == 0
