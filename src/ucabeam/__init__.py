@@ -35,13 +35,7 @@ from .arraymodel import (
     steering_uca,
     steering_ula,
 )
-from .cxlinalg import (
-    SvdError,
-    SvdResult,
-    block_diag,
-    svd,
-    water_filling,
-)
+from .cxlinalg import SvdError, water_filling
 from .precoding import (
     DppConfig,
     HybridDesign,
@@ -53,12 +47,10 @@ from .precoding import (
 )
 from .specfun import (
     ConvergenceError,
-    QuadratureError,
     UnbracketableError,
     bessel_j,
     hypergeom_1f2,
     hypergeom_2f3,
-    integrate,
     inverse_1f2_threshold,
 )
 from .xpcli import ResultTable, Scenario, ScenarioError, load_scenario, run
@@ -73,12 +65,10 @@ __all__ = [
     "FrequencyGrid",
     "HybridDesign",
     "PathParams",
-    "QuadratureError",
     "ResultTable",
     "Scenario",
     "ScenarioError",
     "SvdError",
-    "SvdResult",
     "UcaGeometry",
     "UlaGeometry",
     "UnbracketableError",
@@ -87,7 +77,6 @@ __all__ = [
     "avg_gain_ps_upper",
     "avg_gain_ttd",
     "bessel_j",
-    "block_diag",
     "build_classic_hybrid",
     "build_designs",
     "build_dpp",
@@ -101,7 +90,6 @@ __all__ = [
     "half_wavelength_uca",
     "hypergeom_1f2",
     "hypergeom_2f3",
-    "integrate",
     "inverse_1f2_threshold",
     "load_scenario",
     "min_ttd_count",
@@ -112,7 +100,6 @@ __all__ = [
     "spectrum_efficiency_optimal",
     "steering_uca",
     "steering_ula",
-    "svd",
     "ttd_delays",
     "ttd_reference_angles",
     "water_filling",

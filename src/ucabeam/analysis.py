@@ -223,28 +223,6 @@ def _check_band(radius_m: float, bandwidth_hz):
     _check_positive("bandwidth_hz", bandwidth_hz)
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
-    Newton steps on P_n from the cosine guesses, with P_n and P_n' from the
-    three-term recurrence, and w = 2 / ((1 - x^2) P_n'(x)^2).  (LAPACK's eigh
-    of the Jacobi matrix would load about 0.4 MB of library pages that no
-    other stage uses, and numpy.polynomial 0.9 MB.)  The guesses are within
-    1e-3 of the nodes, so six steps reach rounding."""
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(6):
-        p_prev, p = np.ones(n), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
-# One rule per segment between zeros of J0 (at most about pi long, where J0
-# is a smooth arch).  With 6 nodes the average is off by 2e-10; from 8 on,
-# rules of every size agree to the rounding of the J0 values (1e-15 for
-# b < 8, 5e-14 past the power series' noise on [8, 12]).
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 # McMahon's expansion is within 2e-3 of the first zero and closer for the
 # others; Newton's error goes 2e-3 -> 5e-7 -> 5e-14 -> rounding.
 _NEWTON_STEPS = 3
@@ -269,7 +247,7 @@ def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
     """Band average of the phase-shifter gain |J0|, (1/b) * int_0^b |J0|, in
     the dimensionless variable x = 2*pi*R*f'/c.  J0 keeps its sign between
     consecutive zeros, so the integral is the sum of |int J0| over the
-    segments [0, z1], [z1, z2], ..., [zk, b], each by one fixed
+    segments [0, z1], [z1, z2], ..., [zk, b], each by specfun's 12-point
     Gauss-Legendre rule.  ``bandwidth_hz`` may be an array: the segments
     between zeros are shared by every band, and one bessel_j call covers
     the nodes of those and of each band's last segment."""
@@ -281,10 +259,10 @@ def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
     lo = np.concatenate((edges[:-1], np.ravel(edges[k])))
     hi = np.concatenate((edges[1:], b.ravel()))
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * specfun._GL_NODES
     # each segment summed along its own row, and the segments added in order,
     # so every band gets the bits of its scalar call
-    parts = np.abs(half * np.sum(specfun.bessel_j(0, nodes) * _GL_WEIGHTS, axis=-1))
+    parts = np.abs(half * np.sum(specfun.bessel_j(0, nodes) * specfun._GL_WEIGHTS, axis=-1))
     whole = np.cumsum(np.concatenate(([0.0], parts[:z.size])))
     return _value((whole[k] + parts[z.size:].reshape(b.shape)) / b)
 

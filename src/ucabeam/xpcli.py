@@ -502,16 +502,28 @@ def run(scenario: Scenario) -> ResultTable:
         else:
             families.setdefault(base, []).append(label)
     for base, labels in families.items():
-        # one call over the family's sweeps end to end, each at its label's
-        # '@' frequency (bare: fc); a lone label keeps a scalar f_eval
-        freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
-        setup = _Setup(scenario, freqs[0] if len(labels) == 1 else np.repeat(freqs, len(xs)))
-        values = np.asarray(_METHODS[base].evaluate(setup, np.tile(xs, len(labels))), dtype=float)
+        try:
+            values = _family_values(scenario, base, labels, xs)
+        except ArithmeticError as exc:
+            for label, x in itertools.product(labels, xs):
+                try:
+                    _family_values(scenario, base, [label], [x])
+                except ArithmeticError as err:
+                    raise ArithmeticError(f"{err}; method {label} at x={x!r}") from exc
+            raise
         for label, col in zip(labels, values.reshape(len(labels), len(xs)).tolist()):
             rows.extend(map(ResultRow, xs, itertools.repeat(label), col, itertools.repeat(0.0)))
     if trial_labels:
         rows.extend(_run_trials(scenario, trial_labels, xs))
     return ResultTable(rows=tuple(rows)).sorted()
+
+
+def _family_values(scenario: Scenario, base: str, labels: list, xs: list) -> np.ndarray:
+    """One call over the family's sweeps end to end, each at its label's '@'
+    frequency (bare: fc); a lone label keeps a scalar f_eval."""
+    freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
+    setup = _Setup(scenario, freqs[0] if len(labels) == 1 else np.repeat(freqs, len(xs)))
+    return np.asarray(_METHODS[base].evaluate(setup, np.tile(xs, len(labels))), dtype=float)
 
 
 class _Setup:
@@ -571,8 +583,11 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
             stages = {k_ttd for _, k_ttd in points if k_ttd is not None}
             designs = build_designs(ch, pc.n_rf, pc.n_streams, stages) if stages else {}
             for (label, k_ttd), at_rho in points.items():
-                rates = _METHODS[_split_method(label)[0]].evaluate(
-                    ch, designs.get(k_ttd), pc.n_streams, np.array(list(at_rho)))
+                try:
+                    rates = _METHODS[_split_method(label)[0]].evaluate(
+                        ch, designs.get(k_ttd), pc.n_streams, np.array(list(at_rho)))
+                except ArithmeticError as exc:
+                    raise ArithmeticError(f"{exc}; method {label}, seed {seed}") from exc
                 for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
                     for j in same:
                         per_seed[label][j].append(mean)

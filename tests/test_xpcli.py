@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from ucabeam import analysis, arraymodel, xpcli
 from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
+from ucabeam.specfun import ConvergenceError
 from ucabeam.xpcli import (
     ResultRow,
     ResultTable,
@@ -403,6 +404,7 @@ def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308")
+    assert f"; method {method}, seed {data['trials']['base_seed']}" in err
 
 
 def test_power_budget_enters_the_rates_as_the_snr_times_the_budget():
@@ -807,6 +809,31 @@ def test_cli_numeric_failure_of_a_long_sweep_warns_nothing(tmp_path, capsys):
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "z=-202500.0" in err
+    assert err.rstrip().endswith("; method hyp_1f2 at x=900.0")
+
+
+def test_numeric_failure_of_a_band_average_names_the_method_and_sweep_point(tmp_path,
+                                                                             capsys):
+    # fig7 on a 1024-element ring up to 10 GHz: the upper bound's one call
+    # over the sweep fails, and the error names the first sweep point at
+    # which that method fails on its own, chained from the call's error
+    data = _builtin_data("fig7")
+    data["system"]["n_elements_tx"] = 1024
+    data["sweep"]["stop"] = 10e9
+    cfg = _write(tmp_path, "fig7_1024_10ghz.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: hypergeometric series lost precision")
+    x = float(err.rstrip().rpartition("; method avg_ps_upper at x=")[2])
+    xs = xpcli._sweep_points(load_scenario(cfg))
+    radius = arraymodel.half_wavelength_uca(1024, FC).radius_m
+    assert x in xs and xs.index(x) > 0
+    analysis.avg_gain_ps_upper(radius, xs[xs.index(x) - 1])
+    with pytest.raises(ConvergenceError):
+        analysis.avg_gain_ps_upper(radius, x)
+    with pytest.raises(ArithmeticError, match="; method avg_ps_upper at x=") as info:
+        run(load_scenario(cfg))
+    assert isinstance(info.value.__cause__, ConvergenceError)
 
 
 def _scalar_gain(label, s, x):
