@@ -49,7 +49,7 @@ import numpy as np
 from . import specfun
 from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
-from .precoding import HybridDesign, _arc_size, _chain_phases
+from .precoding import HybridDesign, _arc_size, _chain_phases, _singular_values
 
 __all__ = [
     "exact_gain",
@@ -377,20 +377,9 @@ def spectrum_efficiency(design: HybridDesign, rho):
     columns sigma_s * a_s * u_s, and its log-det is the sum over streams of
     log2(1 + rho/n_s * sigma_s^2 * a_s^2).  The powers a_s^2 are water-filled
     over the stream gains and rescaled so that f_d^H (A^H A) f_d, which is
-    sum_s a_s^2 * radiation_s, is 1."""
+    sum_s a_s^2 * radiation_s, is 1.  The fully digital design (radiation
+    None) rates as spectrum_efficiency_optimal, bit for bit."""
     return _stream_rates(design.sigma, rho, design.radiation)
-
-
-def _singular_values(h_m: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of a stack, largest first, from the R
-    factors of its tall form (see spectrum_efficiency_optimal)."""
-    tall = h_m if h_m.shape[-2] >= h_m.shape[-1] else np.swapaxes(h_m, -1, -2)
-    k = tall.shape[-1]
-    tall = tall.reshape((-1,) + tall.shape[-2:])
-    r_factors = np.empty((tall.shape[0], k, k), dtype=np.complex128)
-    for sl in _subcarrier_chunks(tall.shape[0]):
-        r_factors[sl] = np.linalg.qr(tall[sl], mode="r")
-    return np.linalg.svd(r_factors, compute_uv=False).reshape(h_m.shape[:-2] + (k,))
 
 
 def spectrum_efficiency_optimal(h_m, rho, n_s: int):
@@ -403,10 +392,11 @@ def spectrum_efficiency_optimal(h_m, rho, n_s: int):
 
     The singular values are those of the k x k R factor, k = min(N, N_r), of
     the tall form of each channel (H, or H^T when N < N_r), taken by a QR in
-    steps of SUBCARRIER_CHUNK channels so that its working copy stays small.
-    LAPACK's SVD of a tall matrix takes the same QR route, and the QR is
-    backward stable: the conditioning is not squared, as it would be by the
-    eigenvalues of the Gram H^H H."""
+    steps of SUBCARRIER_CHUNK channels so that its working copy stays small
+    (the trial runner's key None of build_designs takes them as it
+    synthesizes the channel).  LAPACK's SVD of a tall matrix takes the same
+    QR route, and the QR is backward stable: the conditioning is not
+    squared, as it would be by the eigenvalues of the Gram H^H H."""
     h_m = np.asarray(h_m, dtype=np.complex128)
     if h_m.ndim < 2:
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")

@@ -11,6 +11,9 @@ Conventions
 * The transmit array is a uniform circular array (UCA) in the azimuth plane
   with element n at angle ``2*pi*n/N``; the receive array is a uniform linear
   array (ULA).
+* A channel realization holds its paths and small synthesis tables, not its
+  matrices: ``channel_matrix`` synthesizes any set of subcarriers on demand,
+  and the trial runner takes SUBCARRIER_CHUNK of them at a time.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ __all__ = [
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-# Subcarriers per batched step wherever a tensor grows with the grid and the
-# array size (channel synthesis, the per-arc products of the precoders, the
-# QR of the fully digital bound): it bounds the temporaries of a step to
-# SUBCARRIER_CHUNK x N x (paths, or N_r x RF chains), far below the
-# M x N x N_r channel stack itself.  Channel synthesis also splits subcarrier
+# Subcarriers per step wherever a tensor grows with the grid and the array
+# size (channel synthesis, the per-arc products of the precoders, the QR of
+# the fully digital bound): a step's temporaries stay at SUBCARRIER_CHUNK x N
+# x (paths, or N_r x RF chains), and the trial runner never forms the
+# M x N x N_r channel stack.  Channel synthesis also splits subcarrier
 # indices as m = SUBCARRIER_CHUNK*q + r (see channel_matrix).
 SUBCARRIER_CHUNK = 8
 
@@ -159,12 +162,30 @@ class ChannelRealization:
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         """Read-only M x N x N_r channel over the whole grid, built by
-        ``channel_matrix(self, range(M))`` on first use and kept: every
-        precoder and evaluator of this realization shares it, and
-        ``channel_matrix(self, m)`` for any other m copies its rows."""
+        ``channel_matrix(self, range(M))`` on first use and kept; the package
+        itself only ever synthesizes chunks (see channel_matrix)."""
         stack = channel_matrix(self, range(self.grid.n_subcarriers))
         stack.flags.writeable = False
         return stack
+
+    @functools.cached_property
+    def _tables(self):
+        """channel_matrix's tables (see there): the left factor (M x N_r x L),
+        cos(phi_l - psi_n) (L x N), the residual table and the block etas."""
+        tx, rx, freqs = self.tx, self.rx, self.grid.freqs_hz
+        cos_tx = np.cos(np.array([p.aod_rad for p in self.paths])[:, None] - tx.element_angles)
+        # the expressions of steering_uca/steering_ula, in the same order
+        f_r = np.arange(min(SUBCARRIER_CHUNK, freqs.size))[:, None, None] * (
+            self.grid.bandwidth_hz / self.grid.n_subcarriers)
+        eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
+        residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
+        eta_q = 2.0 * np.pi * tx.radius_m * freqs[::SUBCARRIER_CHUNK] / SPEED_OF_LIGHT
+        f, sin_rx = freqs[:, None, None], np.array([math.sin(p.aoa_rad) for p in self.paths])
+        b = np.exp(1j * (2.0 * np.pi * np.arange(rx.n_elements) * rx.spacing_m * f
+                         * sin_rx[:, None] / SPEED_OF_LIGHT)) / math.sqrt(rx.n_elements)
+        coef = np.array([p.gain for p in self.paths]) * np.exp(
+            -2j * np.pi * np.array([p.delay_s for p in self.paths]) * f)  # M x 1 x L
+        return np.swapaxes(b.conj(), -1, -2) * coef, cos_tx, residual, eta_q
 
 
 def _sweep(f_hz, phi_rad):
@@ -246,63 +267,43 @@ def generate_channel(
     return ChannelRealization(paths=paths, tx=tx, rx=rx, grid=grid)
 
 
-def _subcarrier_index(m, n_sub: int) -> np.ndarray:
-    """m (an index or a sequence of indices) as a 0-d or 1-D index array into
-    an n_sub-point grid."""
-    idx = np.asarray(m)
-    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n_sub)):
-        raise IndexError(f"subcarrier index {m} out of range [0, {n_sub})")
-    return idx
-
-
 def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     """N x N_r channel at subcarrier m (0-based):
     sqrt(N/L) * sum_l g_l * exp(-j*2*pi*tau_l*f_m) * a(phi_l) b(theta_l)^H.
 
-    ``m = range(M)`` builds the M x N x N_r stack over the whole grid, 8
-    subcarriers (SUBCARRIER_CHUNK) at a time.  It is a transposed view of a
-    contiguous M x N_r x N array, so ``np.swapaxes(stack, -1, -2)`` (H^T) is
-    the operand of contiguous batched products such as H^H A = conj(H^T
-    conj(A)).  Any other m (an index or a sequence of them) gives a new
-    writable array of those rows of ``ch.matrices``, the whole-grid stack
-    that the realization builds once and keeps.
+    A sequence m (a range, or indices in any order) gives the stack of those
+    subcarriers, and only those are synthesized, each with the same bits
+    whichever call makes it: ``range(M)`` is the whole grid, ``range(8q, 8q +
+    8)`` the chunk that ``build_designs`` takes at a time.  The result is a
+    transposed view of a new contiguous (len(m) x) N_r x N array, so
+    ``np.swapaxes(h, -1, -2)`` (H^T) is the operand of contiguous batched
+    products such as H^H A = conj(H^T conj(A)).
 
-    The UCA factors, the L x N exponentials per subcarrier that dominate the
-    cost, come from two small tables.  With m = 8q + r the grid gives
-    f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block row
-    exp(j*eta(f_8q)*cos) times the residual row exp(j*eta(r*B/M)*cos): one
-    residual table of 8 rows, with 1/sqrt(N) folded in, and one block row
-    per chunk, 24 exp rows in place of 128 for M = 128.  Against
-    exp(j*eta(f_m)*cos) the split adds an error of the size the phase
-    argument already carries, about eps*eta(f_m).  The ULA and delay phases
-    are taken at f_m directly, as is the left factor b^H * coef
-    (M x N_r x L); a chunk takes its block row, the residual product and
-    one matmul into the stack.
+    The UCA factors, the L x N exponentials that dominate the cost, come
+    from tables kept on the realization: with m = 8q + r (SUBCARRIER_CHUNK),
+    f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block row at f_8q
+    times the residual row at r*B/M, one residual table of 8 rows (1/sqrt(N)
+    folded in) and one block row per chunk touched: 24 exp rows in place of
+    128 for M = 128, at an added error of the size the phase argument
+    carries, about eps*eta(f_m).  The ULA and delay phases enter at f_m, in
+    the left factor b^H * coef (N_r x L per subcarrier); a run of
+    consecutive indices in one chunk takes one block row and one matmul.
     """
-    idx = _subcarrier_index(m, ch.grid.n_subcarriers)
-    if not (isinstance(m, range) and m == range(ch.grid.n_subcarriers)):
-        return np.array(ch.matrices[idx])
-    tx, rx, grid = ch.tx, ch.rx, ch.grid
-    freqs = grid.freqs_hz
-    gains = np.array([p.gain for p in ch.paths])
-    delays = np.array([p.delay_s for p in ch.paths])
-    cos_tx = np.cos(np.array([p.aod_rad for p in ch.paths])[:, None] - tx.element_angles)
-    sin_rx = np.array([math.sin(p.aoa_rad) for p in ch.paths])[:, None]
-    n_rx = np.arange(rx.n_elements)
-    # the expressions of steering_uca/steering_ula, in the same order
-    f_r = np.arange(min(SUBCARRIER_CHUNK, grid.n_subcarriers))[:, None, None] * (
-        grid.bandwidth_hz / grid.n_subcarriers)
-    eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
-    residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
-    eta_q = 2.0 * np.pi * tx.radius_m * freqs[::SUBCARRIER_CHUNK, None] / SPEED_OF_LIGHT
-    f = freqs[:, None, None]
-    b = np.exp(1j * (2.0 * np.pi * n_rx * rx.spacing_m * f * sin_rx / SPEED_OF_LIGHT)
-               ) / math.sqrt(rx.n_elements)  # M x L x N_r
-    coef = gains * np.exp(-2j * np.pi * delays * f)  # M x 1 x L
-    left = np.swapaxes(b.conj(), -1, -2) * coef  # M x N_r x L
-    h_t = np.empty((freqs.size, rx.n_elements, tx.n_elements), dtype=np.complex128)
-    for sl, eta in zip(_subcarrier_chunks(freqs.size), eta_q):
-        a = np.exp(1j * (eta * cos_tx)) * residual[:sl.stop - sl.start]  # c x L x N
-        np.matmul(left[sl], a, out=h_t[sl])
-    h_t *= math.sqrt(tx.n_elements / ch.n_paths)
-    return np.swapaxes(h_t, -1, -2)
+    idx = np.arange(m.start, m.stop, m.step) if isinstance(m, range) else np.asarray(m)
+    flat = idx.reshape(-1).tolist()
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or flat and not (
+            0 <= min(flat) and max(flat) < ch.grid.n_subcarriers):
+        raise IndexError(f"subcarrier index {m} out of range [0, {ch.grid.n_subcarriers})")
+    left, cos_tx, residual, eta_q = ch._tables
+    h_t = np.empty((len(flat),) + left.shape[1:2] + cos_tx.shape[1:], dtype=np.complex128)
+    starts = [i for i, j in enumerate(flat)
+              if i == 0 or j != flat[i - 1] + 1 or j % SUBCARRIER_CHUNK == 0]
+    for lo, hi in zip(starts, starts[1:] + [len(flat)]):
+        q, r = divmod(flat[lo], SUBCARRIER_CHUNK)
+        a = np.empty((hi - lo,) + cos_tx.shape, dtype=np.complex128)
+        np.multiply(1j, eta_q[q] * cos_tx, out=a[0])
+        a[1:] = np.exp(a[0], out=a[0])  # the block row, L x N, on each row
+        np.multiply(a, residual[r:r + hi - lo], out=a)  # equal shapes: no ufunc buffer
+        np.matmul(left[flat[lo]:flat[lo] + hi - lo], a, out=h_t[lo:hi])
+    h_t *= math.sqrt(ch.tx.n_elements / ch.n_paths)
+    return h_t.swapaxes(-1, -2) if idx.ndim else h_t[0].T

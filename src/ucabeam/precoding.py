@@ -28,10 +28,12 @@ power ``f_d^H (A^H A) f_d`` (the runner rates a budget P at the SNR rho*P).
 Since ``G v_s = sigma_s u_s``, the rate is a sum over streams of singular
 values and powers, so neither v nor ``G v`` is kept, and the rates at many
 SNRs come from one design.
-Blocks of subcarriers are sized by fine-arc values: c subcarriers hold c x
-K_f x n_rf x max(N_r, n_rf) of them (the fine products, or a design's Gram
-phase products), at most a ``SUBCARRIER_CHUNK``-subcarrier chunk of the
-stack, 128 KB for the 256 x 4 built-ins: one block for K_f <= 4, 16 at 32.
+``build_designs`` synthesizes the channel once, a ``SUBCARRIER_CHUNK`` chunk
+at a time, for the fine products and the QR of the fully digital bound (key
+None).  The fine products wait in a buffer of one block of subcarriers,
+sized by fine-arc values: c subcarriers hold c x K_f x n_rf x max(N_r, n_rf)
+of them, at most a chunk of the channel, 128 KB for the 256 x 4 built-ins:
+one block for K_f <= 4, 16 subcarriers at 32.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -59,6 +61,7 @@ from .arraymodel import (
     ChannelRealization,
     UcaGeometry,
     _subcarrier_chunks,
+    channel_matrix,
     steering_uca,
 )
 from .cxlinalg import svd
@@ -132,38 +135,75 @@ def _chain_phases(geom: UcaGeometry, fc_hz: float, phi: np.ndarray, k_ttd: int):
     return np.exp(-1j * eta_c * np.cos(phi - theta)), ttd_delays(phi, k_ttd, geom)
 
 
-def _equivalent_channels(h_t: np.ndarray, w: np.ndarray, stages, freqs_hz: np.ndarray):
-    """Equivalent channels G = H^H A (S x M x N_r x n_rf) and analog Gram
-    matrices A^H A (S x M x n_rf x n_rf) of S stages (corr, delays), each
-    n_rf x K_s, on the stack h_t = H^T (M x N_r x N): arc k of chain l is w
-    (N x n_rf) times corr[l, k] * exp(-j*2*pi*f*delays[l, k]).  Per block of
-    subcarriers the K_f = lcm(K_s) fine-arc products are one batched matmul,
-    and each stage's G and Gram are matmuls over the sums of its arcs."""
-    m, n_r, n = h_t.shape
-    n_rf = w.shape[1]
+def _equivalent_channels(w: np.ndarray, stages, freqs_hz: np.ndarray, n_r: int):
+    """feed(sl, h_t) and result() of the equivalent channels G = H^H A (S x
+    M x N_r x n_rf) and analog Grams A^H A (S x M x n_rf x n_rf) of S stages
+    (corr, delays), each n_rf x K_s, over the grid freqs_hz: arc k of chain
+    l is w (N x n_rf) times corr[l, k] * exp(-j*2*pi*f*delays[l, k]).  Fed
+    H^T (c x N_r x N) of the subcarriers sl in grid order, the K_f =
+    lcm(K_s) fine-arc products are one batched matmul; per block, each
+    stage's G and Gram are matmuls over the sums of its arcs."""
+    n, n_rf = w.shape
     k_f = math.lcm(*(corr.shape[1] for corr, _ in stages))
     w_fine = w.reshape(k_f, -1, n_rf)
     w_fine_conj = w_fine.conj()
     fine_grams = np.swapaxes(w_fine_conj, -1, -2) @ w_fine  # K_f x n_rf x n_rf
     arc_grams = [fine_grams.reshape(corr.shape[1], -1, n_rf, n_rf).sum(1)
                  .transpose(1, 2, 0)[..., None] for corr, _ in stages]
+    m = freqs_hz.size
     g_t = np.empty((len(stages), n_rf, m, 1, n_r), dtype=np.complex128)  # conj(G)
     gram = np.empty((len(stages), m, n_rf, n_rf), dtype=np.complex128)
-    per_block = max(1, SUBCARRIER_CHUNK * n * n_r // (k_f * n_rf * max(n_r, n_rf)))
-    for sl in _subcarrier_chunks(m, per_block):
+    per_block = min(m, max(1, SUBCARRIER_CHUNK * n * n_r // (k_f * n_rf * max(n_r, n_rf))))
+    fine = np.empty((k_f, per_block * n_r, n_rf), dtype=np.complex128)
+
+    def block(sl: slice, fine: np.ndarray):  # fine: the block's fine products
         conj = [corr.conj()[:, None] * np.exp(2j * np.pi * freqs_hz[sl, None] * delays[:, None])
                 for corr, delays in stages]  # conj of the arc weights, n_rf x c x K_s each
-        fine = h_t[sl].reshape(-1, k_f, n // k_f).swapaxes(0, 1) @ w_fine_conj  # K_f x cN_r x n_rf
-        for s in range(len(stages)):  # no loop variable keeps a block's arrays alive
-            k = conj[s].shape[-1]
+        for s, cj in enumerate(conj):
+            k = cj.shape[-1]
             arcs = fine if k == k_f else fine.reshape(k, k_f // k, -1, n_rf).sum(1)
-            np.matmul(conj[s][:, :, None], arcs.reshape(k, -1, n_r, n_rf).transpose(3, 1, 0, 2),
+            np.matmul(cj[:, :, None], arcs.reshape(k, -1, n_r, n_rf).transpose(3, 1, 0, 2),
                       out=g_t[s, :, sl])
-        fine = arcs = None  # the Grams' phase products take their place
-        for s in range(len(stages)):
-            np.matmul(np.einsum("ick,jck->ijck", conj[s], conj[s].conj()), arc_grams[s],
+        arcs = None  # the Grams' phase products take its place
+        for s, cj in enumerate(conj):
+            np.matmul(np.einsum("ick,jck->ijck", cj, cj.conj()), arc_grams[s],
                       out=gram[s, sl].transpose(1, 2, 0)[..., None])
-    return np.conjugate(g_t, out=g_t)[:, :, :, 0].transpose(0, 2, 3, 1), gram
+
+    def feed(sl: slice, h_t: np.ndarray):
+        lo = sl.start
+        while lo < sl.stop:  # the part of sl in each block it touches
+            start = lo - lo % per_block
+            hi = min(sl.stop, start + per_block)
+            np.matmul(h_t[lo - sl.start:hi - sl.start].reshape(-1, k_f, n // k_f).swapaxes(0, 1),
+                      w_fine_conj, out=fine[:, (lo - start) * n_r:(hi - start) * n_r])
+            if hi == min(start + per_block, m):  # the block is complete
+                block(slice(start, hi), fine[:, :(hi - start) * n_r])
+            lo = hi
+
+    return feed, lambda: (np.conjugate(g_t, out=g_t)[:, :, :, 0].transpose(0, 2, 3, 1), gram)
+
+
+def _bound(n_sub: int, k: int):
+    """feed(sl, h_t) and result() of the singular values, largest first, of
+    n_sub channels from the k x k R factors of their tall form (H, or H^T
+    when N < N_r), k = min(N, N_r), fed as H^T of the subcarriers sl."""
+    r_factors = np.empty((n_sub, k, k), dtype=np.complex128)
+
+    def feed(sl: slice, h_t: np.ndarray):
+        tall = h_t if h_t.shape[-2] > h_t.shape[-1] else h_t.swapaxes(-1, -2)
+        r_factors[sl] = np.linalg.qr(tall, mode="r")
+
+    return feed, lambda: np.linalg.svd(r_factors, compute_uv=False)
+
+
+def _singular_values(h_m: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix of a stack, largest first (_bound),
+    SUBCARRIER_CHUNK matrices at a time."""
+    flat = h_m.reshape((-1,) + h_m.shape[-2:])
+    feed, result = _bound(flat.shape[0], min(h_m.shape[-2:]))
+    for sl in _subcarrier_chunks(flat.shape[0]):
+        feed(sl, np.swapaxes(flat[sl], -1, -2))
+    return result().reshape(h_m.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -180,11 +220,12 @@ class HybridDesign:
 
     sigma:     M x n_streams largest singular values of G
     radiation: M x n_streams radiated power per unit stream power,
-               the diagonal of v^H (A^H A) v
+               the diagonal of v^H (A^H A) v; None for the fully digital
+               precoder (A = I_N), whose streams radiate their own power
     """
 
     sigma: np.ndarray
-    radiation: np.ndarray
+    radiation: np.ndarray | None
 
 
 def _chain_directions(ch: ChannelRealization, n_rf: int) -> np.ndarray:
@@ -216,16 +257,33 @@ def build_designs(ch: ChannelRealization, n_rf: int, n_streams: int, k_ttds) -> 
     """Designs of n_rf chains and n_streams streams on ch, keyed by delay-unit
     count in k_ttds: chain l steers toward the l-th strongest path, and K > 1
     adds per-arc centroid corrections and TTD delays.  K = 1 is the classic
-    design (see the module notes)."""
+    design (see the module notes); the key None is the fully digital bound,
+    the n_streams largest singular values of the channel.  One pass over the
+    channel, a chunk at a time: no M x N x N_r array is formed."""
     DppConfig(n_rf, 1, n_streams)  # the sizing checks of a one-count design
-    phi = _chain_directions(ch, n_rf)
-    ks = sorted(set(k_ttds))
-    stages = [_chain_phases(ch.tx, ch.grid.fc_hz, phi[:, None], k) if k != 1
-              else (np.ones((n_rf, 1)), np.zeros((n_rf, 1))) for k in ks]
-    w = np.ascontiguousarray(steering_uca(ch.tx, ch.grid.fc_hz, phi).T)
-    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w, stages,
-                                   ch.grid.freqs_hz)
-    return {k: _design(g[s], gram[s], n_streams) for s, k in enumerate(ks)}
+    keys, grid, rank = set(k_ttds), ch.grid, min(ch.tx.n_elements, ch.rx.n_elements)
+    ks, passes = sorted(keys - {None}), {}
+    if None in keys and rank < n_streams:
+        raise ValueError(f"n_streams={n_streams} exceeds the channel rank bound "
+                         f"min(n_elements, n_rx)={rank}")
+    if ks:
+        phi = _chain_directions(ch, n_rf)
+        stages = [_chain_phases(ch.tx, grid.fc_hz, phi[:, None], k) if k != 1
+                  else (np.ones((n_rf, 1)), np.zeros((n_rf, 1))) for k in ks]
+        w = np.ascontiguousarray(steering_uca(ch.tx, grid.fc_hz, phi).T)
+        passes["hybrid"] = _equivalent_channels(w, stages, grid.freqs_hz, ch.rx.n_elements)
+    if None in keys:
+        passes[None] = _bound(grid.n_subcarriers, rank)
+    for sl in _subcarrier_chunks(grid.n_subcarriers if passes else 0):
+        h_t = channel_matrix(ch, range(sl.start, sl.stop)).swapaxes(-1, -2)
+        for feed, _ in passes.values():
+            feed(sl, h_t)
+        del h_t  # before the next chunk is synthesized
+    designs = {None: HybridDesign(passes[None][1]()[:, :n_streams], None)} if None in keys else {}
+    if ks:
+        g, gram = passes["hybrid"][1]()
+        designs.update({k: _design(g[s], gram[s], n_streams) for s, k in enumerate(ks)})
+    return designs
 
 
 def build_classic_hybrid(ch: ChannelRealization, cfg: DppConfig) -> HybridDesign:

@@ -289,8 +289,6 @@ def validate_scenario(scenario: Scenario) -> list:
                      f"{pc.n_streams} > {pc.n_rf}")
     if ok("k_ttd"):
         check_divisor("precoding.k_ttd", pc.k_ttd)
-    if ok("snr_db"):
-        check_snr("trials.snr_db", tr.snr_db)
 
     if sw.variable not in SWEEP_VARIABLES:
         diags.append(f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}")
@@ -377,6 +375,8 @@ def validate_scenario(scenario: Scenario) -> list:
         elif freq is not None and not (math.isfinite(freq) and freq > 0):
             diags.append(f"methods: {label!r}: suffix must be a positive frequency in Hz")
         has_trial = has_trial or _METHODS[base].trial
+    if has_trial and sw.variable != "snr_db" and ok("snr_db"):  # the SNR the runner reads
+        check_snr("trials.snr_db", tr.snr_db)
     if has_trial and ok("n_rf", "n_paths") and tr.n_paths < pc.n_rf:
         diags.append(f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
                      f"{pc.n_rf}; every RF chain needs a path to serve")
@@ -558,13 +558,12 @@ def _channel(scenario: Scenario, bandwidth: float, seed: int):
 
 def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     """Rows of the trial methods.  Seeds are the outer loop, so one channel
-    (and its stack, built on first use) is alive at a time and every method
-    at every sweep point of that seed shares it; a new channel is drawn only
-    when the bandwidth changes.  On each channel one call builds every
-    hybrid design its points need, and a method is evaluated once per
-    design, at all the SNRs of the points that use it (methods without a
-    design: once per channel), so each hybrid design and each set of
-    channel singular values is computed once."""
+    is alive at a time and every method at every sweep point of that seed
+    shares it; a new channel is drawn only when the bandwidth changes.  On
+    each channel one build_designs pass, a chunk at a time and with no
+    M x N x N_r stack, builds every design its points need (the fully
+    digital bound included), and a method is evaluated once per design, at
+    all the SNRs of the points that use it."""
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
     variable = scenario.sweep.variable
     bandwidths = [x if variable == "bandwidth" else sy.bandwidth_hz for x in xs]
@@ -575,17 +574,15 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
         for bandwidth, js in itertools.groupby(range(len(xs)), bandwidths.__getitem__):
             ch = _channel(scenario, bandwidth, seed)
-            points = {}  # (label, delay units of its design) -> {rho: sweep indices}
+            points = {}  # (label, key of its design) -> {rho: sweep indices}
             for label, j in itertools.product(labels, js):
-                stage = _METHODS[_split_method(label)[0]].stage
-                key = (label, stage(ks[j]) if stage else None)
+                key = (label, _METHODS[_split_method(label)[0]].stage(ks[j]))
                 points.setdefault(key, {}).setdefault(rhos[j], []).append(j)
-            stages = {k_ttd for _, k_ttd in points if k_ttd is not None}
-            designs = build_designs(ch, pc.n_rf, pc.n_streams, stages) if stages else {}
-            for (label, k_ttd), at_rho in points.items():
+            designs = build_designs(ch, pc.n_rf, pc.n_streams, {k for _, k in points})
+            for (label, key), at_rho in points.items():
                 try:
                     rates = _METHODS[_split_method(label)[0]].evaluate(
-                        ch, designs.get(k_ttd), pc.n_streams, np.array(list(at_rho)))
+                        designs[key], np.array(list(at_rho)))
                 except ArithmeticError as exc:
                     raise ArithmeticError(f"{exc}; method {label}, seed {seed}") from exc
                 for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
@@ -600,10 +597,10 @@ class _Method:
     """A method label's accepted sweep variables, evaluator, and whether it
     averages over seeded channels.  Deterministic evaluators map (_Setup,
     array of sweep points) to the values at every point; trial evaluators map
-    (channel, hybrid design or None, n_streams, 1-D array of SNRs rho) to the
-    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers).
-    ``stage`` maps a point's delay-unit count to that of the hybrid design a
-    trial method rates (1: the classic design); it is None without one."""
+    (design, 1-D array of SNRs rho) to the spectrum efficiency of every
+    subcarrier at each SNR (SNRs x subcarriers).  ``stage`` maps a point's
+    delay-unit count to the build_designs key of the design a trial method
+    rates (1: the classic design, None: the fully digital bound)."""
 
     variables: tuple
     evaluate: object
@@ -611,7 +608,7 @@ class _Method:
     stage: object = None
 
 
-def _hybrid_rates(ch, design, n_s, rho):
+def _design_rates(design, rho):
     return an.spectrum_efficiency(design, rho)
 
 
@@ -639,10 +636,9 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, _hybrid_rates, trial=True, stage=lambda k_ttd: 1),
-    "dpp": _Method(_SE, _hybrid_rates, trial=True, stage=lambda k_ttd: k_ttd),
-    "optimal": _Method(_SE, lambda ch, design, n_s, rho: an.spectrum_efficiency_optimal(
-        ch.matrices, rho, n_s), trial=True),
+    "classic": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: 1),
+    "dpp": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: k_ttd),
+    "optimal": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: None),
 }
 
 

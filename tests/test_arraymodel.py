@@ -1,13 +1,13 @@
 """Array geometry, steering vectors, OFDM grid, and channel generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucabeam import arraymodel
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     ChannelRealization,
@@ -380,26 +380,30 @@ def test_channel_stack_layout(n_sub):
     assert np.shares_memory(h_t.reshape(n_sub * 3, 16), ch.matrices)
 
 
-def test_subsets_are_writable_rows_of_the_stack_built_once(monkeypatch):
-    # ch.matrices builds its stack through the module global; the subset
-    # calls below go through the imported name and are not counted
-    builds = []
-    original = arraymodel.channel_matrix
-
-    def counted(ch, m):
-        builds.append(m)
-        return original(ch, m)
-
-    monkeypatch.setattr(arraymodel, "channel_matrix", counted)
+def test_subsets_are_synthesized_alone_and_equal_the_stack_rows():
+    # channel_matrix(ch, m) synthesizes only the subcarriers m: no stack is
+    # built or kept, and each row has the bits of the whole-grid stack
     ch = generate_channel(half_wavelength_uca(12, 30e9), UlaGeometry(2, C / 30e9 / 2.0),
                           FrequencyGrid(30e9, 2e9, 9), 3, 4)
     one, rows = channel_matrix(ch, 3), channel_matrix(ch, [5, 0, 5])
-    assert builds == [range(9)]
-    stack = ch.matrices.copy()
+    assert "matrices" not in ch.__dict__
+    assert one.shape == (12, 2) and rows.shape == (3, 12, 2)
+    stack = ch.matrices
     assert np.array_equal(one, stack[3]) and np.array_equal(rows, stack[[5, 0, 5]])
     for sub in (one, rows):
-        assert sub.flags.writeable and not np.shares_memory(sub, ch.matrices)
+        assert sub.flags.writeable and not np.shares_memory(sub, stack)
         sub[...] = 0.0
-    assert np.array_equal(ch.matrices, stack)
-    channel_matrix(ch, 8)
-    assert builds == [range(9)]
+    assert np.array_equal(stack, channel_matrix(ch, range(9)))
+    # at N = 256 and M = 128 one subcarrier takes a few of its own sizes
+    # (16 KB), not the 2.1 MB stack
+    ch = generate_channel(half_wavelength_uca(256, 30e9), UlaGeometry(4, C / 30e9 / 2.0),
+                          FrequencyGrid(30e9, 3e9, 128), 4, 5)
+    channel_matrix(ch, 0)  # the realization's tables
+    tracemalloc.start()
+    try:
+        h = channel_matrix(ch, 77)
+        assert tracemalloc.get_traced_memory()[1] <= 4 * h.nbytes
+    finally:
+        tracemalloc.stop()
+    assert "matrices" not in ch.__dict__
+    assert np.array_equal(h, ch.matrices[77])

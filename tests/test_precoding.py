@@ -13,11 +13,14 @@ from ucabeam import analysis
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
+    SUBCARRIER_CHUNK,
     ChannelRealization,
     FrequencyGrid,
     PathParams,
     UcaGeometry,
     UlaGeometry,
+    _subcarrier_chunks,
+    channel_matrix,
     generate_channel,
     half_wavelength_uca,
     steering_uca,
@@ -438,11 +441,20 @@ def _random_stage(rng, n_rf, k_ttd, zero_delays=False):
             rng.uniform(0.0, 2e-9, (n_rf, k_ttd)))
 
 
-def _assert_stages_equal_the_combined_analog_stage(ch, w, stages):
+def _products(h_t, w, stages, freqs_hz, chunk=SUBCARRIER_CHUNK):
+    """G and the Grams of the stages on the stack h_t = H^T, fed to
+    _equivalent_channels chunk subcarriers at a time, in grid order."""
+    feed, result = _equivalent_channels(w, stages, freqs_hz, h_t.shape[1])
+    for sl in _subcarrier_chunks(len(h_t), chunk):
+        feed(sl, h_t[sl])
+    return result()
+
+
+def _assert_stages_equal_the_combined_analog_stage(ch, w, stages, chunk=SUBCARRIER_CHUNK):
     # every stage of one call against its dense combined weights A(f):
     # G = H^H A and A^H A on every subcarrier
     h_t = np.swapaxes(ch.matrices, -1, -2)
-    g, gram = _equivalent_channels(h_t, w, stages, ch.grid.freqs_hz)
+    g, gram = _products(h_t, w, stages, ch.grid.freqs_hz, chunk)
     assert g.shape == (len(stages), *h_t.shape[:2], w.shape[1])
     for (corr, delays), g_s, gram_s in zip(stages, g, gram):
         w_ps = w * np.repeat(corr.T, w.shape[0] // corr.shape[1], axis=0)
@@ -462,7 +474,8 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
                                                          zero_delays):
     # one call for up to three divisors K of N, random columns, corrections
     # and delays (none: the classic stage); blocks hold 2 to 256
-    # subcarriers, so many grids end in a partial block
+    # subcarriers, so many grids end in a partial block, and the channel is
+    # fed 1 to 20 subcarriers at a time, so feeds straddle blocks
     ks = data.draw(st.lists(st.sampled_from(_divisors(n_tx)), min_size=1, max_size=3))
     n_rf = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
@@ -470,7 +483,8 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     w = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
     _assert_stages_equal_the_combined_analog_stage(
-        ch, w, [_random_stage(rng, n_rf, k, zero_delays) for k in ks])
+        ch, w, [_random_stage(rng, n_rf, k, zero_delays) for k in ks],
+        data.draw(st.integers(1, 20)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -514,8 +528,8 @@ def test_zero_delays_take_one_product_over_the_stack(n_sub, n_rf):
     # subcarriers are not a whole number of chunks; n_rf = 4 = N_r
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, 7)
     w_ps, delays = precoder_stage(ch, DppConfig(n_rf, 8, 1), dpp=False)
-    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w_ps,
-                                   [(np.ones_like(delays), delays)], ch.grid.freqs_hz)
+    g, gram = _products(np.swapaxes(ch.matrices, -1, -2), w_ps,
+                        [(np.ones_like(delays), delays)], ch.grid.freqs_hz)
     g, gram = g[0], gram[0]
     assert g.shape == (n_sub, 4, n_rf) and gram.shape == (n_sub, n_rf, n_rf)
     for m in range(n_sub):
@@ -542,9 +556,8 @@ def test_one_arc_delay_phase_design_equals_the_classic_design(n_rf):
     w = np.ascontiguousarray(steering_uca(GEOM, 30e9, phi).T)
     dpp = _chain_phases(GEOM, 30e9, phi[:, None], 1)
     assert np.all(dpp[1] > 0.0)  # a real delay, not the classic stage
-    g, gram = _equivalent_channels(np.swapaxes(ch.matrices, -1, -2), w,
-                                   [(np.ones((n_rf, 1)), np.zeros((n_rf, 1))), dpp],
-                                   ch.grid.freqs_hz)
+    g, gram = _products(np.swapaxes(ch.matrices, -1, -2), w,
+                        [(np.ones((n_rf, 1)), np.zeros((n_rf, 1))), dpp], ch.grid.freqs_hz)
     classic, one_arc = (_design(g_s, gram_s, n_rf) for g_s, gram_s in zip(g, gram))
     _assert_same_design(one_arc, classic)
     # so K = 1 is built once, as the classic design, and each design of a
@@ -553,6 +566,25 @@ def test_one_arc_delay_phase_design_equals_the_classic_design(n_rf):
     _assert_same_design(designs[1], build_classic_hybrid(ch, DppConfig(n_rf, 8, n_rf)))
     _assert_same_design(designs[1], build_dpp(ch, DppConfig(n_rf, 1, n_rf)))
     _assert_same_design(designs[8], build_dpp(ch, DppConfig(n_rf, 8, n_rf)))
+
+
+@pytest.mark.parametrize("n_tx, n_rx", [(256, 4), (4, 4), (3, 5)])
+def test_fully_digital_design_rates_as_the_bound_bit_for_bit(n_tx, n_rx):
+    # tall, square and wide channels: the key None of a design call gives,
+    # through spectrum_efficiency, the rates of spectrum_efficiency_optimal
+    # on the stack, alone or beside hybrid designs of the same pass
+    tx, k = half_wavelength_uca(n_tx, 30e9), min(n_tx, n_rx)
+    ch = generate_channel(tx, UlaGeometry(n_rx, C / 30e9 / 2.0), _grid(21), 5, n_tx)
+    rho = np.array([0.1, 10.0, 1e3])
+    bound = analysis.spectrum_efficiency_optimal(ch.matrices, rho, k)
+    for keys in [(None,), (1, None, n_tx)]:
+        design = build_designs(ch, k, k, keys)[None]
+        assert design.radiation is None and design.sigma.shape == (21, k)
+        assert np.array_equal(analysis.spectrum_efficiency(design, rho), bound)
+    with pytest.raises(ValueError, match="rank bound"):
+        build_designs(ch, k + 1, k + 1, (None,))
+    ch = generate_channel(tx, UlaGeometry(n_rx, C / 30e9 / 2.0), _grid(21), 5, n_tx)
+    assert build_designs(ch, k, k, ()) == {} and "_tables" not in ch.__dict__  # no pass
 
 
 # ---------------------------------------------------------------------------
@@ -569,25 +601,35 @@ def _traced_peak(fn):
 
 
 def test_stage_temporaries_stay_below_the_channel_stack():
-    # N = 256 and M = 128 (the built-ins' stack, 2.10 MB): every stage's
-    # temporaries are bounded by chunk or block sizes, so an array hoisted
-    # out of a loop that grows with M*N, or with M*K at K = N, fails
+    # N = 256 and M = 128 (the built-ins' stack, 2.10 MB, which no design
+    # call forms): every stage's temporaries are bounded by chunk or block
+    # sizes, so an array hoisted out of a loop that grows with M*N, or with
+    # M*K at K = N, fails.  A design call synthesizes its channel a chunk at
+    # a time, so its peak is one chunk's synthesis plus the design's own
+    # temporaries, which keep the bounds they had beside the stack
     ch = generate_channel(GEOM, RX, _grid(128), 4, 3)
     cfg = DppConfig(4, 16, 4)
     mb = 1e6
     tracemalloc.start()
     try:
-        synthesis = _traced_peak(lambda: ch.matrices)
+        synthesis = _traced_peak(lambda: ch.matrices)  # and the realization's tables
         assert synthesis - ch.matrices.nbytes <= 0.75 * mb
-        assert _traced_peak(lambda: build_classic_hybrid(ch, cfg)) <= 0.35 * mb
-        assert _traced_peak(lambda: build_dpp(ch, cfg)) <= 0.35 * mb
+        # a chunk of H^T (131 KB) and its UCA factors (131 KB)
+        chunk = _traced_peak(lambda: channel_matrix(ch, range(SUBCARRIER_CHUNK)))
+        assert chunk <= 0.3 * mb
+        assert _traced_peak(lambda: build_classic_hybrid(ch, cfg)) <= chunk + 0.35 * mb
+        assert _traced_peak(lambda: build_dpp(ch, cfg)) <= chunk + 0.35 * mb
         for k_ttd in (1, 2, 4, 8, 32):  # blocks of the whole grid down to 16 subcarriers
-            assert _traced_peak(lambda: build_dpp(ch, DppConfig(4, k_ttd, 4))) <= 0.35 * mb
+            assert _traced_peak(lambda: build_dpp(ch, DppConfig(4, k_ttd, 4))) <= (
+                chunk + 0.35 * mb)
         full = DppConfig(4, 256, 4)
-        assert _traced_peak(lambda: build_dpp(ch, full)) <= 1.6 * mb
+        assert _traced_peak(lambda: build_dpp(ch, full)) <= chunk + 1.6 * mb
         # the classic design and six counts from one product: about 64 KB
         # of G and Gram per design, and blocks sized by K_f = 32
-        assert _traced_peak(lambda: build_designs(ch, 4, 4, (1, 2, 4, 8, 16, 32))) <= 1.0 * mb
+        assert _traced_peak(lambda: build_designs(ch, 4, 4, (1, 2, 4, 8, 16, 32))) <= (
+            chunk + 1.0 * mb)
+        # the fully digital bound: its R factors, chunk by chunk
+        assert _traced_peak(lambda: build_designs(ch, 4, 4, (None,))) <= chunk + 0.25 * mb
         assert _traced_peak(lambda: analysis._singular_values(ch.matrices)) <= 0.25 * mb
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ucabeam import analysis, arraymodel, xpcli
+from ucabeam import analysis, arraymodel, precoding, xpcli
 from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
 from ucabeam.specfun import ConvergenceError
 from ucabeam.xpcli import (
@@ -347,7 +348,12 @@ def test_snr_sweep_whose_rho_overflows_is_a_config_error(tmp_path, capsys):
     data["sweep"] = {"variable": "snr_db", "values": [0.0, 4000.0]}
     with pytest.raises(ScenarioError, match=r"sweep.values: .* got snr_db=4000.0"):
         scenario_from_dict(data)
+    # an SNR sweep never reads trials.snr_db, so it is not checked there
     data["trials"]["snr_db"] = 4000.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(data)
+    assert [d.partition(":")[0] for d in err.value.diagnostics] == ["sweep.values"]
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2]}
     with pytest.raises(ScenarioError, match=r"trials.snr_db: .* got snr_db=4000.0"):
         scenario_from_dict(data)
 
@@ -405,6 +411,31 @@ def test_power_budget_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308")
     assert f"; method {method}, seed {data['trials']['base_seed']}" in err
+
+
+def test_snr_rule_applies_only_where_a_trial_reads_the_field(tmp_path, capsys):
+    # fig6 runs gain methods only, so trials.snr_db and the budget are never
+    # read: rho*P = 10^8.56 * 2e307 overflowing is no error, and the CSV is
+    # that of stock fig6
+    data = _builtin_data("fig6")
+    data["trials"]["snr_db"] = 85.6
+    data["precoding"]["total_power"] = 2e307
+    cfg, out = _write(tmp_path, "fig6_unread.json", data), tmp_path / "fig6_unread.csv"
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert main(["run", "fig6", "--out", str(tmp_path / "fig6.csv")]) == 0
+    assert out.read_bytes() == (tmp_path / "fig6.csv").read_bytes()
+    capsys.readouterr()
+    # a delay-unit sweep rates every point at trials.snr_db: exit 2 naming it
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2]}
+    data["trials"]["snr_db"] = 85.6
+    data["precoding"]["total_power"] = 2e307
+    cfg = _write(tmp_path, "k_ttd_unfit.json", data)
+    for command in (["validate", cfg], ["run", cfg, "--out", "-"]):
+        assert main(command) == 2
+        assert ("precoding.total_power: 10^(snr_db/10) * total_power must be a finite "
+                "positive number, got snr_db=85.6 (trials.snr_db)") in capsys.readouterr().err
 
 
 def test_power_budget_enters_the_rates_as_the_snr_times_the_budget():
@@ -970,12 +1001,12 @@ def _count_calls(monkeypatch, module, name, counts, calls=None):
 
 
 def _count_trial_work(monkeypatch):
-    """Call counts of channel draws, design calls and fully digital rates,
-    and the arguments of each design call."""
+    """Call counts of channel draws, design calls and the fully digital
+    bound's R-factor passes, and the arguments of each design call."""
     counts, calls = {}, []
     _count_calls(monkeypatch, xpcli, "build_designs", counts, calls)
     _count_calls(monkeypatch, xpcli, "generate_channel", counts)
-    _count_calls(monkeypatch, analysis, "spectrum_efficiency_optimal", counts)
+    _count_calls(monkeypatch, precoding, "_bound", counts)
     return counts, calls
 
 
@@ -984,10 +1015,10 @@ def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
     table = run(scenario_from_dict(data))
-    # one design call per channel; its K = 1 stage is the classic design
-    assert counts == {"generate_channel": 3, "build_designs": 3,
-                      "spectrum_efficiency_optimal": 3}
-    assert [sorted(args[3]) for args in calls] == [[1, 2, 4]] * 3
+    # one design call per channel; its K = 1 stage is the classic design,
+    # and None the fully digital bound
+    assert counts == {"generate_channel": 3, "build_designs": 3, "_bound": 3}
+    assert [set(args[3]) for args in calls] == [{1, 2, 4, None}] * 3
     # K-invariant rows repeat exactly across K
     for method in ("classic", "optimal"):
         assert len({(r.mean, r.std) for r in table.rows if r.method == method}) == 1
@@ -1007,10 +1038,9 @@ def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
     counts, calls = _count_trial_work(monkeypatch)
     scenario = scenario_from_dict(_small_trial_scenario())  # 3 seeds x 3 SNRs
     table = run(scenario)
-    assert counts == {"generate_channel": 3, "build_designs": 3,
-                      "spectrum_efficiency_optimal": 3}
-    # the classic design and the scenario's k_ttd = 4
-    assert [sorted(args[3]) for args in calls] == [[1, 4]] * 3
+    assert counts == {"generate_channel": 3, "build_designs": 3, "_bound": 3}
+    # the classic design, the scenario's k_ttd = 4 and the bound
+    assert [set(args[3]) for args in calls] == [{1, 4, None}] * 3
     # each sweep point gets the rates of its own SNR: the rows equal one
     # precoder built and rated at a scalar SNR per (seed, SNR)
     monkeypatch.undo()
@@ -1033,20 +1063,72 @@ def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
 def test_bandwidth_sweep_draws_each_channel_once_and_keeps_one_alive(monkeypatch):
     counts, built = {}, []
     _count_calls(monkeypatch, xpcli, "generate_channel", counts)
-    channel_matrix = arraymodel.channel_matrix
+    channel_matrix = precoding.channel_matrix
 
-    def tracked(ch, m):
+    def tracked(ch, m):  # 5 subcarriers: one chunk, so one call per channel
         gc.collect()
         assert all(ref() is None for ref in built), "an earlier channel is still alive"
         built.append(weakref.ref(ch))
         return channel_matrix(ch, m)
 
-    monkeypatch.setattr(arraymodel, "channel_matrix", tracked)
+    monkeypatch.setattr(precoding, "channel_matrix", tracked)
     data = _small_trial_scenario()
     data["sweep"] = {"variable": "bandwidth", "start": 0.5e9, "stop": 2e9, "points": 4}
     run(scenario_from_dict(data))
     assert counts == {"generate_channel": 4 * 3}
     assert len(built) == 4 * 3
+
+
+def _bench_se_scenario(**sweep):
+    """The benchmark's spectrum-efficiency size: N = 256, N_r = 4, M = 128,
+    four chains, streams and paths, one seed; by default its bandwidth
+    sweep, which draws a fresh channel at each of 8 points."""
+    data = _small_trial_scenario()
+    data["system"].update(n_elements_tx=256, n_subcarriers=128)
+    data["precoding"].update(n_rf=4, k_ttd=16, n_streams=4)
+    data["trials"].update(n_seeds=1, n_paths=4)
+    data["sweep"] = sweep or {"variable": "bandwidth", "start": 0.1e9, "stop": 5e9,
+                              "points": 8}
+    return scenario_from_dict(data)
+
+
+def _traced_run_peak(scenario):
+    """Peak traced memory of run(scenario), after a warm-up run."""
+    run(scenario)
+    tracemalloc.start()
+    try:
+        run(scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trial_run_synthesizes_chunks_and_never_the_channel_stack(monkeypatch):
+    # every channel goes through one chunked pass: no call synthesizes more
+    # than SUBCARRIER_CHUNK subcarriers, each subcarrier of each of the 8
+    # channels once per run, and the run peaks below half of one channel's
+    # M*N*N_r stack (2.1 MB)
+    sizes = []
+    channel_matrix = precoding.channel_matrix
+
+    def tracked(ch, m):
+        sizes.append(len(m))
+        return channel_matrix(ch, m)
+
+    monkeypatch.setattr(precoding, "channel_matrix", tracked)
+    assert _traced_run_peak(_bench_se_scenario()) < 1e6
+    assert max(sizes) == arraymodel.SUBCARRIER_CHUNK and sum(sizes) == 2 * 8 * 128
+
+
+def test_trial_run_of_a_1024_element_ring_stays_below_its_stack():
+    # fig9 at N = 1024 and M = 1024, one seed: the stack alone would be
+    # 67 MB; six designs and the bound keep M-row results only
+    scenario = load_builtin("fig9")
+    scenario = dataclasses.replace(
+        scenario, system=dataclasses.replace(scenario.system, n_elements_tx=1024,
+                                             n_subcarriers=1024),
+        trials=dataclasses.replace(scenario.trials, n_seeds=1))
+    assert _traced_run_peak(scenario) < 8e6
 
 
 def _checkout_env():
