@@ -23,7 +23,6 @@ from ucabeam import (
     generate_channel,
     half_wavelength_uca,
     spectrum_efficiency,
-    spectrum_efficiency_optimal,
 )
 
 FC = 30e9
@@ -46,12 +45,13 @@ for seed in range(N_SEEDS):
     ch = generate_channel(tx, rx, grid, 4, 2024 + seed)
     # one call builds the SNR-independent part of every precoder on all M
     # subcarriers, one design per delay-unit count; K = 1 is the classic
-    # design.  spectrum_efficiency rates a design at rho
-    designs = build_designs(ch, 4, 4, K_TTDS)
+    # design and the key None the fully digital bound.  spectrum_efficiency
+    # rates a design at rho
+    designs = build_designs(ch, 4, 4, (None,) + K_TTDS)
     se_classic.append(np.mean(spectrum_efficiency(designs[1], rho)))
     for k_ttd in K_TTDS:
         se_dpp[k_ttd].append(np.mean(spectrum_efficiency(designs[k_ttd], rho)))
-    se_opt.append(np.mean(spectrum_efficiency_optimal(ch.matrices, rho, 4)))
+    se_opt.append(np.mean(spectrum_efficiency(designs[None], rho)))
 
 c, o = np.mean(se_classic), np.mean(se_opt)
 for k_ttd in K_TTDS:

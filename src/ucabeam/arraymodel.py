@@ -12,8 +12,8 @@ Conventions
   with element n at angle ``2*pi*n/N``; the receive array is a uniform linear
   array (ULA).
 * A channel realization holds its paths and small synthesis tables, not its
-  matrices: ``channel_matrix`` synthesizes any set of subcarriers on demand,
-  and the trial runner takes SUBCARRIER_CHUNK of them at a time.
+  matrices: ``channel_matrix`` synthesizes a subcarrier or a run of them on
+  demand, and the trial runner takes SUBCARRIER_CHUNK at a time.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 SUBCARRIER_CHUNK = 8
 
 
-def _subcarrier_chunks(n: int, step: int = SUBCARRIER_CHUNK) -> list:
-    """Slices covering range(n) in steps of step (SUBCARRIER_CHUNK)."""
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _subcarrier_chunks(n: int) -> list:
+    """Slices covering range(n) in steps of SUBCARRIER_CHUNK."""
+    return [slice(lo, min(lo + SUBCARRIER_CHUNK, n)) for lo in range(0, n, SUBCARRIER_CHUNK)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,8 @@ class PathParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """L-path wideband channel between a UCA transmitter and ULA receiver."""
+    """L-path wideband channel between a UCA transmitter and ULA receiver;
+    it keeps channel_matrix's small tables (built on first use), no matrix."""
 
     paths: tuple
     tx: UcaGeometry
@@ -158,15 +159,6 @@ class ChannelRealization:
     @property
     def n_paths(self) -> int:
         return len(self.paths)
-
-    @functools.cached_property
-    def matrices(self) -> np.ndarray:
-        """Read-only M x N x N_r channel over the whole grid, built by
-        ``channel_matrix(self, range(M))`` on first use and kept; the package
-        itself only ever synthesizes chunks (see channel_matrix)."""
-        stack = channel_matrix(self, range(self.grid.n_subcarriers))
-        stack.flags.writeable = False
-        return stack
 
     @functools.cached_property
     def _tables(self):
@@ -271,39 +263,42 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     """N x N_r channel at subcarrier m (0-based):
     sqrt(N/L) * sum_l g_l * exp(-j*2*pi*tau_l*f_m) * a(phi_l) b(theta_l)^H.
 
-    A sequence m (a range, or indices in any order) gives the stack of those
-    subcarriers, and only those are synthesized, each with the same bits
-    whichever call makes it: ``range(M)`` is the whole grid, ``range(8q, 8q +
-    8)`` the chunk that ``build_designs`` takes at a time.  The result is a
-    transposed view of a new contiguous (len(m) x) N_r x N array, so
-    ``np.swapaxes(h, -1, -2)`` (H^T) is the operand of contiguous batched
-    products such as H^H A = conj(H^T conj(A)).
+    m is an index (an integer, not a bool) or a range of step 1 with start
+    and stop in [0, M], which gives the run's len(m) x N x N_r stack, maybe
+    empty (``range(8q, 8q + 8)`` is the chunk ``build_designs`` takes);
+    anything else raises IndexError.  Only those subcarriers are
+    synthesized, each with the same bits whichever call makes it.  The
+    result is a transposed view of a new contiguous (len(m) x) N_r x N
+    array, so ``np.swapaxes(h, -1, -2)`` (H^T) is the operand of contiguous
+    batched products such as H^H A = conj(H^T conj(A)).
 
     The UCA factors, the L x N exponentials that dominate the cost, come
     from tables kept on the realization: with m = 8q + r (SUBCARRIER_CHUNK),
     f_m = f_8q + r*B/M, so exp(j*eta(f_m)*cos) is the block row at f_8q
     times the residual row at r*B/M, one residual table of 8 rows (1/sqrt(N)
-    folded in) and one block row per chunk touched: 24 exp rows in place of
-    128 for M = 128, at an added error of the size the phase argument
-    carries, about eps*eta(f_m).  The ULA and delay phases enter at f_m, in
-    the left factor b^H * coef (N_r x L per subcarrier); a run of
-    consecutive indices in one chunk takes one block row and one matmul.
+    folded in) and one block row per chunk the run touches: 24 exp rows in
+    place of 128 for M = 128, at an added error of the size the phase
+    argument carries, about eps*eta(f_m).  The ULA and delay phases enter at
+    f_m, in the left factor b^H * coef (N_r x L per subcarrier); each chunk
+    takes one matmul.
     """
-    idx = np.arange(m.start, m.stop, m.step) if isinstance(m, range) else np.asarray(m)
-    flat = idx.reshape(-1).tolist()
-    if idx.ndim > 1 or idx.dtype.kind not in "iu" or flat and not (
-            0 <= min(flat) and max(flat) < ch.grid.n_subcarriers):
-        raise IndexError(f"subcarrier index {m} out of range [0, {ch.grid.n_subcarriers})")
+    n_sub = ch.grid.n_subcarriers
+    run = range(m, m + 1) if isinstance(m, (int, np.integer)) and not isinstance(m, bool) else m
+    if not (isinstance(run, range) and run.step == 1 and 0 <= run.start <= n_sub
+            and 0 <= run.stop <= n_sub):
+        raise IndexError(f"subcarrier {m!r} is neither an index in [0, {n_sub}) "
+                         f"nor a range of step 1 within [0, {n_sub}]")
     left, cos_tx, residual, eta_q = ch._tables
-    h_t = np.empty((len(flat),) + left.shape[1:2] + cos_tx.shape[1:], dtype=np.complex128)
-    starts = [i for i, j in enumerate(flat)
-              if i == 0 or j != flat[i - 1] + 1 or j % SUBCARRIER_CHUNK == 0]
-    for lo, hi in zip(starts, starts[1:] + [len(flat)]):
-        q, r = divmod(flat[lo], SUBCARRIER_CHUNK)
+    h_t = np.empty((len(run),) + left.shape[1:2] + cos_tx.shape[1:], dtype=np.complex128)
+    lo = run.start
+    while lo < run.stop:  # the part of the run in each chunk it touches
+        q, r = divmod(lo, SUBCARRIER_CHUNK)
+        hi = min(run.stop, lo - r + SUBCARRIER_CHUNK)
         a = np.empty((hi - lo,) + cos_tx.shape, dtype=np.complex128)
         np.multiply(1j, eta_q[q] * cos_tx, out=a[0])
         a[1:] = np.exp(a[0], out=a[0])  # the block row, L x N, on each row
         np.multiply(a, residual[r:r + hi - lo], out=a)  # equal shapes: no ufunc buffer
-        np.matmul(left[flat[lo]:flat[lo] + hi - lo], a, out=h_t[lo:hi])
+        np.matmul(left[lo:hi], a, out=h_t[lo - run.start:hi - run.start])
+        lo = hi
     h_t *= math.sqrt(ch.tx.n_elements / ch.n_paths)
-    return h_t.swapaxes(-1, -2) if idx.ndim else h_t[0].T
+    return h_t.swapaxes(-1, -2) if isinstance(m, range) else h_t[0].T

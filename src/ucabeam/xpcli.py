@@ -374,7 +374,7 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append(f"methods: {label!r}: '@frequency' suffixes apply only to angle sweeps")
         elif freq is not None and not (math.isfinite(freq) and freq > 0):
             diags.append(f"methods: {label!r}: suffix must be a positive frequency in Hz")
-        has_trial = has_trial or _METHODS[base].trial
+        has_trial = has_trial or _METHODS[base].stage is not None
     if has_trial and sw.variable != "snr_db" and ok("snr_db"):  # the SNR the runner reads
         check_snr("trials.snr_db", tr.snr_db)
     if has_trial and ok("n_rf", "n_paths") and tr.n_paths < pc.n_rf:
@@ -497,7 +497,7 @@ def run(scenario: Scenario) -> ResultTable:
     families = {}  # deterministic base -> its labels, in order of first appearance
     for label in scenario.methods:
         base, _ = _split_method(label)
-        if _METHODS[base].trial:
+        if _METHODS[base].stage is not None:
             trial_labels.append(label)
         else:
             families.setdefault(base, []).append(label)
@@ -594,21 +594,21 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
 
 @dataclass(frozen=True)
 class _Method:
-    """A method label's accepted sweep variables, evaluator, and whether it
-    averages over seeded channels.  Deterministic evaluators map (_Setup,
-    array of sweep points) to the values at every point; trial evaluators map
-    (design, 1-D array of SNRs rho) to the spectrum efficiency of every
-    subcarrier at each SNR (SNRs x subcarriers).  ``stage`` maps a point's
-    delay-unit count to the build_designs key of the design a trial method
-    rates (1: the classic design, None: the fully digital bound)."""
+    """A method label's accepted sweep variables and evaluator.  Deterministic
+    evaluators map (_Setup, array of sweep points) to the values at every
+    point.  A trial method, one that averages over seeded channels, has a
+    ``stage``, which maps a point's delay-unit count to the build_designs key
+    of the design it rates (1: the classic design, None: the fully digital
+    bound); its evaluator maps (design, 1-D array of SNRs rho) to the
+    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers)."""
 
     variables: tuple
     evaluate: object
-    trial: bool = False
     stage: object = None
 
 
 def _design_rates(design, rho):
+    """an.spectrum_efficiency, looked up per call so bench/tracer.py sees it."""
     return an.spectrum_efficiency(design, rho)
 
 
@@ -636,9 +636,9 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
     "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
     "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
-    "classic": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: 1),
-    "dpp": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: k_ttd),
-    "optimal": _Method(_SE, _design_rates, trial=True, stage=lambda k_ttd: None),
+    "classic": _Method(_SE, _design_rates, stage=lambda k_ttd: 1),
+    "dpp": _Method(_SE, _design_rates, stage=lambda k_ttd: k_ttd),
+    "optimal": _Method(_SE, _design_rates, stage=lambda k_ttd: None),
 }
 
 

@@ -529,6 +529,11 @@ def _grid(m=129):
     return FrequencyGrid(30e9, 3e9, m)
 
 
+def _stack(ch):
+    """The channel over the whole grid, M x N x N_r."""
+    return channel_matrix(ch, range(ch.grid.n_subcarriers))
+
+
 def _explicit_precoders(ch, cfg, rho, classic, power):
     """Effective channels H^H F (M x N_r x n_streams) and hybrid precoders F
     (M x N x n_streams) at SNR rho (unit noise power) on every subcarrier,
@@ -537,7 +542,7 @@ def _explicit_precoders(ch, cfg, rho, classic, power):
     SNRs, digital precoders f_d = v * sqrt(p) rescaled so that f_d^H A^H A
     f_d = power, then F = A f_d.  A design rated at rho*power has its rates."""
     a = analog(*precoder_stage(ch, cfg, not classic), ch.grid.freqs_hz)  # M x N x n_rf
-    h_h = np.swapaxes(ch.matrices.conj(), -1, -2)  # M x N_r x N
+    h_h = np.swapaxes(_stack(ch).conj(), -1, -2)  # M x N_r x N
     _, sigma, vh = np.linalg.svd(h_h @ a, full_matrices=False)
     n_s = cfg.n_streams
     v = np.swapaxes(vh[:, :n_s].conj(), -1, -2)  # M x n_rf x n_s
@@ -796,7 +801,7 @@ def test_stacked_rates_equal_per_subcarrier_rates(seed, snr_db, n_sub, n_rf, bw)
     tx = half_wavelength_uca(16, 30e9)
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     rho = 10.0 ** (snr_db / 10.0)
-    stacked = an.spectrum_efficiency_optimal(ch.matrices, rho, n_rf)
+    stacked = an.spectrum_efficiency_optimal(_stack(ch), rho, n_rf)
     single = [an.spectrum_efficiency_optimal(channel_matrix(ch, m), rho, n_rf)
               for m in range(n_sub)]
     np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-13)
@@ -839,7 +844,7 @@ def test_rates_at_many_snrs_equal_the_per_snr_rows():
     cases = [(functools.partial(an.spectrum_efficiency, build(ch, cfg)), (4, 9))
              for build in (build_classic_hybrid, build_dpp)]
     cases += [(functools.partial(an.spectrum_efficiency_optimal, h, n_s=2), shape)
-              for h, shape in ((ch.matrices, (4, 9)), (channel_matrix(ch, 3), (4,)))]
+              for h, shape in ((_stack(ch), (4, 9)), (channel_matrix(ch, 3), (4,)))]
     for rates, shape in cases:
         rows = rates(rho=rhos)
         assert rows.shape == shape

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
+    SUBCARRIER_CHUNK,
     ChannelRealization,
     FrequencyGrid,
     PathParams,
@@ -293,10 +294,19 @@ def test_channel_matrix_index_bounds():
         channel_matrix(ch, 9)
     with pytest.raises(IndexError):
         channel_matrix(ch, -1)
-    with pytest.raises(IndexError):
-        channel_matrix(ch, 1.0)
-    with pytest.raises(IndexError):
-        channel_matrix(ch, [[0, 1]])
+    # only an integer (not a bool) or a range of step 1 within [0, M] is a
+    # subcarrier set: no list, array, float, bool or strided range
+    for m in (1.0, [[0, 1]], [0, 1], np.arange(2), range(0, 6, 2), True, np.True_,
+              range(-1, 2), range(0, 10)):
+        with pytest.raises(IndexError):
+            channel_matrix(ch, m)
+    assert channel_matrix(ch, np.int64(8)).shape == (256, 4)
+    assert channel_matrix(ch, range(9, 9)).shape == (0, 256, 4)
+
+
+def _stack(ch):
+    """The channel over the whole grid, M x N x N_r."""
+    return channel_matrix(ch, range(ch.grid.n_subcarriers))
 
 
 def _per_path_stack(ch):
@@ -322,9 +332,9 @@ def test_channel_stack_matches_per_path_formula(seed, n_tx, n_rx, n_sub, n_paths
     ch = generate_channel(tx, rx, FrequencyGrid(30e9, bw, n_sub), n_paths, seed)
     ref = _per_path_stack(ch)
     tol = 1e-13 * max(1.0, np.abs(ref).max())
-    assert ch.matrices.shape == (n_sub, n_tx, n_rx)
-    assert np.abs(ch.matrices - ref).max() <= tol
-    assert np.abs(channel_matrix(ch, range(n_sub)) - ref).max() <= tol
+    stack = _stack(ch)
+    assert stack.shape == (n_sub, n_tx, n_rx)
+    assert np.abs(stack - ref).max() <= tol
     for m in (0, n_sub - 1):
         assert np.abs(channel_matrix(ch, m) - ref[m]).max() <= tol
 
@@ -341,59 +351,58 @@ def test_large_array_stack_matches_per_path_formula(n_tx, bw, seed):
     ref = _per_path_stack(ch)
     eta_max = 2.0 * np.pi * tx.radius_m * ch.grid.freqs_hz[-1] / C
     tol = 4.0 * np.finfo(float).eps * eta_max * max(1.0, np.abs(ref).max())
-    assert np.abs(ch.matrices - ref).max() <= tol
+    assert np.abs(_stack(ch) - ref).max() <= tol
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tx=st.sampled_from([4, 12, 256]),
        n_sub=st.integers(1, 40), data=st.data())
-def test_any_index_set_gives_the_bits_of_the_stack(seed, n_tx, n_sub, data):
-    # unsorted, repeated and chunk-crossing index lists, and scalar indices,
-    # give each subcarrier exactly as the whole-grid stack has it
+def test_every_run_gives_the_bits_of_one_subcarrier_calls(seed, n_tx, n_sub, data):
+    # runs that start and stop anywhere in [0, M], across chunk boundaries
+    # and empty ones included, give each subcarrier exactly as its own call
     ch = generate_channel(half_wavelength_uca(n_tx, 30e9), UlaGeometry(3, C / 30e9 / 2.0),
                           FrequencyGrid(30e9, 4e9, n_sub), 3, seed)
-    idx = data.draw(st.lists(st.integers(0, n_sub - 1), min_size=1, max_size=20))
-    assert np.array_equal(channel_matrix(ch, idx), ch.matrices[idx])
+    singles = [channel_matrix(ch, m) for m in range(n_sub)]
+    runs = [(min(n_sub, SUBCARRIER_CHUNK - 1), min(n_sub, 2 * SUBCARRIER_CHUNK + 1)),
+            (0, n_sub), (n_sub, n_sub)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        lo = data.draw(st.integers(0, n_sub))
+        runs.append((lo, data.draw(st.integers(lo, n_sub))))
+    for lo, hi in runs:
+        run = channel_matrix(ch, range(lo, hi))
+        assert run.shape == (hi - lo, n_tx, 3)
+        assert np.array_equal(run, np.reshape(singles[lo:hi], run.shape))
     m = data.draw(st.integers(0, n_sub - 1))
-    assert np.array_equal(channel_matrix(ch, m), ch.matrices[m])
-
-
-def test_channel_stack_is_built_once_and_read_only():
-    grid = FrequencyGrid(30e9, 1e9, 6)
-    ch = generate_channel(half_wavelength_uca(8, 30e9), UlaGeometry(2, 0.005), grid, 2, 3)
-    assert ch.matrices is ch.matrices
-    with pytest.raises(ValueError):
-        ch.matrices[0, 0, 0] = 0.0
-    with pytest.raises(IndexError):
-        channel_matrix(ch, [0, 6])
+    assert np.array_equal(channel_matrix(ch, np.int64(m)), singles[m])
 
 
 @pytest.mark.parametrize("n_sub", [1, 7, 13, 128])
 def test_channel_stack_layout(n_sub):
     # H^T is C-contiguous, so the zero-delay product of the classic design
-    # reads the read-only stack as one M*N_r x N matrix without a copy
+    # reads a run as one len*N_r x N matrix without a copy
     ch = generate_channel(half_wavelength_uca(16, 30e9), UlaGeometry(3, C / 30e9 / 2.0),
                           FrequencyGrid(30e9, 4e9, n_sub), 2, n_sub)
-    h_t = np.swapaxes(ch.matrices, -1, -2)
+    stack = _stack(ch)
+    h_t = np.swapaxes(stack, -1, -2)
     assert h_t.flags.c_contiguous
-    assert not ch.matrices.flags.writeable
-    assert np.shares_memory(h_t.reshape(n_sub * 3, 16), ch.matrices)
+    assert np.shares_memory(h_t.reshape(n_sub * 3, 16), stack)
 
 
 def test_subsets_are_synthesized_alone_and_equal_the_stack_rows():
-    # channel_matrix(ch, m) synthesizes only the subcarriers m: no stack is
-    # built or kept, and each row has the bits of the whole-grid stack
+    # channel_matrix(ch, m) synthesizes only the subcarriers m: the
+    # realization keeps its tables and no matrix, and each row has the bits
+    # of the whole-grid run
     ch = generate_channel(half_wavelength_uca(12, 30e9), UlaGeometry(2, C / 30e9 / 2.0),
                           FrequencyGrid(30e9, 2e9, 9), 3, 4)
-    one, rows = channel_matrix(ch, 3), channel_matrix(ch, [5, 0, 5])
-    assert "matrices" not in ch.__dict__
-    assert one.shape == (12, 2) and rows.shape == (3, 12, 2)
-    stack = ch.matrices
-    assert np.array_equal(one, stack[3]) and np.array_equal(rows, stack[[5, 0, 5]])
-    for sub in (one, rows):
+    one, run = channel_matrix(ch, 3), channel_matrix(ch, range(5, 8))
+    assert set(vars(ch)) == {"paths", "tx", "rx", "grid", "_tables"}
+    assert one.shape == (12, 2) and run.shape == (3, 12, 2)
+    stack = _stack(ch)
+    assert np.array_equal(one, stack[3]) and np.array_equal(run, stack[5:8])
+    for sub in (one, run):
         assert sub.flags.writeable and not np.shares_memory(sub, stack)
         sub[...] = 0.0
-    assert np.array_equal(stack, channel_matrix(ch, range(9)))
+    assert np.array_equal(stack, _stack(ch))
     # at N = 256 and M = 128 one subcarrier takes a few of its own sizes
     # (16 KB), not the 2.1 MB stack
     ch = generate_channel(half_wavelength_uca(256, 30e9), UlaGeometry(4, C / 30e9 / 2.0),
@@ -405,5 +414,5 @@ def test_subsets_are_synthesized_alone_and_equal_the_stack_rows():
         assert tracemalloc.get_traced_memory()[1] <= 4 * h.nbytes
     finally:
         tracemalloc.stop()
-    assert "matrices" not in ch.__dict__
-    assert np.array_equal(h, ch.matrices[77])
+    assert set(vars(ch)) == {"paths", "tx", "rx", "grid", "_tables"}
+    assert np.array_equal(h, _stack(ch)[77])

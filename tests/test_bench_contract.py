@@ -9,9 +9,7 @@ import inspect
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from ucabeam import analysis, arraymodel, xpcli
+from ucabeam import analysis, arraymodel, precoding, xpcli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,27 +48,60 @@ def test_every_traced_builder_takes_the_channel_first():
         name: ("ch", inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in tracer.BUILDERS}
 
 
-def test_channel_stack_is_one_traced_call_over_the_grid(monkeypatch):
-    # the tracer's channel layer, calls and unique_frac count the stack as
-    # one channel_matrix call, looked up in the module globals, whose
-    # (id(args[0]), args[1]) pair is hashed
+def _trial_scenario(n_subcarriers):
+    """Two seeds of an SNR sweep of the three trial methods: one channel
+    per seed."""
+    return xpcli.scenario_from_dict({
+        "name": "contract", "description": "trial methods on a small ring",
+        "system": {"n_elements_tx": 16, "n_elements_rx": 4, "fc_hz": 30e9,
+                   "bandwidth_hz": 1e9, "n_subcarriers": n_subcarriers, "radius_m": None,
+                   "target_angle_rad": 0.5},
+        "precoding": {"n_rf": 1, "k_ttd": 4, "n_streams": 1, "total_power": 1.0},
+        "sweep": {"variable": "snr_db", "start": 0.0, "stop": 10.0, "points": 2},
+        "trials": {"n_seeds": 2, "base_seed": 7, "n_paths": 2, "snr_db": 10.0},
+        "methods": ["classic", "dpp", "optimal"], "output": "contract.csv"})
+
+
+def test_runner_calls_are_aligned_runs_the_tracer_can_hash(monkeypatch):
+    # the tracer's channel layer, calls and unique_frac see the runner's
+    # channel_matrix calls, looked up in the precoder's globals: each is
+    # (ch, range) of step 1 from a multiple of SUBCARRIER_CHUNK, whose
+    # (id(args[0]), args[1]) pair is hashed, and each subcarrier of each
+    # channel is synthesized once; 11 subcarriers end in a partial chunk
     calls = []
-    channel_matrix = arraymodel.channel_matrix
+    channel_matrix = precoding.channel_matrix
 
     def tracked(*args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append((args, kwargs))  # holds the channel: its id stays unique
         return channel_matrix(*args, **kwargs)
 
-    monkeypatch.setattr(arraymodel, "channel_matrix", tracked)
-    grid = arraymodel.FrequencyGrid(30e9, 1e9, 11)
-    ch = arraymodel.generate_channel(arraymodel.half_wavelength_uca(8, 30e9),
-                                     arraymodel.UlaGeometry(2, 0.005), grid, 2, 0)
-    assert ch.matrices is ch.matrices
-    assert len(calls) == 1
-    (args, kwargs), = calls
-    assert kwargs == {} and len(args) == 2 and args[0] is ch
-    hash(args[1])
-    assert np.array_equal(np.asarray(args[1]), np.arange(11))
+    monkeypatch.setattr(precoding, "channel_matrix", tracked)
+    xpcli.run(_trial_scenario(11))
+    per_channel = {}
+    for args, kwargs in calls:
+        assert kwargs == {} and len(args) == 2
+        ch, m = args
+        assert isinstance(ch, arraymodel.ChannelRealization) and isinstance(m, range)
+        assert m.step == 1 and m.start % arraymodel.SUBCARRIER_CHUNK == 0
+        hash((id(ch), m))
+        per_channel.setdefault(id(ch), []).extend(m)
+    assert len(per_channel) == 2
+    assert all(sorted(subs) == list(range(11)) for subs in per_channel.values())
+
+
+def test_runner_rates_designs_through_the_traced_binding(monkeypatch):
+    # the tracer wraps analysis.spectrum_efficiency by rebinding the module
+    # attribute, so the runner must look it up when it rates a design
+    rated = []
+    spectrum_efficiency = analysis.spectrum_efficiency
+
+    def tracked(*args):
+        rated.append(args[0])
+        return spectrum_efficiency(*args)
+
+    monkeypatch.setattr(analysis, "spectrum_efficiency", tracked)
+    xpcli.run(_trial_scenario(5))
+    assert len(rated) == 2 * 3  # one per seed and design: the SNRs share it
 
 
 def test_every_generated_config_validates(tmp_path, capsys):

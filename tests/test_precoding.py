@@ -19,7 +19,6 @@ from ucabeam.arraymodel import (
     PathParams,
     UcaGeometry,
     UlaGeometry,
-    _subcarrier_chunks,
     channel_matrix,
     generate_channel,
     half_wavelength_uca,
@@ -54,6 +53,11 @@ def _single_path_channel(aod, grid, gain=1.0 + 0j, delay=0.0, aoa=0.2):
     )
 
 
+def _stack(ch):
+    """The channel over the whole grid, M x N x N_r."""
+    return channel_matrix(ch, range(ch.grid.n_subcarriers))
+
+
 def _combined(ch, cfg, m, dpp=True):
     """Combined analog weights A(f_m) (N x n_rf) of the precoder built on ch."""
     return analog(*precoder_stage(ch, cfg, dpp), ch.grid.freqs_hz[m])
@@ -64,7 +68,7 @@ def _stream_directions(ch, cfg, dpp=True):
     n_streams largest singular values (M x n_streams) and right singular
     vectors v (M x n_rf x n_streams) of G = H^H A, by a dense SVD."""
     a = _combined(ch, cfg, slice(None), dpp)
-    _, sigma, vh = np.linalg.svd(np.swapaxes(ch.matrices.conj(), -1, -2) @ a,
+    _, sigma, vh = np.linalg.svd(np.swapaxes(_stack(ch).conj(), -1, -2) @ a,
                                  full_matrices=False)
     n_s = cfg.n_streams
     return a, sigma[:, :n_s], np.swapaxes(vh[:, :n_s].conj(), -1, -2)
@@ -193,7 +197,7 @@ def test_classic_hybrid_has_no_delays():
     ch = _single_path_channel(0.7, grid)
     design = build_classic_hybrid(ch, DppConfig(1, 8, 1))
     w = steering_uca(GEOM, 30e9, 0.7)
-    sigma = np.linalg.norm(ch.matrices.conj().swapaxes(-1, -2) @ w, axis=-1)
+    sigma = np.linalg.norm(_stack(ch).conj().swapaxes(-1, -2) @ w, axis=-1)
     np.testing.assert_allclose(design.sigma[:, 0], sigma, rtol=1e-13)
     np.testing.assert_allclose(design.radiation, 1.0, rtol=1e-13)
 
@@ -363,7 +367,7 @@ def test_power_budget_met_exactly_per_subcarrier():
         np.testing.assert_allclose(design.sigma, sigma, rtol=1e-12)
         np.testing.assert_allclose(design.radiation, np.linalg.norm(a @ v, axis=-2) ** 2,
                                    rtol=1e-9)
-        h_eff = np.swapaxes(ch.matrices.conj(), -1, -2) @ precoders
+        h_eff = np.swapaxes(_stack(ch).conj(), -1, -2) @ precoders
         gram = np.eye(4) + 10.0 / 4 * (np.swapaxes(h_eff.conj(), -1, -2) @ h_eff)
         np.testing.assert_allclose(analysis.spectrum_efficiency(design, 10.0 * 2.5),
                                    np.linalg.slogdet(gram)[1] / math.log(2.0), rtol=1e-12)
@@ -445,7 +449,8 @@ def _products(h_t, w, stages, freqs_hz, chunk=SUBCARRIER_CHUNK):
     """G and the Grams of the stages on the stack h_t = H^T, fed to
     _equivalent_channels chunk subcarriers at a time, in grid order."""
     feed, result = _equivalent_channels(w, stages, freqs_hz, h_t.shape[1])
-    for sl in _subcarrier_chunks(len(h_t), chunk):
+    for lo in range(0, len(h_t), chunk):
+        sl = slice(lo, min(lo + chunk, len(h_t)))
         feed(sl, h_t[sl])
     return result()
 
@@ -453,7 +458,7 @@ def _products(h_t, w, stages, freqs_hz, chunk=SUBCARRIER_CHUNK):
 def _assert_stages_equal_the_combined_analog_stage(ch, w, stages, chunk=SUBCARRIER_CHUNK):
     # every stage of one call against its dense combined weights A(f):
     # G = H^H A and A^H A on every subcarrier
-    h_t = np.swapaxes(ch.matrices, -1, -2)
+    h_t = np.swapaxes(_stack(ch), -1, -2)
     g, gram = _products(h_t, w, stages, ch.grid.freqs_hz, chunk)
     assert g.shape == (len(stages), *h_t.shape[:2], w.shape[1])
     for (corr, delays), g_s, gram_s in zip(stages, g, gram):
@@ -528,12 +533,13 @@ def test_zero_delays_take_one_product_over_the_stack(n_sub, n_rf):
     # subcarriers are not a whole number of chunks; n_rf = 4 = N_r
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, 7)
     w_ps, delays = precoder_stage(ch, DppConfig(n_rf, 8, 1), dpp=False)
-    g, gram = _products(np.swapaxes(ch.matrices, -1, -2), w_ps,
+    stack = _stack(ch)
+    g, gram = _products(np.swapaxes(stack, -1, -2), w_ps,
                         [(np.ones_like(delays), delays)], ch.grid.freqs_hz)
     g, gram = g[0], gram[0]
     assert g.shape == (n_sub, 4, n_rf) and gram.shape == (n_sub, n_rf, n_rf)
     for m in range(n_sub):
-        g_ref = ch.matrices[m].conj().T @ w_ps
+        g_ref = stack[m].conj().T @ w_ps
         np.testing.assert_allclose(g[m], g_ref, rtol=0, atol=1e-13 * np.abs(g_ref).max())
         assert np.array_equal(gram[m], w_ps.conj().T @ w_ps)
     assert gram.flags.c_contiguous
@@ -556,7 +562,7 @@ def test_one_arc_delay_phase_design_equals_the_classic_design(n_rf):
     w = np.ascontiguousarray(steering_uca(GEOM, 30e9, phi).T)
     dpp = _chain_phases(GEOM, 30e9, phi[:, None], 1)
     assert np.all(dpp[1] > 0.0)  # a real delay, not the classic stage
-    g, gram = _products(np.swapaxes(ch.matrices, -1, -2), w,
+    g, gram = _products(np.swapaxes(_stack(ch), -1, -2), w,
                         [(np.ones((n_rf, 1)), np.zeros((n_rf, 1))), dpp], ch.grid.freqs_hz)
     classic, one_arc = (_design(g_s, gram_s, n_rf) for g_s, gram_s in zip(g, gram))
     _assert_same_design(one_arc, classic)
@@ -576,7 +582,7 @@ def test_fully_digital_design_rates_as_the_bound_bit_for_bit(n_tx, n_rx):
     tx, k = half_wavelength_uca(n_tx, 30e9), min(n_tx, n_rx)
     ch = generate_channel(tx, UlaGeometry(n_rx, C / 30e9 / 2.0), _grid(21), 5, n_tx)
     rho = np.array([0.1, 10.0, 1e3])
-    bound = analysis.spectrum_efficiency_optimal(ch.matrices, rho, k)
+    bound = analysis.spectrum_efficiency_optimal(_stack(ch), rho, k)
     for keys in [(None,), (1, None, n_tx)]:
         design = build_designs(ch, k, k, keys)[None]
         assert design.radiation is None and design.sigma.shape == (21, k)
@@ -612,8 +618,9 @@ def test_stage_temporaries_stay_below_the_channel_stack():
     mb = 1e6
     tracemalloc.start()
     try:
-        synthesis = _traced_peak(lambda: ch.matrices)  # and the realization's tables
-        assert synthesis - ch.matrices.nbytes <= 0.75 * mb
+        # the whole grid in one call, and the realization's tables
+        synthesis = _traced_peak(lambda: _stack(ch))
+        assert synthesis - 128 * 256 * 4 * 16 <= 0.75 * mb
         # a chunk of H^T (131 KB) and its UCA factors (131 KB)
         chunk = _traced_peak(lambda: channel_matrix(ch, range(SUBCARRIER_CHUNK)))
         assert chunk <= 0.3 * mb
@@ -630,6 +637,7 @@ def test_stage_temporaries_stay_below_the_channel_stack():
             chunk + 1.0 * mb)
         # the fully digital bound: its R factors, chunk by chunk
         assert _traced_peak(lambda: build_designs(ch, 4, 4, (None,))) <= chunk + 0.25 * mb
-        assert _traced_peak(lambda: analysis._singular_values(ch.matrices)) <= 0.25 * mb
+        stack = _stack(ch)
+        assert _traced_peak(lambda: analysis._singular_values(stack)) <= 0.25 * mb
     finally:
         tracemalloc.stop()

@@ -1051,7 +1051,8 @@ def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
         for seed in range(7, 10):
             ch = xpcli._channel(scenario, 1e9, seed)
             if row.method == "optimal":
-                se = analysis.spectrum_efficiency_optimal(ch.matrices, rho, 1)
+                se = analysis.spectrum_efficiency_optimal(
+                    arraymodel.channel_matrix(ch, range(5)), rho, 1)
             else:
                 build = build_dpp if row.method == "dpp" else build_classic_hybrid
                 se = analysis.spectrum_efficiency(build(ch, cfg), rho)
