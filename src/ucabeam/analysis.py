@@ -49,7 +49,7 @@ import numpy as np
 from . import specfun
 from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
 from .cxlinalg import water_filling
-from .precoding import HybridDesign, _arc_size, _chain_phases, _singular_values
+from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
 __all__ = [
     "exact_gain",
@@ -319,11 +319,6 @@ def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):
 _GAIN_FLOOR = 1e-30
 
 
-def _check_snr(rho):
-    if not np.all(np.isfinite(rho) & (np.asarray(rho) > 0.0)):
-        raise ValueError(f"rho must be positive, got {rho}")
-
-
 @contextlib.contextmanager
 def _overflow_at_snr(rho):
     """A floating-point overflow in the block, where gains are scaled by the
@@ -340,15 +335,27 @@ def _overflow_at_snr(rho):
                               f"({10.0 * math.log10(r):.6g} dB)") from exc
 
 
-def _stream_rates(sigma, rho, radiation=None):
-    """Sum over streams of log2(1 + p_s * g_s), with g_s = rho * sigma_s^2/n_s
-    the stream gains (floored at _GAIN_FLOOR) and p_s their water-filling
-    powers of unit sum: the rates of the singular values sigma (... x n_s),
-    an array of SNRs putting its shape in front.  For a hybrid design,
-    radiation holds the power each stream radiates per unit stream power,
-    and the powers are rescaled so that sum_s p_s * radiation_s = 1."""
-    _check_snr(rho)
+def spectrum_efficiency(design: HybridDesign, rho):
+    """Per-subcarrier rates of the precoder a design gives at SNR rho (per
+    unit noise and transmit power: the runner rates a budget P at rho*P),
+    log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d the combined unit-power
+    phase-shifter/delay/digital precoder: an array of rates, one per row of
+    design.sigma (a float for 1-D sigma), and, for a 1-D array of SNRs, one
+    row per SNR.  The only routine that turns singular values into rates.
+
+    The digital precoder f_d = v * a puts amplitude a_s on the right singular
+    vector v_s of the stream with singular value sigma_s of G = H^H A.  Since
+    G v_s = sigma_s u_s, the effective channel H^H F = G f_d has orthogonal
+    columns sigma_s * a_s * u_s, and its log-det is the sum over streams of
+    log2(1 + p_s * g_s), g_s = rho * sigma_s^2/n_s the stream gains (floored
+    at _GAIN_FLOOR) and p_s = a_s^2 their water-filling powers of unit sum.
+    For a hybrid design the powers are then rescaled so that f_d^H (A^H A)
+    f_d, which is sum_s p_s * radiation_s, is 1; the fully digital design
+    (radiation None, A = I_N) radiates the powers themselves."""
+    sigma, radiation = design.sigma, design.radiation
     r = np.asarray(rho, dtype=float)
+    if not np.all(np.isfinite(r) & (r > 0.0)):
+        raise ValueError(f"rho must be positive, got {rho}")
     if r.ndim > 1:
         raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
     r = np.reshape(r, r.shape + (1,) * sigma.ndim)
@@ -364,45 +371,35 @@ def _stream_rates(sigma, rho, radiation=None):
     return float(se) if se.ndim == 0 else se
 
 
-def spectrum_efficiency(design: HybridDesign, rho):
-    """Per-subcarrier rates of the hybrid precoder a design gives at SNR rho
-    (per unit noise and transmit power: the runner rates a budget P at rho*P),
-    log2 det(I + rho/n_s * H^H F F^H H) with F = A f_d the combined unit-power
-    phase-shifter/delay/digital precoder: an array of M rates, or, for a 1-D
-    array of SNRs, one row per SNR.
-
-    The digital precoder f_d = v * a puts amplitude a_s on the right singular
-    vector v_s of the stream with singular value sigma_s of G = H^H A.  Since
-    G v_s = sigma_s u_s, the effective channel H^H F = G f_d has orthogonal
-    columns sigma_s * a_s * u_s, and its log-det is the sum over streams of
-    log2(1 + rho/n_s * sigma_s^2 * a_s^2).  The powers a_s^2 are water-filled
-    over the stream gains and rescaled so that f_d^H (A^H A) f_d, which is
-    sum_s a_s^2 * radiation_s, is 1.  The fully digital design (radiation
-    None) rates as spectrum_efficiency_optimal, bit for bit."""
-    return _stream_rates(design.sigma, rho, design.radiation)
-
-
 def spectrum_efficiency_optimal(h_m, rho, n_s: int):
     """Fully digital upper bound: water-filling of unit power over the top
     n_s singular values of the channel, sum of log2(1 + p_i * rho * s_i^2/n_s)
-    with rho the SNR per unit noise and transmit power (see spectrum_efficiency).
-    Leading axes of h_m index a stack of channels (one per subcarrier) and
-    give an array of rates; a 1-D array of SNRs gives one row per SNR, from
-    one set of singular values.
+    with rho the SNR per unit noise and transmit power, rated by
+    spectrum_efficiency as the design HybridDesign(sigma, None).  Leading
+    axes of h_m index a stack of channels (one per subcarrier) and give an
+    array of rates; a 1-D array of SNRs gives one row per SNR, from one set
+    of singular values.
 
-    The singular values are those of the k x k R factor, k = min(N, N_r), of
-    the tall form of each channel (H, or H^T when N < N_r), taken by a QR in
-    steps of SUBCARRIER_CHUNK channels so that its working copy stays small
-    (the trial runner's key None of build_designs takes them as it
-    synthesizes the channel).  LAPACK's SVD of a tall matrix takes the same
-    QR route, and the QR is backward stable: the conditioning is not
-    squared, as it would be by the eigenvalues of the Gram H^H H."""
+    The singular values come from the bound pass of build_designs (key
+    None): the k x k R factor, k = min(N, N_r), of the tall form of each
+    channel (H, or H^T when N < N_r), taken by a QR in steps of
+    SUBCARRIER_CHUNK channels so that its working copy stays small.  LAPACK's
+    SVD of a tall matrix takes the same QR route, and the QR is backward
+    stable: the conditioning is not squared, as it would be by the
+    eigenvalues of the Gram H^H H."""
     h_m = np.asarray(h_m, dtype=np.complex128)
     if h_m.ndim < 2:
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
+    if h_m.size == 0:
+        raise ValueError(f"h_m must be non-empty, got shape {h_m.shape}")
     if not (isinstance(n_s, int) and n_s >= 1):
         raise ValueError(f"n_s must be a positive integer, got {n_s}")
-    sing = _singular_values(h_m)[..., :n_s]
-    if sing.shape[-1] < n_s:
-        raise ValueError(f"n_s={n_s} exceeds channel rank bound {sing.shape[-1]}")
-    return _stream_rates(sing, rho)
+    k = min(h_m.shape[-2:])
+    if k < n_s:
+        raise ValueError(f"n_s={n_s} exceeds channel rank bound {k}")
+    flat = h_m.reshape((-1,) + h_m.shape[-2:])
+    feed, result = _bound(flat.shape[0], k)
+    for sl in _subcarrier_chunks(flat.shape[0]):
+        feed(sl, flat[sl].swapaxes(-1, -2))
+    sing = result().reshape(h_m.shape[:-2] + (-1,))[..., :n_s]
+    return spectrum_efficiency(HybridDesign(sing, None), rho)

@@ -196,16 +196,6 @@ def _bound(n_sub: int, k: int):
     return feed, lambda: np.linalg.svd(r_factors, compute_uv=False)
 
 
-def _singular_values(h_m: np.ndarray) -> np.ndarray:
-    """Singular values of each matrix of a stack, largest first (_bound),
-    SUBCARRIER_CHUNK matrices at a time."""
-    flat = h_m.reshape((-1,) + h_m.shape[-2:])
-    feed, result = _bound(flat.shape[0], min(h_m.shape[-2:]))
-    for sl in _subcarrier_chunks(flat.shape[0]):
-        feed(sl, np.swapaxes(flat[sl], -1, -2))
-    return result().reshape(h_m.shape[:-2] + (-1,))
-
-
 @dataclass(frozen=True)
 class HybridDesign:
     """The SNR-independent part of a hybrid precoder on one channel.
@@ -218,8 +208,10 @@ class HybridDesign:
     v_s): both need only sigma and the radiation per stream.  Only the
     amplitudes depend on the SNR, and n_streams is sigma.shape[-1].
 
-    sigma:     M x n_streams largest singular values of G
-    radiation: M x n_streams radiated power per unit stream power,
+    sigma:     M x n_streams largest singular values of G (build_designs);
+               any leading shape rates the same way, and one channel's
+               1-D sigma rates as a float (analysis.spectrum_efficiency)
+    radiation: sigma-shaped radiated power per unit stream power,
                the diagonal of v^H (A^H A) v; None for the fully digital
                precoder (A = I_N), whose streams radiate their own power
     """

@@ -520,17 +520,17 @@ def run(scenario: Scenario) -> ResultTable:
 
 def _family_values(scenario: Scenario, base: str, labels: list, xs: list) -> np.ndarray:
     """One call over the family's sweeps end to end, each at its label's '@'
-    frequency (bare: fc); a lone label keeps a scalar f_eval."""
+    frequency (bare: fc)."""
     freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
-    setup = _Setup(scenario, freqs[0] if len(labels) == 1 else np.repeat(freqs, len(xs)))
+    setup = _Setup(scenario, np.repeat(freqs, len(xs)))
     return np.asarray(_METHODS[base].evaluate(setup, np.tile(xs, len(labels))), dtype=float)
 
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
     its center-frequency beam toward the target, the delay units per chain,
-    and the evaluation frequency of an angle method ('@' suffix, else fc):
-    a float, or one frequency per point when a family runs in one call."""
+    and the evaluation frequency of an angle method ('@' suffix, else fc),
+    one per point of a family's call, or one float for every point."""
 
     def __init__(self, scenario: Scenario, freq: float | np.ndarray | None):
         sy = scenario.system

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import mpmath
@@ -29,6 +30,7 @@ from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
     DppConfig,
     HybridDesign,
+    _bound,
     build_classic_hybrid,
     build_dpp,
 )
@@ -692,7 +694,8 @@ def test_rates_that_overflow_raise_naming_the_snr():
        cols=st.integers(1, 40), data=st.data())
 def test_singular_values_match_the_svd(seed, lead, rows, cols, data):
     # tall, square, wide and rank-deficient matrices, alone or in stacks of
-    # up to 19 (three chunks, the last partial), against LAPACK's own SVD
+    # up to 19 (three chunks, the last partial), against LAPACK's own SVD:
+    # the bound pass of the fully digital design, fed H^T chunk by chunk
     rank = data.draw(st.integers(0, min(rows, cols)))
     rng = np.random.default_rng(seed)
 
@@ -701,7 +704,12 @@ def test_singular_values_match_the_svd(seed, lead, rows, cols, data):
             tuple(lead) + shape)
     h = draw(rows, rank) @ draw(rank, cols)
     ref = np.linalg.svd(h, compute_uv=False)
-    got = an._singular_values(h)
+    flat = h.reshape(-1, rows, cols)
+    feed, result = _bound(flat.shape[0], min(rows, cols))
+    for lo in range(0, flat.shape[0], SUBCARRIER_CHUNK):
+        sl = slice(lo, min(lo + SUBCARRIER_CHUNK, flat.shape[0]))
+        feed(sl, flat[sl].swapaxes(-1, -2))
+    got = result().reshape(ref.shape)
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= 1e-14 * ref[..., :1])
 
@@ -751,6 +759,13 @@ def test_se_validation():
             an.spectrum_efficiency(design, rho)
     with pytest.raises(ValueError):
         an.spectrum_efficiency_optimal(np.eye(4), 10.0, 5)
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 2), (4, 0), (0, 4), (3, 0, 4, 2)])
+def test_se_optimal_rejects_an_empty_channel(shape):
+    # no channel, no rate: the error names h_m, not a failed numpy reshape
+    with pytest.raises(ValueError, match=re.escape(f"h_m must be non-empty, got shape {shape}")):
+        an.spectrum_efficiency_optimal(np.zeros(shape), 10.0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -638,6 +638,7 @@ def test_stage_temporaries_stay_below_the_channel_stack():
         # the fully digital bound: its R factors, chunk by chunk
         assert _traced_peak(lambda: build_designs(ch, 4, 4, (None,))) <= chunk + 0.25 * mb
         stack = _stack(ch)
-        assert _traced_peak(lambda: analysis._singular_values(stack)) <= 0.25 * mb
+        assert _traced_peak(lambda: analysis.spectrum_efficiency_optimal(stack, 10.0, 4)) <= (
+            0.25 * mb)
     finally:
         tracemalloc.stop()
