@@ -32,11 +32,11 @@ sweep variable (frequency, direction or bandwidth): an array argument gives
 the array of values, each equal bit for bit to the scalar call, and a scalar
 argument gives a float.  The numeric average shares the segments between
 zeros across the bands, and each band sums its own segments in order.  The
-exact gains (``exact_gain``, ``dpp_exact_gain``) take a 1-D array of sweep
-points the same way: they build the steering rows and weights
-SUBCARRIER_CHUNK points at a time, and each point keeps its own ``vdot``, so
-every value equals the scalar call bit for bit (one matrix product over the
-sweep would reorder the sums).
+exact gains take 1-D sweeps the same way, or an (F, 1) column of
+frequencies by P angles (an F x P grid): chunks of SUBCARRIER_CHUNK angles
+take cos(phi - psi_n) once for all frequencies, rows are built in place, and
+each point keeps its own ``vdot``, so every value has its scalar call's bits
+(one matrix product over the sweep would reorder the sums).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import SPEED_OF_LIGHT, UcaGeometry, _subcarrier_chunks, steering_uca
+from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _steering_rows,
+                         _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -76,32 +77,37 @@ __all__ = [
 
 def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
     """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector.
-    ``f_hz`` and ``phi_rad`` may be 1-D arrays of sweep points, broadcast
-    together; a scalar pair gives a float."""
+    ``f_hz`` and ``phi_rad`` may be sweep points as steering_uca takes them
+    (F x P values for an (F, 1) column by P angles); scalars give a float."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (geom.n_elements,):
         raise ValueError(f"w must have shape ({geom.n_elements},), got {w.shape}")
     nrm = np.linalg.norm(w)
     if not nrm <= 1.0 + 1e-9:
         raise ValueError(f"||w|| must not exceed 1, got {nrm}")
-    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: w)
+    return _gains(geom, f_hz, phi_rad, lambda f: w)
 
 
-def _gains(steering, geom, f_hz, phi_rad, weights):
-    """|a(f, phi)^H w| with a = steering(geom, f, phi), at a point or a 1-D
-    sweep of points, where weights(f) is the weight vector at f (one row per
-    frequency of an array f, or one vector for all).  Rows and weights are
-    built in chunks of SUBCARRIER_CHUNK points, and each point takes a vdot
-    of its own."""
-    if np.ndim(f_hz) == 0 and np.ndim(phi_rad) == 0:
-        return float(abs(np.vdot(steering(geom, f_hz, phi_rad), weights(f_hz))))
-    f, phi = np.broadcast_arrays(f_hz, phi_rad)
-    out = np.empty(f.shape)
-    for sl in _subcarrier_chunks(f.size):
-        rows = steering(geom, f[sl], phi[sl])
-        w = np.broadcast_to(weights(f[sl]), rows.shape)
-        out[sl] = [abs(np.vdot(a, b)) for a, b in zip(rows, w)]
-    return out
+def _gains(geom, f_hz, phi_rad, weights):
+    """|a(f, phi)^H w| at sweep points as steering_uca takes them (F x P for
+    an (F, 1) column of frequencies by P angles), a the steering vector of
+    geom (a UCA or a ULA) and weights(f) the weight vector at f (a row per
+    frequency of a 1-D f).  Each chunk of SUBCARRIER_CHUNK angles takes its
+    angle factor once for every frequency (all take one at a scalar phi) and
+    builds its rows in one buffer; each point takes a vdot of its own."""
+    f, phi = _sweep(f_hz, phi_rad)
+    out = np.empty(np.broadcast_shapes(f.shape, phi.shape))
+    cols = f if f.ndim == 2 else f.reshape(1, -1)
+    grid = out.reshape(len(cols), -1)  # a view: F x P
+    buf = np.empty((min(grid.shape[1], SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
+    at_phi = _steering_rows(geom, phi) if phi.size == 1 else None
+    for sl in _subcarrier_chunks(grid.shape[1]):
+        rows = at_phi or _steering_rows(geom, phi[sl])
+        for fs, g in zip(cols, grid):
+            f_pt = fs[sl] if fs.size > 1 else fs[0]
+            a, w = rows(f_pt, buf[:sl.stop - sl.start]), weights(f_pt)
+            g[sl] = [abs(np.vdot(x, y)) for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
+    return _value(out)
 
 
 def _eta(f_hz: float, radius_m: float) -> float:
@@ -171,7 +177,7 @@ def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
     p = _arc_size(geom.n_elements, k_ttd)
     corr, delays = _chain_phases(geom, fc_hz, np.array([[phi_rad]], dtype=float), k_ttd)
     beam = steering_uca(geom, fc_hz, phi_rad) * np.repeat(corr[0], p)
-    return _gains(steering_uca, geom, f_hz, phi_rad, lambda f: beam * np.repeat(
+    return _gains(geom, f_hz, phi_rad, lambda f: beam * np.repeat(
         np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1))
 
 

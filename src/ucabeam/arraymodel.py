@@ -165,59 +165,68 @@ class ChannelRealization:
         """channel_matrix's tables (see there): the left factor (M x N_r x L),
         cos(phi_l - psi_n) (L x N), the residual table and the block etas."""
         tx, rx, freqs = self.tx, self.rx, self.grid.freqs_hz
-        cos_tx = np.cos(np.array([p.aod_rad for p in self.paths])[:, None] - tx.element_angles)
-        # the expressions of steering_uca/steering_ula, in the same order
-        f_r = np.arange(min(SUBCARRIER_CHUNK, freqs.size))[:, None, None] * (
+        aods = np.array([p.aod_rad for p in self.paths])
+        cos_tx = np.cos(aods[:, None] - tx.element_angles)
+        f_r = np.arange(min(SUBCARRIER_CHUNK, freqs.size))[:, None] * (
             self.grid.bandwidth_hz / self.grid.n_subcarriers)
-        eta_r = 2.0 * np.pi * tx.radius_m * f_r / SPEED_OF_LIGHT
-        residual = np.exp(1j * (eta_r * cos_tx)) / math.sqrt(tx.n_elements)  # 8 x L x N
+        residual = _steering_rows(tx, aods)(f_r)  # 8 x L x N, as steering_uca builds it
         eta_q = 2.0 * np.pi * tx.radius_m * freqs[::SUBCARRIER_CHUNK] / SPEED_OF_LIGHT
-        f, sin_rx = freqs[:, None, None], np.array([math.sin(p.aoa_rad) for p in self.paths])
-        b = np.exp(1j * (2.0 * np.pi * np.arange(rx.n_elements) * rx.spacing_m * f
-                         * sin_rx[:, None] / SPEED_OF_LIGHT)) / math.sqrt(rx.n_elements)
+        b = _steering_rows(rx, np.array([p.aoa_rad for p in self.paths]))(freqs[:, None])
         coef = np.array([p.gain for p in self.paths]) * np.exp(
-            -2j * np.pi * np.array([p.delay_s for p in self.paths]) * f)  # M x 1 x L
+            -2j * np.pi * np.array([p.delay_s for p in self.paths]) * freqs[:, None, None])
         return np.swapaxes(b.conj(), -1, -2) * coef, cos_tx, residual, eta_q
 
 
 def _sweep(f_hz, phi_rad):
-    """f and phi as a steering vector takes them: both scalars unchanged, or
-    else broadcast to one 1-D sweep and given a trailing element axis."""
-    if np.ndim(f_hz) == 0 and np.ndim(phi_rad) == 0:
-        if not (np.isfinite(f_hz) and f_hz > 0.0):
-            raise ValueError(f"f_hz must be positive, got {f_hz}")
-        return f_hz, phi_rad
-    f, phi = np.broadcast_arrays(np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float))
-    if f.ndim != 1:
-        raise ValueError(f"sweep points must be scalars or 1-D arrays, got shape {f.shape}")
+    """f and phi as float arrays of sweep points on their own shapes: scalars,
+    1-D arrays, or an (F, 1) column of frequencies (broadcast by the caller)."""
+    f, phi = np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float)
+    if phi.ndim > 1 or f.shape[1:] not in ((), (1,)):
+        raise ValueError(f"sweep points must be scalars or 1-D arrays, got {f.shape} {phi.shape}")
     bad = ~(np.isfinite(f) & (f > 0.0))
     if bad.any():
         raise ValueError(f"f_hz must be positive, got {float(f[bad][0])!r}")
-    return f[:, None], phi[:, None]
+    return f, phi
+
+
+def _steering_rows(geom, phi):
+    """Steering rows of a UCA or ULA toward the angles phi (an array) as a
+    function rows(f, out=None) of frequencies f that broadcast with phi: the
+    angle factor, cos(phi - psi_n) or sin(phi), is taken once for every f,
+    and each call builds the rows in place by steering_uca's (steering_ula's)
+    formula, its operations in the same order."""
+    phi = phi[..., None]
+    if isinstance(geom, UcaGeometry):
+        cos = np.cos(phi - geom.element_angles)
+    else:  # math.sin per angle, as the scalar call takes it
+        sin = np.array([math.sin(p) for p in phi.ravel().tolist()]).reshape(phi.shape)
+        n_d = 2.0 * np.pi * np.arange(geom.n_elements) * geom.spacing_m
+
+    def rows(f, out=None):
+        f = f[..., None]
+        phase = (2.0 * np.pi * geom.radius_m * f / SPEED_OF_LIGHT * cos
+                 if isinstance(geom, UcaGeometry) else n_d * f * sin / SPEED_OF_LIGHT)
+        out = np.multiply(1j, phase, out=out)
+        np.exp(out, out=out)
+        return np.divide(out, math.sqrt(geom.n_elements), out=out)
+    return rows
 
 
 def steering_uca(geom: UcaGeometry, f_hz, phi_rad) -> np.ndarray:
     """UCA steering vector: entry n is exp(j*eta*cos(phi - psi_n))/sqrt(N)
     with eta = 2*pi*R*f/c.  ``f_hz`` and ``phi_rad`` may be 1-D arrays of
-    sweep points, broadcast together: the result has one row per point, and
-    each row equals the scalar call at its point bit for bit."""
-    f_hz, phi_rad = _sweep(f_hz, phi_rad)
-    eta = 2.0 * np.pi * geom.radius_m * f_hz / SPEED_OF_LIGHT
-    phase = eta * np.cos(phi_rad - geom.element_angles)
-    return np.exp(1j * phase) / math.sqrt(geom.n_elements)
+    sweep points, broadcast together, or f an (F, 1) column by P angles: the
+    result has one row per point, each equal to the scalar call bit for bit,
+    and the cosines one per angle."""
+    f, phi = _sweep(f_hz, phi_rad)
+    return _steering_rows(geom, phi)(f)
 
 
 def steering_ula(geom: UlaGeometry, f_hz, phi_rad) -> np.ndarray:
     """ULA steering vector: entry n is exp(j*2*pi*n*d*f*sin(phi)/c)/sqrt(N).
     Arrays of sweep points give one row per point, as in steering_uca."""
-    f_hz, phi_rad = _sweep(f_hz, phi_rad)
-    if np.ndim(phi_rad) == 0:
-        sin = math.sin(phi_rad)
-    else:  # math.sin per point, as the scalar call takes it
-        sin = np.array([math.sin(p) for p in phi_rad[:, 0].tolist()])[:, None]
-    n = np.arange(geom.n_elements)
-    phase = 2.0 * np.pi * n * geom.spacing_m * f_hz * sin / SPEED_OF_LIGHT
-    return np.exp(1j * phase) / math.sqrt(geom.n_elements)
+    f, phi = _sweep(f_hz, phi_rad)
+    return _steering_rows(geom, phi)(f)
 
 
 def half_wavelength_uca(n_elements: int, fc_hz: float) -> UcaGeometry:

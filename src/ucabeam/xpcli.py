@@ -519,26 +519,26 @@ def run(scenario: Scenario) -> ResultTable:
 
 
 def _family_values(scenario: Scenario, base: str, labels: list, xs: list) -> np.ndarray:
-    """One call over the family's sweeps end to end, each at its label's '@'
-    frequency (bare: fc)."""
+    """One call over the family's grid: its labels' '@' frequencies (bare: fc)
+    as an (F, 1) column by the sweep (a non-angle family has one label)."""
     freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
-    setup = _Setup(scenario, np.repeat(freqs, len(xs)))
-    return np.asarray(_METHODS[base].evaluate(setup, np.tile(xs, len(labels))), dtype=float)
+    setup = _Setup(scenario, np.array(freqs)[:, None])
+    return np.asarray(_METHODS[base].evaluate(setup, np.array(xs)), dtype=float)
 
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
     its center-frequency beam toward the target, the delay units per chain,
-    and the evaluation frequency of an angle method ('@' suffix, else fc),
-    one per point of a family's call, or one float for every point."""
+    and f_eval, the evaluation frequencies of a family's labels ('@' suffix,
+    else fc) as an (F, 1) column, which an angle method takes by its sweep."""
 
-    def __init__(self, scenario: Scenario, freq: float | np.ndarray | None):
+    def __init__(self, scenario: Scenario, f_eval: np.ndarray):
         sy = scenario.system
         self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
         self.geom = _tx_uca(sy)
         self.radius = self.geom.radius_m
         self.beam = steering_uca(self.geom, self.fc, self.phi0)
-        self.f_eval = freq if freq is not None else self.fc
+        self.f_eval = f_eval
 
 
 def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
@@ -546,7 +546,7 @@ def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
     the linear-array reference of uca_exact."""
     ula = UlaGeometry(s.geom.n_elements, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
-    return an._gains(steering_ula, ula, s.f_eval, phi, lambda f: w)
+    return an._gains(ula, s.f_eval, phi, lambda f: w)
 
 
 def _channel(scenario: Scenario, bandwidth: float, seed: int):

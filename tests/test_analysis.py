@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -25,6 +26,7 @@ from ucabeam.arraymodel import (
     generate_channel,
     half_wavelength_uca,
     steering_uca,
+    steering_ula,
 )
 from ucabeam.cxlinalg import svd, water_filling
 from ucabeam.precoding import (
@@ -69,25 +71,92 @@ def test_exact_gain_rejects_overpowered_weights():
 
 
 def test_exact_gain_sweeps_build_rows_a_chunk_at_a_time(monkeypatch):
-    # the steering-row temporaries stay SUBCARRIER_CHUNK x N whatever the
-    # sweep length (the delay-phase chain's one beam column at fc is not a
-    # sweep row); a scalar pair still gives a float
-    rows = []
-
-    def recorded(geom, f_hz, phi_rad):
-        out = steering_uca(geom, f_hz, phi_rad)
-        if out.ndim == 2:
-            rows.append(out.shape[0])
-        return out
-
-    monkeypatch.setattr(an, "steering_uca", recorded)
+    # on a frequency x angle grid each chunk of SUBCARRIER_CHUNK angles
+    # takes its angle factor once for every frequency (once in all at a
+    # scalar phi), and the rows it builds stay SUBCARRIER_CHUNK x N per step,
+    # F x P rows in all; a scalar pair still gives a float.  A fig3b-shaped
+    # call, 3 frequencies by 257 angles at N = 256, peaks near 115 KB of
+    # traced memory, where a 257 x 256 table of cos(phi - psi_n) alone would
+    # take 526 KB
     w = steering_uca(GEOM, 30e9, PHI0)
-    freqs = np.linspace(28.5e9, 31.5e9, 257)
-    assert an.exact_gain(w, GEOM, freqs, PHI0).shape == (257,)
-    assert an.dpp_exact_gain(GEOM, 30e9, freqs, PHI0, 8).shape == (257,)
-    assert max(rows) == SUBCARRIER_CHUNK and sum(rows) == 2 * 257
+    freqs, phis = np.linspace(28.5e9, 31.5e9, 257), np.linspace(-1.0, 2.5, 257)
+    an.exact_gain(w, GEOM, freqs[:3, None], phis)
+    tracemalloc.start()
+    try:
+        an.exact_gain(w, GEOM, freqs[:3, None], phis)
+        assert tracemalloc.get_traced_memory()[1] <= 150_000
+    finally:
+        tracemalloc.stop()
+    factors, rows = [], []
+
+    def recorded(geom, phi_rad):
+        factors.append(np.size(phi_rad))
+        build = steering_rows(geom, phi_rad)
+
+        def counted(f, out=None):
+            a = build(f, out)
+            rows.append(a.shape)
+            return a
+        return counted
+
+    steering_rows = an._steering_rows
+    monkeypatch.setattr(an, "_steering_rows", recorded)
+    assert an.exact_gain(w, GEOM, freqs[:3, None], phis).shape == (3, 257)
+    assert factors == [SUBCARRIER_CHUNK] * 32 + [1]
+    assert max(rows) == (SUBCARRIER_CHUNK, 256) and len(rows) == 3 * 33
+    assert sum(r[0] for r in rows) == 3 * 257
+    for sweep in (lambda: an.exact_gain(w, GEOM, freqs, PHI0),
+                  lambda: an.dpp_exact_gain(GEOM, 30e9, freqs, PHI0, 8)):
+        factors.clear(), rows.clear()
+        assert sweep().shape == (257,)
+        assert factors == [1] and max(rows) == (SUBCARRIER_CHUNK, 256)
+        assert sum(r[0] for r in rows) == 257
     assert type(an.exact_gain(w, GEOM, 30e9, PHI0)) is float
     assert type(an.dpp_exact_gain(GEOM, 30e9, 29e9, PHI0, 8)) is float
+
+
+def _formula_row(geom, f, phi):
+    """One steering vector by the formula of steering_uca (steering_ula),
+    written out with its operations in their order: the bits the CSVs hold."""
+    if isinstance(geom, UlaGeometry):
+        phase = 2.0 * np.pi * np.arange(geom.n_elements) * geom.spacing_m * f * math.sin(phi) / C
+    else:
+        phase = 2.0 * np.pi * geom.radius_m * f / C * np.cos(phi - geom.element_angles)
+    return np.exp(1j * phase) / math.sqrt(geom.n_elements)
+
+
+@settings(max_examples=25, deadline=None)
+@given(freqs=st.lists(st.floats(28e9, 32e9), min_size=1, max_size=4),
+       phis=st.lists(st.floats(-math.pi, 2.0 * math.pi), min_size=1, max_size=40),
+       n=st.sampled_from([16, 256, 1024]), k=st.sampled_from([1, 8, "N"]),
+       scalar_phi=st.booleans())
+def test_exact_gain_grids_equal_their_scalar_calls(freqs, phis, n, k, scalar_phi):
+    # F frequencies by P angles (P often not a multiple of SUBCARRIER_CHUNK,
+    # or a scalar phi): every value of the grid, of a frequency sweep at one
+    # angle, and of the ULA path has the bits of its point's scalar call and
+    # of the steering formula written out
+    geom, ula = half_wavelength_uca(n, 30e9), UlaGeometry(n, C / 30e9 / 2.0)
+    k_ttd = n if k == "N" else k
+    col, phi = np.array(freqs)[:, None], phis[0] if scalar_phi else np.array(phis)
+    w, w_ula = steering_uca(geom, 30e9, PHI0), steering_ula(ula, 30e9, PHI0)
+    pts = [(i, j, f, p) for i, f in enumerate(freqs) for j, p in enumerate(np.atleast_1d(phi))]
+    grid = an.exact_gain(w, geom, col, phi)
+    ula_grid = an._gains(ula, col, phi, lambda f: w_ula)
+    assert grid.shape == ula_grid.shape == (len(freqs), len(pts) // len(freqs))
+    for i, j, f, p in pts:
+        assert grid[i, j] == an.exact_gain(w, geom, f, float(p))
+        assert grid[i, j] == abs(np.vdot(_formula_row(geom, f, float(p)), w))
+        assert ula_grid[i, j] == abs(np.vdot(steering_ula(ula, f, float(p)), w_ula))
+        assert ula_grid[i, j] == abs(np.vdot(_formula_row(ula, f, float(p)), w_ula))
+    sweep = np.array(freqs * 10)  # a sweep at one angle crosses chunk edges
+    for p in np.atleast_1d(phi)[:2].tolist():
+        assert np.array_equal(an.exact_gain(w, geom, sweep, p),
+                              [an.exact_gain(w, geom, f, p) for f in sweep.tolist()])
+        assert np.array_equal(an.dpp_exact_gain(geom, 30e9, sweep, p, k_ttd),
+                              [an.dpp_exact_gain(geom, 30e9, f, p, k_ttd) for f in freqs * 10])
+        dpp_col = an.dpp_exact_gain(geom, 30e9, col, p, k_ttd)
+        assert np.array_equal(dpp_col[:, 0], [an.dpp_exact_gain(geom, 30e9, f, p, k_ttd)
+                                              for f in freqs])
 
 
 # ---------------------------------------------------------------------------

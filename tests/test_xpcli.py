@@ -873,11 +873,19 @@ def _scalar_gain(label, s, x):
         return analysis.exact_gain(s.beam, s.geom, x, s.phi0)
     if label == "dpp_exact":
         return analysis.dpp_exact_gain(s.geom, s.fc, x, s.phi0, s.k_ttd)
+    f_eval = float(s.f_eval[0, 0])
     if label.startswith("uca_exact"):
-        return analysis.exact_gain(s.beam, s.geom, s.f_eval, x)
+        return analysis.exact_gain(s.beam, s.geom, f_eval, x)
     ula = arraymodel.UlaGeometry(s.geom.n_elements, arraymodel.SPEED_OF_LIGHT / s.fc / 2.0)
     w = arraymodel.steering_ula(ula, s.fc, s.phi0)
-    return abs(np.vdot(arraymodel.steering_ula(ula, s.f_eval, x), w))
+    return abs(np.vdot(arraymodel.steering_ula(ula, f_eval, x), w))
+
+
+def _setup(scenario, label):
+    """The _Setup of a family of one label: its '@' frequency (bare: fc) as
+    a 1 x 1 column."""
+    return xpcli._Setup(scenario, np.array([[xpcli._split_method(label)[1]
+                                              or scenario.system.fc_hz]]))
 
 
 @pytest.mark.parametrize("n_elements", [16, 256, 1024])
@@ -894,14 +902,13 @@ def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
     scenario = dataclasses.replace(
         scenario, system=dataclasses.replace(scenario.system, n_elements_tx=n_elements),
         precoding=dataclasses.replace(scenario.precoding, k_ttd=k_ttd))
-    base, freq = xpcli._split_method(label)
-    setup = xpcli._Setup(scenario, freq)
+    base, setup = xpcli._split_method(label)[0], _setup(scenario, label)
     for n in (1, 7, 9, 257):
         if base in ("ps_exact", "dpp_exact"):
             xs = np.linspace(28.5e9, 31.5e9, n)
         else:
             xs = np.linspace(-1.0, 2.5, n)
-        got = np.asarray(xpcli._METHODS[base].evaluate(setup, xs), dtype=float)
+        got = np.ravel(xpcli._METHODS[base].evaluate(setup, xs))
         want = [_scalar_gain(label, setup, x) for x in xs.tolist()]
         assert np.array_equal(got, want), (label, n_elements, n)
 
@@ -957,8 +964,8 @@ def test_batched_frequency_columns_equal_their_labels_alone(name, n_elements):
     cols = _columns(run(scenario))
     assert sorted(cols) == sorted(scenario.methods)
     for label in scenario.methods:
-        base, freq = xpcli._split_method(label)
-        alone = xpcli._METHODS[base].evaluate(xpcli._Setup(scenario, freq), xs)
+        base = xpcli._split_method(label)[0]
+        alone = np.ravel(xpcli._METHODS[base].evaluate(_setup(scenario, label), xs))
         got_x, got = cols[label]
         assert got_x == xs.tolist()
         assert np.array_equal(got, alone), (label, n_elements)
