@@ -47,8 +47,8 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _steering_rows,
-                         _subcarrier_chunks, _sweep, steering_uca)
+from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_positive,
+                         _count, _steering_rows, _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -160,8 +160,7 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
     """Continuum limit of the arc average: |1F2(1/2; 1, 3/2; -a^2/4)| with
     a = 2*pi^2*R*(f - fc)/(c*K).  ``f_hz`` may be an array."""
     _check_freqs(f_hz, fc_hz, radius_m)
-    if not (isinstance(k_ttd, int) and k_ttd >= 1):
-        raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
+    _count("k_ttd", k_ttd)
     a = 2.0 * math.pi**2 * radius_m * (f_hz - fc_hz) / (SPEED_OF_LIGHT * k_ttd)
     return abs(specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * a * a))
 
@@ -187,13 +186,6 @@ def _check_freqs(f_hz, fc_hz: float, radius_m: float):
     _check_positive("radius_m", radius_m)
 
 
-def _check_positive(name, value):
-    value = np.asarray(value, dtype=float)
-    bad = ~(np.isfinite(value) & (value > 0.0))
-    if bad.any():
-        raise ValueError(f"{name} must be positive, got {float(value[bad][0])!r}")
-
-
 def _value(v):
     """A 0-d result as a Python float, an array result as it is."""
     return float(v) if np.ndim(v) == 0 else v
@@ -212,8 +204,7 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not (np.isfinite(radius_m) and radius_m > 0.0):
-        raise ValueError(f"radius_m must be positive, got {radius_m}")
+    _check_positive("radius_m", radius_m)
     if not (np.isfinite(bandwidth_hz) and bandwidth_hz >= 0.0):
         raise ValueError(f"bandwidth_hz must be non-negative, got {bandwidth_hz}")
     x = specfun.inverse_1f2_threshold(1.0 - delta)
@@ -299,8 +290,7 @@ def avg_gain_ttd(radius_m: float, bandwidth_hz, k_ttd: int):
     its absolute value coincides with the signed average.  ``bandwidth_hz``
     may be an array."""
     _check_band(radius_m, bandwidth_hz)
-    if not (isinstance(k_ttd, int) and k_ttd >= 1):
-        raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
+    _count("k_ttd", k_ttd)
     b = math.pi**2 * bandwidth_hz * radius_m / (SPEED_OF_LIGHT * k_ttd)
     return specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * b * b)
 
@@ -360,8 +350,7 @@ def spectrum_efficiency(design: HybridDesign, rho):
     (radiation None, A = I_N) radiates the powers themselves."""
     sigma, radiation = design.sigma, design.radiation
     r = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(r) & (r > 0.0)):
-        raise ValueError(f"rho must be positive, got {rho}")
+    _check_positive("rho", r)
     if r.ndim > 1:
         raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
     r = np.reshape(r, r.shape + (1,) * sigma.ndim)
@@ -398,8 +387,7 @@ def spectrum_efficiency_optimal(h_m, rho, n_s: int):
         raise ValueError(f"h_m must be 2-D or a stack of 2-D, got shape {h_m.shape}")
     if h_m.size == 0:
         raise ValueError(f"h_m must be non-empty, got shape {h_m.shape}")
-    if not (isinstance(n_s, int) and n_s >= 1):
-        raise ValueError(f"n_s must be a positive integer, got {n_s}")
+    _count("n_s", n_s)
     k = min(h_m.shape[-2:])
     if k < n_s:
         raise ValueError(f"n_s={n_s} exceeds channel rank bound {k}")

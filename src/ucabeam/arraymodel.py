@@ -54,6 +54,21 @@ def _subcarrier_chunks(n: int) -> list:
     return [slice(lo, min(lo + SUBCARRIER_CHUNK, n)) for lo in range(0, n, SUBCARRIER_CHUNK)]
 
 
+def _count(name, value):
+    """Raise unless value is a positive int."""
+    if not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def _check_positive(name, value):
+    """Raise unless every entry of value (a scalar or an array) is finite
+    and positive, naming the first that is not."""
+    value = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(value) & (value > 0.0))
+    if bad.any():
+        raise ValueError(f"{name} must be positive, got {float(value[bad][0])!r}")
+
+
 @dataclass(frozen=True)
 class UcaGeometry:
     """Uniform circular array of n_elements on a circle of radius_m meters."""
@@ -62,10 +77,8 @@ class UcaGeometry:
     radius_m: float
 
     def __post_init__(self):
-        if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
-            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
-        if not (np.isfinite(self.radius_m) and self.radius_m > 0.0):
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
+        _count("n_elements", self.n_elements)
+        _check_positive("radius_m", self.radius_m)
 
     @property
     def element_angles(self) -> np.ndarray:
@@ -82,10 +95,8 @@ class UlaGeometry:
     spacing_m: float
 
     def __post_init__(self):
-        if not (isinstance(self.n_elements, int) and self.n_elements >= 1):
-            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
-        if not (np.isfinite(self.spacing_m) and self.spacing_m > 0.0):
-            raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
+        _count("n_elements", self.n_elements)
+        _check_positive("spacing_m", self.spacing_m)
 
 
 @dataclass(frozen=True)
@@ -97,14 +108,10 @@ class FrequencyGrid:
     n_subcarriers: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.fc_hz) and self.fc_hz > 0.0):
-            raise ValueError(f"fc_hz must be positive, got {self.fc_hz}")
+        _check_positive("fc_hz", self.fc_hz)
         if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
             raise ValueError(f"bandwidth_hz must be non-negative, got {self.bandwidth_hz}")
-        if not (isinstance(self.n_subcarriers, int) and self.n_subcarriers >= 1):
-            raise ValueError(
-                f"n_subcarriers must be a positive integer, got {self.n_subcarriers}"
-            )
+        _count("n_subcarriers", self.n_subcarriers)
         if self.freqs_hz[0] <= 0.0:
             raise ValueError(
                 "grid extends to non-positive frequencies: "
@@ -183,9 +190,7 @@ def _sweep(f_hz, phi_rad):
     f, phi = np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float)
     if phi.ndim > 1 or f.shape[1:] not in ((), (1,)):
         raise ValueError(f"sweep points must be scalars or 1-D arrays, got {f.shape} {phi.shape}")
-    bad = ~(np.isfinite(f) & (f > 0.0))
-    if bad.any():
-        raise ValueError(f"f_hz must be positive, got {float(f[bad][0])!r}")
+    _check_positive("f_hz", f)
     return f, phi
 
 
@@ -234,8 +239,7 @@ def half_wavelength_uca(n_elements: int, fc_hz: float) -> UcaGeometry:
     wavelength: R = N*c/(4*pi*fc)."""
     if not (isinstance(n_elements, int) and n_elements >= 2):
         raise ValueError(f"need at least 2 elements, got {n_elements}")
-    if not (np.isfinite(fc_hz) and fc_hz > 0.0):
-        raise ValueError(f"fc_hz must be positive, got {fc_hz}")
+    _check_positive("fc_hz", fc_hz)
     radius = n_elements * SPEED_OF_LIGHT / (4.0 * np.pi * fc_hz)
     return UcaGeometry(n_elements=n_elements, radius_m=radius)
 
@@ -254,8 +258,7 @@ def generate_channel(
     uniform on [0, 2*pi), arrival angles uniform on [-pi/2, pi/2], delays
     uniform on [0, max_delay_s].
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _count("n_paths", n_paths)
     rng = np.random.default_rng(seed)
     gains = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / math.sqrt(2.0)
     aods = rng.uniform(0.0, 2.0 * np.pi, n_paths)

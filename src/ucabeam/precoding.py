@@ -60,6 +60,7 @@ from .arraymodel import (
     SUBCARRIER_CHUNK,
     ChannelRealization,
     UcaGeometry,
+    _count,
     _subcarrier_chunks,
     channel_matrix,
     steering_uca,
@@ -86,12 +87,8 @@ class DppConfig:
     n_streams: int
 
     def __post_init__(self):
-        if not (isinstance(self.n_rf, int) and self.n_rf >= 1):
-            raise ValueError(f"n_rf must be a positive integer, got {self.n_rf}")
-        if not (isinstance(self.n_ttd_per_rf, int) and self.n_ttd_per_rf >= 1):
-            raise ValueError(
-                f"n_ttd_per_rf must be a positive integer, got {self.n_ttd_per_rf}"
-            )
+        _count("n_rf", self.n_rf)
+        _count("n_ttd_per_rf", self.n_ttd_per_rf)
         if not (isinstance(self.n_streams, int) and 1 <= self.n_streams <= self.n_rf):
             raise ValueError(
                 f"n_streams must satisfy 1 <= n_streams <= n_rf, got "
@@ -101,8 +98,7 @@ class DppConfig:
 
 def _arc_size(n_elements: int, k_ttd: int) -> int:
     """P = N/K antennas per delay unit; K must be a positive divisor of N."""
-    if not (isinstance(k_ttd, int) and k_ttd >= 1):
-        raise ValueError(f"k_ttd must be a positive integer, got {k_ttd}")
+    _count("k_ttd", k_ttd)
     if n_elements % k_ttd != 0:
         raise ValueError(
             f"k_ttd={k_ttd} must divide n_elements={n_elements} so each delay "

@@ -35,6 +35,7 @@ from .arraymodel import (
     FrequencyGrid,
     UcaGeometry,
     UlaGeometry,
+    _check_positive,
     generate_channel,
     half_wavelength_uca,
     steering_ula,
@@ -177,15 +178,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     methods = data.get("methods", ())
     if not isinstance(methods, (list, tuple)):
         diags.append("methods: expected a list of method names")
-        methods = ()
+        methods = None
     output = data.get("output", f"{name or 'scenario'}.csv")
-    if None in (system, precoding, sweep, trials):
-        # a section failed to build at all; invariants cannot be checked
-        raise ScenarioError(diags)
+    texts = [("name", name), ("description", description), ("output", output)]
+    texts += [(f"methods[{i}]", m) for i, m in enumerate(methods or ())]
+    mistyped = [f"{key}: expected a string, got {type(value).__name__}"
+                for key, value in texts if not isinstance(value, str)]
+    if mistyped or None in (system, precoding, sweep, trials, methods):
+        # a field has the wrong type or a section failed to build at all;
+        # invariants cannot be checked
+        raise ScenarioError(diags + mistyped)
     scenario = Scenario(
-        name=str(name), description=str(description), system=system,
-        precoding=precoding, sweep=sweep, trials=trials,
-        methods=tuple(str(m) for m in methods), output=str(output),
+        name=name, description=description, system=system, precoding=precoding,
+        sweep=sweep, trials=trials, methods=tuple(methods), output=output,
     )
     diags.extend(validate_scenario(scenario))
     if diags:
@@ -247,14 +252,20 @@ def validate_scenario(scenario: Scenario) -> list:
     def ok(*names):
         return bad.isdisjoint(names)
 
+    def passes(where, check, *args):
+        # a library check: its ValueError becomes the diagnostic at where
+        try:
+            check(*args)
+        except ValueError as exc:
+            diags.append(f"{where}: {exc}")
+            return False
+        return True
+
     def check_band(where, bandwidth, n_points=sy.n_subcarriers):
         # the band's grid must stay above 0 Hz, as FrequencyGrid requires; the
         # condition tightens as the bandwidth or the number of points grows
         if ok("fc_hz", "n_subcarriers"):
-            try:
-                FrequencyGrid(sy.fc_hz, bandwidth, n_points)
-            except ValueError as exc:
-                diags.append(f"{where}: {exc}")
+            passes(where, FrequencyGrid, sy.fc_hz, bandwidth, n_points)
 
     def check_snr(where, snr_db):
         # the runner rates at rho*P, rho = 10^(snr_db/10): both finite positive floats
@@ -278,10 +289,7 @@ def validate_scenario(scenario: Scenario) -> list:
                          f"number of antennas (P = N/K)")
 
     if ok("n_elements_tx", "fc_hz", "radius_m"):
-        try:
-            _tx_uca(sy)
-        except ValueError as exc:
-            diags.append(f"system.n_elements_tx: {exc}")
+        passes("system.n_elements_tx", _tx_uca, sy)
     if ok("bandwidth_hz"):
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if ok("n_rf", "n_streams") and pc.n_streams > pc.n_rf:
@@ -329,9 +337,7 @@ def validate_scenario(scenario: Scenario) -> list:
         for where, x in ends:
             check_divisor(where, x)
     elif sw.variable == "bandwidth" and ends:
-        if ends[0][1] <= 0:
-            diags.append(f"{ends[0][0]}: bandwidth must be positive, got {ends[0][1]!r}")
-        else:
+        if passes(ends[0][0], _check_positive, "bandwidth", ends[0][1]):
             check_band(*ends[-1])
             widest = ends[-1][1]
     elif sw.variable == "frequency" and ends and ok("fc_hz", "bandwidth_hz"):

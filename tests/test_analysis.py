@@ -826,6 +826,8 @@ def test_se_validation():
     for rho in (0.0, -1.0, math.inf, math.nan, [1.0, 0.0]):
         with pytest.raises(ValueError, match="rho must be positive"):
             an.spectrum_efficiency(design, rho)
+    with pytest.raises(ValueError, match=r"^rho must be positive, got -2\.0$"):
+        an.spectrum_efficiency(design, [1.0, -2.0, 0.0])
     with pytest.raises(ValueError):
         an.spectrum_efficiency_optimal(np.eye(4), 10.0, 5)
 

@@ -45,6 +45,24 @@ def test_geometry_validation():
         UlaGeometry(2, 0.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: UcaGeometry(0, 0.1), "n_elements must be a positive integer, got 0"),
+    (lambda: UcaGeometry(4.0, 0.1), "n_elements must be a positive integer, got 4.0"),
+    (lambda: UcaGeometry(4, 0), "radius_m must be positive, got 0.0"),
+    (lambda: UlaGeometry(2, -1), "spacing_m must be positive, got -1.0"),
+    (lambda: FrequencyGrid(math.inf, 1e9, 4), "fc_hz must be positive, got inf"),
+    (lambda: FrequencyGrid(30e9, 1e9, 0), "n_subcarriers must be a positive integer, got 0"),
+    (lambda: half_wavelength_uca(4, -3e10), "fc_hz must be positive, got -30000000000.0"),
+    (lambda: generate_channel(UcaGeometry(4, 0.1), UlaGeometry(2, 0.005),
+                              FrequencyGrid(30e9, 1e9, 4), 2.5, 0),
+     "n_paths must be a positive integer, got 2.5"),
+])
+def test_argument_messages_name_the_argument_and_its_value(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_half_wavelength_radius_frozen_value():
     geom = half_wavelength_uca(256, 30e9)
     # R = N*c / (4*pi*fc)

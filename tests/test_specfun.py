@@ -87,6 +87,20 @@ def test_bessel_rejects_non_finite_arguments_naming_the_first():
         bessel_j(0, np.array([1.0, math.inf, math.nan]))
 
 
+def test_bessel_rescales_the_recurrence_at_high_order():
+    # at an order far above x the downward recurrence grows past 1e250 before
+    # it reaches J0 and is rescaled (once for these three, 10 and 2 times for
+    # the underflows), in the scalar and the array loop alike
+    with mpmath.workdps(50):
+        for n, x in ((150, 13.0), (200, 15.0), (250, 40.0)):
+            ref = mpmath.besselj(n, x)
+            assert abs((bessel_j(n, x) - ref) / ref) < 1e-14
+    assert bessel_j(1024, 13.0) == 0.0
+    assert bessel_j(300, 12.5) == 0.0
+    x = np.array([13.0, 15.0, 20.0, 40.0])
+    assert np.array_equal(bessel_j(150, x), [bessel_j(150, v) for v in x.tolist()])
+
+
 # points on both sides of the switch from the series to the recurrence
 AROUND_SWITCH = [0.0, -0.0, 12.0, -12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0),
                  -math.nextafter(12.0, 0.0), -math.nextafter(12.0, 13.0), 11.99, 12.01, 1e-300]

@@ -266,6 +266,54 @@ def test_field_of_the_wrong_json_type_is_a_config_error(tmp_path, capsys, sectio
     assert f"{section}.{key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("output", None, "output: expected a string, got NoneType"),
+    ("output", 5, "output: expected a string, got int"),
+    ("name", 7, "name: expected a string, got int"),
+    ("description", ["x"], "description: expected a string, got list"),
+    ("methods", ["classic", 3], "methods[1]: expected a string, got int"),
+])
+def test_text_field_of_another_json_type_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           key, value, message):
+    # the text fields keep their JSON type: a null output is no file named None
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "text.json", _small_trial_scenario(**{key: value}))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["text.json"]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"sweep": {"variable": "snr_db", "values": [5.0]}},
+     "sweep.values: need at least 2 sweep points"),
+    ({"sweep": {"variable": "k_ttd", "start": 1.0, "stop": 4.0, "points": 2}},
+     "sweep: k_ttd sweeps must use an explicit 'values' list of divisors of n_elements_tx"),
+    ({"sweep": {"variable": "bandwidth", "start": 0.0, "stop": 1e9, "points": 3}},
+     "sweep.start: bandwidth must be positive, got 0.0"),
+    ({"methods": []}, "methods: must list at least one method"),
+    ({"system": 5}, "system: expected an object, got int"),
+    ({"sweep": None}, "sweep: missing section"),
+    ({"methods": "classic"}, "methods: expected a list of method names"),
+    ([1, 2], "scenario: expected a JSON object, got list"),
+    ("fig99", "unknown scenario 'fig99'; built-ins: fig2, fig3a"),
+])
+def test_each_structural_rule_reports_one_diagnostic(tmp_path, capsys, changes, message):
+    # changes: fields replacing the small trial scenario's (None drops one),
+    # a whole JSON document, or a built-in name
+    if isinstance(changes, str):
+        with pytest.raises(ScenarioError) as info:
+            load_builtin(changes)
+        assert len(info.value.diagnostics) == 1
+        assert info.value.diagnostics[0].startswith(message)
+        return
+    data = changes
+    if isinstance(changes, dict):
+        data = {k: v for k, v in _small_trial_scenario(**changes).items() if v is not None}
+    cfg = _write(tmp_path, "rule.json", json.dumps(data))
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_frequency_sweep_band_edges_validate():
     for name in ("fig2", "fig6"):
         assert validate_scenario(load_builtin(name)) == []
