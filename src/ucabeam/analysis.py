@@ -48,7 +48,8 @@ import numpy as np
 
 from . import specfun
 from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_positive,
-                         _count, _steering_rows, _subcarrier_chunks, _sweep, steering_uca)
+                         _check_scalar, _count, _steering_rows, _subcarrier_chunks, _sweep,
+                         steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -171,8 +172,7 @@ def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
     (discrete sum, no large-N approximation): at f its column is the fc beam
     times each arc's correction corr_k and TTD phase exp(-j*2*pi*f*t_k), both
     from _chain_phases.  ``f_hz`` may be a 1-D array of sweep points."""
-    if np.ndim(phi_rad) != 0:
-        raise ValueError(f"phi_rad must be a scalar direction, got shape {np.shape(phi_rad)}")
+    _check_scalar("phi_rad", phi_rad)
     p = _arc_size(geom.n_elements, k_ttd)
     corr, delays = _chain_phases(geom, fc_hz, np.array([[phi_rad]], dtype=float), k_ttd)
     beam = steering_uca(geom, fc_hz, phi_rad) * np.repeat(corr[0], p)
@@ -204,6 +204,8 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    _check_scalar("radius_m", radius_m)
+    _check_scalar("bandwidth_hz", bandwidth_hz)
     _check_positive("radius_m", radius_m)
     if not (np.isfinite(bandwidth_hz) and bandwidth_hz >= 0.0):
         raise ValueError(f"bandwidth_hz must be non-negative, got {bandwidth_hz}")

@@ -60,6 +60,12 @@ def _count(name, value):
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
+def _check_scalar(name, value):
+    """Raise unless value is a scalar (0-d)."""
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+
+
 def _check_positive(name, value):
     """Raise unless every entry of value (a scalar or an array) is finite
     and positive, naming the first that is not."""
@@ -78,6 +84,7 @@ class UcaGeometry:
 
     def __post_init__(self):
         _count("n_elements", self.n_elements)
+        _check_scalar("radius_m", self.radius_m)
         _check_positive("radius_m", self.radius_m)
 
     @property
@@ -96,6 +103,7 @@ class UlaGeometry:
 
     def __post_init__(self):
         _count("n_elements", self.n_elements)
+        _check_scalar("spacing_m", self.spacing_m)
         _check_positive("spacing_m", self.spacing_m)
 
 
@@ -108,6 +116,8 @@ class FrequencyGrid:
     n_subcarriers: int
 
     def __post_init__(self):
+        _check_scalar("fc_hz", self.fc_hz)
+        _check_scalar("bandwidth_hz", self.bandwidth_hz)
         _check_positive("fc_hz", self.fc_hz)
         if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
             raise ValueError(f"bandwidth_hz must be non-negative, got {self.bandwidth_hz}")
@@ -239,6 +249,7 @@ def half_wavelength_uca(n_elements: int, fc_hz: float) -> UcaGeometry:
     wavelength: R = N*c/(4*pi*fc)."""
     if not (isinstance(n_elements, int) and n_elements >= 2):
         raise ValueError(f"need at least 2 elements, got {n_elements}")
+    _check_scalar("fc_hz", fc_hz)
     _check_positive("fc_hz", fc_hz)
     radius = n_elements * SPEED_OF_LIGHT / (4.0 * np.pi * fc_hz)
     return UcaGeometry(n_elements=n_elements, radius_m=radius)

@@ -497,49 +497,35 @@ def _gain_curve(x):
     return hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)
 
 
-# A bisection step whose plain-double curve value lies farther than this from
-# the target takes its decision from that value.  On [0, x_min] the plain sum
-# stays within 1e-14 of the double-double curve (tested), so each decision,
-# and hence the root, is the one the double-double curve gives.
-_PLAIN_MARGIN = 1e-12
-
-
-def _gain_curve_plain(x: float) -> float:
-    """The plain-double partial sum that the series' forward pass leaves for
-    _gain_curve.  Its terms rise from 1 to a single peak and then fall faster
-    than geometrically; on [0, x_min] the peak stays below 10, so little is
-    lost to cancellation."""
-    return _forward(_coefficients((0.5,), (1.0, 1.5)), -0.25 * x * x)[2]
+def _newton(h, dh, lo, hi, x):
+    """Root of ``h`` in [lo, hi], given h(lo) > 0 >= h(hi), by Newton steps
+    from ``x``.  ``dh(x, h(x))`` is the derivative; it only steers the steps,
+    so the root is as accurate as ``h``.  Each value of h moves one end of
+    the bracket to x, and a step that would leave the bracket halves it
+    instead.  A step below 1e-12 * x is the last one taken: the next would
+    be below rounding."""
+    while True:
+        v = h(x)
+        lo, hi = (x, hi) if v > 0.0 else (lo, x)
+        d = dh(x, v)
+        step = v / d if d else math.inf
+        if abs(step) < 1e-12 * x:
+            return x - step
+        x = x - step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # no double left between the ends
+                return x
 
 
 @functools.cache
 def _first_minimum():
     """(x, g(x)) at the first local minimum of the gain curve; it does not
-    depend on the inversion target, so it is found once."""
-    # March to the first rise of g to bracket the first local minimum.
-    step = 0.125
-    x_prev, g_prev = 0.0, 1.0
-    x = step
-    while True:
-        g_x = _gain_curve(x)
-        if g_x > g_prev:
-            break
-        x_prev, g_prev = x, g_x
-        x += step
-        if x > 200.0:  # g reaches its first minimum near 5.88; unreachable
-            raise UnbracketableError("no rise of the gain curve found")
-    lo = max(x_prev - step, 0.0)
-    hi = x
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _gain_curve(m1) <= _gain_curve(m2):
-            hi = m2
-        else:
-            lo = m1
-        if hi - lo < 1e-13:
-            break
-    x_min = 0.5 * (lo + hi)
+    depend on the inversion target, so it is found once.  Since g = (1/x)
+    integral_0^x J0, g'(x) = (J0(x) - g(x)) / x, so the minimum is the root
+    of h = g - J0 on [3.9, 7.0], and h' = J1 - h/x."""
+    x_min = _newton(lambda x: _gain_curve(x) - bessel_j(0, x),
+                    lambda x, v: bessel_j(1, x) - v / x, 3.9, 7.0, 5.9)
     return x_min, _gain_curve(x_min)
 
 
@@ -548,8 +534,10 @@ def inverse_1f2_threshold(target: float) -> float:
 
     ``g(x) = (1/x) integral_0^x J0`` decreases from g(0) = 1 to its first
     local minimum (about 0.117 near x = 5.88) and oscillates after that;
-    only the first branch is inverted.  Raises :class:`UnbracketableError`
-    for targets below that minimum and ``ValueError`` outside (0, 1].
+    only the first branch is inverted, by _newton with g' = (J0 - g) / x
+    from sqrt(12 (1 - target)), as g is about 1 - x^2/12 near 0.  Raises
+    :class:`UnbracketableError` for targets below that minimum and
+    ``ValueError`` outside (0, 1].
     """
     target = float(target)
     if not 0.0 < target <= 1.0:
@@ -564,21 +552,9 @@ def inverse_1f2_threshold(target: float) -> float:
             f"{g_min:.12g} of the gain curve (at x = {x_min:.6g}); "
             "only the first monotone branch is invertible"
         )
-
-    lo, hi = 0.0, x_min  # g is decreasing on [0, x_min]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # the series in plain doubles settles every step but the last few
-        g_mid = _gain_curve_plain(mid)
-        if abs(g_mid - target) <= _PLAIN_MARGIN:
-            g_mid = _gain_curve(mid)
-        if g_mid > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _newton(lambda x: _gain_curve(x) - target,
+                   lambda x, v: (bessel_j(0, x) - (v + target)) / x,
+                   0.0, x_min, min(math.sqrt(12.0 * (1.0 - target)), x_min))
 
 
 # ---------------------------------------------------------------------------

@@ -529,7 +529,8 @@ def _family_values(scenario: Scenario, base: str, labels: list, xs: list) -> np.
     as an (F, 1) column by the sweep (a non-angle family has one label)."""
     freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
     setup = _Setup(scenario, np.array(freqs)[:, None])
-    return np.asarray(_METHODS[base].evaluate(setup, np.array(xs)), dtype=float)
+    with np.errstate(over="raise"):  # an overflow is a numeric failure, not a warning
+        return np.asarray(_METHODS[base].evaluate(setup, np.array(xs)), dtype=float)
 
 
 class _Setup:

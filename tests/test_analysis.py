@@ -440,6 +440,28 @@ def test_min_ttd_count_validation():
         an.min_ttd_count(1.0, R, 3e9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: an.exact_gain(np.full(3, 0.5), GEOM, 30e9, 0.5), "w must have shape (256,), got (3,)"),
+    (lambda: an.min_ttd_count(0.4, R, -1.0), "bandwidth_hz must be non-negative, got -1.0"),
+    (lambda: an.spectrum_efficiency_optimal(np.ones(4), 1.0, 1),
+     "h_m must be 2-D or a stack of 2-D, got shape (4,)"),
+])
+def test_malformed_arguments_are_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.3, 0.4])
+def test_min_ttd_count_matches_mpmath(delta):
+    # the deltas the bench sizes for; x* is mpmath's root of g = 1 - delta
+    with mpmath.workdps(40):
+        x = mpmath.findroot(lambda x: mpmath.hyp1f2(0.5, 1, 1.5, -x * x / 4)
+                            - (1 - mpmath.mpf(delta)), math.sqrt(12.0 * delta))
+        want = mpmath.pi**2 * R * 3e9 / (C * x)
+        assert abs(an.min_ttd_count(delta, R, 3e9) - want) <= 1e-15 * want
+
+
 def test_min_ttd_count_meets_its_own_target():
     # a bank of ceil(K) units holds the band-average gain above 1 - delta
     delta = 0.4

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucabeam.analysis import min_ttd_count
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     SUBCARRIER_CHUNK,
@@ -45,6 +46,9 @@ def test_geometry_validation():
         UlaGeometry(2, 0.0)
 
 
+_CH_ARGS = (UcaGeometry(4, 0.1), UlaGeometry(2, 0.005), FrequencyGrid(30e9, 1e9, 4))
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: UcaGeometry(0, 0.1), "n_elements must be a positive integer, got 0"),
     (lambda: UcaGeometry(4.0, 0.1), "n_elements must be a positive integer, got 4.0"),
@@ -56,11 +60,33 @@ def test_geometry_validation():
     (lambda: generate_channel(UcaGeometry(4, 0.1), UlaGeometry(2, 0.005),
                               FrequencyGrid(30e9, 1e9, 4), 2.5, 0),
      "n_paths must be a positive integer, got 2.5"),
+    (lambda: PathParams(complex("nan"), 0.0, 0.5, 0.1), "gain must be finite"),
+    (lambda: ChannelRealization((), *_CH_ARGS), "a channel needs at least one path"),
+    (lambda: ChannelRealization((PathParams(1.0, 0.0, 0.5, 0.1), 1.0), *_CH_ARGS),
+     "paths must be PathParams instances"),
 ])
 def test_argument_messages_name_the_argument_and_its_value(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+_PAIR = np.array([0.1, 0.2])
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: UcaGeometry(4, _PAIR), "radius_m"),
+    (lambda: UlaGeometry(4, _PAIR), "spacing_m"),
+    (lambda: half_wavelength_uca(4, 3e11 * _PAIR), "fc_hz"),
+    (lambda: FrequencyGrid(3e11 * _PAIR, 1e9, 4), "fc_hz"),
+    (lambda: FrequencyGrid(30e9, 1e10 * _PAIR, 4), "bandwidth_hz"),
+    (lambda: min_ttd_count(0.4, _PAIR, 3e9), "radius_m"),
+    (lambda: min_ttd_count(0.4, 0.2, 1e10 * _PAIR), "bandwidth_hz"),
+])
+def test_scalar_fields_reject_arrays(make, name):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == f"{name} must be a scalar, got shape (2,)"
 
 
 def test_half_wavelength_radius_frozen_value():

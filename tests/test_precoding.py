@@ -102,6 +102,14 @@ def test_dpp_config_validation():
         DppConfig(2, 8, 2.0)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("k_ttds", [[1], [2], [1, 2, None]])
+def test_more_rf_chains_than_elements_is_rejected(k_ttds):
+    ch = generate_channel(UcaGeometry(2, 0.01), RX, _grid(4), 3, 5)
+    with pytest.raises(ValueError) as info:
+        build_designs(ch, 3, 1, k_ttds)
+    assert str(info.value) == "n_rf=3 exceeds n_elements=2"
+
+
 # ---------------------------------------------------------------------------
 # reference angles and delays
 # ---------------------------------------------------------------------------

@@ -296,6 +296,8 @@ def test_text_field_of_another_json_type_is_a_config_error(tmp_path, capsys, mon
     ({"methods": "classic"}, "methods: expected a list of method names"),
     ([1, 2], "scenario: expected a JSON object, got list"),
     ("fig99", "unknown scenario 'fig99'; built-ins: fig2, fig3a"),
+    ({"sweep": {"start": -10.0, "stop": 20.0, "points": 3}},
+     "sweep: SweepConfig.__init__() missing 1 required positional argument: 'variable'"),
 ])
 def test_each_structural_rule_reports_one_diagnostic(tmp_path, capsys, changes, message):
     # changes: fields replacing the small trial scenario's (None drops one),
@@ -421,6 +423,23 @@ def test_snr_sweep_whose_rates_overflow_is_a_numeric_failure(tmp_path, capsys):
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
     assert "numeric failure: SNR-scaled gains overflow at SNRs up to rho=1e+308 (3080 dB)" in err
+
+
+def test_overflow_in_a_deterministic_method_is_a_numeric_failure(tmp_path, capsys):
+    # an evaluation frequency of 1e300 Hz validates, but its defocus argument
+    # overflows: a numeric failure naming the method, with no warning on the way
+    data = _builtin_data("fig3b")
+    data["methods"] = ["uca_closed_form@1e300"]
+    data["sweep"]["points"] = 3
+    cfg = _write(tmp_path, "far_suffix.json", data)
+    assert main(["validate", cfg]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: overflow encountered")
+    assert "method uca_closed_form@1e300 at x=" in err
 
 
 @pytest.mark.parametrize("method", ["classic", "dpp", "optimal"])
