@@ -34,9 +34,10 @@ argument gives a float.  The numeric average shares the segments between
 zeros across the bands, and each band sums its own segments in order.  The
 exact gains take 1-D sweeps the same way, or an (F, 1) column of
 frequencies by P angles (an F x P grid): chunks of SUBCARRIER_CHUNK angles
-take cos(phi - psi_n) once for all frequencies, rows are built in place, and
-each point keeps its own ``vdot``, so every value has its scalar call's bits
-(one matrix product over the sweep would reorder the sums).
+take cos(phi - psi_n) once for all frequencies, rows are built in place (and
+read by every weight of a call), and each point keeps its own ``vdot`` per
+weight, so every value has its scalar call's bits (one matrix product over
+the sweep would reorder the sums).
 """
 
 from __future__ import annotations
@@ -86,29 +87,35 @@ def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
     nrm = np.linalg.norm(w)
     if not nrm <= 1.0 + 1e-9:
         raise ValueError(f"||w|| must not exceed 1, got {nrm}")
-    return _gains(geom, f_hz, phi_rad, lambda f: w)
+    return _gains(geom, f_hz, phi_rad, [lambda f: w])[0]
 
 
 def _gains(geom, f_hz, phi_rad, weights):
-    """|a(f, phi)^H w| at sweep points as steering_uca takes them (F x P for
-    an (F, 1) column of frequencies by P angles), a the steering vector of
-    geom (a UCA or a ULA) and weights(f) the weight vector at f (a row per
-    frequency of a 1-D f).  Each chunk of SUBCARRIER_CHUNK angles takes its
-    angle factor once for every frequency (all take one at a scalar phi) and
-    builds its rows in one buffer; each point takes a vdot of its own."""
+    """|a(f, phi)^H w| for each weight function of the list weights, one
+    array (a float at scalar points) per weight, at sweep points as
+    steering_uca takes them (F x P for an (F, 1) column of frequencies by P
+    angles), a the steering vector of geom (a UCA or a ULA) and weight(f)
+    the weight vector at f (a row per frequency of a 1-D f).  Each chunk of
+    SUBCARRIER_CHUNK angles takes its angle factor once for every frequency
+    (all take one at a scalar phi) and builds its rows in one buffer, which
+    every weight reads; each point takes a vdot of its own per weight."""
     f, phi = _sweep(f_hz, phi_rad)
-    out = np.empty(np.broadcast_shapes(f.shape, phi.shape))
+    outs = [np.empty(np.broadcast_shapes(f.shape, phi.shape)) for _ in weights]
     cols = f if f.ndim == 2 else f.reshape(1, -1)
-    grid = out.reshape(len(cols), -1)  # a view: F x P
-    buf = np.empty((min(grid.shape[1], SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
+    grids = [out.reshape(len(cols), -1) for out in outs]  # views: F x P
+    n_phi = grids[0].shape[1]
+    buf = np.empty((min(n_phi, SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
     at_phi = _steering_rows(geom, phi) if phi.size == 1 else None
-    for sl in _subcarrier_chunks(grid.shape[1]):
+    for sl in _subcarrier_chunks(n_phi):
         rows = at_phi or _steering_rows(geom, phi[sl])
-        for fs, g in zip(cols, grid):
+        for i, fs in enumerate(cols):
             f_pt = fs[sl] if fs.size > 1 else fs[0]
-            a, w = rows(f_pt, buf[:sl.stop - sl.start]), weights(f_pt)
-            g[sl] = [abs(np.vdot(x, y)) for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
-    return _value(out)
+            a = rows(f_pt, buf[:sl.stop - sl.start])
+            for weight, grid in zip(weights, grids):
+                w = weight(f_pt)
+                grid[i, sl] = [abs(np.vdot(x, y))
+                               for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
+    return [_value(out) for out in outs]
 
 
 def _eta(f_hz: float, radius_m: float) -> float:
@@ -169,15 +176,22 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
                    k_ttd: int):
     """Exact on-beam gain of one delay-phase chain toward the scalar phi_rad
-    (discrete sum, no large-N approximation): at f its column is the fc beam
-    times each arc's correction corr_k and TTD phase exp(-j*2*pi*f*t_k), both
-    from _chain_phases.  ``f_hz`` may be a 1-D array of sweep points."""
+    (discrete sum, no large-N approximation), with the weights of
+    _dpp_weights.  ``f_hz`` may be a 1-D array of sweep points."""
     _check_scalar("phi_rad", phi_rad)
+    return _gains(geom, f_hz, phi_rad, [_dpp_weights(geom, fc_hz, phi_rad, k_ttd)])[0]
+
+
+def _dpp_weights(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int):
+    """The weights w(f) of one delay-phase chain toward phi_rad: at f its
+    column is the fc beam times each arc's correction corr_k and TTD phase
+    exp(-j*2*pi*f*t_k), both from _chain_phases (a row per frequency of a
+    1-D f)."""
     p = _arc_size(geom.n_elements, k_ttd)
     corr, delays = _chain_phases(geom, fc_hz, np.array([[phi_rad]], dtype=float), k_ttd)
     beam = steering_uca(geom, fc_hz, phi_rad) * np.repeat(corr[0], p)
-    return _gains(geom, f_hz, phi_rad, lambda f: beam * np.repeat(
-        np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1))
+    return lambda f: beam * np.repeat(
+        np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1)
 
 
 def _check_freqs(f_hz, fc_hz: float, radius_m: float):

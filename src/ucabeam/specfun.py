@@ -153,18 +153,33 @@ def _bessel_miller(n: int, x):
     # the recurrence keeps at zero) and is rescaled on its own.
     vec = isinstance(x, np.ndarray)
     if vec:
+        if x.size == 0:
+            return 0.0 * x
         far = np.maximum(x, n)
         top = far.astype(np.int64) + 1 + (10.0 * np.sqrt(far)).astype(np.int64)
     else:
         far = max(n, x)
         top = int(far) + 1 + int(10.0 * math.sqrt(far))
     top += top % 2
-    first = int(top.max(initial=0)) if vec else top
-    starts = set(top.tolist()) if vec else ()
     jp = 0.0 * x  # J~_{k+1}
-    jc = np.where(top == first, 1e-30, 0.0) if vec else 1e-30  # J~_k
     norm = 0.0 * x  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
     out = 0.0 * x
+    if vec:
+        # the elements that start at each top: slices of a stable argsort
+        order = np.argsort(top, kind="stable")
+        tops = top[order]
+        cut = np.flatnonzero(tops[1:] != tops[:-1]) + 1
+        lo, hi = np.concatenate(([0], cut)).tolist(), np.concatenate((cut, [top.size])).tolist()
+        starts = {t: order[a:b] for t, a, b in zip(tops[lo].tolist(), lo, hi)}
+        first = int(tops[-1])
+        jc = 0.0 * x  # J~_k
+        jc[starts[first]] = 1e-30
+        # bound >= max(|J~_k|, |J~_{k+1}|) over the elements: a step multiplies
+        # it by at most 2k/x_min + 1, so |J~| > 1e250 can hold only once it
+        # passes 1e249 (a factor 10 above the rounding of the bound)
+        x_min, bound = float(x.min()), 1e-30
+    else:
+        first, jc = top, 1e-30
     for k in range(first, 0, -1):
         jm = (2.0 * k) / x * jc - jp
         jp = jc
@@ -177,12 +192,17 @@ def _bessel_miller(n: int, x):
         elif idx == 0:
             norm = norm + jc
         if vec:
-            big = np.abs(jc) > 1e250
-            if big.any():
-                scale = np.where(big, 1e-250, 1.0)
-                jc, jp, norm, out = jc * scale, jp * scale, norm * scale, out * scale
+            bound *= (2.0 * k) / x_min + 1.0
+            if bound > 1e249:
+                big = np.abs(jc) > 1e250
+                if big.any():
+                    scale = np.where(big, 1e-250, 1.0)
+                    jc, jp, norm, out = jc * scale, jp * scale, norm * scale, out * scale
+                bound = float(max(np.abs(jc).max(), np.abs(jp).max()))
             if idx in starts:
-                jc = np.where(top == idx, 1e-30, jc)
+                # a start comes before idx == n, so jc is not out's array
+                jc[starts[idx]] = 1e-30
+                bound = max(bound, 1e-30)
         elif abs(jc) > 1e250:
             jc *= 1e-250
             jp *= 1e-250

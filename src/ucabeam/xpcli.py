@@ -500,20 +500,20 @@ def run(scenario: Scenario) -> ResultTable:
     xs = _sweep_points(scenario)
     rows = []
     trial_labels = []
-    families = {}  # deterministic base -> its labels, in order of first appearance
+    families = {}  # evaluator -> the deterministic labels it takes, in order of appearance
     for label in scenario.methods:
-        base, _ = _split_method(label)
-        if _METHODS[base].stage is not None:
+        method = _METHODS[_split_method(label)[0]]
+        if method.stage is not None:
             trial_labels.append(label)
         else:
-            families.setdefault(base, []).append(label)
-    for base, labels in families.items():
+            families.setdefault(method.evaluate, []).append(label)
+    for labels in families.values():
         try:
-            values = _family_values(scenario, base, labels, xs)
+            values = _family_values(scenario, labels, xs)
         except ArithmeticError as exc:
             for label, x in itertools.product(labels, xs):
                 try:
-                    _family_values(scenario, base, [label], [x])
+                    _family_values(scenario, [label], [x])
                 except ArithmeticError as err:
                     raise ArithmeticError(f"{err}; method {label} at x={x!r}") from exc
             raise
@@ -524,28 +524,39 @@ def run(scenario: Scenario) -> ResultTable:
     return ResultTable(rows=tuple(rows)).sorted()
 
 
-def _family_values(scenario: Scenario, base: str, labels: list, xs: list) -> np.ndarray:
-    """One call over the family's grid: its labels' '@' frequencies (bare: fc)
-    as an (F, 1) column by the sweep (a non-angle family has one label)."""
-    freqs = [_split_method(lb)[1] or scenario.system.fc_hz for lb in labels]
-    setup = _Setup(scenario, np.array(freqs)[:, None])
+def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
+    """One call of the labels' shared evaluator over the sweep, a row per
+    label: an angle method's labels take their '@' frequencies as one column
+    (see _Setup); ps_exact and dpp_exact share one steering-row pass."""
+    setup = _Setup(scenario, labels)
     with np.errstate(over="raise"):  # an overflow is a numeric failure, not a warning
-        return np.asarray(_METHODS[base].evaluate(setup, np.array(xs)), dtype=float)
+        return np.asarray(_METHODS[setup.bases[0]].evaluate(setup, np.array(xs)), dtype=float)
 
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
     its center-frequency beam toward the target, the delay units per chain,
-    and f_eval, the evaluation frequencies of a family's labels ('@' suffix,
-    else fc) as an (F, 1) column, which an angle method takes by its sweep."""
+    and of a family's labels their method names (bases) and f_eval, their
+    evaluation frequencies ('@' suffix, else fc) as an (F, 1) column, which
+    an angle method takes by its sweep."""
 
-    def __init__(self, scenario: Scenario, f_eval: np.ndarray):
+    def __init__(self, scenario: Scenario, labels: list):
         sy = scenario.system
         self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
         self.geom = _tx_uca(sy)
         self.radius = self.geom.radius_m
         self.beam = steering_uca(self.geom, self.fc, self.phi0)
-        self.f_eval = f_eval
+        self.bases, freqs = zip(*map(_split_method, labels))
+        self.f_eval = np.array([f or self.fc for f in freqs])[:, None]
+
+
+def _on_beam(s: _Setup, f: np.ndarray) -> list:
+    """Gain toward the target over the frequency sweep f of each label,
+    ps_exact (the fc beam) or dpp_exact (the delay-phase weights), from one
+    an._gains pass that builds each steering row once for all of them."""
+    return an._gains(s.geom, f, s.phi0, [
+        (lambda f: s.beam) if base == "ps_exact" else an._dpp_weights(
+            s.geom, s.fc, s.phi0, s.k_ttd) for base in s.bases])
 
 
 def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
@@ -553,7 +564,7 @@ def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
     the linear-array reference of uca_exact."""
     ula = UlaGeometry(s.geom.n_elements, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
-    return an._gains(ula, s.f_eval, phi, lambda f: w)
+    return an._gains(ula, s.f_eval, phi, [lambda f: w])[0]
 
 
 def _channel(scenario: Scenario, bandwidth: float, seed: int):
@@ -607,7 +618,8 @@ class _Method:
     ``stage``, which maps a point's delay-unit count to the build_designs key
     of the design it rates (1: the classic design, None: the fully digital
     bound); its evaluator maps (design, 1-D array of SNRs rho) to the
-    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers)."""
+    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers).
+    A run hands all the deterministic labels of one evaluator to one call."""
 
     variables: tuple
     evaluate: object
@@ -624,10 +636,9 @@ _SE = ("snr_db", "k_ttd", "bandwidth")
 
 # Validation and execution both read this table.
 _METHODS = {
-    "ps_exact": _Method(_FREQ, lambda s, f: an.exact_gain(s.beam, s.geom, f, s.phi0)),
+    "ps_exact": _Method(_FREQ, _on_beam),
     "ps_closed_form": _Method(_FREQ, lambda s, f: an.ps_gain_closed_form(f, s.fc, s.radius)),
-    "dpp_exact": _Method(_FREQ, lambda s, f: an.dpp_exact_gain(
-        s.geom, s.fc, f, s.phi0, s.k_ttd)),
+    "dpp_exact": _Method(_FREQ, _on_beam),
     "dpp_subarray_sum": _Method(_FREQ, lambda s, f: an.dpp_gain_subarray_sum(
         f, s.fc, s.radius, s.geom.n_elements, s.k_ttd)),
     "dpp_closed_form": _Method(_FREQ, lambda s, f: an.dpp_gain_closed_form(

@@ -141,7 +141,7 @@ def test_exact_gain_grids_equal_their_scalar_calls(freqs, phis, n, k, scalar_phi
     w, w_ula = steering_uca(geom, 30e9, PHI0), steering_ula(ula, 30e9, PHI0)
     pts = [(i, j, f, p) for i, f in enumerate(freqs) for j, p in enumerate(np.atleast_1d(phi))]
     grid = an.exact_gain(w, geom, col, phi)
-    ula_grid = an._gains(ula, col, phi, lambda f: w_ula)
+    ula_grid = an._gains(ula, col, phi, [lambda f: w_ula])[0]
     assert grid.shape == ula_grid.shape == (len(freqs), len(pts) // len(freqs))
     for i, j, f, p in pts:
         assert grid[i, j] == an.exact_gain(w, geom, f, float(p))
@@ -157,6 +157,29 @@ def test_exact_gain_grids_equal_their_scalar_calls(freqs, phis, n, k, scalar_phi
         dpp_col = an.dpp_exact_gain(geom, 30e9, col, p, k_ttd)
         assert np.array_equal(dpp_col[:, 0], [an.dpp_exact_gain(geom, 30e9, f, p, k_ttd)
                                               for f in freqs])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([16, 256, 1024]),
+       points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       scalar_f=st.booleans(), k=st.sampled_from([1, 8, "N"]))
+def test_gains_of_several_weights_equal_one_weight_calls(n, points, scalar_f, k):
+    # one steering-row pass for two weights, the fc beam and the delay-phase
+    # weights, gives each weight the bits of its own one-weight call: over a
+    # frequency sweep at one angle, or over angles at one frequency
+    geom = half_wavelength_uca(n, 30e9)
+    if scalar_f:
+        f, phi = 29e9, -1.0 + 3.0 * np.array(points)
+    else:
+        f, phi = 28e9 + 4e9 * np.array(points), PHI0
+    beam = steering_uca(geom, 30e9, PHI0)
+    weights = [lambda f: beam, an._dpp_weights(geom, 30e9, PHI0, n if k == "N" else k)]
+    both = an._gains(geom, f, phi, weights)
+    assert len(both) == 2
+    for got, weight in zip(both, weights):
+        alone, = an._gains(geom, f, phi, [weight])
+        assert got.shape == (len(points),)
+        assert np.array_equal(got, alone)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
 
 
-def _reduced_rows(name):
+def reduced_scenario(name):
+    """A built-in scenario at the reduced size of the golden file."""
     scenario = load_builtin(name)
     if name in TRIAL_SCENARIOS:
         scenario = dataclasses.replace(
@@ -34,7 +35,11 @@ def _reduced_rows(name):
     elif scenario.sweep.values is None:
         scenario = dataclasses.replace(
             scenario, sweep=dataclasses.replace(scenario.sweep, points=RANGE_POINTS))
-    table = run(scenario)
+    return scenario
+
+
+def _reduced_rows(name):
+    table = run(reduced_scenario(name))
     return [[r.x, r.method, r.mean, r.std] for r in table.rows]
 
 

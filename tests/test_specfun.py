@@ -127,6 +127,21 @@ def test_bessel_array_equals_scalar_calls(order, xs, spread, two_d):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 300),
+       xs=st.lists(st.floats(12.5, 2100.0), max_size=40),
+       small=st.lists(st.floats(12.5, 40.0), max_size=4))
+def test_bessel_high_order_arrays_equal_scalar_calls(order, xs, small):
+    # up to order 300 the recurrence grows fastest at small x: those elements
+    # pass 1e250 and are rescaled while the large ones are not (at order 300
+    # the first two below rescale, the last two never), and the overflow
+    # test runs only at the steps where an element could pass it
+    x = np.array(xs + small + [12.5, 20.0, 1500.0, 2000.0])
+    got = bessel_j(order, x)
+    want = [bessel_j(order, v) for v in x.tolist()]
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # hypergeometric series
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from test_golden import reduced_scenario
 from ucabeam import analysis, arraymodel, precoding, xpcli
 from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
 from ucabeam.specfun import ConvergenceError
@@ -676,6 +677,80 @@ def test_rows_sorted_by_x_then_method():
     ]
 
 
+def _plain_csv(rows):
+    return "x,method,mean,std\n" + "".join(
+        f"{r.x!r},{r.method},{r.mean!r},{r.std!r}\n" for r in rows)
+
+
+def _plain_json(rows):
+    return json.dumps({"columns": ["x", "method", "mean", "std"],
+                       "rows": [list(r) for r in rows]}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_outputs_equal_a_plain_formatter_of_the_sorted_rows(name, tmp_path, capsys):
+    # the writers against a plain one-row-at-a-time formatter, over the rows
+    # sorted by (x, method), for every built-in at the golden test's sizes,
+    # and the row count that the CLI prints
+    scenario = reduced_scenario(name)
+    table = run(scenario)
+    rows = sorted(table.rows, key=lambda r: (r.x, r.method))
+    assert list(table.rows) == rows
+    assert table.to_csv() == _plain_csv(rows)
+    assert table.to_json() == _plain_json(rows)
+    cfg = _write(tmp_path, "reduced.json", dataclasses.asdict(scenario))
+    for fmt, plain in (("csv", _plain_csv), ("json", _plain_json)):
+        out = tmp_path / f"out.{fmt}"
+        assert main(["run", cfg, "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out == f"wrote {out} ({len(rows)} rows)\n"
+        assert out.read_text(encoding="utf-8") == plain(rows)
+
+
+# (x, number of equal sweep points) in sweep order, from 30 subcarriers of a
+# 1e-4 Hz band at 30 GHz, where the grid is finer than a double's spacing
+_DENSE_BAND = [
+    (29999999999.99995, 1), (29999999999.999954, 1), (29999999999.999958, 1),
+    (29999999999.99996, 1), (29999999999.999966, 1), (29999999999.99997, 1),
+    (29999999999.999973, 2), (29999999999.999977, 1), (29999999999.99998, 1),
+    (29999999999.999985, 1), (29999999999.99999, 1), (29999999999.999992, 1),
+    (29999999999.999996, 1), (30000000000.0, 2), (30000000000.000004, 1),
+    (30000000000.000008, 1), (30000000000.00001, 1), (30000000000.000015, 1),
+    (30000000000.00002, 1), (30000000000.000023, 1), (30000000000.000027, 2),
+    (30000000000.00003, 1), (30000000000.000034, 1), (30000000000.00004, 1),
+    (30000000000.000042, 1), (30000000000.000046, 1), (30000000000.00005, 1),
+]
+
+
+def test_equal_sweep_points_keep_their_row_order():
+    # sweep points that round to the same double are written label by label
+    # inside their run of equal x, as a stable sort of the rows by
+    # (x, method) writes them: an angle sweep over two ulps of 1.0 ...
+    scenario = load_builtin("fig3b")
+    scenario = dataclasses.replace(
+        scenario, methods=("uca_exact", "uca_closed_form"),
+        sweep=dataclasses.replace(scenario.sweep, start=1.0, stop=1.0000000000000004, points=7))
+    assert [(r.x, r.method) for r in run(scenario).rows] == [
+        (1.0, "uca_closed_form"), (1.0, "uca_closed_form"),
+        (1.0, "uca_exact"), (1.0, "uca_exact"),
+        (1.0000000000000002, "uca_closed_form"), (1.0000000000000002, "uca_closed_form"),
+        (1.0000000000000002, "uca_closed_form"), (1.0000000000000002, "uca_exact"),
+        (1.0000000000000002, "uca_exact"), (1.0000000000000002, "uca_exact"),
+        (1.0000000000000004, "uca_closed_form"), (1.0000000000000004, "uca_closed_form"),
+        (1.0000000000000004, "uca_exact"), (1.0000000000000004, "uca_exact"),
+    ]
+    # ... and the subcarriers of a band narrower than that spacing allows
+    scenario = load_builtin("fig6")
+    fc = scenario.system.fc_hz
+    scenario = dataclasses.replace(
+        scenario, methods=("ps_exact", "dpp_exact"),
+        system=dataclasses.replace(scenario.system, bandwidth_hz=1e-4),
+        sweep=dataclasses.replace(scenario.sweep, start=fc - 0.5e-4, stop=fc + 0.5e-4,
+                                  points=30))
+    assert [(r.x, r.method) for r in run(scenario).rows] == [
+        (x, method) for x, count in _DENSE_BAND for method in ("dpp_exact", "ps_exact")
+        for _ in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # running scenarios
 # ---------------------------------------------------------------------------
@@ -948,13 +1023,6 @@ def _scalar_gain(label, s, x):
     return abs(np.vdot(arraymodel.steering_ula(ula, f_eval, x), w))
 
 
-def _setup(scenario, label):
-    """The _Setup of a family of one label: its '@' frequency (bare: fc) as
-    a 1 x 1 column."""
-    return xpcli._Setup(scenario, np.array([[xpcli._split_method(label)[1]
-                                              or scenario.system.fc_hz]]))
-
-
 @pytest.mark.parametrize("n_elements", [16, 256, 1024])
 @pytest.mark.parametrize("label", ["ps_exact", "dpp_exact", "uca_exact", "uca_exact@2.85e10",
                                    "ula_exact", "ula_exact@2.85e10",
@@ -969,29 +1037,28 @@ def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
     scenario = dataclasses.replace(
         scenario, system=dataclasses.replace(scenario.system, n_elements_tx=n_elements),
         precoding=dataclasses.replace(scenario.precoding, k_ttd=k_ttd))
-    base, setup = xpcli._split_method(label)[0], _setup(scenario, label)
+    base, setup = xpcli._split_method(label)[0], xpcli._Setup(scenario, [label])
     for n in (1, 7, 9, 257):
         if base in ("ps_exact", "dpp_exact"):
             xs = np.linspace(28.5e9, 31.5e9, n)
         else:
             xs = np.linspace(-1.0, 2.5, n)
-        got = np.ravel(xpcli._METHODS[base].evaluate(setup, xs))
+        got = np.ravel(xpcli._family_values(scenario, [label], xs))
         want = [_scalar_gain(label, setup, x) for x in xs.tolist()]
         assert np.array_equal(got, want), (label, n_elements, n)
 
 
 def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
     counts = {}
-    for name in ("exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
+    for name in ("_gains", "exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
                  "dpp_gain_closed_form", "avg_gain_ps_numeric", "avg_gain_ps_upper"):
         _count_calls(monkeypatch, analysis, name, counts)
     run(_with_points(load_builtin("fig6"), 40))
     run(_with_points(load_builtin("fig7"), 40))
-    # one call per method and run: ps_exact through exact_gain, and dpp_exact,
-    # whose columns do not go through exact_gain
-    assert counts == {"exact_gain": 1, "dpp_exact_gain": 1, "dpp_gain_subarray_sum": 1,
-                      "dpp_gain_closed_form": 1, "avg_gain_ps_numeric": 1,
-                      "avg_gain_ps_upper": 1}
+    # one call per method and run, and one steering-row pass (_gains) for
+    # both on-beam methods, ps_exact and dpp_exact
+    assert counts == {"_gains": 1, "dpp_gain_subarray_sum": 1, "dpp_gain_closed_form": 1,
+                      "avg_gain_ps_numeric": 1, "avg_gain_ps_upper": 1}
 
 
 def test_frequency_columns_of_a_method_take_one_call(monkeypatch):
@@ -1032,7 +1099,7 @@ def test_batched_frequency_columns_equal_their_labels_alone(name, n_elements):
     assert sorted(cols) == sorted(scenario.methods)
     for label in scenario.methods:
         base = xpcli._split_method(label)[0]
-        alone = np.ravel(xpcli._METHODS[base].evaluate(_setup(scenario, label), xs))
+        alone = np.ravel(xpcli._METHODS[base].evaluate(xpcli._Setup(scenario, [label]), xs))
         got_x, got = cols[label]
         assert got_x == xs.tolist()
         assert np.array_equal(got, alone), (label, n_elements)
