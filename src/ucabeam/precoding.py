@@ -96,6 +96,24 @@ class DppConfig:
             )
 
 
+def _check_sizes(*, n_elements=None, n_rx=None, n_paths=None, n_rf=None, n_streams=None,
+                 k_ttds=()):
+    """Raise unless n_rf chains and n_streams streams, with each delay-unit
+    count in k_ttds (None: the fully digital bound), fit a ring of n_elements,
+    n_rx receive antennas and n_paths paths.  Needs no channel; a rule that
+    reads a size left None is skipped, so each rule can be checked alone."""
+    if None not in (n_rf, n_streams):
+        DppConfig(n_rf, 1, n_streams)
+    if None not in (n_rf, n_elements) and n_rf > n_elements:
+        raise ValueError(f"n_rf={n_rf} exceeds n_elements={n_elements}")
+    if None not in (n_rf, n_paths) and n_paths < n_rf:
+        raise ValueError(f"fewer paths than RF chains: n_paths={n_paths} < n_rf={n_rf}")
+    if None not in (n_streams, n_rx) and n_streams > n_rx:
+        raise ValueError(f"n_streams={n_streams} exceeds n_rx={n_rx}")
+    for k in sorted(set(k_ttds) - {None}):
+        _arc_size(n_elements, k)
+
+
 def _arc_size(n_elements: int, k_ttd: int) -> int:
     """P = N/K antennas per delay unit; K must be a positive divisor of N."""
     _count("k_ttd", k_ttd)
@@ -219,23 +237,14 @@ class HybridDesign:
 def _chain_directions(ch: ChannelRealization, n_rf: int) -> np.ndarray:
     """AoDs of the n_rf strongest paths of ch, strongest first: chain l
     steers toward the l-th."""
-    if n_rf > ch.tx.n_elements:
-        raise ValueError(f"n_rf={n_rf} exceeds n_elements={ch.tx.n_elements}")
-    if ch.n_paths < n_rf:
-        raise ValueError(f"fewer paths than RF chains: n_paths={ch.n_paths} < n_rf={n_rf}")
     paths = sorted(ch.paths, key=lambda p: abs(p.gain), reverse=True)[:n_rf]
     return np.array([p.aod_rad for p in paths])
 
 
 def _design(g: np.ndarray, gram: np.ndarray, n_s: int) -> HybridDesign:
     """SVD of the equivalent channels g, and the analog Gram matrices gram
-    seen by its stream directions."""
+    seen by its n_s <= min(N_r, n_rf) stream directions (_check_sizes)."""
     res = svd(g)
-    if res.sigma.shape[-1] < n_s:
-        raise ValueError(
-            f"n_streams={n_s} exceeds the equivalent-channel rank bound "
-            f"min(n_rx, n_rf)={res.sigma.shape[-1]}"
-        )
     v = np.swapaxes(res.vh[:, :n_s].conj(), -1, -2)
     radiation = np.einsum("mis,mij,mjs->ms", v.conj(), gram, v).real
     return HybridDesign(sigma=res.sigma[:, :n_s], radiation=radiation)
@@ -248,12 +257,10 @@ def build_designs(ch: ChannelRealization, n_rf: int, n_streams: int, k_ttds) -> 
     design (see the module notes); the key None is the fully digital bound,
     the n_streams largest singular values of the channel.  One pass over the
     channel, a chunk at a time: no M x N x N_r array is formed."""
-    DppConfig(n_rf, 1, n_streams)  # the sizing checks of a one-count design
     keys, grid, rank = set(k_ttds), ch.grid, min(ch.tx.n_elements, ch.rx.n_elements)
+    _check_sizes(n_elements=ch.tx.n_elements, n_rx=ch.rx.n_elements, n_paths=ch.n_paths,
+                 n_rf=n_rf, n_streams=n_streams, k_ttds=keys)  # before any synthesis
     ks, passes = sorted(keys - {None}), {}
-    if None in keys and rank < n_streams:
-        raise ValueError(f"n_streams={n_streams} exceeds the channel rank bound "
-                         f"min(n_elements, n_rx)={rank}")
     if ks:
         phi = _chain_directions(ch, n_rf)
         stages = [_chain_phases(ch.tx, grid.fc_hz, phi[:, None], k) if k != 1

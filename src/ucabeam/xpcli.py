@@ -41,7 +41,7 @@ from .arraymodel import (
     steering_ula,
     steering_uca,
 )
-from .precoding import build_designs
+from .precoding import DppConfig, _arc_size, _check_sizes, build_designs
 
 __all__ = [
     "ScenarioError",
@@ -157,9 +157,10 @@ def _build_section(cls, data, section, diags):
         return None
 
 
-def scenario_from_dict(data: dict) -> Scenario:
+def scenario_from_dict(data: dict, seed=None, points=None) -> Scenario:
     """Build a Scenario from parsed JSON, collecting every structural
-    problem into a single ScenarioError."""
+    problem into a single ScenarioError; seed and points, when given,
+    replace trials.base_seed and sweep.points before validation."""
     if not isinstance(data, dict):
         raise ScenarioError([f"scenario: expected a JSON object, got {type(data).__name__}"])
     known = {f.name for f in dataclasses.fields(Scenario)}
@@ -188,6 +189,10 @@ def scenario_from_dict(data: dict) -> Scenario:
         # a field has the wrong type or a section failed to build at all;
         # invariants cannot be checked
         raise ScenarioError(diags + mistyped)
+    if seed is not None:
+        trials = dataclasses.replace(trials, base_seed=seed)
+    if points is not None:
+        sweep = dataclasses.replace(sweep, points=points)
     scenario = Scenario(
         name=name, description=description, system=system, precoding=precoding,
         sweep=sweep, trials=trials, methods=tuple(methods), output=output,
@@ -252,10 +257,10 @@ def validate_scenario(scenario: Scenario) -> list:
     def ok(*names):
         return bad.isdisjoint(names)
 
-    def passes(where, check, *args):
+    def passes(where, check, *args, **kwargs):
         # a library check: its ValueError becomes the diagnostic at where
         try:
-            check(*args)
+            check(*args, **kwargs)
         except ValueError as exc:
             diags.append(f"{where}: {exc}")
             return False
@@ -281,22 +286,14 @@ def validate_scenario(scenario: Scenario) -> list:
                          f"finite positive number, got snr_db={snr_db!r} ({where}) and "
                          f"total_power={pc.total_power!r}")
 
-    def check_divisor(where, k_ttd):
-        if ok("n_elements_tx") and not (isinstance(k_ttd, int) and k_ttd >= 1
-                                        and sy.n_elements_tx % k_ttd == 0):
-            diags.append(f"{where}: {k_ttd!r} does not divide n_elements_tx="
-                         f"{sy.n_elements_tx}; each delay unit must drive an integer "
-                         f"number of antennas (P = N/K)")
-
     if ok("n_elements_tx", "fc_hz", "radius_m"):
         passes("system.n_elements_tx", _tx_uca, sy)
     if ok("bandwidth_hz"):
         check_band("system.bandwidth_hz", sy.bandwidth_hz)
-    if ok("n_rf", "n_streams") and pc.n_streams > pc.n_rf:
-        diags.append(f"precoding.n_streams: must not exceed n_rf, got "
-                     f"{pc.n_streams} > {pc.n_rf}")
-    if ok("k_ttd"):
-        check_divisor("precoding.k_ttd", pc.k_ttd)
+    if ok("n_rf", "n_streams"):
+        passes("precoding.n_streams", DppConfig, pc.n_rf, 1, pc.n_streams)
+    if ok("k_ttd", "n_elements_tx"):
+        passes("precoding.k_ttd", _arc_size, sy.n_elements_tx, pc.k_ttd)
 
     if sw.variable not in SWEEP_VARIABLES:
         diags.append(f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}")
@@ -333,9 +330,9 @@ def validate_scenario(scenario: Scenario) -> list:
     if sw.variable == "snr_db":
         for where, x in ends:
             check_snr(where, x)
-    elif sw.variable == "k_ttd":
+    elif sw.variable == "k_ttd" and ok("n_elements_tx"):
         for where, x in ends:
-            check_divisor(where, x)
+            passes(where, _arc_size, sy.n_elements_tx, x)
     elif sw.variable == "bandwidth" and ends:
         if passes(ends[0][0], _check_positive, "bandwidth", ends[0][1]):
             check_band(*ends[-1])
@@ -378,20 +375,19 @@ def validate_scenario(scenario: Scenario) -> list:
             continue
         if freq is not None and sw.variable != "angle":
             diags.append(f"methods: {label!r}: '@frequency' suffixes apply only to angle sweeps")
-        elif freq is not None and not (math.isfinite(freq) and freq > 0):
-            diags.append(f"methods: {label!r}: suffix must be a positive frequency in Hz")
+        elif freq is not None:
+            passes(f"methods: {label!r}", _check_positive, "f_hz", freq)
         has_trial = has_trial or _METHODS[base].stage is not None
     if has_trial and sw.variable != "snr_db" and ok("snr_db"):  # the SNR the runner reads
         check_snr("trials.snr_db", tr.snr_db)
-    if has_trial and ok("n_rf", "n_paths") and tr.n_paths < pc.n_rf:
-        diags.append(f"trials.n_paths: {tr.n_paths} is fewer than precoding.n_rf="
-                     f"{pc.n_rf}; every RF chain needs a path to serve")
-    if has_trial and ok("n_streams", "n_elements_rx") and pc.n_streams > sy.n_elements_rx:
-        diags.append(f"precoding.n_streams: {pc.n_streams} exceeds system.n_elements_rx="
-                     f"{sy.n_elements_rx}; each stream needs a receive antenna")
-    if has_trial and ok("n_rf", "n_elements_tx") and pc.n_rf > sy.n_elements_tx:
-        diags.append(f"precoding.n_rf: {pc.n_rf} exceeds system.n_elements_tx="
-                     f"{sy.n_elements_tx}; each RF chain needs its own antenna")
+    # the sizes build_designs checks, one rule at a time
+    if has_trial and ok("n_rf", "n_paths"):
+        passes("trials.n_paths", _check_sizes, n_rf=pc.n_rf, n_paths=tr.n_paths)
+    if has_trial and ok("n_streams", "n_elements_rx"):
+        passes("precoding.n_streams", _check_sizes, n_streams=pc.n_streams,
+               n_rx=sy.n_elements_rx)
+    if has_trial and ok("n_rf", "n_elements_tx"):
+        passes("precoding.n_rf", _check_sizes, n_rf=pc.n_rf, n_elements=sy.n_elements_tx)
     return diags
 
 
@@ -402,34 +398,32 @@ def builtin_names() -> tuple:
 
 def load_builtin(name: str) -> Scenario:
     if name in _BUILTINS:
-        text = (
-            importlib.resources.files("ucabeam")
-            .joinpath(f"scenarios/{name}.json")
-            .read_text(encoding="utf-8")
-        )
-        return scenario_from_dict(json.loads(text))
+        return load_scenario(name)
     raise ScenarioError(
         [f"unknown scenario {name!r}; built-ins: {', '.join(builtin_names())}"]
     )
 
 
-def load_scenario(source: str) -> Scenario:
-    """Resolve a built-in name or a JSON config path."""
+def load_scenario(source: str, seed=None, points=None) -> Scenario:
+    """Resolve a built-in name or a JSON config path; seed and points, when
+    given, replace trials.base_seed and sweep.points before validation."""
     if source in builtin_names():
-        return load_builtin(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ScenarioError(
-            [f"{source!r} is neither a built-in scenario nor a readable file; "
-             f"built-ins: {', '.join(builtin_names())}"]
-        ) from None
+        text = (importlib.resources.files("ucabeam").joinpath(f"scenarios/{source}.json")
+                .read_text(encoding="utf-8"))
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ScenarioError(
+                [f"{source!r} is neither a built-in scenario nor a readable file; "
+                 f"built-ins: {', '.join(builtin_names())}"]
+            ) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"{source}: invalid JSON: {exc}"]) from None
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, seed, points)
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +667,7 @@ _BUILTINS = ("fig2", "fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8", "fig9", "
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    # overrides replace their fields and are validated with the rest by run
-    if args.seed is not None:
-        scenario = dataclasses.replace(
-            scenario, trials=dataclasses.replace(scenario.trials, base_seed=args.seed))
-    if args.points is not None:
-        scenario = dataclasses.replace(
-            scenario, sweep=dataclasses.replace(scenario.sweep, points=args.points))
+    scenario = load_scenario(args.scenario, args.seed, args.points)
     table = run(scenario)
     text = table.to_csv() if args.format == "csv" else table.to_json()
     out_path = args.out if args.out is not None else scenario.output

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dense_analog import analog, precoder_stage
-from ucabeam import analysis
+from ucabeam import analysis, precoding
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
@@ -290,6 +290,27 @@ def test_build_designs_checks_the_sizing(n_rf, n_streams, k_ttds, match):
         build_designs(ch, n_rf, n_streams, k_ttds)
 
 
+@pytest.mark.parametrize("n_tx, n_rf, n_streams, k_ttds, match", [
+    (4, 2, 2, (1, 4, None), "n_streams=2 exceeds n_rx=1"),
+    (1, 2, 1, (None,), "n_rf=2 exceeds n_elements=1"),
+    (4, 4, 1, (1, 2), "fewer paths than RF chains: n_paths=3 < n_rf=4"),
+    (3, 1, 1, (1, 2), "k_ttd=2 must divide n_elements=3"),
+])
+def test_build_designs_checks_the_sizes_before_any_synthesis(monkeypatch, n_tx, n_rf,
+                                                               n_streams, k_ttds, match):
+    # a design that cannot fit the channel fails before its first chunk is
+    # synthesized, not after the pass and its SVDs
+    ch = generate_channel(UcaGeometry(n_tx, 0.01), UlaGeometry(1, C / 30e9 / 2.0), _grid(40),
+                          3, 0)
+
+    def synthesize(*args):
+        pytest.fail("a chunk of the channel was synthesized")
+
+    monkeypatch.setattr(precoding, "channel_matrix", synthesize)
+    with pytest.raises(ValueError, match=match):
+        build_designs(ch, n_rf, n_streams, k_ttds)
+
+
 def test_single_delay_unit_keeps_center_beam():
     # K=1 applies one common phase per subcarrier: the analog column stays
     # the center-frequency steering vector up to a global rotation
@@ -431,7 +452,7 @@ def test_stream_count_limited_by_rank_bound():
         PathParams(1.0 + 0j, i * 1e-9, 0.5 + i, 0.1 * i - 0.2) for i in range(5)
     )
     ch = ChannelRealization(paths=paths, tx=GEOM, rx=RX, grid=grid)
-    with pytest.raises(ValueError, match="rank bound"):
+    with pytest.raises(ValueError, match="n_streams=5 exceeds n_rx=4"):
         build_dpp(ch, DppConfig(5, 8, 5))
 
 
@@ -595,7 +616,9 @@ def test_fully_digital_design_rates_as_the_bound_bit_for_bit(n_tx, n_rx):
         design = build_designs(ch, k, k, keys)[None]
         assert design.radiation is None and design.sigma.shape == (21, k)
         assert np.array_equal(analysis.spectrum_efficiency(design, rho), bound)
-    with pytest.raises(ValueError, match="rank bound"):
+    broken = (f"n_rf={k + 1} exceeds n_elements={n_tx}" if k == n_tx
+              else f"n_streams={k + 1} exceeds n_rx={n_rx}")
+    with pytest.raises(ValueError, match=broken):
         build_designs(ch, k + 1, k + 1, (None,))
     ch = generate_channel(tx, UlaGeometry(n_rx, C / 30e9 / 2.0), _grid(21), 5, n_tx)
     assert build_designs(ch, k, k, ()) == {} and "_tables" not in ch.__dict__  # no pass

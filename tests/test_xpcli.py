@@ -101,7 +101,7 @@ def test_invalid_json_is_config_error(tmp_path):
 def test_divisibility_diagnostic():
     data = _small_trial_scenario()
     data["precoding"]["k_ttd"] = 7
-    with pytest.raises(ScenarioError, match="does not divide"):
+    with pytest.raises(ScenarioError, match="precoding.k_ttd: k_ttd=7 must divide n_elements=16"):
         scenario_from_dict(data)
 
 
@@ -133,8 +133,7 @@ def test_empty_frequency_suffix_is_a_config_error(tmp_path, capsys):
     data["methods"] = ["uca_exact@"]
     cfg = _write(tmp_path, "empty_suffix.json", data)
     assert main(["validate", cfg]) == 2
-    assert "methods: 'uca_exact@': suffix must be a positive frequency in Hz" in (
-        capsys.readouterr().err)
+    assert "methods: 'uca_exact@': f_hz must be positive, got nan" in capsys.readouterr().err
     data = _small_trial_scenario()
     data["methods"] = ["dpp@"]
     with pytest.raises(ScenarioError, match="'dpp@': '@frequency' suffixes apply only"):
@@ -153,7 +152,7 @@ def test_all_diagnostics_collected_at_once():
     text = "\n".join(info.value.diagnostics)
     assert len(info.value.diagnostics) >= 5
     assert "name: must be non-empty" in text
-    assert "does not divide" in text
+    assert "precoding.k_ttd: k_ttd=7 must divide n_elements=16" in text
     assert "n_streams" in text
     assert "start < stop" in text
     assert "not valid for" in text
@@ -178,7 +177,7 @@ def test_values_sweep_validation():
     with pytest.raises(ScenarioError, match="strictly increasing"):
         scenario_from_dict(data)
     data["sweep"] = {"variable": "k_ttd", "values": [2, 3]}
-    with pytest.raises(ScenarioError, match="does not divide"):
+    with pytest.raises(ScenarioError, match="sweep.values: k_ttd=3 must divide n_elements=16"):
         scenario_from_dict(data)
 
 
@@ -576,7 +575,39 @@ def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
     data["trials"]["n_paths"] = 4
     cfg = _write(tmp_path, "streams.json", data)
     assert main(["validate", cfg]) == 2
-    assert "precoding.n_streams: 4 exceeds system.n_elements_rx=2" in capsys.readouterr().err
+    assert "precoding.n_streams: n_streams=4 exceeds n_rx=2" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_tx=st.sampled_from([1, 2, 3, 4, 6, 8, 12]), n_rx=st.integers(1, 4),
+       n_paths=st.integers(1, 4), n_rf=st.integers(1, 5), n_streams=st.integers(1, 5),
+       ks=st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=1, max_size=3, unique=True))
+def test_validate_accepts_exactly_the_sizes_build_designs_accepts(
+        n_tx, n_rx, n_paths, n_rf, n_streams, ks):
+    # one delay-unit count or a sweep of them: the scenario validates exactly
+    # when the runner's build_designs call on a channel of its sizes raises
+    # no ValueError, and a rejected call's message is one of the diagnostics
+    data = _small_trial_scenario()
+    data["system"].update(n_elements_tx=n_tx, n_elements_rx=n_rx, radius_m=0.01)
+    data["precoding"].update(n_rf=n_rf, n_streams=n_streams, k_ttd=ks[0] if len(ks) == 1 else 1)
+    data["trials"]["n_paths"] = n_paths
+    data["methods"] = ["classic", "dpp", "optimal"]
+    if len(ks) > 1:
+        data["sweep"] = {"variable": "k_ttd", "values": sorted(ks)}
+    try:
+        scenario_from_dict(data)
+        diags = []
+    except ScenarioError as exc:
+        diags = exc.diagnostics
+    ch = arraymodel.generate_channel(arraymodel.UcaGeometry(n_tx, 0.01),
+                                     arraymodel.UlaGeometry(n_rx, 0.005),
+                                     arraymodel.FrequencyGrid(FC, 1e9, 5), n_paths, 0)
+    try:
+        precoding.build_designs(ch, n_rf, n_streams, {1, None, *ks})
+    except ValueError as exc:
+        assert any(d.endswith(f": {exc}") for d in diags), (str(exc), diags)
+    else:
+        assert diags == []
 
 
 @pytest.mark.parametrize("method", ["classic", "ps_exact"])
@@ -604,7 +635,7 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
     data["trials"]["n_paths"] = 4
     cfg = _write(tmp_path, "chains.json", data)
     assert main(["validate", cfg]) == 2
-    assert "precoding.n_rf: 4 exceeds system.n_elements_tx=2" in capsys.readouterr().err
+    assert "precoding.n_rf: n_rf=4 exceeds n_elements=2" in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -902,6 +933,37 @@ def test_cli_overrides_are_validated_like_fields(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_cli_overrides_replace_an_invalid_value_in_the_file(tmp_path, capsys):
+    # --points and --seed replace their fields before the file is validated:
+    # a value out of range in the file is not reported when an option gives
+    # a valid one, and an invalid option value still exits 2 naming the field
+    data = _builtin_data("fig5")
+    data["sweep"]["points"] = 1
+    cfg = _write(tmp_path, "one_point.json", data)
+    assert main(["validate", cfg]) == 2
+    capsys.readouterr()
+    assert main(["run", cfg, "--points", "11", "--out", "-"]) == 0
+    assert main(["run", "fig5", "--points", "11", "--out", "-"]) == 0
+    ran, builtin = capsys.readouterr().out.split("x,method,mean,std\n")[1:]
+    assert ran == builtin and len(_csv_rows("x,method,mean,std\n" + ran)) == 22
+    assert main(["run", cfg, "--points", "1", "--out", "-"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep.points: must be an integer >= 2, got 1\n")
+
+    data = _small_trial_scenario()
+    data["trials"]["base_seed"] = -1
+    cfg = _write(tmp_path, "negative_seed.json", data)
+    data["trials"]["base_seed"] = 7
+    seven = _write(tmp_path, "seed_seven.json", data)
+    assert main(["run", cfg, "--seed", "7", "--out", "-"]) == 0
+    assert main(["run", seven, "--out", "-"]) == 0
+    ran, file_seed = capsys.readouterr().out.split("x,method,mean,std\n")[1:]
+    assert ran == file_seed
+    assert main(["run", cfg, "--seed", "-2", "--out", "-"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: trials.base_seed: must be an integer >= 0, got -2\n")
+
+
 def test_cli_exit_code_for_io_errors(tmp_path):
     assert main(["run", "fig5", "--points", "2",
                  "--out", str(tmp_path / "missing" / "dir" / "x.csv")]) == 2
@@ -1115,7 +1177,7 @@ def test_cli_validate_ok_and_failing(tmp_path, capsys):
     data["precoding"]["k_ttd"] = 7
     bad = _write(tmp_path, "bad.json", data)
     assert main(["validate", bad]) == 2
-    assert "does not divide" in capsys.readouterr().err
+    assert "precoding.k_ttd: k_ttd=7 must divide n_elements=16" in capsys.readouterr().err
 
 
 def test_cli_validate_empty_file(tmp_path, capsys):
