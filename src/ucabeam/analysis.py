@@ -42,7 +42,6 @@ the sweep would reorder the sums).
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -331,22 +330,6 @@ def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):
 _GAIN_FLOOR = 1e-30
 
 
-@contextlib.contextmanager
-def _overflow_at_snr(rho):
-    """A floating-point overflow in the block, where gains are scaled by the
-    SNRs rho, raises ArithmeticError naming the largest of them; so does an
-    overflow error of an inner block."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except ArithmeticError as exc:
-        if not isinstance(exc.__cause__ or exc, FloatingPointError):
-            raise
-        r = float(np.max(rho))
-        raise ArithmeticError(f"SNR-scaled gains overflow at SNRs up to rho={r:g} "
-                              f"({10.0 * math.log10(r):.6g} dB)") from exc
-
-
 def spectrum_efficiency(design: HybridDesign, rho):
     """Per-subcarrier rates of the precoder a design gives at SNR rho (per
     unit noise and transmit power: the runner rates a budget P at rho*P),
@@ -370,15 +353,20 @@ def spectrum_efficiency(design: HybridDesign, rho):
     if r.ndim > 1:
         raise ValueError(f"rho must be a scalar or a 1-D array, got shape {r.shape}")
     r = np.reshape(r, r.shape + (1,) * sigma.ndim)
-    with _overflow_at_snr(r):
-        gains = np.maximum(r * sigma ** 2 / sigma.shape[-1], _GAIN_FLOOR)
-        powers = water_filling(gains, 1.0)
-        if radiation is not None:
-            radiated = np.sum(powers * radiation, axis=-1, keepdims=True)
-            if np.any(radiated <= 0.0):
-                raise ValueError("combined precoder has zero power; degenerate channel")
-            powers = powers * (1.0 / radiated)
-        se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
+    try:  # an overflow where the gains are scaled by rho names the largest SNR
+        with np.errstate(over="raise"):
+            gains = np.maximum(r * sigma ** 2 / sigma.shape[-1], _GAIN_FLOOR)
+            powers = water_filling(gains, 1.0)
+            if radiation is not None:
+                radiated = np.sum(powers * radiation, axis=-1, keepdims=True)
+                if np.any(radiated <= 0.0):
+                    raise ValueError("combined precoder has zero power; degenerate channel")
+                powers = powers * (1.0 / radiated)
+            se = np.sum(np.log2(1.0 + powers * gains), axis=-1)
+    except FloatingPointError as exc:
+        top = float(np.max(r))
+        raise ArithmeticError(f"SNR-scaled gains overflow at SNRs up to rho={top:g} "
+                              f"({10.0 * math.log10(top):.6g} dB)") from exc
     return float(se) if se.ndim == 0 else se
 
 

@@ -47,16 +47,20 @@ class SvdResult:
     vh: np.ndarray
 
 
+def _lapack(routine, name: str, a: np.ndarray, **kwargs):
+    """routine(a, **kwargs), a numpy.linalg call; its LinAlgError is raised as
+    an SvdError naming the routine and the matrix shape."""
+    try:
+        return routine(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise SvdError(f"{name} did not converge for {a.shape[-2]}x{a.shape[-1]} matrix") from exc
+
+
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a complex matrix, or of each
     matrix of a stack (leading axes)."""
     a = _as_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise SvdError(
-            f"SVD did not converge for {a.shape[-2]}x{a.shape[-1]} matrix"
-        ) from exc
+    u, s, vh = _lapack(np.linalg.svd, "SVD", a, full_matrices=False)
     return SvdResult(u=u, sigma=s, vh=vh)
 
 

@@ -65,7 +65,7 @@ from .arraymodel import (
     channel_matrix,
     steering_uca,
 )
-from .cxlinalg import svd
+from .cxlinalg import _lapack, svd
 
 __all__ = [
     "DppConfig",
@@ -205,9 +205,9 @@ def _bound(n_sub: int, k: int):
 
     def feed(sl: slice, h_t: np.ndarray):
         tall = h_t if h_t.shape[-2] > h_t.shape[-1] else h_t.swapaxes(-1, -2)
-        r_factors[sl] = np.linalg.qr(tall, mode="r")
+        r_factors[sl] = _lapack(np.linalg.qr, "QR", tall, mode="r")
 
-    return feed, lambda: np.linalg.svd(r_factors, compute_uv=False)
+    return feed, lambda: _lapack(np.linalg.svd, "SVD", r_factors, compute_uv=False)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,6 @@ __all__ = [
     "main",
 ]
 
-SWEEP_VARIABLES = ("frequency", "angle", "argument", "snr_db", "k_ttd", "bandwidth")
-
-
 class ScenarioError(ValueError):
     """Invalid scenario configuration; carries every diagnostic found."""
 
@@ -247,7 +244,8 @@ def _field_diagnostics(scenario: Scenario):
 
 def validate_scenario(scenario: Scenario) -> list:
     """All invariant violations as human-readable diagnostics (empty = valid).
-    The rules that relate fields read only the fields that passed their own."""
+    The rules that relate fields read only the fields that passed their own;
+    a field that the sweep replaces is checked on the sweep's points instead."""
     sy, pc, sw, tr = scenario.system, scenario.precoding, scenario.sweep, scenario.trials
     diags = [f"{key}: must be non-empty" for key in ("name", "output")
              if not getattr(scenario, key)]
@@ -272,36 +270,17 @@ def validate_scenario(scenario: Scenario) -> list:
         if ok("fc_hz", "n_subcarriers"):
             passes(where, FrequencyGrid, sy.fc_hz, bandwidth, n_points)
 
-    def check_snr(where, snr_db):
-        # the runner rates at rho*P, rho = 10^(snr_db/10): both finite positive floats
-        try:
-            rho = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            rho = math.inf
-        if not (math.isfinite(rho) and rho > 0.0):
-            diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
-                         f"got snr_db={snr_db!r}")
-        elif ok("total_power") and not 0.0 < rho * pc.total_power < math.inf:
-            diags.append(f"precoding.total_power: 10^(snr_db/10) * total_power must be a "
-                         f"finite positive number, got snr_db={snr_db!r} ({where}) and "
-                         f"total_power={pc.total_power!r}")
-
     if ok("n_elements_tx", "fc_hz", "radius_m"):
         passes("system.n_elements_tx", _tx_uca, sy)
-    if ok("bandwidth_hz"):
-        check_band("system.bandwidth_hz", sy.bandwidth_hz)
     if ok("n_rf", "n_streams"):
         passes("precoding.n_streams", DppConfig, pc.n_rf, 1, pc.n_streams)
-    if ok("k_ttd", "n_elements_tx"):
-        passes("precoding.k_ttd", _arc_size, sy.n_elements_tx, pc.k_ttd)
 
-    if sw.variable not in SWEEP_VARIABLES:
-        diags.append(f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}")
-        return diags
     # the sweep's point rules run once: on every listed value, or on the two
     # ends of a range (each rule is monotone along the sweep)
-    ends, widest = [], 0.0
-    if sw.values is not None:
+    ends = []
+    if sw.variable not in SWEEP_VARIABLES:
+        diags.append(f"sweep.variable: {sw.variable!r} is not one of {SWEEP_VARIABLES}")
+    elif sw.values is not None:
         if ok("points") and sw.points != SweepConfig.points:
             diags.append(f"sweep.points: a sweep with an explicit 'values' list takes "
                          f"no 'points' (or --points), got {sw.points!r}")
@@ -327,17 +306,26 @@ def validate_scenario(scenario: Scenario) -> list:
         else:
             diags.append(f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
                          f"non-degenerate (start < stop)")
-    if sw.variable == "snr_db":
-        for where, x in ends:
-            check_snr(where, x)
-    elif sw.variable == "k_ttd" and ok("n_elements_tx"):
-        for where, x in ends:
-            passes(where, _arc_size, sy.n_elements_tx, x)
-    elif sw.variable == "bandwidth" and ends:
-        if passes(ends[0][0], _check_positive, "bandwidth", ends[0][1]):
-            check_band(*ends[-1])
-            widest = ends[-1][1]
-    elif sw.variable == "frequency" and ends and ok("fc_hz", "bandwidth_hz"):
+
+    def taken(where, variable, read=True):
+        # the values the run takes of a field that a sweep can replace: the
+        # sweep's checked points if it does, else the field where it is read
+        if sw.variable == variable:
+            return ends
+        section, name = where.split(".")
+        return [(where, getattr(getattr(scenario, section), name))] if read and ok(name) else []
+
+    if ok("n_elements_tx"):
+        for where, k in taken("precoding.k_ttd", "k_ttd"):
+            passes(where, _arc_size, sy.n_elements_tx, k)
+    # the narrowest band must be positive, the widest keep its grid above 0 Hz
+    bands, widest = taken("system.bandwidth_hz", "bandwidth"), None
+    if bands and passes(bands[0][0], _check_positive, "bandwidth", bands[0][1]):
+        check_band(*bands[-1])
+        widest = bands[-1][1]
+    if sw.variable not in SWEEP_VARIABLES:
+        return diags
+    if sw.variable == "frequency" and ends and ok("fc_hz", "bandwidth_hz"):
         # the runner samples the subcarrier grid of the system band
         lo, hi = sy.fc_hz - sy.bandwidth_hz / 2.0, sy.fc_hz + sy.bandwidth_hz / 2.0
         if not (math.isclose(sw.start, lo, rel_tol=1e-9)
@@ -349,9 +337,9 @@ def validate_scenario(scenario: Scenario) -> list:
             check_band("sweep.points", sy.bandwidth_hz, sw.points)
 
     # the model's phases 2*pi*R*f/c (ring) and 2*pi*tau*f (path delays), taken
-    # in its order at the top frequency of the band or of a bandwidth sweep
-    if ok("fc_hz", "bandwidth_hz"):
-        f_top = sy.fc_hz + max(sy.bandwidth_hz, widest) / 2.0
+    # in its order at the top frequency of the widest band the run takes
+    if widest is not None and ok("fc_hz"):
+        f_top = sy.fc_hz + widest / 2.0
         if (sy.radius_m is not None and ok("radius_m")
                 and not math.isfinite(2.0 * math.pi * sy.radius_m * f_top / SPEED_OF_LIGHT)):
             diags.append(f"system.radius_m: the phase 2*pi*R*f/c at f={f_top!r} Hz "
@@ -378,8 +366,19 @@ def validate_scenario(scenario: Scenario) -> list:
         elif freq is not None:
             passes(f"methods: {label!r}", _check_positive, "f_hz", freq)
         has_trial = has_trial or _METHODS[base].stage is not None
-    if has_trial and sw.variable != "snr_db" and ok("snr_db"):  # the SNR the runner reads
-        check_snr("trials.snr_db", tr.snr_db)
+    for where, snr_db in taken("trials.snr_db", "snr_db", read=has_trial):
+        # the runner rates at rho*P, rho = 10^(snr_db/10): both finite positive floats
+        try:
+            rho = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            rho = math.inf
+        if not (math.isfinite(rho) and rho > 0.0):
+            diags.append(f"{where}: 10^(snr_db/10) must be a finite positive number, "
+                         f"got snr_db={snr_db!r}")
+        elif ok("total_power") and not 0.0 < rho * pc.total_power < math.inf:
+            diags.append(f"precoding.total_power: 10^(snr_db/10) * total_power must be a "
+                         f"finite positive number, got snr_db={snr_db!r} ({where}) and "
+                         f"total_power={pc.total_power!r}")
     # the sizes build_designs checks, one rule at a time
     if has_trial and ok("n_rf", "n_paths"):
         passes("trials.n_paths", _check_sizes, n_rf=pc.n_rf, n_paths=tr.n_paths)
@@ -590,7 +589,10 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
             for label, j in itertools.product(labels, js):
                 key = (label, _METHODS[_split_method(label)[0]].stage(ks[j]))
                 points.setdefault(key, {}).setdefault(rhos[j], []).append(j)
-            designs = build_designs(ch, pc.n_rf, pc.n_streams, {k for _, k in points})
+            try:
+                designs = build_designs(ch, pc.n_rf, pc.n_streams, {k for _, k in points})
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"{exc}; seed {seed}") from exc
             for (label, key), at_rho in points.items():
                 try:
                     rates = _METHODS[_split_method(label)[0]].evaluate(
@@ -652,6 +654,7 @@ _METHODS = {
     "dpp": _Method(_SE, _design_rates, stage=lambda k_ttd: k_ttd),
     "optimal": _Method(_SE, _design_rates, stage=lambda k_ttd: None),
 }
+SWEEP_VARIABLES = tuple(dict.fromkeys(v for m in _METHODS.values() for v in m.variables))
 
 
 # ---------------------------------------------------------------------------

@@ -802,6 +802,13 @@ def test_rates_that_overflow_raise_naming_the_snr():
             an.spectrum_efficiency(HybridDesign(np.ones((1, 1)), np.full((1, 1), 0.5)), 1e308)
 
 
+def test_design_that_radiates_no_power_is_rejected():
+    # a hybrid design whose streams radiate nothing cannot be rescaled to
+    # unit radiated power
+    with pytest.raises(ValueError, match="combined precoder has zero power"):
+        an.spectrum_efficiency(HybridDesign(np.ones((2, 1)), np.zeros((2, 1))), 10.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        lead=st.lists(st.integers(1, 19), max_size=2), rows=st.integers(1, 40),

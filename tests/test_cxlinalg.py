@@ -78,6 +78,17 @@ def test_svd_error_is_arithmetic():
     assert issubclass(SvdError, ArithmeticError)
 
 
+def test_svd_that_does_not_converge_raises_svd_error(monkeypatch):
+    # LAPACK's failure becomes an SvdError naming the matrix shape, chained
+    # from numpy's LinAlgError
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(SvdError, match="SVD did not converge for 3x2 matrix") as info:
+        svd(np.ones((4, 3, 2)))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 # ---------------------------------------------------------------------------
 # block_diag
 # ---------------------------------------------------------------------------

@@ -340,14 +340,13 @@ def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
     data["sweep"] = {"variable": "bandwidth", "values": [1e9, 70e9]}
     with pytest.raises(ScenarioError, match="sweep.values: grid extends"):
         scenario_from_dict(data)
+    # the sweep replaces system.bandwidth_hz, so a field that would reach 0 Hz
+    # is never read: the run equals the one with a field inside the sweep
     data["sweep"] = {"variable": "bandwidth", "start": 1e9, "stop": 60e9, "points": 3}
     data["system"]["bandwidth_hz"] = 70e9
-    with pytest.raises(ScenarioError) as err:
-        scenario_from_dict(data)
-    assert err.value.diagnostics == ["system.bandwidth_hz: grid extends to non-positive "
-                                     "frequencies: fc=30000000000.0, B=70000000000.0"]
+    wide = run(scenario_from_dict(data))
     data["system"]["bandwidth_hz"] = 60e9
-    scenario_from_dict(data)
+    assert run(scenario_from_dict(data)) == wide
     # a frequency sweep samples the system band with its own point count
     data["system"]["bandwidth_hz"] = 61e9
     data["sweep"] = {"variable": "frequency", "start": FC - 30.5e9, "stop": FC + 30.5e9,
@@ -360,6 +359,40 @@ def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
 def _builtin_data(name):
     return json.loads((importlib.resources.files("ucabeam") / "scenarios" / f"{name}.json")
                       .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name, section, key, system, sweep", [
+    # the default k_ttd = 8 divides no ring of 6, but each swept count does
+    ("fig9", "precoding", "k_ttd", {"n_elements_tx": 6},
+     {"variable": "k_ttd", "values": [1, 2, 3, 6]}),
+    # at 1 GHz the default 3 GHz band reaches 0 Hz, but each swept band stays above
+    ("fig10", "system", "bandwidth_hz", {"fc_hz": 1e9},
+     {"variable": "bandwidth", "start": 0.1e9, "stop": 1.5e9, "points": 3}),
+], ids=["k_ttd", "bandwidth"])
+def test_a_field_that_the_sweep_replaces_is_not_checked(tmp_path, capsys, name, section, key,
+                                                        system, sweep):
+    # the file leaves the field at its default, which the run never reads:
+    # the config validates and runs
+    data = _builtin_data(name)
+    del data[section][key]
+    data["system"].update(system, n_subcarriers=8)
+    data["sweep"] = sweep
+    data["trials"]["n_seeds"] = 2
+    cfg = _write(tmp_path, "replaced.json", data)
+    assert main(["validate", cfg]) == 0
+    assert main(["run", cfg, "--out", "-"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_k_ttd_sweep_rows_do_not_depend_on_the_replaced_field():
+    # 7 divides no ring of 16, but a k_ttd sweep never reads precoding.k_ttd
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4, 8, 16]}
+    tables = []
+    for k_ttd in (4, 7):
+        data["precoding"]["k_ttd"] = k_ttd
+        tables.append(run(scenario_from_dict(data)))
+    assert tables[0] == tables[1]
 
 
 def test_snr_sweep_whose_rho_underflows_is_a_config_error(tmp_path, capsys):
@@ -579,6 +612,7 @@ def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@example(n_tx=6, n_rx=4, n_paths=1, n_rf=1, n_streams=1, ks=[1, 2, 3, 6])
 @given(n_tx=st.sampled_from([1, 2, 3, 4, 6, 8, 12]), n_rx=st.integers(1, 4),
        n_paths=st.integers(1, 4), n_rf=st.integers(1, 5), n_streams=st.integers(1, 5),
        ks=st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), min_size=1, max_size=3, unique=True))
@@ -589,11 +623,13 @@ def test_validate_accepts_exactly_the_sizes_build_designs_accepts(
     # no ValueError, and a rejected call's message is one of the diagnostics
     data = _small_trial_scenario()
     data["system"].update(n_elements_tx=n_tx, n_elements_rx=n_rx, radius_m=0.01)
-    data["precoding"].update(n_rf=n_rf, n_streams=n_streams, k_ttd=ks[0] if len(ks) == 1 else 1)
+    data["precoding"].update(n_rf=n_rf, n_streams=n_streams)
     data["trials"]["n_paths"] = n_paths
     data["methods"] = ["classic", "dpp", "optimal"]
-    if len(ks) > 1:
+    if len(ks) > 1:  # the sweep replaces the file's k_ttd = 4
         data["sweep"] = {"variable": "k_ttd", "values": sorted(ks)}
+    else:
+        data["precoding"]["k_ttd"] = ks[0]
     try:
         scenario_from_dict(data)
         diags = []
@@ -996,6 +1032,42 @@ def test_cli_exit_code_for_memory_error(tmp_path, capsys, monkeypatch, message, 
     assert shown in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [ValueError("rates of a bad design"), KeyError("design")])
+def test_cli_exit_code_for_a_value_or_lookup_error(tmp_path, capsys, monkeypatch, error):
+    # a library ValueError or LookupError that no rule foresaw is a config error
+    def fail(*args):
+        raise error
+    monkeypatch.setitem(xpcli._METHODS, "dpp",
+                        dataclasses.replace(xpcli._METHODS["dpp"], evaluate=fail))
+    cfg = _write(tmp_path, "mini.json", _small_trial_scenario())
+    assert main(["run", cfg, "--out", "-"]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("routine, fails, shape", [
+    ("qr", lambda kwargs: True, "256x4"),  # the fully digital bound's QR
+    ("svd", lambda kwargs: not kwargs.get("compute_uv", True), "4x4"),  # the bound's SVD
+    ("svd", lambda kwargs: kwargs.get("compute_uv", True), "4x4"),  # a hybrid design's SVD
+], ids=["bound-qr", "bound-svd", "hybrid-svd"])
+def test_lapack_failure_while_building_designs_names_the_seed(tmp_path, capsys, monkeypatch,
+                                                              routine, fails, shape):
+    # LAPACK failing on a seed's channel is a numeric failure of that seed
+    real = getattr(np.linalg, routine)
+
+    def lapack(a, *args, **kwargs):
+        if fails(kwargs):
+            raise np.linalg.LinAlgError(f"{routine.upper()} did not converge")
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, routine, lapack)
+    data = _builtin_data("fig8")
+    data["system"]["n_subcarriers"] = 8
+    data["trials"]["n_seeds"] = 2
+    cfg = _write(tmp_path, "fig8_small.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 3
+    assert capsys.readouterr().err == (f"numeric failure: {routine.upper()} did not converge "
+                                       f"for {shape} matrix; seed 2024\n")
+
+
 def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
     # a 1024-element ring drives the 2F3 of the upper bound to arguments
     # where its series cancels; the bound once printed values far above 1
@@ -1069,6 +1141,26 @@ def test_numeric_failure_of_a_band_average_names_the_method_and_sweep_point(tmp_
     with pytest.raises(ArithmeticError, match="; method avg_ps_upper at x=") as info:
         run(load_scenario(cfg))
     assert isinstance(info.value.__cause__, ConvergenceError)
+
+
+def test_numeric_failure_of_the_whole_sweep_alone_is_raised_as_it_is(tmp_path, capsys,
+                                                                     monkeypatch):
+    # an evaluator that fails on the whole sweep but at no point alone: the
+    # run raises the sweep's own error, naming no method or point
+    real = xpcli._METHODS["hyp_1f2"].evaluate
+
+    def evaluate(s, x):
+        if len(x) > 1:
+            raise ArithmeticError("the sweep failed")
+        return real(s, x)
+    monkeypatch.setitem(xpcli._METHODS, "hyp_1f2",
+                        dataclasses.replace(xpcli._METHODS["hyp_1f2"], evaluate=evaluate))
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "argument", "start": 0.0, "stop": 2.0, "points": 3}
+    data["methods"] = ["hyp_1f2"]
+    cfg = _write(tmp_path, "argument.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 3
+    assert capsys.readouterr().err == "numeric failure: the sweep failed\n"
 
 
 def _scalar_gain(label, s, x):
