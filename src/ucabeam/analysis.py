@@ -18,7 +18,7 @@ per-arc average is again a Bessel sum, and its continuum limit is
 Band-averaged gains use ``b_ps = pi*B*R/c`` and ``b_ttd = pi^2*B*R/(c*K)``:
 
 * numeric average of ``|J0|``:        ``(1/b)*int_0^b |J0|``
-  (one Gauss-Legendre rule on each segment between zeros of J0)
+  (the signed integral ``t*1F2(1/2; 1, 3/2; -t^2/4)`` between zeros of J0)
 * Cauchy-Schwarz upper bound:         ``sqrt(2F3(1/2,1/2; 1,1,3/2; -b_ps^2))``
   (the root-mean-square gain, via ``(1/x)*int_0^x J0^2 = 2F3(...; -x^2)``)
 * signed-integral lower bound:        ``1F2(1/2; 1, 3/2; -b_ps^2/4)``
@@ -246,6 +246,8 @@ def _j0_zeros(b_max: float) -> np.ndarray:
     J0 and J1 from the Miller recurrence, which puts every zero within 2e-16
     relative of the true one; the power series that bessel_j uses up to 12
     would move the zero near 11.79 by 2e-13."""
+    # past the Miller step budget, raise before b_max/pi guesses are made
+    specfun._miller_start(b_max, 0, b_max, "x")
     a = (np.arange(1.0, b_max / math.pi + 0.25) - 0.25) * math.pi
     e = 0.125 / a
     e2 = e * e
@@ -258,25 +260,21 @@ def _j0_zeros(b_max: float) -> np.ndarray:
 def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
     """Band average of the phase-shifter gain |J0|, (1/b) * int_0^b |J0|, in
     the dimensionless variable x = 2*pi*R*f'/c.  J0 keeps its sign between
-    consecutive zeros, so the integral is the sum of |int J0| over the
-    segments [0, z1], [z1, z2], ..., [zk, b], each by specfun's 12-point
-    Gauss-Legendre rule.  ``bandwidth_hz`` may be an array: the segments
-    between zeros are shared by every band, and one bessel_j call covers
-    the nodes of those and of each band's last segment."""
+    consecutive zeros, so the integral is sum_i |S(z_{i+1}) - S(z_i)| over
+    0, the zeros z_i of J0 below b, and b, with S(t) = int_0^t J0 =
+    t * 1F2(1/2; 1, 3/2; -t^2/4).  ``bandwidth_hz`` may be an array: one
+    1F2 call covers the zeros below the largest b and every b, and the
+    segments between zeros are shared by every band."""
     _check_band(radius_m, bandwidth_hz)
     b = np.asarray(_b_ps(radius_m, bandwidth_hz), dtype=float)
     z = _j0_zeros(float(b.max()))
     k = np.searchsorted(z, b)  # zeros below each b
-    edges = np.concatenate(([0.0], z))
-    lo = np.concatenate((edges[:-1], np.ravel(edges[k])))
-    hi = np.concatenate((edges[1:], b.ravel()))
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * specfun._GL_NODES
-    # each segment summed along its own row, and the segments added in order,
-    # so every band gets the bits of its scalar call
-    parts = np.abs(half * np.sum(specfun.bessel_j(0, nodes) * specfun._GL_WEIGHTS, axis=-1))
-    whole = np.cumsum(np.concatenate(([0.0], parts[:z.size])))
-    return _value((whole[k] + parts[z.size:].reshape(b.shape)) / b)
+    t = np.concatenate((z, b.ravel()))
+    s = t * specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * t * t)
+    at_zeros = np.concatenate(([0.0], s[:z.size]))
+    # the segments added in order, so every band gets the bits of its scalar call
+    whole = np.cumsum(np.concatenate(([0.0], np.abs(np.diff(at_zeros)))))
+    return _value((whole[k] + np.abs(s[z.size:].reshape(b.shape) - at_zeros[k])) / b)
 
 
 def avg_gain_ps_upper(radius_m: float, bandwidth_hz):

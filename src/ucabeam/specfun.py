@@ -1,28 +1,25 @@
 """Special functions behind the closed-form gain expressions.
 
-Bessel functions of the first kind, the generalized hypergeometric
-functions 1F2 and 2F3, inversion of the 1F2 gain curve on its first
-monotone branch, and the 12-point Gauss-Legendre rule: the band average
-of |J0| applies it between zeros of J0, and ``integrate`` on doubling
-numbers of equal panels.
+Bessel functions of the first kind, the paper's three generalized
+hypergeometric instances, inversion of the 1F2 gain curve on its first
+monotone branch, and ``integrate``, the 12-point Gauss-Legendre rule on
+doubling numbers of equal panels.
 
-The hypergeometric instances that matter here are
+The hypergeometric instances are
 
     1F2(1/2; 1, 3/2; -x^2/4)           = (1/x) * integral_0^x J0(t) dt
     2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4) = (1/x) * integral_0^x 1F2(1/2; 1, 3/2; -t^2/4) dt
     2F3(1/2, 1/2; 1, 1, 3/2; -x^2)     = (1/x) * integral_0^x J0(t)^2 dt
 
-and each identity is exercised by the test suite against quadrature.
+and ``hypergeom_1f2``/``hypergeom_2f3`` take only these parameter sets, for
+z <= 0.  Each is a sum over the Bessel values J_n(x) at the endpoint x, so
+one downward Miller recurrence with compensated sums and one division gives
+it to a few ulps at every x (see _miller_form); the test suite checks each
+identity against quadrature and each value against mpmath.
 
-The series coefficients C_n = prod (a)_n / (prod (b)_n * n!) do not depend
-on z, so each parameter set keeps a table of them, grown as far as a call
-needs: C_n as a double-double mantissa times a power of two (C_n underflows
-past n ~ 100), and the plain-double ratios C_{n+1}/C_n.  A call runs a
-forward pass over the plain-double terms, which gives each element its
-last term by the stop rule and its largest term for the cancellation test,
-then sums by Horner in double-double from that last term down, each array
-element from its own.  The power-of-two scalings are exact, so the bits do
-not depend on them, and an array element equals its scalar call.
+A Miller recurrence (these, and ``bessel_j`` above |x| = 12) takes about
+x + 10*sqrt(x) steps.  One whose start would pass _MILLER_STEPS = 65,536
+raises ConvergenceError, naming the argument, before it takes a step.
 
 ``bessel_j``, ``hypergeom_1f2`` and ``hypergeom_2f3`` take a float or an
 array argument; a 0-d argument returns a Python float, and every element of
@@ -48,12 +45,12 @@ __all__ = [
 
 
 class ConvergenceError(ArithmeticError):
-    """A series or a quadrature did not meet its tolerance within its budget."""
+    """A recurrence or a quadrature would not meet its tolerance within its
+    budget."""
 
-    def __init__(self, message, partial=None, terms=None):
+    def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-        self.terms = terms
 
 
 class UnbracketableError(ValueError):
@@ -146,32 +143,50 @@ def _bessel_series(n: int, x):
     return total
 
 
+# The largest start order of a Miller recurrence: a bound on the steps one
+# value takes.  Arguments up to 2,100 start below order 2,600.
+_MILLER_STEPS = 2 ** 16
+
+
+def _miller_start(far, floor, arg, name):
+    """The even start order int(far) + 1 + int(10*sqrt(far)) + floor of a
+    Miller recurrence up to the order or argument ``far`` (per element of
+    an array).  A start past _MILLER_STEPS raises ConvergenceError naming
+    the argument ``name`` = ``arg`` (an array's first such element)."""
+    top = np.floor(far) + np.floor(10.0 * np.sqrt(far)) + (floor + 1)
+    top += top % 2
+    over = np.ravel(top > _MILLER_STEPS)
+    if over.any():
+        raise ConvergenceError(f"a Miller recurrence at {name}={float(np.ravel(arg)[over][0])!r} "
+                               f"would take more than {_MILLER_STEPS} steps")
+    return top.astype(np.int64) if isinstance(far, np.ndarray) else int(top)
+
+
+def _start_groups(top):
+    """{start order: the indices of the elements that start there}, from
+    slices of a stable argsort of a non-empty ``top``."""
+    order = np.argsort(top, kind="stable")
+    tops = top[order]
+    cut = np.flatnonzero(tops[1:] != tops[:-1]) + 1
+    lo, hi = np.concatenate(([0], cut)).tolist(), np.concatenate((cut, [top.size])).tolist()
+    return {t: order[a:b] for t, a, b in zip(tops[lo].tolist(), lo, hi)}
+
+
 def _bessel_miller(n: int, x):
     # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well above
     # the turning point so the unnormalized solution is dominated by J.  An
     # array element starts at its own top (its state is zero before, which
     # the recurrence keeps at zero) and is rescaled on its own.
     vec = isinstance(x, np.ndarray)
-    if vec:
-        if x.size == 0:
-            return 0.0 * x
-        far = np.maximum(x, n)
-        top = far.astype(np.int64) + 1 + (10.0 * np.sqrt(far)).astype(np.int64)
-    else:
-        far = max(n, x)
-        top = int(far) + 1 + int(10.0 * math.sqrt(far))
-    top += top % 2
+    if vec and x.size == 0:
+        return 0.0 * x
+    top = _miller_start(np.maximum(x, n) if vec else max(n, x), 0, x, "x")
     jp = 0.0 * x  # J~_{k+1}
     norm = 0.0 * x  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
     out = 0.0 * x
     if vec:
-        # the elements that start at each top: slices of a stable argsort
-        order = np.argsort(top, kind="stable")
-        tops = top[order]
-        cut = np.flatnonzero(tops[1:] != tops[:-1]) + 1
-        lo, hi = np.concatenate(([0], cut)).tolist(), np.concatenate((cut, [top.size])).tolist()
-        starts = {t: order[a:b] for t, a, b in zip(tops[lo].tolist(), lo, hi)}
-        first = int(tops[-1])
+        starts = _start_groups(top)
+        first = max(starts)
         jc = 0.0 * x  # J~_k
         jc[starts[first]] = 1e-30
         # bound >= max(|J~_k|, |J~_{k+1}|) over the elements: a step multiplies
@@ -212,300 +227,138 @@ def _bessel_miller(n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Compensated (double-double) arithmetic for the hypergeometric series.
-#
-# The 1F2 series at z = -x^2/4 with x near 30 has terms peaking around 4e9
-# while the sum is O(0.03); plain double summation leaves ~1e-6 of
-# cancellation noise, which would violate the 1e-8 identity bound, so the
-# coefficients and the Horner state are carried in double-double precision.
+# The paper's 1F2 and 2F3 from one downward Miller pass
 # ---------------------------------------------------------------------------
 
+# The three instances by their sorted (numerator, denominator) parameters:
+# the form _miller_form sums, and c with w = -c*z the square of its x.
+_FORMS = {((0.5,), (1.0, 1.5)): ("1F2", 4.0),
+          ((0.5, 0.5), (1.0, 1.5, 1.5)): ("2F3", 4.0),
+          ((0.5, 0.5), (1.0, 1.0, 1.5)): ("J0^2", 1.0)}
+# Below x = 2**-28 each form is 1 - O(x^2) with x^2 < 2**-56, which rounds to
+# 1.0.  Above it, started from _SEED at order x + 10*sqrt(x) + 20 (at most
+# _MILLER_STEPS), the unnormalized Bessel values stay between 1e-80 and
+# 1e93, so their squares neither overflow nor underflow and no step needs
+# a rescale.
+_TINY_X = 2.0 ** -28
+_SEED = 2.0 ** -400
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
 def _two_sum(a, b):
+    """a + b and its rounding error, exactly (Knuth)."""
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _quick_two_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
+def _quotient(a, a_lo, b, b_lo):
+    """(a + a_lo) / (b + b_lo) by one division, corrected by the residual
+    a - q*b, which one error-free (Dekker) product gives exactly."""
+    q = a / b
+    p = q * b
+    t = _SPLITTER * q
+    qh = t - (t - q)
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    e = ((qh * bh - p) + qh * (b - bh) + (q - qh) * bh) + (q - qh) * (b - bh)
+    return q + (((a - p) - e) + a_lo - q * b_lo) / b
 
 
-def _split(a):
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b):
-    p = a * b
-    ahi, alo = _split(a)
-    bhi, blo = _split(b)
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _quick_two_sum(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_scalar(xh, xl, d):
-    q1 = xh / d
-    p, e = _two_prod(q1, d)
-    s, e2 = _two_sum(xh, -p)
-    return _quick_two_sum(q1, (s + (e2 + xl - e)) / d)
-
-
-def _horner_step(sh, sl, z, zh, zl, ch, cl):
-    """(sh + sl) * z + (ch + cl) in double-double, with z = zh + zl split
-    once by the caller; written out in one body, since the scalar path
-    calls it once per term."""
-    p = sh * z
-    t = _SPLITTER * sh
-    hh = t - (t - sh)
-    hl = sh - hh
-    e = ((hh * zh - p) + hh * zl + hl * zh) + hl * zl + sl * z
-    s = p + ch
-    bb = s - p
-    e = (p - (s - bb)) + (ch - bb) + e + cl
-    h = s + e
-    return h, e - (h - s)
-
-
-def _check_denominators(dens):
-    for b in dens:
-        if not math.isfinite(b):
-            raise ValueError(f"denominator parameter must be finite, got {b!r}")
-        if b <= 0.0 and b == int(b):
-            raise ValueError(
-                f"denominator parameter {b!r} is a non-positive integer; "
-                "the series is undefined"
-            )
-
-
-# Digits the double-double sum carries: it is exact to about 2**-100 of
-# the largest term, so a sum smaller than that term by a factor near
-# 2**100 * 1e-12 has lost all but 12 significant digits to cancellation.
-_DD_EPS = 2.0 ** -100
-_CANCELLATION_TOL = 1e-12
-# Truncation policy: summation stops once two consecutive terms drop below
-# _SERIES_TOL * max(1, |partial sum|); a series that has not stopped within
-# _MAX_TERMS terms raises ConvergenceError.  On the gain curves the
-# cancellation test rejects every argument past x ~ 54 (1F2 from x ~ 50.7),
-# before either budget is reached.
-_MAX_TERMS = 400
-_SERIES_TOL = 1e-15
-# Term indices per step of the array forward pass, and the unit in which a
-# coefficient table grows.
-_BLOCK = 32
-
-
-class _Coefficients:
-    """The coefficients C_n = prod (a)_n / (prod (b)_n * n!) of one parameter
-    set, grown in blocks as far as a call needs them.
-
-    ``ratio[n]`` is C_{n+1} / C_n in plain doubles.  C_n underflows past
-    n ~ 100 (2F3(1/2,1/2; 1,1,3/2; -b^2) needs about 110 terms near b = 25),
-    so it is kept as a double-double mantissa ``hi[n]`` + ``lo[n]`` (|hi| in
-    [1/2, 1), or zero) times 2**e_n, with ``scale[n]`` = 2**(e_{n+1} - e_n).
-    The mantissas follow the double-double recurrence C_{n+1} = C_n *
-    prod(a + n) / prod(b + n) / (n + 1) in that order, renormalised each
-    step, which is exact.
-    """
-
-    def __init__(self, nums, dens):
-        self.nums, self.dens = nums, dens
-        self.ratio, self.scale = [], []
-        self.hi, self.lo = [1.0], [0.0]
-
-    def grow(self, size):
-        """Extend the table to at least ``size`` ratios (whole blocks, at most
-        _MAX_TERMS)."""
-        h, l = self.hi[-1], self.lo[-1]
-        for n in range(len(self.ratio), min(-(-size // _BLOCK) * _BLOCK, _MAX_TERMS)):
-            fn = float(n)
-            num, den = 1.0, 1.0
-            for a in self.nums:
-                num *= a + fn
-                h, l = _dd_mul(h, l, a + fn, 0.0)
-            for b in self.dens:
-                den *= b + fn
-                h, l = _dd_div_scalar(h, l, b + fn)
-            h, l = _dd_div_scalar(h, l, fn + 1.0)
-            e = math.frexp(h)[1]
-            h, l = math.ldexp(h, -e), math.ldexp(l, -e)
-            self.ratio.append(num / (den * (fn + 1.0)))
-            self.scale.append(math.ldexp(1.0, e))
-            self.hi.append(h)
-            self.lo.append(l)
-
-
-# The analysis uses three parameter sets; the bound keeps a caller that
-# sweeps the parameters from growing memory without limit.
-@functools.lru_cache(maxsize=16)
-def _coefficients(nums, dens):
-    return _Coefficients(nums, dens)
-
-
-def _forward(tab, z: float):
-    """The stop rule on the plain-double terms t_{n+1} = t_n * (z * ratio[n]):
-    (index of the last term summed, or 0 if the sum does not stop within
-    _MAX_TERMS terms or is not finite where it stops; largest term up to
-    it; plain partial sum)."""
-    t = total = peak = 1.0
-    was_small = False
-    n = 0
-    for start in range(0, _MAX_TERMS, _BLOCK):
-        tab.grow(start + _BLOCK)
-        for r in tab.ratio[start:start + _BLOCK]:
-            n += 1
-            t = t * (z * r)
-            total = total + t
-            mag = abs(t)
-            if mag > peak:
-                peak = mag
-            size = abs(total)
-            # _SERIES_TOL * max(1, |total|), written out for speed
-            small = mag <= (_SERIES_TOL * size if size > 1.0 else _SERIES_TOL)
-            if small and was_small:
-                return (n if math.isfinite(total) else 0), peak, total
-            was_small = small
-    return 0, peak, total
-
-
-def _forward_array(tab, z):
-    """_forward for each element of a 1-D array: (last term indices, with 0
-    where the sum does not stop or is not finite where it stops; largest
-    terms).  Each block of _BLOCK term indices is one cumulative product and
-    one cumulative sum per element, which accumulate in index order as the
-    scalar loop does; elements that have stopped leave the next block."""
-    top = np.zeros(z.size, dtype=np.intp)
-    peak = np.ones(z.size)
-    live = np.arange(z.size)
-    t = total = biggest = np.ones(z.size)
-    was_small = np.zeros(z.size, dtype=bool)
-    for start in range(0, _MAX_TERMS, _BLOCK):
-        if not live.size:
-            break
-        tab.grow(start + _BLOCK)
-        terms = np.multiply.outer(z, tab.ratio[start:start + _BLOCK])
-        terms[:, 0] *= t
-        np.multiply.accumulate(terms, axis=1, out=terms)
-        sums = terms.copy()
-        sums[:, 0] += total
-        np.add.accumulate(sums, axis=1, out=sums)
-        t, total = terms[:, -1].copy(), sums[:, -1].copy()
-        mags = np.abs(terms, out=terms)
-        peaks = np.maximum.accumulate(mags, axis=1)
-        np.maximum(peaks, biggest[:, None], out=peaks)
-        tol = np.abs(sums, out=sums)  # finite where the sum is
-        np.maximum(1.0, tol, out=tol)
-        small = mags <= np.multiply(_SERIES_TOL, tol, out=tol)
-        stop = small & np.concatenate((was_small[:, None], small[:, :-1]), axis=1)
-        rows = np.flatnonzero(stop.any(axis=1))
-        col = stop[rows].argmax(axis=1)
-        top[live[rows]] = np.where(np.isfinite(tol[rows, col]), start + 1 + col, 0)
-        peak[live[rows]] = peaks[rows, col]
-        rest = np.ones(live.size, dtype=bool)
-        rest[rows] = False
-        live, z, was_small = live[rest], z[rest], small[rest, -1]
-        t, total, biggest = t[rest], total[rest], peaks[rest, -1]
-    return top, peak
-
-
-def _horner(tab, z, top):
-    """sum_{n <= top} C_n z^n by Horner from the top in double-double, for a
-    float z, or for each element of a 1-D array z from its own top.  The
-    state starts as C_top's mantissa; each step takes state * z * 2**(e_{n+1}
-    - e_n) + C_n's mantissa, with z times each power of two split once.  An
-    array element is set to its top coefficient when its turn comes, so it
-    takes exactly the steps of its scalar call."""
-    vec = isinstance(z, np.ndarray)
-    if vec:
-        first = int(top.max(initial=0))
-        starts = set(top.tolist())
-        sh, sl = np.zeros(z.size), np.zeros(z.size)
-    else:
-        first = top
-        sh, sl = tab.hi[top], tab.lo[top]
-    zh, zl = _split(z)
-    scaled = {}
-    for n in range(first, -1, -1):
-        if n < first:
-            s = tab.scale[n]
-            if s not in scaled:
-                scaled[s] = (z * s, zh * s, zl * s)
-            sh, sl = _horner_step(sh, sl, *scaled[s], tab.hi[n], tab.lo[n])
-        if vec and n in starts:
-            new = top == n
-            sh[new] = tab.hi[n]
-            sl[new] = tab.lo[n]
-    return sh + sl
-
-
-def _hyp_series(nums, dens, z):
-    # The coefficients do not depend on z, so each parameter set has one
-    # table of them (_Coefficients).  A forward pass over the plain-double
-    # terms gives each element its last term (the stop rule) and its largest
-    # term (the cancellation test); Horner then sums in double-double from
-    # that last term down, each array element from its own, with zero state
-    # before it.  Horner takes the mantissas and folds the powers of two into
-    # its multiplier; power-of-two scaling is exact, so the bits are those of
-    # Horner on the true C_n, and each array element equals its scalar call.
-    tab = _coefficients(nums, dens)
+def _hypergeom(nums, dens, z):
+    key = (tuple(sorted(map(float, nums))), tuple(sorted(map(float, dens))))
+    if key not in _FORMS:
+        raise ValueError(
+            f"only 1F2(1/2; 1, 3/2; z), 2F3(1/2, 1/2; 1, 3/2, 3/2; z) and "
+            f"2F3(1/2, 1/2; 1, 1, 3/2; z) are implemented, got parameters {key}")
+    form, c = _FORMS[key]
+    z = _argument(z, "z")
+    positive = np.ravel(z)[np.ravel(z) > 0.0]
+    if positive.size:
+        raise ValueError(f"z must be <= 0, got {float(positive[0])!r}")
+    x = math.sqrt(c) * np.sqrt(-z)
     if not isinstance(z, np.ndarray):
-        top, peak, total = _forward(tab, z)
-        if top:
-            total = _horner(tab, z, top)
-        if not top or not math.isfinite(total):
-            raise ConvergenceError(
-                f"hypergeometric series did not converge within {_MAX_TERMS} terms "
-                f"(z={z!r})",
-                partial=total,
-                terms=top or _MAX_TERMS,
-            )
-        if peak * _DD_EPS > _CANCELLATION_TOL * max(1.0, abs(total)):
-            raise ConvergenceError(
-                f"hypergeometric series lost precision to cancellation "
-                f"(z={z!r}: peak term {peak:.3g}, sum {total:.3g})",
-                partial=total,
-                terms=top,
-            )
-        return total
-    flat = z.ravel()
-    # a diverging element overflows on the way; it is reported below, by
-    # the scalar call on the first failing element, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        top, peak = _forward_array(tab, flat)
-        total = _horner(tab, flat, top)
-        failed = (top == 0) | ~np.isfinite(total) | (
-            peak * _DD_EPS > _CANCELLATION_TOL * np.maximum(1.0, np.abs(total)))
-    if failed.any():
-        # on its own, the first failing element raises the scalar's error
-        _hyp_series(nums, dens, float(flat[failed][0]))
-        raise RuntimeError("an array element failed where its scalar call did not")
-    return total.reshape(z.shape)
+        return 1.0 if x < _TINY_X else _miller_form(form, -c * z, _miller_start(x, 20, z, "z"))
+    out = np.ones(z.shape)
+    live = x >= _TINY_X
+    if live.any():
+        top = _miller_start(x[live], 20, z[live], "z")  # before w = -c*z can overflow
+        out[live] = _miller_form(form, -c * z[live], top)
+    return out
+
+
+def _miller_form(form, w, top):
+    """One instance at w = x^2 > 0 by one downward Miller pass, each
+    element (of a 1-D array w) from its own even start ``top``.
+
+    With P_k = J_k(x)/x at odd k and Q_k = J_k(x) at even k, the recurrence
+    J_{k-1} = (2k/x) J_k - J_{k+1} reads Q_{k-1} = 2k P_k - Q_{k+1} and
+    P_{k-1} = 2k Q_k / w - P_{k+1}: it takes w, which is exact from z, and
+    not x.  Compensated sums keep what the form needs:
+
+    * 1F2(1/2; 1, 3/2; -x^2/4) = (1/x) int_0^x J0 = 2 sum_k P_{2k+1} / N;
+    * 2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4), the mean of that curve over
+      [0, x], = 2 sum_k (T_k + T_{k+1}) / (2k + 1) / N, with the tails
+      T_k = sum_{i>=k} P_{2i+1};
+    * 2F3(1/2, 1/2; 1, 1, 3/2; -x^2) = (1/x) int_0^x J0^2
+      = sum_j (J_j^2 + J_{j+1}^2) / (2j + 1) / M, summed as
+      J_0^2 + sum_{j>=1} 4j / (4j^2 - 1) J_j^2;
+
+    normalized by N = J0 + 2 sum_k J_{2k} = 1 or, for the squares, by
+    M = J0^2 + 2 sum_{j>=1} J_j^2 = 1.  Each result is one _quotient."""
+    vec = isinstance(w, np.ndarray)
+    q, p = 0.0 * w, 0.0 * w  # Q_j and P_{j+1}
+    num = num_lo = den = den_lo = tail = tail_lo = t = 0.0 * w
+    if vec:
+        starts = _start_groups(top)
+        first = max(starts)
+    else:
+        first, q = top, _SEED
+    for j in range(first, 0, -2):
+        if vec and j in starts:
+            q[starts[j]] = _SEED
+        p_new = (2.0 * j) * q / w - p  # P_{j-1}
+        if form == "J0^2":
+            for k, s in ((j, q * q), (j - 1, w * p_new * p_new)):
+                num, e = _two_sum(num, (4.0 * k / (4.0 * k * k - 1.0)) * s)
+                num_lo = num_lo + e
+                den, e = _two_sum(den, s)
+                den_lo = den_lo + e
+        else:
+            den, e = _two_sum(den, q)
+            den_lo = den_lo + e
+            tail, e = _two_sum(tail, p_new)
+            tail_lo = tail_lo + e
+            if form == "2F3":  # T_k + T_{k+1} over 2k + 1 = j - 1
+                old, t = t, tail + tail_lo
+                num, e = _two_sum(num, (old + t) / (j - 1.0))
+                num_lo = num_lo + e
+        q, p = (2.0 * j - 2.0) * p_new - q, p_new
+    # q is Q_0 = J_0: close the normalization
+    if form == "J0^2":
+        s = q * q
+        num, e = _two_sum(num, s)
+        den, e2 = _two_sum(2.0 * den, s)
+        return _quotient(num, num_lo + e, den, 2.0 * den_lo + e2)
+    den, e = _two_sum(2.0 * den, q)
+    if form == "1F2":
+        num, num_lo = tail, tail_lo
+    return _quotient(2.0 * num, 2.0 * num_lo, den, 2.0 * den_lo + e)
 
 
 def hypergeom_1f2(a: float, b1: float, b2: float, z):
-    """Generalized hypergeometric 1F2(a; b1, b2; z), entire in z.
-
-    ``z`` may be an array; the series stops per element."""
-    z = _argument(z, "z")
-    _check_denominators((b1, b2))
-    return _hyp_series((float(a),), (float(b1), float(b2)), z)
+    """1F2(1/2; 1, 3/2; z) = (1/x) int_0^x J0, x = 2 sqrt(-z), for z <= 0:
+    the one parameter set of the paper; others raise ``ValueError``, as does
+    z > 0.  ``z`` may be an array (see _miller_form)."""
+    return _hypergeom((a,), (b1, b2), z)
 
 
 def hypergeom_2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z):
-    """Generalized hypergeometric 2F3(a1, a2; b1, b2, b3; z), entire in z.
-
-    ``z`` may be an array; the series stops per element."""
-    z = _argument(z, "z")
-    _check_denominators((b1, b2, b3))
-    return _hyp_series((float(a1), float(a2)), (float(b1), float(b2), float(b3)), z)
+    """2F3(1/2, 1/2; 1, 3/2, 3/2; z), the band average of the 1F2 curve, or
+    2F3(1/2, 1/2; 1, 1, 3/2; z) = (1/x) int_0^x J0^2, x = sqrt(-z), for
+    z <= 0: the two parameter sets of the paper; others raise
+    ``ValueError``, as does z > 0.  ``z`` may be an array."""
+    return _hypergeom((a1, a2), (b1, b2, b3), z)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +452,7 @@ def _gauss_legendre(n: int):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-# The 12-point rule.  On an arch of J0 between zeros (at most about pi long),
-# 6 nodes put the band average 2e-10 off; from 8 on, rules of every size agree
-# to the rounding of the J0 values (1e-15 for b < 8, 5e-14 past the power
-# series' noise on [8, 12]).
+# The 12-point rule, exact for polynomials of degree up to 23.
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 _MAX_PANELS = 4096
 

@@ -36,7 +36,7 @@ from ucabeam.precoding import (
     build_classic_hybrid,
     build_dpp,
 )
-from ucabeam.specfun import bessel_j
+from ucabeam.specfun import ConvergenceError, bessel_j
 
 C = SPEED_OF_LIGHT
 GEOM = half_wavelength_uca(256, 30e9)
@@ -561,6 +561,20 @@ def test_zeros_of_j0_match_mpmath():
         assert abs(got - ref) <= 1e-15 * ref
 
 
+def test_numeric_average_past_the_step_budget_raises_before_finding_zeros():
+    # b = 1e6 would make 318,000 guesses of zeros (2.5 MB an array) whose
+    # Miller passes the step budget refuses anyway: the budget raises first
+    bw = 1e6 * C / (math.pi * R)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match=r"at x=1000000\.0\d* would take more than"):
+            an.avg_gain_ps_numeric(R, bw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def _mp_mean(f, b):
     """(1/b) * int_0^b f at 30 digits, by mpmath quadrature."""
     with mpmath.workdps(30):
@@ -572,6 +586,18 @@ def test_avg_gain_upper_matches_rms_quadrature():
     b = np.pi * 2e9 * R / C
     rms = math.sqrt(_mp_mean(lambda t: mpmath.j0(t) ** 2, b))
     assert an.avg_gain_ps_upper(R, 2e9) == pytest.approx(rms, abs=1e-14)
+
+
+def test_avg_gain_upper_is_within_rounding_of_mpmath():
+    # the printed bound, sqrt(2F3(1/2, 1/2; 1, 1, 3/2; -b^2)), over the
+    # built-in range b <= 8.6 (2.2e-16 measured)
+    bw = np.linspace(0.0, 8.6, 861)[1:] * C / (math.pi * R)
+    b = an._b_ps(R, bw)
+    got = an.avg_gain_ps_upper(R, bw)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.sqrt(mpmath.hyp2f3(0.5, 0.5, 1, 1, 1.5, v)))
+                         for v in (-b * b).tolist()])
+    assert np.max(np.abs(got - want) / want) <= 5e-16
 
 
 def test_avg_gain_lower_matches_signed_quadrature():

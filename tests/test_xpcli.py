@@ -1006,10 +1006,9 @@ def test_cli_exit_code_for_io_errors(tmp_path):
 
 
 def test_cli_exit_code_for_numeric_failure(tmp_path, capsys):
-    # an argument sweep far outside the series range blows the term budget
+    # an argument sweep to x = 1e9 passes the Miller step budget
     data = _small_trial_scenario()
-    data["sweep"] = {"variable": "argument", "start": 900.0, "stop": 1100.0,
-                     "points": 3}
+    data["sweep"] = {"variable": "argument", "start": 0.0, "stop": 1e9, "points": 3}
     data["methods"] = ["hyp_1f2"]
     cfg = _write(tmp_path, "blowup.json", data)
     assert main(["run", cfg, "--out", "-"]) == 3
@@ -1068,73 +1067,113 @@ def test_lapack_failure_while_building_designs_names_the_seed(tmp_path, capsys, 
                                        f"for {shape} matrix; seed 2024\n")
 
 
-def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
-    # a 1024-element ring drives the 2F3 of the upper bound to arguments
-    # where its series cancels; the bound once printed values far above 1
-    data = _small_trial_scenario()
-    data["system"].update(n_elements_tx=1024, n_subcarriers=129, bandwidth_hz=3e9)
-    data["sweep"] = {"variable": "bandwidth", "start": 0.05e9, "stop": 8e9, "points": 3}
-    data["methods"] = ["avg_ps_upper", "avg_ps_lower"]
-    cfg = _write(tmp_path, "fig7_1024.json", data)
-    assert main(["run", cfg, "--out", "-"]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+def _mp_abs_j0_average(b):
+    """(1/b) int_0^b |J0| by mpmath, between the zeros of J0."""
+    b = mpmath.mpf(b)
+    with mpmath.workdps(30):
+        ends, m = [mpmath.mpf(0)], 1
+        while mpmath.besseljzero(0, m) < b:
+            ends.append(mpmath.besseljzero(0, m))
+            m += 1
+        return float(mpmath.quad(lambda t: abs(mpmath.j0(t)), ends + [b]) / b)
 
 
 def test_cli_band_average_of_a_1024_element_ring_up_to_10_ghz(tmp_path, capsys):
-    # the numeric average sums J0 between its zeros, so it answers where the
-    # 1F2 series of the lower bound has already given up (b up to 85)
-    data = _small_trial_scenario()
-    data["system"].update(n_elements_tx=1024, n_subcarriers=129, bandwidth_hz=3e9)
-    data["sweep"] = {"variable": "bandwidth", "start": 0.05e9, "stop": 10e9, "points": 3}
-    data["methods"] = ["avg_ps_numeric"]
-    cfg = _write(tmp_path, "fig7_1024_numeric.json", data)
+    # fig7 on a 1024-element ring takes b up to 85, where the power series
+    # of the bounds once lost every digit; every row keeps the sandwich
+    # lower <= numeric <= upper, and sampled rows match mpmath to 1e-13
+    data = _builtin_data("fig7")
+    data["system"]["n_elements_tx"] = 1024
+    data["sweep"]["stop"] = 10e9
+    cfg = _write(tmp_path, "fig7_1024_10ghz.json", data)
     assert main(["run", cfg, "--out", "-"]) == 0
-    rows = _csv_rows(capsys.readouterr().out)
+    by_x = {}
+    for row in _csv_rows(capsys.readouterr().out):
+        by_x.setdefault(row.x, {})[row.method] = row.mean
     radius = arraymodel.half_wavelength_uca(1024, FC).radius_m
-    assert len(rows) == 3 and analysis._b_ps(radius, rows[-1].x) > 85.0
+    xs = sorted(by_x)
+    assert len(xs) == 80 and analysis._b_ps(radius, xs[-1]) > 85.0
+    for x in xs:
+        v = by_x[x]
+        assert v["avg_ps_lower"] <= v["avg_ps_numeric"] <= v["avg_ps_upper"]
+    for x in xs[::13] + xs[-1:]:
+        b = analysis._b_ps(radius, x)
+        with mpmath.workdps(40):
+            want = {"avg_ps_lower": mpmath.hyp1f2(0.5, 1, 1.5, -b * b / 4),
+                    "avg_ps_upper": mpmath.sqrt(mpmath.hyp2f3(0.5, 0.5, 1, 1, 1.5, -b * b)),
+                    "avg_ps_numeric": _mp_abs_j0_average(b)}
+        for method, ref in want.items():
+            assert by_x[x][method] == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+
+def test_cli_delay_phase_average_of_a_1024_element_ring_up_to_20_ghz(tmp_path, capsys):
+    # avg_ttd at K = 8 up to 20 GHz, where the 2F3 argument reaches b = 168
+    data = _builtin_data("fig7")
+    data["system"]["n_elements_tx"] = 1024
+    data["sweep"].update(stop=20e9, points=9)
+    data["methods"] = ["avg_ttd"]
+    cfg = _write(tmp_path, "ttd_1024_20ghz.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 0
+    radius = arraymodel.half_wavelength_uca(1024, FC).radius_m
+    rows = _csv_rows(capsys.readouterr().out)
+    assert len(rows) == 9
     for row in rows:
-        b = mpmath.mpf(analysis._b_ps(radius, row.x))
-        with mpmath.workdps(30):
-            ends, m = [mpmath.mpf(0)], 1
-            while mpmath.besseljzero(0, m) < b:
-                ends.append(mpmath.besseljzero(0, m))
-                m += 1
-            want = mpmath.quad(lambda t: abs(mpmath.j0(t)), ends + [b]) / b
-        assert row.mean == pytest.approx(float(want), rel=1e-13, abs=0)
+        b = math.pi ** 2 * row.x * radius / (arraymodel.SPEED_OF_LIGHT * 8)
+        with mpmath.workdps(40):
+            want = float(mpmath.hyp2f3(0.5, 0.5, 1, 1.5, 1.5, -b * b / 4))
+        assert row.mean == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_cli_closed_form_past_the_step_budget_exits_3_at_once(tmp_path, capsys):
+    # at 1e15 Hz the angular closed form takes J0 near x = 4.3e6, past the
+    # Miller step budget: the run exits 3 naming the argument, before any
+    # step (it once ran for 14-28 s), and numpy does not warn
+    data = _builtin_data("fig3b")
+    data["sweep"]["points"] = 3
+    data["methods"] = ["uca_closed_form@1e15"]
+    cfg = _write(tmp_path, "fig3b_1e15.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: a Miller recurrence at x=")
+    assert "would take more than 65536 steps; method uca_closed_form@1e15 at x=" in err
 
 
 def test_cli_numeric_failure_of_a_long_sweep_warns_nothing(tmp_path, capsys):
-    # a sweep long enough for the vector series loop, which runs the
-    # diverging elements into overflow before the error is raised
+    # a sweep long enough for the array path, every point past the Miller
+    # step budget: the error is raised before a step, naming the first point
     data = _small_trial_scenario()
-    data["sweep"] = {"variable": "argument", "start": 900.0, "stop": 1100.0,
-                     "points": 40}
+    data["sweep"] = {"variable": "argument", "start": 9e4, "stop": 1.1e5, "points": 40}
     data["methods"] = ["hyp_1f2", "hyp_2f3"]
     cfg = _write(tmp_path, "blowup40.json", data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "z=-202500.0" in err
-    assert err.rstrip().endswith("; method hyp_1f2 at x=900.0")
+    assert "numeric failure" in err and "z=-2025000000.0" in err
+    assert err.rstrip().endswith("; method hyp_1f2 at x=90000.0")
 
 
 def test_numeric_failure_of_a_band_average_names_the_method_and_sweep_point(tmp_path,
                                                                              capsys):
-    # fig7 on a 1024-element ring up to 10 GHz: the upper bound's one call
-    # over the sweep fails, and the error names the first sweep point at
-    # which that method fails on its own, chained from the call's error
+    # the bounds of fig7 on a 3 km ring: b is 1,572, 63,660 and 125,750,
+    # past the Miller step budget from the second point on.  The upper
+    # bound's one call over the sweep fails, and the error names the first
+    # sweep point at which that method fails on its own, chained from the
+    # call's error
     data = _builtin_data("fig7")
-    data["system"]["n_elements_tx"] = 1024
-    data["sweep"]["stop"] = 10e9
-    cfg = _write(tmp_path, "fig7_1024_10ghz.json", data)
+    data["system"]["radius_m"] = 3000.0
+    data["sweep"]["points"] = 3
+    data["methods"] = ["avg_ps_upper", "avg_ps_lower"]
+    cfg = _write(tmp_path, "fig7_3km.json", data)
     assert main(["run", cfg, "--out", "-"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure: hypergeometric series lost precision")
+    assert err.startswith("numeric failure: a Miller recurrence at z=")
     x = float(err.rstrip().rpartition("; method avg_ps_upper at x=")[2])
     xs = xpcli._sweep_points(load_scenario(cfg))
-    radius = arraymodel.half_wavelength_uca(1024, FC).radius_m
-    assert x in xs and xs.index(x) > 0
+    radius = 3000.0
+    assert x in xs and xs.index(x) == 1
     analysis.avg_gain_ps_upper(radius, xs[xs.index(x) - 1])
     with pytest.raises(ConvergenceError):
         analysis.avg_gain_ps_upper(radius, x)
