@@ -266,7 +266,13 @@ def _quotient(a, a_lo, b, b_lo):
 
 
 def _hypergeom(nums, dens, z):
-    key = (tuple(sorted(map(float, nums))), tuple(sorted(map(float, dens))))
+    for b in dens:  # a set the series is not defined for says so
+        if not math.isfinite(b):
+            raise ValueError(f"denominator parameter must be finite, got {b!r}")
+        if b <= 0.0 and b == int(b):
+            raise ValueError(f"denominator parameter {b!r} is a non-positive integer; "
+                             "the series is undefined")
+    key =(tuple(sorted(map(float, nums))), tuple(sorted(map(float, dens))))
     if key not in _FORMS:
         raise ValueError(
             f"only 1F2(1/2; 1, 3/2; z), 2F3(1/2, 1/2; 1, 3/2, 3/2; z) and "

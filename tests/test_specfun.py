@@ -337,6 +337,21 @@ def test_forms_at_the_ends_of_the_pass():
             assert abs(fn(z) - want) <= 1e-14 * want
 
 
+def test_large_positive_argument_stays_finite_and_accurate():
+    # z > 0 is rejected (see test_unsupported_parameters_and_positive_z_are_rejected);
+    # at large x = sqrt(-c*z) the pass runs thousands of steps, and each form
+    # stays finite, within 1e-14 of mpmath and equal to its array call
+    for x in (3000.0, 2e4):
+        for fn, arg, ref, _ in SERIES_INSTANCES.values():
+            z = arg(x)
+            got = fn(z)
+            assert math.isfinite(got)
+            with mpmath.workdps(40):
+                want = float(ref(z))
+            assert abs(got - want) <= 1e-14 * want
+            assert fn(np.array([z])).tolist() == [got]
+
+
 def test_hypergeom_array_shapes():
     # (a 0-d argument is in test_scalar_arguments_give_python_floats)
     for fn in (lambda v: hypergeom_1f2(0.5, 1.0, 1.5, v),
@@ -366,9 +381,23 @@ def test_mixed_sign_array_equals_scalar_calls(zs):
         assert np.array_equal(fn(z), want)
 
 
+@pytest.mark.parametrize("b, message", [
+    (0.0, "denominator parameter 0.0 is a non-positive integer; the series is undefined"),
+    (-2.0, "denominator parameter -2.0 is a non-positive integer; the series is undefined"),
+    (math.nan, "denominator parameter must be finite, got nan"),
+])
+def test_undefined_denominators_are_rejected(b, message):
+    # a set whose series is undefined says why, before the set is looked up
+    for call in (lambda: hypergeom_1f2(0.5, b, 1.5, -1.0),
+                 lambda: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, b, -1.0)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_unsupported_parameters_and_positive_z_are_rejected():
     # only the paper's three parameter sets are implemented, for z <= 0
-    for call in (lambda: hypergeom_1f2(0.5, 0.0, 1.5, -1.0),
+    for call in (lambda: hypergeom_1f2(0.5, 2.0, 1.5, -1.0),
                  lambda: hypergeom_1f2(-2.0, 1.0, 1.5, -1.0),
                  lambda: hypergeom_1f2(math.nan, 1.0, 1.5, -1.0),
                  lambda: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 2.5, -1.0)):

@@ -1067,6 +1067,27 @@ def test_lapack_failure_while_building_designs_names_the_seed(tmp_path, capsys, 
                                        f"for {shape} matrix; seed 2024\n")
 
 
+def test_cli_exit_code_for_cancelling_band_average(tmp_path, capsys):
+    # a 1024-element ring drives the 2F3 of the upper bound to arguments
+    # where its power series cancelled (the run exited 3, and before that
+    # printed bounds far above 1); the run now exits 0 with both bounds in
+    # [0, 1] and lower <= upper on every row
+    data = _small_trial_scenario()
+    data["system"].update(n_elements_tx=1024, n_subcarriers=129, bandwidth_hz=3e9)
+    data["sweep"] = {"variable": "bandwidth", "start": 0.05e9, "stop": 8e9, "points": 3}
+    data["methods"] = ["avg_ps_upper", "avg_ps_lower"]
+    cfg = _write(tmp_path, "fig7_1024.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 0
+    out = capsys.readouterr()
+    assert "numeric failure" not in out.err
+    by_x = {}
+    for row in _csv_rows(out.out):
+        by_x.setdefault(row.x, {})[row.method] = row.mean
+    assert len(by_x) == 3
+    for v in by_x.values():
+        assert 0.0 <= v["avg_ps_lower"] <= v["avg_ps_upper"] <= 1.0
+
+
 def _mp_abs_j0_average(b):
     """(1/b) int_0^b |J0| by mpmath, between the zeros of J0."""
     b = mpmath.mpf(b)
