@@ -242,19 +242,65 @@ _NEWTON_STEPS = 3
 
 def _j0_zeros(b_max: float) -> np.ndarray:
     """The zeros of J0 below b_max, ascending: McMahon's expansion
-    (DLMF 10.21.19) refined by Newton steps with J0' = -J1.  The steps take
-    J0 and J1 from the Miller recurrence, which puts every zero within 2e-16
+    (DLMF 10.21.19) refined by Newton steps with J0' = -J1.  Each step takes
+    J0 and J1 from one Miller pass, which puts every zero within 2e-16
     relative of the true one; the power series that bessel_j uses up to 12
     would move the zero near 11.79 by 2e-13."""
     # past the Miller step budget, raise before b_max/pi guesses are made
     specfun._miller_start(b_max, 0, b_max, "x")
     a = (np.arange(1.0, b_max / math.pi + 0.25) - 0.25) * math.pi
+    if not a.size:
+        return a
     e = 0.125 / a
     e2 = e * e
     z = a + e * (1.0 - e2 * (124.0 / 3.0 - e2 * (120928.0 / 15.0)))
     for _ in range(_NEWTON_STEPS):
-        z = z + specfun._bessel_miller(0, z) / specfun._bessel_miller(1, z)
+        j0, j1 = specfun._bessel_miller((0, 1), z)
+        z = z + j0 / j1
     return z[z < b_max]
+
+
+def _band_averages(radius_m: float, bandwidth_hz, k_ttd, kinds):
+    """The band averages named in ``kinds``, a list in that order; for an
+    array of bandwidths, from one Miller pass over the zeros of J0 below the
+    widest band (for "numeric"), every b_ps and every b_ttd.  The kinds "numeric", "upper", "lower" and
+    "ttd" are the values of avg_gain_ps_numeric, avg_gain_ps_upper,
+    avg_gain_ps_lower and avg_gain_ttd, each with the bits of that call.
+    A failing call raises what the first failing kind, in that order of the
+    four, raises on its own.  ``k_ttd`` is read only for "ttd"."""
+    _check_band(radius_m, bandwidth_hz)
+    if "ttd" in kinds:
+        _count("k_ttd", k_ttd)
+    b = _b_ps(radius_m, bandwidth_hz)
+    pairs = []
+    if "numeric" in kinds:
+        b_arr = np.asarray(b, dtype=float)
+        z = _j0_zeros(float(b_arr.max()))
+        t = np.concatenate((z, b_arr.ravel()))
+        pairs.append(("1F2", -0.25 * t * t))
+    if "upper" in kinds:
+        pairs.append(("J0^2", -b * b))
+    if "lower" in kinds:
+        pairs.append(("1F2", -0.25 * b * b))
+    if "ttd" in kinds:
+        b_ttd = math.pi**2 * bandwidth_hz * radius_m / (SPEED_OF_LIGHT * k_ttd)
+        pairs.append(("2F3", -0.25 * b_ttd * b_ttd))
+    values = iter(specfun._hypergeoms(pairs))
+    out = {}
+    if "numeric" in kinds:
+        # the segments between zeros, shared by every band, added in order,
+        # so every band gets the bits of its scalar call
+        s = t * next(values)
+        k = np.searchsorted(z, b_arr)  # zeros below each b
+        at_zeros = np.concatenate(([0.0], s[:z.size]))
+        whole = np.cumsum(np.concatenate(([0.0], np.abs(np.diff(at_zeros)))))
+        out["numeric"] = (whole[k] + np.abs(s[z.size:].reshape(b_arr.shape) - at_zeros[k])) / b_arr
+    if "upper" in kinds:
+        out["upper"] = np.sqrt(next(values))
+    for kind in ("lower", "ttd"):
+        if kind in kinds:
+            out[kind] = next(values)
+    return [_value(out[kind]) for kind in kinds]
 
 
 def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
@@ -263,18 +309,9 @@ def avg_gain_ps_numeric(radius_m: float, bandwidth_hz):
     consecutive zeros, so the integral is sum_i |S(z_{i+1}) - S(z_i)| over
     0, the zeros z_i of J0 below b, and b, with S(t) = int_0^t J0 =
     t * 1F2(1/2; 1, 3/2; -t^2/4).  ``bandwidth_hz`` may be an array: one
-    1F2 call covers the zeros below the largest b and every b, and the
+    1F2 pass covers the zeros below the largest b and every b, and the
     segments between zeros are shared by every band."""
-    _check_band(radius_m, bandwidth_hz)
-    b = np.asarray(_b_ps(radius_m, bandwidth_hz), dtype=float)
-    z = _j0_zeros(float(b.max()))
-    k = np.searchsorted(z, b)  # zeros below each b
-    t = np.concatenate((z, b.ravel()))
-    s = t * specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * t * t)
-    at_zeros = np.concatenate(([0.0], s[:z.size]))
-    # the segments added in order, so every band gets the bits of its scalar call
-    whole = np.cumsum(np.concatenate(([0.0], np.abs(np.diff(at_zeros)))))
-    return _value((whole[k] + np.abs(s[z.size:].reshape(b.shape) - at_zeros[k])) / b)
+    return _band_averages(radius_m, bandwidth_hz, None, ("numeric",))[0]
 
 
 def avg_gain_ps_upper(radius_m: float, bandwidth_hz):
@@ -282,18 +319,14 @@ def avg_gain_ps_upper(radius_m: float, bandwidth_hz):
     the root-mean-square gain sqrt((1/b) * int_0^b J0^2), evaluated through
     its hypergeometric closed form 2F3(1/2,1/2; 1,1,3/2; -b^2).
     ``bandwidth_hz`` may be an array."""
-    _check_band(radius_m, bandwidth_hz)
-    b = _b_ps(radius_m, bandwidth_hz)
-    return _value(np.sqrt(specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, -b * b)))
+    return _band_averages(radius_m, bandwidth_hz, None, ("upper",))[0]
 
 
 def avg_gain_ps_lower(radius_m: float, bandwidth_hz):
     """Lower bound from dropping the absolute value: the signed band average
     (1/b) * int_0^b J0 = 1F2(1/2; 1, 3/2; -b^2/4).  ``bandwidth_hz`` may be
     an array."""
-    _check_band(radius_m, bandwidth_hz)
-    b = _b_ps(radius_m, bandwidth_hz)
-    return specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * b * b)
+    return _band_averages(radius_m, bandwidth_hz, None, ("lower",))[0]
 
 
 def avg_gain_ttd(radius_m: float, bandwidth_hz, k_ttd: int):
@@ -302,10 +335,7 @@ def avg_gain_ttd(radius_m: float, bandwidth_hz, k_ttd: int):
     The arc gain curve is positive on the whole real line, so the average of
     its absolute value coincides with the signed average.  ``bandwidth_hz``
     may be an array."""
-    _check_band(radius_m, bandwidth_hz)
-    _count("k_ttd", k_ttd)
-    b = math.pi**2 * bandwidth_hz * radius_m / (SPEED_OF_LIGHT * k_ttd)
-    return specfun.hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * b * b)
+    return _band_averages(radius_m, bandwidth_hz, k_ttd, ("ttd",))[0]
 
 
 def gain_improvement(radius_m: float, bandwidth_hz, k_ttd: int):

@@ -15,7 +15,9 @@ and ``hypergeom_1f2``/``hypergeom_2f3`` take only these parameter sets, for
 z <= 0.  Each is a sum over the Bessel values J_n(x) at the endpoint x, so
 one downward Miller recurrence with compensated sums and one division gives
 it to a few ulps at every x (see _miller_form); the test suite checks each
-identity against quadrature and each value against mpmath.
+identity against quadrature and each value against mpmath.  The recurrence
+is the same for all three: one pass over an array of arguments gives every
+form a caller asks for (_hypergeoms), each with the bits of its own call.
 
 A Miller recurrence (these, and ``bessel_j`` above |x| = 12) takes about
 x + 10*sqrt(x) steps.  One whose start would pass _MILLER_STEPS = 65,536
@@ -101,12 +103,12 @@ def bessel_j(order: int, x):
                 sign = -1.0
         if x <= _SERIES_CUTOFF:
             return sign * _bessel_series(n, x)
-        return sign * _bessel_miller(n, x)
+        return sign * _bessel_miller((n,), x)[0]
     ax = abs(x)
     out = np.empty(ax.shape)
     near = ax <= _SERIES_CUTOFF
     out[near] = _bessel_series(n, ax[near])
-    out[~near] = _bessel_miller(n, ax[~near])
+    out[~near] = _bessel_miller((n,), ax[~near])[0]
     return np.where(x < 0.0, -1.0, 1.0) * out if n % 2 else out
 
 
@@ -172,18 +174,24 @@ def _start_groups(top):
     return {t: order[a:b] for t, a, b in zip(tops[lo].tolist(), lo, hi)}
 
 
-def _bessel_miller(n: int, x):
+def _bessel_miller(orders, x):
+    """(J_n(x) for n in orders) from one downward Miller pass.  The
+    recurrence does not depend on n; only its start, from max(x, the
+    largest order), and the steps at which it is read do.  So where x is at
+    least every order, each value has the bits of a pass for its order
+    alone."""
     # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well above
     # the turning point so the unnormalized solution is dominated by J.  An
     # array element starts at its own top (its state is zero before, which
     # the recurrence keeps at zero) and is rescaled on its own.
     vec = isinstance(x, np.ndarray)
     if vec and x.size == 0:
-        return 0.0 * x
-    top = _miller_start(np.maximum(x, n) if vec else max(n, x), 0, x, "x")
+        return tuple(0.0 * x for _ in orders)
+    n_max = max(orders)
+    top = _miller_start(np.maximum(x, n_max) if vec else max(n_max, x), 0, x, "x")
     jp = 0.0 * x  # J~_{k+1}
     norm = 0.0 * x  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
-    out = 0.0 * x
+    out = {n: 0.0 * x for n in orders}
     if vec:
         starts = _start_groups(top)
         first = max(starts)
@@ -200,8 +208,8 @@ def _bessel_miller(n: int, x):
         jp = jc
         jc = jm
         idx = k - 1
-        if idx == n:
-            out = jc
+        if idx in out:
+            out[idx] = jc
         if idx >= 2 and idx % 2 == 0:
             norm = norm + 2.0 * jc
         elif idx == 0:
@@ -212,18 +220,20 @@ def _bessel_miller(n: int, x):
                 big = np.abs(jc) > 1e250
                 if big.any():
                     scale = np.where(big, 1e-250, 1.0)
-                    jc, jp, norm, out = jc * scale, jp * scale, norm * scale, out * scale
+                    jc, jp, norm = jc * scale, jp * scale, norm * scale
+                    out = {n: v * scale for n, v in out.items()}
                 bound = float(max(np.abs(jc).max(), np.abs(jp).max()))
             if idx in starts:
-                # a start comes before idx == n, so jc is not out's array
+                # a start comes before idx reaches an order, so jc is none
+                # of out's arrays
                 jc[starts[idx]] = 1e-30
                 bound = max(bound, 1e-30)
         elif abs(jc) > 1e250:
             jc *= 1e-250
             jp *= 1e-250
             norm *= 1e-250
-            out *= 1e-250
-    return out / norm
+            out = {n: v * 1e-250 for n, v in out.items()}
+    return tuple(out[n] / norm for n in orders)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +241,12 @@ def _bessel_miller(n: int, x):
 # ---------------------------------------------------------------------------
 
 # The three instances by their sorted (numerator, denominator) parameters:
-# the form _miller_form sums, and c with w = -c*z the square of its x.
-_FORMS = {((0.5,), (1.0, 1.5)): ("1F2", 4.0),
-          ((0.5, 0.5), (1.0, 1.5, 1.5)): ("2F3", 4.0),
-          ((0.5, 0.5), (1.0, 1.0, 1.5)): ("J0^2", 1.0)}
+# the form _miller_form sums; and of each form c, with w = -c*z the square
+# of its x.
+_FORMS = {((0.5,), (1.0, 1.5)): "1F2",
+          ((0.5, 0.5), (1.0, 1.5, 1.5)): "2F3",
+          ((0.5, 0.5), (1.0, 1.0, 1.5)): "J0^2"}
+_SCALE = {"1F2": 4.0, "2F3": 4.0, "J0^2": 1.0}
 # Below x = 2**-28 each form is 1 - O(x^2) with x^2 < 2**-56, which rounds to
 # 1.0.  Above it, started from _SEED at order x + 10*sqrt(x) + 20 (at most
 # _MILLER_STEPS), the unnormalized Bessel values stay between 1e-80 and
@@ -277,44 +289,92 @@ def _hypergeom(nums, dens, z):
         raise ValueError(
             f"only 1F2(1/2; 1, 3/2; z), 2F3(1/2, 1/2; 1, 3/2, 3/2; z) and "
             f"2F3(1/2, 1/2; 1, 1, 3/2; z) are implemented, got parameters {key}")
-    form, c = _FORMS[key]
-    z = _argument(z, "z")
-    positive = np.ravel(z)[np.ravel(z) > 0.0]
-    if positive.size:
-        raise ValueError(f"z must be <= 0, got {float(positive[0])!r}")
-    x = math.sqrt(c) * np.sqrt(-z)
-    if not isinstance(z, np.ndarray):
-        return 1.0 if x < _TINY_X else _miller_form(form, -c * z, _miller_start(x, 20, z, "z"))
-    out = np.ones(z.shape)
-    live = x >= _TINY_X
-    if live.any():
-        top = _miller_start(x[live], 20, z[live], "z")  # before w = -c*z can overflow
-        out[live] = _miller_form(form, -c * z[live], top)
+    return _hypergeoms([(_FORMS[key], z)])[0]
+
+
+def _hypergeoms(pairs):
+    """The values of several (form, z) pairs, each of the shape of its z,
+    from one Miller pass: every distinct w = -c*z of the pairs goes through
+    it once, and the pass sums every form a pair asks for.  Each value has
+    the bits of its own call.  The pairs are checked in order before the
+    pass, and the first bad z, or start past the step budget, raises.  If
+    every z is 0-d, each pair is a pass over Python floats, returning a
+    float."""
+    if all(np.ndim(z) == 0 for _, z in pairs):
+        return [_scalar_form(form, z) for form, z in pairs]
+    parts, ws, tops = [], [], []
+    for form, z in pairs:
+        z = np.asarray(_argument(z, "z"))
+        positive = np.ravel(z)[np.ravel(z) > 0.0]
+        if positive.size:
+            raise ValueError(f"z must be <= 0, got {float(positive[0])!r}")
+        c = _SCALE[form]
+        x = math.sqrt(c) * np.sqrt(-z)
+        live = x >= _TINY_X
+        tops.append(_miller_start(x[live], 20, z[live], "z"))  # before w = -c*z can overflow
+        ws.append(-c * z[live])
+        parts.append((form, z.shape, live))
+    w, sums = np.concatenate(ws), {}
+    if w.size:
+        # each distinct w once, ascending (equal w have equal x, so equal
+        # starts); np.unique would load code that nothing else runs
+        order = np.argsort(w, kind="stable")
+        new = np.concatenate(([True], w[order[1:]] != w[order[:-1]]))
+        distinct = w[order[new]]
+        inverse = np.searchsorted(distinct, w)
+        forms = {form for form, _, live in parts if live.any()}
+        sums = _miller_form(forms, distinct, np.concatenate(tops)[order[new]])
+    out, at = [], 0
+    for form, shape, live in parts:
+        value = np.ones(shape)
+        n = int(np.count_nonzero(live))
+        if n:
+            value[live] = sums[form][inverse[at:at + n]]
+        out.append(float(value) if value.ndim == 0 else value)
+        at += n
     return out
 
 
-def _miller_form(form, w, top):
-    """One instance at w = x^2 > 0 by one downward Miller pass, each
-    element (of a 1-D array w) from its own even start ``top``.
+def _scalar_form(form, z):
+    """One form at a 0-d z, by a pass over Python floats."""
+    z = _argument(z, "z")
+    if z > 0.0:
+        raise ValueError(f"z must be <= 0, got {z!r}")
+    c = _SCALE[form]
+    x = math.sqrt(c) * math.sqrt(-z)
+    if x < _TINY_X:
+        return 1.0
+    return _miller_form({form}, -c * z, _miller_start(x, 20, z, "z"))[form]
+
+
+def _miller_form(forms, w, top):
+    """The instances named in ``forms`` at w = x^2 > 0, {form: value}, by
+    one downward Miller pass, each element (of a 1-D array w) from its own
+    even start ``top``.
 
     With P_k = J_k(x)/x at odd k and Q_k = J_k(x) at even k, the recurrence
     J_{k-1} = (2k/x) J_k - J_{k+1} reads Q_{k-1} = 2k P_k - Q_{k+1} and
     P_{k-1} = 2k Q_k / w - P_{k+1}: it takes w, which is exact from z, and
-    not x.  Compensated sums keep what the form needs:
+    not x.  Compensated sums keep what the forms need:
 
-    * 1F2(1/2; 1, 3/2; -x^2/4) = (1/x) int_0^x J0 = 2 sum_k P_{2k+1} / N;
+    * 1F2(1/2; 1, 3/2; -x^2/4) = (1/x) int_0^x J0 = 2 T_0 / N, with the
+      tails T_k = sum_{i>=k} P_{2i+1};
     * 2F3(1/2, 1/2; 1, 3/2, 3/2; -x^2/4), the mean of that curve over
-      [0, x], = 2 sum_k (T_k + T_{k+1}) / (2k + 1) / N, with the tails
-      T_k = sum_{i>=k} P_{2i+1};
+      [0, x], = 2 sum_k (T_k + T_{k+1}) / (2k + 1) / N;
     * 2F3(1/2, 1/2; 1, 1, 3/2; -x^2) = (1/x) int_0^x J0^2
       = sum_j (J_j^2 + J_{j+1}^2) / (2j + 1) / M, summed as
       J_0^2 + sum_{j>=1} 4j / (4j^2 - 1) J_j^2;
 
     normalized by N = J0 + 2 sum_k J_{2k} = 1 or, for the squares, by
-    M = J0^2 + 2 sum_{j>=1} J_j^2 = 1.  Each result is one _quotient."""
+    M = J0^2 + 2 sum_{j>=1} J_j^2 = 1.  The two 1/2; 3/2 forms share the
+    tails and N; each form's result is one _quotient of its own sums, so
+    it has the bits of a pass for it alone."""
     vec = isinstance(w, np.ndarray)
+    squares, means = "J0^2" in forms, "2F3" in forms
+    tails = means or "1F2" in forms
     q, p = 0.0 * w, 0.0 * w  # Q_j and P_{j+1}
     num = num_lo = den = den_lo = tail = tail_lo = t = 0.0 * w
+    sq = sq_lo = norm = norm_lo = 0.0 * w
     if vec:
         starts = _start_groups(top)
         first = max(starts)
@@ -324,32 +384,37 @@ def _miller_form(form, w, top):
         if vec and j in starts:
             q[starts[j]] = _SEED
         p_new = (2.0 * j) * q / w - p  # P_{j-1}
-        if form == "J0^2":
+        if squares:
             for k, s in ((j, q * q), (j - 1, w * p_new * p_new)):
-                num, e = _two_sum(num, (4.0 * k / (4.0 * k * k - 1.0)) * s)
-                num_lo = num_lo + e
-                den, e = _two_sum(den, s)
-                den_lo = den_lo + e
-        else:
+                sq, e = _two_sum(sq, (4.0 * k / (4.0 * k * k - 1.0)) * s)
+                sq_lo = sq_lo + e
+                norm, e = _two_sum(norm, s)
+                norm_lo = norm_lo + e
+        if tails:
             den, e = _two_sum(den, q)
             den_lo = den_lo + e
             tail, e = _two_sum(tail, p_new)
             tail_lo = tail_lo + e
-            if form == "2F3":  # T_k + T_{k+1} over 2k + 1 = j - 1
+            if means:  # T_k + T_{k+1} over 2k + 1 = j - 1
                 old, t = t, tail + tail_lo
                 num, e = _two_sum(num, (old + t) / (j - 1.0))
                 num_lo = num_lo + e
         q, p = (2.0 * j - 2.0) * p_new - q, p_new
-    # q is Q_0 = J_0: close the normalization
-    if form == "J0^2":
+    # q is Q_0 = J_0: close the normalizations
+    out = {}
+    if squares:
         s = q * q
-        num, e = _two_sum(num, s)
-        den, e2 = _two_sum(2.0 * den, s)
-        return _quotient(num, num_lo + e, den, 2.0 * den_lo + e2)
-    den, e = _two_sum(2.0 * den, q)
-    if form == "1F2":
-        num, num_lo = tail, tail_lo
-    return _quotient(2.0 * num, 2.0 * num_lo, den, 2.0 * den_lo + e)
+        sq, e = _two_sum(sq, s)
+        norm, e2 = _two_sum(2.0 * norm, s)
+        out["J0^2"] = _quotient(sq, sq_lo + e, norm, 2.0 * norm_lo + e2)
+    if tails:
+        den, e = _two_sum(2.0 * den, q)
+        den_lo = 2.0 * den_lo + e
+        if "1F2" in forms:
+            out["1F2"] = _quotient(2.0 * tail, 2.0 * tail_lo, den, den_lo)
+        if means:
+            out["2F3"] = _quotient(2.0 * num, 2.0 * num_lo, den, den_lo)
+    return out
 
 
 def hypergeom_1f2(a: float, b1: float, b2: float, z):

@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -197,7 +198,13 @@ def scenario_from_dict(data: dict, seed=None, points=None) -> Scenario:
     diags.extend(validate_scenario(scenario))
     if diags:
         raise ScenarioError(diags)
+    _VALIDATED[id(scenario)] = scenario
     return scenario
+
+
+# The scenarios scenario_from_dict has validated, by id, while they live: a
+# Scenario is frozen, so run() need not check one of them again.
+_VALIDATED = weakref.WeakValueDictionary()
 
 
 def _split_method(label: str):
@@ -486,8 +493,10 @@ def _sweep_points(scenario: Scenario):
 
 def run(scenario: Scenario) -> ResultTable:
     """Execute a scenario: one row per sweep point per method, sorted by
-    (x, method).  Deterministic given the scenario and base seed."""
-    problems = validate_scenario(scenario)
+    (x, method).  Deterministic given the scenario and base seed.  A
+    scenario that load_scenario (or scenario_from_dict) did not return is
+    validated first."""
+    problems = [] if _VALIDATED.get(id(scenario)) is scenario else validate_scenario(scenario)
     if problems:
         raise ScenarioError(problems)
     xs = _sweep_points(scenario)
@@ -520,7 +529,8 @@ def run(scenario: Scenario) -> ResultTable:
 def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
     """One call of the labels' shared evaluator over the sweep, a row per
     label: an angle method's labels take their '@' frequencies as one column
-    (see _Setup); ps_exact and dpp_exact share one steering-row pass."""
+    (see _Setup); ps_exact and dpp_exact share one steering-row pass, the
+    hyp_* labels one Miller pass, and the avg_* labels one band pass."""
     setup = _Setup(scenario, labels)
     with np.errstate(over="raise"):  # an overflow is a numeric failure, not a warning
         return np.asarray(_METHODS[setup.bases[0]].evaluate(setup, np.array(xs)), dtype=float)
@@ -528,19 +538,22 @@ def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
-    its center-frequency beam toward the target, the delay units per chain,
-    and of a family's labels their method names (bases) and f_eval, their
-    evaluation frequencies ('@' suffix, else fc) as an (F, 1) column, which
-    an angle method takes by its sweep."""
+    its center-frequency beam toward the target (built on first read), the
+    delay units per chain, and of a family's labels their method names
+    (bases) and f_eval, their evaluation frequencies ('@' suffix, else fc)
+    as an (F, 1) column, which an angle method takes by its sweep."""
 
     def __init__(self, scenario: Scenario, labels: list):
         sy = scenario.system
         self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
         self.geom = _tx_uca(sy)
         self.radius = self.geom.radius_m
-        self.beam = steering_uca(self.geom, self.fc, self.phi0)
         self.bases, freqs = zip(*map(_split_method, labels))
         self.f_eval = np.array([f or self.fc for f in freqs])[:, None]
+
+    @functools.cached_property
+    def beam(self) -> np.ndarray:
+        return steering_uca(self.geom, self.fc, self.phi0)
 
 
 def _on_beam(s: _Setup, f: np.ndarray) -> list:
@@ -550,6 +563,20 @@ def _on_beam(s: _Setup, f: np.ndarray) -> list:
     return an._gains(s.geom, f, s.phi0, [
         (lambda f: s.beam) if base == "ps_exact" else an._dpp_weights(
             s.geom, s.fc, s.phi0, s.k_ttd) for base in s.bases])
+
+
+def _kernel_curves(s: _Setup, x: np.ndarray) -> list:
+    """hyp_1f2 and hyp_2f3 at each argument x, their forms at z = -x^2/4,
+    from one Miller pass for all the labels."""
+    z = -0.25 * x * x
+    return specfun._hypergeoms([({"hyp_1f2": "1F2", "hyp_2f3": "2F3"}[base], z)
+                                for base in s.bases])
+
+
+def _band_averages(s: _Setup, b: np.ndarray) -> list:
+    """The band averages avg_ps_numeric, avg_ps_upper, avg_ps_lower and
+    avg_ttd over the bandwidths b, from one an._band_averages call."""
+    return an._band_averages(s.radius, b, s.k_ttd, [base.rpartition("_")[2] for base in s.bases])
 
 
 def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
@@ -643,13 +670,12 @@ _METHODS = {
     "uca_exact": _Method(_ANGLE, lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi)),
     "uca_closed_form": _Method(_ANGLE, lambda s, phi: an.ps_gain_angular_closed_form(
         s.f_eval, s.fc, s.radius, phi, s.phi0)),
-    "hyp_1f2": _Method(_ARG, lambda s, x: specfun.hypergeom_1f2(0.5, 1.0, 1.5, -0.25 * x * x)),
-    "hyp_2f3": _Method(_ARG, lambda s, x: specfun.hypergeom_2f3(
-        0.5, 0.5, 1.0, 1.5, 1.5, -0.25 * x * x)),
-    "avg_ps_numeric": _Method(_BAND, lambda s, b: an.avg_gain_ps_numeric(s.radius, b)),
-    "avg_ps_upper": _Method(_BAND, lambda s, b: an.avg_gain_ps_upper(s.radius, b)),
-    "avg_ps_lower": _Method(_BAND, lambda s, b: an.avg_gain_ps_lower(s.radius, b)),
-    "avg_ttd": _Method(_BAND, lambda s, b: an.avg_gain_ttd(s.radius, b, s.k_ttd)),
+    "hyp_1f2": _Method(_ARG, _kernel_curves),
+    "hyp_2f3": _Method(_ARG, _kernel_curves),
+    "avg_ps_numeric": _Method(_BAND, _band_averages),
+    "avg_ps_upper": _Method(_BAND, _band_averages),
+    "avg_ps_lower": _Method(_BAND, _band_averages),
+    "avg_ttd": _Method(_BAND, _band_averages),
     "classic": _Method(_SE, _design_rates, stage=lambda k_ttd: 1),
     "dpp": _Method(_SE, _design_rates, stage=lambda k_ttd: k_ttd),
     "optimal": _Method(_SE, _design_rates, stage=lambda k_ttd: None),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dense_analog import analog, chain_directions, chain_stage, precoder_stage
 from ucabeam import analysis as an
+from ucabeam import specfun
 from ucabeam.analysis import _GAIN_FLOOR
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
@@ -559,6 +560,66 @@ def test_zeros_of_j0_match_mpmath():
     assert zeros.size == len(want) - 1  # every zero below 500, none above
     for got, ref in zip(zeros.tolist(), want):
         assert abs(got - ref) <= 1e-15 * ref
+
+
+def test_zeros_take_j0_and_j1_from_one_pass():
+    # the zeros are >= 2.40, above both orders: one pass for J0 and J1 gives
+    # each the bits of its own pass; below the first zero there are none,
+    # and no pass runs
+    z = an._j0_zeros(300.0)
+    j0, j1 = specfun._bessel_miller((0, 1), z)
+    assert np.array_equal(j0, specfun._bessel_miller((0,), z)[0])
+    assert np.array_equal(j1, specfun._bessel_miller((1,), z)[0])
+    for b_max in (0.5, 2.36, 2.4):
+        assert an._j0_zeros(b_max).size == 0
+
+
+# the public band averages by their kinds in _band_averages, in the order
+# it checks them
+BAND_CALLS = {
+    "numeric": lambda r, bw, k: an.avg_gain_ps_numeric(r, bw),
+    "upper": lambda r, bw, k: an.avg_gain_ps_upper(r, bw),
+    "lower": lambda r, bw, k: an.avg_gain_ps_lower(r, bw),
+    "ttd": lambda r, bw, k: an.avg_gain_ttd(r, bw, k),
+}
+
+
+@pytest.mark.parametrize("kinds", [tuple(BAND_CALLS), ("ttd", "lower", "numeric"),
+                                   ("upper", "lower"), ("numeric",)])
+@pytest.mark.parametrize("k_ttd", [1, 8])
+def test_band_averages_of_one_pass_equal_their_public_calls(kinds, k_ttd):
+    # one pass gives each kind, in the order asked, the bits of its public
+    # call: bands with no zero of J0 below b, with several, and scalars
+    bw = np.concatenate(([1e3, 0.5e9, _band_for(J0_ZEROS[1])], np.linspace(0.05e9, 8e9, 41)))
+    for arg in (bw, 0.5e9, 4e9):
+        got = an._band_averages(R, arg, k_ttd, kinds)
+        assert len(got) == len(kinds)
+        for kind, value in zip(kinds, got):
+            want = BAND_CALLS[kind](R, arg, k_ttd)
+            assert type(value) is type(want)
+            assert np.array_equal(value, want)
+
+
+@pytest.mark.parametrize("kinds, radius, bw, first", [
+    # the numeric average's zeros at b = 1e6, before anything else
+    (tuple(BAND_CALLS), R, [1e9, 1e6 * C / (math.pi * R)], "numeric"),
+    # with K = 1, b_ttd = pi * b passes the budget where b does not
+    (("ttd", "lower", "upper"), 0.3, [1e9, 30000.0 * C / (math.pi * 0.3)], "ttd"),
+    # all three fail: the first in the order of BAND_CALLS raises
+    (("ttd", "lower", "upper"), 0.3, [1e9, 70000.0 * C / (math.pi * 0.3)], "upper"),
+])
+def test_band_averages_past_the_step_budget_raise_their_public_error(kinds, radius, bw, first):
+    bw = np.array(bw)
+    with pytest.raises(ConvergenceError) as alone:
+        BAND_CALLS[first](radius, bw, 1)
+    with pytest.raises(ConvergenceError) as shared:
+        an._band_averages(radius, bw, 1, kinds)
+    assert str(shared.value) == str(alone.value)
+    assert "would take more than 65536 steps" in str(shared.value)
+    order = list(BAND_CALLS)
+    for kind in kinds:  # the kinds before the first pass on their own
+        if order.index(kind) < order.index(first):
+            BAND_CALLS[kind](radius, bw, 1)
 
 
 def test_numeric_average_past_the_step_budget_raises_before_finding_zeros():

@@ -381,6 +381,67 @@ def test_mixed_sign_array_equals_scalar_calls(zs):
         assert np.array_equal(fn(z), want)
 
 
+# each form's public call, and c with x^2 = -c*z
+PUBLIC_FORMS = {
+    "1F2": (lambda z: hypergeom_1f2(0.5, 1.0, 1.5, z), 4.0),
+    "2F3": (lambda z: hypergeom_2f3(0.5, 0.5, 1.0, 1.5, 1.5, z), 4.0),
+    "J0^2": (lambda z: hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, z), 1.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups=st.lists(st.tuples(
+           st.sampled_from(sorted(PUBLIC_FORMS)),
+           st.lists(st.one_of(st.sampled_from([0.0, 2.0 ** -29, 2.0 ** -28, 1e-300]),
+                              st.floats(0.0, 12.0), st.floats(12.0, 900.0)), max_size=12),
+           st.lists(st.sampled_from([0.0, -0.0]), max_size=2)), min_size=1, max_size=5),
+       shared=st.booleans())
+def test_each_form_of_a_shared_pass_equals_its_own_call(groups, shared):
+    # one pass over several (form, z) pairs with mixed forms, z = 0 and
+    # -0.0, x below 2**-28 and arguments with different starts, and (when
+    # shared) the same x in every pair: each pair gets the bits of its own
+    # public call, and of that call's scalar calls
+    pairs = []
+    for form, xs, zeros in groups:
+        x = np.array(xs + ([1.5, 2.0 ** -29, 40.0] if shared else []))
+        pairs.append((form, np.concatenate((-x * x / PUBLIC_FORMS[form][1], zeros))))
+    got = specfun._hypergeoms(pairs)
+    assert len(got) == len(pairs)
+    for (form, z), value in zip(pairs, got):
+        call = PUBLIC_FORMS[form][0]
+        assert value.shape == z.shape
+        assert np.array_equal(value, call(z))
+        assert np.array_equal(value, [call(v) for v in z.tolist()])
+
+
+def test_shared_pass_of_scalars_empty_arrays_and_tiny_arguments():
+    # 0-d pairs give floats; an empty array, or one with every x below
+    # 2**-28, takes no pass and gives ones of its shape
+    zs = (-2.25, np.float64(-0.0), np.array(-900.0))
+    got = specfun._hypergeoms([(form, z) for form, z in zip(sorted(PUBLIC_FORMS), zs)])
+    assert all(type(v) is float for v in got)
+    assert got == [PUBLIC_FORMS[form][0](float(z)) for form, z in zip(sorted(PUBLIC_FORMS), zs)]
+    tiny = -np.array([[0.0, 1e-300], [2.0 ** -60, -0.0]])
+    got = specfun._hypergeoms([("1F2", tiny), ("J0^2", np.zeros((0, 2)))])
+    assert np.array_equal(got[0], np.ones((2, 2))) and got[1].shape == (0, 2)
+    # with a scalar beside an array, the scalar's value is still a float
+    got = specfun._hypergeoms([("2F3", np.array([-1.0, -4.0])), ("2F3", -4.0)])
+    assert type(got[1]) is float and got[1] == got[0][1]
+
+
+def test_shared_pass_checks_its_pairs_in_order():
+    # the first bad pair raises its own error, before any pass
+    good = ("1F2", np.array([-1.0, -4.0]))
+    over = ("J0^2", np.array([-1.0, -1e10]))  # x = 1e5, past the step budget
+    with pytest.raises(ConvergenceError) as alone:
+        hypergeom_2f3(0.5, 0.5, 1.0, 1.0, 1.5, over[1])
+    with pytest.raises(ConvergenceError) as shared:
+        specfun._hypergeoms([good, over, ("2F3", np.array([2.0]))])
+    assert str(shared.value) == str(alone.value)
+    with pytest.raises(ValueError, match=r"z must be <= 0, got 2.0"):
+        specfun._hypergeoms([good, ("2F3", np.array([2.0])), over])
+
+
 @pytest.mark.parametrize("b, message", [
     (0.0, "denominator parameter 0.0 is a non-positive integer; the series is undefined"),
     (-2.0, "denominator parameter -2.0 is a non-positive integer; the series is undefined"),

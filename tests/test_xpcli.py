@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from test_golden import reduced_scenario
-from ucabeam import analysis, arraymodel, precoding, xpcli
+from ucabeam import analysis, arraymodel, precoding, specfun, xpcli
 from ucabeam.precoding import DppConfig, build_classic_hybrid, build_dpp
 from ucabeam.specfun import ConvergenceError
 from ucabeam.xpcli import (
@@ -1265,14 +1265,56 @@ def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
 def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
     counts = {}
     for name in ("_gains", "exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
-                 "dpp_gain_closed_form", "avg_gain_ps_numeric", "avg_gain_ps_upper"):
+                 "dpp_gain_closed_form", "_band_averages", "avg_gain_ps_numeric",
+                 "avg_gain_ps_upper", "avg_gain_ps_lower", "avg_gain_ttd"):
         _count_calls(monkeypatch, analysis, name, counts)
     run(_with_points(load_builtin("fig6"), 40))
     run(_with_points(load_builtin("fig7"), 40))
-    # one call per method and run, and one steering-row pass (_gains) for
-    # both on-beam methods, ps_exact and dpp_exact
+    # one call per method and run, one steering-row pass (_gains) for both
+    # on-beam methods, ps_exact and dpp_exact, and one band pass
+    # (_band_averages) for fig7's four band averages
     assert counts == {"_gains": 1, "dpp_gain_subarray_sum": 1, "dpp_gain_closed_form": 1,
-                      "avg_gain_ps_numeric": 1, "avg_gain_ps_upper": 1}
+                      "_band_averages": 1}
+
+
+def test_kernel_labels_of_a_run_share_one_miller_pass(monkeypatch):
+    # fig5's two curves take one hypergeometric pass; fig7's four band
+    # averages take one, plus one Bessel pass per Newton step of the zeros
+    for name, passes in (("fig5", (1, 0)), ("fig7", (1, analysis._NEWTON_STEPS))):
+        counts = {}
+        for fn in ("_miller_form", "_bessel_miller"):
+            _count_calls(monkeypatch, specfun, fn, counts)
+        run(load_builtin(name))
+        assert (counts.get("_miller_form", 0), counts.get("_bessel_miller", 0)) == passes, name
+        monkeypatch.undo()
+
+
+def test_cli_run_validates_its_scenario_once(tmp_path, monkeypatch):
+    # load_scenario validates; run() does not check the scenario it
+    # returned again, but does check any other
+    counts = {}
+    _count_calls(monkeypatch, xpcli, "validate_scenario", counts)
+    cfg = _write(tmp_path, "fig7.json", _builtin_data("fig7"))
+    assert main(["run", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+    assert counts == {"validate_scenario": 1}
+    scenario = load_scenario(cfg)
+    run(scenario)
+    assert counts == {"validate_scenario": 2}
+    run(_with_points(scenario, 5))
+    assert counts == {"validate_scenario": 3}
+
+
+def test_runs_that_read_no_beam_build_none(monkeypatch):
+    # the fc beam is built on first read: fig5 and fig7 never read it,
+    # fig2's ps_exact does once
+    counts = {}
+    for module in (xpcli, analysis):
+        _count_calls(monkeypatch, module, "steering_uca", counts)
+    run(load_builtin("fig5"))
+    run(load_builtin("fig7"))
+    assert counts == {}
+    run(_with_points(load_builtin("fig2"), 9))
+    assert counts == {"steering_uca": 1}
 
 
 def test_frequency_columns_of_a_method_take_one_call(monkeypatch):
