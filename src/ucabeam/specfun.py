@@ -240,9 +240,9 @@ def _bessel_miller(orders, x):
 # The paper's 1F2 and 2F3 from one downward Miller pass
 # ---------------------------------------------------------------------------
 
-# The three instances by their sorted (numerator, denominator) parameters:
-# the form _miller_form sums; and of each form c, with w = -c*z the square
-# of its x.
+# The form _miller_form sums for each instance, by its sorted (numerator,
+# denominator) parameters; and each form's c, with w = -c*z the square of
+# its x.
 _FORMS = {((0.5,), (1.0, 1.5)): "1F2",
           ((0.5, 0.5), (1.0, 1.5, 1.5)): "2F3",
           ((0.5, 0.5), (1.0, 1.0, 1.5)): "J0^2"}
