@@ -47,9 +47,9 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_positive,
-                         _check_scalar, _count, _steering_rows, _subcarrier_chunks, _sweep,
-                         steering_uca)
+from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_non_negative,
+                         _check_positive, _check_scalar, _count, _steering_rows,
+                         _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -220,8 +220,7 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     _check_scalar("radius_m", radius_m)
     _check_scalar("bandwidth_hz", bandwidth_hz)
     _check_positive("radius_m", radius_m)
-    if not (np.isfinite(bandwidth_hz) and bandwidth_hz >= 0.0):
-        raise ValueError(f"bandwidth_hz must be non-negative, got {bandwidth_hz}")
+    _check_non_negative("bandwidth_hz", bandwidth_hz)
     x = specfun.inverse_1f2_threshold(1.0 - delta)
     return math.pi**2 * radius_m * bandwidth_hz / (SPEED_OF_LIGHT * x)
 
@@ -272,34 +271,30 @@ def _band_averages(radius_m: float, bandwidth_hz, k_ttd, kinds):
     if "ttd" in kinds:
         _count("k_ttd", k_ttd)
     b = _b_ps(radius_m, bandwidth_hz)
-    pairs = []
+    pairs = {}  # kind: (form, z), in the fixed order of the four kinds
     if "numeric" in kinds:
         b_arr = np.asarray(b, dtype=float)
         z = _j0_zeros(float(b_arr.max()))
         t = np.concatenate((z, b_arr.ravel()))
-        pairs.append(("1F2", -0.25 * t * t))
+        pairs["numeric"] = ("1F2", -0.25 * t * t)
     if "upper" in kinds:
-        pairs.append(("J0^2", -b * b))
+        pairs["upper"] = ("J0^2", -b * b)
     if "lower" in kinds:
-        pairs.append(("1F2", -0.25 * b * b))
+        pairs["lower"] = ("1F2", -0.25 * b * b)
     if "ttd" in kinds:
         b_ttd = math.pi**2 * bandwidth_hz * radius_m / (SPEED_OF_LIGHT * k_ttd)
-        pairs.append(("2F3", -0.25 * b_ttd * b_ttd))
-    values = iter(specfun._hypergeoms(pairs))
-    out = {}
+        pairs["ttd"] = ("2F3", -0.25 * b_ttd * b_ttd)
+    out = dict(zip(pairs, specfun._hypergeoms(pairs.values())))
     if "numeric" in kinds:
         # the segments between zeros, shared by every band, added in order,
         # so every band gets the bits of its scalar call
-        s = t * next(values)
+        s = t * out["numeric"]
         k = np.searchsorted(z, b_arr)  # zeros below each b
         at_zeros = np.concatenate(([0.0], s[:z.size]))
         whole = np.cumsum(np.concatenate(([0.0], np.abs(np.diff(at_zeros)))))
         out["numeric"] = (whole[k] + np.abs(s[z.size:].reshape(b_arr.shape) - at_zeros[k])) / b_arr
     if "upper" in kinds:
-        out["upper"] = np.sqrt(next(values))
-    for kind in ("lower", "ttd"):
-        if kind in kinds:
-            out[kind] = next(values)
+        out["upper"] = np.sqrt(out["upper"])
     return [_value(out[kind]) for kind in kinds]
 
 

@@ -75,6 +75,12 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be positive, got {float(value[bad][0])!r}")
 
 
+def _check_non_negative(name, value):
+    """Raise unless the scalar value is finite and non-negative."""
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class UcaGeometry:
     """Uniform circular array of n_elements on a circle of radius_m meters."""
@@ -109,7 +115,8 @@ class UlaGeometry:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Symmetric M-point OFDM subcarrier grid around fc_hz spanning bandwidth_hz."""
+    """Symmetric M-point OFDM subcarrier grid around fc_hz spanning bandwidth_hz;
+    the constructor checks subcarrier 0 (above 0 Hz) without building the grid."""
 
     fc_hz: float
     bandwidth_hz: float
@@ -119,21 +126,23 @@ class FrequencyGrid:
         _check_scalar("fc_hz", self.fc_hz)
         _check_scalar("bandwidth_hz", self.bandwidth_hz)
         _check_positive("fc_hz", self.fc_hz)
-        if not (np.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0.0):
-            raise ValueError(f"bandwidth_hz must be non-negative, got {self.bandwidth_hz}")
+        _check_non_negative("bandwidth_hz", self.bandwidth_hz)
         _count("n_subcarriers", self.n_subcarriers)
-        if self.freqs_hz[0] <= 0.0:
+        if self._freq(0) <= 0.0:
             raise ValueError(
                 "grid extends to non-positive frequencies: "
                 f"fc={self.fc_hz}, B={self.bandwidth_hz}"
             )
 
+    def _freq(self, m):
+        """The frequency of subcarrier m, an index or an array of them."""
+        n = self.n_subcarriers
+        return self.fc_hz + self.bandwidth_hz * ((2.0 * m + 1.0 - n) / (2.0 * n))
+
     @property
     def freqs_hz(self) -> np.ndarray:
         """Subcarrier frequencies; max - min = B*(M-1)/M, midpoint exactly fc."""
-        m = np.arange(self.n_subcarriers)
-        scale = (2.0 * m + 1.0 - self.n_subcarriers) / (2.0 * self.n_subcarriers)
-        return self.fc_hz + self.bandwidth_hz * scale
+        return self._freq(np.arange(self.n_subcarriers))
 
 
 @dataclass(frozen=True)

@@ -89,27 +89,23 @@ def bessel_j(order: int, x):
     for orders 0-6, the absolute error is below 1e-12 for |x| <= 12 (the
     series cancels most just below the cutoff) and below 2e-15 for
     12 < |x| <= 2100; the recurrence takes about |x| + 10*sqrt(|x|) steps.
-    ``x`` may be an array: both methods stop per element.
+    ``x`` may be an array: both methods stop per element.  Floats and arrays
+    take one abs(x), and the parity rule J_n(-x) = (-1)^n J_n(x) negates odd
+    orders where x < 0 (so J_n(-0.0) = J_n(0.0)).
     """
     if order != int(order) or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
     n = int(order)
     x = _argument(x, "argument")
-    if isinstance(x, float):
-        sign = 1.0
-        if x < 0.0:
-            x = -x
-            if n % 2 == 1:
-                sign = -1.0
-        if x <= _SERIES_CUTOFF:
-            return sign * _bessel_series(n, x)
-        return sign * _bessel_miller((n,), x)[0]
     ax = abs(x)
-    out = np.empty(ax.shape)
+    if isinstance(x, float):  # Python floats throughout
+        j = _bessel_series(n, ax) if ax <= _SERIES_CUTOFF else _bessel_miller((n,), ax)[0]
+        return -j if n % 2 and x < 0.0 else j
+    j = np.empty(ax.shape)
     near = ax <= _SERIES_CUTOFF
-    out[near] = _bessel_series(n, ax[near])
-    out[~near] = _bessel_miller((n,), ax[~near])[0]
-    return np.where(x < 0.0, -1.0, 1.0) * out if n % 2 else out
+    j[near] = _bessel_series(n, ax[near])
+    j[~near] = _bessel_miller((n,), ax[~near])[0]
+    return np.where(x < 0.0, -j, j) if n % 2 else j
 
 
 def _bessel_series(n: int, x):

@@ -42,7 +42,7 @@ from .arraymodel import (
     steering_ula,
     steering_uca,
 )
-from .precoding import DppConfig, _arc_size, _check_sizes, build_designs
+from .precoding import _arc_size, _check_sizes, build_designs
 
 __all__ = [
     "ScenarioError",
@@ -280,7 +280,7 @@ def validate_scenario(scenario: Scenario) -> list:
     if ok("n_elements_tx", "fc_hz", "radius_m"):
         passes("system.n_elements_tx", _tx_uca, sy)
     if ok("n_rf", "n_streams"):
-        passes("precoding.n_streams", DppConfig, pc.n_rf, 1, pc.n_streams)
+        passes("precoding.n_streams", _check_sizes, n_rf=pc.n_rf, n_streams=pc.n_streams)
 
     # the sweep's point rules run once: on every listed value, or on the two
     # ends of a range (each rule is monotone along the sweep)

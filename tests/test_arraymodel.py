@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ucabeam.analysis import min_ttd_count
@@ -56,6 +56,12 @@ _CH_ARGS = (UcaGeometry(4, 0.1), UlaGeometry(2, 0.005), FrequencyGrid(30e9, 1e9,
     (lambda: UlaGeometry(2, -1), "spacing_m must be positive, got -1.0"),
     (lambda: FrequencyGrid(math.inf, 1e9, 4), "fc_hz must be positive, got inf"),
     (lambda: FrequencyGrid(30e9, 1e9, 0), "n_subcarriers must be a positive integer, got 0"),
+    # one rule for a bandwidth, whichever layer reads it
+    *(pytest.param(make, f"bandwidth_hz must be non-negative, got {b}",
+                   id=f"{layer}-bandwidth_hz must be non-negative, got {b}")
+      for b in (-1.0, math.nan)
+      for layer, make in (("FrequencyGrid", lambda b=b: FrequencyGrid(30e9, b, 4)),
+                          ("min_ttd_count", lambda b=b: min_ttd_count(0.4, 0.2, b)))),
     (lambda: half_wavelength_uca(4, -3e10), "fc_hz must be positive, got -30000000000.0"),
     (lambda: generate_channel(UcaGeometry(4, 0.1), UlaGeometry(2, 0.005),
                               FrequencyGrid(30e9, 1e9, 4), 2.5, 0),
@@ -210,6 +216,45 @@ def test_grid_validation():
         FrequencyGrid(30e9, 3e9, 0)
     with pytest.raises(ValueError):
         FrequencyGrid(1e9, 4e9, 2)  # lowest subcarrier would sit at 0 Hz
+
+
+def _reference_freqs(fc, bandwidth, n_subcarriers):
+    """The grid as one expression over all subcarriers: the reference that
+    FrequencyGrid's frequencies and its check of subcarrier 0 must match."""
+    m = np.arange(n_subcarriers)
+    scale = (2.0 * m + 1.0 - n_subcarriers) / (2.0 * n_subcarriers)
+    return fc + bandwidth * scale
+
+
+@st.composite
+def _grids(draw):
+    """(fc, B, M), B often a few ulps from the bandwidth that puts the
+    lowest subcarrier at 0 Hz, where rounding decides the sign."""
+    fc = draw(st.floats(1e-3, 1e13))
+    n = draw(st.integers(1, 2048))
+    if n == 1 or draw(st.booleans()):
+        return fc, draw(st.floats(0.0, 1e14)), n
+    bandwidth = fc * (2.0 * n) / (n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        bandwidth = math.nextafter(bandwidth, draw(st.sampled_from([0.0, math.inf])))
+    return fc, bandwidth, n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid=_grids())
+@example(grid=(1e9, 4e9, 2))  # the lowest subcarrier sits at exactly 0 Hz
+@example(grid=(1.0, 3.0, 3))
+@example(grid=(30e9, 0.0, 1))
+def test_grid_and_its_check_of_subcarrier_zero_match_the_reference(grid):
+    # the constructor, which checks subcarrier 0 alone, accepts exactly the
+    # grids whose first reference frequency is positive, and freqs_hz has
+    # the reference's bits
+    want = _reference_freqs(*grid)
+    if want[0] > 0.0:
+        assert FrequencyGrid(*grid).freqs_hz.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match="grid extends to non-positive frequencies"):
+            FrequencyGrid(*grid)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,23 @@ def test_frequency_sweep_band_edges_validate():
     scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key", [("system", "n_subcarriers"), ("sweep", "points")])
+def test_validation_cost_does_not_grow_with_the_grid(section, key):
+    # fig2 checks its grid of n_subcarriers and its frequency sweep's grid of
+    # points; each check reads subcarrier 0 alone, where a 2e6-point grid
+    # would trace 48 MB
+    scenario = load_builtin("fig2")
+    config = dataclasses.replace(getattr(scenario, section), **{key: 2_000_000})
+    scenario = dataclasses.replace(scenario, **{section: config})
+    validate_scenario(scenario)
+    tracemalloc.start()
+    try:
+        assert validate_scenario(scenario) == []
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_validate_rejects_bandwidth_whose_grid_reaches_zero(tmp_path, capsys):
     # 16 subcarriers around 30 GHz stay above 0 Hz up to B = 64 GHz
     data = _small_trial_scenario()
