@@ -251,16 +251,22 @@ def _field_diagnostics(scenario: Scenario):
 
 def validate_scenario(scenario: Scenario) -> list:
     """All invariant violations as human-readable diagnostics (empty = valid).
-    The rules that relate fields read only the fields that passed their own;
-    a field that the sweep replaces is checked on the sweep's points instead."""
+    A rule that relates fields runs where the run reads each and each passed
+    its own; a field that the sweep replaces is checked on the sweep's points."""
     sy, pc, sw, tr = scenario.system, scenario.precoding, scenario.sweep, scenario.trials
     diags = [f"{key}: must be non-empty" for key in ("name", "output")
              if not getattr(scenario, key)]
     field_diags, bad = _field_diagnostics(scenario)
     diags += field_diags
+    # the run reads the sweep's own fields, a frequency sweep's band, and those of
+    # every listed method, valid for the sweep or not (one pass, every diagnostic)
+    bases = {_split_method(label)[0] for label in scenario.methods}
+    usable = set().union({f.name for f in dataclasses.fields(SweepConfig)},
+                         {"fc_hz", "bandwidth_hz"} if sw.variable == "frequency" else (),
+                         *(m.reads for name, m in _METHODS.items() if name in bases)) - bad
 
     def ok(*names):
-        return bad.isdisjoint(names)
+        return usable.issuperset(names)
 
     def passes(where, check, *args, **kwargs):
         # a library check: its ValueError becomes the diagnostic at where
@@ -270,12 +276,6 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append(f"{where}: {exc}")
             return False
         return True
-
-    def check_band(where, bandwidth, n_points=sy.n_subcarriers):
-        # the band's grid must stay above 0 Hz, as FrequencyGrid requires; the
-        # condition tightens as the bandwidth or the number of points grows
-        if ok("fc_hz", "n_subcarriers"):
-            passes(where, FrequencyGrid, sy.fc_hz, bandwidth, n_points)
 
     if ok("n_elements_tx", "fc_hz", "radius_m"):
         passes("system.n_elements_tx", _tx_uca, sy)
@@ -314,22 +314,24 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append(f"sweep: range [{sw.start!r}, {sw.stop!r}] must be finite and "
                          f"non-degenerate (start < stop)")
 
-    def taken(where, variable, read=True):
+    def taken(where, variable):
         # the values the run takes of a field that a sweep can replace: the
-        # sweep's checked points if it does, else the field where it is read
+        # sweep's checked points if it does, else the field if the run reads it
         if sw.variable == variable:
             return ends
         section, name = where.split(".")
-        return [(where, getattr(getattr(scenario, section), name))] if read and ok(name) else []
+        return [(where, getattr(getattr(scenario, section), name))] if ok(name) else []
 
     if ok("n_elements_tx"):
         for where, k in taken("precoding.k_ttd", "k_ttd"):
             passes(where, _arc_size, sy.n_elements_tx, k)
     # the narrowest band must be positive, the widest keep its grid above 0 Hz
-    bands, widest = taken("system.bandwidth_hz", "bandwidth"), None
+    # (FrequencyGrid's rule, which tightens as the band or its points grow)
+    bands, widest = taken("system.bandwidth_hz", "bandwidth"), 0.0
     if bands and passes(bands[0][0], _check_positive, "bandwidth", bands[0][1]):
-        check_band(*bands[-1])
         widest = bands[-1][1]
+        if ok("fc_hz", "n_subcarriers"):
+            passes(bands[-1][0], FrequencyGrid, sy.fc_hz, widest, sy.n_subcarriers)
     if sw.variable not in SWEEP_VARIABLES:
         return diags
     if sw.variable == "frequency" and ends and ok("fc_hz", "bandwidth_hz"):
@@ -341,11 +343,11 @@ def validate_scenario(scenario: Scenario) -> list:
                          f"[start, stop] must be fc_hz -/+ bandwidth_hz/2 = "
                          f"[{lo!r}, {hi!r}], got [{sw.start!r}, {sw.stop!r}]")
         if ok("points"):
-            check_band("sweep.points", sy.bandwidth_hz, sw.points)
+            passes("sweep.points", FrequencyGrid, sy.fc_hz, sy.bandwidth_hz, sw.points)
 
     # the model's phases 2*pi*R*f/c (ring) and 2*pi*tau*f (path delays), taken
-    # in its order at the top frequency of the widest band the run takes
-    if widest is not None and ok("fc_hz"):
+    # in its order at the top frequency of the widest band the run takes, or fc
+    if ok("fc_hz"):
         f_top = sy.fc_hz + widest / 2.0
         if (sy.radius_m is not None and ok("radius_m")
                 and not math.isfinite(2.0 * math.pi * sy.radius_m * f_top / SPEED_OF_LIGHT)):
@@ -358,7 +360,6 @@ def validate_scenario(scenario: Scenario) -> list:
     if not scenario.methods:
         diags.append("methods: must list at least one method")
     allowed = [name for name, m in _METHODS.items() if sw.variable in m.variables]
-    has_trial = False
     for i, label in enumerate(scenario.methods):
         if label in scenario.methods[:i]:
             diags.append(f"methods: {label!r} is listed more than once")
@@ -372,8 +373,7 @@ def validate_scenario(scenario: Scenario) -> list:
             diags.append(f"methods: {label!r}: '@frequency' suffixes apply only to angle sweeps")
         elif freq is not None:
             passes(f"methods: {label!r}", _check_positive, "f_hz", freq)
-        has_trial = has_trial or _METHODS[base].stage is not None
-    for where, snr_db in taken("trials.snr_db", "snr_db", read=has_trial):
+    for where, snr_db in taken("trials.snr_db", "snr_db"):
         # the runner rates at rho*P, rho = 10^(snr_db/10): both finite positive floats
         try:
             rho = 10.0 ** (snr_db / 10.0)
@@ -387,12 +387,12 @@ def validate_scenario(scenario: Scenario) -> list:
                          f"finite positive number, got snr_db={snr_db!r} ({where}) and "
                          f"total_power={pc.total_power!r}")
     # the sizes build_designs checks, one rule at a time
-    if has_trial and ok("n_rf", "n_paths"):
+    if ok("n_rf", "n_paths"):
         passes("trials.n_paths", _check_sizes, n_rf=pc.n_rf, n_paths=tr.n_paths)
-    if has_trial and ok("n_streams", "n_elements_rx"):
+    if ok("n_streams", "n_elements_rx"):
         passes("precoding.n_streams", _check_sizes, n_streams=pc.n_streams,
                n_rx=sy.n_elements_rx)
-    if has_trial and ok("n_rf", "n_elements_tx"):
+    if ok("n_rf", "n_elements_tx"):
         passes("precoding.n_rf", _check_sizes, n_rf=pc.n_rf, n_elements=sy.n_elements_tx)
     return diags
 
@@ -538,18 +538,20 @@ def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
-    its center-frequency beam toward the target (built on first read), the
-    delay units per chain, and of a family's labels their method names
+    its center-frequency beam toward the target (each built on first read),
+    the delay units per chain, and of a family's labels their method names
     (bases) and f_eval, their evaluation frequencies ('@' suffix, else fc)
     as an (F, 1) column, which an angle method takes by its sweep."""
 
     def __init__(self, scenario: Scenario, labels: list):
-        sy = scenario.system
+        self.system = sy = scenario.system
         self.fc, self.phi0, self.k_ttd = sy.fc_hz, sy.target_angle_rad, scenario.precoding.k_ttd
-        self.geom = _tx_uca(sy)
-        self.radius = self.geom.radius_m
         self.bases, freqs = zip(*map(_split_method, labels))
         self.f_eval = np.array([f or self.fc for f in freqs])[:, None]
+
+    @functools.cached_property
+    def geom(self) -> UcaGeometry:
+        return _tx_uca(self.system)
 
     @functools.cached_property
     def beam(self) -> np.ndarray:
@@ -576,13 +578,14 @@ def _kernel_curves(s: _Setup, x: np.ndarray) -> list:
 def _band_averages(s: _Setup, b: np.ndarray) -> list:
     """The band averages avg_ps_numeric, avg_ps_upper, avg_ps_lower and
     avg_ttd over the bandwidths b, from one an._band_averages call."""
-    return an._band_averages(s.radius, b, s.k_ttd, [base.rpartition("_")[2] for base in s.bases])
+    return an._band_averages(s.geom.radius_m, b, s.k_ttd,
+                             [base.rpartition("_")[2] for base in s.bases])
 
 
 def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
     """Gain at each angle of a half-wavelength ULA beam toward the target,
     the linear-array reference of uca_exact."""
-    ula = UlaGeometry(s.geom.n_elements, SPEED_OF_LIGHT / s.fc / 2.0)
+    ula = UlaGeometry(s.system.n_elements_tx, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
     return an._gains(ula, s.f_eval, phi, [lambda f: w])[0]
 
@@ -635,7 +638,8 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
 
 @dataclass(frozen=True)
 class _Method:
-    """A method label's accepted sweep variables and evaluator.  Deterministic
+    """A method label's accepted sweep variables, reads (the config fields
+    that its evaluator or stage reads) and evaluator.  Deterministic
     evaluators map (_Setup, array of sweep points) to the values at every
     point.  A trial method, one that averages over seeded channels, has a
     ``stage``, which maps a point's delay-unit count to the build_designs key
@@ -645,6 +649,7 @@ class _Method:
     A run hands all the deterministic labels of one evaluator to one call."""
 
     variables: tuple
+    reads: frozenset
     evaluate: object
     stage: object = None
 
@@ -656,29 +661,38 @@ def _design_rates(design, rho):
 
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
 _SE = ("snr_db", "k_ttd", "bandwidth")
+# What methods read, in groups: the ring, a beam toward the target, the delay
+# units, and a trial's channels, designs and rates.
+_RING = frozenset({"n_elements_tx", "radius_m", "fc_hz"})
+_BEAM = _RING | {"target_angle_rad"}
+_DELAY = frozenset({"k_ttd"})
+_TRIAL = _RING | {"n_elements_rx", "bandwidth_hz", "n_subcarriers", "n_rf", "n_streams",
+                  "total_power", "n_seeds", "base_seed", "n_paths", "snr_db", "max_delay_s"}
 
 # Validation and execution both read this table.
 _METHODS = {
-    "ps_exact": _Method(_FREQ, _on_beam),
-    "ps_closed_form": _Method(_FREQ, lambda s, f: an.ps_gain_closed_form(f, s.fc, s.radius)),
-    "dpp_exact": _Method(_FREQ, _on_beam),
-    "dpp_subarray_sum": _Method(_FREQ, lambda s, f: an.dpp_gain_subarray_sum(
-        f, s.fc, s.radius, s.geom.n_elements, s.k_ttd)),
-    "dpp_closed_form": _Method(_FREQ, lambda s, f: an.dpp_gain_closed_form(
-        f, s.fc, s.radius, s.k_ttd)),
-    "ula_exact": _Method(_ANGLE, _ula_exact),
-    "uca_exact": _Method(_ANGLE, lambda s, phi: an.exact_gain(s.beam, s.geom, s.f_eval, phi)),
-    "uca_closed_form": _Method(_ANGLE, lambda s, phi: an.ps_gain_angular_closed_form(
-        s.f_eval, s.fc, s.radius, phi, s.phi0)),
-    "hyp_1f2": _Method(_ARG, _kernel_curves),
-    "hyp_2f3": _Method(_ARG, _kernel_curves),
-    "avg_ps_numeric": _Method(_BAND, _band_averages),
-    "avg_ps_upper": _Method(_BAND, _band_averages),
-    "avg_ps_lower": _Method(_BAND, _band_averages),
-    "avg_ttd": _Method(_BAND, _band_averages),
-    "classic": _Method(_SE, _design_rates, stage=lambda k_ttd: 1),
-    "dpp": _Method(_SE, _design_rates, stage=lambda k_ttd: k_ttd),
-    "optimal": _Method(_SE, _design_rates, stage=lambda k_ttd: None),
+    "ps_exact": _Method(_FREQ, _BEAM, _on_beam),
+    "ps_closed_form": _Method(_FREQ, _RING, lambda s, f: an.ps_gain_closed_form(
+        f, s.fc, s.geom.radius_m)),
+    "dpp_exact": _Method(_FREQ, _BEAM | _DELAY, _on_beam),
+    "dpp_subarray_sum": _Method(_FREQ, _RING | _DELAY, lambda s, f: an.dpp_gain_subarray_sum(
+        f, s.fc, s.geom.radius_m, s.geom.n_elements, s.k_ttd)),
+    "dpp_closed_form": _Method(_FREQ, _RING | _DELAY, lambda s, f: an.dpp_gain_closed_form(
+        f, s.fc, s.geom.radius_m, s.k_ttd)),
+    "ula_exact": _Method(_ANGLE, _BEAM - {"radius_m"}, _ula_exact),
+    "uca_exact": _Method(_ANGLE, _BEAM, lambda s, phi: an.exact_gain(
+        s.beam, s.geom, s.f_eval, phi)),
+    "uca_closed_form": _Method(_ANGLE, _BEAM, lambda s, phi: an.ps_gain_angular_closed_form(
+        s.f_eval, s.fc, s.geom.radius_m, phi, s.phi0)),
+    "hyp_1f2": _Method(_ARG, frozenset(), _kernel_curves),
+    "hyp_2f3": _Method(_ARG, frozenset(), _kernel_curves),
+    "avg_ps_numeric": _Method(_BAND, _RING, _band_averages),
+    "avg_ps_upper": _Method(_BAND, _RING, _band_averages),
+    "avg_ps_lower": _Method(_BAND, _RING, _band_averages),
+    "avg_ttd": _Method(_BAND, _RING | _DELAY, _band_averages),
+    "classic": _Method(_SE, _TRIAL, _design_rates, stage=lambda k_ttd: 1),
+    "dpp": _Method(_SE, _TRIAL | _DELAY, _design_rates, stage=lambda k_ttd: k_ttd),
+    "optimal": _Method(_SE, _TRIAL, _design_rates, stage=lambda k_ttd: None),
 }
 SWEEP_VARIABLES = tuple(dict.fromkeys(v for m in _METHODS.values() for v in m.variables))
 

@@ -105,13 +105,15 @@ def test_runner_rates_designs_through_the_traced_binding(monkeypatch):
 
 
 def test_every_generated_config_validates(tmp_path, capsys):
-    # the bench runs the configs it generates: a stricter rule must accept them
+    # the bench runs the configs it generates, at seeds 0-9: a stricter rule
+    # must accept them
     harness = _load_bench("harness")
     for workload in harness.WORKLOADS:
-        plan = harness.make_plan(workload, 0)
-        harness.write_configs({"xpcli": xpcli}, plan, tmp_path / workload)
-        for cfg, _ in plan.files.values():
-            assert xpcli.main(["validate", str(cfg)]) == 0, capsys.readouterr().err
+        for seed in range(10):
+            plan = harness.make_plan(workload, seed)
+            harness.write_configs({"xpcli": xpcli}, plan, tmp_path / workload / str(seed))
+            for cfg, _ in plan.files.values():
+                assert xpcli.main(["validate", str(cfg)]) == 0, (seed, capsys.readouterr().err)
     assert len(harness.WORKLOADS) == 3
 
 

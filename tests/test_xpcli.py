@@ -146,7 +146,7 @@ def test_all_diagnostics_collected_at_once():
     data["precoding"]["k_ttd"] = 7
     data["precoding"]["n_streams"] = 9
     data["sweep"] = {"variable": "frequency", "start": 5.0, "stop": 1.0, "points": 1}
-    data["methods"] = ["classic"]
+    data["methods"] = ["dpp"]  # reads k_ttd, and takes no frequency sweep
     with pytest.raises(ScenarioError) as info:
         scenario_from_dict(data)
     text = "\n".join(info.value.diagnostics)
@@ -694,7 +694,11 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(name="fig8", n_tx=1, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=4,
-         n_paths=4, total_power=1.0, snr_db=10.0, n_sub=4, seed=0)
+         n_paths=4, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False)
+@example(name="fig3b", n_tx=16, radius=None, k_pick=2, n_rf=1, n_streams=3, n_rx=4,
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=True)
+@example(name="fig5", n_tx=1, radius=None, k_pick=1, n_rf=2, n_streams=4, n_rx=1,
+         n_paths=1, total_power=1e308, snr_db=100.0, n_sub=5, seed=0, any_sizes=True)
 @given(name=st.sampled_from(("fig8", "fig9", "fig10", "fig2", "fig3a", "fig3b", "fig5", "fig6",
                              "fig7")),
        n_tx=st.sampled_from([1, 2, 3, 4, 6, 8, 16]),
@@ -703,19 +707,22 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
        n_paths=st.integers(1, 4),
        total_power=st.floats(1e-3, 1e3) | st.floats(1e-300, 1e308),
        snr_db=st.floats(-100.0, 100.0), n_sub=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), any_sizes=st.booleans())
 def test_a_scenario_that_validates_runs_without_a_config_error(
         tmp_path, capsys, name, n_tx, radius, k_pick, n_rf, n_streams, n_rx, n_paths,
-        total_power, snr_db, n_sub, seed):
+        total_power, snr_db, n_sub, seed, any_sizes):
     # small variants of the built-ins, the trial ones drawn first: whatever
     # validate accepts, run may still stop as a numeric failure (exit 3), but
-    # not as a config error
+    # not as a config error; with any_sizes, k_ttd need not divide the ring
+    # and the streams may outnumber the RF chains, which only the methods
+    # that read those fields refuse (as a one-element ring with no radius)
     divisors = [k for k in range(1, n_tx + 1) if n_tx % k == 0]
     data = _builtin_data(name)
     data["system"].update(n_elements_tx=n_tx, n_elements_rx=n_rx, n_subcarriers=n_sub,
                           radius_m=radius)
-    data["precoding"].update(n_rf=n_rf, k_ttd=divisors[k_pick % len(divisors)],
-                             n_streams=min(n_streams, n_rf), total_power=total_power)
+    data["precoding"].update(
+        n_rf=n_rf, k_ttd=k_pick + 1 if any_sizes else divisors[k_pick % len(divisors)],
+        n_streams=n_streams if any_sizes else min(n_streams, n_rf), total_power=total_power)
     data["trials"].update(n_seeds=1, base_seed=seed, n_paths=n_paths, snr_db=snr_db)
     if data["sweep"]["variable"] == "k_ttd":
         data["sweep"]["values"] = divisors
@@ -725,6 +732,57 @@ def test_a_scenario_that_validates_runs_without_a_config_error(
     if main(["validate", cfg]) == 0:
         assert main(["run", cfg, "--out", "-"]) != 2, capsys.readouterr().err
     capsys.readouterr()
+
+
+# A small scenario for each sweep variable, and a changed value for every
+# config field; where one exists, a value that a method reading the field
+# refuses: k_ttd = 7 divides no ring of 16, 3 streams need 3 RF chains, a
+# half-wavelength ring needs 2 elements, 1e12 Hz takes the 30 GHz band's
+# grid below 0 Hz, and a 1e300 s delay has no finite phase.
+_SWEEPS = {
+    "frequency": {"variable": "frequency", "start": FC - 0.5e9, "stop": FC + 0.5e9,
+                  "points": 5},
+    "angle": {"variable": "angle", "start": -1.0, "stop": 2.0, "points": 5},
+    "argument": {"variable": "argument", "start": 0.0, "stop": 10.0, "points": 5},
+    "bandwidth": {"variable": "bandwidth", "start": 1e8, "stop": 1e9, "points": 3},
+    "snr_db": {"variable": "snr_db", "start": -10.0, "stop": 20.0, "points": 2},
+}
+_CHANGED = {
+    "system": {"n_elements_tx": 1, "n_elements_rx": 3, "fc_hz": 20e9, "bandwidth_hz": 1e12,
+               "n_subcarriers": 7, "radius_m": 0.05, "target_angle_rad": -0.25},
+    "precoding": {"n_rf": 2, "k_ttd": 7, "n_streams": 3, "total_power": 2e307},
+    "trials": {"n_seeds": 2, "base_seed": 99, "n_paths": 3, "snr_db": 85.6,
+               "max_delay_s": 1e300},
+}
+
+
+@pytest.mark.parametrize("method", list(xpcli._METHODS))
+def test_a_method_reads_no_field_outside_its_reads(tmp_path, capsys, method):
+    # every field outside the method's reads, and not read by its sweep (the
+    # band of a frequency sweep), changed one at a time: the config validates
+    # and the CSV is the unchanged run's, byte for byte
+    configs = {section: {f.name for f in dataclasses.fields(cls)} for section, cls in (
+        ("system", xpcli.SystemConfig), ("precoding", xpcli.PrecodingConfig),
+        ("trials", xpcli.TrialsConfig))}
+    assert {section: set(values) for section, values in _CHANGED.items()} == configs
+    reads = xpcli._METHODS[method].reads
+    assert reads <= set().union(*configs.values())
+    variable = next(v for v in xpcli._METHODS[method].variables if v in _SWEEPS)
+    if variable == "frequency":
+        reads |= {"fc_hz", "bandwidth_hz"}
+    data = _small_trial_scenario(sweep=_SWEEPS[variable], methods=[method])
+    expected = tmp_path / "unchanged.csv"
+    assert main(["run", _write(tmp_path, "unchanged.json", data), "--out", str(expected)]) == 0
+    changed = [(section, key, value) for section, values in _CHANGED.items()
+               for key, value in values.items() if key not in reads]
+    assert changed
+    for section, key, value in changed:
+        variant = json.loads(json.dumps(data))
+        variant[section][key] = value
+        cfg, out = _write(tmp_path, f"{key}.json", variant), tmp_path / f"{key}.csv"
+        assert main(["validate", cfg]) == 0, (key, capsys.readouterr().err)
+        assert main(["run", cfg, "--out", str(out)]) == 0, (key, capsys.readouterr().err)
+        assert out.read_bytes() == expected.read_bytes(), key
 
 
 # ---------------------------------------------------------------------------
@@ -1332,6 +1390,22 @@ def test_runs_that_read_no_beam_build_none(monkeypatch):
     assert counts == {}
     run(_with_points(load_builtin("fig2"), 9))
     assert counts == {"steering_uca": 1}
+
+
+def test_runs_that_read_no_ring_build_none(monkeypatch):
+    # the transmit ring is built on first read, like the beam: fig5's
+    # hyp_1f2 and hyp_2f3 never read it, so a ring of one element with no
+    # radius (no half-wavelength spacing exists) runs, with fig5's rows;
+    # fig3b builds one ring per evaluator
+    data = _builtin_data("fig5")
+    data["system"]["n_elements_tx"] = 1
+    scenarios = [load_builtin("fig5"), scenario_from_dict(data), load_scenario("fig3b", points=9)]
+    counts = {}
+    _count_calls(monkeypatch, xpcli, "_tx_uca", counts)
+    assert run(scenarios[0]) == run(scenarios[1])
+    assert counts == {}
+    run(scenarios[2])
+    assert counts == {"_tx_uca": 2}
 
 
 def test_frequency_columns_of_a_method_take_one_call(monkeypatch):
