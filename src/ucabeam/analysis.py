@@ -48,7 +48,7 @@ import numpy as np
 
 from . import specfun
 from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_non_negative,
-                         _check_positive, _check_scalar, _count, _steering_rows,
+                         _check_positive, _check_scalar, _count, _eta, _steering_rows,
                          _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
@@ -115,10 +115,6 @@ def _gains(geom, f_hz, phi_rad, weights):
                 grid[i, sl] = [abs(np.vdot(x, y))
                                for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
     return [_value(out) for out in outs]
-
-
-def _eta(f_hz: float, radius_m: float) -> float:
-    return 2.0 * math.pi * radius_m * f_hz / SPEED_OF_LIGHT
 
 
 def ps_gain_closed_form(f_hz, fc_hz: float, radius_m: float):
@@ -274,7 +270,7 @@ def _band_averages(radius_m: float, bandwidth_hz, k_ttd, kinds):
     pairs = {}  # kind: (form, z), in the fixed order of the four kinds
     if "numeric" in kinds:
         b_arr = np.asarray(b, dtype=float)
-        z = _j0_zeros(float(b_arr.max()))
+        z = _j0_zeros(float(b_arr.max(initial=0.0)))  # an empty array: no zeros
         t = np.concatenate((z, b_arr.ravel()))
         pairs["numeric"] = ("1F2", -0.25 * t * t)
     if "upper" in kinds:

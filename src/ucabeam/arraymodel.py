@@ -55,9 +55,14 @@ def _subcarrier_chunks(n: int) -> list:
 
 
 def _count(name, value):
-    """Raise unless value is a positive int."""
-    if not (isinstance(value, int) and value >= 1):
+    """Raise unless value is a positive int (not a bool)."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
+def _eta(f_hz, radius_m):
+    """The ring phase eta = 2*pi*R*f/c of a radius R at frequencies f."""
+    return 2.0 * math.pi * radius_m * f_hz / SPEED_OF_LIGHT
 
 
 def _check_scalar(name, value):
@@ -196,7 +201,7 @@ class ChannelRealization:
         f_r = np.arange(min(SUBCARRIER_CHUNK, freqs.size))[:, None] * (
             self.grid.bandwidth_hz / self.grid.n_subcarriers)
         residual = _steering_rows(tx, aods)(f_r)  # 8 x L x N, as steering_uca builds it
-        eta_q = 2.0 * np.pi * tx.radius_m * freqs[::SUBCARRIER_CHUNK] / SPEED_OF_LIGHT
+        eta_q = _eta(freqs[::SUBCARRIER_CHUNK], tx.radius_m)
         b = _steering_rows(rx, np.array([p.aoa_rad for p in self.paths]))(freqs[:, None])
         coef = np.array([p.gain for p in self.paths]) * np.exp(
             -2j * np.pi * np.array([p.delay_s for p in self.paths]) * freqs[:, None, None])
@@ -228,7 +233,7 @@ def _steering_rows(geom, phi):
 
     def rows(f, out=None):
         f = f[..., None]
-        phase = (2.0 * np.pi * geom.radius_m * f / SPEED_OF_LIGHT * cos
+        phase = (_eta(f, geom.radius_m) * cos
                  if isinstance(geom, UcaGeometry) else n_d * f * sin / SPEED_OF_LIGHT)
         out = np.multiply(1j, phase, out=out)
         np.exp(out, out=out)

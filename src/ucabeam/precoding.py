@@ -61,6 +61,7 @@ from .arraymodel import (
     ChannelRealization,
     UcaGeometry,
     _count,
+    _eta,
     _subcarrier_chunks,
     channel_matrix,
     steering_uca,
@@ -145,7 +146,7 @@ def _chain_phases(geom: UcaGeometry, fc_hz: float, phi: np.ndarray, k_ttd: int):
     """Per-arc corrections to zero centroid phase (n x K, unit modulus) and
     TTD delays (n x K) of n chains steered toward the directions phi (n x 1)."""
     theta = ttd_reference_angles(geom.n_elements, k_ttd)
-    eta_c = 2.0 * np.pi * geom.radius_m * fc_hz / SPEED_OF_LIGHT
+    eta_c = _eta(fc_hz, geom.radius_m)
     return np.exp(-1j * eta_c * np.cos(phi - theta)), ttd_delays(phi, k_ttd, geom)
 
 

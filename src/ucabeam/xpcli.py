@@ -37,6 +37,7 @@ from .arraymodel import (
     UcaGeometry,
     UlaGeometry,
     _check_positive,
+    _eta,
     generate_channel,
     half_wavelength_uca,
     steering_ula,
@@ -350,7 +351,7 @@ def validate_scenario(scenario: Scenario) -> list:
     if ok("fc_hz"):
         f_top = sy.fc_hz + widest / 2.0
         if (sy.radius_m is not None and ok("radius_m")
-                and not math.isfinite(2.0 * math.pi * sy.radius_m * f_top / SPEED_OF_LIGHT)):
+                and not math.isfinite(_eta(f_top, sy.radius_m))):
             diags.append(f"system.radius_m: the phase 2*pi*R*f/c at f={f_top!r} Hz "
                          f"is not finite, got {sy.radius_m!r}")
         if ok("max_delay_s") and not math.isfinite(2.0 * math.pi * tr.max_delay_s * f_top):
@@ -501,14 +502,10 @@ def run(scenario: Scenario) -> ResultTable:
         raise ScenarioError(problems)
     xs = _sweep_points(scenario)
     rows = []
-    trial_labels = []
-    families = {}  # evaluator -> the deterministic labels it takes, in order of appearance
+    families = {}  # evaluator -> the labels it takes, in order of appearance
     for label in scenario.methods:
-        method = _METHODS[_split_method(label)[0]]
-        if method.stage is not None:
-            trial_labels.append(label)
-        else:
-            families.setdefault(method.evaluate, []).append(label)
+        families.setdefault(_METHODS[_split_method(label)[0]].evaluate, []).append(label)
+    trial_labels = families.pop(None, [])  # trial methods have no evaluator
     for labels in families.values():
         try:
             values = _family_values(scenario, labels, xs)
@@ -603,8 +600,9 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     shares it; a new channel is drawn only when the bandwidth changes.  On
     each channel one build_designs pass, a chunk at a time and with no
     M x N x N_r stack, builds every design its points need (the fully
-    digital bound included), and a method is evaluated once per design, at
-    all the SNRs of the points that use it."""
+    digital bound included), and each design is rated once, at all the SNRs
+    of the points that use it, whichever methods list them (classic and dpp
+    at K = 1 share one design)."""
     sy, pc, tr = scenario.system, scenario.precoding, scenario.trials
     variable = scenario.sweep.variable
     bandwidths = [x if variable == "bandwidth" else sy.bandwidth_hz for x in xs]
@@ -615,22 +613,22 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
     for seed in range(tr.base_seed, tr.base_seed + tr.n_seeds):
         for bandwidth, js in itertools.groupby(range(len(xs)), bandwidths.__getitem__):
             ch = _channel(scenario, bandwidth, seed)
-            points = {}  # (label, key of its design) -> {rho: sweep indices}
+            points = {}  # design key -> {rho: [(label, sweep index)]}, in order of first use
             for label, j in itertools.product(labels, js):
-                key = (label, _METHODS[_split_method(label)[0]].stage(ks[j]))
-                points.setdefault(key, {}).setdefault(rhos[j], []).append(j)
+                key = _METHODS[_split_method(label)[0]].stage(ks[j])
+                points.setdefault(key, {}).setdefault(rhos[j], []).append((label, j))
             try:
-                designs = build_designs(ch, pc.n_rf, pc.n_streams, {k for _, k in points})
+                designs = build_designs(ch, pc.n_rf, pc.n_streams, points.keys())
             except ArithmeticError as exc:
                 raise ArithmeticError(f"{exc}; seed {seed}") from exc
-            for (label, key), at_rho in points.items():
-                try:
-                    rates = _METHODS[_split_method(label)[0]].evaluate(
-                        designs[key], np.array(list(at_rho)))
+            for key, at_rho in points.items():
+                try:  # looked up per call, so a rebinding of the module's function sees it
+                    rates = an.spectrum_efficiency(designs[key], np.array(list(at_rho)))
                 except ArithmeticError as exc:
-                    raise ArithmeticError(f"{exc}; method {label}, seed {seed}") from exc
-                for mean, same in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
-                    for j in same:
+                    first = next(iter(at_rho.values()))[0][0]  # the first label that uses it
+                    raise ArithmeticError(f"{exc}; method {first}, seed {seed}") from exc
+                for mean, uses in zip(rates.mean(axis=-1).tolist(), at_rho.values()):
+                    for label, j in uses:
                         per_seed[label][j].append(mean)
     return [ResultRow(float(x), label, float(np.mean(v)), float(np.std(v)))
             for label in labels for x, v in zip(xs, per_seed[label])]
@@ -639,24 +637,18 @@ def _run_trials(scenario: Scenario, labels: list, xs: list) -> list:
 @dataclass(frozen=True)
 class _Method:
     """A method label's accepted sweep variables, reads (the config fields
-    that its evaluator or stage reads) and evaluator.  Deterministic
-    evaluators map (_Setup, array of sweep points) to the values at every
-    point.  A trial method, one that averages over seeded channels, has a
-    ``stage``, which maps a point's delay-unit count to the build_designs key
-    of the design it rates (1: the classic design, None: the fully digital
-    bound); its evaluator maps (design, 1-D array of SNRs rho) to the
-    spectrum efficiency of every subcarrier at each SNR (SNRs x subcarriers).
-    A run hands all the deterministic labels of one evaluator to one call."""
+    that its evaluator or stage reads), and evaluator or stage.  An
+    evaluator maps (_Setup, array of sweep points) to the values at every
+    point, and a run hands all the labels of one evaluator to one call.  A
+    trial method, one that averages over seeded channels, has no evaluator
+    but a ``stage``, which maps a point's delay-unit count to the
+    build_designs key of the design it rates (1: the classic design, None:
+    the fully digital bound); _run_trials rates each design once."""
 
     variables: tuple
     reads: frozenset
-    evaluate: object
+    evaluate: object = None
     stage: object = None
-
-
-def _design_rates(design, rho):
-    """an.spectrum_efficiency, looked up per call so bench/tracer.py sees it."""
-    return an.spectrum_efficiency(design, rho)
 
 
 _FREQ, _ANGLE, _ARG, _BAND = ("frequency",), ("angle",), ("argument",), ("bandwidth",)
@@ -690,9 +682,9 @@ _METHODS = {
     "avg_ps_upper": _Method(_BAND, _RING, _band_averages),
     "avg_ps_lower": _Method(_BAND, _RING, _band_averages),
     "avg_ttd": _Method(_BAND, _RING | _DELAY, _band_averages),
-    "classic": _Method(_SE, _TRIAL, _design_rates, stage=lambda k_ttd: 1),
-    "dpp": _Method(_SE, _TRIAL | _DELAY, _design_rates, stage=lambda k_ttd: k_ttd),
-    "optimal": _Method(_SE, _TRIAL, _design_rates, stage=lambda k_ttd: None),
+    "classic": _Method(_SE, _TRIAL, stage=lambda k_ttd: 1),
+    "dpp": _Method(_SE, _TRIAL | _DELAY, stage=lambda k_ttd: k_ttd),
+    "optimal": _Method(_SE, _TRIAL, stage=lambda k_ttd: None),
 }
 SWEEP_VARIABLES = tuple(dict.fromkeys(v for m in _METHODS.values() for v in m.variables))
 

@@ -600,6 +600,14 @@ def test_band_averages_of_one_pass_equal_their_public_calls(kinds, k_ttd):
             assert np.array_equal(value, want)
 
 
+def test_band_averages_of_no_bandwidths_are_empty():
+    # an empty array of bands has no zeros of J0 below its widest band: each
+    # public call, and one pass of all four kinds, gives an empty array
+    got = [BAND_CALLS[kind](R, np.array([]), 8) for kind in BAND_CALLS]
+    got += an._band_averages(R, np.array([]), 8, list(BAND_CALLS))
+    assert [(v.dtype, v.shape) for v in got] == [(np.dtype(float), (0,))] * 8
+
+
 @pytest.mark.parametrize("kinds, radius, bw, first", [
     # the numeric average's zeros at b = 1e6, before anything else
     (tuple(BAND_CALLS), R, [1e9, 1e6 * C / (math.pi * R)], "numeric"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ucabeam.analysis import min_ttd_count
+from ucabeam.analysis import dpp_gain_closed_form, min_ttd_count
 from ucabeam.arraymodel import (
     SPEED_OF_LIGHT,
     SUBCARRIER_CHUNK,
@@ -23,6 +23,7 @@ from ucabeam.arraymodel import (
     steering_uca,
     steering_ula,
 )
+from ucabeam.precoding import _arc_size
 
 C = SPEED_OF_LIGHT
 
@@ -75,6 +76,19 @@ def test_argument_messages_name_the_argument_and_its_value(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: UcaGeometry(True, 0.1), "n_elements"),
+    (lambda: FrequencyGrid(30e9, 1e9, True), "n_subcarriers"),
+    (lambda: _arc_size(8, True), "k_ttd"),
+    (lambda: dpp_gain_closed_form(30.1e9, 30e9, 0.2, True), "k_ttd"),
+], ids=["UcaGeometry", "FrequencyGrid", "_arc_size", "dpp_gain_closed_form"])
+def test_counts_reject_a_bool(make, name):
+    # True is an int to Python, but not a count
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == f"{name} must be a positive integer, got True"
 
 
 _PAIR = np.array([0.1, 0.2])

@@ -1522,6 +1522,71 @@ def test_k_ttd_sweep_evaluates_k_invariant_methods_once_per_seed(monkeypatch):
             assert row.mean == pytest.approx(np.mean(per_seed), rel=1e-12)
 
 
+def test_k_ttd_sweep_rates_each_design_once_per_seed(monkeypatch):
+    # classic and dpp at K = 1 share the classic design and its rating: the
+    # designs K = 1, 2, 4 and the bound give 4 ratings per seed.  Every row
+    # equals the run that lists its method alone, to the output contract's
+    # 1e-12 (a design's last bits depend on the counts built beside it)
+    data = _small_trial_scenario()
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
+    alone = ResultTable(tuple(
+        row for method in data["methods"]
+        for row in run(scenario_from_dict({**data, "methods": [method]})).rows)).sorted()
+    counts = {}
+    _count_calls(monkeypatch, analysis, "spectrum_efficiency", counts)
+    together = run(scenario_from_dict(data))
+    assert counts == {"spectrum_efficiency": 4 * data["trials"]["n_seeds"]}
+    assert [r[:2] for r in together.rows] == [r[:2] for r in alone.rows]
+    assert np.array([r[2:] for r in together.rows]) == pytest.approx(
+        np.array([r[2:] for r in alone.rows]), rel=1e-12, abs=0.0)
+    by = {r[:2]: r[2:] for r in together.rows}
+    assert by[(1.0, "classic")] == by[(1.0, "dpp")]
+
+
+def test_failed_rating_names_the_first_listed_method_of_its_design(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the classic design fails to rate; dpp, listed before classic, rates it
+    # first at K = 1, so the failure names dpp and the seed
+    classic = []
+    build_designs, spectrum_efficiency = xpcli.build_designs, analysis.spectrum_efficiency
+
+    def built(*args):
+        designs = build_designs(*args)
+        classic.append(designs[1])
+        return designs
+
+    def rated(design, rho):
+        if design is classic[-1]:
+            raise FloatingPointError("the classic design failed")
+        return spectrum_efficiency(design, rho)
+    monkeypatch.setattr(xpcli, "build_designs", built)
+    monkeypatch.setattr(analysis, "spectrum_efficiency", rated)
+    data = _small_trial_scenario(methods=["optimal", "dpp", "classic"])
+    data["sweep"] = {"variable": "k_ttd", "values": [1, 2, 4]}
+    cfg = _write(tmp_path, "mini.json", data)
+    assert main(["run", cfg, "--out", "-"]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: the classic design failed; method dpp, seed 7\n")
+
+
+@pytest.mark.parametrize("error, code, shown", [
+    (MemoryError("Unable to allocate 419. GiB for an array"), 3,
+     "out of memory: Unable to allocate 419. GiB for an array\n"),
+    (ValueError("rates of a bad design"), 2, "config error: rates of a bad design\n"),
+    (KeyError("design"), 2, "config error: 'design'\n"),
+])
+def test_cli_exit_code_for_a_rating_that_fails(tmp_path, capsys, monkeypatch, error, code,
+                                              shown):
+    # a trial rating that fails with no numeric cause exits as the CLI maps
+    # its error, with no traceback; nothing large is allocated here
+    def fail(*args):
+        raise error
+    monkeypatch.setattr(analysis, "spectrum_efficiency", fail)
+    cfg = _write(tmp_path, "mini.json", _small_trial_scenario())
+    assert main(["run", cfg, "--out", "-"]) == code
+    assert capsys.readouterr().err == shown
+
+
 def test_snr_sweep_builds_each_design_once_per_seed(monkeypatch):
     counts, calls = _count_trial_work(monkeypatch)
     scenario = scenario_from_dict(_small_trial_scenario())  # 3 seeds x 3 SNRs
