@@ -193,8 +193,8 @@ class ChannelRealization:
 
     @functools.cached_property
     def _tables(self):
-        """channel_matrix's tables (see there): the left factor (M x N_r x L),
-        cos(phi_l - psi_n) (L x N), the residual table and the block etas."""
+        """channel_matrix's tables (see there): the left factor sqrt(N/L) b^H
+        coef (M x N_r x L), cos(phi_l - psi_n) (L x N), residuals, block etas."""
         tx, rx, freqs = self.tx, self.rx, self.grid.freqs_hz
         aods = np.array([p.aod_rad for p in self.paths])
         cos_tx = np.cos(aods[:, None] - tx.element_angles)
@@ -205,6 +205,7 @@ class ChannelRealization:
         b = _steering_rows(rx, np.array([p.aoa_rad for p in self.paths]))(freqs[:, None])
         coef = np.array([p.gain for p in self.paths]) * np.exp(
             -2j * np.pi * np.array([p.delay_s for p in self.paths]) * freqs[:, None, None])
+        coef *= math.sqrt(tx.n_elements / self.n_paths)
         return np.swapaxes(b.conj(), -1, -2) * coef, cos_tx, residual, eta_q
 
 
@@ -316,8 +317,8 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
     folded in) and one block row per chunk the run touches: 24 exp rows in
     place of 128 for M = 128, at an added error of the size the phase
     argument carries, about eps*eta(f_m).  The ULA and delay phases enter at
-    f_m, in the left factor b^H * coef (N_r x L per subcarrier); each chunk
-    takes one matmul.
+    f_m, in the left factor sqrt(N/L) * b^H * coef (N_r x L per subcarrier);
+    each chunk takes one matmul.
     """
     n_sub = ch.grid.n_subcarriers
     run = range(m, m + 1) if isinstance(m, (int, np.integer)) and not isinstance(m, bool) else m
@@ -337,5 +338,4 @@ def channel_matrix(ch: ChannelRealization, m) -> np.ndarray:
         np.multiply(a, residual[r:r + hi - lo], out=a)  # equal shapes: no ufunc buffer
         np.matmul(left[lo:hi], a, out=h_t[lo - run.start:hi - run.start])
         lo = hi
-    h_t *= math.sqrt(ch.tx.n_elements / ch.n_paths)
     return h_t.swapaxes(-1, -2) if isinstance(m, range) else h_t[0].T

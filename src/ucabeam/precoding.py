@@ -30,10 +30,11 @@ values and powers, so neither v nor ``G v`` is kept, and the rates at many
 SNRs come from one design.
 ``build_designs`` synthesizes the channel once, a ``SUBCARRIER_CHUNK`` chunk
 at a time, for the fine products and the QR of the fully digital bound (key
-None).  The fine products wait in a buffer of one block of subcarriers,
+None).  The fine products wait in a buffer of one block of whole chunks,
 sized by fine-arc values: c subcarriers hold c x K_f x n_rf x max(N_r, n_rf)
-of them, at most a chunk of the channel, 128 KB for the 256 x 4 built-ins:
-one block for K_f <= 4, 16 subcarriers at 32.
+of them, at most the larger of a chunk of the channel (128 KB for the 256 x
+4 built-ins) and a chunk's fine products: one block for K_f <= 4, 16
+subcarriers at 32, one chunk from 64 on, so each chunk fed lies in one block.
 
 Reference angles: subarray k uses the centroid of its element angles,
 ``theta_k = pi*(2k+1)/K - pi/N``.  With one TTD per antenna (K = N) the
@@ -90,11 +91,8 @@ class DppConfig:
     def __post_init__(self):
         _count("n_rf", self.n_rf)
         _count("n_ttd_per_rf", self.n_ttd_per_rf)
-        if not (isinstance(self.n_streams, int) and 1 <= self.n_streams <= self.n_rf):
-            raise ValueError(
-                f"n_streams must satisfy 1 <= n_streams <= n_rf, got "
-                f"n_streams={self.n_streams}, n_rf={self.n_rf}"
-            )
+        _check_sizes(n_rf=self.n_rf, n_streams=self.n_streams)
+        _count("n_streams", self.n_streams)  # None, which _check_sizes skips
 
 
 def _check_sizes(*, n_elements=None, n_rx=None, n_paths=None, n_rf=None, n_streams=None,
@@ -104,7 +102,11 @@ def _check_sizes(*, n_elements=None, n_rx=None, n_paths=None, n_rf=None, n_strea
     n_rx receive antennas and n_paths paths.  Needs no channel; a rule that
     reads a size left None is skipped, so each rule can be checked alone."""
     if None not in (n_rf, n_streams):
-        DppConfig(n_rf, 1, n_streams)
+        _count("n_rf", n_rf)
+        if isinstance(n_streams, bool) or not (isinstance(n_streams, int)
+                                               and 1 <= n_streams <= n_rf):
+            raise ValueError(f"n_streams must satisfy 1 <= n_streams <= n_rf, got "
+                             f"n_streams={n_streams}, n_rf={n_rf}")
     if None not in (n_rf, n_elements) and n_rf > n_elements:
         raise ValueError(f"n_rf={n_rf} exceeds n_elements={n_elements}")
     if None not in (n_rf, n_paths) and n_paths < n_rf:
@@ -155,9 +157,9 @@ def _equivalent_channels(w: np.ndarray, stages, freqs_hz: np.ndarray, n_r: int):
     M x N_r x n_rf) and analog Grams A^H A (S x M x n_rf x n_rf) of S stages
     (corr, delays), each n_rf x K_s, over the grid freqs_hz: arc k of chain
     l is w (N x n_rf) times corr[l, k] * exp(-j*2*pi*f*delays[l, k]).  Fed
-    H^T (c x N_r x N) of the subcarriers sl in grid order, the K_f =
-    lcm(K_s) fine-arc products are one batched matmul; per block, each
-    stage's G and Gram are matmuls over the sums of its arcs."""
+    H^T (c x N_r x N) of each chunk sl in grid order, the K_f = lcm(K_s)
+    fine-arc products are one batched matmul; per block of whole chunks,
+    each stage's G and Gram are matmuls over the sums of its arcs."""
     n, n_rf = w.shape
     k_f = math.lcm(*(corr.shape[1] for corr, _ in stages))
     w_fine = w.reshape(k_f, -1, n_rf)
@@ -168,7 +170,7 @@ def _equivalent_channels(w: np.ndarray, stages, freqs_hz: np.ndarray, n_r: int):
     m = freqs_hz.size
     g_t = np.empty((len(stages), n_rf, m, 1, n_r), dtype=np.complex128)  # conj(G)
     gram = np.empty((len(stages), m, n_rf, n_rf), dtype=np.complex128)
-    per_block = min(m, max(1, SUBCARRIER_CHUNK * n * n_r // (k_f * n_rf * max(n_r, n_rf))))
+    per_block = min(m, SUBCARRIER_CHUNK * max(1, n * n_r // (k_f * n_rf * max(n_r, n_rf))))
     fine = np.empty((k_f, per_block * n_r, n_rf), dtype=np.complex128)
 
     def block(sl: slice, fine: np.ndarray):  # fine: the block's fine products
@@ -184,16 +186,12 @@ def _equivalent_channels(w: np.ndarray, stages, freqs_hz: np.ndarray, n_r: int):
             np.matmul(np.einsum("ick,jck->ijck", cj, cj.conj()), arc_grams[s],
                       out=gram[s, sl].transpose(1, 2, 0)[..., None])
 
-    def feed(sl: slice, h_t: np.ndarray):
-        lo = sl.start
-        while lo < sl.stop:  # the part of sl in each block it touches
-            start = lo - lo % per_block
-            hi = min(sl.stop, start + per_block)
-            np.matmul(h_t[lo - sl.start:hi - sl.start].reshape(-1, k_f, n // k_f).swapaxes(0, 1),
-                      w_fine_conj, out=fine[:, (lo - start) * n_r:(hi - start) * n_r])
-            if hi == min(start + per_block, m):  # the block is complete
-                block(slice(start, hi), fine[:, :(hi - start) * n_r])
-            lo = hi
+    def feed(sl: slice, h_t: np.ndarray):  # the next chunk: it lies in one block
+        start = sl.start - sl.start % per_block
+        np.matmul(h_t.reshape(-1, k_f, n // k_f).swapaxes(0, 1), w_fine_conj,
+                  out=fine[:, (sl.start - start) * n_r:(sl.stop - start) * n_r])
+        if sl.stop == min(start + per_block, m):  # the block is complete
+            block(slice(start, sl.stop), fine[:, :(sl.stop - start) * n_r])
 
     return feed, lambda: (np.conjugate(g_t, out=g_t)[:, :, :, 0].transpose(0, 2, 3, 1), gram)
 

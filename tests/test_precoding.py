@@ -19,6 +19,7 @@ from ucabeam.arraymodel import (
     PathParams,
     UcaGeometry,
     UlaGeometry,
+    _subcarrier_chunks,
     channel_matrix,
     generate_channel,
     half_wavelength_uca,
@@ -100,6 +101,20 @@ def test_dpp_config_validation():
         DppConfig(2, 8, 3)  # more streams than chains
     with pytest.raises(ValueError):
         DppConfig(2, 8, 2.0)  # type: ignore[arg-type]
+    for sizes in [(None, 8, 1), (2, 8, None)]:  # refused, though _check_sizes skips a None
+        with pytest.raises(ValueError, match="must be a positive integer, got None"):
+            DppConfig(*sizes)
+
+
+@pytest.mark.parametrize("check", [lambda: DppConfig(1, 1, True),
+                                   lambda: precoding._check_sizes(n_rf=2, n_streams=True)],
+                         ids=["DppConfig", "_check_sizes"])
+def test_a_bool_is_not_a_stream_count(check):
+    # True == 1 fits the range, but a stream count, like every count, is
+    # an int and not a bool
+    with pytest.raises(ValueError, match=r"^n_streams must satisfy 1 <= n_streams <= n_rf, "
+                                         r"got n_streams=True, n_rf=[12]$"):
+        check()
 
 
 @pytest.mark.parametrize("k_ttds", [[1], [2], [1, 2, None]])
@@ -474,21 +489,21 @@ def _random_stage(rng, n_rf, k_ttd, zero_delays=False):
             rng.uniform(0.0, 2e-9, (n_rf, k_ttd)))
 
 
-def _products(h_t, w, stages, freqs_hz, chunk=SUBCARRIER_CHUNK):
+def _products(h_t, w, stages, freqs_hz):
     """G and the Grams of the stages on the stack h_t = H^T, fed to
-    _equivalent_channels chunk subcarriers at a time, in grid order."""
+    _equivalent_channels a chunk at a time, in grid order, as build_designs
+    feeds it."""
     feed, result = _equivalent_channels(w, stages, freqs_hz, h_t.shape[1])
-    for lo in range(0, len(h_t), chunk):
-        sl = slice(lo, min(lo + chunk, len(h_t)))
+    for sl in _subcarrier_chunks(len(h_t)):
         feed(sl, h_t[sl])
     return result()
 
 
-def _assert_stages_equal_the_combined_analog_stage(ch, w, stages, chunk=SUBCARRIER_CHUNK):
+def _assert_stages_equal_the_combined_analog_stage(ch, w, stages):
     # every stage of one call against its dense combined weights A(f):
     # G = H^H A and A^H A on every subcarrier
     h_t = np.swapaxes(_stack(ch), -1, -2)
-    g, gram = _products(h_t, w, stages, ch.grid.freqs_hz, chunk)
+    g, gram = _products(h_t, w, stages, ch.grid.freqs_hz)
     assert g.shape == (len(stages), *h_t.shape[:2], w.shape[1])
     for (corr, delays), g_s, gram_s in zip(stages, g, gram):
         w_ps = w * np.repeat(corr.T, w.shape[0] // corr.shape[1], axis=0)
@@ -507,9 +522,8 @@ def _assert_stages_equal_the_combined_analog_stage(ch, w, stages, chunk=SUBCARRI
 def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_sub, bw,
                                                          zero_delays):
     # one call for up to three divisors K of N, random columns, corrections
-    # and delays (none: the classic stage); blocks hold 2 to 256
-    # subcarriers, so many grids end in a partial block, and the channel is
-    # fed 1 to 20 subcarriers at a time, so feeds straddle blocks
+    # and delays (none: the classic stage); blocks hold whole chunks, 8 to
+    # 256 subcarriers, so many grids end in a partial chunk or block
     ks = data.draw(st.lists(st.sampled_from(_divisors(n_tx)), min_size=1, max_size=3))
     n_rf = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
@@ -517,8 +531,7 @@ def test_per_arc_products_equal_the_combined_analog_stage(n_tx, data, seed, n_su
     ch = generate_channel(tx, RX, FrequencyGrid(30e9, bw, n_sub), 3, seed)
     w = np.exp(2j * np.pi * rng.random((n_tx, n_rf))) / math.sqrt(n_tx)
     _assert_stages_equal_the_combined_analog_stage(
-        ch, w, [_random_stage(rng, n_rf, k, zero_delays) for k in ks],
-        data.draw(st.integers(1, 20)))
+        ch, w, [_random_stage(rng, n_rf, k, zero_delays) for k in ks])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -544,8 +557,8 @@ def test_fine_arcs_of_counts_with_a_lcm_not_a_power_of_two(n_tx, data, seed, n_s
 @pytest.mark.parametrize("n_sub", [1, 13, 127, 128])
 def test_per_arc_blocks_at_bench_size_equal_the_combined_analog_stage(n_sub):
     # N = 256, one call for the classic stage and eight counts: K_f = N, so
-    # blocks hold 2 subcarriers (n_rf = 4) or 8 (n_rf = 1), and 13 or 127
-    # subcarriers leave a partial last block
+    # blocks hold one chunk of 8 subcarriers (at n_rf = 4 or 1), and 13 or
+    # 127 subcarriers leave a partial last block
     ch = generate_channel(GEOM, RX, _grid(n_sub), 4, n_sub)
     rng = np.random.default_rng(n_sub)
     for n_rf in (1, 4):
