@@ -225,11 +225,6 @@ def _b_ps(radius_m: float, bandwidth_hz):
     return math.pi * bandwidth_hz * radius_m / SPEED_OF_LIGHT
 
 
-def _check_band(radius_m: float, bandwidth_hz):
-    _check_positive("radius_m", radius_m)
-    _check_positive("bandwidth_hz", bandwidth_hz)
-
-
 # McMahon's expansion is within 2e-3 of the first zero and closer for the
 # others; Newton's error goes 2e-3 -> 5e-7 -> 5e-14 -> rounding.
 _NEWTON_STEPS = 3
@@ -263,7 +258,8 @@ def _band_averages(radius_m: float, bandwidth_hz, k_ttd, kinds):
     avg_gain_ps_lower and avg_gain_ttd, each with the bits of that call.
     A failing call raises what the first failing kind, in that order of the
     four, raises on its own.  ``k_ttd`` is read only for "ttd"."""
-    _check_band(radius_m, bandwidth_hz)
+    _check_positive("radius_m", radius_m)
+    _check_positive("bandwidth_hz", bandwidth_hz)
     if "ttd" in kinds:
         _count("k_ttd", k_ttd)
     b = _b_ps(radius_m, bandwidth_hz)

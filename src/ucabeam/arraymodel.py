@@ -72,8 +72,8 @@ def _check_scalar(name, value):
 
 
 def _check_positive(name, value):
-    """Raise unless every entry of value (a scalar or an array) is finite
-    and positive, naming the first that is not."""
+    """Raise unless every entry of value (a scalar or an array, converted to
+    float first) is finite and positive, naming the first that is not."""
     value = np.asarray(value, dtype=float)
     bad = ~(np.isfinite(value) & (value > 0.0))
     if bad.any():
@@ -81,9 +81,11 @@ def _check_positive(name, value):
 
 
 def _check_non_negative(name, value):
-    """Raise unless the scalar value is finite and non-negative."""
-    if not (np.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    """As _check_positive, for entries that are finite and non-negative."""
+    value = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(value) & (value >= 0.0))
+    if bad.any():
+        raise ValueError(f"{name} must be non-negative, got {float(value[bad][0])!r}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,8 @@ class PathParams:
     def __post_init__(self):
         if not np.isfinite(complex(self.gain)):
             raise ValueError("gain must be finite")
-        if not (np.isfinite(self.delay_s) and self.delay_s >= 0.0):
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
+        _check_scalar("delay_s", self.delay_s)
+        _check_non_negative("delay_s", self.delay_s)
         if not 0.0 <= self.aod_rad < 2.0 * math.pi:
             raise ValueError(f"aod_rad must lie in [0, 2*pi), got {self.aod_rad}")
         if not -math.pi / 2.0 <= self.aoa_rad <= math.pi / 2.0:

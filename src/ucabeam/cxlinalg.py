@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arraymodel import _check_positive, _check_scalar
+
 __all__ = [
     "SvdError",
     "SvdResult",
@@ -24,17 +26,6 @@ __all__ = [
 
 class SvdError(ArithmeticError):
     """SVD iteration failed to converge; message names the matrix shape."""
-
-
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.size == 0:
-        raise ValueError(
-            f"{name} must be a non-empty 2-D array or stack of them, got shape {a.shape}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} entries must be finite")
-    return a
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,12 @@ def _lapack(routine, name: str, a: np.ndarray, **kwargs):
 def svd(a) -> SvdResult:
     """Thin singular value decomposition of a complex matrix, or of each
     matrix of a stack (leading axes)."""
-    a = _as_matrix(a)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.size == 0:
+        raise ValueError(
+            f"matrix must be a non-empty 2-D array or stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     u, s, vh = _lapack(np.linalg.svd, "SVD", a, full_matrices=False)
     return SvdResult(u=u, sigma=s, vh=vh)
 
@@ -103,10 +99,9 @@ def water_filling(gains, total_power: float) -> np.ndarray:
     g = np.asarray(gains, dtype=float)
     if g.ndim == 0 or g.size == 0:
         raise ValueError("gains must be a non-empty sequence, or a stack of them")
-    if not np.all(np.isfinite(g)) or np.any(g <= 0.0):
-        raise ValueError("gains must be positive and finite")
-    if not (np.isfinite(total_power) and total_power > 0.0):
-        raise ValueError("total_power must be positive and finite")
+    _check_positive("gains", g)
+    _check_scalar("total_power", total_power)
+    _check_positive("total_power", total_power)
     inv_g = 1.0 / g
     inv = np.sort(inv_g, axis=-1)
     # Largest k for which the level (P + sum of the k smallest 1/g) / k still

@@ -93,7 +93,7 @@ def bessel_j(order: int, x):
     take one abs(x), and the parity rule J_n(-x) = (-1)^n J_n(x) negates odd
     orders where x < 0 (so J_n(-0.0) = J_n(0.0)).
     """
-    if order != int(order) or order < 0:
+    if isinstance(order, bool) or order != int(order) or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
     n = int(order)
     x = _argument(x, "argument")

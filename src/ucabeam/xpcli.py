@@ -489,7 +489,7 @@ def _sweep_points(scenario: Scenario):
         # Evaluate at the subcarrier positions of a grid with M = points.
         grid = FrequencyGrid(scenario.system.fc_hz, scenario.system.bandwidth_hz, sw.points)
         return [float(f) for f in grid.freqs_hz]
-    return [float(x) for x in np.linspace(sw.start, sw.stop, sw.points)]
+    return [float(x) for x in np.linspace(float(sw.start), float(sw.stop), sw.points)]
 
 
 def run(scenario: Scenario) -> ResultTable:

@@ -23,6 +23,7 @@ from ucabeam.arraymodel import (
     steering_uca,
     steering_ula,
 )
+from ucabeam.cxlinalg import water_filling
 from ucabeam.precoding import _arc_size
 
 C = SPEED_OF_LIGHT
@@ -68,6 +69,10 @@ _CH_ARGS = (UcaGeometry(4, 0.1), UlaGeometry(2, 0.005), FrequencyGrid(30e9, 1e9,
                               FrequencyGrid(30e9, 1e9, 4), 2.5, 0),
      "n_paths must be a positive integer, got 2.5"),
     (lambda: PathParams(complex("nan"), 0.0, 0.5, 0.1), "gain must be finite"),
+    (lambda: PathParams(1.0, -1, 0.5, 0.1), "delay_s must be non-negative, got -1.0"),
+    # an integer past 2**64 is checked as the float nearest it
+    (lambda: FrequencyGrid(30e9, 2**70, 9),
+     f"grid extends to non-positive frequencies: fc=30000000000.0, B={2**70}"),
     (lambda: ChannelRealization((), *_CH_ARGS), "a channel needs at least one path"),
     (lambda: ChannelRealization((PathParams(1.0, 0.0, 0.5, 0.1), 1.0), *_CH_ARGS),
      "paths must be PathParams instances"),
@@ -102,11 +107,24 @@ _PAIR = np.array([0.1, 0.2])
     (lambda: FrequencyGrid(30e9, 1e10 * _PAIR, 4), "bandwidth_hz"),
     (lambda: min_ttd_count(0.4, _PAIR, 3e9), "radius_m"),
     (lambda: min_ttd_count(0.4, 0.2, 1e10 * _PAIR), "bandwidth_hz"),
+    (lambda: PathParams(1.0, 1e-9 * _PAIR, 0.5, 0.1), "delay_s"),
+    (lambda: water_filling([1.0, 2.0], _PAIR), "total_power"),
 ])
 def test_scalar_fields_reject_arrays(make, name):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == f"{name} must be a scalar, got shape (2,)"
+
+
+@pytest.mark.parametrize("make, same", [
+    (lambda: min_ttd_count(0.1, 0.2, 2**70), lambda: min_ttd_count(0.1, 0.2, float(2**70))),
+    (lambda: water_filling([1.0, 2.0], 2**70), lambda: water_filling([1.0, 2.0], float(2**70))),
+    (lambda: PathParams(1.0, 2**64, 0.1, 0.1).delay_s, lambda: 2**64),
+], ids=["min_ttd_count", "water_filling", "PathParams"])
+def test_an_integer_past_2_64_is_checked_as_its_float(make, same):
+    # a number check converts before it tests, so a Python int of any size
+    # that a float holds passes where that float passes
+    assert np.array_equal(make(), same())
 
 
 def test_half_wavelength_radius_frozen_value():

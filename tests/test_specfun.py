@@ -77,6 +77,12 @@ def test_bessel_first_zero_of_j0():
 def test_bessel_rejects_bad_order():
     with pytest.raises(ValueError):
         bessel_j(-1, 1.0)
+    # True is an int to Python, but not an order
+    with pytest.raises(ValueError) as info:
+        bessel_j(True, 1.0)
+    assert str(info.value) == "order must be a non-negative integer, got True"
+    # numpy integers and integral floats name an order
+    assert bessel_j(np.int64(1), 1.0) == bessel_j(1.0, 1.0) == bessel_j(1, 1.0)
 
 
 def test_bessel_rejects_non_finite_arguments_naming_the_first():
@@ -119,8 +125,8 @@ SPREAD = (np.linspace(-14.0, 14.0, 57).tolist() + np.linspace(-2100.0, 2100.0, 5
 @example(order=171, xs=[-0.0], spread=False, two_d=False)
 @example(order=301, xs=[-0.0, 0.0], spread=False, two_d=False)
 def test_bessel_array_equals_scalar_calls(order, xs, spread, two_d):
-    # short arrays run the float loop per element, longer ones the vector
-    # loop; both must give each element the bits of its scalar call
+    # every array takes the vector path, which must give each element the
+    # bits of its scalar call
     x = np.array(xs + AROUND_SWITCH + (SPREAD if spread else []))
     if two_d and x.size % 2 == 0:
         x = x.reshape(2, -1)

@@ -618,6 +618,34 @@ def test_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, comma
     assert "numeric failure" not in err and "1000" not in err
 
 
+@pytest.mark.parametrize("data, validate, run_code, message", [
+    ({"name": "b", "system": {"bandwidth_hz": 1180591620717411303424},
+      "sweep": {"variable": "frequency", "start": 1.0, "stop": 2.0, "points": 5},
+      "methods": ["ps_exact"]},
+     2, 2, "config error: sweep.points: grid extends to non-positive frequencies"),
+    ({"name": "c", "sweep": {"variable": "argument", "start": 0,
+                             "stop": 18446744073709551616, "points": 3},
+      "methods": ["hyp_1f2"]},
+     0, 3, "numeric failure: a Miller recurrence"),
+    ({"name": "d", "system": {"n_elements_tx": 16, "n_subcarriers": 8},
+      "precoding": {"k_ttd": 4},
+      "sweep": {"variable": "bandwidth", "values": [1000000000, 18446744073709551616]},
+      "trials": {"n_seeds": 1}, "methods": ["dpp"]},
+     2, 2, "config error: sweep.values: grid extends to non-positive frequencies"),
+], ids=["band", "argument-stop", "bandwidth-values"])
+def test_integer_past_2_64_is_checked_as_its_float(tmp_path, capsys, data, validate,
+                                                   run_code, message):
+    # a JSON integer that a float holds is read as that float: a band or a
+    # sweep end past 2**64 is a config error or a numeric failure, not a
+    # TypeError from numpy
+    cfg = _write(tmp_path, "big_int.json", data)
+    assert main(["validate", cfg]) == validate
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", "-"]) == run_code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_validate_rejects_more_streams_than_receive_antennas(tmp_path, capsys):
     data = _small_trial_scenario()
     data["system"]["n_elements_rx"] = 2
@@ -694,11 +722,25 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(name="fig8", n_tx=1, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=4,
-         n_paths=4, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False)
+         n_paths=4, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False, big=None)
 @example(name="fig3b", n_tx=16, radius=None, k_pick=2, n_rf=1, n_streams=3, n_rx=4,
-         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=True)
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=True, big=None)
 @example(name="fig5", n_tx=1, radius=None, k_pick=1, n_rf=2, n_streams=4, n_rx=1,
-         n_paths=1, total_power=1e308, snr_db=100.0, n_sub=5, seed=0, any_sizes=True)
+         n_paths=1, total_power=1e308, snr_db=100.0, n_sub=5, seed=0, any_sizes=True, big=None)
+# JSON integers past 2**64: a band that takes the grid below 0 Hz, a bandwidth
+# sweep's end, a delay-unit count, and a kernel argument past the step budget
+@example(name="fig2", n_tx=4, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=1,
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False,
+         big=("bandwidth_hz", 2**70))
+@example(name="fig10", n_tx=4, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=1,
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False,
+         big=("stop", 2**64))
+@example(name="fig9", n_tx=4, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=1,
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False,
+         big=("stop", 2**64))
+@example(name="fig5", n_tx=4, radius=None, k_pick=0, n_rf=1, n_streams=1, n_rx=1,
+         n_paths=1, total_power=1.0, snr_db=10.0, n_sub=4, seed=0, any_sizes=False,
+         big=("stop", 2**64))
 @given(name=st.sampled_from(("fig8", "fig9", "fig10", "fig2", "fig3a", "fig3b", "fig5", "fig6",
                              "fig7")),
        n_tx=st.sampled_from([1, 2, 3, 4, 6, 8, 16]),
@@ -707,15 +749,20 @@ def test_validate_rejects_more_rf_chains_than_transmit_antennas(tmp_path, capsys
        n_paths=st.integers(1, 4),
        total_power=st.floats(1e-3, 1e3) | st.floats(1e-300, 1e308),
        snr_db=st.floats(-100.0, 100.0), n_sub=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1), any_sizes=st.booleans())
+       seed=st.integers(0, 2**32 - 1), any_sizes=st.booleans(),
+       big=st.none() | st.tuples(st.sampled_from(("bandwidth_hz", "start", "stop")),
+                                 st.integers(2**64, 2**80)))
 def test_a_scenario_that_validates_runs_without_a_config_error(
         tmp_path, capsys, name, n_tx, radius, k_pick, n_rf, n_streams, n_rx, n_paths,
-        total_power, snr_db, n_sub, seed, any_sizes):
+        total_power, snr_db, n_sub, seed, any_sizes, big):
     # small variants of the built-ins, the trial ones drawn first: whatever
     # validate accepts, run may still stop as a numeric failure (exit 3), but
     # not as a config error; with any_sizes, k_ttd need not divide the ring
     # and the streams may outnumber the RF chains, which only the methods
-    # that read those fields refuse (as a one-element ring with no radius)
+    # that read those fields refuse (as a one-element ring with no radius);
+    # big puts a JSON integer past 2**64 in the system band or at one end of
+    # the sweep (its first or last value in a list), and neither command may
+    # then raise
     divisors = [k for k in range(1, n_tx + 1) if n_tx % k == 0]
     data = _builtin_data(name)
     data["system"].update(n_elements_tx=n_tx, n_elements_rx=n_rx, n_subcarriers=n_sub,
@@ -728,6 +775,14 @@ def test_a_scenario_that_validates_runs_without_a_config_error(
         data["sweep"]["values"] = divisors
     else:
         data["sweep"]["points"] = 5
+    if big is not None:
+        key, value = big
+        if key == "bandwidth_hz":
+            data["system"][key] = value
+        elif "values" in data["sweep"]:
+            data["sweep"]["values"][0 if key == "start" else -1] = value
+        else:
+            data["sweep"][key] = value
     cfg = _write(tmp_path, "variant.json", data)
     if main(["validate", cfg]) == 0:
         assert main(["run", cfg, "--out", "-"]) != 2, capsys.readouterr().err
