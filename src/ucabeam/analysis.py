@@ -37,7 +37,10 @@ frequencies by P angles (an F x P grid): chunks of SUBCARRIER_CHUNK angles
 take cos(phi - psi_n) once for all frequencies, rows are built in place (and
 read by every weight of a call), and each point keeps its own ``vdot`` per
 weight, so every value has its scalar call's bits (one matrix product over
-the sweep would reorder the sums).
+the sweep would reorder the sums).  The gain of the center-frequency beam
+itself (_beam_gains, the runner's uca_exact and ps_exact) is |J0(xi)| at
+O(1) per point wherever the Jacobi-Anger tail and the conditioning of J0
+certify it, and that dense sum elsewhere.
 """
 
 from __future__ import annotations
@@ -115,6 +118,67 @@ def _gains(geom, f_hz, phi_rad, weights):
                 grid[i, sl] = [abs(np.vdot(x, y))
                                for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
     return [_value(out) for out in outs]
+
+
+# The certificate of _beam_gains: the Jacobi-Anger tail it drops, and the
+# relative error its J0 route may differ from the dense sum by.
+_TAIL = 1e-17
+_CONDITION = 1e-13
+# The range on which J0 and J1 of a floor-20 Miller pass are tested against
+# mpmath; above it, a point takes the dense sum.
+_J0_MAX = 2100.0
+_EPS = np.finfo(float).eps
+
+
+def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad,
+                dense=None):
+    """|a(f, phi)^H a(fc, phi0)|, the gain of the center-frequency beam
+    toward phi0, at sweep points as _gains takes them (a float at a scalar
+    point).  By Jacobi-Anger (DLMF 10.12) it is |sum_m j^(mN) J_mN(xi) e^(...)|
+    with xi = |eta(f) e^(j phi) - eta(fc) e^(j phi0)|, and DLMF 10.14.4 bounds
+    2 sum_{m>=1} |J_mN(xi)| by 4 (xi/2)^N / N!.  A point is certified where
+    that bound is at most _TAIL, xi is at most _J0_MAX and J0 is well
+    conditioned, (xi |J1| + 8) eps <= _CONDITION |J0|; its gain is then
+    |J0(xi)| (exactly 1.0 where xi rounds J0 to 1), from one floor-20 Miller
+    pass for J0 and J1 over every candidate.  Every other point takes its
+    value from ``dense``, the dense gains at every point if a caller has
+    them, else from one _gains call over those points alone, paired, with
+    the bits of its scalar exact_gain call.  A scalar goes through the same
+    code as a one-point array, so each value has the bits of its scalar
+    call, whatever the other points are."""
+    f, phi = _sweep(f_hz, phi_rad)
+    shape = np.broadcast_shapes(f.shape, phi.shape)
+    f, phi = np.broadcast_to(f, shape).ravel(), np.broadcast_to(phi, shape).ravel()
+    eta_f, eta_c = _eta(f, geom.radius_m), _eta(fc_hz, geom.radius_m)
+    # xi^2 = |eta_f - eta_c|^2 + 4 eta_f eta_c sin^2((phi - phi0)/2): the law
+    # of cosines would cancel near the beam.  phi - phi0 = hi + lo exactly,
+    # and sin(hi/2 + lo/2) takes lo to first order, so the rounding of the
+    # difference (up to 4.4e-16, which moves xi by eta times that near
+    # phi - phi0 = 2 pi) does not enter
+    hi, lo = specfun._two_sum(phi, -phi0_rad)
+    d = eta_f - eta_c
+    s = np.sin(0.5 * hi) + np.cos(0.5 * hi) * (0.5 * lo)
+    xi = np.sqrt(d * d + (4.0 * eta_f * eta_c) * (s * s))
+    # 4 (xi/2)^N / N! <= _TAIL, solved for xi
+    n = geom.n_elements
+    tail_max = 2.0 * math.exp((math.log(0.25 * _TAIL) + math.lgamma(n + 1)) / n)
+    gain = np.zeros(xi.shape)
+    ok = xi <= min(tail_max, _J0_MAX)
+    one = ok & (xi < specfun._TINY_X)  # J0 = 1 - xi^2/4 + ... rounds to 1
+    gain[one] = 1.0
+    live = ok & ~one
+    j0, j1 = specfun._bessel_miller((0, 1), xi[live], floor=20)
+    j0 = np.abs(j0)
+    ok[live] = (xi[live] * np.abs(j1) + 8.0) * _EPS <= _CONDITION * j0
+    gain[live] = j0
+    if not ok.all():
+        rest = ~ok
+        if dense is None:
+            beam = steering_uca(geom, fc_hz, phi0_rad)
+            gain[rest] = _gains(geom, f[rest], phi[rest], [lambda f: beam])[0]
+        else:
+            gain[rest] = np.broadcast_to(dense, shape).ravel()[rest]
+    return _value(gain.reshape(shape))
 
 
 def ps_gain_closed_form(f_hz, fc_hz: float, radius_m: float):

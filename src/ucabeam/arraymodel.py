@@ -162,9 +162,10 @@ class PathParams:
     aoa_rad: float
 
     def __post_init__(self):
+        for name in ("gain", "delay_s", "aod_rad", "aoa_rad"):
+            _check_scalar(name, getattr(self, name))
         if not np.isfinite(complex(self.gain)):
             raise ValueError("gain must be finite")
-        _check_scalar("delay_s", self.delay_s)
         _check_non_negative("delay_s", self.delay_s)
         if not 0.0 <= self.aod_rad < 2.0 * math.pi:
             raise ValueError(f"aod_rad must lie in [0, 2*pi), got {self.aod_rad}")

@@ -150,14 +150,21 @@ def _miller_start(far, floor, arg, name):
     """The even start order int(far) + 1 + int(10*sqrt(far)) + floor of a
     Miller recurrence up to the order or argument ``far`` (per element of
     an array).  A start past _MILLER_STEPS raises ConvergenceError naming
-    the argument ``name`` = ``arg`` (an array's first such element)."""
-    top = np.floor(far) + np.floor(10.0 * np.sqrt(far)) + (floor + 1)
-    top += top % 2
-    over = np.ravel(top > _MILLER_STEPS)
-    if over.any():
-        raise ConvergenceError(f"a Miller recurrence at {name}={float(np.ravel(arg)[over][0])!r} "
+    the argument ``name`` = ``arg`` (an array's first such element).  A
+    scalar takes the same start by math.floor and math.sqrt, as an int."""
+    if isinstance(far, np.ndarray):
+        top = np.floor(far) + np.floor(10.0 * np.sqrt(far)) + (floor + 1)
+        top += top % 2
+        over = np.ravel(top > _MILLER_STEPS)
+        first = float(np.ravel(arg)[over][0]) if over.any() else None
+    else:
+        top = math.floor(far) + math.floor(10.0 * math.sqrt(far)) + (floor + 1)
+        top += top % 2
+        first = float(arg) if top > _MILLER_STEPS else None
+    if first is not None:
+        raise ConvergenceError(f"a Miller recurrence at {name}={first!r} "
                                f"would take more than {_MILLER_STEPS} steps")
-    return top.astype(np.int64) if isinstance(far, np.ndarray) else int(top)
+    return top.astype(np.int64) if isinstance(far, np.ndarray) else top
 
 
 def _start_groups(top):
@@ -170,12 +177,13 @@ def _start_groups(top):
     return {t: order[a:b] for t, a, b in zip(tops[lo].tolist(), lo, hi)}
 
 
-def _bessel_miller(orders, x):
+def _bessel_miller(orders, x, floor=0):
     """(J_n(x) for n in orders) from one downward Miller pass.  The
     recurrence does not depend on n; only its start, from max(x, the
-    largest order), and the steps at which it is read do.  So where x is at
-    least every order, each value has the bits of a pass for its order
-    alone."""
+    largest order) plus ``floor`` more orders, and the steps at which it is
+    read do.  So where x is at least every order, each value has the bits
+    of a pass for its order alone.  A floor of 20 puts J0 and J1 within
+    6e-16 of mpmath on (1e-6, 2100]."""
     # Downward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started well above
     # the turning point so the unnormalized solution is dominated by J.  An
     # array element starts at its own top (its state is zero before, which
@@ -184,7 +192,7 @@ def _bessel_miller(orders, x):
     if vec and x.size == 0:
         return tuple(0.0 * x for _ in orders)
     n_max = max(orders)
-    top = _miller_start(np.maximum(x, n_max) if vec else max(n_max, x), 0, x, "x")
+    top = _miller_start(np.maximum(x, n_max) if vec else max(n_max, x), floor, x, "x")
     jp = 0.0 * x  # J~_{k+1}
     norm = 0.0 * x  # accumulates J~_0 + 2 * sum_{t>=1} J~_{2t}
     out = {n: 0.0 * x for n in orders}
@@ -527,11 +535,12 @@ _MAX_PANELS = 4096
 def integrate(f, lo, hi, tol: float = 1e-10):
     """Integral of ``f`` over [lo, hi] by the 12-point Gauss-Legendre rule on
     1, 2, 4, ... equal panels, until two successive estimates agree within
-    the absolute ``tol``; past _MAX_PANELS panels a :class:`ConvergenceError`
-    carries the last estimate in ``partial``.  ``f`` maps a float to a float
-    and is called on Python floats; ``lo`` and ``hi`` are scalars."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    the absolute ``tol`` (positive and finite); past _MAX_PANELS panels a
+    :class:`ConvergenceError` carries the last estimate in ``partial``.
+    ``f`` maps a float to a float and is called on Python floats; ``lo``
+    and ``hi`` are scalars."""
+    if not (tol > 0.0 and math.isfinite(tol)):  # an infinite tol takes any two estimates
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     for limit in (lo, hi):
         if np.ndim(limit) != 0:
             raise ValueError(

@@ -535,7 +535,8 @@ def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
 
 class _Setup:
     """Shared inputs of the deterministic evaluators: the transmit ring and
-    its center-frequency beam toward the target (each built on first read),
+    its center-frequency beam toward the target (each built on first read;
+    the beam only by a pass that dpp_exact and ps_exact share),
     the delay units per chain, and of a family's labels their method names
     (bases) and f_eval, their evaluation frequencies ('@' suffix, else fc)
     as an (F, 1) column, which an angle method takes by its sweep."""
@@ -556,12 +557,18 @@ class _Setup:
 
 
 def _on_beam(s: _Setup, f: np.ndarray) -> list:
-    """Gain toward the target over the frequency sweep f of each label,
-    ps_exact (the fc beam) or dpp_exact (the delay-phase weights), from one
-    an._gains pass that builds each steering row once for all of them."""
-    return an._gains(s.geom, f, s.phi0, [
+    """Gain toward the target over the frequency sweep f of each label:
+    ps_exact, the fc beam's gain by an._beam_gains, and dpp_exact, the
+    delay-phase chain's from an._gains.  Where dpp_exact is listed, its one
+    pass takes the fc beam as well, which builds each steering row once for
+    all the labels, and ps_exact's uncertified points read that pass."""
+    if "dpp_exact" not in s.bases:
+        return [an._beam_gains(s.geom, s.fc, s.phi0, f, s.phi0)] * len(s.bases)
+    dense = an._gains(s.geom, f, s.phi0, [
         (lambda f: s.beam) if base == "ps_exact" else an._dpp_weights(
             s.geom, s.fc, s.phi0, s.k_ttd) for base in s.bases])
+    return [an._beam_gains(s.geom, s.fc, s.phi0, f, s.phi0, dense=d) if base == "ps_exact"
+            else d for base, d in zip(s.bases, dense)]
 
 
 def _kernel_curves(s: _Setup, x: np.ndarray) -> list:
@@ -672,8 +679,8 @@ _METHODS = {
     "dpp_closed_form": _Method(_FREQ, _RING | _DELAY, lambda s, f: an.dpp_gain_closed_form(
         f, s.fc, s.geom.radius_m, s.k_ttd)),
     "ula_exact": _Method(_ANGLE, _BEAM - {"radius_m"}, _ula_exact),
-    "uca_exact": _Method(_ANGLE, _BEAM, lambda s, phi: an.exact_gain(
-        s.beam, s.geom, s.f_eval, phi)),
+    "uca_exact": _Method(_ANGLE, _BEAM, lambda s, phi: an._beam_gains(
+        s.geom, s.fc, s.phi0, s.f_eval, phi)),
     "uca_closed_form": _Method(_ANGLE, _BEAM, lambda s, phi: an.ps_gain_angular_closed_form(
         s.f_eval, s.fc, s.geom.radius_m, phi, s.phi0)),
     "hyp_1f2": _Method(_ARG, frozenset(), _kernel_curves),

@@ -1,6 +1,7 @@
 """Closed-form gains, averaged-gain bounds, sizing rule, spectrum efficiency."""
 
 import functools
+import itertools
 import math
 import re
 import tracemalloc
@@ -23,6 +24,7 @@ from ucabeam.arraymodel import (
     FrequencyGrid,
     PathParams,
     UlaGeometry,
+    _eta,
     channel_matrix,
     generate_channel,
     half_wavelength_uca,
@@ -181,6 +183,105 @@ def test_gains_of_several_weights_equal_one_weight_calls(n, points, scalar_f, k)
         alone, = an._gains(geom, f, phi, [weight])
         assert got.shape == (len(points),)
         assert np.array_equal(got, alone)
+
+
+# ---------------------------------------------------------------------------
+# the fc beam's gain from J0 where the Jacobi-Anger tail is certified
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_PI_LD = 4.0 * np.arctan(np.longdouble(1.0))
+
+
+def _beam_gain_long_double(geom, f, phi):
+    """|a(f, phi)^H a(fc, PHI0)| summed in long double from the double ring
+    phases eta(f) and eta(fc) that every route of the library forms."""
+    n = geom.n_elements
+    psi = 2.0 * _PI_LD * np.arange(n, dtype=np.longdouble) / n
+    phase = (np.longdouble(_eta(f, geom.radius_m)) * np.cos(np.longdouble(phi) - psi)
+             - np.longdouble(_eta(30e9, geom.radius_m)) * np.cos(np.longdouble(PHI0) - psi))
+    return float(np.hypot(np.sum(np.cos(phase)), np.sum(np.sin(phase))) / n)
+
+
+def _certificate(geom, f, phi):
+    """(xi, |J1(xi)|, whether the point is surely certified, surely not)
+    by mpmath, with a 10 % margin on each test of _beam_gains: the tail
+    4 (xi/2)^N/N! <= 1e-17, xi <= 2100 and (xi |J1| + 8) eps <= 1e-13 |J0|."""
+    n = geom.n_elements
+    with mpmath.workdps(30):
+        ef, ec = mpmath.mpf(_eta(f, geom.radius_m)), mpmath.mpf(_eta(30e9, geom.radius_m))
+        half = (mpmath.mpf(phi) - PHI0) / 2
+        xi = mpmath.sqrt((ef - ec) ** 2 + 4 * ef * ec * mpmath.sin(half) ** 2)
+        if xi == 0:
+            return 0.0, 0.0, True, False
+        tail = float(4 * mpmath.exp(n * mpmath.log(xi / 2) - mpmath.loggamma(n + 1)))
+        if tail > 1.1e-17 or xi > 2101:
+            return float(xi), None, False, True
+        j0, j1 = abs(mpmath.besselj(0, xi)), abs(mpmath.besselj(1, xi))
+        ratio = float((xi * j1 + 8) * _EPS / (1e-13 * j0)) if j0 else math.inf
+    sure = tail <= 0.9e-17 and xi <= 2099 and ratio <= 0.9
+    return float(xi), float(j1), sure, ratio > 1.1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4096), data=st.data())
+def test_beam_gains_are_j0_where_certified_and_dense_bits_elsewhere(n, data):
+    # N from 2 to 4096, phi on the whole circle about PHI0 and f within
+    # fc +- 50 % (half the draws near the beam, where most points are
+    # certified): a certified point is within (xi |J1| + 8) eps + 1e-17 of
+    # the dense sum in long double, the rounding of xi and of J0 plus the
+    # dropped tail; any other point has the bits of its scalar exact_gain
+    # call; and each point of the F x P grid has the bits of its scalar call
+    geom = half_wavelength_uca(n, 30e9)
+    near = st.floats(-4.0 / n, 4.0 / n)
+    freqs = data.draw(st.lists(st.one_of(st.floats(15e9, 45e9),
+                                         near.map(lambda t: 30e9 * (1 + t))),
+                               min_size=1, max_size=3))
+    phis = data.draw(st.lists(st.one_of(st.floats(PHI0 - math.pi, PHI0 + math.pi),
+                                        near.map(lambda t: PHI0 + t)), min_size=1, max_size=5))
+    beam = steering_uca(geom, 30e9, PHI0)
+    grid = an._beam_gains(geom, 30e9, PHI0, np.array(freqs)[:, None], np.array(phis))
+    assert grid.shape == (len(freqs), len(phis))
+    for (i, f), (j, phi) in itertools.product(enumerate(freqs), enumerate(phis)):
+        got = grid[i, j]
+        assert got == an._beam_gains(geom, 30e9, PHI0, f, phi)
+        xi, j1, sure, not_certified = _certificate(geom, f, phi)
+        dense = an.exact_gain(beam, geom, f, phi)
+        if not_certified:
+            assert got == dense, (f, phi, xi)
+        elif sure:
+            bound = (xi * j1 + 8.0) * _EPS + 1e-17
+            assert abs(got - _beam_gain_long_double(geom, f, phi)) <= bound, (f, phi, xi)
+        else:  # at the edge of a test: either route
+            assert got == dense or abs(got - _beam_gain_long_double(geom, f, phi)) <= (
+                (xi * j1 + 8.0) * _EPS + 1e-17)
+
+
+def test_beam_gain_at_the_first_zero_of_j0_takes_the_dense_bits():
+    # on the beam xi = eta(f) - eta(fc): at J0's first zero J0 cannot be
+    # told from the rounding of xi, so the dense sum gives the value
+    f = 30e9 + J0_FIRST_ZERO * C / (2.0 * math.pi * R)
+    beam = steering_uca(GEOM, 30e9, PHI0)
+    assert an._beam_gains(GEOM, 30e9, PHI0, f, PHI0) == an.exact_gain(beam, GEOM, f, PHI0)
+    assert an._beam_gains(GEOM, 30e9, PHI0, f, PHI0) < 1e-13
+
+
+def test_beam_gain_on_the_back_lobe_of_a_small_ring_takes_the_dense_bits():
+    # at N = 16 the back lobe has xi = 2 eta(fc) = 16, where the tail
+    # J_16(16) is far from negligible: the point takes the dense sum, which
+    # differs from |J0(16)|
+    geom = half_wavelength_uca(16, 30e9)
+    beam = steering_uca(geom, 30e9, PHI0)
+    back = PHI0 + math.pi
+    got = an._beam_gains(geom, 30e9, PHI0, 30e9, back)
+    assert got == an.exact_gain(beam, geom, 30e9, back)
+    assert abs(got - abs(bessel_j(0, 16.0))) > 0.1
+
+
+def test_beam_gain_on_the_beam_at_fc_is_exactly_one():
+    assert an._beam_gains(GEOM, 30e9, PHI0, 30e9, PHI0) == 1.0
+    got = an._beam_gains(GEOM, 30e9, PHI0, np.array([[30e9], [29e9]]), np.array([PHI0, 0.0]))
+    assert got[0, 0] == 1.0 and type(an._beam_gains(GEOM, 30e9, PHI0, 30e9, PHI0)) is float
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ _PAIR = np.array([0.1, 0.2])
     (lambda: min_ttd_count(0.4, 0.2, 1e10 * _PAIR), "bandwidth_hz"),
     (lambda: PathParams(1.0, 1e-9 * _PAIR, 0.5, 0.1), "delay_s"),
     (lambda: water_filling([1.0, 2.0], _PAIR), "total_power"),
+    # not numpy's TypeError (a complex gain) or ambiguous-truth ValueError
+    # (the range check of an angle)
+    (lambda: PathParams(_PAIR, 0.0, 0.5, 0.1), "gain"),
+    (lambda: PathParams(1.0, 0.0, _PAIR, 0.1), "aod_rad"),
+    (lambda: PathParams(1.0, 0.0, 0.5, _PAIR), "aoa_rad"),
 ])
 def test_scalar_fields_reject_arrays(make, name):
     with pytest.raises(ValueError) as info:

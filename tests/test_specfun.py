@@ -106,6 +106,63 @@ def test_bessel_rescales_the_recurrence_at_high_order():
     assert np.array_equal(bessel_j(150, x), [bessel_j(150, v) for v in x.tolist()])
 
 
+# J0 and J1 at 1,400 points of (1e-6, 2100]: log-spaced up to 12, where
+# bessel_j takes its power series, then evenly spaced
+FLOOR_GRID = np.concatenate((np.geomspace(1e-6, 12.0, 400), np.linspace(12.0, 2100.0, 1001)[1:]))
+
+
+def _j0_j1_error(x):
+    """The largest absolute error of a floor-20 Miller pass's J0 and J1 at
+    the array x, against mpmath at 30 digits."""
+    j0, j1 = specfun._bessel_miller((0, 1), x, floor=20)
+    with mpmath.workdps(30):
+        return max(max(abs(float(mpmath.besselj(n, v)) - got)
+                       for v, got in zip(x.tolist(), j.tolist())) for n, j in ((0, j0), (1, j1)))
+
+
+def test_floor_20_miller_pass_matches_mpmath_on_the_grid():
+    # one pass, from a start 20 orders above the default, gives J0 and J1
+    # to 1e-15 absolute over the whole range, where the power series is
+    # up to 5e-13 off on (8, 12]
+    assert _j0_j1_error(FLOOR_GRID) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(xs=st.lists(st.one_of(st.floats(1e-6, 12.0, exclude_min=True), st.floats(1e-6, 2100.0,
+                                                                                exclude_min=True)),
+                   min_size=1, max_size=20))
+def test_floor_20_miller_pass_matches_mpmath(xs):
+    assert _j0_j1_error(np.array(xs)) <= 1e-15
+
+
+def test_miller_floor_defaults_to_zero():
+    # an existing caller keeps its start, and so its bits
+    x = np.array([12.5, 40.0, 2000.0])
+    assert all(np.array_equal(a, b) for a, b in zip(specfun._bessel_miller((0, 1), x),
+                                                    specfun._bessel_miller((0, 1), x, floor=0)))
+    assert specfun._bessel_miller((0, 1), 40.0) == specfun._bessel_miller((0, 1), 40.0, floor=0)
+
+
+@pytest.mark.parametrize("floor", [0, 20])
+def test_scalar_and_array_miller_starts_agree(floor):
+    # the scalar start (math.floor and math.sqrt) is the array start of the
+    # same value, an int, and past the step budget both raise the same text
+    budget = specfun._MILLER_STEPS
+    below = [0.0, 1e-300, 0.5, 1.0, 12.0, 99.99, 100.0, 2100.0, 1e4,
+             budget - 2600.0, math.nextafter(2.0 ** 16, 0.0) - 2600.0]
+    for far in below + [budget - 2000.0, float(budget), 1e6, 1e300]:
+        try:
+            want = specfun._miller_start(np.array([far]), floor, np.array([far]), "x")
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as info:
+                specfun._miller_start(far, floor, far, "x")
+            assert str(info.value) == str(exc)
+            assert far not in below
+            continue
+        got = specfun._miller_start(far, floor, far, "x")
+        assert type(got) is int and got == int(want[0]) and got % 2 == 0, far
+
+
 # points on both sides of the switch from the series to the recurrence
 AROUND_SWITCH = [0.0, -0.0, 12.0, -12.0, math.nextafter(12.0, 0.0), math.nextafter(12.0, 13.0),
                  -math.nextafter(12.0, 0.0), -math.nextafter(12.0, 13.0), 11.99, 12.01, 1e-300]
@@ -639,6 +696,14 @@ def test_integrate_validates_limits_and_tol():
         integrate(lambda t: 1.0, 0.0, math.inf)
     with pytest.raises(ValueError):
         integrate(lambda t: 1.0, 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+def test_integrate_refuses_a_non_finite_tol(tol):
+    # an infinite tolerance would accept the first two estimates, whatever
+    # they are
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate(lambda t: t * t, 0.0, 1.0, tol=tol)
 
 
 def test_integrate_raises_with_best_estimate_when_budget_spent():

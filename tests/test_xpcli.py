@@ -1354,14 +1354,15 @@ def test_numeric_failure_of_the_whole_sweep_alone_is_raised_as_it_is(tmp_path, c
 
 
 def _scalar_gain(label, s, x):
-    """One sweep point of an exact-gain method, as a scalar library call."""
+    """One sweep point of an exact-gain method, as a scalar library call:
+    the fc beam's gains (ps_exact, uca_exact) by the scalar _beam_gains."""
     if label == "ps_exact":
-        return analysis.exact_gain(s.beam, s.geom, x, s.phi0)
+        return analysis._beam_gains(s.geom, s.fc, s.phi0, x, s.phi0)
     if label == "dpp_exact":
         return analysis.dpp_exact_gain(s.geom, s.fc, x, s.phi0, s.k_ttd)
     f_eval = float(s.f_eval[0, 0])
     if label.startswith("uca_exact"):
-        return analysis.exact_gain(s.beam, s.geom, f_eval, x)
+        return analysis._beam_gains(s.geom, s.fc, s.phi0, f_eval, x)
     ula = arraymodel.UlaGeometry(s.geom.n_elements, arraymodel.SPEED_OF_LIGHT / s.fc / 2.0)
     w = arraymodel.steering_ula(ula, s.fc, s.phi0)
     return abs(np.vdot(arraymodel.steering_ula(ula, f_eval, x), w))
@@ -1435,16 +1436,21 @@ def test_cli_run_validates_its_scenario_once(tmp_path, monkeypatch):
 
 
 def test_runs_that_read_no_beam_build_none(monkeypatch):
-    # the fc beam is built on first read: fig5 and fig7 never read it,
-    # fig2's ps_exact does once
+    # the fc beam is built at most once per run, and only when a point falls
+    # back to the dense sum: fig5 and fig7 never read it; fig2's ps_exact at
+    # 9 points has every point certified, at 129 points some fall back;
+    # fig3b's three uca_exact columns fall back in one call
     counts = {}
     for module in (xpcli, analysis):
         _count_calls(monkeypatch, module, "steering_uca", counts)
     run(load_builtin("fig5"))
     run(load_builtin("fig7"))
-    assert counts == {}
     run(_with_points(load_builtin("fig2"), 9))
-    assert counts == {"steering_uca": 1}
+    assert counts == {}
+    for name in ("fig2", "fig3b"):
+        run(load_builtin(name))
+        assert counts == {"steering_uca": 1}, name
+        counts.clear()
 
 
 def test_runs_that_read_no_ring_build_none(monkeypatch):
@@ -1467,10 +1473,10 @@ def test_frequency_columns_of_a_method_take_one_call(monkeypatch):
     # fig3b's three @frequency columns of each method, and fig3a's of
     # ula_exact, go through one evaluator call per method
     counts = {}
-    for name in ("ps_gain_angular_closed_form", "exact_gain"):
+    for name in ("ps_gain_angular_closed_form", "_beam_gains"):
         _count_calls(monkeypatch, analysis, name, counts)
     run(load_builtin("fig3b"))
-    assert counts == {"ps_gain_angular_closed_form": 1, "exact_gain": 1}
+    assert counts == {"ps_gain_angular_closed_form": 1, "_beam_gains": 1}
     counts.clear()
     _count_calls(monkeypatch, analysis, "_gains", counts)
     run(load_builtin("fig3a"))
