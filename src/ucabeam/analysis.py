@@ -34,13 +34,12 @@ argument gives a float.  The numeric average shares the segments between
 zeros across the bands, and each band sums its own segments in order.  The
 exact gains take 1-D sweeps the same way, or an (F, 1) column of
 frequencies by P angles (an F x P grid): chunks of SUBCARRIER_CHUNK angles
-take cos(phi - psi_n) once for all frequencies, rows are built in place (and
-read by every weight of a call), and each point keeps its own ``vdot`` per
-weight, so every value has its scalar call's bits (one matrix product over
-the sweep would reorder the sums).  The gain of the center-frequency beam
-itself (_beam_gains, the runner's uca_exact and ps_exact) is |J0(xi)| at
-O(1) per point wherever the Jacobi-Anger tail and the conditioning of J0
-certify it, and that dense sum elsewhere.
+take cos(phi - psi_n) once for all frequencies, rows are built in place,
+and each point keeps its own ``vdot``, so every value has its scalar call's
+bits (one matrix product over the sweep would reorder the sums).  The gain
+of the center-frequency beam itself (_beam_gains, the runner's uca_exact
+and ps_exact) is |J0(xi)| at O(1) per point wherever the Jacobi-Anger tail
+and the conditioning of J0 certify it, and that dense sum elsewhere.
 """
 
 from __future__ import annotations
@@ -89,23 +88,22 @@ def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
     nrm = np.linalg.norm(w)
     if not nrm <= 1.0 + 1e-9:
         raise ValueError(f"||w|| must not exceed 1, got {nrm}")
-    return _gains(geom, f_hz, phi_rad, [lambda f: w])[0]
+    return _gains(geom, f_hz, phi_rad, lambda f: w)
 
 
-def _gains(geom, f_hz, phi_rad, weights):
-    """|a(f, phi)^H w| for each weight function of the list weights, one
-    array (a float at scalar points) per weight, at sweep points as
-    steering_uca takes them (F x P for an (F, 1) column of frequencies by P
-    angles), a the steering vector of geom (a UCA or a ULA) and weight(f)
-    the weight vector at f (a row per frequency of a 1-D f).  Each chunk of
+def _gains(geom, f_hz, phi_rad, weight):
+    """|a(f, phi)^H w| at sweep points as steering_uca takes them (F x P for
+    an (F, 1) column of frequencies by P angles; a float at a scalar point),
+    a the steering vector of geom (a UCA or a ULA) and weight(f) the weight
+    vector at f (a row per frequency of a 1-D f).  Each chunk of
     SUBCARRIER_CHUNK angles takes its angle factor once for every frequency
-    (all take one at a scalar phi) and builds its rows in one buffer, which
-    every weight reads; each point takes a vdot of its own per weight."""
+    (all take one at a scalar phi) and builds its rows in one buffer; each
+    point takes a vdot of its own."""
     f, phi = _sweep(f_hz, phi_rad)
-    outs = [np.empty(np.broadcast_shapes(f.shape, phi.shape)) for _ in weights]
+    out = np.empty(np.broadcast_shapes(f.shape, phi.shape))
     cols = f if f.ndim == 2 else f.reshape(1, -1)
-    grids = [out.reshape(len(cols), -1) for out in outs]  # views: F x P
-    n_phi = grids[0].shape[1]
+    grid = out.reshape(len(cols), -1)  # a view: F x P
+    n_phi = grid.shape[1]
     buf = np.empty((min(n_phi, SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
     at_phi = _steering_rows(geom, phi) if phi.size == 1 else None
     for sl in _subcarrier_chunks(n_phi):
@@ -113,11 +111,10 @@ def _gains(geom, f_hz, phi_rad, weights):
         for i, fs in enumerate(cols):
             f_pt = fs[sl] if fs.size > 1 else fs[0]
             a = rows(f_pt, buf[:sl.stop - sl.start])
-            for weight, grid in zip(weights, grids):
-                w = weight(f_pt)
-                grid[i, sl] = [abs(np.vdot(x, y))
-                               for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
-    return [_value(out) for out in outs]
+            w = weight(f_pt)
+            grid[i, sl] = [abs(np.vdot(x, y))
+                           for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
+    return _value(out)
 
 
 # The certificate of _beam_gains: the Jacobi-Anger tail it drops, and the
@@ -130,8 +127,7 @@ _J0_MAX = 2100.0
 _EPS = np.finfo(float).eps
 
 
-def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad,
-                dense=None):
+def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad):
     """|a(f, phi)^H a(fc, phi0)|, the gain of the center-frequency beam
     toward phi0, at sweep points as _gains takes them (a float at a scalar
     point).  By Jacobi-Anger (DLMF 10.12) it is |sum_m j^(mN) J_mN(xi) e^(...)|
@@ -141,9 +137,8 @@ def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad,
     conditioned, (xi |J1| + 8) eps <= _CONDITION |J0|; its gain is then
     |J0(xi)| (exactly 1.0 where xi rounds J0 to 1), from one floor-20 Miller
     pass for J0 and J1 over every candidate.  Every other point takes its
-    value from ``dense``, the dense gains at every point if a caller has
-    them, else from one _gains call over those points alone, paired, with
-    the bits of its scalar exact_gain call.  A scalar goes through the same
+    value from one _gains call over those points alone, paired, with the
+    bits of its scalar exact_gain call.  A scalar goes through the same
     code as a one-point array, so each value has the bits of its scalar
     call, whatever the other points are."""
     f, phi = _sweep(f_hz, phi_rad)
@@ -172,12 +167,8 @@ def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad,
     ok[live] = (xi[live] * np.abs(j1) + 8.0) * _EPS <= _CONDITION * j0
     gain[live] = j0
     if not ok.all():
-        rest = ~ok
-        if dense is None:
-            beam = steering_uca(geom, fc_hz, phi0_rad)
-            gain[rest] = _gains(geom, f[rest], phi[rest], [lambda f: beam])[0]
-        else:
-            gain[rest] = np.broadcast_to(dense, shape).ravel()[rest]
+        beam = steering_uca(geom, fc_hz, phi0_rad)
+        gain[~ok] = _gains(geom, f[~ok], phi[~ok], lambda f: beam)
     return _value(gain.reshape(shape))
 
 
@@ -199,6 +190,7 @@ def ps_gain_angular_closed_form(
     back lobe the discrete circular sum departs from the continuum limit.
     """
     _check_freqs(f_hz, fc_hz, radius_m)
+    specfun._argument(phi_rad, "phi_rad")  # named here, not as bessel_j's argument
     eta_m = _eta(f_hz, radius_m)
     eta_c = _eta(fc_hz, radius_m)
     xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * np.cos(phi_rad - phi0_rad)
@@ -235,22 +227,17 @@ def dpp_gain_closed_form(f_hz, fc_hz: float, radius_m: float, k_ttd: int):
 def dpp_exact_gain(geom: UcaGeometry, fc_hz: float, f_hz, phi_rad: float,
                    k_ttd: int):
     """Exact on-beam gain of one delay-phase chain toward the scalar phi_rad
-    (discrete sum, no large-N approximation), with the weights of
-    _dpp_weights.  ``f_hz`` may be a 1-D array of sweep points."""
+    (discrete sum, no large-N approximation).  At f its weights are the fc
+    beam times each arc's correction corr_k and TTD phase
+    exp(-j*2*pi*f*t_k), both from _chain_phases.  ``f_hz`` may be a 1-D
+    array of sweep points."""
     _check_scalar("phi_rad", phi_rad)
-    return _gains(geom, f_hz, phi_rad, [_dpp_weights(geom, fc_hz, phi_rad, k_ttd)])[0]
-
-
-def _dpp_weights(geom: UcaGeometry, fc_hz: float, phi_rad: float, k_ttd: int):
-    """The weights w(f) of one delay-phase chain toward phi_rad: at f its
-    column is the fc beam times each arc's correction corr_k and TTD phase
-    exp(-j*2*pi*f*t_k), both from _chain_phases (a row per frequency of a
-    1-D f)."""
     p = _arc_size(geom.n_elements, k_ttd)
+    beam = steering_uca(geom, fc_hz, phi_rad)  # checks phi_rad before _chain_phases
     corr, delays = _chain_phases(geom, fc_hz, np.array([[phi_rad]], dtype=float), k_ttd)
-    beam = steering_uca(geom, fc_hz, phi_rad) * np.repeat(corr[0], p)
-    return lambda f: beam * np.repeat(
-        np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1)
+    beam *= np.repeat(corr[0], p)
+    return _gains(geom, f_hz, phi_rad, lambda f: beam * np.repeat(
+        np.exp(-2j * np.pi * np.asarray(f)[..., None] * delays[0]), p, axis=-1))
 
 
 def _check_freqs(f_hz, fc_hz: float, radius_m: float):

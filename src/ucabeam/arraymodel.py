@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
+
 __all__ = [
     "SPEED_OF_LIGHT",
     "UcaGeometry",
@@ -214,11 +216,13 @@ class ChannelRealization:
 
 def _sweep(f_hz, phi_rad):
     """f and phi as float arrays of sweep points on their own shapes: scalars,
-    1-D arrays, or an (F, 1) column of frequencies (broadcast by the caller)."""
+    1-D arrays, or an (F, 1) column of frequencies (broadcast by the caller).
+    The first f that is not positive, or phi that is not finite, raises."""
     f, phi = np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float)
     if phi.ndim > 1 or f.shape[1:] not in ((), (1,)):
         raise ValueError(f"sweep points must be scalars or 1-D arrays, got {f.shape} {phi.shape}")
     _check_positive("f_hz", f)
+    specfun._argument(phi, "phi_rad")
     return f, phi
 
 
@@ -265,7 +269,8 @@ def steering_ula(geom: UlaGeometry, f_hz, phi_rad) -> np.ndarray:
 def half_wavelength_uca(n_elements: int, fc_hz: float) -> UcaGeometry:
     """UCA whose adjacent-element arc spacing is half the center-frequency
     wavelength: R = N*c/(4*pi*fc)."""
-    if not (isinstance(n_elements, int) and n_elements >= 2):
+    _count("n_elements", n_elements)
+    if n_elements < 2:
         raise ValueError(f"need at least 2 elements, got {n_elements}")
     _check_scalar("fc_hz", fc_hz)
     _check_positive("fc_hz", fc_hz)

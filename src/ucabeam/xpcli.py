@@ -41,7 +41,6 @@ from .arraymodel import (
     generate_channel,
     half_wavelength_uca,
     steering_ula,
-    steering_uca,
 )
 from .precoding import _arc_size, _check_sizes, build_designs
 
@@ -526,20 +525,19 @@ def run(scenario: Scenario) -> ResultTable:
 def _family_values(scenario: Scenario, labels: list, xs: list) -> np.ndarray:
     """One call of the labels' shared evaluator over the sweep, a row per
     label: an angle method's labels take their '@' frequencies as one column
-    (see _Setup); ps_exact and dpp_exact share one steering-row pass, the
-    hyp_* labels one Miller pass, and the avg_* labels one band pass."""
+    (see _Setup), the hyp_* labels one Miller pass, and the avg_* labels
+    one band pass."""
     setup = _Setup(scenario, labels)
     with np.errstate(over="raise"):  # an overflow is a numeric failure, not a warning
         return np.asarray(_METHODS[setup.bases[0]].evaluate(setup, np.array(xs)), dtype=float)
 
 
 class _Setup:
-    """Shared inputs of the deterministic evaluators: the transmit ring and
-    its center-frequency beam toward the target (each built on first read;
-    the beam only by a pass that dpp_exact and ps_exact share),
-    the delay units per chain, and of a family's labels their method names
-    (bases) and f_eval, their evaluation frequencies ('@' suffix, else fc)
-    as an (F, 1) column, which an angle method takes by its sweep."""
+    """Shared inputs of the deterministic evaluators: the transmit ring
+    (built on first read), the delay units per chain, and of a family's
+    labels their method names (bases) and f_eval, their evaluation
+    frequencies ('@' suffix, else fc) as an (F, 1) column, which an angle
+    method takes by its sweep."""
 
     def __init__(self, scenario: Scenario, labels: list):
         self.system = sy = scenario.system
@@ -550,25 +548,6 @@ class _Setup:
     @functools.cached_property
     def geom(self) -> UcaGeometry:
         return _tx_uca(self.system)
-
-    @functools.cached_property
-    def beam(self) -> np.ndarray:
-        return steering_uca(self.geom, self.fc, self.phi0)
-
-
-def _on_beam(s: _Setup, f: np.ndarray) -> list:
-    """Gain toward the target over the frequency sweep f of each label:
-    ps_exact, the fc beam's gain by an._beam_gains, and dpp_exact, the
-    delay-phase chain's from an._gains.  Where dpp_exact is listed, its one
-    pass takes the fc beam as well, which builds each steering row once for
-    all the labels, and ps_exact's uncertified points read that pass."""
-    if "dpp_exact" not in s.bases:
-        return [an._beam_gains(s.geom, s.fc, s.phi0, f, s.phi0)] * len(s.bases)
-    dense = an._gains(s.geom, f, s.phi0, [
-        (lambda f: s.beam) if base == "ps_exact" else an._dpp_weights(
-            s.geom, s.fc, s.phi0, s.k_ttd) for base in s.bases])
-    return [an._beam_gains(s.geom, s.fc, s.phi0, f, s.phi0, dense=d) if base == "ps_exact"
-            else d for base, d in zip(s.bases, dense)]
 
 
 def _kernel_curves(s: _Setup, x: np.ndarray) -> list:
@@ -591,7 +570,7 @@ def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
     the linear-array reference of uca_exact."""
     ula = UlaGeometry(s.system.n_elements_tx, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
-    return an._gains(ula, s.f_eval, phi, [lambda f: w])[0]
+    return an._gains(ula, s.f_eval, phi, lambda f: w)
 
 
 def _channel(scenario: Scenario, bandwidth: float, seed: int):
@@ -670,10 +649,12 @@ _TRIAL = _RING | {"n_elements_rx", "bandwidth_hz", "n_subcarriers", "n_rf", "n_s
 
 # Validation and execution both read this table.
 _METHODS = {
-    "ps_exact": _Method(_FREQ, _BEAM, _on_beam),
+    "ps_exact": _Method(_FREQ, _BEAM, lambda s, f: an._beam_gains(
+        s.geom, s.fc, s.phi0, f, s.phi0)),
     "ps_closed_form": _Method(_FREQ, _RING, lambda s, f: an.ps_gain_closed_form(
         f, s.fc, s.geom.radius_m)),
-    "dpp_exact": _Method(_FREQ, _BEAM | _DELAY, _on_beam),
+    "dpp_exact": _Method(_FREQ, _BEAM | _DELAY, lambda s, f: an.dpp_exact_gain(
+        s.geom, s.fc, f, s.phi0, s.k_ttd)),
     "dpp_subarray_sum": _Method(_FREQ, _RING | _DELAY, lambda s, f: an.dpp_gain_subarray_sum(
         f, s.fc, s.geom.radius_m, s.geom.n_elements, s.k_ttd)),
     "dpp_closed_form": _Method(_FREQ, _RING | _DELAY, lambda s, f: an.dpp_gain_closed_form(

@@ -144,7 +144,7 @@ def test_exact_gain_grids_equal_their_scalar_calls(freqs, phis, n, k, scalar_phi
     w, w_ula = steering_uca(geom, 30e9, PHI0), steering_ula(ula, 30e9, PHI0)
     pts = [(i, j, f, p) for i, f in enumerate(freqs) for j, p in enumerate(np.atleast_1d(phi))]
     grid = an.exact_gain(w, geom, col, phi)
-    ula_grid = an._gains(ula, col, phi, [lambda f: w_ula])[0]
+    ula_grid = an._gains(ula, col, phi, lambda f: w_ula)
     assert grid.shape == ula_grid.shape == (len(freqs), len(pts) // len(freqs))
     for i, j, f, p in pts:
         assert grid[i, j] == an.exact_gain(w, geom, f, float(p))
@@ -160,29 +160,6 @@ def test_exact_gain_grids_equal_their_scalar_calls(freqs, phis, n, k, scalar_phi
         dpp_col = an.dpp_exact_gain(geom, 30e9, col, p, k_ttd)
         assert np.array_equal(dpp_col[:, 0], [an.dpp_exact_gain(geom, 30e9, f, p, k_ttd)
                                               for f in freqs])
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.sampled_from([16, 256, 1024]),
-       points=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       scalar_f=st.booleans(), k=st.sampled_from([1, 8, "N"]))
-def test_gains_of_several_weights_equal_one_weight_calls(n, points, scalar_f, k):
-    # one steering-row pass for two weights, the fc beam and the delay-phase
-    # weights, gives each weight the bits of its own one-weight call: over a
-    # frequency sweep at one angle, or over angles at one frequency
-    geom = half_wavelength_uca(n, 30e9)
-    if scalar_f:
-        f, phi = 29e9, -1.0 + 3.0 * np.array(points)
-    else:
-        f, phi = 28e9 + 4e9 * np.array(points), PHI0
-    beam = steering_uca(geom, 30e9, PHI0)
-    weights = [lambda f: beam, an._dpp_weights(geom, 30e9, PHI0, n if k == "N" else k)]
-    both = an._gains(geom, f, phi, weights)
-    assert len(both) == 2
-    for got, weight in zip(both, weights):
-        alone, = an._gains(geom, f, phi, [weight])
-        assert got.shape == (len(points),)
-        assert np.array_equal(got, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +406,32 @@ def test_array_gains_reject_the_first_bad_point():
         an.ps_gain_closed_form(np.array([30e9, -1.0, 0.0]), 30e9, R)
     with pytest.raises(ValueError, match="bandwidth_hz must be positive, got 0.0"):
         an.avg_gain_ps_numeric(R, np.array([1e9, 0.0]))
+
+
+_ANGLE_CALLS = {
+    "steering_uca": lambda phi: steering_uca(GEOM, 30e9, phi),
+    "steering_ula": lambda phi: steering_ula(RX, 30e9, phi),
+    "exact_gain": lambda phi: an.exact_gain(steering_uca(GEOM, 30e9, PHI0), GEOM, 30e9, phi),
+    "dpp_exact_gain": lambda phi: an.dpp_exact_gain(GEOM, 30e9, 29e9, phi, 8),
+    "_beam_gains": lambda phi: an._beam_gains(GEOM, 30e9, PHI0, 29e9, phi),
+    "ps_gain_angular_closed_form": lambda phi: an.ps_gain_angular_closed_form(
+        29e9, 30e9, R, phi, PHI0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, phi, first", [
+    *(pytest.param(name, phi, repr(phi), id=f"{name}-{phi!r}")
+      for name in _ANGLE_CALLS for phi in (math.nan, math.inf, -math.inf)),
+    # an array of angles names its first non-finite entry (dpp_exact_gain takes one angle)
+    *(pytest.param(name, np.array([PHI0, -math.inf, math.nan]), "-inf", id=f"{name}-array")
+      for name in _ANGLE_CALLS if name != "dpp_exact_gain")])
+def test_non_finite_angles_are_refused(name, phi, first):
+    # a NaN or infinite angle raises, with no numpy warning on the way,
+    # instead of giving a NaN gain
+    with pytest.raises(ValueError) as info:
+        _ANGLE_CALLS[name](phi)
+    assert str(info.value) == f"phi_rad must be finite, got {first}"
 
 
 def test_subarray_sum_is_exact_at_center_frequency():

@@ -65,6 +65,10 @@ _CH_ARGS = (UcaGeometry(4, 0.1), UlaGeometry(2, 0.005), FrequencyGrid(30e9, 1e9,
       for layer, make in (("FrequencyGrid", lambda b=b: FrequencyGrid(30e9, b, 4)),
                           ("min_ttd_count", lambda b=b: min_ttd_count(0.4, 0.2, b)))),
     (lambda: half_wavelength_uca(4, -3e10), "fc_hz must be positive, got -30000000000.0"),
+    # a count is an int before it is at least 2
+    (lambda: half_wavelength_uca(np.int64(16), 30e9),
+     "n_elements must be a positive integer, got 16"),
+    (lambda: half_wavelength_uca(1, 30e9), "need at least 2 elements, got 1"),
     (lambda: generate_channel(UcaGeometry(4, 0.1), UlaGeometry(2, 0.005),
                               FrequencyGrid(30e9, 1e9, 4), 2.5, 0),
      "n_paths must be a positive integer, got 2.5"),

@@ -1395,17 +1395,17 @@ def test_exact_gain_sweeps_equal_their_scalar_calls(label, n_elements):
 
 def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
     counts = {}
-    for name in ("_gains", "exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
+    for name in ("_beam_gains", "exact_gain", "dpp_exact_gain", "dpp_gain_subarray_sum",
                  "dpp_gain_closed_form", "_band_averages", "avg_gain_ps_numeric",
                  "avg_gain_ps_upper", "avg_gain_ps_lower", "avg_gain_ttd"):
         _count_calls(monkeypatch, analysis, name, counts)
     run(_with_points(load_builtin("fig6"), 40))
     run(_with_points(load_builtin("fig7"), 40))
-    # one call per method and run, one steering-row pass (_gains) for both
-    # on-beam methods, ps_exact and dpp_exact, and one band pass
-    # (_band_averages) for fig7's four band averages
-    assert counts == {"_gains": 1, "dpp_gain_subarray_sum": 1, "dpp_gain_closed_form": 1,
-                      "_band_averages": 1}
+    # one evaluator call per method and run: fig6's ps_exact (_beam_gains)
+    # and dpp_exact (dpp_exact_gain) take one each, and fig7's four band
+    # averages one band pass (_band_averages)
+    assert counts == {"_beam_gains": 1, "dpp_exact_gain": 1, "dpp_gain_subarray_sum": 1,
+                      "dpp_gain_closed_form": 1, "_band_averages": 1}
 
 
 def test_kernel_labels_of_a_run_share_one_miller_pass(monkeypatch):
@@ -1441,8 +1441,7 @@ def test_runs_that_read_no_beam_build_none(monkeypatch):
     # 9 points has every point certified, at 129 points some fall back;
     # fig3b's three uca_exact columns fall back in one call
     counts = {}
-    for module in (xpcli, analysis):
-        _count_calls(monkeypatch, module, "steering_uca", counts)
+    _count_calls(monkeypatch, analysis, "steering_uca", counts)
     run(load_builtin("fig5"))
     run(load_builtin("fig7"))
     run(_with_points(load_builtin("fig2"), 9))
@@ -1492,10 +1491,12 @@ def _columns(table):
 
 
 @pytest.mark.parametrize("n_elements", [16, 256, 1024])
-@pytest.mark.parametrize("name", ["fig3a", "fig3b", "mixed"])
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "mixed", "fig6"])
 def test_batched_frequency_columns_equal_their_labels_alone(name, n_elements):
     # each column of a family's one call has the bits of its label evaluated
-    # on its own; N = 1024 takes the closed form deep into the Miller range
+    # on its own, and fig6's ps_exact and dpp_exact, listed together, each
+    # keep the bits of their label alone; N = 1024 takes the closed form deep
+    # into the Miller range
     scenario = load_builtin("fig3b" if name == "mixed" else name)
     if name == "mixed":
         scenario = dataclasses.replace(scenario, methods=(
