@@ -33,13 +33,13 @@ the array of values, each equal bit for bit to the scalar call, and a scalar
 argument gives a float.  The numeric average shares the segments between
 zeros across the bands, and each band sums its own segments in order.  The
 exact gains take 1-D sweeps the same way, or an (F, 1) column of
-frequencies by P angles (an F x P grid): chunks of SUBCARRIER_CHUNK angles
-take cos(phi - psi_n) once for all frequencies, rows are built in place,
-and each point keeps its own ``vdot``, so every value has its scalar call's
-bits (one matrix product over the sweep would reorder the sums).  The gain
-of the center-frequency beam itself (_beam_gains, the runner's uca_exact
-and ps_exact) is |J0(xi)| at O(1) per point wherever the Jacobi-Anger tail
-and the conditioning of J0 certify it, and that dense sum elsewhere.
+frequencies by P angles, as one flat list of points: chunks of
+SUBCARRIER_CHUNK points take their angle factor once, rows are built in
+place, and each point keeps its own ``vdot``, so every value has its scalar
+call's bits (one matrix product would reorder the sums).  The gain of the
+center-frequency beam itself (_beam_gains, the runner's uca_exact and
+ps_exact) is |J0(xi)| at O(1) per point wherever the Jacobi-Anger tail and
+the conditioning of J0 certify it, and that dense sum elsewhere.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ import math
 import numpy as np
 
 from . import specfun
-from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, _check_non_negative,
-                         _check_positive, _check_scalar, _count, _eta, _steering_rows,
-                         _subcarrier_chunks, _sweep, steering_uca)
+from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, UlaGeometry,
+                         _check_non_negative, _check_positive, _check_scalar, _count, _eta,
+                         _steering_rows, _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -78,10 +78,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
-    """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector.
-    ``f_hz`` and ``phi_rad`` may be sweep points as steering_uca takes them
-    (F x P values for an (F, 1) column by P angles); scalars give a float."""
+def exact_gain(w, geom: UcaGeometry | UlaGeometry, f_hz, phi_rad):
+    """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector, a
+    the steering vector of geom (a UCA or a ULA).  ``f_hz`` and ``phi_rad``
+    may be sweep points as steering_uca takes them (F x P values for an
+    (F, 1) column by P angles); scalars give a float."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (geom.n_elements,):
         raise ValueError(f"w must have shape ({geom.n_elements},), got {w.shape}")
@@ -91,30 +92,30 @@ def exact_gain(w, geom: UcaGeometry, f_hz, phi_rad):
     return _gains(geom, f_hz, phi_rad, lambda f: w)
 
 
+def _points(f_hz, phi_rad):
+    """The sweep points of f_hz and phi_rad, as _sweep takes them, as flat
+    arrays f and phi of one entry per point, and the shape of their result."""
+    f, phi = _sweep(f_hz, phi_rad)
+    shape = np.broadcast_shapes(f.shape, phi.shape)
+    return np.broadcast_to(f, shape).ravel(), np.broadcast_to(phi, shape).ravel(), shape
+
+
 def _gains(geom, f_hz, phi_rad, weight):
     """|a(f, phi)^H w| at sweep points as steering_uca takes them (F x P for
     an (F, 1) column of frequencies by P angles; a float at a scalar point),
     a the steering vector of geom (a UCA or a ULA) and weight(f) the weight
-    vector at f (a row per frequency of a 1-D f).  Each chunk of
-    SUBCARRIER_CHUNK angles takes its angle factor once for every frequency
-    (all take one at a scalar phi) and builds its rows in one buffer; each
-    point takes a vdot of its own."""
-    f, phi = _sweep(f_hz, phi_rad)
-    out = np.empty(np.broadcast_shapes(f.shape, phi.shape))
-    cols = f if f.ndim == 2 else f.reshape(1, -1)
-    grid = out.reshape(len(cols), -1)  # a view: F x P
-    n_phi = grid.shape[1]
-    buf = np.empty((min(n_phi, SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
-    at_phi = _steering_rows(geom, phi) if phi.size == 1 else None
-    for sl in _subcarrier_chunks(n_phi):
-        rows = at_phi or _steering_rows(geom, phi[sl])
-        for i, fs in enumerate(cols):
-            f_pt = fs[sl] if fs.size > 1 else fs[0]
-            a = rows(f_pt, buf[:sl.stop - sl.start])
-            w = weight(f_pt)
-            grid[i, sl] = [abs(np.vdot(x, y))
-                           for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
-    return _value(out)
+    vector at frequencies f (one, or a row per point).  Each chunk of
+    SUBCARRIER_CHUNK flat points (_points) takes one angle factor (a single
+    angle takes one in all) and one row buffer; each point takes its own vdot."""
+    f, phi, shape = _points(f_hz, phi_rad)
+    out = np.empty(f.size)
+    buf = np.empty((min(f.size, SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
+    at_phi = _steering_rows(geom, phi[:1]) if np.size(phi_rad) == 1 else None
+    for sl in _subcarrier_chunks(f.size):
+        a = (at_phi or _steering_rows(geom, phi[sl]))(f[sl], buf[:sl.stop - sl.start])
+        w = weight(f[sl])
+        out[sl] = [abs(np.vdot(x, y)) for x, y in zip(a, w if w.ndim == 2 else [w] * len(a))]
+    return _value(out.reshape(shape))
 
 
 # The certificate of _beam_gains: the Jacobi-Anger tail it drops, and the
@@ -141,9 +142,9 @@ def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad)
     bits of its scalar exact_gain call.  A scalar goes through the same
     code as a one-point array, so each value has the bits of its scalar
     call, whatever the other points are."""
-    f, phi = _sweep(f_hz, phi_rad)
-    shape = np.broadcast_shapes(f.shape, phi.shape)
-    f, phi = np.broadcast_to(f, shape).ravel(), np.broadcast_to(phi, shape).ravel()
+    _check_positive("fc_hz", fc_hz)
+    specfun._argument(phi0_rad, "phi0_rad")
+    f, phi, shape = _points(f_hz, phi_rad)
     eta_f, eta_c = _eta(f, geom.radius_m), _eta(fc_hz, geom.radius_m)
     # xi^2 = |eta_f - eta_c|^2 + 4 eta_f eta_c sin^2((phi - phi0)/2): the law
     # of cosines would cancel near the beam.  phi - phi0 = hi + lo exactly,
@@ -191,6 +192,7 @@ def ps_gain_angular_closed_form(
     """
     _check_freqs(f_hz, fc_hz, radius_m)
     specfun._argument(phi_rad, "phi_rad")  # named here, not as bessel_j's argument
+    specfun._argument(phi0_rad, "phi0_rad")
     eta_m = _eta(f_hz, radius_m)
     eta_c = _eta(fc_hz, radius_m)
     xi_sq = eta_m**2 + eta_c**2 - 2.0 * eta_m * eta_c * np.cos(phi_rad - phi0_rad)
@@ -269,7 +271,10 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     _check_positive("radius_m", radius_m)
     _check_non_negative("bandwidth_hz", bandwidth_hz)
     x = specfun.inverse_1f2_threshold(1.0 - delta)
-    return math.pi**2 * radius_m * bandwidth_hz / (SPEED_OF_LIGHT * x)
+    k = math.pi**2 * radius_m * bandwidth_hz / (SPEED_OF_LIGHT * x)
+    if not math.isfinite(k):
+        raise ValueError(f"radius_m={radius_m!r} and bandwidth_hz={bandwidth_hz!r} overflow K_min")
+    return k
 
 
 def _b_ps(radius_m: float, bandwidth_hz):

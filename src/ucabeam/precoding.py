@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specfun
 from .arraymodel import (
     SPEED_OF_LIGHT,
     SUBCARRIER_CHUNK,
@@ -119,6 +120,7 @@ def _check_sizes(*, n_elements=None, n_rx=None, n_paths=None, n_rf=None, n_strea
 
 def _arc_size(n_elements: int, k_ttd: int) -> int:
     """P = N/K antennas per delay unit; K must be a positive divisor of N."""
+    _count("n_elements", n_elements)
     _count("k_ttd", k_ttd)
     if n_elements % k_ttd != 0:
         raise ValueError(
@@ -140,6 +142,7 @@ def ttd_delays(phi_rad, k_ttd: int, geom: UcaGeometry) -> np.ndarray:
     """Delays t_k = (R/c)*(1 - cos(phi - theta_k)) for one RF chain steered
     toward phi; non-negative by construction and at most 2R/c.  An n x 1
     array of directions gives one row of K delays per direction."""
+    specfun._argument(phi_rad, "phi_rad")
     theta = ttd_reference_angles(geom.n_elements, k_ttd)
     return geom.radius_m / SPEED_OF_LIGHT * (1.0 - np.cos(phi_rad - theta))
 

@@ -570,7 +570,7 @@ def _ula_exact(s: _Setup, phi: np.ndarray) -> np.ndarray:
     the linear-array reference of uca_exact."""
     ula = UlaGeometry(s.system.n_elements_tx, SPEED_OF_LIGHT / s.fc / 2.0)
     w = steering_ula(ula, s.fc, s.phi0)
-    return an._gains(ula, s.f_eval, phi, lambda f: w)
+    return an.exact_gain(w, ula, s.f_eval, phi)
 
 
 def _channel(scenario: Scenario, bandwidth: float, seed: int):

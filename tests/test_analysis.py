@@ -38,6 +38,7 @@ from ucabeam.precoding import (
     _bound,
     build_classic_hybrid,
     build_dpp,
+    ttd_delays,
 )
 from ucabeam.specfun import ConvergenceError, bessel_j
 
@@ -74,11 +75,11 @@ def test_exact_gain_rejects_overpowered_weights():
 
 
 def test_exact_gain_sweeps_build_rows_a_chunk_at_a_time(monkeypatch):
-    # on a frequency x angle grid each chunk of SUBCARRIER_CHUNK angles
-    # takes its angle factor once for every frequency (once in all at a
+    # the F x P points of a frequency x angle grid go flat in chunks of
+    # SUBCARRIER_CHUNK, each taking its angle factor once (once in all at a
     # scalar phi), and the rows it builds stay SUBCARRIER_CHUNK x N per step,
     # F x P rows in all; a scalar pair still gives a float.  A fig3b-shaped
-    # call, 3 frequencies by 257 angles at N = 256, peaks near 115 KB of
+    # call, 3 frequencies by 257 angles at N = 256, peaks near 130 KB of
     # traced memory, where a 257 x 256 table of cos(phi - psi_n) alone would
     # take 526 KB
     w = steering_uca(GEOM, 30e9, PHI0)
@@ -105,8 +106,8 @@ def test_exact_gain_sweeps_build_rows_a_chunk_at_a_time(monkeypatch):
     steering_rows = an._steering_rows
     monkeypatch.setattr(an, "_steering_rows", recorded)
     assert an.exact_gain(w, GEOM, freqs[:3, None], phis).shape == (3, 257)
-    assert factors == [SUBCARRIER_CHUNK] * 32 + [1]
-    assert max(rows) == (SUBCARRIER_CHUNK, 256) and len(rows) == 3 * 33
+    assert factors == [SUBCARRIER_CHUNK] * 96 + [3]
+    assert max(rows) == (SUBCARRIER_CHUNK, 256) and len(rows) == 97
     assert sum(r[0] for r in rows) == 3 * 257
     for sweep in (lambda: an.exact_gain(w, GEOM, freqs, PHI0),
                   lambda: an.dpp_exact_gain(GEOM, 30e9, freqs, PHI0, 8)):
@@ -432,6 +433,38 @@ def test_non_finite_angles_are_refused(name, phi, first):
     with pytest.raises(ValueError) as info:
         _ANGLE_CALLS[name](phi)
     assert str(info.value) == f"phi_rad must be finite, got {first}"
+
+
+_G16 = half_wavelength_uca(16, 30e9)
+_NAMED_CALLS = {
+    "_beam_gains-fc_hz": lambda x: an._beam_gains(_G16, x, 0.3, 29e9, 0.3),
+    "_beam_gains-phi0_rad": lambda x: an._beam_gains(_G16, 30e9, x, 29e9, 0.3),
+    "ps_gain_angular_closed_form-phi0_rad": lambda x: an.ps_gain_angular_closed_form(
+        29e9, 30e9, _G16.radius_m, 0.3, x),
+    "dpp_gain_subarray_sum-n_elements": lambda x: an.dpp_gain_subarray_sum(
+        29e9, 30e9, _G16.radius_m, x, 4),
+    "ttd_delays-phi_rad": lambda x: ttd_delays(x, 4, _G16),
+    "min_ttd_count-radius_m+bandwidth_hz": lambda x: an.min_ttd_count(0.1, x, 3e9),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, x", [
+    *((call, x) for call in ("_beam_gains-fc_hz", "_beam_gains-phi0_rad",
+                             "ps_gain_angular_closed_form-phi0_rad", "ttd_delays-phi_rad")
+      for x in (math.nan, math.inf, -math.inf)),
+    ("dpp_gain_subarray_sum-n_elements", 0),
+    ("dpp_gain_subarray_sum-n_elements", 1e300),
+    ("min_ttd_count-radius_m+bandwidth_hz", 1e300)])
+def test_bad_arguments_raise_errors_that_name_them(call, x):
+    # the beam's own fc and phi0, the arc count's N, a delay schedule's
+    # angle and a K_min past the largest float raise a ValueError naming
+    # the arguments after the "-" of the call's name, with no numpy warning,
+    # IndexError or inf on the way
+    with pytest.raises(ValueError) as info:
+        _NAMED_CALLS[call](x)
+    for name in call.split("-")[1].split("+"):
+        assert name in str(info.value)
 
 
 def test_subarray_sum_is_exact_at_center_frequency():
