@@ -32,14 +32,15 @@ sweep variable (frequency, direction or bandwidth): an array argument gives
 the array of values, each equal bit for bit to the scalar call, and a scalar
 argument gives a float.  The numeric average shares the segments between
 zeros across the bands, and each band sums its own segments in order.  The
-exact gains take 1-D sweeps the same way, or an (F, 1) column of
-frequencies by P angles, as one flat list of points: chunks of
-SUBCARRIER_CHUNK points take their angle factor once, rows are built in
-place, and each point keeps its own ``vdot``, so every value has its scalar
-call's bits (one matrix product would reorder the sums).  The gain of the
-center-frequency beam itself (_beam_gains, the runner's uca_exact and
-ps_exact) is |J0(xi)| at O(1) per point wherever the Jacobi-Anger tail and
-the conditioning of J0 certify it, and that dense sum elsewhere.
+exact gains take the flat list of sweep points that arraymodel._sweep
+makes (of 1-D sweeps, or of an (F, 1) column of frequencies by P angles):
+chunks of SUBCARRIER_CHUNK points take their angle factor once, rows are
+built in place, and each point keeps its own ``vdot``, so every value has
+its scalar call's bits (one matrix product would reorder the sums).  The
+gain of the center-frequency beam itself (_beam_gains, the runner's
+uca_exact and ps_exact) is |J0(xi)| at O(1) per point wherever the
+Jacobi-Anger tail and the conditioning of J0 certify it, and exact_gain of
+the fc beam elsewhere.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ import numpy as np
 
 from . import specfun
 from .arraymodel import (SPEED_OF_LIGHT, SUBCARRIER_CHUNK, UcaGeometry, UlaGeometry,
-                         _check_non_negative, _check_positive, _check_scalar, _count, _eta,
-                         _steering_rows, _subcarrier_chunks, _sweep, steering_uca)
+                         _check_non_negative, _check_positive, _check_ring_phase, _check_scalar,
+                         _count, _eta, _steering_rows, _subcarrier_chunks, _sweep, steering_uca)
 from .cxlinalg import water_filling
 from .precoding import HybridDesign, _arc_size, _bound, _chain_phases
 
@@ -81,8 +82,8 @@ __all__ = [
 def exact_gain(w, geom: UcaGeometry | UlaGeometry, f_hz, phi_rad):
     """|a(f, phi)^H w| for an arbitrary unit-norm-bounded weight vector, a
     the steering vector of geom (a UCA or a ULA).  ``f_hz`` and ``phi_rad``
-    may be sweep points as steering_uca takes them (F x P values for an
-    (F, 1) column by P angles); scalars give a float."""
+    may be sweep points as _sweep takes them (F x P values for an (F, 1)
+    column by P angles); scalars give a float."""
     w = np.asarray(w, dtype=np.complex128)
     if w.shape != (geom.n_elements,):
         raise ValueError(f"w must have shape ({geom.n_elements},), got {w.shape}")
@@ -92,22 +93,14 @@ def exact_gain(w, geom: UcaGeometry | UlaGeometry, f_hz, phi_rad):
     return _gains(geom, f_hz, phi_rad, lambda f: w)
 
 
-def _points(f_hz, phi_rad):
-    """The sweep points of f_hz and phi_rad, as _sweep takes them, as flat
-    arrays f and phi of one entry per point, and the shape of their result."""
-    f, phi = _sweep(f_hz, phi_rad)
-    shape = np.broadcast_shapes(f.shape, phi.shape)
-    return np.broadcast_to(f, shape).ravel(), np.broadcast_to(phi, shape).ravel(), shape
-
-
 def _gains(geom, f_hz, phi_rad, weight):
-    """|a(f, phi)^H w| at sweep points as steering_uca takes them (F x P for
-    an (F, 1) column of frequencies by P angles; a float at a scalar point),
+    """|a(f, phi)^H w| at sweep points as _sweep takes them (F x P for an
+    (F, 1) column of frequencies by P angles; a float at a scalar point),
     a the steering vector of geom (a UCA or a ULA) and weight(f) the weight
     vector at frequencies f (one, or a row per point).  Each chunk of
-    SUBCARRIER_CHUNK flat points (_points) takes one angle factor (a single
+    SUBCARRIER_CHUNK of _sweep's flat points takes one angle factor (a single
     angle takes one in all) and one row buffer; each point takes its own vdot."""
-    f, phi, shape = _points(f_hz, phi_rad)
+    f, phi, shape = _sweep(f_hz, phi_rad)
     out = np.empty(f.size)
     buf = np.empty((min(f.size, SUBCARRIER_CHUNK), geom.n_elements), dtype=np.complex128)
     at_phi = _steering_rows(geom, phi[:1]) if np.size(phi_rad) == 1 else None
@@ -138,13 +131,16 @@ def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad)
     conditioned, (xi |J1| + 8) eps <= _CONDITION |J0|; its gain is then
     |J0(xi)| (exactly 1.0 where xi rounds J0 to 1), from one floor-20 Miller
     pass for J0 and J1 over every candidate.  Every other point takes its
-    value from one _gains call over those points alone, paired, with the
-    bits of its scalar exact_gain call.  A scalar goes through the same
-    code as a one-point array, so each value has the bits of its scalar
-    call, whatever the other points are."""
+    value from one exact_gain call of the fc beam over those points alone,
+    paired, with the bits of its scalar exact_gain call.  A scalar goes
+    through the same code as a one-point array, so each value has the bits
+    of its scalar call, whatever the other points are."""
+    _check_scalar("fc_hz", fc_hz)
+    _check_scalar("phi0_rad", phi0_rad)
     _check_positive("fc_hz", fc_hz)
     specfun._argument(phi0_rad, "phi0_rad")
-    f, phi, shape = _points(f_hz, phi_rad)
+    f, phi, shape = _sweep(f_hz, phi_rad)
+    _check_ring_phase(geom.radius_m, f, fc_hz)
     eta_f, eta_c = _eta(f, geom.radius_m), _eta(fc_hz, geom.radius_m)
     # xi^2 = |eta_f - eta_c|^2 + 4 eta_f eta_c sin^2((phi - phi0)/2): the law
     # of cosines would cancel near the beam.  phi - phi0 = hi + lo exactly,
@@ -168,8 +164,7 @@ def _beam_gains(geom: UcaGeometry, fc_hz: float, phi0_rad: float, f_hz, phi_rad)
     ok[live] = (xi[live] * np.abs(j1) + 8.0) * _EPS <= _CONDITION * j0
     gain[live] = j0
     if not ok.all():
-        beam = steering_uca(geom, fc_hz, phi0_rad)
-        gain[~ok] = _gains(geom, f[~ok], phi[~ok], lambda f: beam)
+        gain[~ok] = exact_gain(steering_uca(geom, fc_hz, phi0_rad), geom, f[~ok], phi[~ok])
     return _value(gain.reshape(shape))
 
 
@@ -246,6 +241,7 @@ def _check_freqs(f_hz, fc_hz: float, radius_m: float):
     _check_positive("f_hz", f_hz)
     _check_positive("fc_hz", fc_hz)
     _check_positive("radius_m", radius_m)
+    _check_ring_phase(radius_m, f_hz, fc_hz)
 
 
 def _value(v):
@@ -270,6 +266,7 @@ def min_ttd_count(delta: float, radius_m: float, bandwidth_hz: float) -> float:
     _check_scalar("bandwidth_hz", bandwidth_hz)
     _check_positive("radius_m", radius_m)
     _check_non_negative("bandwidth_hz", bandwidth_hz)
+    radius_m, bandwidth_hz = float(radius_m), float(bandwidth_hz)  # so inf, not a warning
     x = specfun.inverse_1f2_threshold(1.0 - delta)
     k = math.pi**2 * radius_m * bandwidth_hz / (SPEED_OF_LIGHT * x)
     if not math.isfinite(k):

@@ -67,6 +67,14 @@ def _eta(f_hz, radius_m):
     return 2.0 * math.pi * radius_m * f_hz / SPEED_OF_LIGHT
 
 
+def _check_ring_phase(radius_m, *f_hz):
+    """Raise unless eta is finite at the largest of the frequencies f_hz
+    (positive scalars or arrays), taken in Python floats so nothing warns."""
+    f, r = max(float(np.max(x, initial=0.0)) for x in f_hz), float(radius_m)
+    if not math.isfinite(_eta(f, r)):
+        raise ValueError(f"the phase 2*pi*R*f/c at f={f!r} Hz is not finite, got radius_m={r!r}")
+
+
 def _check_scalar(name, value):
     """Raise unless value is a scalar (0-d)."""
     if np.ndim(value) != 0:
@@ -215,15 +223,17 @@ class ChannelRealization:
 
 
 def _sweep(f_hz, phi_rad):
-    """f and phi as float arrays of sweep points on their own shapes: scalars,
-    1-D arrays, or an (F, 1) column of frequencies (broadcast by the caller).
+    """The sweep points of f_hz and phi_rad (scalars, 1-D arrays broadcast
+    together, or an (F, 1) column of frequencies by P angles) as flat float
+    arrays f and phi of one entry per point, and the shape of their result.
     The first f that is not positive, or phi that is not finite, raises."""
     f, phi = np.asarray(f_hz, dtype=float), np.asarray(phi_rad, dtype=float)
     if phi.ndim > 1 or f.shape[1:] not in ((), (1,)):
         raise ValueError(f"sweep points must be scalars or 1-D arrays, got {f.shape} {phi.shape}")
     _check_positive("f_hz", f)
     specfun._argument(phi, "phi_rad")
-    return f, phi
+    shape = np.broadcast_shapes(f.shape, phi.shape)
+    return np.broadcast_to(f, shape).ravel(), np.broadcast_to(phi, shape).ravel(), shape
 
 
 def _steering_rows(geom, phi):
@@ -251,19 +261,18 @@ def _steering_rows(geom, phi):
 
 def steering_uca(geom: UcaGeometry, f_hz, phi_rad) -> np.ndarray:
     """UCA steering vector: entry n is exp(j*eta*cos(phi - psi_n))/sqrt(N)
-    with eta = 2*pi*R*f/c.  ``f_hz`` and ``phi_rad`` may be 1-D arrays of
-    sweep points, broadcast together, or f an (F, 1) column by P angles: the
-    result has one row per point, each equal to the scalar call bit for bit,
-    and the cosines one per angle."""
-    f, phi = _sweep(f_hz, phi_rad)
-    return _steering_rows(geom, phi)(f)
+    with eta = 2*pi*R*f/c.  ``f_hz`` and ``phi_rad`` may be sweep points as
+    _sweep takes them: the result has one row per point, on the points'
+    shape, each equal to the scalar call bit for bit."""
+    f, phi, shape = _sweep(f_hz, phi_rad)
+    return _steering_rows(geom, phi)(f).reshape(shape + (geom.n_elements,))
 
 
 def steering_ula(geom: UlaGeometry, f_hz, phi_rad) -> np.ndarray:
     """ULA steering vector: entry n is exp(j*2*pi*n*d*f*sin(phi)/c)/sqrt(N).
     Arrays of sweep points give one row per point, as in steering_uca."""
-    f, phi = _sweep(f_hz, phi_rad)
-    return _steering_rows(geom, phi)(f)
+    f, phi, shape = _sweep(f_hz, phi_rad)
+    return _steering_rows(geom, phi)(f).reshape(shape + (geom.n_elements,))
 
 
 def half_wavelength_uca(n_elements: int, fc_hz: float) -> UcaGeometry:

@@ -37,7 +37,7 @@ from .arraymodel import (
     UcaGeometry,
     UlaGeometry,
     _check_positive,
-    _eta,
+    _check_ring_phase,
     generate_channel,
     half_wavelength_uca,
     steering_ula,
@@ -349,10 +349,8 @@ def validate_scenario(scenario: Scenario) -> list:
     # in its order at the top frequency of the widest band the run takes, or fc
     if ok("fc_hz"):
         f_top = sy.fc_hz + widest / 2.0
-        if (sy.radius_m is not None and ok("radius_m")
-                and not math.isfinite(_eta(f_top, sy.radius_m))):
-            diags.append(f"system.radius_m: the phase 2*pi*R*f/c at f={f_top!r} Hz "
-                         f"is not finite, got {sy.radius_m!r}")
+        if sy.radius_m is not None and ok("radius_m"):
+            passes("system.radius_m", _check_ring_phase, sy.radius_m, f_top)
         if ok("max_delay_s") and not math.isfinite(2.0 * math.pi * tr.max_delay_s * f_top):
             diags.append(f"trials.max_delay_s: the phase 2*pi*tau*f at f={f_top!r} Hz "
                          f"is not finite, got {tr.max_delay_s!r}")

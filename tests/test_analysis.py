@@ -23,6 +23,7 @@ from ucabeam.arraymodel import (
     ChannelRealization,
     FrequencyGrid,
     PathParams,
+    UcaGeometry,
     UlaGeometry,
     _eta,
     channel_matrix,
@@ -445,6 +446,12 @@ _NAMED_CALLS = {
         29e9, 30e9, _G16.radius_m, x, 4),
     "ttd_delays-phi_rad": lambda x: ttd_delays(x, 4, _G16),
     "min_ttd_count-radius_m+bandwidth_hz": lambda x: an.min_ttd_count(0.1, x, 3e9),
+    "ps_gain_closed_form-radius_m": lambda x: an.ps_gain_closed_form(29e9, 30e9, x),
+    "ps_gain_angular_closed_form-radius_m": lambda x: an.ps_gain_angular_closed_form(
+        29e9, 30e9, x, 0.3, 0.3),
+    "dpp_gain_subarray_sum-radius_m": lambda x: an.dpp_gain_subarray_sum(29e9, 30e9, x, 16, 4),
+    "dpp_gain_closed_form-radius_m": lambda x: an.dpp_gain_closed_form(29e9, 30e9, x, 4),
+    "_beam_gains-radius_m": lambda x: an._beam_gains(UcaGeometry(16, x), 30e9, 0.3, 29e9, 0.3),
 }
 
 
@@ -455,12 +462,22 @@ _NAMED_CALLS = {
       for x in (math.nan, math.inf, -math.inf)),
     ("dpp_gain_subarray_sum-n_elements", 0),
     ("dpp_gain_subarray_sum-n_elements", 1e300),
-    ("min_ttd_count-radius_m+bandwidth_hz", 1e300)])
+    ("min_ttd_count-radius_m+bandwidth_hz", 1e300),
+    pytest.param("_beam_gains-fc_hz", np.array([30e9, 31e9]), id="_beam_gains-fc_hz-array"),
+    pytest.param("_beam_gains-phi0_rad", np.array([0.3, 0.4]),
+                 id="_beam_gains-phi0_rad-array"),
+    pytest.param("min_ttd_count-radius_m+bandwidth_hz", np.float64(1e300),
+                 id="min_ttd_count-radius_m+bandwidth_hz-float64"),
+    *(pytest.param(call, 1e300, id=f"{call}-1e+300")
+      for call in ("ps_gain_closed_form-radius_m", "ps_gain_angular_closed_form-radius_m",
+                   "dpp_gain_subarray_sum-radius_m", "dpp_gain_closed_form-radius_m",
+                   "_beam_gains-radius_m"))])
 def test_bad_arguments_raise_errors_that_name_them(call, x):
-    # the beam's own fc and phi0, the arc count's N, a delay schedule's
-    # angle and a K_min past the largest float raise a ValueError naming
-    # the arguments after the "-" of the call's name, with no numpy warning,
-    # IndexError or inf on the way
+    # the beam's own fc and phi0 (each a finite scalar), the arc count's N,
+    # a delay schedule's angle, a K_min past the largest float and a ring
+    # phase 2*pi*R*f/c past it raise a ValueError naming the arguments after
+    # the "-" of the call's name, with no numpy warning, IndexError or inf
+    # on the way
     with pytest.raises(ValueError) as info:
         _NAMED_CALLS[call](x)
     for name in call.split("-")[1].split("+"):

@@ -17,6 +17,7 @@ from ucabeam.arraymodel import (
     PathParams,
     UcaGeometry,
     UlaGeometry,
+    _sweep,
     channel_matrix,
     generate_channel,
     half_wavelength_uca,
@@ -216,6 +217,24 @@ def test_steering_rows_equal_scalar_calls(fs, phis):
             assert rows.shape == (points[0].size, 64)
             want = [steering(geom, fx, px) for fx, px in zip(*(p.tolist() for p in points))]
             assert np.array_equal(rows, want)
+
+
+def test_steering_grid_gives_a_row_per_point():
+    # an (F, 1) column of frequencies by P angles is F x P flat points
+    # (_sweep, the one reader of sweep points) and F x P x N rows, each
+    # with the bits of its scalar call
+    uca, ula = half_wavelength_uca(16, 30e9), UlaGeometry(16, C / 30e9 / 2.0)
+    col, phis = np.array([[28.5e9], [30e9], [31.5e9]]), np.linspace(-1.0, 2.5, 11)
+    f, phi, shape = _sweep(col, phis)
+    assert shape == (3, 11) and f.shape == phi.shape == (33,)
+    assert np.array_equal(f.reshape(shape)[:, 0], col[:, 0])
+    assert np.array_equal(phi.reshape(shape)[0], phis)
+    for steering, geom in ((steering_uca, uca), (steering_ula, ula)):
+        rows = steering(geom, col, phis)
+        assert rows.shape == (3, 11, 16)
+        for i in range(3):
+            for j in range(11):
+                assert np.array_equal(rows[i, j], steering(geom, float(col[i, 0]), phis[j]))
 
 
 def test_steering_rejects_bad_sweeps():

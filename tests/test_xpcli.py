@@ -1401,11 +1401,13 @@ def test_deterministic_methods_take_the_whole_sweep_in_one_call(monkeypatch):
         _count_calls(monkeypatch, analysis, name, counts)
     run(_with_points(load_builtin("fig6"), 40))
     run(_with_points(load_builtin("fig7"), 40))
-    # one evaluator call per method and run: fig6's ps_exact (_beam_gains)
-    # and dpp_exact (dpp_exact_gain) take one each, and fig7's four band
+    # one evaluator call per method and run: fig6's ps_exact (_beam_gains,
+    # whose uncertified points take one exact_gain call of the fc beam) and
+    # dpp_exact (dpp_exact_gain) take one each, and fig7's four band
     # averages one band pass (_band_averages)
-    assert counts == {"_beam_gains": 1, "dpp_exact_gain": 1, "dpp_gain_subarray_sum": 1,
-                      "dpp_gain_closed_form": 1, "_band_averages": 1}
+    assert counts == {"_beam_gains": 1, "exact_gain": 1, "dpp_exact_gain": 1,
+                      "dpp_gain_subarray_sum": 1, "dpp_gain_closed_form": 1,
+                      "_band_averages": 1}
 
 
 def test_kernel_labels_of_a_run_share_one_miller_pass(monkeypatch):
